@@ -10,8 +10,9 @@ Three subcommands:
       stdout
 
 Configs are flat key = value text files carrying exactly the documented
-keys; unknown or missing keys are configuration errors (exit 2).  Numerical
-failures exit 3; failed verify suites exit 1 and unknown suite names exit 2.
+keys; unknown or missing keys and non-finite numbers are configuration
+errors (exit 2).  Numerical failures exit 3; failed verify suites exit 1 and
+unknown suite names exit 2.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
 directory).  Every numeric cell is printed with 13 significant digits and
@@ -26,6 +27,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -119,6 +121,10 @@ def parse_config(
             raise ConfigError(
                 f"{path}:{lineno}: bad value for '{key}': {val!r}"
             ) from exc
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigError(
+                f"{path}:{lineno}: non-finite value for '{key}': {val!r}"
+            )
     for key in required:
         if key not in values:
             raise ConfigError(f"{path}: missing key '{key}'")

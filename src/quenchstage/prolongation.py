@@ -17,9 +17,13 @@ domain by k at fixed mesh width and writes fine interior values
 
     Zhat(k*i + l, k*j + r) = k^(2/3) * P_ij(l/k, r/k),   l, r in {0..k-1},
 
-with half-open cell ownership (the last fine grid line comes from the last
-cells at l or r = k).  Stencil entries outside the coarse node set take the
-fill value 1/A_from, and the new boundary value is 1/A_to.
+with half-open cell ownership: fine index I belongs to cell I // k at offset
+I % k.  Interior fine indices stop at k*N - 1, so every one of them has an
+owner with offset below k, and the fine line k*N is the new boundary ring.
+Stencil entries outside the coarse node set take the fill value 1/A_from,
+and the new boundary value is 1/A_to.  Evaluating P_ij at a fixed offset is
+a fixed linear map of the cell's 12 stencil values, so the transfer applies
+one k x k x 12 weight table to all cells at once.
 """
 
 from __future__ import annotations
@@ -50,6 +54,15 @@ BASIS_EXPONENTS: tuple[tuple[int, int], ...] = (
 def basis_row(theta: float, zeta: float) -> np.ndarray:
     return np.array(
         [theta ** p * zeta ** q for p, q in BASIS_EXPONENTS], dtype=float
+    )
+
+
+def laplacian_row(theta: float, zeta: float) -> np.ndarray:
+    """Laplacian of each basis monomial at (theta, zeta), in local units."""
+    tz = 6.0 * theta * zeta
+    return np.array(
+        [0.0, 0.0, 0.0, 2.0, 0.0, 2.0,
+         6.0 * theta, 2.0 * zeta, 2.0 * theta, 6.0 * zeta, tz, tz]
     )
 
 
@@ -118,37 +131,19 @@ def eval_cell(c: CellCoeffs, theta: float, zeta: float) -> float:
 
 def laplacian_cell(c: CellCoeffs, theta: float, zeta: float, h: float) -> float:
     """Laplacian of the cell polynomial in grid coordinates (units 1/h^2)."""
-    a = c.a
-    return (
-        2.0 * (a[3] + a[5])
-        + (6.0 * a[6] + 2.0 * a[8]) * theta
-        + (2.0 * a[7] + 6.0 * a[9]) * zeta
-        + 6.0 * (a[10] + a[11]) * theta * zeta
-    ) / (h * h)
+    return float(laplacian_row(theta, zeta) @ c.a) / (h * h)
 
 
-def _stencil_values(F: np.ndarray, N: int, i: int, j: int, fill: float) -> np.ndarray:
-    out = np.empty(12)
-    for idx, (a, b) in enumerate(S12):
-        p, q = i + a, j + b
-        if 0 <= p <= N and 0 <= q <= N:
-            out[idx] = F[p, q]
-        else:
-            out[idx] = fill
-    return out
+def _cell_stencils(end: Field, fill: float) -> np.ndarray:
+    """Stencil values of every coarse cell, shape (N, N, 12) in S12 order.
 
-
-def stencil_in_domain(N: int, i: int, j: int) -> bool:
-    """True when cell (i, j) reads no fill values: 1 <= i, j <= N - 2."""
-    return 1 <= i <= N - 2 and 1 <= j <= N - 2
-
-
-def _owner(index: int, k: int, N: int) -> tuple[int, int]:
-    # half-open ownership; the last grid line belongs to the last cell
-    cell, offset = divmod(index, k)
-    if cell == N:
-        return N - 1, k
-    return cell, offset
+    Offsets that leave the coarse node set read the fill value.
+    """
+    N = end.grid.N
+    padded = np.pad(flat_extend(end), 1, constant_values=fill)
+    return np.stack(
+        [padded[a + 1:a + 1 + N, b + 1:b + 1 + N] for a, b in S12], axis=-1
+    )
 
 
 def prolong_stage(end: Field, spec: TransferSpec) -> Field:
@@ -165,19 +160,11 @@ def prolong_stage(end: Field, spec: TransferSpec) -> Field:
     N = end.grid.N
     k = spec.k
     Nf = k * N
-    F = flat_extend(end)
-    out = np.empty((Nf - 1, Nf - 1))
-    coeffs: dict[tuple[int, int], CellCoeffs] = {}
-    for I in range(1, Nf):
-        i, l = _owner(I, k, N)
-        for J in range(1, Nf):
-            j, r = _owner(J, k, N)
-            key = (i, j)
-            c = coeffs.get(key)
-            if c is None:
-                c = fit_cell(_stencil_values(F, N, i, j, spec.fill))
-                coeffs[key] = c
-            out[I - 1, J - 1] = spec.scale * eval_cell(c, l / k, r / k)
+    offsets = np.arange(k) / k
+    B = np.array([[basis_row(t, z) for z in offsets] for t in offsets])
+    W = spec.scale * (B @ REFERENCE_INVERSE)
+    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, spec.fill), W)
+    out = np.ascontiguousarray(values.reshape(Nf, Nf)[1:, 1:])
     fine_grid = build_rescaled_grid(spec.A_to, Nf)
     return Field(grid=fine_grid, interior=out, g=1.0 / spec.A_to)
 
@@ -192,34 +179,21 @@ def edge_consistency_check(end: Field, samples: int = 5) -> float:
     if samples < 2:
         raise ValueError("need at least 2 sample points per edge")
     N = end.grid.N
-    F = flat_extend(end)
-    fill = end.g
-
-    def coeffs(i: int, j: int) -> CellCoeffs:
-        return fit_cell(_stencil_values(F, N, i, j, fill))
-
+    # cells 1..N-2 in both directions read no fill values
+    inner = _cell_stencils(end, end.g)[1:N - 1, 1:N - 1]
     ts = np.linspace(0.0, 1.0, samples)
-    worst = 0.0
-    for i in range(N):
-        for j in range(N):
-            if not stencil_in_domain(N, i, j):
-                continue
-            left = coeffs(i, j)
-            if stencil_in_domain(N, i + 1, j):
-                right = coeffs(i + 1, j)
-                for t in ts:
-                    worst = max(
-                        worst,
-                        abs(eval_cell(left, 1.0, t) - eval_cell(right, 0.0, t)),
-                    )
-            if stencil_in_domain(N, i, j + 1):
-                upper = coeffs(i, j + 1)
-                for t in ts:
-                    worst = max(
-                        worst,
-                        abs(eval_cell(left, t, 1.0) - eval_cell(upper, t, 0.0)),
-                    )
-    return worst
+    ones, zeros = np.ones(samples), np.zeros(samples)
+
+    def at(thetas: np.ndarray, zetas: np.ndarray) -> np.ndarray:
+        rows = np.array([basis_row(t, z) for t, z in zip(thetas, zetas)])
+        return (rows @ REFERENCE_INVERSE).T
+
+    x_gap = inner[:-1] @ at(ones, ts) - inner[1:] @ at(zeros, ts)
+    y_gap = inner[:, :-1] @ at(ts, ones) - inner[:, 1:] @ at(ts, zeros)
+    return max(
+        float(np.max(np.abs(x_gap), initial=0.0)),
+        float(np.max(np.abs(y_gap), initial=0.0)),
+    )
 
 
 def laplace_compat_check(end: Field, spec: TransferSpec) -> float:
@@ -234,30 +208,20 @@ def laplace_compat_check(end: Field, spec: TransferSpec) -> float:
     k = spec.k if spec.k >= 3 else 4
     eff = make_transfer(spec.A_from, k)
     fine = prolong_stage(end, eff)
-    lap_fine = laplacian_5pt(fine)
     N = end.grid.N
-    F = flat_extend(end)
-    h = end.grid.h
+    # fine Laplacian indexed by fine node (k*i + l, k*j + r); row/column 0
+    # is boundary padding that no cell below reads
+    lap_fine = np.pad(laplacian_5pt(fine), ((1, 0), (1, 0)))
+    # the node values bordering the cell must come from consistent
+    # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
+    # cells 1..N-3 in both directions
+    got = lap_fine.reshape(N, k, N, k)[1:N - 2, 1:, 1:N - 2, 1:]
+    inner = _cell_stencils(end, eff.fill)[1:N - 2, 1:N - 2]
     # the fine field carries the amplitude scale k^(2/3); together with the
     # 1/k^2 of the fine difference quotient this gives the k^(-4/3) factor
-    factor = k ** (-4.0 / 3.0)
-    worst = 0.0
-    for i in range(N):
-        for j in range(N):
-            # the node values bordering the cell must come from consistent
-            # polynomials, so this cell and its +x/+y neighbors must all be
-            # fill-free
-            if not (
-                stencil_in_domain(N, i, j)
-                and stencil_in_domain(N, i + 1, j)
-                and stencil_in_domain(N, i, j + 1)
-            ):
-                continue
-            c = fit_cell(_stencil_values(F, N, i, j, eff.fill))
-            for l in range(1, k):
-                for r in range(1, k):
-                    I, J = k * i + l, k * j + r
-                    expected = factor * laplacian_cell(c, l / k, r / k, h)
-                    got = lap_fine[I - 1, J - 1]
-                    worst = max(worst, abs(got - expected))
-    return worst
+    h = end.grid.h
+    offsets = np.arange(1, k) / k
+    rows = np.array([[laplacian_row(t, z) for z in offsets] for t in offsets])
+    L = (k ** (-4.0 / 3.0) / (h * h)) * (rows @ REFERENCE_INVERSE)
+    expected = np.einsum("ijs,lrs->iljr", inner, L)
+    return float(np.max(np.abs(got - expected), initial=0.0))

@@ -1,11 +1,15 @@
 """Config parsing, exit codes, file formats, and determinism of the CLI."""
 
 import json
+import os
 import re
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quenchstage
 from quenchstage.cli import (
     ConfigError,
     DIRECT_KEYS,
@@ -244,6 +248,23 @@ class TestDirectCommand:
         assert main(["direct", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("stagewise", "lambda", "nan"),
+        ("stagewise", "ds", "inf"),
+        ("stagewise", "A0", "inf"),
+        ("direct", "dt", "nan"),
+    ],
+)
+def test_non_finite_value_exit_code(tmp_path, outdir, capsys, command, key, value):
+    bad = dict(STAGE_BASE if command == "stagewise" else DIRECT_BASE)
+    bad[key] = value
+    cfg = write_cfg(tmp_path / "c.cfg", bad)
+    assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_green_suite_report(self, capsys):
         assert main(["verify", "green"]) == 0
@@ -271,9 +292,36 @@ class TestVerifyCommand:
         assert main(["verify", "spectral"]) == 2
 
 
-def test_console_script_installed():
-    proc = subprocess.run(
-        ["quenchstage", "verify", "green"], capture_output=True, text=True
+# the directory holding the quenchstage package, for fresh interpreters
+PACKAGE_ROOT = Path(quenchstage.__file__).resolve().parents[1]
+PROJECT_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
-    assert proc.returncode == 0
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_console_script_installed():
+    import tomllib  # Python >= 3.11
+
+    pyproject = tomllib.loads((PROJECT_ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["quenchstage"] == "quenchstage.cli:main"
+    proc = run_python("-m", "quenchstage", "verify", "green")
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = run_python(
+        "-c",
+        "import json, sys, quenchstage.cli; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

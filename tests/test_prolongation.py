@@ -2,7 +2,8 @@
 
 The fit oracle rebuilds the 12x12 interpolation system with explicit loops
 and solves it densely; the Laplacian oracle is a centered second difference
-of eval_cell.
+of eval_cell; the transfer oracle fits and evaluates every fine node's
+owning cell one at a time.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from quenchstage import (
     edge_consistency_check,
     eval_cell,
     fit_cell,
+    flat_extend,
     initial_rescaled_profile,
     laplace_compat_check,
     laplacian_cell,
@@ -31,6 +33,24 @@ from quenchstage.prolongation import (
     CellCoeffs,
 )
 from quenchstage.verify import transfer_refinement_errors
+
+
+def loop_prolong(end, spec):
+    """Per-node transfer: fit the owning cell, evaluate at the fine offset."""
+    N, k = end.grid.N, spec.k
+    F = flat_extend(end)
+
+    def value(p, q):
+        return F[p, q] if 0 <= p <= N and 0 <= q <= N else spec.fill
+
+    out = np.empty((k * N - 1, k * N - 1))
+    for I in range(1, k * N):
+        i, l = divmod(I, k)
+        for J in range(1, k * N):
+            j, r = divmod(J, k)
+            c = fit_cell(np.array([value(i + a, j + b) for a, b in S12]))
+            out[I - 1, J - 1] = spec.scale * eval_cell(c, l / k, r / k)
+    return out
 
 
 def dense_fit(data):
@@ -206,6 +226,21 @@ class TestProlongStage:
                         assert out.interior[I - 1, J - 1] == pytest.approx(
                             want, rel=1e-12
                         )
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("N", [3, 4, 9])
+    def test_matches_per_node_loop(self, N, k):
+        # N = 3 and 4 put every cell next to the fill ring
+        rng = np.random.default_rng(100 * N + k)
+        A = 0.6
+        end = Field(
+            grid=build_rescaled_grid(A, N),
+            interior=1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)),
+            g=1.0 / A,
+        )
+        spec = make_transfer(A, k)
+        got = prolong_stage(end, spec).interior
+        assert np.max(np.abs(got - loop_prolong(end, spec))) < 1e-13
 
     def test_rejects_inadmissible_end(self):
         spec = make_transfer(0.6, 2)

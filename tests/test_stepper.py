@@ -1,8 +1,8 @@
 """Implicit step, step-size bound, and minimizing-movement oracle checks.
 
 The linear-algebra oracle here assembles the backward-Euler system with
-explicit loops and solves it densely, sharing nothing with the sparse
-factorization used by the package.
+explicit loops and solves it densely, sharing nothing with the sine-basis
+diagonalization used by the package.
 """
 
 import numpy as np
@@ -106,14 +106,17 @@ class TestDtStar:
 
 
 class TestDirichletSolver:
-    def test_matches_dense_loop_system(self):
-        Z = random_state(N=5, seed=3)
+    # N = 2 is the single-interior-node grid
+    @pytest.mark.parametrize("N", [2, 3, 5, 12])
+    def test_matches_dense_loop_system(self, N):
+        Z = random_state(N=N, seed=3)
         ds = 2e-3
+        n = N - 1
         solver = DirichletSolver(Z.grid, ds)
         rng = np.random.default_rng(4)
-        rhs = rng.normal(size=(4, 4))
+        rhs = rng.normal(size=(n, n))
         got = solver.solve(rhs)
-        want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(4, 4)
+        want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(n, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_nonpositive_step(self):
