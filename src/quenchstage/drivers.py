@@ -10,22 +10,22 @@ sum of s*_m * A_m^3 with the fractional event step included in s*_m.
 
 The direct driver evolves the physical deficit v on the unit square with the
 same backward-Euler + Picard scheme at amplitude 1 (so K = 1 + h^2 sum 1/v)
-and reports the energies at t = 0 and t = T plus the final minimum.
+and reports the energies at t = 0 and t = T plus the final minimum; a step
+that leaves the positive cone (the deficit quenches) is a numerical failure.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, build_physical_grid, build_rescaled_grid, inner_product
+from .grid import Field, build_physical_grid, build_rescaled_grid
 from .energy import (
     DefectLedger,
     DefectRow,
     CriterionReport,
-    accumulate_time,
     continuation_check,
     discrete_energy,
     feedback,
@@ -104,7 +104,6 @@ class StageState:
     m: int
     A: float
     Z: Field
-    s: float  # scaled time elapsed inside the current stage
     t: float  # accumulated physical time before the current stage
 
 
@@ -130,28 +129,18 @@ class StageRecord:
 
 
 @dataclass(frozen=True)
-class TransitionRecord:
-    m_from: int
-    m_to: int
-    A_from: float
-    A_to: float
-    E_end: float
-    E_id: float
-    E_start: float
-    delta_sw: float
-    eps_sw: float
-    eps_out: float
-
-
-@dataclass(frozen=True)
 class RunReport:
     config: StagewiseConfig
     E0: float
     records: list[StageRecord]
-    transitions: list[TransitionRecord]
     ledger: DefectLedger
     areas: list[float]
     continuation: CriterionReport | None
+
+    @property
+    def transitions(self) -> list[DefectRow]:
+        """The stage switches, in order; the ledger holds the only copy."""
+        return self.ledger.rows
 
 
 @dataclass(frozen=True)
@@ -237,9 +226,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
                 f"converge within {scfg.picard_max} sweeps"
             )
         nxt = rep.next
-        diff = nxt.interior - prev.interior
-        penalty = (A * A / (2.0 * cfg.ds)) * inner_product(diff, diff, h)
-        E_next = rep.dissipation_lhs - penalty
+        E_next = rep.energy
         hit = detect_trigger(prev, nxt, thr)
         if hit is None:
             if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
@@ -247,14 +234,14 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
                     "stage %d, step %d: energy increased by %.3e",
                     state.m, completed + 1, E_next - E_prev,
                 )
-            dissipation += penalty
+            dissipation += rep.penalty
             prev = nxt
             E_prev = E_next
             completed += 1
             continue
 
         tau, event = hit
-        dissipation += tau * penalty
+        dissipation += tau * rep.penalty
         s_star = (completed + tau) * cfg.ds
         end_E = discrete_energy(event, A, cfg.lam)
         end_fb = feedback(event, A, cfg.lam)
@@ -286,9 +273,9 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
 
 def stage_transition(
-    event: Field, spec: TransferSpec, lam: float
-) -> tuple[Field, TransitionRecord]:
-    """Transfer the event state to the next stage and score the switch.
+    event: Field, spec: TransferSpec, lam: float, m: int
+) -> tuple[Field, DefectRow]:
+    """Transfer the event state of stage m to stage m + 1 and score the switch.
 
     Full-domain runs insert the raw transfer unchanged, so the ideal
     next-stage energy E_id coincides with the actual E_start; both are
@@ -304,11 +291,9 @@ def stage_transition(
     E_start = discrete_energy(nxt, spec.A_to, lam).total
     E_id = E_start  # raw transfer is inserted unchanged in full-domain mode
     delta, eps = switch_jump(E_end, E_id)
-    record = TransitionRecord(
-        m_from=-1,  # caller fills stage indices
-        m_to=-1,
-        A_from=spec.A_from,
-        A_to=spec.A_to,
+    row = DefectRow(
+        m_from=m,
+        m_to=m + 1,
         E_end=E_end,
         E_id=E_id,
         E_start=E_start,
@@ -316,7 +301,7 @@ def stage_transition(
         eps_sw=eps,
         eps_out=0.0,
     )
-    return nxt, record
+    return nxt, row
 
 
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
@@ -325,40 +310,20 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     E0 = discrete_energy(Z0, cfg.A0, cfg.lam).total
     ledger = DefectLedger(lam=cfg.lam)
     records: list[StageRecord] = []
-    transitions: list[TransitionRecord] = []
     areas: list[float] = []
-    durations: list[float] = []
-    amplitudes: list[float] = []
 
-    state = StageState(m=0, A=cfg.A0, Z=Z0, s=0.0, t=0.0)
+    state = StageState(m=0, A=cfg.A0, Z=Z0, t=0.0)
     for m in range(cfg.max_stages):
         grid = state.Z.grid
         areas.append(grid.h ** 2 * grid.node_count)
         record, event = run_stage(state, cfg)
-        durations.append(record.scaled_time)
-        amplitudes.append(state.A)
-        times = accumulate_time(durations, amplitudes)
-        record = replace(record, accumulated_time=times[-1])
         records.append(record)
         if m + 1 >= cfg.max_stages:
             break
         spec = make_transfer(state.A, cfg.k)
-        nxt, transition = stage_transition(event, spec, cfg.lam)
-        transition = replace(transition, m_from=m, m_to=m + 1)
-        transitions.append(transition)
-        ledger.append(
-            DefectRow(
-                m_from=m,
-                m_to=m + 1,
-                E_end=transition.E_end,
-                E_id=transition.E_id,
-                E_start=transition.E_start,
-                delta_sw=transition.delta_sw,
-                eps_sw=transition.eps_sw,
-                eps_out=transition.eps_out,
-            )
-        )
-        state = StageState(m=m + 1, A=spec.A_to, Z=nxt, s=0.0, t=times[-1])
+        nxt, row = stage_transition(event, spec, cfg.lam, m)
+        ledger.append(row)
+        state = StageState(m=m + 1, A=spec.A_to, Z=nxt, t=record.accumulated_time)
 
     continuation = (
         continuation_check(E0, ledger, areas, cfg.lam, full_domain=True)
@@ -369,7 +334,6 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
         config=cfg,
         E0=E0,
         records=records,
-        transitions=transitions,
         ledger=ledger,
         areas=areas,
         continuation=continuation,
@@ -396,6 +360,11 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
                 f"direct run, step {j + 1}: Picard did not converge"
             )
         v = rep.next
+        if not v.is_admissible():
+            raise NumericalError(
+                f"direct run, step {j + 1}: the state left the positive cone "
+                f"(min v = {v.min_interior():.6e})"
+            )
     E_end = discrete_energy(v, 1.0, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(

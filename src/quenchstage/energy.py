@@ -6,12 +6,14 @@ The discrete energy at frozen amplitude A is
 
 with the nonlocal feedback
 
-    K(Y) = 1 + I_out + A^2 h^2 * sum_ij 1/Y_ij        if min Y > 0,
-    K(Y) = +inf  and  lambda/K := 0                    otherwise.
+    K(Y) = 1 + A^2 h^2 * sum_ij 1/Y_ij        if min Y > 0,
+    K(Y) = +inf  and  lambda/K := 0            otherwise.
 
 The +inf branch is the lower-semicontinuous extension: states touching zero
 are admissible competitors in the minimizing-movement problem but carry no
-reciprocal energy.  Full-domain runs have I_out = 0.
+reciprocal energy.  Only full-domain runs exist, so K has no outer-region
+term; the bounded-window contribution of the region outside the window is
+not implemented.
 
 Stage switches are scored by the signed jump delta = E_id(next start) -
 E(prev end) and its positive part eps; the ledger accumulates the budget
@@ -79,29 +81,25 @@ class DefectLedger:
         return sum(r.eps_sw + self.lam * r.eps_out for r in self.rows)
 
 
-def reciprocal_K(Y: Field, A: float, I_out: float = 0.0) -> float:
+def reciprocal_K(Y: Field, A: float) -> float:
     """Nonlocal feedback K with the lower-semicontinuous extension.
 
     Returns +inf as soon as any interior value is nonpositive.
     """
-    if I_out < 0.0:
-        raise ValueError("I_out must be nonnegative")
     if Y.min_interior() <= 0.0:
         return math.inf
     h = Y.grid.h
-    return 1.0 + I_out + A * A * h * h * float(np.sum(1.0 / Y.interior))
+    return 1.0 + A * A * h * h * float(np.sum(1.0 / Y.interior))
 
 
-def discrete_energy(
-    Y: Field, A: float, lam: float, I_out: float = 0.0
-) -> EnergyBreakdown:
+def discrete_energy(Y: Field, A: float, lam: float) -> EnergyBreakdown:
     """Discrete energy split into Dirichlet and reciprocal parts.
 
     On the vanishing branch the reciprocal part is 0 by convention, so the
     energy stays finite and lower semicontinuous.
     """
     dirichlet = 0.5 * A * A * grad_norm_sq(Y)
-    K = reciprocal_K(Y, A, I_out)
+    K = reciprocal_K(Y, A)
     reciprocal = 0.0 if math.isinf(K) else lam / K
     return EnergyBreakdown(
         dirichlet=dirichlet, K=K, reciprocal=reciprocal, total=dirichlet + reciprocal
@@ -109,8 +107,8 @@ def discrete_energy(
 
 
 def feedback(Y: Field, A: float, lam: float) -> FeedbackSample:
-    """Endpoint diagnostics (K, lambda*K^-2) with I_out = 0."""
-    K = reciprocal_K(Y, A, 0.0)
+    """Endpoint diagnostics (K, lambda*K^-2)."""
+    K = reciprocal_K(Y, A)
     if math.isinf(K):
         return FeedbackSample(K=math.inf, coeff=0.0)
     return FeedbackSample(K=K, coeff=lam / (K * K))
@@ -177,13 +175,6 @@ def continuation_check(
         full_domain=full_domain,
         note=note,
     )
-
-
-def physical_mass(Z: Field, A: float) -> float:
-    """h^2-weighted squared mass of the physical deviation u = 1 - A*Z."""
-    h = Z.grid.h
-    U = 1.0 - A * Z.interior
-    return float(h * h * np.sum(U * U))
 
 
 def accumulate_time(durations: list[float], amplitudes: list[float]) -> list[float]:

@@ -12,7 +12,9 @@ the right-hand side.  Values are clipped (default 1e-12) only inside
 reciprocal evaluations, K is recomputed from the full current iterate each
 sweep, and the iteration seeds from Z.  For lam = 0 the source does not
 depend on the iterate, so the first solve is already the fixed point and the
-step reports a single iteration.
+step reports a single iteration.  Besides the new state the step returns
+E(next) and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}, the two
+numbers the stage loop's energy ledger needs.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, laplacian_5pt
+from .grid import Field, Grid, inner_product, laplacian_5pt
 from .energy import discrete_energy, reciprocal_K
 
 
@@ -58,8 +60,8 @@ class StepReport:
     next: Field
     picard_iters: int
     converged: bool
-    dissipation_lhs: float  # E(next) + (A^2/2ds)*||next - prev||^2_{2,h}
-    dissipation_rhs: float  # E(prev)
+    energy: float  # E(next)
+    penalty: float  # (A^2/2ds)*||next - prev||^2_{2,h}
 
 
 class OracleStagnation(RuntimeError):
@@ -109,8 +111,8 @@ def dt_star(Z: Field, A: float, eta: float, lam: float, E: float) -> float:
     """Admissible step bound min{A^2 h^2 eta^2 / (8E), eta^3 / (16 lam)}.
 
     Below this bound the implicit minimizer stays positive (min >= eta/2)
-    and is locally unique.  Reported as a diagnostic; the reference runs use
-    their fixed ds regardless.
+    and is locally unique.  The reference runs use their fixed ds regardless,
+    and nothing in a run reports the bound yet.
     """
     if A <= 0.0 or eta <= 0.0 or lam <= 0.0 or E <= 0.0:
         raise ValueError("dt_star needs positive A, eta, lam, E")
@@ -168,21 +170,18 @@ def picard_implicit_step(
 
     nxt = Z.with_interior(Y)
     diff = Y - Z.interior
-    penalty = (A * A / (2.0 * cfg.ds)) * h * h * float(np.sum(diff * diff))
-    lhs = discrete_energy(nxt, A, cfg.lam).total + penalty
-    rhs_e = discrete_energy(Z, A, cfg.lam).total
     return StepReport(
         next=nxt,
         picard_iters=iters,
         converged=converged,
-        dissipation_lhs=lhs,
-        dissipation_rhs=rhs_e,
+        energy=discrete_energy(nxt, A, cfg.lam).total,
+        penalty=(A * A / (2.0 * cfg.ds)) * inner_product(diff, diff, h),
     )
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, cfg: StepperConfig, A: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
-    K = reciprocal_K(Y, A, 0.0)
+    K = reciprocal_K(Y, A)
     if math.isinf(K):
         raise ValueError("residual undefined on the vanishing branch")
     source = cfg.lam / (Y.interior ** 2 * K * K)

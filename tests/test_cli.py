@@ -325,3 +325,15 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("key, value", [("lambda", 2000.0), ("u0_amplitude", 0.999)])
+def test_direct_quench_exit_code(tmp_path, outdir, key, value):
+    # the first step leaves the positive cone; the run must stop there
+    quench = dict(DIRECT_BASE)
+    quench[key] = value
+    cfg = write_cfg(tmp_path / "d.cfg", quench)
+    proc = run_python("-m", "quenchstage", "direct", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -125,7 +125,7 @@ class TestDetectTrigger:
 class TestRunStage:
     def test_stage0_reference_values(self):
         cfg = StagewiseConfig()
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), s=0.0, t=0.0)
+        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
         record, event = run_stage(state, cfg)
         assert record.scaled_time == pytest.approx(0.139155092, rel=1e-6)
         assert record.E_start == pytest.approx(10.3614604375, rel=1e-6)
@@ -137,7 +137,7 @@ class TestRunStage:
     def test_lam_zero_never_triggers(self):
         # source-free flow rises toward the boundary value, so the cap fires
         cfg = StagewiseConfig(lam=0.0, step_cap=50)
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), s=0.0, t=0.0)
+        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
         with pytest.raises(StageRunawayError):
             run_stage(state, cfg)
 
@@ -148,16 +148,16 @@ class TestRunStage:
             grid=grid, interior=np.full((8, 8), 0.5), g=1.0 / cfg.A0
         )
         with pytest.raises(ValueError):
-            run_stage(StageState(m=0, A=cfg.A0, Z=low, s=0.0, t=0.0), cfg)
+            run_stage(StageState(m=0, A=cfg.A0, Z=low, t=0.0), cfg)
 
 
 class TestStageTransition:
     def test_reference_first_transition(self):
         cfg = StagewiseConfig()
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), s=0.0, t=0.0)
+        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
         _, event = run_stage(state, cfg)
         spec = make_transfer(cfg.A0, cfg.k)
-        nxt, record = stage_transition(event, spec, cfg.lam)
+        nxt, record = stage_transition(event, spec, cfg.lam, 0)
         assert spec.A_to == pytest.approx(0.37797631496846196, rel=1e-14)
         assert nxt.grid.N == 18
         assert nxt.grid.h == pytest.approx(event.grid.h, rel=1e-12)
@@ -179,7 +179,7 @@ class TestStageTransition:
         event = Field(
             grid=grid, interior=np.full((N - 1, N - 1), 1.0 / A), g=1.0 / A
         )
-        nxt, record = stage_transition(event, spec, lam)
+        nxt, record = stage_transition(event, spec, lam, 0)
         h = grid.h
         K_end = 1.0 + A ** 3 * h * h * (N - 1) ** 2
         K_start = 1.0 + spec.A_to ** 3 * h * h * (k * N - 1) ** 2
@@ -198,7 +198,7 @@ class TestStageTransition:
         # undershoot below zero near the boundary ring
         event = Field(grid=grid, interior=np.full((5, 5), 0.1), g=1.0 / A)
         with pytest.raises(TransferError):
-            stage_transition(event, spec, 20.0)
+            stage_transition(event, spec, 20.0, 0)
 
 
 class TestRunStagewise:

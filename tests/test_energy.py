@@ -17,7 +17,6 @@ from quenchstage import (
     feedback,
     grad_norm_sq,
     initial_rescaled_profile,
-    physical_mass,
     reciprocal_K,
     switch_jump,
 )
@@ -56,10 +55,6 @@ class TestReciprocalK:
         bumped[2, 1] += 0.25
         K1 = reciprocal_K(Field(grid=grid, interior=bumped, g=Y.g), 0.6)
         assert K1 < K0
-
-    def test_negative_outer_rejected(self):
-        with pytest.raises(ValueError):
-            reciprocal_K(single_node_field(1.0), A=1.0, I_out=-0.1)
 
 
 class TestDiscreteEnergy:
@@ -185,28 +180,6 @@ class TestContinuationCheck:
         )
         assert report.full_domain
         assert "outside the bounded-window hypothesis" in report.note
-
-
-class TestPhysicalMass:
-    def test_zero_deviation(self):
-        grid = build_rescaled_grid(0.6, 4)
-        Z = Field(grid=grid, interior=np.full((3, 3), 1.0 / 0.6), g=1.0 / 0.6)
-        assert physical_mass(Z, 0.6) == pytest.approx(0.0, abs=1e-15)
-
-    def test_unit_node(self):
-        Z = single_node_field(0.0)
-        assert physical_mass(Z, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_reference_field_against_quadrature_loop(self):
-        cfg = StagewiseConfig()
-        W = initial_rescaled_profile(cfg)
-        h = W.grid.h
-        total = 0.0
-        for i in range(8):
-            for j in range(8):
-                u = 1.0 - cfg.A0 * W.interior[i, j]
-                total += h * h * u * u
-        assert physical_mass(W, cfg.A0) == pytest.approx(total, rel=1e-13)
 
 
 class TestAccumulateTime:

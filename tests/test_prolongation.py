@@ -260,7 +260,7 @@ class TestProlongStage:
 def reference_stage0_event():
     cfg = StagewiseConfig()
     Z0 = initial_rescaled_profile(cfg)
-    state = StageState(m=0, A=cfg.A0, Z=Z0, s=0.0, t=0.0)
+    state = StageState(m=0, A=cfg.A0, Z=Z0, t=0.0)
     _, event = run_stage(state, cfg)
     return event
 

@@ -220,14 +220,28 @@ class TestPicardStep:
         Z = random_state(seed=13)
         cfg = StepperConfig(ds=1e-3, lam=20.0)
         rep = picard_implicit_step(Z, cfg, 0.6)
+        assert rep.energy == discrete_energy(rep.next, 0.6, cfg.lam).total
         h2 = Z.grid.h ** 2
-        diff = rep.next.interior - Z.interior
-        penalty = (0.36 / (2.0 * cfg.ds)) * h2 * float(np.sum(diff * diff))
-        lhs = discrete_energy(rep.next, 0.6, cfg.lam).total + penalty
-        assert rep.dissipation_lhs == pytest.approx(lhs, rel=1e-14)
-        assert rep.dissipation_rhs == pytest.approx(
-            discrete_energy(Z, 0.6, cfg.lam).total, rel=1e-14
-        )
+        n = Z.grid.N - 1
+        sq = 0.0
+        for i in range(n):
+            for j in range(n):
+                sq += h2 * (rep.next.interior[i, j] - Z.interior[i, j]) ** 2
+        assert rep.penalty == pytest.approx((0.36 / (2.0 * cfg.ds)) * sq, rel=1e-13)
+        assert rep.penalty > 0.0
+
+    def test_one_energy_evaluation_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return discrete_energy(*args, **kwargs)
+
+        monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
+        cfg = StepperConfig(ds=1e-3, lam=20.0)
+        rep = picard_implicit_step(random_state(seed=14), cfg, 0.6)
+        assert len(calls) == 1
+        assert calls[0] is rep.next
 
 
 def refine_grid_search(fn, lo, hi, width=1e-10):
