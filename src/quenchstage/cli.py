@@ -72,7 +72,8 @@ DIRECT_KEYS: dict[str, type] = {
 }
 
 CONVENTIONS = {
-    "picard_seed": "previous state",
+    "picard_seed": "cubic extrapolation through the last 4 accepted states of "
+    "the stage or direct run (lower degree while fewer exist)",
     "nonlocal_term": "recomputed from the full iterate each Picard sweep",
     "event_energies": "evaluated at the linearly interpolated trigger state",
     "scaled_duration": "completed steps plus trigger fraction, times ds",

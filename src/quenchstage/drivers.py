@@ -7,6 +7,9 @@ energies and feedback at the stage start and at the event, then hands the
 event state to the 12-point transfer for the next stage (A drops by k^(-2/3),
 the grid dilates by k at fixed mesh width).  Physical time accumulates as
 sum of s*_m * A_m^3 with the fractional event step included in s*_m.
+Each Picard step starts from extrapolated_seed over the stage's last
+accepted states; the history restarts at every transfer, since the grid
+changes.
 
 The direct driver evolves the physical deficit v on the unit square with the
 same backward-Euler + Picard scheme at amplitude 1 (so K = 1 + h^2 sum 1/v)
@@ -17,6 +20,7 @@ that leaves the positive cone (the deficit quenches) is a numerical failure.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,13 @@ from .energy import (
     switch_jump,
 )
 from .prolongation import TransferSpec, make_transfer, prolong_stage
-from .stepper import DirichletSolver, StepperConfig, picard_implicit_step
+from .stepper import (
+    SEED_ORDER,
+    DirichletSolver,
+    StepperConfig,
+    extrapolated_seed,
+    picard_implicit_step,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +82,12 @@ class StagewiseConfig:
             raise ValueError("k and N0 must be at least 2")
         if self.max_stages < 0 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 0 and step_cap positive")
+        min_W = initial_rescaled_profile(self).min_interior()
+        if min_W <= self.threshold:
+            raise ValueError(
+                f"the stage-0 profile starts at or below the trigger threshold: "
+                f"min W = {min_W:.6g} <= k^(-2/3) = {self.threshold:.6g}"
+            )
 
     @property
     def threshold(self) -> float:
@@ -125,6 +141,7 @@ class StageRecord:
     coeff_end: float
     dissipation_sum: float
     steps: int  # completed full steps before the crossing step
+    picard_sweeps: int  # linear solves in the stage, crossing step included
     trigger_gap: float  # min(event) - threshold
 
 
@@ -211,15 +228,19 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     start_fb = feedback(Z, A, cfg.lam)
 
     prev = Z
+    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
     E_prev = start_E.total
     completed = 0
+    sweeps = 0
     dissipation = 0.0
     while True:
         if completed >= cfg.step_cap:
             raise StageRunawayError(
                 f"stage {state.m}: no trigger within {cfg.step_cap} steps"
             )
-        rep = picard_implicit_step(prev, scfg, A, solver)
+        seed = prev.with_interior(extrapolated_seed(history))
+        rep = picard_implicit_step(prev, scfg, A, solver, seed)
+        sweeps += rep.picard_iters
         if not rep.converged:
             raise NumericalError(
                 f"stage {state.m}, step {completed + 1}: Picard did not "
@@ -236,6 +257,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
                 )
             dissipation += rep.penalty
             prev = nxt
+            history.append(nxt.interior)
             E_prev = E_next
             completed += 1
             continue
@@ -267,19 +289,22 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
             coeff_end=end_fb.coeff,
             dissipation_sum=dissipation,
             steps=completed,
+            picard_sweeps=sweeps,
             trigger_gap=gap,
         )
         return record, event
 
 
 def stage_transition(
-    event: Field, spec: TransferSpec, lam: float, m: int
+    event: Field, spec: TransferSpec, lam: float, m: int, E_end: float
 ) -> tuple[Field, DefectRow]:
     """Transfer the event state of stage m to stage m + 1 and score the switch.
 
-    Full-domain runs insert the raw transfer unchanged, so the ideal
-    next-stage energy E_id coincides with the actual E_start; both are
-    recorded regardless, together with the signed jump and its positive part.
+    E_end is E(event) at amplitude spec.A_from, which run_stage has already
+    evaluated for the stage record.  Full-domain runs insert the raw
+    transfer unchanged, so the ideal next-stage energy E_id coincides with
+    the actual E_start; both are recorded regardless, together with the
+    signed jump and its positive part.
     """
     nxt = prolong_stage(event, spec)
     if not nxt.is_admissible():
@@ -287,7 +312,6 @@ def stage_transition(
         raise TransferError(
             f"prolonged state has {bad} nonpositive interior values"
         )
-    E_end = discrete_energy(event, spec.A_from, lam).total
     E_start = discrete_energy(nxt, spec.A_to, lam).total
     E_id = E_start  # raw transfer is inserted unchanged in full-domain mode
     delta, eps = switch_jump(E_end, E_id)
@@ -321,7 +345,7 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
         if m + 1 >= cfg.max_stages:
             break
         spec = make_transfer(state.A, cfg.k)
-        nxt, row = stage_transition(event, spec, cfg.lam, m)
+        nxt, row = stage_transition(event, spec, cfg.lam, m, record.E_end)
         ledger.append(row)
         state = StageState(m=m + 1, A=spec.A_to, Z=nxt, t=record.accumulated_time)
 
@@ -353,8 +377,10 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
     E_start = discrete_energy(v, 1.0, cfg.lam).total
     scfg = StepperConfig(ds=cfg.dt, lam=cfg.lam)
     solver = DirichletSolver(grid, cfg.dt)
+    history = deque([v.interior], maxlen=SEED_ORDER + 1)
     for j in range(cfg.steps):
-        rep = picard_implicit_step(v, scfg, 1.0, solver)
+        seed = v.with_interior(extrapolated_seed(history))
+        rep = picard_implicit_step(v, scfg, 1.0, solver, seed)
         if not rep.converged:
             raise NumericalError(
                 f"direct run, step {j + 1}: Picard did not converge"
@@ -365,6 +391,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
                 f"direct run, step {j + 1}: the state left the positive cone "
                 f"(min v = {v.min_interior():.6e})"
             )
+        history.append(v.interior)
     E_end = discrete_energy(v, 1.0, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(

@@ -337,3 +337,16 @@ def test_direct_quench_exit_code(tmp_path, outdir, key, value):
     assert proc.returncode == 3, proc.stderr
     assert "numerical failure" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_start_below_threshold_exit_code(tmp_path, outdir):
+    # the stage-0 profile must start above k^(-2/3) for a trigger to exist
+    low = dict(STAGE_BASE)
+    low["u0_amplitude"] = 0.8
+    cfg = write_cfg(tmp_path / "s.cfg", low)
+    proc = run_python("-m", "quenchstage", "stagewise", "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "min W = 0.373538" in proc.stderr
+    assert "0.629961" in proc.stderr
+    assert "Traceback" not in proc.stderr

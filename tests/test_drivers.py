@@ -7,6 +7,7 @@ import pytest
 
 from quenchstage import (
     DirectConfig,
+    DirichletSolver,
     Field,
     StagewiseConfig,
     StageRunawayError,
@@ -15,6 +16,7 @@ from quenchstage import (
     accumulate_time,
     build_rescaled_grid,
     detect_trigger,
+    discrete_energy,
     initial_rescaled_profile,
     make_transfer,
     run_direct,
@@ -53,6 +55,10 @@ class TestStagewiseConfig:
             StagewiseConfig(max_stages=-1)
         with pytest.raises(ValueError):
             StagewiseConfig(step_cap=0)
+        # nodes sit at i/9: min W = (1 - 0.8 sin(4 pi/9)^2)/0.6, below 2^(-2/3)
+        below = r"min W = 0\.373538 <= k\^\(-2/3\) = 0\.629961"
+        with pytest.raises(ValueError, match=below):
+            StagewiseConfig(u0_amplitude=0.8)
 
 
 class TestDirectConfig:
@@ -155,9 +161,10 @@ class TestStageTransition:
     def test_reference_first_transition(self):
         cfg = StagewiseConfig()
         state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
-        _, event = run_stage(state, cfg)
+        stage, event = run_stage(state, cfg)
         spec = make_transfer(cfg.A0, cfg.k)
-        nxt, record = stage_transition(event, spec, cfg.lam, 0)
+        nxt, record = stage_transition(event, spec, cfg.lam, 0, stage.E_end)
+        assert record.E_end == stage.E_end
         assert spec.A_to == pytest.approx(0.37797631496846196, rel=1e-14)
         assert nxt.grid.N == 18
         assert nxt.grid.h == pytest.approx(event.grid.h, rel=1e-12)
@@ -179,7 +186,8 @@ class TestStageTransition:
         event = Field(
             grid=grid, interior=np.full((N - 1, N - 1), 1.0 / A), g=1.0 / A
         )
-        nxt, record = stage_transition(event, spec, lam, 0)
+        E_end = discrete_energy(event, A, lam).total
+        nxt, record = stage_transition(event, spec, lam, 0, E_end)
         h = grid.h
         K_end = 1.0 + A ** 3 * h * h * (N - 1) ** 2
         K_start = 1.0 + spec.A_to ** 3 * h * h * (k * N - 1) ** 2
@@ -198,7 +206,26 @@ class TestStageTransition:
         # undershoot below zero near the boundary ring
         event = Field(grid=grid, interior=np.full((5, 5), 0.1), g=1.0 / A)
         with pytest.raises(TransferError):
-            stage_transition(event, spec, 20.0, 0)
+            stage_transition(event, spec, 20.0, 0, E_end=0.0)
+
+    def test_one_energy_evaluation(self, monkeypatch):
+        A, lam = 0.6, 20.0
+        spec = make_transfer(A, 2)
+        grid = build_rescaled_grid(A, 6)
+        event = Field(grid=grid, interior=np.full((5, 5), 1.0 / A), g=1.0 / A)
+        E_end = discrete_energy(event, A, lam).total
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return discrete_energy(*args, **kwargs)
+
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
+        nxt, record = stage_transition(event, spec, lam, 0, E_end)
+        # only E_start of the prolonged state; E(event) comes from the stage
+        assert len(calls) == 1
+        assert calls[0] is nxt
+        assert record.E_end == E_end
 
 
 class TestRunStagewise:
@@ -277,6 +304,24 @@ class TestRunStagewise:
             1.0 / (2.0 * reference_run.areas[0]), rel=1e-12
         )
 
+    def test_picard_sweeps_count_solves(self, monkeypatch):
+        solves = []
+        solve = DirichletSolver.solve
+
+        def counting(self, rhs):
+            solves.append(rhs.shape)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(DirichletSolver, "solve", counting)
+        report = run_stagewise(StagewiseConfig())
+        assert [r.steps for r in report.records] == [139, 129, 182, 165]
+        assert sum(r.picard_sweeps for r in report.records) == len(solves)
+        # the extrapolated seed halves the sweeps (3117 when seeding from Z)
+        assert len(solves) <= 1500
+        # every record counts its own grid's solves, crossing step included
+        for r in report.records:
+            assert solves.count((r.N - 1, r.N - 1)) == r.picard_sweeps
+
     def test_areas(self, reference_run):
         h = reference_run.records[0].h
         assert reference_run.areas[0] == pytest.approx(h * h * 100.0, rel=1e-12)
@@ -309,6 +354,19 @@ class TestRunDirect:
         assert report.min_v == pytest.approx(0.362574574560, rel=1e-6)
         assert report.max_u == pytest.approx(0.637425425440, rel=1e-6)
         assert report.max_u == pytest.approx(1.0 - report.min_v, rel=1e-14)
+
+    def test_seeded_solves(self, monkeypatch):
+        solves = []
+        solve = DirichletSolver.solve
+
+        def counting(self, rhs):
+            solves.append(1)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(DirichletSolver, "solve", counting)
+        run_direct(DirectConfig())
+        # 160 steps; seeding from the previous state takes 952 solves
+        assert len(solves) <= 500
 
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))

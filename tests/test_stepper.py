@@ -21,7 +21,12 @@ from quenchstage import (
     picard_implicit_step,
 )
 from quenchstage.grid import Grid
-from quenchstage.stepper import boundary_coupling, euler_lagrange_residual
+from quenchstage.stepper import (
+    SEED_ORDER,
+    boundary_coupling,
+    euler_lagrange_residual,
+    extrapolated_seed,
+)
 
 
 def dense_operator(grid, ds):
@@ -242,6 +247,65 @@ class TestPicardStep:
         rep = picard_implicit_step(random_state(seed=14), cfg, 0.6)
         assert len(calls) == 1
         assert calls[0] is rep.next
+
+
+class TestExtrapolatedSeed:
+    @staticmethod
+    def polynomial_states(degree, count, shape=(3, 4), seed=0):
+        """States Z_j = sum_d c_d j^d for j = 0..count, random coefficients."""
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, (degree + 1, *shape))
+        return [
+            sum(c * float(j) ** d for d, c in enumerate(coeffs))
+            for j in range(count + 1)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reproduces_next_term_of_cubic(self, seed):
+        states = self.polynomial_states(3, 6, seed=seed)
+        for n in range(4, 7):
+            history = states[:n]
+            got = extrapolated_seed(history)
+            scale = max(float(np.max(np.abs(Z))) for Z in states[: n + 1])
+            assert np.max(np.abs(got - states[n])) <= 1e-13 * scale
+
+    def test_short_histories_drop_order(self):
+        Z = np.arange(12.0).reshape(3, 4)
+        got = extrapolated_seed([Z])
+        assert np.array_equal(got, Z)
+        assert got is not Z
+        # p = 1 and p = 2 reproduce linear and quadratic sequences
+        for degree in (1, 2):
+            states = self.polynomial_states(degree, degree + 1, seed=degree)
+            got = extrapolated_seed(states[:-1])
+            assert np.max(np.abs(got - states[-1])) <= 1e-13
+        # p = 1 does not reproduce a quadratic: the order is capped by length
+        quad = self.polynomial_states(2, 2, seed=7)
+        assert np.max(np.abs(extrapolated_seed(quad[:2]) - quad[2])) > 1e-3
+
+    def test_weights_on_last_four_states(self):
+        rng = np.random.default_rng(3)
+        history = [rng.uniform(size=(2, 2)) for _ in range(6)]
+        Zn, Zn1, Zn2, Zn3 = history[-1], history[-2], history[-3], history[-4]
+        want = 4.0 * Zn - 6.0 * Zn1 + 4.0 * Zn2 - Zn3
+        assert np.max(np.abs(extrapolated_seed(history) - want)) <= 1e-14
+
+    def test_same_fixed_point_fewer_sweeps(self):
+        cfg = StagewiseConfig()
+        scfg = StepperConfig(ds=cfg.ds, lam=cfg.lam)
+        Z = initial_rescaled_profile(cfg)
+        solver = DirichletSolver(Z.grid, cfg.ds)
+        history = [Z.interior]
+        for _ in range(SEED_ORDER + 2):
+            Z = picard_implicit_step(Z, scfg, cfg.A0, solver).next
+            history.append(Z.interior)
+        plain = picard_implicit_step(Z, scfg, cfg.A0, solver)
+        seed = Z.with_interior(extrapolated_seed(history))
+        seeded = picard_implicit_step(Z, scfg, cfg.A0, solver, seed)
+        assert plain.converged and seeded.converged
+        assert seeded.picard_iters < plain.picard_iters
+        gap = np.max(np.abs(seeded.next.interior - plain.next.interior))
+        assert gap <= 1e-10 * np.max(np.abs(plain.next.interior))
 
 
 def refine_grid_search(fn, lo, hi, width=1e-10):
