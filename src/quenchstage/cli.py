@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,8 +54,6 @@ EXIT_NUMERICAL = 3
 STAGEWISE_KEYS: dict[str, type] = {
     "lambda": float,
     "u0_amplitude": float,
-    "center_x": float,
-    "center_y": float,
     "A0": float,
     "k": int,
     "N0": int,
@@ -88,6 +87,16 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
+
+
+def _lower_keys(record: dict) -> dict:
+    """Output keys are the record's field names in lower case, in order."""
+    return {key.lower(): value for key, value in record.items()}
+
+
+def _fields(values: dict) -> dict:
+    """Config values keyed by run-config field: the `lambda` key is `lam`."""
+    return {("lam" if key == "lambda" else key): v for key, v in values.items()}
 
 
 def parse_config(
@@ -166,78 +175,51 @@ def _write_manifest(outdir: Path, command: str, config: dict, files: list[Path])
     _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+    """Header line, then one line per row: ints as-is, floats through _fmt."""
+    lines = [header]
+    for row in rows:
+        lines.append(
+            ",".join(str(x) if isinstance(x, int) else _fmt(x) for x in row)
+        )
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
 def _stagewise_files(report: RunReport, outdir: Path) -> list[Path]:
     stages = outdir / "stages.csv"
-    lines = [
+    _write_csv(
+        stages,
         "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
-        "accumulated_time,e_start,e_end"
-    ]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.m),
-                    _fmt(r.A),
-                    str(r.N),
-                    _fmt(r.h),
-                    _fmt(r.A2h2),
-                    _fmt(r.scaled_time),
-                    _fmt(r.min_W),
-                    _fmt(r.accumulated_time),
-                    _fmt(r.E_start),
-                    _fmt(r.E_end),
-                ]
-            )
-        )
-    _write_atomic(stages, "\n".join(lines) + "\n")
-
+        "accumulated_time,e_start,e_end",
+        (
+            (r.m, r.A, r.N, r.h, r.A2h2, r.scaled_time, r.min_W,
+             r.accumulated_time, r.E_start, r.E_end)
+            for r in report.records
+        ),
+    )
     fb = outdir / "feedback.csv"
-    lines = ["stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2"]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.m),
-                    _fmt(r.K_start),
-                    _fmt(r.K_end),
-                    _fmt(r.coeff_start),
-                    _fmt(r.coeff_end),
-                ]
-            )
-        )
-    _write_atomic(fb, "\n".join(lines) + "\n")
-
+    _write_csv(
+        fb,
+        "stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2",
+        (
+            (r.m, r.K_start, r.K_end, r.coeff_start, r.coeff_end)
+            for r in report.records
+        ),
+    )
     tr = outdir / "transitions.csv"
-    lines = ["m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw"]
-    for t in report.transitions:
-        lines.append(
-            ",".join(
-                [
-                    str(t.m_from),
-                    str(t.m_to),
-                    _fmt(t.E_end),
-                    _fmt(t.E_id),
-                    _fmt(t.E_start),
-                    _fmt(t.delta_sw),
-                    _fmt(t.eps_sw),
-                ]
-            )
-        )
-    _write_atomic(tr, "\n".join(lines) + "\n")
+    _write_csv(
+        tr,
+        "m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw",
+        (
+            (t.m_from, t.m_to, t.E_end, t.E_id, t.E_start, t.delta_sw, t.eps_sw)
+            for t in report.transitions
+        ),
+    )
 
     ledger = outdir / "ledger.json"
     continuation = None
     if report.continuation is not None:
-        continuation = {
-            "q_values": list(report.continuation.q_values),
-            "q_star": report.continuation.q_star,
-            "d_star": report.continuation.D_star,
-            "threshold": report.continuation.threshold,
-            "verdict": report.continuation.verdict,
-            "windows_bounded": report.continuation.windows_bounded,
-            "full_domain": report.continuation.full_domain,
-            "note": report.continuation.note,
-        }
+        continuation = _lower_keys(asdict(report.continuation))
     payload = {
         "e0": report.E0,
         "d_star": report.ledger.D_star,
@@ -253,20 +235,8 @@ def _stagewise_files(report: RunReport, outdir: Path) -> list[Path]:
 
 def cmd_stagewise(config_path: str) -> int:
     values = parse_config(config_path, STAGEWISE_KEYS, STAGEWISE_OPTIONAL)
-    kwargs = dict(
-        lam=values["lambda"],
-        u0_amplitude=values["u0_amplitude"],
-        center=(values["center_x"], values["center_y"]),
-        A0=values["A0"],
-        k=values["k"],
-        N0=values["N0"],
-        ds=values["ds"],
-        max_stages=values["max_stages"],
-    )
-    if "step_cap" in values:
-        kwargs["step_cap"] = values["step_cap"]
     try:
-        cfg = StagewiseConfig(**kwargs)
+        cfg = StagewiseConfig(**_fields(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_stagewise(cfg)
@@ -280,23 +250,13 @@ def cmd_stagewise(config_path: str) -> int:
 def cmd_direct(config_path: str) -> int:
     values = parse_config(config_path, DIRECT_KEYS)
     try:
-        cfg = DirectConfig(
-            lam=values["lambda"],
-            N=values["N"],
-            dt=values["dt"],
-            T=values["T"],
-            u0_amplitude=values["u0_amplitude"],
-        )
+        cfg = DirectConfig(**_fields(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_direct(cfg)
     outdir = _outdir()
-    payload = {
-        "e_start": report.E_start,
-        "e_end": report.E_end,
-        "min_v": report.min_v,
-        "max_u": report.max_u,
-    }
+    payload = _lower_keys(asdict(report))
+    del payload["config"]
     path = outdir / "direct.json"
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
     _write_manifest(outdir, "direct", values, [path])
@@ -314,16 +274,7 @@ def cmd_verify(suite: str) -> int:
     payload = {
         "suite": suite,
         "passed": all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": c.measured,
-                "tolerance": c.tolerance,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAIL

@@ -7,20 +7,26 @@ energies and feedback at the stage start and at the event, then hands the
 event state to the 12-point transfer for the next stage (A drops by k^(-2/3),
 the grid dilates by k at fixed mesh width).  Physical time accumulates as
 sum of s*_m * A_m^3 with the fractional event step included in s*_m.
-Each Picard step starts from extrapolated_seed over the stage's last
-accepted states; the history restarts at every transfer, since the grid
-changes.
+A prolonged state that starts at or below the threshold of its stage cannot
+trigger and is a numerical failure of the transfer.
 
 The direct driver evolves the physical deficit v on the unit square with the
 same backward-Euler + Picard scheme at amplitude 1 (so K = 1 + h^2 sum 1/v)
 and reports the energies at t = 0 and t = T plus the final minimum; a step
 that leaves the positive cone (the deficit quenches) is a numerical failure.
+
+Both drivers advance their state through one generator, _march: it owns the
+linear solver of the grid, starts each Picard step from extrapolated_seed
+over the run's last accepted states (the history restarts with every stage,
+since the grid changes) and raises on a step that does not converge.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,6 @@ from .energy import (
     CriterionReport,
     continuation_check,
     discrete_energy,
-    feedback,
     switch_jump,
 )
 from .prolongation import TransferSpec, make_transfer, prolong_stage
@@ -40,6 +45,7 @@ from .stepper import (
     SEED_ORDER,
     DirichletSolver,
     StepperConfig,
+    StepReport,
     extrapolated_seed,
     picard_implicit_step,
 )
@@ -56,14 +62,14 @@ class StageRunawayError(NumericalError):
 
 
 class TransferError(NumericalError):
-    """A prolonged state left the admissible (positive) cone."""
+    """A prolonged state left the admissible (positive) cone or starts at or
+    below the trigger threshold of its stage."""
 
 
 @dataclass(frozen=True)
 class StagewiseConfig:
     lam: float = 20.0
     u0_amplitude: float = 0.4
-    center: tuple[float, float] = (0.5, 0.5)
     A0: float = 0.6
     k: int = 2
     N0: int = 9
@@ -173,19 +179,11 @@ def initial_rescaled_profile(cfg: StagewiseConfig) -> Field:
     """Initial rescaled deficit W = (1 - u0)/A0 sampled on the stage-0 grid.
 
     The rescaled square maps exactly onto the unit square: A0^(3/2)*L0 = 1/2,
-    so the mapped points always land in [0, 1]^2 up to round-off.
+    so x = 1/2 + A0^(3/2)*xi puts the centre at (1/2, 1/2).
     """
     grid = build_rescaled_grid(cfg.A0, cfg.N0)
-    scale = cfg.A0 ** 1.5
-    xi = grid.interior_nodes_1d()
-    x = cfg.center[0] + scale * xi
-    y = cfg.center[1] + scale * xi
-    for coords in (x, y):
-        if coords.min() < -1e-12 or coords.max() > 1.0 + 1e-12:
-            raise RuntimeError(
-                "rescaled nodes map outside the unit square; grid construction is broken"
-            )
-    X, Y = np.meshgrid(x, y, indexing="ij")
+    x = 0.5 + cfg.A0 ** 1.5 * grid.interior_nodes_1d()
+    X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = cfg.u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
     return Field(grid=grid, interior=(1.0 - u0) / cfg.A0, g=1.0 / cfg.A0)
 
@@ -209,6 +207,30 @@ def detect_trigger(
     return tau, event
 
 
+def _march(
+    Z: Field, scfg: StepperConfig, A: float, where: str
+) -> Iterator[StepReport]:
+    """Seeded backward-Euler + Picard steps from Z at amplitude A, lazily.
+
+    Yields one converged step report per step, each starting from the
+    previous report's state; a step that does not converge raises a
+    NumericalError naming where (the stage or the direct run) and the step.
+    """
+    solver = DirichletSolver(Z.grid, scfg.ds)
+    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
+    for step in itertools.count(1):
+        seed = Z.with_interior(extrapolated_seed(history))
+        rep = picard_implicit_step(Z, scfg, A, solver, seed)
+        if not rep.converged:
+            raise NumericalError(
+                f"{where}, step {step}: Picard did not converge within "
+                f"{rep.picard_iters} sweeps"
+            )
+        yield rep
+        Z = rep.next
+        history.append(Z.interior)
+
+
 def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Field]:
     """Advance one fixed stage until the trigger fires.
 
@@ -220,79 +242,63 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     thr = cfg.threshold
     if Z.min_interior() <= thr:
         raise ValueError("stage must start above the trigger threshold")
-    scfg = StepperConfig(ds=cfg.ds, lam=cfg.lam)
-    solver = DirichletSolver(Z.grid, cfg.ds)
     h = Z.grid.h
+    start = discrete_energy(Z, A, cfg.lam)
 
-    start_E = discrete_energy(Z, A, cfg.lam)
-    start_fb = feedback(Z, A, cfg.lam)
-
+    steps = _march(Z, StepperConfig(ds=cfg.ds, lam=cfg.lam), A, f"stage {state.m}")
     prev = Z
-    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
-    E_prev = start_E.total
-    completed = 0
+    E_prev = start.total
     sweeps = 0
     dissipation = 0.0
-    while True:
-        if completed >= cfg.step_cap:
-            raise StageRunawayError(
-                f"stage {state.m}: no trigger within {cfg.step_cap} steps"
-            )
-        seed = prev.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(prev, scfg, A, solver, seed)
+    for completed, rep in zip(range(cfg.step_cap), steps):
         sweeps += rep.picard_iters
-        if not rep.converged:
-            raise NumericalError(
-                f"stage {state.m}, step {completed + 1}: Picard did not "
-                f"converge within {scfg.picard_max} sweeps"
+        hit = detect_trigger(prev, rep.next, thr)
+        if hit is not None:
+            break
+        if rep.energy > E_prev + 1e-12 * max(1.0, abs(E_prev)):
+            logger.warning(
+                "stage %d, step %d: energy increased by %.3e",
+                state.m, completed + 1, rep.energy - E_prev,
             )
-        nxt = rep.next
-        E_next = rep.energy
-        hit = detect_trigger(prev, nxt, thr)
-        if hit is None:
-            if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
-                logger.warning(
-                    "stage %d, step %d: energy increased by %.3e",
-                    state.m, completed + 1, E_next - E_prev,
-                )
-            dissipation += rep.penalty
-            prev = nxt
-            history.append(nxt.interior)
-            E_prev = E_next
-            completed += 1
-            continue
+        dissipation += rep.penalty
+        prev = rep.next
+        E_prev = rep.energy
+    else:
+        raise StageRunawayError(
+            f"stage {state.m}: no trigger within {cfg.step_cap} steps"
+        )
 
-        tau, event = hit
-        dissipation += tau * rep.penalty
-        s_star = (completed + tau) * cfg.ds
-        end_E = discrete_energy(event, A, cfg.lam)
-        end_fb = feedback(event, A, cfg.lam)
-        gap = event.min_interior() - thr
-        logger.info(
-            "stage %d: trigger after %d full steps, tau=%.6f, "
-            "min W - thr = %.3e", state.m, completed, tau, gap,
-        )
-        record = StageRecord(
-            m=state.m,
-            A=A,
-            N=Z.grid.N,
-            h=h,
-            A2h2=A * A * h * h,
-            scaled_time=s_star,
-            min_W=event.min_interior(),
-            accumulated_time=state.t + s_star * A ** 3,
-            E_start=start_E.total,
-            E_end=end_E.total,
-            K_start=start_fb.K,
-            K_end=end_fb.K,
-            coeff_start=start_fb.coeff,
-            coeff_end=end_fb.coeff,
-            dissipation_sum=dissipation,
-            steps=completed,
-            picard_sweeps=sweeps,
-            trigger_gap=gap,
-        )
-        return record, event
+    tau, event = hit
+    dissipation += tau * rep.penalty
+    s_star = (completed + tau) * cfg.ds
+    end = discrete_energy(event, A, cfg.lam)
+    min_W = event.min_interior()
+    gap = min_W - thr
+    logger.info(
+        "stage %d: trigger after %d full steps, tau=%.6f, "
+        "min W - thr = %.3e", state.m, completed, tau, gap,
+    )
+    record = StageRecord(
+        m=state.m,
+        A=A,
+        N=Z.grid.N,
+        h=h,
+        A2h2=A * A * h * h,
+        scaled_time=s_star,
+        min_W=min_W,
+        accumulated_time=state.t + s_star * A ** 3,
+        E_start=start.total,
+        E_end=end.total,
+        K_start=start.K,
+        K_end=end.K,
+        coeff_start=start.coeff,
+        coeff_end=end.coeff,
+        dissipation_sum=dissipation,
+        steps=completed,
+        picard_sweeps=sweeps,
+        trigger_gap=gap,
+    )
+    return record, event
 
 
 def stage_transition(
@@ -304,13 +310,22 @@ def stage_transition(
     evaluated for the stage record.  Full-domain runs insert the raw
     transfer unchanged, so the ideal next-stage energy E_id coincides with
     the actual E_start; both are recorded regardless, together with the
-    signed jump and its positive part.
+    signed jump and its positive part.  A prolonged state that is not
+    positive, or that starts at or below k^(-2/3) and so could never
+    trigger, raises TransferError.
     """
     nxt = prolong_stage(event, spec)
-    if not nxt.is_admissible():
+    min_W = nxt.min_interior()
+    if not min_W > 0.0:  # a NaN minimum is not admissible either
         bad = int(np.sum(nxt.interior <= 0.0))
         raise TransferError(
             f"prolonged state has {bad} nonpositive interior values"
+        )
+    thr = spec.k ** (-2.0 / 3.0)
+    if min_W <= thr:
+        raise TransferError(
+            f"stage {m + 1} starts at or below the trigger threshold: "
+            f"min W = {min_W:.6g} <= k^(-2/3) = {thr:.6g}"
         )
     E_start = discrete_energy(nxt, spec.A_to, lam).total
     E_id = E_start  # raw transfer is inserted unchanged in full-domain mode
@@ -375,23 +390,14 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
         g=1.0,
     )
     E_start = discrete_energy(v, 1.0, cfg.lam).total
-    scfg = StepperConfig(ds=cfg.dt, lam=cfg.lam)
-    solver = DirichletSolver(grid, cfg.dt)
-    history = deque([v.interior], maxlen=SEED_ORDER + 1)
-    for j in range(cfg.steps):
-        seed = v.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(v, scfg, 1.0, solver, seed)
-        if not rep.converged:
-            raise NumericalError(
-                f"direct run, step {j + 1}: Picard did not converge"
-            )
+    steps = _march(v, StepperConfig(ds=cfg.dt, lam=cfg.lam), 1.0, "direct run")
+    for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
         if not v.is_admissible():
             raise NumericalError(
                 f"direct run, step {j + 1}: the state left the positive cone "
                 f"(min v = {v.min_interior():.6e})"
             )
-        history.append(v.interior)
     E_end = discrete_energy(v, 1.0, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(

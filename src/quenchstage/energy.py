@@ -39,17 +39,12 @@ class EnergyBreakdown:
     K: float
     reciprocal: float
     total: float
+    coeff: float  # lambda * K^(-2), zero on the vanishing branch
 
     @property
     def vanished(self) -> bool:
         """True on the lower-semicontinuous branch (some value <= 0)."""
         return math.isinf(self.K)
-
-
-@dataclass(frozen=True)
-class FeedbackSample:
-    K: float
-    coeff: float  # lambda * K^(-2), zero on the vanishing branch
 
 
 @dataclass(frozen=True)
@@ -93,25 +88,23 @@ def reciprocal_K(Y: Field, A: float) -> float:
 
 
 def discrete_energy(Y: Field, A: float, lam: float) -> EnergyBreakdown:
-    """Discrete energy split into Dirichlet and reciprocal parts.
+    """Discrete energy split into Dirichlet and reciprocal parts, with K and
+    the feedback coefficient lambda*K^-2.
 
-    On the vanishing branch the reciprocal part is 0 by convention, so the
-    energy stays finite and lower semicontinuous.
+    On the vanishing branch the reciprocal part and the coefficient are 0 by
+    convention, so the energy stays finite and lower semicontinuous.
     """
     dirichlet = 0.5 * A * A * grad_norm_sq(Y)
     K = reciprocal_K(Y, A)
-    reciprocal = 0.0 if math.isinf(K) else lam / K
+    vanished = math.isinf(K)
+    reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(
-        dirichlet=dirichlet, K=K, reciprocal=reciprocal, total=dirichlet + reciprocal
+        dirichlet=dirichlet,
+        K=K,
+        reciprocal=reciprocal,
+        total=dirichlet + reciprocal,
+        coeff=0.0 if vanished else lam / (K * K),
     )
-
-
-def feedback(Y: Field, A: float, lam: float) -> FeedbackSample:
-    """Endpoint diagnostics (K, lambda*K^-2)."""
-    K = reciprocal_K(Y, A)
-    if math.isinf(K):
-        return FeedbackSample(K=math.inf, coeff=0.0)
-    return FeedbackSample(K=K, coeff=lam / (K * K))
 
 
 def switch_jump(E_prev_end: float, E_next_start_ideal: float) -> tuple[float, float]:

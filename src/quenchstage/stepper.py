@@ -8,18 +8,18 @@ iteration on the nonlocal source:
 with constant Dirichlet data g.  The linear operator (I/ds - Lap_h) is
 inverted by sine-basis diagonalization, set up once per (grid, ds) and
 reused across Picard sweeps and across steps; the boundary coupling enters
-the right-hand side.  Values are clipped (default 1e-12) only inside
-reciprocal evaluations, K is recomputed from the full current iterate each
-sweep, and the iteration starts from Z unless the caller passes a seed.
-The stage and direct drivers pass extrapolated_seed: the cubic through the
-run's last four accepted states (fewer at the start of a run or stage),
-evaluated one step ahead (Fischer 1998), which roughly halves the sweeps per
-step; the stopping test is unchanged, so the step converges to the same fixed
-point from either start.  For lam = 0 the source does not depend on the
-iterate, so the first solve is already the fixed point and the step reports a
-single iteration.  Besides the new state the step returns
-E(next) and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}, the two
-numbers the stage loop's energy ledger needs.
+the right-hand side.  Values are clipped at CLIP only inside reciprocal
+evaluations, K is recomputed from the full current iterate each sweep, and
+the iteration stops once a sweep moves the iterate by less than PICARD_TOL
+relative (at most PICARD_MAX sweeps).  It starts from Z unless the caller
+passes a seed.  The stage and direct drivers pass extrapolated_seed: the
+polynomial of degree SEED_ORDER through the run's last accepted states (fewer
+at the start of a run or stage), evaluated one step ahead (Fischer 1998),
+which roughly halves the sweeps per step; the stopping test is unchanged, so
+the step converges to the same fixed point from either start.  Besides the new
+state the step returns E(next) and the movement penalty
+(A^2/2ds)*||next - prev||^2_{2,h}, the two numbers the stage loop's energy
+ledger needs.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -46,23 +46,21 @@ from .energy import discrete_energy, reciprocal_K
 # Degree of the Picard seed polynomial.  Degree 5 halves the sweeps again but
 # keeps six grid-sized states alive per stage; 3 keeps four.
 SEED_ORDER = 3
+PICARD_TOL = 1e-10  # relative max-norm change that ends the iteration
+PICARD_MAX = 50  # sweeps before a step is reported as not converged
+CLIP = 1e-12  # floor on iterate values inside the reciprocal source
 
 
 @dataclass(frozen=True)
 class StepperConfig:
     ds: float
     lam: float
-    picard_tol: float = 1e-10
-    picard_max: int = 50
-    clip: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.ds <= 0.0:
             raise ValueError("ds must be positive")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
-        if self.picard_tol <= 0.0 or self.picard_max <= 0 or self.clip <= 0.0:
-            raise ValueError("tolerances and iteration caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,23 +176,18 @@ def picard_implicit_step(
     Y = seed.interior if seed is not None else Z.interior
     iters = 0
     converged = False
-    if cfg.lam == 0.0:
-        # source is iterate-independent: the first solve is the fixed point
-        Y = solver.solve(base_rhs)
-        iters, converged = 1, True
-    else:
-        for _ in range(cfg.picard_max):
-            Yc = np.maximum(Y, cfg.clip)
-            K = 1.0 + A * A * h * h * float(np.sum(1.0 / Yc))
-            # the source stays unnamed so it is freed before the solve's
-            # temporaries exist: live grid arrays set large-N peak memory
-            Ynew = solver.solve(base_rhs - cfg.lam / (Yc * Yc * K * K))
-            iters += 1
-            gap = float(np.max(np.abs(Ynew - Y)))
-            Y = Ynew
-            if gap < cfg.picard_tol * max(1.0, float(np.max(np.abs(Ynew)))):
-                converged = True
-                break
+    for _ in range(PICARD_MAX):
+        Yc = np.maximum(Y, CLIP)
+        K = 1.0 + A * A * h * h * float(np.sum(1.0 / Yc))
+        # the source stays unnamed so it is freed before the solve's
+        # temporaries exist: live grid arrays set large-N peak memory
+        Ynew = solver.solve(base_rhs - cfg.lam / (Yc * Yc * K * K))
+        iters += 1
+        gap = float(np.max(np.abs(Ynew - Y)))
+        Y = Ynew
+        if gap < PICARD_TOL * max(1.0, float(np.max(np.abs(Ynew)))):
+            converged = True
+            break
 
     nxt = Z.with_interior(Y)
     diff = Y - Z.interior

@@ -22,8 +22,6 @@ from quenchstage.cli import (
 STAGE_BASE = {
     "lambda": 20.0,
     "u0_amplitude": 0.4,
-    "center_x": 0.5,
-    "center_y": 0.5,
     "A0": 0.6,
     "k": 2,
     "N0": 9,
@@ -190,9 +188,13 @@ class TestStagewiseCommand:
         cfg = write_cfg(tmp_path / "s.cfg", partial)
         assert main(["stagewise", "--config", cfg]) == 2
 
-    def test_unknown_key_exit_code(self, tmp_path, outdir):
-        cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE, ["omega = 3"])
-        assert main(["stagewise", "--config", cfg]) == 2
+    def test_unknown_key_exit_code(self, tmp_path, outdir, capsys):
+        # the geometry fixes the profile centre at (1/2, 1/2): no centre keys
+        for line in ("omega = 3", "center_x = 0.3"):
+            cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE, [line])
+            assert main(["stagewise", "--config", cfg]) == 2
+            key = line.split(" = ")[0]
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, outdir):
         assert main(["stagewise", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -349,4 +351,18 @@ def test_start_below_threshold_exit_code(tmp_path, outdir):
     assert "config error" in proc.stderr
     assert "min W = 0.373538" in proc.stderr
     assert "0.629961" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_transfer_below_threshold_exit_code(tmp_path, outdir):
+    # stage 0 triggers, but the prolonged state starts below k^(-2/3)
+    low = dict(STAGE_BASE)
+    low.update({"lambda": 200.0, "u0_amplitude": 0.05, "N0": 3, "ds": 0.1})
+    low["max_stages"] = 2
+    cfg = write_cfg(tmp_path / "s.cfg", low)
+    proc = run_python("-m", "quenchstage", "stagewise", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure" in proc.stderr
+    assert "stage 1 starts at or below the trigger threshold" in proc.stderr
+    assert "min W = 0.588583" in proc.stderr
     assert "Traceback" not in proc.stderr

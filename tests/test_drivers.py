@@ -1,6 +1,7 @@
 """Stagewise and direct reference runs: triggers, transfers, bookkeeping."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from quenchstage import (
     run_stage,
     run_stagewise,
     stage_transition,
+    stepper,
 )
+from quenchstage.cli import main
 
 THR = 2.0 ** (-2.0 / 3.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +159,28 @@ class TestRunStage:
         )
         with pytest.raises(ValueError):
             run_stage(StageState(m=0, A=cfg.A0, Z=low, t=0.0), cfg)
+
+
+class TestMarch:
+    @pytest.mark.parametrize(
+        "command, config, where",
+        [
+            ("stagewise", "stagewise.cfg", "stage 0, step 1"),
+            ("direct", "direct.cfg", "direct run, step 1"),
+        ],
+    )
+    def test_nonconvergence_exit_code(
+        self, monkeypatch, tmp_path, capsys, command, config, where
+    ):
+        # one sweep never meets the stopping test from a moving start
+        monkeypatch.setattr(stepper, "PICARD_MAX", 1)
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(tmp_path))
+        path = CONFIGS / config
+        assert main([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {where}: Picard did not converge" in err
+        assert "within 1 sweeps" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStageTransition:

@@ -14,7 +14,6 @@ from quenchstage import (
     build_rescaled_grid,
     continuation_check,
     discrete_energy,
-    feedback,
     grad_norm_sq,
     initial_rescaled_profile,
     reciprocal_K,
@@ -84,12 +83,12 @@ class TestDiscreteEnergy:
 
 class TestFeedback:
     def test_single_node(self):
-        sample = feedback(single_node_field(1.0), A=1.0, lam=20.0)
+        sample = discrete_energy(single_node_field(1.0), A=1.0, lam=20.0)
         assert sample.K == pytest.approx(2.0)
         assert sample.coeff == pytest.approx(5.0)
 
     def test_vanishing_branch_report(self):
-        sample = feedback(single_node_field(-1.0), A=1.0, lam=20.0)
+        sample = discrete_energy(single_node_field(-1.0), A=1.0, lam=20.0)
         assert math.isinf(sample.K)
         assert sample.coeff == 0.0
 
@@ -102,7 +101,7 @@ class TestFeedback:
                 interior=0.5 + rng.uniform(0.0, 2.0, (4, 4)),
                 g=1.0 / 0.6,
             )
-            sample = feedback(Y, 0.6, 20.0)
+            sample = discrete_energy(Y, 0.6, 20.0)
             assert 1.0 <= sample.K
             assert 0.0 < sample.coeff <= 20.0
 

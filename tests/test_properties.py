@@ -1,0 +1,72 @@
+"""Every bounded config ends in a documented exit code, never a traceback.
+
+Configs are drawn over a small but rough space (any coupling, amplitude and
+step within the ranges below, up to three stages) and run through the CLI
+entry point in process.  Success (0), a config error (2) and a numerical
+failure (3) are all acceptable outcomes; an exception escaping main is not.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")  # the `test` extra in pyproject.toml
+from hypothesis import given, settings, strategies as st
+
+from quenchstage.cli import main
+
+SETTINGS = settings(
+    max_examples=50, derandomize=True, database=None, deadline=None
+)
+OUTCOMES = (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """One config/output directory for every example of the module."""
+    path = tmp_path_factory.mktemp("properties")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("QUENCHSTAGE_OUT", str(path / "out"))
+        yield path
+
+
+def run(workdir, command, values):
+    cfg = workdir / f"{command}.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    return main([command, "--config", str(cfg)])
+
+
+stagewise_configs = st.fixed_dictionaries(
+    {
+        "lambda": st.floats(0.0, 2000.0),
+        "u0_amplitude": st.floats(0.01, 0.95),
+        "A0": st.floats(0.05, 50.0),
+        "k": st.integers(2, 4),
+        "N0": st.integers(2, 6),
+        "ds": st.floats(1e-4, 1e-1),
+        "max_stages": st.integers(0, 3),
+        "step_cap": st.integers(1, 300),
+    }
+)
+
+
+@st.composite
+def direct_configs(draw):
+    dt = draw(st.floats(1e-4, 1e-1))
+    return {
+        "lambda": draw(st.floats(0.0, 2000.0)),
+        "N": draw(st.integers(2, 16)),
+        "dt": dt,
+        "T": draw(st.integers(0, 50)) * dt,
+        "u0_amplitude": draw(st.floats(0.01, 0.95)),
+    }
+
+
+@SETTINGS
+@given(values=stagewise_configs)
+def test_stagewise_ends_in_documented_exit_code(workdir, values):
+    assert run(workdir, "stagewise", values) in OUTCOMES
+
+
+@SETTINGS
+@given(values=direct_configs())
+def test_direct_ends_in_documented_exit_code(workdir, values):
+    assert run(workdir, "direct", values) in OUTCOMES
