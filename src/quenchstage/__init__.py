@@ -3,99 +3,3 @@ equation: fixed-stage energy-dissipative stepping, 12-point stage transfer,
 trigger detection, physical-time accumulation, and defect accounting."""
 
 __version__ = "0.1.0"
-
-from .grid import (
-    Field,
-    Grid,
-    build_physical_grid,
-    build_rescaled_grid,
-    flat_extend,
-    grad_norm_sq,
-    inner_product,
-    l2_norm,
-    laplacian_5pt,
-    linf_norm,
-)
-from .energy import (
-    DefectLedger,
-    DefectRow,
-    accumulate_time,
-    continuation_check,
-    discrete_energy,
-    reciprocal_K,
-    switch_jump,
-)
-from .stepper import (
-    DirichletSolver,
-    StepperConfig,
-    dt_star,
-    mm_oracle_step,
-    picard_implicit_step,
-)
-from .prolongation import (
-    TransferSpec,
-    edge_consistency_check,
-    eval_cell,
-    fit_cell,
-    laplace_compat_check,
-    laplacian_cell,
-    make_transfer,
-    prolong_stage,
-)
-from .drivers import (
-    DirectConfig,
-    StageRunawayError,
-    StageState,
-    StagewiseConfig,
-    TransferError,
-    detect_trigger,
-    initial_rescaled_profile,
-    run_direct,
-    run_stage,
-    run_stagewise,
-    stage_transition,
-)
-
-__all__ = [
-    "Field",
-    "Grid",
-    "build_physical_grid",
-    "build_rescaled_grid",
-    "flat_extend",
-    "grad_norm_sq",
-    "inner_product",
-    "l2_norm",
-    "laplacian_5pt",
-    "linf_norm",
-    "DefectLedger",
-    "DefectRow",
-    "accumulate_time",
-    "continuation_check",
-    "discrete_energy",
-    "reciprocal_K",
-    "switch_jump",
-    "DirichletSolver",
-    "StepperConfig",
-    "dt_star",
-    "mm_oracle_step",
-    "picard_implicit_step",
-    "TransferSpec",
-    "edge_consistency_check",
-    "eval_cell",
-    "fit_cell",
-    "laplace_compat_check",
-    "laplacian_cell",
-    "make_transfer",
-    "prolong_stage",
-    "DirectConfig",
-    "StageRunawayError",
-    "StageState",
-    "StagewiseConfig",
-    "TransferError",
-    "detect_trigger",
-    "initial_rescaled_profile",
-    "run_direct",
-    "run_stage",
-    "run_stagewise",
-    "stage_transition",
-]

@@ -10,14 +10,16 @@ Three subcommands:
       stdout
 
 Configs are flat key = value text files carrying exactly the documented
-keys; unknown or missing keys and non-finite numbers are configuration
-errors (exit 2).  Numerical failures exit 3; failed verify suites exit 1 and
-unknown suite names exit 2.
+keys; an unreadable or non-UTF-8 file, unknown or missing keys and
+non-finite numbers are configuration errors (exit 2).  Numerical failures
+exit 3; failed verify suites exit 1 and unknown suite names exit 2.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
-directory).  Every numeric cell is printed with 13 significant digits and
-files are written atomically (temp file + rename), so re-running a command
-with the same config produces byte-identical data files.  The manifest
+directory), created before the run starts; a path that cannot be a
+directory is a configuration error.  Every numeric cell is printed with 13
+significant digits and files are written atomically (temp file + rename)
+with the mode the umask allows, so re-running a command with the same
+config produces byte-identical data files.  The manifest
 carries the timestamp and the convention flags; data files carry neither.
 """
 
@@ -104,8 +106,8 @@ def parse_config(
 ) -> dict:
     optional = optional or {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,7 +145,10 @@ def parse_config(
 
 def _outdir() -> Path:
     out = Path(os.environ.get("QUENCHSTAGE_OUT", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     return out
 
 
@@ -152,6 +157,11 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it what open() would have.
+        # os.umask can only be read by setting it, and the CLI runs one thread.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -239,8 +249,8 @@ def cmd_stagewise(config_path: str) -> int:
         cfg = StagewiseConfig(**_fields(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = run_stagewise(cfg)
     outdir = _outdir()
+    report = run_stagewise(cfg)
     files = _stagewise_files(report, outdir)
     _write_manifest(outdir, "stagewise", values, files)
     print(f"wrote {', '.join(f.name for f in files)} to {outdir}")
@@ -253,8 +263,8 @@ def cmd_direct(config_path: str) -> int:
         cfg = DirectConfig(**_fields(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = run_direct(cfg)
     outdir = _outdir()
+    report = run_direct(cfg)
     payload = _lower_keys(asdict(report))
     del payload["config"]
     path = outdir / "direct.json"

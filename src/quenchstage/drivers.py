@@ -44,7 +44,6 @@ from .prolongation import TransferSpec, make_transfer, prolong_stage
 from .stepper import (
     SEED_ORDER,
     DirichletSolver,
-    StepperConfig,
     StepReport,
     extrapolated_seed,
     picard_implicit_step,
@@ -208,19 +207,20 @@ def detect_trigger(
 
 
 def _march(
-    Z: Field, scfg: StepperConfig, A: float, where: str
+    Z: Field, ds: float, lam: float, A: float, where: str
 ) -> Iterator[StepReport]:
-    """Seeded backward-Euler + Picard steps from Z at amplitude A, lazily.
+    """Seeded backward-Euler + Picard steps of size ds from Z at amplitude A,
+    lazily.
 
     Yields one converged step report per step, each starting from the
     previous report's state; a step that does not converge raises a
     NumericalError naming where (the stage or the direct run) and the step.
     """
-    solver = DirichletSolver(Z.grid, scfg.ds)
+    solver = DirichletSolver(Z.grid, ds)
     history = deque([Z.interior], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         seed = Z.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(Z, scfg, A, solver, seed)
+        rep = picard_implicit_step(Z, ds, lam, A, solver, seed)
         if not rep.converged:
             raise NumericalError(
                 f"{where}, step {step}: Picard did not converge within "
@@ -245,7 +245,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     h = Z.grid.h
     start = discrete_energy(Z, A, cfg.lam)
 
-    steps = _march(Z, StepperConfig(ds=cfg.ds, lam=cfg.lam), A, f"stage {state.m}")
+    steps = _march(Z, cfg.ds, cfg.lam, A, f"stage {state.m}")
     prev = Z
     E_prev = start.total
     sweeps = 0
@@ -390,7 +390,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
         g=1.0,
     )
     E_start = discrete_energy(v, 1.0, cfg.lam).total
-    steps = _march(v, StepperConfig(ds=cfg.dt, lam=cfg.lam), 1.0, "direct run")
+    steps = _march(v, cfg.dt, cfg.lam, 1.0, "direct run")
     for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
         if not v.is_admissible():

@@ -1,4 +1,4 @@
-"""Nonlocal energy, feedback diagnostics, defect bookkeeping, continuation test.
+"""Nonlocal energy and feedback, stage-switch defects, continuation test.
 
 The discrete energy at frozen amplitude A is
 
@@ -40,11 +40,6 @@ class EnergyBreakdown:
     reciprocal: float
     total: float
     coeff: float  # lambda * K^(-2), zero on the vanishing branch
-
-    @property
-    def vanished(self) -> bool:
-        """True on the lower-semicontinuous branch (some value <= 0)."""
-        return math.isinf(self.K)
 
 
 @dataclass(frozen=True)
@@ -169,17 +164,3 @@ def continuation_check(
         note=note,
     )
 
-
-def accumulate_time(durations: list[float], amplitudes: list[float]) -> list[float]:
-    """Running physical times: partial sums of s*_m * A_m^3.
-
-    Empty inputs give an empty list (an empty run has elapsed time 0).
-    """
-    if len(durations) != len(amplitudes):
-        raise ValueError("durations and amplitudes must have equal length")
-    out: list[float] = []
-    t = 0.0
-    for s, A in zip(durations, amplitudes):
-        t += s * A ** 3
-        out.append(t)
-    return out

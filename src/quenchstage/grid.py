@@ -29,22 +29,23 @@ class Grid:
     kind  "rescaled" or "physical"
     L     half-width of the rescaled square, or 1.0 for the physical one
     N     intervals per direction
-    h     mesh width, 2L/N (rescaled) or 1/N (physical)
+
+    The mesh width h follows from them: 2L/N (rescaled) or 1/N (physical).
     """
 
     kind: str
     L: float
     N: int
-    h: float
 
     def __post_init__(self) -> None:
         if self.kind not in ("rescaled", "physical"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.N < 2:
             raise ValueError("grid needs at least 2 intervals per direction")
-        span = 2.0 * self.L if self.kind == "rescaled" else 1.0
-        if not np.isclose(self.h * self.N, span, rtol=1e-12, atol=0.0):
-            raise ValueError("mesh width inconsistent with extent: h*N != span")
+
+    @property
+    def h(self) -> float:
+        return (2.0 * self.L if self.kind == "rescaled" else 1.0) / self.N
 
     def nodes_1d(self) -> np.ndarray:
         """All node coordinates along one axis, boundary included."""
@@ -70,15 +71,14 @@ def build_rescaled_grid(A: float, N: int) -> Grid:
         raise ValueError("amplitude must be positive")
     if N < 2:
         raise ValueError("need at least 2 intervals")
-    L = 1.0 / (2.0 * A ** 1.5)
-    return Grid(kind="rescaled", L=L, N=N, h=2.0 * L / N)
+    return Grid(kind="rescaled", L=1.0 / (2.0 * A ** 1.5), N=N)
 
 
 def build_physical_grid(N: int) -> Grid:
     """Unit-square grid with mesh 1/N."""
     if N < 2:
         raise ValueError("need at least 2 intervals")
-    return Grid(kind="physical", L=1.0, N=N, h=1.0 / N)
+    return Grid(kind="physical", L=1.0, N=N)
 
 
 @dataclass(frozen=True)

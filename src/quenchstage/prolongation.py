@@ -42,7 +42,8 @@ S12: tuple[tuple[int, int], ...] = (
     (2, 0), (2, 1),
 )
 
-# monomial exponents (p, q) for theta^p * zeta^q, same order as CellCoeffs.a
+# monomial exponents (p, q) for theta^p * zeta^q, the order of fit_cell's
+# 12 coefficients
 BASIS_EXPONENTS: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 0), (0, 1),
     (2, 0), (1, 1), (0, 2),
@@ -77,34 +78,29 @@ REFERENCE_INVERSE: np.ndarray = np.linalg.inv(REFERENCE_MATRIX)
 
 
 @dataclass(frozen=True)
-class CellCoeffs:
-    a: np.ndarray  # 12 coefficients in BASIS_EXPONENTS order
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.a, dtype=float)
-        if arr.shape != (12,):
-            raise ValueError("cell fit needs exactly 12 coefficients")
-        object.__setattr__(self, "a", arr)
-
-
-@dataclass(frozen=True)
 class TransferSpec:
-    """Stage-transfer parameters: factor k, amplitudes, and fill value."""
+    """Stage-transfer parameters: the factor k and the amplitude A_from.
+
+    The target amplitude, the stencil fill value and the amplitude scale
+    follow from these two and are derived, not stored.
+    """
 
     k: int
     A_from: float
-    A_to: float
-    fill: float
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("stage factor k must be at least 2")
-        if self.A_from <= 0.0 or self.A_to <= 0.0:
-            raise ValueError("amplitudes must be positive")
-        if abs(self.A_to / self.A_from - self.k ** (-2.0 / 3.0)) > 1e-12:
-            raise ValueError("A_to must equal k^(-2/3) * A_from")
-        if abs(self.fill - 1.0 / self.A_from) > 1e-12:
-            raise ValueError("fill value must equal 1/A_from")
+        if self.A_from <= 0.0:
+            raise ValueError("amplitude A_from must be positive")
+
+    @property
+    def A_to(self) -> float:
+        return self.k ** (-2.0 / 3.0) * self.A_from
+
+    @property
+    def fill(self) -> float:
+        return 1.0 / self.A_from
 
     @property
     def scale(self) -> float:
@@ -112,26 +108,25 @@ class TransferSpec:
 
 
 def make_transfer(A_from: float, k: int) -> TransferSpec:
-    return TransferSpec(
-        k=k, A_from=A_from, A_to=k ** (-2.0 / 3.0) * A_from, fill=1.0 / A_from
-    )
+    return TransferSpec(k=k, A_from=A_from)
 
 
-def fit_cell(data: np.ndarray) -> CellCoeffs:
-    """Coefficients of the unique 12-point interpolant of stencil data."""
+def fit_cell(data: np.ndarray) -> np.ndarray:
+    """The 12 coefficients, in BASIS_EXPONENTS order, of the unique 12-point
+    interpolant of stencil data."""
     data = np.asarray(data, dtype=float)
     if data.shape != (12,):
         raise ValueError("expected 12 stencil values in S12 order")
-    return CellCoeffs(a=REFERENCE_INVERSE @ data)
+    return REFERENCE_INVERSE @ data
 
 
-def eval_cell(c: CellCoeffs, theta: float, zeta: float) -> float:
-    return float(basis_row(theta, zeta) @ c.a)
+def eval_cell(c: np.ndarray, theta: float, zeta: float) -> float:
+    return float(basis_row(theta, zeta) @ c)
 
 
-def laplacian_cell(c: CellCoeffs, theta: float, zeta: float, h: float) -> float:
+def laplacian_cell(c: np.ndarray, theta: float, zeta: float, h: float) -> float:
     """Laplacian of the cell polynomial in grid coordinates (units 1/h^2)."""
-    return float(laplacian_row(theta, zeta) @ c.a) / (h * h)
+    return float(laplacian_row(theta, zeta) @ c) / (h * h)
 
 
 def _cell_stencils(end: Field, fill: float) -> np.ndarray:

@@ -5,7 +5,9 @@ iteration on the nonlocal source:
 
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-with constant Dirichlet data g.  The linear operator (I/ds - Lap_h) is
+with constant Dirichlet data g.  The step size ds, lam and the frozen
+amplitude A are plain arguments: the run configs validate them, and
+DirichletSolver rejects ds <= 0.  The linear operator (I/ds - Lap_h) is
 inverted by sine-basis diagonalization, set up once per (grid, ds) and
 reused across Picard sweeps and across steps; the boundary coupling enters
 the right-hand side.  Values are clipped at CLIP only inside reciprocal
@@ -49,18 +51,6 @@ SEED_ORDER = 3
 PICARD_TOL = 1e-10  # relative max-norm change that ends the iteration
 PICARD_MAX = 50  # sweeps before a step is reported as not converged
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    ds: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.ds <= 0.0:
-            raise ValueError("ds must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -115,19 +105,6 @@ def boundary_coupling(grid: Grid, g: float) -> np.ndarray:
     return laplacian_5pt(zero)
 
 
-def dt_star(Z: Field, A: float, eta: float, lam: float, E: float) -> float:
-    """Admissible step bound min{A^2 h^2 eta^2 / (8E), eta^3 / (16 lam)}.
-
-    Below this bound the implicit minimizer stays positive (min >= eta/2)
-    and is locally unique.  The reference runs use their fixed ds regardless,
-    and nothing in a run reports the bound yet.
-    """
-    if A <= 0.0 or eta <= 0.0 or lam <= 0.0 or E <= 0.0:
-        raise ValueError("dt_star needs positive A, eta, lam, E")
-    h = Z.grid.h
-    return min(A * A * h * h * eta * eta / (8.0 * E), eta ** 3 / (16.0 * lam))
-
-
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
     """Picard start for the next step from the last accepted states.
 
@@ -146,14 +123,16 @@ def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
 
 def picard_implicit_step(
     Z: Field,
-    cfg: StepperConfig,
+    ds: float,
+    lam: float,
     A: float,
     solver: DirichletSolver | None = None,
     seed: Field | None = None,
 ) -> StepReport:
-    """One backward-Euler step with Picard iteration on the nonlocal source.
+    """One backward-Euler step of size ds with Picard iteration on the
+    nonlocal source lam/(Y^2 K^2) at amplitude A.
 
-    The optional solver must match (Z.grid, cfg.ds); passing one amortizes
+    The optional solver must match (Z.grid, ds); passing one amortizes
     its set-up over a whole stage.  The optional seed overrides the
     default Picard start Y(0) = Z; the drivers pass extrapolated_seed, the
     local-uniqueness checks a perturbed Z.  The start changes the number of
@@ -162,16 +141,16 @@ def picard_implicit_step(
     if not Z.is_admissible():
         raise ValueError("Picard step requires a positive previous state")
     if solver is None:
-        solver = DirichletSolver(Z.grid, cfg.ds)
+        solver = DirichletSolver(Z.grid, ds)
     if solver.grid is not Z.grid and (
         solver.grid.N != Z.grid.N or solver.grid.h != Z.grid.h
     ):
         raise ValueError("solver grid does not match the state grid")
-    if solver.ds != cfg.ds:
-        raise ValueError("solver ds does not match the stepper config")
+    if solver.ds != ds:
+        raise ValueError("solver ds does not match the step size")
 
     h = Z.grid.h
-    base_rhs = Z.interior / cfg.ds + boundary_coupling(Z.grid, Z.g)
+    base_rhs = Z.interior / ds + boundary_coupling(Z.grid, Z.g)
 
     Y = seed.interior if seed is not None else Z.interior
     iters = 0
@@ -181,7 +160,7 @@ def picard_implicit_step(
         K = 1.0 + A * A * h * h * float(np.sum(1.0 / Yc))
         # the source stays unnamed so it is freed before the solve's
         # temporaries exist: live grid arrays set large-N peak memory
-        Ynew = solver.solve(base_rhs - cfg.lam / (Yc * Yc * K * K))
+        Ynew = solver.solve(base_rhs - lam / (Yc * Yc * K * K))
         iters += 1
         gap = float(np.max(np.abs(Ynew - Y)))
         Y = Ynew
@@ -195,23 +174,26 @@ def picard_implicit_step(
         next=nxt,
         picard_iters=iters,
         converged=converged,
-        energy=discrete_energy(nxt, A, cfg.lam).total,
-        penalty=(A * A / (2.0 * cfg.ds)) * inner_product(diff, diff, h),
+        energy=discrete_energy(nxt, A, lam).total,
+        penalty=(A * A / (2.0 * ds)) * inner_product(diff, diff, h),
     )
 
 
-def euler_lagrange_residual(Y: Field, Z: Field, cfg: StepperConfig, A: float) -> np.ndarray:
+def euler_lagrange_residual(
+    Y: Field, Z: Field, ds: float, lam: float, A: float
+) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
     K = reciprocal_K(Y, A)
     if math.isinf(K):
         raise ValueError("residual undefined on the vanishing branch")
-    source = cfg.lam / (Y.interior ** 2 * K * K)
-    return (Y.interior - Z.interior) / cfg.ds - laplacian_5pt(Y) + source
+    source = lam / (Y.interior ** 2 * K * K)
+    return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 
 def mm_oracle_step(
     Z: Field,
-    cfg: StepperConfig,
+    ds: float,
+    lam: float,
     A: float,
     residual_tol: float = 1e-10,
     max_iters: int = 2000,
@@ -237,14 +219,14 @@ def mm_oracle_step(
     def objective(Yarr: np.ndarray) -> float:
         cand = Z.with_interior(Yarr)
         diff = Yarr - Z.interior
-        penalty = (A * A / (2.0 * cfg.ds)) * h2 * float(np.sum(diff * diff))
-        return discrete_energy(cand, A, cfg.lam).total + penalty
+        penalty = (A * A / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
+        return discrete_energy(cand, A, lam).total + penalty
 
     Y = Z.interior.copy()
-    alpha0 = cfg.ds / scale
+    alpha0 = ds / scale
     for _ in range(max_iters):
         cand = Z.with_interior(Y)
-        R = euler_lagrange_residual(cand, Z, cfg, A)
+        R = euler_lagrange_residual(cand, Z, ds, lam, A)
         if float(np.max(np.abs(R))) < residual_tol:
             return cand
         G = scale * R  # plain gradient of J

@@ -42,7 +42,7 @@ from .prolongation import (
     make_transfer,
     prolong_stage,
 )
-from .stepper import StepperConfig, mm_oracle_step, picard_implicit_step
+from .stepper import mm_oracle_step, picard_implicit_step
 from .drivers import StagewiseConfig, initial_rescaled_profile
 
 
@@ -235,23 +235,22 @@ def suite_laplace() -> list[CheckResult]:
     return results
 
 
-def _oracle_case(rng: np.random.Generator) -> tuple[Field, StepperConfig, float]:
+def _oracle_case(rng: np.random.Generator) -> tuple[Field, float, float, float]:
+    """A random 3x3-interior state with (ds, lam, A) = (1e-3, 20, 0.6)."""
     A = 0.6
-    Y = _random_field(rng, 4, A)  # 3x3 interior
-    cfg = StepperConfig(ds=1e-3, lam=20.0)
-    return Y, cfg, A
+    return _random_field(rng, 4, A), 1e-3, 20.0, A
 
 
 def suite_dissipation() -> list[CheckResult]:
     rng = np.random.default_rng(20260105)
     worst = -np.inf
     for _ in range(50):
-        Z, cfg, A = _oracle_case(rng)
-        out = mm_oracle_step(Z, cfg, A)
+        Z, ds, lam, A = _oracle_case(rng)
+        out = mm_oracle_step(Z, ds, lam, A)
         diff = out.interior - Z.interior
-        penalty = (A * A / (2.0 * cfg.ds)) * inner_product(diff, diff, Z.grid.h)
-        lhs = discrete_energy(out, A, cfg.lam).total + penalty
-        rhs = discrete_energy(Z, A, cfg.lam).total
+        penalty = (A * A / (2.0 * ds)) * inner_product(diff, diff, Z.grid.h)
+        lhs = discrete_energy(out, A, lam).total + penalty
+        rhs = discrete_energy(Z, A, lam).total
         worst = max(worst, lhs - rhs)
     return [
         CheckResult(
@@ -268,9 +267,9 @@ def suite_oracle() -> list[CheckResult]:
     rng = np.random.default_rng(20260106)
     worst_gap = 0.0
     for _ in range(25):
-        Z, cfg, A = _oracle_case(rng)
-        picard = picard_implicit_step(Z, cfg, A).next
-        oracle = mm_oracle_step(Z, cfg, A)
+        Z, ds, lam, A = _oracle_case(rng)
+        picard = picard_implicit_step(Z, ds, lam, A).next
+        oracle = mm_oracle_step(Z, ds, lam, A)
         worst_gap = max(worst_gap, linf_norm(picard.interior - oracle.interior))
     results = [
         CheckResult(
@@ -283,10 +282,9 @@ def suite_oracle() -> list[CheckResult]:
     ]
     worst_l0 = 0.0
     for _ in range(5):
-        Z, _, A = _oracle_case(rng)
-        cfg0 = StepperConfig(ds=1e-3, lam=0.0)
-        picard = picard_implicit_step(Z, cfg0, A).next
-        oracle = mm_oracle_step(Z, cfg0, A)
+        Z, ds, _, A = _oracle_case(rng)
+        picard = picard_implicit_step(Z, ds, 0.0, A).next
+        oracle = mm_oracle_step(Z, ds, 0.0, A)
         worst_l0 = max(worst_l0, linf_norm(picard.interior - oracle.interior))
     results.append(
         CheckResult(
@@ -299,12 +297,12 @@ def suite_oracle() -> list[CheckResult]:
     )
     worst_seed = 0.0
     for _ in range(20):
-        Z, cfg, A = _oracle_case(rng)
+        Z, ds, lam, A = _oracle_case(rng)
         eta = Z.min_interior()
-        assert cfg.ds < eta ** 3 / (16.0 * cfg.lam)
-        from_z = picard_implicit_step(Z, cfg, A).next
+        assert ds < eta ** 3 / (16.0 * lam)
+        from_z = picard_implicit_step(Z, ds, lam, A).next
         seed = Z.with_interior(1.05 * Z.interior)
-        from_seed = picard_implicit_step(Z, cfg, A, seed=seed).next
+        from_seed = picard_implicit_step(Z, ds, lam, A, seed=seed).next
         worst_seed = max(worst_seed, linf_norm(from_z.interior - from_seed.interior))
     results.append(
         CheckResult(

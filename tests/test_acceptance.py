@@ -9,14 +9,13 @@ import time
 
 import pytest
 
-from quenchstage import (
-    DefectLedger,
+from quenchstage.drivers import (
     DirectConfig,
     StagewiseConfig,
-    continuation_check,
     run_direct,
     run_stagewise,
 )
+from quenchstage.energy import DefectLedger, continuation_check
 from quenchstage.verify import run_suite
 
 # stage m, A_m, N_m, h_m, A_m^2 h_m^2, scaled time, min W_m,

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,46 @@ def test_non_finite_value_exit_code(tmp_path, outdir, capsys, command, key, valu
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stagewise", "direct"])
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_outdir_exit_code(tmp_path, monkeypatch, capsys, command, under):
+    # QUENCHSTAGE_OUT names a regular file, or a path below one: rejected
+    # as a config error before any stepping
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "out" if under else blocker
+    monkeypatch.setenv("QUENCHSTAGE_OUT", str(out))
+
+    def no_run(cfg):
+        raise AssertionError("the run started before the output check")
+
+    monkeypatch.setattr(f"quenchstage.cli.run_{command}", no_run)
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", base)
+    assert main([command, "--config", cfg]) == 2
+    assert "config error: cannot use output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_file_modes_follow_umask(tmp_path, outdir, umask):
+    stage_cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)
+    direct_cfg = write_cfg(tmp_path / "d.cfg", DIRECT_BASE)
+    old = os.umask(umask)
+    try:
+        assert main(["stagewise", "--config", stage_cfg]) == 0
+        assert main(["direct", "--config", direct_cfg]) == 0
+    finally:
+        os.umask(old)
+    written = sorted(outdir.iterdir())
+    assert [f.name for f in written] == [
+        "direct.json", "feedback.csv", "ledger.json", "manifest.json",
+        "stages.csv", "transitions.csv",
+    ]
+    for f in written:
+        assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~umask, f.name
+
+
 class TestVerifyCommand:
     def test_green_suite_report(self, capsys):
         assert main(["verify", "green"]) == 0
@@ -365,4 +406,14 @@ def test_transfer_below_threshold_exit_code(tmp_path, outdir):
     assert "numerical failure" in proc.stderr
     assert "stage 1 starts at or below the trigger threshold" in proc.stderr
     assert "min W = 0.588583" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_undecodable_config_exit_code(tmp_path, outdir):
+    path = tmp_path / "s.cfg"
+    write_cfg(path, STAGE_BASE)
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    proc = run_python("-m", "quenchstage", "stagewise", "--config", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr

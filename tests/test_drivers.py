@@ -1,32 +1,31 @@
 """Stagewise and direct reference runs: triggers, transfers, bookkeeping."""
 
+import itertools
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quenchstage import (
+from quenchstage import stepper
+from quenchstage.cli import main
+from quenchstage.drivers import (
     DirectConfig,
-    DirichletSolver,
-    Field,
     StagewiseConfig,
     StageRunawayError,
     StageState,
     TransferError,
-    accumulate_time,
-    build_rescaled_grid,
     detect_trigger,
-    discrete_energy,
     initial_rescaled_profile,
-    make_transfer,
     run_direct,
     run_stage,
     run_stagewise,
     stage_transition,
-    stepper,
 )
-from quenchstage.cli import main
+from quenchstage.energy import discrete_energy
+from quenchstage.grid import Field, build_rescaled_grid
+from quenchstage.prolongation import make_transfer
+from quenchstage.stepper import DirichletSolver
 
 THR = 2.0 ** (-2.0 / 3.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -261,10 +260,11 @@ class TestRunStagewise:
         assert times == pytest.approx(expect, rel=1e-6)
 
     def test_times_match_accumulate_time(self, reference_run):
-        durations = [r.scaled_time for r in reference_run.records]
-        amplitudes = [r.A for r in reference_run.records]
-        assert [r.accumulated_time for r in reference_run.records] == pytest.approx(
-            accumulate_time(durations, amplitudes), rel=1e-15
+        # physical time: partial sums of s*_m * A_m^3
+        records = reference_run.records
+        partial_sums = itertools.accumulate(r.scaled_time * r.A ** 3 for r in records)
+        assert [r.accumulated_time for r in records] == pytest.approx(
+            list(partial_sums), rel=1e-15
         )
 
     def test_recorded_jumps(self, reference_run):

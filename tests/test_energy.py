@@ -5,26 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from quenchstage import (
+from quenchstage.drivers import StagewiseConfig, initial_rescaled_profile
+from quenchstage.energy import (
     DefectLedger,
     DefectRow,
-    Field,
-    StagewiseConfig,
-    accumulate_time,
-    build_rescaled_grid,
     continuation_check,
     discrete_energy,
-    grad_norm_sq,
-    initial_rescaled_profile,
     reciprocal_K,
     switch_jump,
 )
-from quenchstage.grid import Grid
+from quenchstage.grid import Field, Grid, build_rescaled_grid, grad_norm_sq
 
 
 def single_node_field(value, g=1.0, A=1.0):
     # rescaled grid with h = 1: N = 2 and L = 1
-    grid = Grid(kind="rescaled", L=1.0, N=2, h=1.0)
+    grid = Grid(kind="rescaled", L=1.0, N=2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
@@ -76,7 +71,7 @@ class TestDiscreteEnergy:
     def test_vanishing_branch_consistency(self):
         Y = single_node_field(0.0)
         eb = discrete_energy(Y, A=1.0, lam=20.0)
-        assert eb.vanished
+        assert math.isinf(eb.K)
         assert eb.reciprocal == 0.0
         assert eb.total == eb.dirichlet
 
@@ -180,24 +175,3 @@ class TestContinuationCheck:
         assert report.full_domain
         assert "outside the bounded-window hypothesis" in report.note
 
-
-class TestAccumulateTime:
-    def test_single_stage(self):
-        times = accumulate_time([0.139155092], [0.6])
-        assert times[-1] == pytest.approx(0.0300574999, abs=1e-9)
-
-    def test_two_stages_with_power_law(self):
-        # A_1^3 = A_0^3 / k^2 = 0.054 for k = 2
-        A1 = 0.6 * 2.0 ** (-2.0 / 3.0)
-        assert A1**3 == pytest.approx(0.054, rel=1e-12)
-        times = accumulate_time([0.139155092, 0.129075841], [0.6, A1])
-        assert times[-1] == pytest.approx(0.0370275953, abs=1e-9)
-
-    def test_empty_run_has_zero_elapsed(self):
-        times = accumulate_time([], [])
-        assert times == []
-        assert sum(s * A**3 for s, A in zip([], [])) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accumulate_time([1.0], [])

@@ -7,19 +7,18 @@ Python loops so they share no code path with the vectorized operators.
 import numpy as np
 import pytest
 
-from quenchstage import (
+from quenchstage.grid import (
     Field,
-    Grid,
     build_physical_grid,
     build_rescaled_grid,
     flat_extend,
     grad_norm_sq,
+    gradient_bilinear,
     inner_product,
     l2_norm,
     laplacian_5pt,
     linf_norm,
 )
-from quenchstage.grid import gradient_bilinear
 
 
 def brute_force_grad_sq(F):
@@ -87,10 +86,6 @@ class TestGridConstruction:
         phys = build_physical_grid(4)
         assert phys.nodes_1d()[0] == 0.0
         assert phys.nodes_1d()[-1] == pytest.approx(1.0)
-
-    def test_inconsistent_mesh_rejected(self):
-        with pytest.raises(ValueError):
-            Grid(kind="rescaled", L=1.0, N=4, h=0.3)
 
 
 class TestField:

@@ -1,4 +1,4 @@
-"""Implicit step, step-size bound, and minimizing-movement oracle checks.
+"""Implicit step and minimizing-movement oracle checks.
 
 The linear-algebra oracle here assembles the backward-Euler system with
 explicit loops and solves it densely, sharing nothing with the sine-basis
@@ -8,25 +8,18 @@ diagonalization used by the package.
 import numpy as np
 import pytest
 
-from quenchstage import (
-    DirichletSolver,
-    Field,
-    StagewiseConfig,
-    StepperConfig,
-    build_rescaled_grid,
-    discrete_energy,
-    dt_star,
-    initial_rescaled_profile,
-    mm_oracle_step,
-    picard_implicit_step,
-    stepper,
-)
-from quenchstage.grid import Grid
+from quenchstage import stepper
+from quenchstage.drivers import StagewiseConfig, initial_rescaled_profile
+from quenchstage.energy import discrete_energy
+from quenchstage.grid import Field, Grid, build_rescaled_grid
 from quenchstage.stepper import (
     SEED_ORDER,
+    DirichletSolver,
     boundary_coupling,
     euler_lagrange_residual,
     extrapolated_seed,
+    mm_oracle_step,
+    picard_implicit_step,
 )
 
 
@@ -60,7 +53,7 @@ def dense_be_solve(Z, ds):
 
 
 def single_node_field(value, g=1.0):
-    grid = Grid(kind="rescaled", L=1.0, N=2, h=1.0)
+    grid = Grid(kind="rescaled", L=1.0, N=2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
@@ -69,46 +62,6 @@ def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     grid = build_rescaled_grid(A, N)
     n = N - 1
     return Field(grid=grid, interior=rng.uniform(lo, hi, (n, n)), g=1.0 / A)
-
-
-class TestDtStar:
-    def test_second_branch(self):
-        Z = single_node_field(1.0)
-        assert dt_star(Z, A=1.0, eta=1.0, lam=20.0, E=0.01) == pytest.approx(
-            3.125e-3, rel=1e-14
-        )
-
-    def test_first_branch(self):
-        Z = single_node_field(1.0)
-        assert dt_star(Z, A=1.0, eta=1.0, lam=0.01, E=1.0) == pytest.approx(
-            0.125, rel=1e-14
-        )
-
-    def test_reference_field_substitution(self):
-        cfg = StagewiseConfig()
-        W = initial_rescaled_profile(cfg)
-        eta = W.min_interior()
-        E = discrete_energy(W, cfg.A0, cfg.lam).total
-        h = W.grid.h
-        expect = min(
-            cfg.A0 ** 2 * h * h * eta * eta / (8.0 * E),
-            eta ** 3 / (16.0 * cfg.lam),
-        )
-        got = dt_star(W, cfg.A0, eta, cfg.lam, E)
-        assert got == pytest.approx(expect, rel=1e-14)
-        # the reference runs keep ds = 1e-3 even though the bound is smaller
-        assert got < cfg.ds
-
-    def test_invalid_arguments(self):
-        Z = single_node_field(1.0)
-        with pytest.raises(ValueError):
-            dt_star(Z, A=0.0, eta=1.0, lam=1.0, E=1.0)
-        with pytest.raises(ValueError):
-            dt_star(Z, A=1.0, eta=0.0, lam=1.0, E=1.0)
-        with pytest.raises(ValueError):
-            dt_star(Z, A=1.0, eta=1.0, lam=0.0, E=1.0)
-        with pytest.raises(ValueError):
-            dt_star(Z, A=1.0, eta=1.0, lam=1.0, E=-1.0)
 
 
 class TestDirichletSolver:
@@ -147,69 +100,73 @@ class TestPicardStep:
         # with lam = 0 the source is exactly 0, so the second sweep repeats
         # the first solve bit for bit and the gap test ends the iteration
         Z = random_state(seed=5)
-        cfg = StepperConfig(ds=1e-3, lam=0.0)
-        rep = picard_implicit_step(Z, cfg, 0.6)
+        ds, lam = 1e-3, 0.0
+        rep = picard_implicit_step(Z, ds, lam, 0.6)
         assert rep.picard_iters == 2
         assert rep.converged
-        rhs = Z.interior / cfg.ds + boundary_coupling(Z.grid, Z.g)
-        one_solve = DirichletSolver(Z.grid, cfg.ds).solve(rhs)
+        rhs = Z.interior / ds + boundary_coupling(Z.grid, Z.g)
+        one_solve = DirichletSolver(Z.grid, ds).solve(rhs)
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
         grid = build_rescaled_grid(0.6, 4)
         g = 1.0 / 0.6
         Z = Field(grid=grid, interior=np.full((3, 3), g), g=g)
-        rep = picard_implicit_step(Z, StepperConfig(ds=1e-3, lam=0.0), 0.6)
+        rep = picard_implicit_step(Z, 1e-3, 0.0, 0.6)
         assert np.max(np.abs(rep.next.interior - g)) < 1e-13
 
     def test_source_free_matches_dense_oracle(self):
         Z = random_state(N=5, seed=6)
-        cfg = StepperConfig(ds=1e-3, lam=0.0)
-        rep = picard_implicit_step(Z, cfg, 0.6)
-        want = dense_be_solve(Z, cfg.ds)
+        ds, lam = 1e-3, 0.0
+        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        want = dense_be_solve(Z, ds)
         assert np.max(np.abs(rep.next.interior - want)) < 1e-11
 
     def test_converged_state_solves_euler_lagrange(self):
         Z = random_state(seed=7)
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
-        rep = picard_implicit_step(Z, cfg, 0.6)
+        ds, lam = 1e-3, 20.0
+        rep = picard_implicit_step(Z, ds, lam, 0.6)
         assert rep.converged
-        R = euler_lagrange_residual(rep.next, Z, cfg, 0.6)
+        R = euler_lagrange_residual(rep.next, Z, ds, lam, 0.6)
         assert np.max(np.abs(R)) < 1e-8
 
     def test_two_seeds_same_fixed_point(self):
         Z = random_state(seed=8)
         eta = Z.min_interior()
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
-        assert cfg.ds < eta ** 3 / (16.0 * cfg.lam)
-        rep_a = picard_implicit_step(Z, cfg, 0.6)
-        rep_b = picard_implicit_step(Z, cfg, 0.6, seed=Z.with_interior(1.05 * Z.interior))
+        ds, lam = 1e-3, 20.0
+        assert ds < eta ** 3 / (16.0 * lam)
+        rep_a = picard_implicit_step(Z, ds, lam, 0.6)
+        seed = Z.with_interior(1.05 * Z.interior)
+        rep_b = picard_implicit_step(Z, ds, lam, 0.6, seed=seed)
         assert rep_a.converged and rep_b.converged
         assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
 
     def test_positivity_below_step_bound(self):
         Z = random_state(lo=1.5, hi=2.0, seed=9)
         eta = Z.min_interior()
-        lam = 20.0
-        E = discrete_energy(Z, 0.6, lam).total
-        bound = dt_star(Z, 0.6, eta, lam, E)
-        rep = picard_implicit_step(Z, StepperConfig(ds=0.5 * bound, lam=lam), 0.6)
+        A, lam = 0.6, 20.0
+        E = discrete_energy(Z, A, lam).total
+        h = Z.grid.h
+        # below the step bound the implicit minimizer stays positive
+        # (min >= eta/2) and is locally unique
+        bound = min(A * A * h * h * eta * eta / (8.0 * E), eta ** 3 / (16.0 * lam))
+        rep = picard_implicit_step(Z, 0.5 * bound, lam, A)
         assert rep.converged
         assert rep.next.min_interior() >= 0.5 * eta
 
     def test_agrees_with_descent_oracle(self):
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
+        ds, lam = 1e-3, 20.0
         for seed in range(5):
             Z = random_state(seed=20 + seed)
-            rep = picard_implicit_step(Z, cfg, 0.6)
-            ref = mm_oracle_step(Z, cfg, 0.6)
+            rep = picard_implicit_step(Z, ds, lam, 0.6)
+            ref = mm_oracle_step(Z, ds, lam, 0.6)
             assert np.max(np.abs(rep.next.interior - ref.interior)) < 1e-6
 
     def test_nonconvergence_flagged_not_raised(self, monkeypatch):
         monkeypatch.setattr(stepper, "PICARD_MAX", 1)
         Z = random_state(seed=10)
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
-        rep = picard_implicit_step(Z, cfg, 0.6)
+        ds, lam = 1e-3, 20.0
+        rep = picard_implicit_step(Z, ds, lam, 0.6)
         assert rep.picard_iters == 1
         assert not rep.converged
         assert rep.next.interior.shape == (3, 3)
@@ -218,29 +175,29 @@ class TestPicardStep:
         Z = random_state(seed=11)
         bad = Z.with_interior(Z.interior - 5.0)
         with pytest.raises(ValueError):
-            picard_implicit_step(bad, StepperConfig(ds=1e-3, lam=20.0), 0.6)
+            picard_implicit_step(bad, 1e-3, 20.0, 0.6)
 
     def test_rejects_mismatched_solver(self):
         Z = random_state(seed=12)
         solver = DirichletSolver(Z.grid, 2e-3)
         with pytest.raises(ValueError):
-            picard_implicit_step(Z, StepperConfig(ds=1e-3, lam=20.0), 0.6, solver=solver)
+            picard_implicit_step(Z, 1e-3, 20.0, 0.6, solver=solver)
         other = DirichletSolver(build_rescaled_grid(0.6, 6), 1e-3)
         with pytest.raises(ValueError):
-            picard_implicit_step(Z, StepperConfig(ds=1e-3, lam=20.0), 0.6, solver=other)
+            picard_implicit_step(Z, 1e-3, 20.0, 0.6, solver=other)
 
     def test_dissipation_fields_recomputable(self):
         Z = random_state(seed=13)
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
-        rep = picard_implicit_step(Z, cfg, 0.6)
-        assert rep.energy == discrete_energy(rep.next, 0.6, cfg.lam).total
+        ds, lam = 1e-3, 20.0
+        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        assert rep.energy == discrete_energy(rep.next, 0.6, lam).total
         h2 = Z.grid.h ** 2
         n = Z.grid.N - 1
         sq = 0.0
         for i in range(n):
             for j in range(n):
                 sq += h2 * (rep.next.interior[i, j] - Z.interior[i, j]) ** 2
-        assert rep.penalty == pytest.approx((0.36 / (2.0 * cfg.ds)) * sq, rel=1e-13)
+        assert rep.penalty == pytest.approx((0.36 / (2.0 * ds)) * sq, rel=1e-13)
         assert rep.penalty > 0.0
 
     def test_one_energy_evaluation_per_step(self, monkeypatch):
@@ -251,8 +208,8 @@ class TestPicardStep:
             return discrete_energy(*args, **kwargs)
 
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
-        rep = picard_implicit_step(random_state(seed=14), cfg, 0.6)
+        ds, lam = 1e-3, 20.0
+        rep = picard_implicit_step(random_state(seed=14), ds, lam, 0.6)
         assert len(calls) == 1
         assert calls[0] is rep.next
 
@@ -300,16 +257,15 @@ class TestExtrapolatedSeed:
 
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
-        scfg = StepperConfig(ds=cfg.ds, lam=cfg.lam)
         Z = initial_rescaled_profile(cfg)
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
-            Z = picard_implicit_step(Z, scfg, cfg.A0, solver).next
+            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver).next
             history.append(Z.interior)
-        plain = picard_implicit_step(Z, scfg, cfg.A0, solver)
+        plain = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver)
         seed = Z.with_interior(extrapolated_seed(history))
-        seeded = picard_implicit_step(Z, scfg, cfg.A0, solver, seed)
+        seeded = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver, seed)
         assert plain.converged and seeded.converged
         assert seeded.picard_iters < plain.picard_iters
         gap = np.max(np.abs(seeded.next.interior - plain.next.interior))
@@ -330,53 +286,53 @@ def refine_grid_search(fn, lo, hi, width=1e-10):
 class TestDescentOracle:
     def test_source_free_matches_dense_solve(self):
         Z = random_state(seed=14)
-        cfg = StepperConfig(ds=1e-3, lam=0.0)
-        got = mm_oracle_step(Z, cfg, 0.6)
-        want = dense_be_solve(Z, cfg.ds)
+        ds, lam = 1e-3, 0.0
+        got = mm_oracle_step(Z, ds, lam, 0.6)
+        want = dense_be_solve(Z, ds)
         assert np.max(np.abs(got.interior - want)) < 1e-10
 
     def test_single_node_against_grid_search(self):
         Z = single_node_field(1.0, g=1.0)
-        cfg = StepperConfig(ds=1e-3, lam=1.0)
+        ds, lam = 1e-3, 1.0
 
         def J(y):
             # gradient part: four node-boundary edges; K = 1 + 1/y at A = h = 1
             return (
                 0.5 * 4.0 * (y - 1.0) ** 2
                 + 1.0 / (1.0 + 1.0 / y)
-                + (1.0 / (2.0 * cfg.ds)) * (y - 1.0) ** 2
+                + (1.0 / (2.0 * ds)) * (y - 1.0) ** 2
             )
 
-        got = mm_oracle_step(Z, cfg, 1.0)
+        got = mm_oracle_step(Z, ds, lam, 1.0)
         ystar = refine_grid_search(J, 1e-6, 3.0)
         # the bracket reaches 1e-10 but argmin localization on the flat
         # quadratic bottoms out near sqrt(eps*J/J''); compare above that floor
         assert abs(got.interior[0, 0] - ystar) < 1e-7
-        R = euler_lagrange_residual(got, Z, cfg, 1.0)
+        R = euler_lagrange_residual(got, Z, ds, lam, 1.0)
         assert np.max(np.abs(R)) < 1e-10
 
     def test_dissipation_inequality(self):
-        cfg = StepperConfig(ds=1e-3, lam=20.0)
+        ds, lam = 1e-3, 20.0
         h2 = build_rescaled_grid(0.6, 4).h ** 2
         for seed in range(10):
             Z = random_state(seed=40 + seed)
-            out = mm_oracle_step(Z, cfg, 0.6)
+            out = mm_oracle_step(Z, ds, lam, 0.6)
             diff = out.interior - Z.interior
-            penalty = (0.36 / (2.0 * cfg.ds)) * h2 * float(np.sum(diff * diff))
-            lhs = discrete_energy(out, 0.6, cfg.lam).total + penalty
-            rhs = discrete_energy(Z, 0.6, cfg.lam).total
+            penalty = (0.36 / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
+            lhs = discrete_energy(out, 0.6, lam).total + penalty
+            rhs = discrete_energy(Z, 0.6, lam).total
             assert lhs <= rhs + 1e-12
 
     def test_rejects_large_grids(self):
         Z = random_state(N=6, seed=15)
         assert Z.grid.interior_count == 25
         with pytest.raises(ValueError):
-            mm_oracle_step(Z, StepperConfig(ds=1e-3, lam=20.0), 0.6)
+            mm_oracle_step(Z, 1e-3, 20.0, 0.6)
 
     def test_rejects_inadmissible_state(self):
         Z = single_node_field(-1.0)
         with pytest.raises(ValueError):
-            mm_oracle_step(Z, StepperConfig(ds=1e-3, lam=1.0), 1.0)
+            mm_oracle_step(Z, 1e-3, 1.0, 1.0)
 
 
 class TestStepperConfig:
@@ -385,9 +341,3 @@ class TestStepperConfig:
         assert stepper.PICARD_TOL == 1e-10
         assert stepper.PICARD_MAX == 50
         assert stepper.CLIP == 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepperConfig(ds=0.0, lam=20.0)
-        with pytest.raises(ValueError):
-            StepperConfig(ds=1e-3, lam=-1.0)
