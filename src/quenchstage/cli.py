@@ -16,11 +16,12 @@ exit 3; failed verify suites exit 1 and unknown suite names exit 2.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
 directory), created before the run starts; a path that cannot be a
-directory is a configuration error.  Every numeric cell is printed with 13
-significant digits and files are written atomically (temp file + rename)
-with the mode the umask allows, so re-running a command with the same
-config produces byte-identical data files.  The manifest
-carries the timestamp and the convention flags; data files carry neither.
+directory, or an output file that cannot be written, is a configuration
+error.  Every numeric cell is printed with 13 significant digits and files
+are written atomically (temp file + rename) with the mode the umask allows,
+so re-running a command with the same config produces byte-identical data
+files.  The manifest carries the timestamp and the convention flags; data
+files carry neither.
 """
 
 from __future__ import annotations
@@ -153,20 +154,25 @@ def _outdir() -> Path:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; give it what open() would have.
-        # os.umask can only be read by setting it, and the CLI runs one thread.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name, suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            # mkstemp creates the file 0600; give it what open() would have.
+            # os.umask can only be read by setting it; the CLI runs one thread.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _sha256(path: Path) -> str:

@@ -10,10 +10,13 @@ sum of s*_m * A_m^3 with the fractional event step included in s*_m.
 A prolonged state that starts at or below the threshold of its stage cannot
 trigger and is a numerical failure of the transfer.
 
-The direct driver evolves the physical deficit v on the unit square with the
-same backward-Euler + Picard scheme at amplitude 1 (so K = 1 + h^2 sum 1/v)
-and reports the energies at t = 0 and t = T plus the final minimum; a step
-that leaves the positive cone (the deficit quenches) is a numerical failure.
+The direct driver evolves the physical deficit v = 1 - u on the unit square.
+That is stage 0 at amplitude 1: the rescaled square is then the unit square
+(h = 1/N), W = v and g = 1, so both runs start from initial_rescaled_profile
+and step with the same backward-Euler + Picard scheme (K = 1 + h^2 sum 1/v
+here).  It reports the energies at t = 0 and t = T plus the final minimum; a
+step that leaves the positive cone (the deficit quenches) is a numerical
+failure.
 
 Both drivers advance their state through one generator, _march: it owns the
 linear solver of the grid, starts each Picard step from extrapolated_seed
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, build_physical_grid, build_rescaled_grid
+from .grid import Field, build_rescaled_grid
 from .energy import (
     DefectLedger,
     DefectRow,
@@ -87,7 +90,9 @@ class StagewiseConfig:
             raise ValueError("k and N0 must be at least 2")
         if self.max_stages < 0 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 0 and step_cap positive")
-        min_W = initial_rescaled_profile(self).min_interior()
+        min_W = initial_rescaled_profile(
+            self.A0, self.N0, self.u0_amplitude
+        ).min_interior()
         if min_W <= self.threshold:
             raise ValueError(
                 f"the stage-0 profile starts at or below the trigger threshold: "
@@ -174,17 +179,19 @@ class DirectReport:
     max_u: float
 
 
-def initial_rescaled_profile(cfg: StagewiseConfig) -> Field:
-    """Initial rescaled deficit W = (1 - u0)/A0 sampled on the stage-0 grid.
+def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
+    """Initial rescaled deficit W = (1 - u0)/A on the N-interval grid at
+    amplitude A, with u0 = u0_amplitude * sin(pi x) sin(pi y).
 
-    The rescaled square maps exactly onto the unit square: A0^(3/2)*L0 = 1/2,
-    so x = 1/2 + A0^(3/2)*xi puts the centre at (1/2, 1/2).
+    The rescaled square maps exactly onto the unit square: A^(3/2)*L = 1/2,
+    so x = 1/2 + A^(3/2)*xi puts the centre at (1/2, 1/2).  At A = 1 this is
+    the physical deficit v = 1 - u0 with boundary value 1.
     """
-    grid = build_rescaled_grid(cfg.A0, cfg.N0)
-    x = 0.5 + cfg.A0 ** 1.5 * grid.interior_nodes_1d()
+    grid = build_rescaled_grid(A, N)
+    x = 0.5 + A ** 1.5 * grid.interior_nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
-    u0 = cfg.u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    return Field(grid=grid, interior=(1.0 - u0) / cfg.A0, g=1.0 / cfg.A0)
+    u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    return Field(grid=grid, interior=(1.0 - u0) / A, g=1.0 / A)
 
 
 def detect_trigger(
@@ -345,7 +352,7 @@ def stage_transition(
 
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     """Execute the full stagewise run and assemble all diagnostics."""
-    Z0 = initial_rescaled_profile(cfg)
+    Z0 = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     E0 = discrete_energy(Z0, cfg.A0, cfg.lam).total
     ledger = DefectLedger(lam=cfg.lam)
     records: list[StageRecord] = []
@@ -380,16 +387,10 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
 
 
 def run_direct(cfg: DirectConfig) -> DirectReport:
-    """Fixed-domain evolution of the physical deficit on the unit square."""
-    grid = build_physical_grid(cfg.N)
-    x = grid.interior_nodes_1d()
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    v = Field(
-        grid=grid,
-        interior=1.0 - cfg.u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y),
-        g=1.0,
-    )
-    E_start = discrete_energy(v, 1.0, cfg.lam).total
+    """Fixed-domain evolution of the physical deficit on the unit square,
+    run as stage 0 at amplitude 1."""
+    v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
+    E_start = E_end = discrete_energy(v, 1.0, cfg.lam).total
     steps = _march(v, cfg.dt, cfg.lam, 1.0, "direct run")
     for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
@@ -398,7 +399,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
                 f"direct run, step {j + 1}: the state left the positive cone "
                 f"(min v = {v.min_interior():.6e})"
             )
-    E_end = discrete_energy(v, 1.0, cfg.lam).total
+        E_end = rep.energy
     min_v = v.min_interior()
     return DirectReport(
         config=cfg, E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v

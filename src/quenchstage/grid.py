@@ -1,11 +1,9 @@
 """Square grids, Dirichlet flat extension, and first-order difference calculus.
 
-Two grid kinds are used throughout:
-
-  * rescaled:  the square [-L, L]^2 with L = 1/(2 A^(3/2)) and mesh h = 2L/N,
-    the frame in which the stagewise solver runs at frozen amplitude A;
-  * physical:  the unit square [0, 1]^2 with mesh h = 1/N, used by the direct
-    fixed-domain run and by the change-of-variables checks.
+Every run works in one frame: the rescaled square [-L, L]^2 with
+L = 1/(2 A^(3/2)) and mesh h = 2L/N, where the stagewise solver runs at
+frozen amplitude A.  The physical unit square of the direct run and of the
+change-of-variables checks is the A = 1 case: L = 1/2 and h = 1/N.
 
 A Field stores only interior nodal values plus a single constant Dirichlet
 boundary value g; the flat extension Y_flat places g on the boundary ring.
@@ -24,34 +22,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Square lattice descriptor.
+    """Lattice on the square [-L, L]^2 with N intervals per direction.
 
-    kind  "rescaled" or "physical"
-    L     half-width of the rescaled square, or 1.0 for the physical one
-    N     intervals per direction
-
-    The mesh width h follows from them: 2L/N (rescaled) or 1/N (physical).
+    The mesh width h = 2L/N follows from them.
     """
 
-    kind: str
     L: float
     N: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rescaled", "physical"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.N < 2:
             raise ValueError("grid needs at least 2 intervals per direction")
 
     @property
     def h(self) -> float:
-        return (2.0 * self.L if self.kind == "rescaled" else 1.0) / self.N
+        return 2.0 * self.L / self.N
 
     def nodes_1d(self) -> np.ndarray:
         """All node coordinates along one axis, boundary included."""
-        if self.kind == "rescaled":
-            return np.arange(self.N + 1) * self.h - self.L
-        return np.arange(self.N + 1) * self.h
+        return np.arange(self.N + 1) * self.h - self.L
 
     def interior_nodes_1d(self) -> np.ndarray:
         return self.nodes_1d()[1:-1]
@@ -69,16 +58,7 @@ def build_rescaled_grid(A: float, N: int) -> Grid:
     """Grid for the rescaled square at amplitude A: L = 1/(2 A^(3/2))."""
     if A <= 0.0:
         raise ValueError("amplitude must be positive")
-    if N < 2:
-        raise ValueError("need at least 2 intervals")
-    return Grid(kind="rescaled", L=1.0 / (2.0 * A ** 1.5), N=N)
-
-
-def build_physical_grid(N: int) -> Grid:
-    """Unit-square grid with mesh 1/N."""
-    if N < 2:
-        raise ValueError("need at least 2 intervals")
-    return Grid(kind="physical", L=1.0, N=N)
+    return Grid(L=1.0 / (2.0 * A ** 1.5), N=N)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ BASIS_EXPONENTS: tuple[tuple[int, int], ...] = (
     (3, 1), (1, 3),
 )
 
+EDGE_SAMPLES = 5  # points per shared edge in edge_consistency_check
+
 
 def basis_row(theta: float, zeta: float) -> np.ndarray:
     return np.array(
@@ -164,20 +166,18 @@ def prolong_stage(end: Field, spec: TransferSpec) -> Field:
     return Field(grid=fine_grid, interior=out, g=1.0 / spec.A_to)
 
 
-def edge_consistency_check(end: Field, samples: int = 5) -> float:
+def edge_consistency_check(end: Field) -> float:
     """Max mismatch of adjacent cell polynomials along shared interior edges.
 
     Only edges whose two adjacent cells both have fully in-domain stencils
-    are compared; the polynomials are evaluated at `samples` points along
-    the edge (enough to pin the shared univariate cubic for samples >= 4).
+    are compared; the polynomials are evaluated at EDGE_SAMPLES points along
+    the edge (four pin the shared univariate cubic).
     """
-    if samples < 2:
-        raise ValueError("need at least 2 sample points per edge")
     N = end.grid.N
     # cells 1..N-2 in both directions read no fill values
     inner = _cell_stencils(end, end.g)[1:N - 1, 1:N - 1]
-    ts = np.linspace(0.0, 1.0, samples)
-    ones, zeros = np.ones(samples), np.zeros(samples)
+    ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
+    ones, zeros = np.ones(EDGE_SAMPLES), np.zeros(EDGE_SAMPLES)
 
     def at(thetas: np.ndarray, zetas: np.ndarray) -> np.ndarray:
         rows = np.array([basis_row(t, z) for t, z in zip(thetas, zetas)])

@@ -7,14 +7,18 @@ iteration on the nonlocal source:
 
 with constant Dirichlet data g.  The step size ds, lam and the frozen
 amplitude A are plain arguments: the run configs validate them, and
-DirichletSolver rejects ds <= 0.  The linear operator (I/ds - Lap_h) is
-inverted by sine-basis diagonalization, set up once per (grid, ds) and
-reused across Picard sweeps and across steps; the boundary coupling enters
-the right-hand side.  Values are clipped at CLIP only inside reciprocal
-evaluations, K is recomputed from the full current iterate each sweep, and
-the iteration stops once a sweep moves the iterate by less than PICARD_TOL
-relative (at most PICARD_MAX sweeps).  It starts from Z unless the caller
-passes a seed.  The stage and direct drivers pass extrapolated_seed: the
+DirichletSolver rejects ds <= 0.  Since g is constant, Lap_h g = 0 and the
+step solves for the deviation Y - g, which vanishes on the boundary:
+
+    (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
+
+The operator (I/ds - Lap_h) with zero Dirichlet data is inverted by
+sine-basis diagonalization, set up once per (grid, ds) and reused across
+Picard sweeps and across steps.  Values are clipped at CLIP only inside
+reciprocal evaluations, K is recomputed from the full current iterate each
+sweep, and the iteration stops once a sweep moves the iterate by less than
+PICARD_TOL relative (at most PICARD_MAX sweeps).  It starts from Z unless the
+caller passes a seed.  The stage and direct drivers pass extrapolated_seed: the
 polynomial of degree SEED_ORDER through the run's last accepted states (fewer
 at the start of a run or stage), evaluated one step ahead (Fischer 1998),
 which roughly halves the sweeps per step; the stopping test is unchanged, so
@@ -30,8 +34,8 @@ first-order residual
 
     R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2)
 
-drops below 1e-10 in max norm.  The oracle shares no linear algebra with the
-Picard path.
+drops below ORACLE_TOL in max norm.  The oracle shares no linear algebra
+with the Picard path.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ SEED_ORDER = 3
 PICARD_TOL = 1e-10  # relative max-norm change that ends the iteration
 PICARD_MAX = 50  # sweeps before a step is reported as not converged
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
+ORACLE_TOL = 1e-10  # max-norm first-order residual that ends the descent
+ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,8 @@ class OracleStagnation(RuntimeError):
 
 
 class DirichletSolver:
-    """Sine-basis diagonalization of (I/ds - Lap_h) on the interior of a grid.
+    """Sine-basis diagonalization of (I/ds - Lap_h) on the interior of a grid,
+    with zero Dirichlet data.
 
     The orthonormal sine matrix S[i, j] = sqrt(2/N) sin(pi i j / N),
     i, j = 1..N-1, is symmetric with S @ S = I and diagonalizes the
@@ -93,16 +100,6 @@ class DirichletSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         S = self._S
         return S @ ((S @ rhs @ S) * self._inv) @ S
-
-
-def boundary_coupling(grid: Grid, g: float) -> np.ndarray:
-    """Right-hand-side contribution of the constant Dirichlet value g.
-
-    Equals the five-point Laplacian of the zero-interior field with boundary
-    g: g/h^2 at nodes adjacent to the boundary, zero elsewhere.
-    """
-    zero = Field(grid=grid, interior=np.zeros((grid.N - 1, grid.N - 1)), g=g)
-    return laplacian_5pt(zero)
 
 
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
@@ -142,15 +139,14 @@ def picard_implicit_step(
         raise ValueError("Picard step requires a positive previous state")
     if solver is None:
         solver = DirichletSolver(Z.grid, ds)
-    if solver.grid is not Z.grid and (
-        solver.grid.N != Z.grid.N or solver.grid.h != Z.grid.h
-    ):
+    if solver.grid != Z.grid:
         raise ValueError("solver grid does not match the state grid")
     if solver.ds != ds:
         raise ValueError("solver ds does not match the step size")
 
     h = Z.grid.h
-    base_rhs = Z.interior / ds + boundary_coupling(Z.grid, Z.g)
+    g = Z.g
+    base_rhs = (Z.interior - g) / ds
 
     Y = seed.interior if seed is not None else Z.interior
     iters = 0
@@ -160,7 +156,7 @@ def picard_implicit_step(
         K = 1.0 + A * A * h * h * float(np.sum(1.0 / Yc))
         # the source stays unnamed so it is freed before the solve's
         # temporaries exist: live grid arrays set large-N peak memory
-        Ynew = solver.solve(base_rhs - lam / (Yc * Yc * K * K))
+        Ynew = g + solver.solve(base_rhs - lam / (Yc * Yc * K * K))
         iters += 1
         gap = float(np.max(np.abs(Ynew - Y)))
         Y = Ynew
@@ -195,8 +191,6 @@ def mm_oracle_step(
     ds: float,
     lam: float,
     A: float,
-    residual_tol: float = 1e-10,
-    max_iters: int = 2000,
 ) -> Field:
     """Minimizing-movement reference step on verification-size grids.
 
@@ -205,7 +199,7 @@ def mm_oracle_step(
     decrease falls below float resolution, so the line search accepts steps
     within a few ulps of J as well; the descent map still contracts the
     residual there.  Stops once the first-order residual is below
-    residual_tol in max norm; stagnation above the target raises.
+    ORACLE_TOL in max norm; stagnation above the target raises.
     """
     if Z.grid.interior_count > 16:
         raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
@@ -224,10 +218,10 @@ def mm_oracle_step(
 
     Y = Z.interior.copy()
     alpha0 = ds / scale
-    for _ in range(max_iters):
+    for _ in range(ORACLE_MAX_ITERS):
         cand = Z.with_interior(Y)
         R = euler_lagrange_residual(cand, Z, ds, lam, A)
-        if float(np.max(np.abs(R))) < residual_tol:
+        if float(np.max(np.abs(R))) < ORACLE_TOL:
             return cand
         G = scale * R  # plain gradient of J
         JY = objective(Y)

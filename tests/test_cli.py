@@ -417,3 +417,19 @@ def test_undecodable_config_exit_code(tmp_path, outdir):
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, blocked", [("direct", "direct.json"), ("stagewise", "stages.csv")]
+)
+def test_unwritable_output_file_exit_code(tmp_path, outdir, command, blocked):
+    # the run finishes, but a directory sits where its output file goes
+    (outdir / blocked).mkdir(parents=True)
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", base)
+    proc = run_python("-m", "quenchstage", command, "--config", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: cannot write output file" in proc.stderr
+    assert blocked in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(outdir.glob("*.tmp")) == []

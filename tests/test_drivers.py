@@ -31,6 +31,11 @@ THR = 2.0 ** (-2.0 / 3.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def stage0_state(cfg):
+    Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+    return StageState(m=0, A=cfg.A0, Z=Z, t=0.0)
+
+
 @pytest.fixture(scope="module")
 def reference_run():
     return run_stagewise(StagewiseConfig())
@@ -81,17 +86,17 @@ class TestInitialProfile:
     def test_center_node_on_even_grid(self):
         # N0 = 8 puts a node at xi = 0, which maps to the unit-square center
         cfg = StagewiseConfig(N0=8)
-        W = initial_rescaled_profile(cfg)
+        W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         assert W.interior[3, 3] == pytest.approx(1.0, abs=1e-14)
         assert W.min_interior() == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_value(self):
-        W = initial_rescaled_profile(StagewiseConfig())
+        W = initial_rescaled_profile(0.6, 9, 0.4)
         assert W.g == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_matches_pointwise_loop(self):
         cfg = StagewiseConfig()
-        W = initial_rescaled_profile(cfg)
+        W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         xi = W.grid.interior_nodes_1d()
         scale = cfg.A0 ** 1.5
         for i in range(cfg.N0 - 1):
@@ -134,7 +139,7 @@ class TestDetectTrigger:
 class TestRunStage:
     def test_stage0_reference_values(self):
         cfg = StagewiseConfig()
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
+        state = stage0_state(cfg)
         record, event = run_stage(state, cfg)
         assert record.scaled_time == pytest.approx(0.139155092, rel=1e-6)
         assert record.E_start == pytest.approx(10.3614604375, rel=1e-6)
@@ -146,7 +151,7 @@ class TestRunStage:
     def test_lam_zero_never_triggers(self):
         # source-free flow rises toward the boundary value, so the cap fires
         cfg = StagewiseConfig(lam=0.0, step_cap=50)
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
+        state = stage0_state(cfg)
         with pytest.raises(StageRunawayError):
             run_stage(state, cfg)
 
@@ -185,7 +190,7 @@ class TestMarch:
 class TestStageTransition:
     def test_reference_first_transition(self):
         cfg = StagewiseConfig()
-        state = StageState(m=0, A=cfg.A0, Z=initial_rescaled_profile(cfg), t=0.0)
+        state = stage0_state(cfg)
         stage, event = run_stage(state, cfg)
         spec = make_transfer(cfg.A0, cfg.k)
         nxt, record = stage_transition(event, spec, cfg.lam, 0, stage.E_end)
@@ -393,6 +398,45 @@ class TestRunDirect:
         run_direct(DirectConfig())
         # 160 steps; seeding from the previous state takes 952 solves
         assert len(solves) <= 500
+
+    def test_start_is_stage0_at_unit_amplitude(self, monkeypatch):
+        starts = []
+
+        def recording(*args):
+            starts.append(args)
+            return discrete_energy(*args)
+
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", recording)
+        cfg = DirectConfig(T=0.0)
+        run_direct(cfg)
+        [(v, A, _)] = starts
+        N, a = cfg.N, cfg.u0_amplitude
+        assert A == 1.0
+        assert v.grid == build_rescaled_grid(1.0, N)
+        assert v.g == 1.0
+        for j in range(1, N):
+            for l in range(1, N):
+                want = 1.0 - a * np.sin(np.pi * j / N) * np.sin(np.pi * l / N)
+                assert abs(v.interior[j - 1, l - 1] - want) <= 1e-15
+        # the A = 1 grid is the unit square: h = 2 * (1/2) / N is 1/N exactly
+        for n in range(2, 600):
+            assert build_rescaled_grid(1.0, n).h == 1.0 / n
+
+    def test_one_energy_evaluation_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return discrete_energy(*args)
+
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
+        monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
+        cfg = DirectConfig(T=0.01)
+        report = run_direct(cfg)
+        # E(start), then E(next) once per step; E_end is the last step's
+        assert len(calls) == cfg.steps + 1
+        assert report.E_end == discrete_energy(calls[-1], 1.0, cfg.lam).total
+        assert report.min_v == calls[-1].min_interior()
 
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))

@@ -19,7 +19,7 @@ from quenchstage.grid import Field, Grid, build_rescaled_grid, grad_norm_sq
 
 def single_node_field(value, g=1.0, A=1.0):
     # rescaled grid with h = 1: N = 2 and L = 1
-    grid = Grid(kind="rescaled", L=1.0, N=2)
+    grid = Grid(L=1.0, N=2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
@@ -36,7 +36,7 @@ class TestReciprocalK:
 
     def test_reference_start_value(self):
         cfg = StagewiseConfig()
-        W = initial_rescaled_profile(cfg)
+        W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         assert reciprocal_K(W, cfg.A0) == pytest.approx(2.0058835332, rel=1e-6)
 
     def test_monotone_in_values(self):
@@ -61,7 +61,7 @@ class TestDiscreteEnergy:
 
     def test_reference_start_energy(self):
         cfg = StagewiseConfig()
-        W = initial_rescaled_profile(cfg)
+        W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         eb = discrete_energy(W, cfg.A0, cfg.lam)
         assert eb.total == pytest.approx(10.3614604375, rel=1e-6)
         # same number assembled from the two pieces directly

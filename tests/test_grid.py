@@ -9,7 +9,6 @@ import pytest
 
 from quenchstage.grid import (
     Field,
-    build_physical_grid,
     build_rescaled_grid,
     flat_extend,
     grad_norm_sq,
@@ -75,17 +74,16 @@ class TestGridConstruction:
             build_rescaled_grid(-1.0, 9)
         with pytest.raises(ValueError):
             build_rescaled_grid(1.0, 1)
-        with pytest.raises(ValueError):
-            build_physical_grid(1)
 
     def test_node_coordinates(self):
         grid = build_rescaled_grid(1.0, 4)
         nodes = grid.nodes_1d()
         assert nodes[0] == pytest.approx(-grid.L)
         assert nodes[-1] == pytest.approx(grid.L)
-        phys = build_physical_grid(4)
-        assert phys.nodes_1d()[0] == 0.0
-        assert phys.nodes_1d()[-1] == pytest.approx(1.0)
+        # A = 1 is the physical unit square, centred: nodes run over [-1/2, 1/2]
+        assert nodes[0] == -0.5
+        assert nodes[-1] == 0.5
+        assert grid.h == 0.25
 
 
 class TestField:
@@ -120,7 +118,7 @@ class TestFlatExtend:
         assert F[0, 0] == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_physical_boundary_of_ones(self):
-        grid = build_physical_grid(3)
+        grid = build_rescaled_grid(1.0, 3)
         Y = Field(grid=grid, interior=0.5 * np.ones((2, 2)), g=1.0)
         F = flat_extend(Y)
         assert np.all(F[0, :] == 1.0) and np.all(F[:, 0] == 1.0)
@@ -169,7 +167,7 @@ class TestLaplacian:
 
     def test_quadratic_exactness(self):
         # x^2 + y^2 has Laplacian 4; centered differences are exact on it
-        grid = build_physical_grid(6)
+        grid = build_rescaled_grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
         Y = Field(grid=grid, interior=X**2 + Y2**2, g=0.0)
@@ -178,7 +176,7 @@ class TestLaplacian:
         assert np.allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
 
     def test_annihilates_affine(self):
-        grid = build_physical_grid(6)
+        grid = build_rescaled_grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
         Y = Field(grid=grid, interior=2.0 * X - 3.0 * Y2 + 1.0, g=0.0)

@@ -15,7 +15,6 @@ from quenchstage.grid import Field, Grid, build_rescaled_grid
 from quenchstage.stepper import (
     SEED_ORDER,
     DirichletSolver,
-    boundary_coupling,
     euler_lagrange_residual,
     extrapolated_seed,
     mm_oracle_step,
@@ -53,7 +52,7 @@ def dense_be_solve(Z, ds):
 
 
 def single_node_field(value, g=1.0):
-    grid = Grid(kind="rescaled", L=1.0, N=2)
+    grid = Grid(L=1.0, N=2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
@@ -83,18 +82,6 @@ class TestDirichletSolver:
             DirichletSolver(build_rescaled_grid(0.6, 4), 0.0)
 
 
-class TestBoundaryCoupling:
-    def test_hand_counted_pattern(self):
-        grid = build_rescaled_grid(0.6, 4)
-        g = 1.0 / 0.6
-        h2 = grid.h ** 2
-        got = boundary_coupling(grid, g)
-        for i in range(3):
-            for j in range(3):
-                sides = (i == 0) + (i == 2) + (j == 0) + (j == 2)
-                assert got[i, j] == pytest.approx(sides * g / h2, rel=1e-14)
-
-
 class TestPicardStep:
     def test_source_free_two_sweeps_one_solve(self):
         # with lam = 0 the source is exactly 0, so the second sweep repeats
@@ -104,8 +91,9 @@ class TestPicardStep:
         rep = picard_implicit_step(Z, ds, lam, 0.6)
         assert rep.picard_iters == 2
         assert rep.converged
-        rhs = Z.interior / ds + boundary_coupling(Z.grid, Z.g)
-        one_solve = DirichletSolver(Z.grid, ds).solve(rhs)
+        # the step solves for the deviation from the boundary value g
+        g = Z.g
+        one_solve = g + DirichletSolver(Z.grid, ds).solve((Z.interior - g) / ds)
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
@@ -257,7 +245,7 @@ class TestExtrapolatedSeed:
 
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
-        Z = initial_rescaled_profile(cfg)
+        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
