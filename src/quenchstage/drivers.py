@@ -5,8 +5,11 @@ until its interior minimum crosses the trigger threshold k^(-2/3), linearly
 interpolates the crossing event between the two bracketing states, records
 energies and feedback at the stage start and at the event, then hands the
 event state to the 12-point transfer for the next stage (A drops by k^(-2/3),
-the grid dilates by k at fixed mesh width).  Physical time accumulates as
-sum of s*_m * A_m^3 with the fractional event step included in s*_m.
+the grid dilates by k at fixed mesh width).  A_m lives only in the stage
+state's grid, Grid(A_m, N_m), so a stage state is (m, Z, t) and the stepper,
+the energy and the transfer all read the amplitude from the field they are
+given.  Physical time accumulates as sum of s*_m * A_m^3 with the fractional
+event step included in s*_m.
 A prolonged state that starts at or below the threshold of its stage cannot
 trigger and is a numerical failure of the transfer.
 
@@ -28,13 +31,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, build_rescaled_grid
+from .grid import Field, Grid
 from .energy import (
     DefectLedger,
     DefectRow,
@@ -43,7 +47,7 @@ from .energy import (
     discrete_energy,
     switch_jump,
 )
-from .prolongation import TransferSpec, make_transfer, prolong_stage
+from .prolongation import prolong_stage
 from .stepper import (
     SEED_ORDER,
     DirichletSolver,
@@ -90,9 +94,7 @@ class StagewiseConfig:
             raise ValueError("k and N0 must be at least 2")
         if self.max_stages < 0 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 0 and step_cap positive")
-        min_W = initial_rescaled_profile(
-            self.A0, self.N0, self.u0_amplitude
-        ).min_interior()
+        min_W = initial_rescaled_min(self.A0, self.N0, self.u0_amplitude)
         if min_W <= self.threshold:
             raise ValueError(
                 f"the stage-0 profile starts at or below the trigger threshold: "
@@ -128,8 +130,7 @@ class DirectConfig:
 @dataclass(frozen=True)
 class StageState:
     m: int
-    A: float
-    Z: Field
+    Z: Field  # its grid carries the stage amplitude A_m
     t: float  # accumulated physical time before the current stage
 
 
@@ -187,11 +188,21 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     so x = 1/2 + A^(3/2)*xi puts the centre at (1/2, 1/2).  At A = 1 this is
     the physical deficit v = 1 - u0 with boundary value 1.
     """
-    grid = build_rescaled_grid(A, N)
+    grid = Grid(A, N)
     x = 0.5 + A ** 1.5 * grid.interior_nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
     return Field(grid=grid, interior=(1.0 - u0) / A, g=1.0 / A)
+
+
+def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:
+    """Interior minimum of initial_rescaled_profile(A, N, u0_amplitude),
+    without building the field.
+
+    The interior nodes sit at x = j/N, so the bump peaks at j = N // 2 in
+    both directions (either middle node when N is odd).
+    """
+    return (1.0 - u0_amplitude * math.sin(math.pi * (N // 2) / N) ** 2) / A
 
 
 def detect_trigger(
@@ -213,11 +224,9 @@ def detect_trigger(
     return tau, event
 
 
-def _march(
-    Z: Field, ds: float, lam: float, A: float, where: str
-) -> Iterator[StepReport]:
-    """Seeded backward-Euler + Picard steps of size ds from Z at amplitude A,
-    lazily.
+def _march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
+    """Seeded backward-Euler + Picard steps of size ds from Z at the amplitude
+    of its grid, lazily.
 
     Yields one converged step report per step, each starting from the
     previous report's state; a step that does not converge raises a
@@ -227,7 +236,7 @@ def _march(
     history = deque([Z.interior], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         seed = Z.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(Z, ds, lam, A, solver, seed)
+        rep = picard_implicit_step(Z, ds, lam, solver, seed)
         if not rep.converged:
             raise NumericalError(
                 f"{where}, step {step}: Picard did not converge within "
@@ -244,15 +253,14 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
     """
-    A = state.A
     Z = state.Z
     thr = cfg.threshold
     if Z.min_interior() <= thr:
         raise ValueError("stage must start above the trigger threshold")
-    h = Z.grid.h
-    start = discrete_energy(Z, A, cfg.lam)
+    A, h = Z.grid.A, Z.grid.h
+    start = discrete_energy(Z, cfg.lam)
 
-    steps = _march(Z, cfg.ds, cfg.lam, A, f"stage {state.m}")
+    steps = _march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
     prev = Z
     E_prev = start.total
     sweeps = 0
@@ -278,7 +286,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     tau, event = hit
     dissipation += tau * rep.penalty
     s_star = (completed + tau) * cfg.ds
-    end = discrete_energy(event, A, cfg.lam)
+    end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
     gap = min_W - thr
     logger.info(
@@ -309,11 +317,12 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
 
 def stage_transition(
-    event: Field, spec: TransferSpec, lam: float, m: int, E_end: float
+    event: Field, k: int, lam: float, m: int, E_end: float
 ) -> tuple[Field, DefectRow]:
-    """Transfer the event state of stage m to stage m + 1 and score the switch.
+    """Transfer the event state of stage m to stage m + 1 by the factor k and
+    score the switch.
 
-    E_end is E(event) at amplitude spec.A_from, which run_stage has already
+    E_end is E(event) at the amplitude of its grid, which run_stage has already
     evaluated for the stage record.  Full-domain runs insert the raw
     transfer unchanged, so the ideal next-stage energy E_id coincides with
     the actual E_start; both are recorded regardless, together with the
@@ -321,20 +330,20 @@ def stage_transition(
     positive, or that starts at or below k^(-2/3) and so could never
     trigger, raises TransferError.
     """
-    nxt = prolong_stage(event, spec)
+    nxt = prolong_stage(event, k)
     min_W = nxt.min_interior()
     if not min_W > 0.0:  # a NaN minimum is not admissible either
         bad = int(np.sum(nxt.interior <= 0.0))
         raise TransferError(
             f"prolonged state has {bad} nonpositive interior values"
         )
-    thr = spec.k ** (-2.0 / 3.0)
+    thr = k ** (-2.0 / 3.0)
     if min_W <= thr:
         raise TransferError(
             f"stage {m + 1} starts at or below the trigger threshold: "
             f"min W = {min_W:.6g} <= k^(-2/3) = {thr:.6g}"
         )
-    E_start = discrete_energy(nxt, spec.A_to, lam).total
+    E_start = discrete_energy(nxt, lam).total
     E_id = E_start  # raw transfer is inserted unchanged in full-domain mode
     delta, eps = switch_jump(E_end, E_id)
     row = DefectRow(
@@ -353,12 +362,12 @@ def stage_transition(
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     """Execute the full stagewise run and assemble all diagnostics."""
     Z0 = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-    E0 = discrete_energy(Z0, cfg.A0, cfg.lam).total
+    E0 = discrete_energy(Z0, cfg.lam).total
     ledger = DefectLedger(lam=cfg.lam)
     records: list[StageRecord] = []
     areas: list[float] = []
 
-    state = StageState(m=0, A=cfg.A0, Z=Z0, t=0.0)
+    state = StageState(m=0, Z=Z0, t=0.0)
     for m in range(cfg.max_stages):
         grid = state.Z.grid
         areas.append(grid.h ** 2 * grid.node_count)
@@ -366,10 +375,9 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
         records.append(record)
         if m + 1 >= cfg.max_stages:
             break
-        spec = make_transfer(state.A, cfg.k)
-        nxt, row = stage_transition(event, spec, cfg.lam, m, record.E_end)
+        nxt, row = stage_transition(event, cfg.k, cfg.lam, m, record.E_end)
         ledger.append(row)
-        state = StageState(m=m + 1, A=spec.A_to, Z=nxt, t=record.accumulated_time)
+        state = StageState(m=m + 1, Z=nxt, t=record.accumulated_time)
 
     continuation = (
         continuation_check(E0, ledger, areas, cfg.lam, full_domain=True)
@@ -390,8 +398,8 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
     """Fixed-domain evolution of the physical deficit on the unit square,
     run as stage 0 at amplitude 1."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
-    E_start = E_end = discrete_energy(v, 1.0, cfg.lam).total
-    steps = _march(v, cfg.dt, cfg.lam, 1.0, "direct run")
+    E_start = E_end = discrete_energy(v, cfg.lam).total
+    steps = _march(v, cfg.dt, cfg.lam, "direct run")
     for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
         if not v.is_admissible():

@@ -1,6 +1,6 @@
 """Nonlocal energy and feedback, stage-switch defects, continuation test.
 
-The discrete energy at frozen amplitude A is
+The discrete energy at the frozen amplitude A of the field's grid is
 
     E(Y) = (A^2/2) * grad_norm_sq(Y) + lambda / K(Y),
 
@@ -71,26 +71,27 @@ class DefectLedger:
         return sum(r.eps_sw + self.lam * r.eps_out for r in self.rows)
 
 
-def reciprocal_K(Y: Field, A: float) -> float:
+def reciprocal_K(Y: Field) -> float:
     """Nonlocal feedback K with the lower-semicontinuous extension.
 
     Returns +inf as soon as any interior value is nonpositive.
     """
     if Y.min_interior() <= 0.0:
         return math.inf
-    h = Y.grid.h
+    A, h = Y.grid.A, Y.grid.h
     return 1.0 + A * A * h * h * float(np.sum(1.0 / Y.interior))
 
 
-def discrete_energy(Y: Field, A: float, lam: float) -> EnergyBreakdown:
+def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
     """Discrete energy split into Dirichlet and reciprocal parts, with K and
     the feedback coefficient lambda*K^-2.
 
     On the vanishing branch the reciprocal part and the coefficient are 0 by
     convention, so the energy stays finite and lower semicontinuous.
     """
+    A = Y.grid.A
     dirichlet = 0.5 * A * A * grad_norm_sq(Y)
-    K = reciprocal_K(Y, A)
+    K = reciprocal_K(Y)
     vanished = math.isinf(K)
     reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(

@@ -1,9 +1,11 @@
 """Square grids, Dirichlet flat extension, and first-order difference calculus.
 
-Every run works in one frame: the rescaled square [-L, L]^2 with
-L = 1/(2 A^(3/2)) and mesh h = 2L/N, where the stagewise solver runs at
-frozen amplitude A.  The physical unit square of the direct run and of the
-change-of-variables checks is the A = 1 case: L = 1/2 and h = 1/N.
+Every run works in one frame: a stage lattice is Grid(A, N), the frozen
+amplitude A and the interval count N.  Everything else follows from them:
+the rescaled square [-L, L]^2 with L = 1/(2 A^(3/2)), the mesh h = 2L/N,
+the stage boundary value 1/A and the A^2 weights of the energy.  The physical
+unit square of the direct run and of the change-of-variables checks is the
+A = 1 case: L = 1/2 and h = 1/N.
 
 A Field stores only interior nodal values plus a single constant Dirichlet
 boundary value g; the flat extension Y_flat places g on the boundary ring.
@@ -22,17 +24,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Lattice on the square [-L, L]^2 with N intervals per direction.
+    """Stage lattice at frozen amplitude A with N intervals per direction.
 
-    The mesh width h = 2L/N follows from them.
+    The half-width L = 1/(2 A^(3/2)) and the mesh width h = 2L/N follow
+    from them.
     """
 
-    L: float
+    A: float
     N: int
 
     def __post_init__(self) -> None:
+        if self.A <= 0.0:
+            raise ValueError("amplitude must be positive")
         if self.N < 2:
             raise ValueError("grid needs at least 2 intervals per direction")
+
+    @property
+    def L(self) -> float:
+        return 1.0 / (2.0 * self.A ** 1.5)
 
     @property
     def h(self) -> float:
@@ -52,13 +61,6 @@ class Grid:
     @property
     def node_count(self) -> int:
         return (self.N + 1) ** 2
-
-
-def build_rescaled_grid(A: float, N: int) -> Grid:
-    """Grid for the rescaled square at amplitude A: L = 1/(2 A^(3/2))."""
-    if A <= 0.0:
-        raise ValueError("amplitude must be positive")
-    return Grid(L=1.0 / (2.0 * A ** 1.5), N=N)
 
 
 @dataclass(frozen=True)

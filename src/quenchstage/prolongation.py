@@ -12,8 +12,9 @@ restricts to the same univariate cubic on a shared cell edge from either
 side, which makes the prolonged surface single-valued across interior
 interfaces.
 
-A stage transfer from amplitude A_from to A_to = k^(-2/3) A_from dilates the
-domain by k at fixed mesh width and writes fine interior values
+A stage transfer by the factor k takes the end state from the amplitude
+A_from of its grid to A_to = k^(-2/3) A_from; no other parameter is needed.
+It dilates the domain by k at fixed mesh width and writes fine interior values
 
     Zhat(k*i + l, k*j + r) = k^(2/3) * P_ij(l/k, r/k),   l, r in {0..k-1},
 
@@ -28,11 +29,9 @@ one k x k x 12 weight table to all cells at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Field, build_rescaled_grid, flat_extend, laplacian_5pt
+from .grid import Field, Grid, flat_extend, laplacian_5pt
 
 # stencil offsets: 4x4 block {-1,0,1,2}^2 minus the four corners
 S12: tuple[tuple[int, int], ...] = (
@@ -79,40 +78,6 @@ REFERENCE_MATRIX: np.ndarray = _reference_matrix()
 REFERENCE_INVERSE: np.ndarray = np.linalg.inv(REFERENCE_MATRIX)
 
 
-@dataclass(frozen=True)
-class TransferSpec:
-    """Stage-transfer parameters: the factor k and the amplitude A_from.
-
-    The target amplitude, the stencil fill value and the amplitude scale
-    follow from these two and are derived, not stored.
-    """
-
-    k: int
-    A_from: float
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("stage factor k must be at least 2")
-        if self.A_from <= 0.0:
-            raise ValueError("amplitude A_from must be positive")
-
-    @property
-    def A_to(self) -> float:
-        return self.k ** (-2.0 / 3.0) * self.A_from
-
-    @property
-    def fill(self) -> float:
-        return 1.0 / self.A_from
-
-    @property
-    def scale(self) -> float:
-        return self.k ** (2.0 / 3.0)
-
-
-def make_transfer(A_from: float, k: int) -> TransferSpec:
-    return TransferSpec(k=k, A_from=A_from)
-
-
 def fit_cell(data: np.ndarray) -> np.ndarray:
     """The 12 coefficients, in BASIS_EXPONENTS order, of the unique 12-point
     interpolant of stencil data."""
@@ -143,27 +108,30 @@ def _cell_stencils(end: Field, fill: float) -> np.ndarray:
     )
 
 
-def prolong_stage(end: Field, spec: TransferSpec) -> Field:
+def prolong_stage(end: Field, k: int) -> Field:
     """Amplitude-scaled 12-point prolongation onto the k-times-finer stage.
 
-    The output grid has k*N intervals at the same mesh width (the domain
-    dilates by k as the amplitude drops to A_to); its boundary value is
-    1/A_to, consistent with the scaling of the coarse boundary 1/A_from.
+    The end state's grid sets A_from.  The output grid has amplitude
+    A_to = k^(-2/3) A_from and k*N intervals at the same mesh width (the
+    domain dilates by k); its boundary value is 1/A_to, consistent with the
+    scaling of the coarse boundary 1/A_from.
     """
+    if k < 2:
+        raise ValueError("stage factor k must be at least 2")
     if not end.is_admissible():
         raise ValueError("transfer requires a positive end state")
-    if abs(end.g * spec.A_from - 1.0) > 1e-9:
+    A_from = end.grid.A
+    if abs(end.g * A_from - 1.0) > 1e-9:
         raise ValueError("end state boundary value does not match 1/A_from")
+    A_to = k ** (-2.0 / 3.0) * A_from
     N = end.grid.N
-    k = spec.k
     Nf = k * N
     offsets = np.arange(k) / k
     B = np.array([[basis_row(t, z) for z in offsets] for t in offsets])
-    W = spec.scale * (B @ REFERENCE_INVERSE)
-    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, spec.fill), W)
+    W = k ** (2.0 / 3.0) * (B @ REFERENCE_INVERSE)
+    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, 1.0 / A_from), W)
     out = np.ascontiguousarray(values.reshape(Nf, Nf)[1:, 1:])
-    fine_grid = build_rescaled_grid(spec.A_to, Nf)
-    return Field(grid=fine_grid, interior=out, g=1.0 / spec.A_to)
+    return Field(grid=Grid(A_to, Nf), interior=out, g=1.0 / A_to)
 
 
 def edge_consistency_check(end: Field) -> float:
@@ -191,7 +159,7 @@ def edge_consistency_check(end: Field) -> float:
     )
 
 
-def laplace_compat_check(end: Field, spec: TransferSpec) -> float:
+def laplace_compat_check(end: Field, k: int) -> float:
     """Max residual of the local Laplacian identity of the prolongation.
 
     At fine nodes whose centered stencil stays inside one coarse cell, the
@@ -200,9 +168,9 @@ def laplace_compat_check(end: Field, spec: TransferSpec) -> float:
     l, r in {1..k-1} require k >= 3; for k = 2 the identity is checked on a
     synthetic refinement of the same end state with k = 4.
     """
-    k = spec.k if spec.k >= 3 else 4
-    eff = make_transfer(spec.A_from, k)
-    fine = prolong_stage(end, eff)
+    if k == 2:
+        k = 4
+    fine = prolong_stage(end, k)  # rejects k < 2
     N = end.grid.N
     # fine Laplacian indexed by fine node (k*i + l, k*j + r); row/column 0
     # is boundary padding that no cell below reads
@@ -211,7 +179,7 @@ def laplace_compat_check(end: Field, spec: TransferSpec) -> float:
     # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
     # cells 1..N-3 in both directions
     got = lap_fine.reshape(N, k, N, k)[1:N - 2, 1:, 1:N - 2, 1:]
-    inner = _cell_stencils(end, eff.fill)[1:N - 2, 1:N - 2]
+    inner = _cell_stencils(end, 1.0 / end.grid.A)[1:N - 2, 1:N - 2]
     # the fine field carries the amplitude scale k^(2/3); together with the
     # 1/k^2 of the fine difference quotient this gives the k^(-4/3) factor
     h = end.grid.h

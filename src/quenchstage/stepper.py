@@ -5,10 +5,10 @@ iteration on the nonlocal source:
 
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-with constant Dirichlet data g.  The step size ds, lam and the frozen
-amplitude A are plain arguments: the run configs validate them, and
-DirichletSolver rejects ds <= 0.  Since g is constant, Lap_h g = 0 and the
-step solves for the deviation Y - g, which vanishes on the boundary:
+with constant Dirichlet data g.  The frozen amplitude A is the one of Z's
+grid; the step size ds and lam are plain arguments: the run configs validate
+them, and DirichletSolver rejects ds <= 0.  Since g is constant, Lap_h g = 0
+and the step solves for the deviation Y - g, which vanishes on the boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
@@ -122,12 +122,11 @@ def picard_implicit_step(
     Z: Field,
     ds: float,
     lam: float,
-    A: float,
     solver: DirichletSolver | None = None,
     seed: Field | None = None,
 ) -> StepReport:
     """One backward-Euler step of size ds with Picard iteration on the
-    nonlocal source lam/(Y^2 K^2) at amplitude A.
+    nonlocal source lam/(Y^2 K^2) at the amplitude A of Z's grid.
 
     The optional solver must match (Z.grid, ds); passing one amortizes
     its set-up over a whole stage.  The optional seed overrides the
@@ -144,7 +143,7 @@ def picard_implicit_step(
     if solver.ds != ds:
         raise ValueError("solver ds does not match the step size")
 
-    h = Z.grid.h
+    A, h = Z.grid.A, Z.grid.h
     g = Z.g
     base_rhs = (Z.interior - g) / ds
 
@@ -170,28 +169,21 @@ def picard_implicit_step(
         next=nxt,
         picard_iters=iters,
         converged=converged,
-        energy=discrete_energy(nxt, A, lam).total,
+        energy=discrete_energy(nxt, lam).total,
         penalty=(A * A / (2.0 * ds)) * inner_product(diff, diff, h),
     )
 
 
-def euler_lagrange_residual(
-    Y: Field, Z: Field, ds: float, lam: float, A: float
-) -> np.ndarray:
+def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
-    K = reciprocal_K(Y, A)
+    K = reciprocal_K(Y)
     if math.isinf(K):
         raise ValueError("residual undefined on the vanishing branch")
     source = lam / (Y.interior ** 2 * K * K)
     return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 
-def mm_oracle_step(
-    Z: Field,
-    ds: float,
-    lam: float,
-    A: float,
-) -> Field:
+def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     """Minimizing-movement reference step on verification-size grids.
 
     Gradient descent from Z on J(Y) = E(Y) + (A^2/2ds)*||Y - Z||^2 with
@@ -206,7 +198,7 @@ def mm_oracle_step(
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 
-    h = Z.grid.h
+    A, h = Z.grid.A, Z.grid.h
     h2 = h * h
     scale = A * A * h2
 
@@ -214,13 +206,13 @@ def mm_oracle_step(
         cand = Z.with_interior(Yarr)
         diff = Yarr - Z.interior
         penalty = (A * A / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
-        return discrete_energy(cand, A, lam).total + penalty
+        return discrete_energy(cand, lam).total + penalty
 
     Y = Z.interior.copy()
     alpha0 = ds / scale
     for _ in range(ORACLE_MAX_ITERS):
         cand = Z.with_interior(Y)
-        R = euler_lagrange_residual(cand, Z, ds, lam, A)
+        R = euler_lagrange_residual(cand, Z, ds, lam)
         if float(np.max(np.abs(R))) < ORACLE_TOL:
             return cand
         G = scale * R  # plain gradient of J

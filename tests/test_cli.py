@@ -19,6 +19,7 @@ from quenchstage.cli import (
     main,
     parse_config,
 )
+from quenchstage import verify
 
 STAGE_BASE = {
     "lambda": 20.0,
@@ -330,6 +331,19 @@ class TestVerifyCommand:
         data = json.loads(capsys.readouterr().out)
         gap = next(c for c in data["checks"] if c["name"] == "picard_vs_mm")
         assert gap["measured"] <= 1e-6
+
+    def test_oracle_precondition_fails_the_check(self, monkeypatch, capsys):
+        # lam = 500 puts ds = 1e-3 above eta^3/(16 lam): the uniqueness
+        # check must fail in the report, not stop the suite
+        case = verify._oracle_case
+        monkeypatch.setattr(
+            verify, "_oracle_case", lambda rng: (*case(rng)[:2], 500.0)
+        )
+        assert main(["verify", "oracle"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        seed = next(c for c in checks if c["name"] == "two_seed_uniqueness")
+        assert seed["passed"] is False
+        assert seed["measured"] <= seed["tolerance"]
 
     def test_unknown_suite_exit_code(self, capsys):
         assert main(["verify", "spectral"]) == 2

@@ -16,6 +16,7 @@ from quenchstage.drivers import (
     StageState,
     TransferError,
     detect_trigger,
+    initial_rescaled_min,
     initial_rescaled_profile,
     run_direct,
     run_stage,
@@ -23,8 +24,8 @@ from quenchstage.drivers import (
     stage_transition,
 )
 from quenchstage.energy import discrete_energy
-from quenchstage.grid import Field, build_rescaled_grid
-from quenchstage.prolongation import make_transfer
+from quenchstage.grid import Field, Grid
+from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import DirichletSolver
 
 THR = 2.0 ** (-2.0 / 3.0)
@@ -33,7 +34,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def stage0_state(cfg):
     Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-    return StageState(m=0, A=cfg.A0, Z=Z, t=0.0)
+    return StageState(m=0, Z=Z, t=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,28 @@ class TestDirectConfig:
 
 
 class TestInitialProfile:
+    def test_closed_form_minimum(self):
+        for A in (0.05, 0.6, 1.0, 3.0):
+            for N in range(2, 20):
+                for a in (0.01, 0.4, 0.95):
+                    sampled = initial_rescaled_profile(A, N, a).min_interior()
+                    got = initial_rescaled_min(A, N, a)
+                    assert abs(got - sampled) <= 1e-14 * sampled
+
+    def test_stagewise_run_builds_the_start_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return initial_rescaled_profile(*args)
+
+        monkeypatch.setattr(
+            "quenchstage.drivers.initial_rescaled_profile", counting
+        )
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(tmp_path))
+        assert main(["stagewise", "--config", str(CONFIGS / "stagewise.cfg")]) == 0
+        assert calls == [(0.6, 9, 0.4)]
+
     def test_center_node_on_even_grid(self):
         # N0 = 8 puts a node at xi = 0, which maps to the unit-square center
         cfg = StagewiseConfig(N0=8)
@@ -112,7 +135,7 @@ class TestInitialProfile:
 
 class TestDetectTrigger:
     def constant_pair(self, a, b):
-        grid = build_rescaled_grid(0.6, 4)
+        grid = Grid(0.6, 4)
         g = 1.0 / 0.6
         prev = Field(grid=grid, interior=np.full((3, 3), a), g=g)
         nxt = Field(grid=grid, interior=np.full((3, 3), b), g=g)
@@ -157,12 +180,12 @@ class TestRunStage:
 
     def test_rejects_state_below_threshold(self):
         cfg = StagewiseConfig()
-        grid = build_rescaled_grid(cfg.A0, cfg.N0)
+        grid = Grid(cfg.A0, cfg.N0)
         low = Field(
             grid=grid, interior=np.full((8, 8), 0.5), g=1.0 / cfg.A0
         )
         with pytest.raises(ValueError):
-            run_stage(StageState(m=0, A=cfg.A0, Z=low, t=0.0), cfg)
+            run_stage(StageState(m=0, Z=low, t=0.0), cfg)
 
 
 class TestMarch:
@@ -192,10 +215,9 @@ class TestStageTransition:
         cfg = StagewiseConfig()
         state = stage0_state(cfg)
         stage, event = run_stage(state, cfg)
-        spec = make_transfer(cfg.A0, cfg.k)
-        nxt, record = stage_transition(event, spec, cfg.lam, 0, stage.E_end)
+        nxt, record = stage_transition(event, cfg.k, cfg.lam, 0, stage.E_end)
         assert record.E_end == stage.E_end
-        assert spec.A_to == pytest.approx(0.37797631496846196, rel=1e-14)
+        assert nxt.grid.A == pytest.approx(0.37797631496846196, rel=1e-14)
         assert nxt.grid.N == 18
         assert nxt.grid.h == pytest.approx(event.grid.h, rel=1e-12)
         assert record.E_start == pytest.approx(9.5551471290, rel=1e-6)
@@ -204,24 +226,24 @@ class TestStageTransition:
         assert record.eps_sw == 0.0
 
     def test_amplitude_cascade_hits_exact_value(self):
-        A = 0.6
+        Z = Field(grid=Grid(0.6, 3), interior=np.full((2, 2), 1.0 / 0.6), g=1.0 / 0.6)
         for _ in range(3):
-            A = make_transfer(A, 2).A_to
-        assert A == 0.15
+            Z = prolong_stage(Z, 2)
+        assert Z.grid.A == 0.15
 
     def test_constant_event_closed_form_jump(self):
         A, N, k, lam = 0.6, 6, 2, 20.0
-        spec = make_transfer(A, k)
-        grid = build_rescaled_grid(A, N)
+        A_to = k ** (-2.0 / 3.0) * A
+        grid = Grid(A, N)
         event = Field(
             grid=grid, interior=np.full((N - 1, N - 1), 1.0 / A), g=1.0 / A
         )
-        E_end = discrete_energy(event, A, lam).total
-        nxt, record = stage_transition(event, spec, lam, 0, E_end)
+        E_end = discrete_energy(event, lam).total
+        nxt, record = stage_transition(event, k, lam, 0, E_end)
         h = grid.h
         K_end = 1.0 + A ** 3 * h * h * (N - 1) ** 2
-        K_start = 1.0 + spec.A_to ** 3 * h * h * (k * N - 1) ** 2
-        assert np.max(np.abs(nxt.interior - 1.0 / spec.A_to)) < 1e-13
+        K_start = 1.0 + A_to ** 3 * h * h * (k * N - 1) ** 2
+        assert np.max(np.abs(nxt.interior - 1.0 / A_to)) < 1e-13
         assert record.E_end == pytest.approx(lam / K_end, rel=1e-13)
         assert record.E_start == pytest.approx(lam / K_start, rel=1e-13)
         assert record.delta_sw == pytest.approx(
@@ -230,20 +252,18 @@ class TestStageTransition:
 
     def test_undershoot_aborts(self):
         A = 0.6
-        spec = make_transfer(A, 2)
-        grid = build_rescaled_grid(A, 6)
+        grid = Grid(A, 6)
         # small flat interior against the large boundary: the cubic patches
         # undershoot below zero near the boundary ring
         event = Field(grid=grid, interior=np.full((5, 5), 0.1), g=1.0 / A)
         with pytest.raises(TransferError):
-            stage_transition(event, spec, 20.0, 0, E_end=0.0)
+            stage_transition(event, 2, 20.0, 0, E_end=0.0)
 
     def test_one_energy_evaluation(self, monkeypatch):
         A, lam = 0.6, 20.0
-        spec = make_transfer(A, 2)
-        grid = build_rescaled_grid(A, 6)
+        grid = Grid(A, 6)
         event = Field(grid=grid, interior=np.full((5, 5), 1.0 / A), g=1.0 / A)
-        E_end = discrete_energy(event, A, lam).total
+        E_end = discrete_energy(event, lam).total
         calls = []
 
         def counting(*args, **kwargs):
@@ -251,7 +271,7 @@ class TestStageTransition:
             return discrete_energy(*args, **kwargs)
 
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
-        nxt, record = stage_transition(event, spec, lam, 0, E_end)
+        nxt, record = stage_transition(event, 2, lam, 0, E_end)
         # only E_start of the prolonged state; E(event) comes from the stage
         assert len(calls) == 1
         assert calls[0] is nxt
@@ -409,10 +429,9 @@ class TestRunDirect:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", recording)
         cfg = DirectConfig(T=0.0)
         run_direct(cfg)
-        [(v, A, _)] = starts
+        [(v, _)] = starts
         N, a = cfg.N, cfg.u0_amplitude
-        assert A == 1.0
-        assert v.grid == build_rescaled_grid(1.0, N)
+        assert v.grid == Grid(1.0, N)
         assert v.g == 1.0
         for j in range(1, N):
             for l in range(1, N):
@@ -420,7 +439,7 @@ class TestRunDirect:
                 assert abs(v.interior[j - 1, l - 1] - want) <= 1e-15
         # the A = 1 grid is the unit square: h = 2 * (1/2) / N is 1/N exactly
         for n in range(2, 600):
-            assert build_rescaled_grid(1.0, n).h == 1.0 / n
+            assert Grid(1.0, n).h == 1.0 / n
 
     def test_one_energy_evaluation_per_step(self, monkeypatch):
         calls = []
@@ -435,7 +454,7 @@ class TestRunDirect:
         report = run_direct(cfg)
         # E(start), then E(next) once per step; E_end is the last step's
         assert len(calls) == cfg.steps + 1
-        assert report.E_end == discrete_energy(calls[-1], 1.0, cfg.lam).total
+        assert report.E_end == discrete_energy(calls[-1], cfg.lam).total
         assert report.min_v == calls[-1].min_interior()
 
     def test_lam_zero_energy_decreases(self):

@@ -14,63 +14,64 @@ from quenchstage.energy import (
     reciprocal_K,
     switch_jump,
 )
-from quenchstage.grid import Field, Grid, build_rescaled_grid, grad_norm_sq
+from quenchstage.grid import Field, Grid, grad_norm_sq
 
 
-def single_node_field(value, g=1.0, A=1.0):
-    # rescaled grid with h = 1: N = 2 and L = 1
-    grid = Grid(L=1.0, N=2)
+def single_node_field(value, g=1.0):
+    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2
+    grid = Grid(1.0, 2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
 class TestReciprocalK:
     def test_single_node(self):
+        # K = 1 + A^2 h^2 / y = 1 + 1/4 at y = 1
         Y = single_node_field(1.0)
-        assert reciprocal_K(Y, A=1.0) == pytest.approx(2.0, rel=1e-15)
+        assert reciprocal_K(Y) == 1.25
 
     def test_vanishing_branch(self):
         Y = single_node_field(0.0)
-        assert math.isinf(reciprocal_K(Y, A=1.0))
+        assert math.isinf(reciprocal_K(Y))
         Yneg = single_node_field(-0.5)
-        assert math.isinf(reciprocal_K(Yneg, A=1.0))
+        assert math.isinf(reciprocal_K(Yneg))
 
     def test_reference_start_value(self):
         cfg = StagewiseConfig()
         W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        assert reciprocal_K(W, cfg.A0) == pytest.approx(2.0058835332, rel=1e-6)
+        assert reciprocal_K(W) == pytest.approx(2.0058835332, rel=1e-6)
 
     def test_monotone_in_values(self):
         rng = np.random.default_rng(11)
-        grid = build_rescaled_grid(0.6, 5)
+        grid = Grid(0.6, 5)
         interior = 1.0 + rng.uniform(0.0, 1.0, (4, 4))
         Y = Field(grid=grid, interior=interior, g=1.0 / 0.6)
-        K0 = reciprocal_K(Y, 0.6)
+        K0 = reciprocal_K(Y)
         bumped = interior.copy()
         bumped[2, 1] += 0.25
-        K1 = reciprocal_K(Field(grid=grid, interior=bumped, g=Y.g), 0.6)
+        K1 = reciprocal_K(Field(grid=grid, interior=bumped, g=Y.g))
         assert K1 < K0
 
 
 class TestDiscreteEnergy:
     def test_single_node_total(self):
         Y = single_node_field(1.0, g=1.0)
-        eb = discrete_energy(Y, A=1.0, lam=20.0)
+        eb = discrete_energy(Y, lam=20.0)
         assert eb.dirichlet == 0.0
-        assert eb.K == pytest.approx(2.0)
-        assert eb.total == pytest.approx(10.0, rel=1e-14)
+        assert eb.K == 1.25
+        assert eb.total == 16.0  # lam / K
 
     def test_reference_start_energy(self):
         cfg = StagewiseConfig()
         W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        eb = discrete_energy(W, cfg.A0, cfg.lam)
+        eb = discrete_energy(W, cfg.lam)
         assert eb.total == pytest.approx(10.3614604375, rel=1e-6)
         # same number assembled from the two pieces directly
-        manual = 0.5 * cfg.A0**2 * grad_norm_sq(W) + cfg.lam / reciprocal_K(W, cfg.A0)
+        manual = 0.5 * cfg.A0**2 * grad_norm_sq(W) + cfg.lam / reciprocal_K(W)
         assert eb.total == pytest.approx(manual, rel=1e-15)
 
     def test_vanishing_branch_consistency(self):
         Y = single_node_field(0.0)
-        eb = discrete_energy(Y, A=1.0, lam=20.0)
+        eb = discrete_energy(Y, lam=20.0)
         assert math.isinf(eb.K)
         assert eb.reciprocal == 0.0
         assert eb.total == eb.dirichlet
@@ -78,25 +79,25 @@ class TestDiscreteEnergy:
 
 class TestFeedback:
     def test_single_node(self):
-        sample = discrete_energy(single_node_field(1.0), A=1.0, lam=20.0)
-        assert sample.K == pytest.approx(2.0)
-        assert sample.coeff == pytest.approx(5.0)
+        sample = discrete_energy(single_node_field(1.0), lam=20.0)
+        assert sample.K == 1.25
+        assert sample.coeff == pytest.approx(12.8, rel=1e-15)  # lam / K^2
 
     def test_vanishing_branch_report(self):
-        sample = discrete_energy(single_node_field(-1.0), A=1.0, lam=20.0)
+        sample = discrete_energy(single_node_field(-1.0), lam=20.0)
         assert math.isinf(sample.K)
         assert sample.coeff == 0.0
 
     def test_coeff_bounded_by_lam(self):
         rng = np.random.default_rng(12)
-        grid = build_rescaled_grid(0.6, 5)
+        grid = Grid(0.6, 5)
         for _ in range(10):
             Y = Field(
                 grid=grid,
                 interior=0.5 + rng.uniform(0.0, 2.0, (4, 4)),
                 g=1.0 / 0.6,
             )
-            sample = discrete_energy(Y, 0.6, 20.0)
+            sample = discrete_energy(Y, 20.0)
             assert 1.0 <= sample.K
             assert 0.0 < sample.coeff <= 20.0
 

@@ -9,7 +9,7 @@ import pytest
 
 from quenchstage.grid import (
     Field,
-    build_rescaled_grid,
+    Grid,
     flat_extend,
     grad_norm_sq,
     gradient_bilinear,
@@ -45,38 +45,48 @@ def brute_force_laplacian(F, h):
 
 
 def random_field(rng, N=6, A=0.6):
-    grid = build_rescaled_grid(A, N)
+    grid = Grid(A, N)
     g = 1.0 / A
     return Field(grid=grid, interior=g + rng.uniform(-0.3, 0.3, (N - 1, N - 1)), g=g)
 
 
 class TestGridConstruction:
     def test_reference_mesh_width(self):
-        grid = build_rescaled_grid(0.6, 9)
+        grid = Grid(0.6, 9)
         assert grid.h == pytest.approx(2.39073046e-1, abs=1e-9)
         assert grid.L == pytest.approx(1.0 / (2.0 * 0.6**1.5), rel=1e-15)
 
     def test_unit_amplitude(self):
-        grid = build_rescaled_grid(1.0, 2)
+        grid = Grid(1.0, 2)
         assert grid.L == pytest.approx(0.5, rel=1e-15)
         assert grid.h == pytest.approx(0.5, rel=1e-15)
 
     def test_mesh_width_fixed_under_stage_scaling(self):
         # N grows by the same factor the domain dilates by, so h is unchanged
-        coarse = build_rescaled_grid(0.6, 9)
-        fine = build_rescaled_grid(0.15, 72)
+        coarse = Grid(0.6, 9)
+        fine = Grid(0.15, 72)
         assert fine.h == pytest.approx(coarse.h, rel=1e-12)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            build_rescaled_grid(0.0, 9)
-        with pytest.raises(ValueError):
-            build_rescaled_grid(-1.0, 9)
-        with pytest.raises(ValueError):
-            build_rescaled_grid(1.0, 1)
+        for A in (0.0, -1.0):
+            with pytest.raises(ValueError, match="amplitude"):
+                Grid(A, 9)
+        for N in (1, 0, -3):
+            with pytest.raises(ValueError, match="intervals"):
+                Grid(1.0, N)
+
+    def test_derived_widths_bit_for_bit(self):
+        # the stage amplitudes of the reference runs and the direct run's A = 1
+        amplitudes = [1.0] + [0.6 * 2.0 ** (-2.0 * m / 3.0) for m in range(7)]
+        for A in amplitudes:
+            L = 1.0 / (2.0 * A ** 1.5)
+            for N in range(2, 601):
+                grid = Grid(A, N)
+                assert grid.L == L
+                assert grid.h == 2.0 * L / N
 
     def test_node_coordinates(self):
-        grid = build_rescaled_grid(1.0, 4)
+        grid = Grid(1.0, 4)
         nodes = grid.nodes_1d()
         assert nodes[0] == pytest.approx(-grid.L)
         assert nodes[-1] == pytest.approx(grid.L)
@@ -88,12 +98,12 @@ class TestGridConstruction:
 
 class TestField:
     def test_shape_checked(self):
-        grid = build_rescaled_grid(1.0, 4)
+        grid = Grid(1.0, 4)
         with pytest.raises(ValueError):
             Field(grid=grid, interior=np.ones((2, 2)), g=1.0)
 
     def test_admissibility(self):
-        grid = build_rescaled_grid(1.0, 3)
+        grid = Grid(1.0, 3)
         pos = Field(grid=grid, interior=np.ones((2, 2)), g=1.0)
         assert pos.is_admissible()
         touching = Field(grid=grid, interior=np.array([[1.0, 0.0], [1.0, 1.0]]), g=1.0)
@@ -102,7 +112,7 @@ class TestField:
 
 class TestFlatExtend:
     def test_single_interior_node(self):
-        grid = build_rescaled_grid(1.0, 2)
+        grid = Grid(1.0, 2)
         Y = Field(grid=grid, interior=np.array([[1.0]]), g=2.0)
         F = flat_extend(Y)
         assert F.shape == (3, 3)
@@ -112,13 +122,13 @@ class TestFlatExtend:
         assert np.all(boundary == 2.0)
 
     def test_reciprocal_amplitude_boundary(self):
-        grid = build_rescaled_grid(0.6, 4)
+        grid = Grid(0.6, 4)
         Y = Field(grid=grid, interior=np.ones((3, 3)), g=1.0 / 0.6)
         F = flat_extend(Y)
         assert F[0, 0] == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_physical_boundary_of_ones(self):
-        grid = build_rescaled_grid(1.0, 3)
+        grid = Grid(1.0, 3)
         Y = Field(grid=grid, interior=0.5 * np.ones((2, 2)), g=1.0)
         F = flat_extend(Y)
         assert np.all(F[0, :] == 1.0) and np.all(F[:, 0] == 1.0)
@@ -126,13 +136,13 @@ class TestFlatExtend:
 
 class TestGradNormSq:
     def test_constant_field_vanishes(self):
-        grid = build_rescaled_grid(0.7, 5)
+        grid = Grid(0.7, 5)
         Y = Field(grid=grid, interior=np.full((4, 4), 2.5), g=2.5)
         assert grad_norm_sq(Y) == 0.0
 
     def test_single_node_hand_count(self):
         # 3x3 node set has 12 edges; only the 4 touching the center differ
-        grid = build_rescaled_grid(1.0, 2)
+        grid = Grid(1.0, 2)
         y, g = 1.7, 0.4
         Y = Field(grid=grid, interior=np.array([[y]]), g=g)
         assert grad_norm_sq(Y) == pytest.approx(4.0 * (y - g) ** 2, rel=1e-14)
@@ -154,12 +164,12 @@ class TestGradNormSq:
 
 class TestLaplacian:
     def test_constant_field_vanishes(self):
-        grid = build_rescaled_grid(0.9, 4)
+        grid = Grid(0.9, 4)
         Y = Field(grid=grid, interior=np.full((3, 3), 1.3), g=1.3)
         assert np.all(laplacian_5pt(Y) == 0.0)
 
     def test_single_node_stencil(self):
-        grid = build_rescaled_grid(1.0, 2)
+        grid = Grid(1.0, 2)
         y, g = 2.0, 0.5
         Y = Field(grid=grid, interior=np.array([[y]]), g=g)
         lap = laplacian_5pt(Y)
@@ -167,7 +177,7 @@ class TestLaplacian:
 
     def test_quadratic_exactness(self):
         # x^2 + y^2 has Laplacian 4; centered differences are exact on it
-        grid = build_rescaled_grid(1.0, 6)
+        grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
         Y = Field(grid=grid, interior=X**2 + Y2**2, g=0.0)
@@ -176,7 +186,7 @@ class TestLaplacian:
         assert np.allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
 
     def test_annihilates_affine(self):
-        grid = build_rescaled_grid(1.0, 6)
+        grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
         Y = Field(grid=grid, interior=2.0 * X - 3.0 * Y2 + 1.0, g=0.0)

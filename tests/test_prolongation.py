@@ -15,30 +15,29 @@ from quenchstage.drivers import (
     initial_rescaled_profile,
     run_stage,
 )
-from quenchstage.grid import Field, build_rescaled_grid, flat_extend
+from quenchstage.grid import Field, Grid, flat_extend
 from quenchstage.prolongation import (
     BASIS_EXPONENTS,
     REFERENCE_MATRIX,
     S12,
-    TransferSpec,
     edge_consistency_check,
     eval_cell,
     fit_cell,
     laplace_compat_check,
     laplacian_cell,
-    make_transfer,
     prolong_stage,
 )
 from quenchstage.verify import transfer_refinement_errors
 
 
-def loop_prolong(end, spec):
+def loop_prolong(end, k):
     """Per-node transfer: fit the owning cell, evaluate at the fine offset."""
-    N, k = end.grid.N, spec.k
+    N = end.grid.N
     F = flat_extend(end)
+    fill = 1.0 / end.grid.A
 
     def value(p, q):
-        return F[p, q] if 0 <= p <= N and 0 <= q <= N else spec.fill
+        return F[p, q] if 0 <= p <= N and 0 <= q <= N else fill
 
     out = np.empty((k * N - 1, k * N - 1))
     for I in range(1, k * N):
@@ -46,7 +45,7 @@ def loop_prolong(end, spec):
         for J in range(1, k * N):
             j, r = divmod(J, k)
             c = fit_cell(np.array([value(i + a, j + b) for a, b in S12]))
-            out[I - 1, J - 1] = spec.scale * eval_cell(c, l / k, r / k)
+            out[I - 1, J - 1] = k ** (2.0 / 3.0) * eval_cell(c, l / k, r / k)
     return out
 
 
@@ -153,41 +152,38 @@ class TestLaplacianCell:
         assert laplacian_cell(c, 0.4, 0.6, 0.5) == pytest.approx(4.0 * base)
 
 
-class TestTransferSpec:
+def constant_end():
+    """The constant admissible state 1/A at A = 0.6 on 6 intervals."""
+    return Field(grid=Grid(0.6, 6), interior=np.full((5, 5), 1.0 / 0.6), g=1.0 / 0.6)
+
+
+class TestTransferAmplitude:
     def test_reference_factor_two(self):
-        spec = make_transfer(0.6, 2)
-        assert spec.A_to == pytest.approx(0.6 * 2 ** (-2.0 / 3.0), rel=1e-14)
-        assert spec.fill == pytest.approx(1.0 / 0.6, rel=1e-14)
-        # k^{2/3} * fill = 1/A_to
-        assert spec.scale * spec.fill == pytest.approx(1.0 / spec.A_to, rel=1e-12)
+        out = prolong_stage(constant_end(), 2)
+        A_to = 0.6 * 2 ** (-2.0 / 3.0)
+        assert out.grid.A == pytest.approx(A_to, rel=1e-14)
+        assert out.g == pytest.approx(1.0 / A_to, rel=1e-14)
+        # k^{2/3} times the fill 1/A_from is the new boundary value 1/A_to
+        assert 2 ** (2.0 / 3.0) / 0.6 == pytest.approx(out.g, rel=1e-12)
 
     def test_rejects_small_factor(self):
-        with pytest.raises(ValueError):
-            make_transfer(0.6, 1)
-        with pytest.raises(ValueError):
-            TransferSpec(k=2, A_from=0.0)
+        with pytest.raises(ValueError, match="factor"):
+            prolong_stage(constant_end(), 1)
+        with pytest.raises(ValueError, match="amplitude"):
+            Grid(0.0, 6)
 
 
 class TestProlongStage:
     def test_constant_maps_to_constant(self):
-        spec = make_transfer(0.6, 2)
-        const = Field(
-            grid=build_rescaled_grid(0.6, 6),
-            interior=np.full((5, 5), 1.0 / 0.6),
-            g=1.0 / 0.6,
-        )
-        out = prolong_stage(const, spec)
+        out = prolong_stage(constant_end(), 2)
         assert out.grid.N == 12
-        assert out.g == pytest.approx(1.0 / spec.A_to, rel=1e-14)
-        assert np.max(np.abs(out.interior - 1.0 / spec.A_to)) < 1e-13
+        assert out.g == pytest.approx(1.0 / out.grid.A, rel=1e-14)
+        assert np.max(np.abs(out.interior - 1.0 / out.grid.A)) < 1e-13
 
     def test_mesh_width_preserved_domain_dilated(self):
-        spec = make_transfer(0.6, 2)
-        coarse = build_rescaled_grid(0.6, 6)
-        const = Field(
-            grid=coarse, interior=np.full((5, 5), 1.0 / 0.6), g=1.0 / 0.6
-        )
-        out = prolong_stage(const, spec)
+        const = constant_end()
+        coarse = const.grid
+        out = prolong_stage(const, 2)
         assert out.grid.h == pytest.approx(coarse.h, rel=1e-12)
         assert out.grid.L == pytest.approx(2.0 * coarse.L, rel=1e-12)
 
@@ -195,13 +191,12 @@ class TestProlongStage:
         # affine samples prolong to k^{-1/3} xi + k^{2/3} C on cells whose
         # stencil reads only interior (linear) values: 2 <= i, j <= N-3
         A, N, k = 0.6, 9, 2
-        spec = make_transfer(A, k)
-        grid = build_rescaled_grid(A, N)
+        grid = Grid(A, N)
         C = 2.0 * grid.L + 1.0
         x = grid.interior_nodes_1d()
         interior = np.tile((x + C)[:, None], (1, N - 1))
         end = Field(grid=grid, interior=interior, g=1.0 / A)
-        out = prolong_stage(end, spec)
+        out = prolong_stage(end, k)
         h, Lf = grid.h, k * grid.L
         for i in range(2, N - 2):
             for j in range(2, N - 2):
@@ -221,33 +216,30 @@ class TestProlongStage:
         rng = np.random.default_rng(100 * N + k)
         A = 0.6
         end = Field(
-            grid=build_rescaled_grid(A, N),
+            grid=Grid(A, N),
             interior=1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)),
             g=1.0 / A,
         )
-        spec = make_transfer(A, k)
-        got = prolong_stage(end, spec).interior
-        assert np.max(np.abs(got - loop_prolong(end, spec))) < 1e-13
+        got = prolong_stage(end, k).interior
+        assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
     def test_rejects_inadmissible_end(self):
-        spec = make_transfer(0.6, 2)
-        grid = build_rescaled_grid(0.6, 6)
+        grid = Grid(0.6, 6)
         bad = Field(grid=grid, interior=np.full((5, 5), -1.0), g=1.0 / 0.6)
         with pytest.raises(ValueError):
-            prolong_stage(bad, spec)
+            prolong_stage(bad, 2)
 
     def test_rejects_boundary_mismatch(self):
-        spec = make_transfer(0.6, 2)
-        grid = build_rescaled_grid(0.6, 6)
+        grid = Grid(0.6, 6)
         end = Field(grid=grid, interior=np.full((5, 5), 1.0), g=1.0)
         with pytest.raises(ValueError):
-            prolong_stage(end, spec)
+            prolong_stage(end, 2)
 
 
 def reference_stage0_event():
     cfg = StagewiseConfig()
     Z0 = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-    state = StageState(m=0, A=cfg.A0, Z=Z0, t=0.0)
+    state = StageState(m=0, Z=Z0, t=0.0)
     _, event = run_stage(state, cfg)
     return event
 
@@ -256,7 +248,7 @@ class TestEdgeConsistency:
     def test_random_fields(self):
         rng = np.random.default_rng(26)
         for _ in range(3):
-            grid = build_rescaled_grid(0.6, 8)
+            grid = Grid(0.6, 8)
             Y = Field(
                 grid=grid,
                 interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
@@ -265,12 +257,7 @@ class TestEdgeConsistency:
             assert edge_consistency_check(Y) < 1e-11
 
     def test_constant_field(self):
-        const = Field(
-            grid=build_rescaled_grid(0.6, 6),
-            interior=np.full((5, 5), 1.0 / 0.6),
-            g=1.0 / 0.6,
-        )
-        assert edge_consistency_check(const) < 1e-13
+        assert edge_consistency_check(constant_end()) < 1e-13
 
     def test_reference_stage_end_state(self):
         event = reference_stage0_event()
@@ -280,40 +267,35 @@ class TestEdgeConsistency:
 class TestLaplaceCompat:
     def test_random_field_k4(self):
         rng = np.random.default_rng(27)
-        grid = build_rescaled_grid(0.6, 8)
+        grid = Grid(0.6, 8)
         Y = Field(
             grid=grid,
             interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
             g=1.0 / 0.6,
         )
-        assert laplace_compat_check(Y, make_transfer(0.6, 4)) < 1e-10
+        assert laplace_compat_check(Y, 4) < 1e-10
 
     def test_constant_field(self):
-        const = Field(
-            grid=build_rescaled_grid(0.6, 6),
-            interior=np.full((5, 5), 1.0 / 0.6),
-            g=1.0 / 0.6,
-        )
-        assert laplace_compat_check(const, make_transfer(0.6, 2)) < 1e-12
+        assert laplace_compat_check(constant_end(), 2) < 1e-12
 
     def test_factor_two_uses_synthetic_refinement(self):
         # k = 2 has no strictly interior fine offsets, so the check runs a
         # k = 4 refinement of the same end state; results must agree
         rng = np.random.default_rng(28)
-        grid = build_rescaled_grid(0.6, 8)
+        grid = Grid(0.6, 8)
         Y = Field(
             grid=grid,
             interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
             g=1.0 / 0.6,
         )
-        r2 = laplace_compat_check(Y, make_transfer(0.6, 2))
-        r4 = laplace_compat_check(Y, make_transfer(0.6, 4))
+        r2 = laplace_compat_check(Y, 2)
+        r4 = laplace_compat_check(Y, 4)
         assert r2 == pytest.approx(r4, rel=1e-12)
         assert r2 < 1e-10
 
     def test_reference_stage_end_state(self):
         event = reference_stage0_event()
-        assert laplace_compat_check(event, make_transfer(0.6, 2)) < 1e-10
+        assert laplace_compat_check(event, 2) < 1e-10
 
 
 class TestRefinementStudy:

@@ -11,7 +11,7 @@ import pytest
 from quenchstage import stepper
 from quenchstage.drivers import StagewiseConfig, initial_rescaled_profile
 from quenchstage.energy import discrete_energy
-from quenchstage.grid import Field, Grid, build_rescaled_grid
+from quenchstage.grid import Field, Grid
 from quenchstage.stepper import (
     SEED_ORDER,
     DirichletSolver,
@@ -52,13 +52,14 @@ def dense_be_solve(Z, ds):
 
 
 def single_node_field(value, g=1.0):
-    grid = Grid(L=1.0, N=2)
+    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2
+    grid = Grid(1.0, 2)
     return Field(grid=grid, interior=np.array([[value]]), g=g)
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     rng = np.random.default_rng(seed)
-    grid = build_rescaled_grid(A, N)
+    grid = Grid(A, N)
     n = N - 1
     return Field(grid=grid, interior=rng.uniform(lo, hi, (n, n)), g=1.0 / A)
 
@@ -79,7 +80,7 @@ class TestDirichletSolver:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            DirichletSolver(build_rescaled_grid(0.6, 4), 0.0)
+            DirichletSolver(Grid(0.6, 4), 0.0)
 
 
 class TestPicardStep:
@@ -88,7 +89,7 @@ class TestPicardStep:
         # the first solve bit for bit and the gap test ends the iteration
         Z = random_state(seed=5)
         ds, lam = 1e-3, 0.0
-        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        rep = picard_implicit_step(Z, ds, lam)
         assert rep.picard_iters == 2
         assert rep.converged
         # the step solves for the deviation from the boundary value g
@@ -97,25 +98,25 @@ class TestPicardStep:
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
-        grid = build_rescaled_grid(0.6, 4)
+        grid = Grid(0.6, 4)
         g = 1.0 / 0.6
         Z = Field(grid=grid, interior=np.full((3, 3), g), g=g)
-        rep = picard_implicit_step(Z, 1e-3, 0.0, 0.6)
+        rep = picard_implicit_step(Z, 1e-3, 0.0)
         assert np.max(np.abs(rep.next.interior - g)) < 1e-13
 
     def test_source_free_matches_dense_oracle(self):
         Z = random_state(N=5, seed=6)
         ds, lam = 1e-3, 0.0
-        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        rep = picard_implicit_step(Z, ds, lam)
         want = dense_be_solve(Z, ds)
         assert np.max(np.abs(rep.next.interior - want)) < 1e-11
 
     def test_converged_state_solves_euler_lagrange(self):
         Z = random_state(seed=7)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        rep = picard_implicit_step(Z, ds, lam)
         assert rep.converged
-        R = euler_lagrange_residual(rep.next, Z, ds, lam, 0.6)
+        R = euler_lagrange_residual(rep.next, Z, ds, lam)
         assert np.max(np.abs(R)) < 1e-8
 
     def test_two_seeds_same_fixed_point(self):
@@ -123,22 +124,22 @@ class TestPicardStep:
         eta = Z.min_interior()
         ds, lam = 1e-3, 20.0
         assert ds < eta ** 3 / (16.0 * lam)
-        rep_a = picard_implicit_step(Z, ds, lam, 0.6)
+        rep_a = picard_implicit_step(Z, ds, lam)
         seed = Z.with_interior(1.05 * Z.interior)
-        rep_b = picard_implicit_step(Z, ds, lam, 0.6, seed=seed)
+        rep_b = picard_implicit_step(Z, ds, lam, seed=seed)
         assert rep_a.converged and rep_b.converged
         assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
 
     def test_positivity_below_step_bound(self):
         Z = random_state(lo=1.5, hi=2.0, seed=9)
         eta = Z.min_interior()
-        A, lam = 0.6, 20.0
-        E = discrete_energy(Z, A, lam).total
+        A, lam = Z.grid.A, 20.0
+        E = discrete_energy(Z, lam).total
         h = Z.grid.h
         # below the step bound the implicit minimizer stays positive
         # (min >= eta/2) and is locally unique
         bound = min(A * A * h * h * eta * eta / (8.0 * E), eta ** 3 / (16.0 * lam))
-        rep = picard_implicit_step(Z, 0.5 * bound, lam, A)
+        rep = picard_implicit_step(Z, 0.5 * bound, lam)
         assert rep.converged
         assert rep.next.min_interior() >= 0.5 * eta
 
@@ -146,15 +147,15 @@ class TestPicardStep:
         ds, lam = 1e-3, 20.0
         for seed in range(5):
             Z = random_state(seed=20 + seed)
-            rep = picard_implicit_step(Z, ds, lam, 0.6)
-            ref = mm_oracle_step(Z, ds, lam, 0.6)
+            rep = picard_implicit_step(Z, ds, lam)
+            ref = mm_oracle_step(Z, ds, lam)
             assert np.max(np.abs(rep.next.interior - ref.interior)) < 1e-6
 
     def test_nonconvergence_flagged_not_raised(self, monkeypatch):
         monkeypatch.setattr(stepper, "PICARD_MAX", 1)
         Z = random_state(seed=10)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam, 0.6)
+        rep = picard_implicit_step(Z, ds, lam)
         assert rep.picard_iters == 1
         assert not rep.converged
         assert rep.next.interior.shape == (3, 3)
@@ -163,22 +164,22 @@ class TestPicardStep:
         Z = random_state(seed=11)
         bad = Z.with_interior(Z.interior - 5.0)
         with pytest.raises(ValueError):
-            picard_implicit_step(bad, 1e-3, 20.0, 0.6)
+            picard_implicit_step(bad, 1e-3, 20.0)
 
     def test_rejects_mismatched_solver(self):
         Z = random_state(seed=12)
         solver = DirichletSolver(Z.grid, 2e-3)
         with pytest.raises(ValueError):
-            picard_implicit_step(Z, 1e-3, 20.0, 0.6, solver=solver)
-        other = DirichletSolver(build_rescaled_grid(0.6, 6), 1e-3)
+            picard_implicit_step(Z, 1e-3, 20.0, solver=solver)
+        other = DirichletSolver(Grid(0.6, 6), 1e-3)
         with pytest.raises(ValueError):
-            picard_implicit_step(Z, 1e-3, 20.0, 0.6, solver=other)
+            picard_implicit_step(Z, 1e-3, 20.0, solver=other)
 
     def test_dissipation_fields_recomputable(self):
         Z = random_state(seed=13)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam, 0.6)
-        assert rep.energy == discrete_energy(rep.next, 0.6, lam).total
+        rep = picard_implicit_step(Z, ds, lam)
+        assert rep.energy == discrete_energy(rep.next, lam).total
         h2 = Z.grid.h ** 2
         n = Z.grid.N - 1
         sq = 0.0
@@ -197,7 +198,7 @@ class TestPicardStep:
 
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(random_state(seed=14), ds, lam, 0.6)
+        rep = picard_implicit_step(random_state(seed=14), ds, lam)
         assert len(calls) == 1
         assert calls[0] is rep.next
 
@@ -249,11 +250,11 @@ class TestExtrapolatedSeed:
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
-            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver).next
+            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, solver).next
             history.append(Z.interior)
-        plain = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver)
+        plain = picard_implicit_step(Z, cfg.ds, cfg.lam, solver)
         seed = Z.with_interior(extrapolated_seed(history))
-        seeded = picard_implicit_step(Z, cfg.ds, cfg.lam, cfg.A0, solver, seed)
+        seeded = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed)
         assert plain.converged and seeded.converged
         assert seeded.picard_iters < plain.picard_iters
         gap = np.max(np.abs(seeded.next.interior - plain.next.interior))
@@ -275,52 +276,53 @@ class TestDescentOracle:
     def test_source_free_matches_dense_solve(self):
         Z = random_state(seed=14)
         ds, lam = 1e-3, 0.0
-        got = mm_oracle_step(Z, ds, lam, 0.6)
+        got = mm_oracle_step(Z, ds, lam)
         want = dense_be_solve(Z, ds)
         assert np.max(np.abs(got.interior - want)) < 1e-10
 
     def test_single_node_against_grid_search(self):
         Z = single_node_field(1.0, g=1.0)
         ds, lam = 1e-3, 1.0
+        A, h, g, z = Z.grid.A, Z.grid.h, Z.g, Z.interior[0, 0]
 
         def J(y):
-            # gradient part: four node-boundary edges; K = 1 + 1/y at A = h = 1
+            # gradient part: four node-boundary edges; K = 1 + A^2 h^2 / y
             return (
-                0.5 * 4.0 * (y - 1.0) ** 2
-                + 1.0 / (1.0 + 1.0 / y)
-                + (1.0 / (2.0 * ds)) * (y - 1.0) ** 2
+                0.5 * A * A * 4.0 * (y - g) ** 2
+                + lam / (1.0 + A * A * h * h / y)
+                + (A * A / (2.0 * ds)) * h * h * (y - z) ** 2
             )
 
-        got = mm_oracle_step(Z, ds, lam, 1.0)
+        got = mm_oracle_step(Z, ds, lam)
         ystar = refine_grid_search(J, 1e-6, 3.0)
         # the bracket reaches 1e-10 but argmin localization on the flat
         # quadratic bottoms out near sqrt(eps*J/J''); compare above that floor
         assert abs(got.interior[0, 0] - ystar) < 1e-7
-        R = euler_lagrange_residual(got, Z, ds, lam, 1.0)
+        R = euler_lagrange_residual(got, Z, ds, lam)
         assert np.max(np.abs(R)) < 1e-10
 
     def test_dissipation_inequality(self):
         ds, lam = 1e-3, 20.0
-        h2 = build_rescaled_grid(0.6, 4).h ** 2
+        h2 = Grid(0.6, 4).h ** 2
         for seed in range(10):
             Z = random_state(seed=40 + seed)
-            out = mm_oracle_step(Z, ds, lam, 0.6)
+            out = mm_oracle_step(Z, ds, lam)
             diff = out.interior - Z.interior
             penalty = (0.36 / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
-            lhs = discrete_energy(out, 0.6, lam).total + penalty
-            rhs = discrete_energy(Z, 0.6, lam).total
+            lhs = discrete_energy(out, lam).total + penalty
+            rhs = discrete_energy(Z, lam).total
             assert lhs <= rhs + 1e-12
 
     def test_rejects_large_grids(self):
         Z = random_state(N=6, seed=15)
         assert Z.grid.interior_count == 25
         with pytest.raises(ValueError):
-            mm_oracle_step(Z, 1e-3, 20.0, 0.6)
+            mm_oracle_step(Z, 1e-3, 20.0)
 
     def test_rejects_inadmissible_state(self):
         Z = single_node_field(-1.0)
         with pytest.raises(ValueError):
-            mm_oracle_step(Z, 1e-3, 1.0, 1.0)
+            mm_oracle_step(Z, 1e-3, 1.0)
 
 
 class TestStepperConfig:
