@@ -12,7 +12,9 @@ Three subcommands:
 Configs are flat key = value text files carrying exactly the documented
 keys; an unreadable or non-UTF-8 file, unknown or missing keys and
 non-finite numbers are configuration errors (exit 2).  Numerical failures
-exit 3; failed verify suites exit 1 and unknown suite names exit 2.
+exit 3; failed verify suites exit 1 and unknown suite names exit 2.  Any
+other exception is an internal error: main prints "internal error:" and the
+traceback to stderr and exits 4.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
 directory), created before the run starts; a path that cannot be a
@@ -34,6 +36,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
@@ -47,12 +50,14 @@ from .drivers import (
     run_direct,
     run_stagewise,
 )
+from .stepper import PICARD_TOL, STOP_MARGIN
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 STAGEWISE_KEYS: dict[str, type] = {
     "lambda": float,
@@ -77,6 +82,9 @@ CONVENTIONS = {
     "picard_seed": "cubic extrapolation through the last 4 accepted states of "
     "the stage or direct run (lower degree while fewer exist)",
     "nonlocal_term": "recomputed from the full iterate each Picard sweep",
+    "picard_stop": "once ds * max|f(Y) - f(Y_prev)|, a bound on the next "
+    "sweep's move by the maximum principle (||L^-1|| <= ds), is below "
+    f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max(1, max|Y|)",
     "event_energies": "evaluated at the linearly interpolated trigger state",
     "scaled_duration": "completed steps plus trigger fraction, times ds",
     "transfer_boundary": "fine boundary ring pinned to 1/A_to",
@@ -330,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -154,6 +154,7 @@ class StageRecord:
     steps: int  # completed full steps before the crossing step
     picard_sweeps: int  # linear solves in the stage, crossing step included
     trigger_gap: float  # min(event) - threshold
+    energy_increases: int  # completed steps whose energy rose above round-off
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     prev = Z
     E_prev = start.total
     sweeps = 0
+    increases = 0
     dissipation = 0.0
     for completed, rep in zip(range(cfg.step_cap), steps):
         sweeps += rep.picard_iters
@@ -271,6 +273,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         if hit is not None:
             break
         if rep.energy > E_prev + 1e-12 * max(1.0, abs(E_prev)):
+            increases += 1
             logger.warning(
                 "stage %d, step %d: energy increased by %.3e",
                 state.m, completed + 1, rep.energy - E_prev,
@@ -312,6 +315,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         steps=completed,
         picard_sweeps=sweeps,
         trigger_gap=gap,
+        energy_increases=increases,
     )
     return record, event
 

@@ -14,6 +14,7 @@ import quenchstage
 from quenchstage.cli import (
     ConfigError,
     DIRECT_KEYS,
+    EXIT_INTERNAL,
     STAGEWISE_KEYS,
     STAGEWISE_OPTIONAL,
     main,
@@ -151,6 +152,12 @@ class TestStagewiseCommand:
         assert len(data["stages"]) == 1
         assert data["continuation"]["full_domain"] is True
         assert data["manifest"] == "manifest.json"
+
+    def test_ledger_reports_energy_increases(self, tmp_path, outdir):
+        cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)
+        main(["stagewise", "--config", cfg])
+        data = json.loads((outdir / "ledger.json").read_text())
+        assert [r["energy_increases"] for r in data["stages"]] == [0]
 
     def test_manifest_hashes(self, tmp_path, outdir):
         import hashlib
@@ -447,3 +454,16 @@ def test_unwritable_output_file_exit_code(tmp_path, outdir, command, blocked):
     assert blocked in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(outdir.glob("*.tmp")) == []
+
+
+def test_internal_error_exit_code(tmp_path, outdir, monkeypatch, capsys):
+    def broken(config_path):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr("quenchstage.cli.cmd_direct", broken)
+    cfg = write_cfg(tmp_path / "d.cfg", DIRECT_BASE)
+    assert main(["direct", "--config", cfg]) == EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError('injected fault')")
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: injected fault")

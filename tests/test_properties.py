@@ -3,7 +3,7 @@
 Configs are drawn over a small but rough space (any coupling, amplitude and
 step within the ranges below, up to three stages) and run through the CLI
 entry point in process.  Success (0), a config error (2) and a numerical
-failure (3) are all acceptable outcomes; an exception escaping main is not.
+failure (3) are all acceptable outcomes; an internal error (4) is not.
 """
 
 import pytest

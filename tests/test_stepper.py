@@ -10,7 +10,7 @@ import pytest
 
 from quenchstage import stepper
 from quenchstage.drivers import StagewiseConfig, initial_rescaled_profile
-from quenchstage.energy import discrete_energy
+from quenchstage.energy import discrete_energy, reciprocal_K
 from quenchstage.grid import Field, Grid
 from quenchstage.stepper import (
     SEED_ORDER,
@@ -82,15 +82,27 @@ class TestDirichletSolver:
         with pytest.raises(ValueError):
             DirichletSolver(Grid(0.6, 4), 0.0)
 
+    @pytest.mark.parametrize("N", [2, 3, 5, 12, 33])
+    @pytest.mark.parametrize("ds", [1e-4, 1e-3, 0.1, 10.0])
+    def test_inverse_bounded_by_step_size(self, N, ds):
+        # discrete maximum principle: the row sums of I/ds - Lap_h are at
+        # least 1/ds, so max|L^-1 r| <= ds max|r|; the Picard stop rests on it
+        solver = DirichletSolver(Grid(0.6, N), ds)
+        rng = np.random.default_rng(N)
+        n = N - 1
+        for r in (rng.normal(size=(n, n)), np.ones((n, n))):
+            got = float(np.max(np.abs(solver.solve(r))))
+            assert got <= ds * float(np.max(np.abs(r))) * (1.0 + 1e-12)
+
 
 class TestPicardStep:
-    def test_source_free_two_sweeps_one_solve(self):
-        # with lam = 0 the source is exactly 0, so the second sweep repeats
-        # the first solve bit for bit and the gap test ends the iteration
+    def test_source_free_one_sweep_one_solve(self):
+        # with lam = 0 the source is exactly 0, so the certified bound on the
+        # next sweep's move is 0 after the first sweep
         Z = random_state(seed=5)
         ds, lam = 1e-3, 0.0
         rep = picard_implicit_step(Z, ds, lam)
-        assert rep.picard_iters == 2
+        assert rep.picard_iters == 1
         assert rep.converged
         # the step solves for the deviation from the boundary value g
         g = Z.g
@@ -118,6 +130,40 @@ class TestPicardStep:
         assert rep.converged
         R = euler_lagrange_residual(rep.next, Z, ds, lam)
         assert np.max(np.abs(R)) < 1e-8
+
+    @staticmethod
+    def one_more_sweep(Z, Y, ds, lam):
+        """One more Picard sweep from the accepted state Y, with the source
+        built from reciprocal_K rather than by the step itself."""
+        K = reciprocal_K(Y)
+        source = lam / (Y.interior ** 2 * K * K)
+        rhs = (Z.interior - Z.g) / ds - source
+        return Z.g + DirichletSolver(Z.grid, ds).solve(rhs)
+
+    def assert_certified(self, Z, rep, ds, lam):
+        assert rep.converged
+        Y = rep.next
+        move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - Y.interior)))
+        scale = max(1.0, float(np.max(np.abs(Y.interior))))
+        assert move < stepper.STOP_MARGIN * stepper.PICARD_TOL * scale
+
+    def test_converged_state_is_a_certified_fixed_point(self):
+        Z = random_state(seed=7)
+        ds, lam = 1e-3, 20.0
+        self.assert_certified(Z, picard_implicit_step(Z, ds, lam), ds, lam)
+
+    def test_seeded_reference_step_is_a_certified_fixed_point(self):
+        cfg = StagewiseConfig()
+        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+        solver = DirichletSolver(Z.grid, cfg.ds)
+        history = [Z.interior]
+        for _ in range(SEED_ORDER + 2):
+            seed = Z.with_interior(extrapolated_seed(history))
+            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed).next
+            history.append(Z.interior)
+        seed = Z.with_interior(extrapolated_seed(history))
+        rep = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed)
+        self.assert_certified(Z, rep, cfg.ds, cfg.lam)
 
     def test_two_seeds_same_fixed_point(self):
         Z = random_state(seed=8)
