@@ -10,11 +10,13 @@ Three subcommands:
       stdout
 
 Configs are flat key = value text files carrying exactly the documented
-keys; an unreadable or non-UTF-8 file, unknown or missing keys and
-non-finite numbers are configuration errors (exit 2).  Numerical failures
-exit 3; failed verify suites exit 1 and unknown suite names exit 2.  Any
-other exception is an internal error: main prints "internal error:" and the
-traceback to stderr and exits 4.
+keys; an unreadable or non-UTF-8 file, unknown or missing keys, non-finite
+numbers and values the run configs reject (among them an A0 without a
+representable float grid and a grid above MAX_N intervals) are configuration
+errors (exit 2).  Numerical failures, a stage that starts at or below its
+trigger threshold after a transfer among them, exit 3; failed verify suites
+exit 1 and unknown suite names exit 2.  Any other exception is an internal
+error: main prints "internal error:" and the traceback to stderr and exits 4.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
 directory), created before the run starts; a path that cannot be a

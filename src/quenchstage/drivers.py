@@ -5,21 +5,24 @@ until its interior minimum crosses the trigger threshold k^(-2/3), linearly
 interpolates the crossing event between the two bracketing states, records
 energies and feedback at the stage start and at the event, then hands the
 event state to the 12-point transfer for the next stage (A drops by k^(-2/3),
-the grid dilates by k at fixed mesh width).  A_m lives only in the stage
-state's grid, Grid(A_m, N_m), so a stage state is (m, Z, t) and the stepper,
-the energy and the transfer all read the amplitude from the field they are
-given.  Physical time accumulates as sum of s*_m * A_m^3 with the fractional
-event step included in s*_m.
-A prolonged state that starts at or below the threshold of its stage cannot
-trigger and is a numerical failure of the transfer.
+the grid dilates by k at fixed mesh width).  A_m and the boundary value 1/A_m
+live only in the stage state's grid, Grid(A_m, N_m), so a stage state is
+(m, Z, t) and the stepper, the energy and the transfer all read them from the
+field they are given.  Physical time accumulates as sum of s*_m * A_m^3 with
+the fractional event step included in s*_m.
+run_stage gates every stage start: a state whose minimum is not above the
+threshold (nonpositive or NaN included) cannot trigger, and after a transfer
+that is a numerical failure.  Each stage start and end is evaluated once, in
+run_stage; a switch row of the defect ledger pairs the end energy of one stage
+record with the start energy of the next.
 
 The direct driver evolves the physical deficit v = 1 - u on the unit square.
 That is stage 0 at amplitude 1: the rescaled square is then the unit square
-(h = 1/N), W = v and g = 1, so both runs start from initial_rescaled_profile
-and step with the same backward-Euler + Picard scheme (K = 1 + h^2 sum 1/v
-here).  It reports the energies at t = 0 and t = T plus the final minimum; a
-step that leaves the positive cone (the deficit quenches) is a numerical
-failure.
+(h = 1/N), W = v and g = 1/A = 1, so both runs start from
+initial_rescaled_profile and step with the same backward-Euler + Picard
+scheme (K = 1 + h^2 sum 1/v here).  It reports the energies at t = 0 and
+t = T plus the final minimum; a step that leaves the positive cone (the
+deficit quenches) is a numerical failure.
 
 Both drivers advance their state through one generator, _march: it owns the
 linear solver of the grid, starts each Picard step from extrapolated_seed
@@ -68,8 +71,16 @@ class StageRunawayError(NumericalError):
 
 
 class TransferError(NumericalError):
-    """A prolonged state left the admissible (positive) cone or starts at or
-    below the trigger threshold of its stage."""
+    """A stage starts at or below its trigger threshold (a nonpositive or NaN
+    minimum included), so it cannot trigger.  run_stage raises it; the
+    stage-0 profile is checked in closed form by StagewiseConfig, so in a run
+    it names a prolonged state that the transfer left too low."""
+
+
+# Largest grid a run may build, in intervals per direction: one doubling
+# past the largest measured run (N = 576: 8.7 s, 82.4 MiB).  The stage at
+# N = 1152 adds about 70 s by the O(N^3) cost of the dense solve.
+MAX_N = 1152
 
 
 @dataclass(frozen=True)
@@ -88,12 +99,25 @@ class StagewiseConfig:
             raise ValueError("lam must be nonnegative")
         if not (0.0 < self.u0_amplitude < 1.0):
             raise ValueError("u0 amplitude must lie in (0, 1)")
-        if self.A0 <= 0.0 or self.ds <= 0.0:
-            raise ValueError("A0 and ds must be positive")
-        if self.k < 2 or self.N0 < 2:
-            raise ValueError("k and N0 must be at least 2")
+        if self.ds <= 0.0:
+            raise ValueError("ds must be positive")
+        if self.k < 2:
+            raise ValueError("k must be at least 2")
         if self.max_stages < 0 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 0 and step_cap positive")
+        # rejects A0 <= 0, N0 < 2 and an A0 whose h^2 is no positive float;
+        # h is the same on every stage, so the stage-0 grid stands for all
+        Grid(self.A0, self.N0)
+        # stage m has N0*k^m intervals.  Multiply only up to the cap:
+        # k^(max_stages-1) can be an enormous integer.
+        m, N = 0, self.N0
+        while N <= MAX_N and m + 1 < self.max_stages:
+            m, N = m + 1, N * self.k
+        if N > MAX_N:
+            raise ValueError(
+                f"stage {m} needs a grid of N = N0*k^{m} = {N} intervals, "
+                f"above MAX_N = {MAX_N}"
+            )
         min_W = initial_rescaled_min(self.A0, self.N0, self.u0_amplitude)
         if min_W <= self.threshold:
             raise ValueError(
@@ -117,6 +141,8 @@ class DirectConfig:
     def __post_init__(self) -> None:
         if self.lam < 0.0 or self.N < 2 or self.dt <= 0.0 or self.T < 0.0:
             raise ValueError("invalid direct-run parameters")
+        if self.N > MAX_N:
+            raise ValueError(f"grid N = {self.N} is above MAX_N = {MAX_N}")
         if not (0.0 < self.u0_amplitude < 1.0):
             raise ValueError("u0 amplitude must lie in (0, 1)")
         if abs(self.T / self.dt - round(self.T / self.dt)) > 1e-9:
@@ -193,7 +219,7 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     x = 0.5 + A ** 1.5 * grid.interior_nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    return Field(grid=grid, interior=(1.0 - u0) / A, g=1.0 / A)
+    return Field(grid=grid, interior=(1.0 - u0) / A)
 
 
 def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:
@@ -253,11 +279,16 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
+    A start whose minimum is not above the threshold raises TransferError.
     """
     Z = state.Z
     thr = cfg.threshold
-    if Z.min_interior() <= thr:
-        raise ValueError("stage must start above the trigger threshold")
+    min_start = Z.min_interior()
+    if not min_start > thr:  # also true for a nonpositive or NaN minimum
+        raise TransferError(
+            f"stage {state.m} starts at or below the trigger threshold: "
+            f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
+        )
     A, h = Z.grid.A, Z.grid.h
     start = discrete_energy(Z, cfg.lam)
 
@@ -320,68 +351,38 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     return record, event
 
 
-def stage_transition(
-    event: Field, k: int, lam: float, m: int, E_end: float
-) -> tuple[Field, DefectRow]:
-    """Transfer the event state of stage m to stage m + 1 by the factor k and
-    score the switch.
-
-    E_end is E(event) at the amplitude of its grid, which run_stage has already
-    evaluated for the stage record.  Full-domain runs insert the raw
-    transfer unchanged, so the ideal next-stage energy E_id coincides with
-    the actual E_start; both are recorded regardless, together with the
-    signed jump and its positive part.  A prolonged state that is not
-    positive, or that starts at or below k^(-2/3) and so could never
-    trigger, raises TransferError.
-    """
-    nxt = prolong_stage(event, k)
-    min_W = nxt.min_interior()
-    if not min_W > 0.0:  # a NaN minimum is not admissible either
-        bad = int(np.sum(nxt.interior <= 0.0))
-        raise TransferError(
-            f"prolonged state has {bad} nonpositive interior values"
-        )
-    thr = k ** (-2.0 / 3.0)
-    if min_W <= thr:
-        raise TransferError(
-            f"stage {m + 1} starts at or below the trigger threshold: "
-            f"min W = {min_W:.6g} <= k^(-2/3) = {thr:.6g}"
-        )
-    E_start = discrete_energy(nxt, lam).total
-    E_id = E_start  # raw transfer is inserted unchanged in full-domain mode
-    delta, eps = switch_jump(E_end, E_id)
-    row = DefectRow(
-        m_from=m,
-        m_to=m + 1,
-        E_end=E_end,
-        E_id=E_id,
-        E_start=E_start,
-        delta_sw=delta,
-        eps_sw=eps,
-        eps_out=0.0,
-    )
-    return nxt, row
-
-
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     """Execute the full stagewise run and assemble all diagnostics."""
-    Z0 = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-    E0 = discrete_energy(Z0, cfg.lam).total
+    Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+    E0 = discrete_energy(Z, cfg.lam).total
     ledger = DefectLedger(lam=cfg.lam)
     records: list[StageRecord] = []
     areas: list[float] = []
 
-    state = StageState(m=0, Z=Z0, t=0.0)
+    t = 0.0
     for m in range(cfg.max_stages):
-        grid = state.Z.grid
-        areas.append(grid.h ** 2 * grid.node_count)
-        record, event = run_stage(state, cfg)
+        if m:
+            Z, t = prolong_stage(event, cfg.k), records[-1].accumulated_time
+        areas.append(Z.grid.h ** 2 * Z.grid.node_count)
+        record, event = run_stage(StageState(m=m, Z=Z, t=t), cfg)
+        if m:
+            # the switch pairs the previous stage's end with this start; the
+            # raw transfer is inserted unchanged, so E_id is E_start
+            E_end = records[-1].E_end
+            delta, eps = switch_jump(E_end, record.E_start)
+            ledger.append(
+                DefectRow(
+                    m_from=m - 1,
+                    m_to=m,
+                    E_end=E_end,
+                    E_id=record.E_start,
+                    E_start=record.E_start,
+                    delta_sw=delta,
+                    eps_sw=eps,
+                    eps_out=0.0,
+                )
+            )
         records.append(record)
-        if m + 1 >= cfg.max_stages:
-            break
-        nxt, row = stage_transition(event, cfg.k, cfg.lam, m, record.E_end)
-        ledger.append(row)
-        state = StageState(m=m + 1, Z=nxt, t=record.accumulated_time)
 
     continuation = (
         continuation_check(E0, ledger, areas, cfg.lam, full_domain=True)

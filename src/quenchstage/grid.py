@@ -7,8 +7,10 @@ the stage boundary value 1/A and the A^2 weights of the energy.  The physical
 unit square of the direct run and of the change-of-variables checks is the
 A = 1 case: L = 1/2 and h = 1/N.
 
-A Field stores only interior nodal values plus a single constant Dirichlet
-boundary value g; the flat extension Y_flat places g on the boundary ring.
+A Field stores only the interior nodal values on its Grid; the constant
+Dirichlet boundary value is the grid's g = 1/A, and the flat extension Y_flat
+places it on the boundary ring.  A Grid whose L, h or h^2 would overflow or
+underflow a float (a tiny or huge A) is rejected when it is built.
 The gradient norm is the sum of squared forward differences over all
 horizontal and vertical node pairs of the extended array (the h^2 edge weight
 and the 1/h^2 of the difference quotient cancel), and the Laplacian is the
@@ -17,6 +19,7 @@ standard five-point stencil.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +29,28 @@ import numpy as np
 class Grid:
     """Stage lattice at frozen amplitude A with N intervals per direction.
 
-    The half-width L = 1/(2 A^(3/2)) and the mesh width h = 2L/N follow
-    from them.
+    The half-width L = 1/(2 A^(3/2)), the mesh width h = 2L/N and the
+    boundary value g = 1/A follow from them.
     """
 
     A: float
     N: int
 
     def __post_init__(self) -> None:
-        if self.A <= 0.0:
+        if not self.A > 0.0:
             raise ValueError("amplitude must be positive")
         if self.N < 2:
             raise ValueError("grid needs at least 2 intervals per direction")
+        # A^(3/2) underflows to 0 (L = 1/0) or overflows, or h^2 overflows
+        try:
+            h2 = self.h * self.h
+        except (OverflowError, ZeroDivisionError):
+            h2 = math.inf
+        if not 0.0 < h2 < math.inf:
+            raise ValueError(
+                f"amplitude {self.A:g} gives no representable grid: "
+                f"h^2 = (1/(N A^(3/2)))^2 is not a positive finite float"
+            )
 
     @property
     def L(self) -> float:
@@ -46,6 +59,11 @@ class Grid:
     @property
     def h(self) -> float:
         return 2.0 * self.L / self.N
+
+    @property
+    def g(self) -> float:
+        """The constant Dirichlet boundary value 1/A."""
+        return 1.0 / self.A
 
     def nodes_1d(self) -> np.ndarray:
         """All node coordinates along one axis, boundary included."""
@@ -65,7 +83,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Interior nodal values plus one constant Dirichlet boundary value g.
+    """Interior nodal values on a grid whose boundary value is grid.g = 1/A.
 
     Admissible states have all interior values positive; this is checked by
     callers that require it (min_interior), never silently enforced here.
@@ -73,7 +91,6 @@ class Field:
 
     grid: Grid
     interior: np.ndarray
-    g: float
 
     def __post_init__(self) -> None:
         n = self.grid.N - 1
@@ -91,13 +108,13 @@ class Field:
         return self.min_interior() > 0.0
 
     def with_interior(self, interior: np.ndarray) -> "Field":
-        return Field(grid=self.grid, interior=interior, g=self.g)
+        return Field(grid=self.grid, interior=interior)
 
 
 def flat_extend(Y: Field) -> np.ndarray:
     """Extension to all (N+1)^2 nodes: interior copied, boundary set to g."""
     N = Y.grid.N
-    out = np.full((N + 1, N + 1), Y.g, dtype=float)
+    out = np.full((N + 1, N + 1), Y.grid.g, dtype=float)
     out[1:-1, 1:-1] = Y.interior
     return out
 
@@ -143,14 +160,16 @@ def linf_norm(Y: np.ndarray) -> float:
     return float(np.max(np.abs(Y)))
 
 
-def gradient_bilinear(Y: Field, Phi: Field) -> float:
-    """Forward-difference bilinear form of two fields (polarized gradient sum).
+def gradient_bilinear(Y: Field, Phi: np.ndarray) -> float:
+    """Forward-difference bilinear form of a field and a zero-boundary function
+    (polarized gradient sum).
 
-    Used by the discrete Green identity: (-laplacian_5pt(Y), Phi)_{2,h}
-    equals this form when Phi has boundary value 0.
+    Phi holds the interior values of a function on Y's grid that vanishes on
+    the boundary ring.  Used by the discrete Green identity:
+    (-laplacian_5pt(Y), Phi)_{2,h} equals this form.
     """
     FY = flat_extend(Y)
-    FP = flat_extend(Phi)
+    FP = np.pad(np.asarray(Phi, dtype=float), 1)
     dxY = np.diff(FY, axis=0)
     dxP = np.diff(FP, axis=0)
     dyY = np.diff(FY, axis=1)

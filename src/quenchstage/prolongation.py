@@ -21,17 +21,18 @@ It dilates the domain by k at fixed mesh width and writes fine interior values
 with half-open cell ownership: fine index I belongs to cell I // k at offset
 I % k.  Interior fine indices stop at k*N - 1, so every one of them has an
 owner with offset below k, and the fine line k*N is the new boundary ring.
-Stencil entries outside the coarse node set take the fill value 1/A_from,
-and the new boundary value is 1/A_to.  Evaluating P_ij at a fixed offset is
-a fixed linear map of the cell's 12 stencil values, so the transfer applies
-one k x k x 12 weight table to all cells at once.
+Stencil entries outside the coarse node set take the fill value g = 1/A_from
+of the coarse grid, and the new boundary value is the fine grid's
+g = 1/A_to.  Evaluating P_ij at a fixed offset is a fixed linear map of the
+cell's 12 stencil values, so the transfer applies one k x k x 12 weight table
+to all cells at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, flat_extend, laplacian_5pt
+from .grid import Field, Grid, laplacian_5pt
 
 # stencil offsets: 4x4 block {-1,0,1,2}^2 minus the four corners
 S12: tuple[tuple[int, int], ...] = (
@@ -96,13 +97,14 @@ def laplacian_cell(c: np.ndarray, theta: float, zeta: float, h: float) -> float:
     return float(laplacian_row(theta, zeta) @ c) / (h * h)
 
 
-def _cell_stencils(end: Field, fill: float) -> np.ndarray:
+def _cell_stencils(end: Field) -> np.ndarray:
     """Stencil values of every coarse cell, shape (N, N, 12) in S12 order.
 
-    Offsets that leave the coarse node set read the fill value.
+    Offsets that leave the coarse node set read the boundary value g, like
+    the boundary ring itself.
     """
     N = end.grid.N
-    padded = np.pad(flat_extend(end), 1, constant_values=fill)
+    padded = np.pad(end.interior, 2, constant_values=end.grid.g)
     return np.stack(
         [padded[a + 1:a + 1 + N, b + 1:b + 1 + N] for a, b in S12], axis=-1
     )
@@ -120,18 +122,15 @@ def prolong_stage(end: Field, k: int) -> Field:
         raise ValueError("stage factor k must be at least 2")
     if not end.is_admissible():
         raise ValueError("transfer requires a positive end state")
-    A_from = end.grid.A
-    if abs(end.g * A_from - 1.0) > 1e-9:
-        raise ValueError("end state boundary value does not match 1/A_from")
-    A_to = k ** (-2.0 / 3.0) * A_from
+    A_to = k ** (-2.0 / 3.0) * end.grid.A
     N = end.grid.N
     Nf = k * N
     offsets = np.arange(k) / k
     B = np.array([[basis_row(t, z) for z in offsets] for t in offsets])
     W = k ** (2.0 / 3.0) * (B @ REFERENCE_INVERSE)
-    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, 1.0 / A_from), W)
+    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end), W)
     out = np.ascontiguousarray(values.reshape(Nf, Nf)[1:, 1:])
-    return Field(grid=Grid(A_to, Nf), interior=out, g=1.0 / A_to)
+    return Field(grid=Grid(A_to, Nf), interior=out)
 
 
 def edge_consistency_check(end: Field) -> float:
@@ -143,7 +142,7 @@ def edge_consistency_check(end: Field) -> float:
     """
     N = end.grid.N
     # cells 1..N-2 in both directions read no fill values
-    inner = _cell_stencils(end, end.g)[1:N - 1, 1:N - 1]
+    inner = _cell_stencils(end)[1:N - 1, 1:N - 1]
     ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
     ones, zeros = np.ones(EDGE_SAMPLES), np.zeros(EDGE_SAMPLES)
 
@@ -179,7 +178,7 @@ def laplace_compat_check(end: Field, k: int) -> float:
     # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
     # cells 1..N-3 in both directions
     got = lap_fine.reshape(N, k, N, k)[1:N - 2, 1:, 1:N - 2, 1:]
-    inner = _cell_stencils(end, 1.0 / end.grid.A)[1:N - 2, 1:N - 2]
+    inner = _cell_stencils(end)[1:N - 2, 1:N - 2]
     # the fine field carries the amplitude scale k^(2/3); together with the
     # 1/k^2 of the fine difference quotient this gives the k^(-4/3) factor
     h = end.grid.h

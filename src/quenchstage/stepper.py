@@ -5,10 +5,11 @@ iteration on the nonlocal source:
 
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-with constant Dirichlet data g.  The frozen amplitude A is the one of Z's
-grid; the step size ds and lam are plain arguments: the run configs validate
-them, and DirichletSolver rejects ds <= 0.  Since g is constant, Lap_h g = 0
-and the step solves for the deviation Y - g, which vanishes on the boundary:
+with constant Dirichlet data g.  The frozen amplitude A and the boundary
+value g = 1/A are the ones of Z's grid; the step size ds and lam are plain
+arguments: the run configs validate them, and DirichletSolver rejects
+ds <= 0.  Since g is constant, Lap_h g = 0 and the step solves for the
+deviation Y - g, which vanishes on the boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
@@ -166,8 +167,7 @@ def picard_implicit_step(
     if solver.ds != ds:
         raise ValueError("solver ds does not match the step size")
 
-    A, h = Z.grid.A, Z.grid.h
-    g = Z.g
+    A, h, g = Z.grid.A, Z.grid.h, Z.grid.g
     base_rhs = (Z.interior - g) / ds
 
     def source(Y: np.ndarray) -> np.ndarray:

@@ -61,9 +61,8 @@ class CheckResult:
 
 def _random_field(rng: np.random.Generator, N: int, A: float) -> Field:
     grid = Grid(A, N)
-    g = 1.0 / A
-    interior = g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1))
-    return Field(grid=grid, interior=interior, g=g)
+    interior = grid.g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1))
+    return Field(grid=grid, interior=interior)
 
 
 def suite_green() -> list[CheckResult]:
@@ -73,12 +72,9 @@ def suite_green() -> list[CheckResult]:
         N = int(rng.integers(4, 9))
         A = float(rng.uniform(0.3, 1.5))
         Y = _random_field(rng, N, A)
-        Phi = Field(
-            grid=Y.grid,
-            interior=rng.uniform(-1.0, 1.0, size=Y.interior.shape),
-            g=0.0,
-        )
-        lhs = inner_product(-laplacian_5pt(Y), Phi.interior, Y.grid.h)
+        # a test function with boundary value 0, given by its interior
+        Phi = rng.uniform(-1.0, 1.0, size=Y.interior.shape)
+        lhs = inner_product(-laplacian_5pt(Y), Phi, Y.grid.h)
         rhs = gradient_bilinear(Y, Phi)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     results = [
@@ -165,11 +161,8 @@ def suite_edge() -> list[CheckResult]:
     for _ in range(5):
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, edge_consistency_check(Y))
-    const = Field(
-        grid=Grid(0.6, 6),
-        interior=np.full((5, 5), 1.0 / 0.6),
-        g=1.0 / 0.6,
-    )
+    grid = Grid(0.6, 6)
+    const = Field(grid=grid, interior=np.full((5, 5), grid.g))
     const_gap = edge_consistency_check(const)
     return [
         CheckResult(
@@ -340,11 +333,7 @@ def transfer_refinement_errors():
         L = grid.L
         xi = grid.interior_nodes_1d()
         X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        Y = Field(
-            grid=grid,
-            interior=_boundary_flat_profile(X1, X2, L, A_from),
-            g=1.0 / A_from,
-        )
+        Y = Field(grid=grid, interior=_boundary_flat_profile(X1, X2, L, A_from))
         fine = prolong_stage(Y, k)
         eb_fine = discrete_energy(fine, 1.0)
         fxi = fine.grid.interior_nodes_1d()
@@ -353,7 +342,6 @@ def transfer_refinement_errors():
             grid=fine.grid,
             interior=k ** (2.0 / 3.0)
             * _boundary_flat_profile(F1 / k, F2 / k, L, A_from),
-            g=fine.g,
         )
         eb_ideal = discrete_energy(ideal, 1.0)
         errors.append(
@@ -370,7 +358,7 @@ def suite_changevar() -> list[CheckResult]:
     W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     E_resc = discrete_energy(W, cfg.lam).total
     phys = Grid(1.0, cfg.N0)
-    v = Field(grid=phys, interior=cfg.A0 * W.interior, g=1.0)
+    v = Field(grid=phys, interior=cfg.A0 * W.interior)
     E_phys = discrete_energy(v, cfg.lam).total
     eq_err = abs(E_resc - E_phys)
     results = [
@@ -382,11 +370,8 @@ def suite_changevar() -> list[CheckResult]:
             detail="rescaled energy vs physical energy of v = A0*W",
         )
     ]
-    const = Field(
-        grid=Grid(0.6, 6),
-        interior=np.full((5, 5), 1.0 / 0.6),
-        g=1.0 / 0.6,
-    )
+    grid = Grid(0.6, 6)
+    const = Field(grid=grid, interior=np.full((5, 5), grid.g))
     out = prolong_stage(const, 2)
     const_err = float(np.max(np.abs(out.interior - 1.0 / out.grid.A)))
     results.append(

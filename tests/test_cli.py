@@ -416,6 +416,49 @@ def test_start_below_threshold_exit_code(tmp_path, outdir):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("A0", ["1e-300", "1e-250", "1e-150"])
+def test_unrepresentable_amplitude_exit_code(
+    tmp_path, outdir, monkeypatch, capsys, A0
+):
+    # A0^(3/2) underflows to 0 or h^2 overflows: no float grid exists
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("quenchstage.cli.run_stagewise", no_run)
+    tiny = dict(STAGE_BASE, A0=A0, N0=4)
+    cfg = write_cfg(tmp_path / "s.cfg", tiny)
+    assert main(["stagewise", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: amplitude")
+    assert "no representable grid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value, named",
+    [
+        ("stagewise", "max_stages", 9, "N = N0*k^8 = 2304"),
+        ("direct", "N", 1153, "N = 1153"),
+    ],
+)
+def test_grid_above_cap_exit_code(
+    tmp_path, outdir, monkeypatch, capsys, command, key, value, named
+):
+    # admission control: the grid is rejected before any stepping
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(f"quenchstage.cli.run_{command}", no_run)
+    big = dict(STAGE_BASE if command == "stagewise" else DIRECT_BASE)
+    big[key] = value
+    cfg = write_cfg(tmp_path / "c.cfg", big)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err and "MAX_N = 1152" in err
+    assert "Traceback" not in err
+
+
 def test_transfer_below_threshold_exit_code(tmp_path, outdir):
     # stage 0 triggers, but the prolonged state starts below k^(-2/3)
     low = dict(STAGE_BASE)

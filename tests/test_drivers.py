@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import logging
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from quenchstage import stepper
 from quenchstage.cli import main
 from quenchstage.drivers import (
+    MAX_N,
     DirectConfig,
     StagewiseConfig,
     StageRunawayError,
@@ -22,9 +24,8 @@ from quenchstage.drivers import (
     run_direct,
     run_stage,
     run_stagewise,
-    stage_transition,
 )
-from quenchstage.energy import discrete_energy
+from quenchstage.energy import discrete_energy, switch_jump
 from quenchstage.grid import Field, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import DirichletSolver, picard_implicit_step
@@ -70,6 +71,25 @@ class TestStagewiseConfig:
         with pytest.raises(ValueError, match=below):
             StagewiseConfig(u0_amplitude=0.8)
 
+    def test_admits_last_stage_at_cap(self):
+        # only the config is built: its last stage sits exactly at the cap
+        cfg = StagewiseConfig(max_stages=8)
+        assert cfg.N0 * cfg.k ** (cfg.max_stages - 1) == MAX_N == 1152
+
+    def test_rejects_last_stage_above_cap(self):
+        above = r"stage 8 needs a grid of N = N0\*k\^8 = 2304 .* MAX_N = 1152"
+        with pytest.raises(ValueError, match=above):
+            StagewiseConfig(max_stages=9)
+        with pytest.raises(ValueError, match=r"N = N0\*k\^0 = 1153"):
+            StagewiseConfig(N0=1153, max_stages=0)
+
+    def test_rejects_huge_stage_count_quickly(self):
+        # k^(max_stages - 1) is never formed: 2^(10^9) has 10^9 bits
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_N"):
+            StagewiseConfig(max_stages=1_000_000_000)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestDirectConfig:
     def test_steps(self):
@@ -82,6 +102,11 @@ class TestDirectConfig:
             DirectConfig(dt=0.0)
         with pytest.raises(ValueError):
             DirectConfig(u0_amplitude=0.0)
+
+    def test_grid_cap(self):
+        assert DirectConfig(N=MAX_N).N == 1152
+        with pytest.raises(ValueError, match="N = 1153 is above MAX_N = 1152"):
+            DirectConfig(N=MAX_N + 1)
 
 
 class TestInitialProfile:
@@ -116,7 +141,7 @@ class TestInitialProfile:
 
     def test_boundary_value(self):
         W = initial_rescaled_profile(0.6, 9, 0.4)
-        assert W.g == pytest.approx(1.6666666667, abs=1e-9)
+        assert W.grid.g == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_matches_pointwise_loop(self):
         cfg = StagewiseConfig()
@@ -137,9 +162,8 @@ class TestInitialProfile:
 class TestDetectTrigger:
     def constant_pair(self, a, b):
         grid = Grid(0.6, 4)
-        g = 1.0 / 0.6
-        prev = Field(grid=grid, interior=np.full((3, 3), a), g=g)
-        nxt = Field(grid=grid, interior=np.full((3, 3), b), g=g)
+        prev = Field(grid=grid, interior=np.full((3, 3), a))
+        nxt = Field(grid=grid, interior=np.full((3, 3), b))
         return prev, nxt
 
     def test_crossing_fraction(self):
@@ -182,11 +206,22 @@ class TestRunStage:
     def test_rejects_state_below_threshold(self):
         cfg = StagewiseConfig()
         grid = Grid(cfg.A0, cfg.N0)
-        low = Field(
-            grid=grid, interior=np.full((8, 8), 0.5), g=1.0 / cfg.A0
+        low = Field(grid=grid, interior=np.full((8, 8), 0.5))
+        below = (
+            r"stage 0 starts at or below the trigger threshold: "
+            r"min W = 0\.5 <= k\^\(-2/3\) = 0\.629961"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(TransferError, match=below):
             run_stage(StageState(m=0, Z=low, t=0.0), cfg)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_start(self, value):
+        cfg = StagewiseConfig()
+        interior = np.full((8, 8), 2.0)
+        interior[3, 4] = value
+        Z = Field(grid=Grid(cfg.A0, cfg.N0), interior=interior)
+        with pytest.raises(TransferError, match="stage 2 starts at or below"):
+            run_stage(StageState(m=2, Z=Z, t=0.0), cfg)
 
 
 class TestMarch:
@@ -213,21 +248,21 @@ class TestMarch:
 
 class TestStageTransition:
     def test_reference_first_transition(self):
-        cfg = StagewiseConfig()
-        state = stage0_state(cfg)
-        stage, event = run_stage(state, cfg)
-        nxt, record = stage_transition(event, cfg.k, cfg.lam, 0, stage.E_end)
-        assert record.E_end == stage.E_end
-        assert nxt.grid.A == pytest.approx(0.37797631496846196, rel=1e-14)
-        assert nxt.grid.N == 18
-        assert nxt.grid.h == pytest.approx(event.grid.h, rel=1e-12)
-        assert record.E_start == pytest.approx(9.5551471290, rel=1e-6)
-        assert record.E_id == record.E_start
-        assert record.delta_sw == pytest.approx(-0.39022555, abs=1e-6)
-        assert record.eps_sw == 0.0
+        report = run_stagewise(StagewiseConfig(max_stages=2))
+        stage0, stage1 = report.records
+        [row] = report.ledger.rows
+        assert row.E_end == stage0.E_end
+        assert stage1.A == pytest.approx(0.37797631496846196, rel=1e-14)
+        assert stage1.N == 18
+        assert stage1.h == pytest.approx(stage0.h, rel=1e-12)
+        assert row.E_start == pytest.approx(9.5551471290, rel=1e-6)
+        assert row.E_id == row.E_start == stage1.E_start
+        assert row.delta_sw == pytest.approx(-0.39022555, abs=1e-6)
+        assert row.eps_sw == 0.0
 
     def test_amplitude_cascade_hits_exact_value(self):
-        Z = Field(grid=Grid(0.6, 3), interior=np.full((2, 2), 1.0 / 0.6), g=1.0 / 0.6)
+        grid = Grid(0.6, 3)
+        Z = Field(grid=grid, interior=np.full((2, 2), grid.g))
         for _ in range(3):
             Z = prolong_stage(Z, 2)
         assert Z.grid.A == 0.15
@@ -236,35 +271,31 @@ class TestStageTransition:
         A, N, k, lam = 0.6, 6, 2, 20.0
         A_to = k ** (-2.0 / 3.0) * A
         grid = Grid(A, N)
-        event = Field(
-            grid=grid, interior=np.full((N - 1, N - 1), 1.0 / A), g=1.0 / A
-        )
+        event = Field(grid=grid, interior=np.full((N - 1, N - 1), grid.g))
+        nxt = prolong_stage(event, k)
         E_end = discrete_energy(event, lam).total
-        nxt, record = stage_transition(event, k, lam, 0, E_end)
+        E_start = discrete_energy(nxt, lam).total
+        delta, eps = switch_jump(E_end, E_start)
         h = grid.h
         K_end = 1.0 + A ** 3 * h * h * (N - 1) ** 2
         K_start = 1.0 + A_to ** 3 * h * h * (k * N - 1) ** 2
         assert np.max(np.abs(nxt.interior - 1.0 / A_to)) < 1e-13
-        assert record.E_end == pytest.approx(lam / K_end, rel=1e-13)
-        assert record.E_start == pytest.approx(lam / K_start, rel=1e-13)
-        assert record.delta_sw == pytest.approx(
-            lam / K_start - lam / K_end, rel=1e-12
-        )
+        assert E_end == pytest.approx(lam / K_end, rel=1e-13)
+        assert E_start == pytest.approx(lam / K_start, rel=1e-13)
+        assert delta == pytest.approx(lam / K_start - lam / K_end, rel=1e-12)
+        assert eps == 0.0
 
     def test_undershoot_aborts(self):
-        A = 0.6
-        grid = Grid(A, 6)
+        grid = Grid(0.6, 6)
         # small flat interior against the large boundary: the cubic patches
         # undershoot below zero near the boundary ring
-        event = Field(grid=grid, interior=np.full((5, 5), 0.1), g=1.0 / A)
-        with pytest.raises(TransferError):
-            stage_transition(event, 2, 20.0, 0, E_end=0.0)
+        event = Field(grid=grid, interior=np.full((5, 5), 0.1))
+        nxt = prolong_stage(event, 2)
+        assert nxt.min_interior() < 0.0
+        with pytest.raises(TransferError, match="stage 1 starts at or below"):
+            run_stage(StageState(m=1, Z=nxt, t=0.0), StagewiseConfig())
 
     def test_one_energy_evaluation(self, monkeypatch):
-        A, lam = 0.6, 20.0
-        grid = Grid(A, 6)
-        event = Field(grid=grid, interior=np.full((5, 5), 1.0 / A), g=1.0 / A)
-        E_end = discrete_energy(event, lam).total
         calls = []
 
         def counting(*args, **kwargs):
@@ -272,11 +303,13 @@ class TestStageTransition:
             return discrete_energy(*args, **kwargs)
 
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
-        nxt, record = stage_transition(event, 2, lam, 0, E_end)
-        # only E_start of the prolonged state; E(event) comes from the stage
-        assert len(calls) == 1
-        assert calls[0] is nxt
-        assert record.E_end == E_end
+        report = run_stagewise(StagewiseConfig(max_stages=2))
+        # E0, then each stage's start and event once; the prolonged stage-1
+        # start is evaluated only by run_stage
+        assert [Y.grid.N for Y in calls] == [9, 9, 9, 18, 18]
+        assert calls[1] is calls[0]
+        E_start = discrete_energy(calls[3], report.config.lam).total
+        assert report.ledger.rows[0].E_start == E_start
 
 
 class TestRunStagewise:
@@ -375,6 +408,30 @@ class TestRunStagewise:
         for r in report.records:
             assert solves.count((r.N - 1, r.N - 1)) == r.picard_sweeps
 
+    def test_energy_evaluations_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return discrete_energy(*args)
+
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
+        monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
+        report = run_stagewise(StagewiseConfig())
+        # one E(next) per step, crossing steps included; a start and an
+        # event per stage; and E0
+        stepped = sum(r.steps + 1 for r in report.records)
+        stages = len(report.records)
+        assert len(calls) == stepped + 2 * stages + 1 == 628
+
+    def test_switch_rows_come_from_records(self, reference_run):
+        records, rows = reference_run.records, reference_run.ledger.rows
+        pairs = itertools.pairwise(records)
+        for row, (end, start) in zip(rows, pairs, strict=True):
+            assert (row.m_from, row.m_to) == (end.m, start.m)
+            assert row.E_end == end.E_end
+            assert row.E_start == row.E_id == start.E_start
+
     def test_areas(self, reference_run):
         h = reference_run.records[0].h
         assert reference_run.areas[0] == pytest.approx(h * h * 100.0, rel=1e-12)
@@ -455,7 +512,7 @@ class TestRunDirect:
         [(v, _)] = starts
         N, a = cfg.N, cfg.u0_amplitude
         assert v.grid == Grid(1.0, N)
-        assert v.g == 1.0
+        assert v.grid.g == 1.0
         for j in range(1, N):
             for l in range(1, N):
                 want = 1.0 - a * np.sin(np.pi * j / N) * np.sin(np.pi * l / N)

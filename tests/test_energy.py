@@ -17,10 +17,10 @@ from quenchstage.energy import (
 from quenchstage.grid import Field, Grid, grad_norm_sq
 
 
-def single_node_field(value, g=1.0):
-    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2
+def single_node_field(value):
+    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
-    return Field(grid=grid, interior=np.array([[value]]), g=g)
+    return Field(grid=grid, interior=np.array([[value]]))
 
 
 class TestReciprocalK:
@@ -44,17 +44,17 @@ class TestReciprocalK:
         rng = np.random.default_rng(11)
         grid = Grid(0.6, 5)
         interior = 1.0 + rng.uniform(0.0, 1.0, (4, 4))
-        Y = Field(grid=grid, interior=interior, g=1.0 / 0.6)
+        Y = Field(grid=grid, interior=interior)
         K0 = reciprocal_K(Y)
         bumped = interior.copy()
         bumped[2, 1] += 0.25
-        K1 = reciprocal_K(Field(grid=grid, interior=bumped, g=Y.g))
+        K1 = reciprocal_K(Field(grid=grid, interior=bumped))
         assert K1 < K0
 
 
 class TestDiscreteEnergy:
     def test_single_node_total(self):
-        Y = single_node_field(1.0, g=1.0)
+        Y = single_node_field(1.0)
         eb = discrete_energy(Y, lam=20.0)
         assert eb.dirichlet == 0.0
         assert eb.K == 1.25
@@ -95,7 +95,6 @@ class TestFeedback:
             Y = Field(
                 grid=grid,
                 interior=0.5 + rng.uniform(0.0, 2.0, (4, 4)),
-                g=1.0 / 0.6,
             )
             sample = discrete_energy(Y, 20.0)
             assert 1.0 <= sample.K

@@ -46,8 +46,8 @@ def brute_force_laplacian(F, h):
 
 def random_field(rng, N=6, A=0.6):
     grid = Grid(A, N)
-    g = 1.0 / A
-    return Field(grid=grid, interior=g + rng.uniform(-0.3, 0.3, (N - 1, N - 1)), g=g)
+    interior = grid.g + rng.uniform(-0.3, 0.3, (N - 1, N - 1))
+    return Field(grid=grid, interior=interior)
 
 
 class TestGridConstruction:
@@ -75,6 +75,17 @@ class TestGridConstruction:
             with pytest.raises(ValueError, match="intervals"):
                 Grid(1.0, N)
 
+    @pytest.mark.parametrize("A", [1e-300, 1e-250, 1e-150, 1e250, float("inf")])
+    def test_unrepresentable_amplitude(self, A):
+        # A^(3/2) underflows to 0 (L = 1/0), overflows, or h^2 overflows
+        with pytest.raises(ValueError, match="no representable grid"):
+            Grid(A, 4)
+
+    def test_small_amplitude_still_representable(self):
+        grid = Grid(1e-100, 4)
+        assert 0.0 < grid.h * grid.h < float("inf")
+        assert grid.g == pytest.approx(1e100, rel=1e-15)
+
     def test_derived_widths_bit_for_bit(self):
         # the stage amplitudes of the reference runs and the direct run's A = 1
         amplitudes = [1.0] + [0.6 * 2.0 ** (-2.0 * m / 3.0) for m in range(7)]
@@ -84,6 +95,7 @@ class TestGridConstruction:
                 grid = Grid(A, N)
                 assert grid.L == L
                 assert grid.h == 2.0 * L / N
+                assert grid.g == 1.0 / A
 
     def test_node_coordinates(self):
         grid = Grid(1.0, 4)
@@ -100,20 +112,20 @@ class TestField:
     def test_shape_checked(self):
         grid = Grid(1.0, 4)
         with pytest.raises(ValueError):
-            Field(grid=grid, interior=np.ones((2, 2)), g=1.0)
+            Field(grid=grid, interior=np.ones((2, 2)))
 
     def test_admissibility(self):
         grid = Grid(1.0, 3)
-        pos = Field(grid=grid, interior=np.ones((2, 2)), g=1.0)
+        pos = Field(grid=grid, interior=np.ones((2, 2)))
         assert pos.is_admissible()
-        touching = Field(grid=grid, interior=np.array([[1.0, 0.0], [1.0, 1.0]]), g=1.0)
+        touching = Field(grid=grid, interior=np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert not touching.is_admissible()
 
 
 class TestFlatExtend:
     def test_single_interior_node(self):
-        grid = Grid(1.0, 2)
-        Y = Field(grid=grid, interior=np.array([[1.0]]), g=2.0)
+        grid = Grid(0.5, 2)  # boundary value g = 1/A = 2
+        Y = Field(grid=grid, interior=np.array([[1.0]]))
         F = flat_extend(Y)
         assert F.shape == (3, 3)
         assert F[1, 1] == 1.0
@@ -123,13 +135,13 @@ class TestFlatExtend:
 
     def test_reciprocal_amplitude_boundary(self):
         grid = Grid(0.6, 4)
-        Y = Field(grid=grid, interior=np.ones((3, 3)), g=1.0 / 0.6)
+        Y = Field(grid=grid, interior=np.ones((3, 3)))
         F = flat_extend(Y)
         assert F[0, 0] == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_physical_boundary_of_ones(self):
         grid = Grid(1.0, 3)
-        Y = Field(grid=grid, interior=0.5 * np.ones((2, 2)), g=1.0)
+        Y = Field(grid=grid, interior=0.5 * np.ones((2, 2)))
         F = flat_extend(Y)
         assert np.all(F[0, :] == 1.0) and np.all(F[:, 0] == 1.0)
 
@@ -137,14 +149,14 @@ class TestFlatExtend:
 class TestGradNormSq:
     def test_constant_field_vanishes(self):
         grid = Grid(0.7, 5)
-        Y = Field(grid=grid, interior=np.full((4, 4), 2.5), g=2.5)
+        Y = Field(grid=grid, interior=np.full((4, 4), grid.g))
         assert grad_norm_sq(Y) == 0.0
 
     def test_single_node_hand_count(self):
         # 3x3 node set has 12 edges; only the 4 touching the center differ
-        grid = Grid(1.0, 2)
-        y, g = 1.7, 0.4
-        Y = Field(grid=grid, interior=np.array([[y]]), g=g)
+        grid = Grid(2.5, 2)  # g = 0.4
+        y, g = 1.7, grid.g
+        Y = Field(grid=grid, interior=np.array([[y]]))
         assert grad_norm_sq(Y) == pytest.approx(4.0 * (y - g) ** 2, rel=1e-14)
 
     def test_matches_brute_force_enumeration(self):
@@ -158,20 +170,22 @@ class TestGradNormSq:
     def test_invariant_under_constant_shift(self):
         rng = np.random.default_rng(4)
         Y = random_field(rng)
-        shifted = Field(grid=Y.grid, interior=Y.interior + 3.7, g=Y.g + 3.7)
+        # the grid whose boundary value is g + 3.7; the gradient sum reads no A
+        grid = Grid(1.0 / (Y.grid.g + 3.7), Y.grid.N)
+        shifted = Field(grid=grid, interior=Y.interior + 3.7)
         assert grad_norm_sq(shifted) == pytest.approx(grad_norm_sq(Y), rel=1e-12)
 
 
 class TestLaplacian:
     def test_constant_field_vanishes(self):
         grid = Grid(0.9, 4)
-        Y = Field(grid=grid, interior=np.full((3, 3), 1.3), g=1.3)
+        Y = Field(grid=grid, interior=np.full((3, 3), grid.g))
         assert np.all(laplacian_5pt(Y) == 0.0)
 
     def test_single_node_stencil(self):
-        grid = Grid(1.0, 2)
-        y, g = 2.0, 0.5
-        Y = Field(grid=grid, interior=np.array([[y]]), g=g)
+        grid = Grid(2.0, 2)  # g = 0.5
+        y, g = 2.0, grid.g
+        Y = Field(grid=grid, interior=np.array([[y]]))
         lap = laplacian_5pt(Y)
         assert lap[0, 0] == pytest.approx((4 * g - 4 * y) / grid.h**2, rel=1e-13)
 
@@ -180,7 +194,7 @@ class TestLaplacian:
         grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
-        Y = Field(grid=grid, interior=X**2 + Y2**2, g=0.0)
+        Y = Field(grid=grid, interior=X**2 + Y2**2)
         lap = laplacian_5pt(Y)
         # only stencils that read no boundary node see consistent samples
         assert np.allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
@@ -189,7 +203,7 @@ class TestLaplacian:
         grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
-        Y = Field(grid=grid, interior=2.0 * X - 3.0 * Y2 + 1.0, g=0.0)
+        Y = Field(grid=grid, interior=2.0 * X - 3.0 * Y2 + 1.0)
         lap = laplacian_5pt(Y)
         assert np.allclose(lap[1:-1, 1:-1], 0.0, atol=1e-11)
 
@@ -230,11 +244,8 @@ class TestGreenIdentity:
         rng = np.random.default_rng(7)
         for _ in range(20):
             Y = random_field(rng, N=int(rng.integers(3, 9)), A=float(rng.uniform(0.3, 1.2)))
-            Phi = Field(
-                grid=Y.grid,
-                interior=rng.uniform(-1.0, 1.0, Y.interior.shape),
-                g=0.0,
-            )
-            lhs = inner_product(-laplacian_5pt(Y), Phi.interior, Y.grid.h)
+            # a test function with boundary value 0, given by its interior
+            Phi = rng.uniform(-1.0, 1.0, Y.interior.shape)
+            lhs = inner_product(-laplacian_5pt(Y), Phi, Y.grid.h)
             rhs = gradient_bilinear(Y, Phi)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

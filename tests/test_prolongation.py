@@ -34,7 +34,7 @@ def loop_prolong(end, k):
     """Per-node transfer: fit the owning cell, evaluate at the fine offset."""
     N = end.grid.N
     F = flat_extend(end)
-    fill = 1.0 / end.grid.A
+    fill = end.grid.g
 
     def value(p, q):
         return F[p, q] if 0 <= p <= N and 0 <= q <= N else fill
@@ -154,7 +154,8 @@ class TestLaplacianCell:
 
 def constant_end():
     """The constant admissible state 1/A at A = 0.6 on 6 intervals."""
-    return Field(grid=Grid(0.6, 6), interior=np.full((5, 5), 1.0 / 0.6), g=1.0 / 0.6)
+    grid = Grid(0.6, 6)
+    return Field(grid=grid, interior=np.full((5, 5), grid.g))
 
 
 class TestTransferAmplitude:
@@ -162,9 +163,9 @@ class TestTransferAmplitude:
         out = prolong_stage(constant_end(), 2)
         A_to = 0.6 * 2 ** (-2.0 / 3.0)
         assert out.grid.A == pytest.approx(A_to, rel=1e-14)
-        assert out.g == pytest.approx(1.0 / A_to, rel=1e-14)
+        assert out.grid.g == pytest.approx(1.0 / A_to, rel=1e-14)
         # k^{2/3} times the fill 1/A_from is the new boundary value 1/A_to
-        assert 2 ** (2.0 / 3.0) / 0.6 == pytest.approx(out.g, rel=1e-12)
+        assert 2 ** (2.0 / 3.0) / 0.6 == pytest.approx(out.grid.g, rel=1e-12)
 
     def test_rejects_small_factor(self):
         with pytest.raises(ValueError, match="factor"):
@@ -177,7 +178,6 @@ class TestProlongStage:
     def test_constant_maps_to_constant(self):
         out = prolong_stage(constant_end(), 2)
         assert out.grid.N == 12
-        assert out.g == pytest.approx(1.0 / out.grid.A, rel=1e-14)
         assert np.max(np.abs(out.interior - 1.0 / out.grid.A)) < 1e-13
 
     def test_mesh_width_preserved_domain_dilated(self):
@@ -195,7 +195,7 @@ class TestProlongStage:
         C = 2.0 * grid.L + 1.0
         x = grid.interior_nodes_1d()
         interior = np.tile((x + C)[:, None], (1, N - 1))
-        end = Field(grid=grid, interior=interior, g=1.0 / A)
+        end = Field(grid=grid, interior=interior)
         out = prolong_stage(end, k)
         h, Lf = grid.h, k * grid.L
         for i in range(2, N - 2):
@@ -218,22 +218,15 @@ class TestProlongStage:
         end = Field(
             grid=Grid(A, N),
             interior=1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)),
-            g=1.0 / A,
         )
         got = prolong_stage(end, k).interior
         assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
     def test_rejects_inadmissible_end(self):
         grid = Grid(0.6, 6)
-        bad = Field(grid=grid, interior=np.full((5, 5), -1.0), g=1.0 / 0.6)
+        bad = Field(grid=grid, interior=np.full((5, 5), -1.0))
         with pytest.raises(ValueError):
             prolong_stage(bad, 2)
-
-    def test_rejects_boundary_mismatch(self):
-        grid = Grid(0.6, 6)
-        end = Field(grid=grid, interior=np.full((5, 5), 1.0), g=1.0)
-        with pytest.raises(ValueError):
-            prolong_stage(end, 2)
 
 
 def reference_stage0_event():
@@ -252,7 +245,6 @@ class TestEdgeConsistency:
             Y = Field(
                 grid=grid,
                 interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-                g=1.0 / 0.6,
             )
             assert edge_consistency_check(Y) < 1e-11
 
@@ -271,7 +263,6 @@ class TestLaplaceCompat:
         Y = Field(
             grid=grid,
             interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-            g=1.0 / 0.6,
         )
         assert laplace_compat_check(Y, 4) < 1e-10
 
@@ -286,7 +277,6 @@ class TestLaplaceCompat:
         Y = Field(
             grid=grid,
             interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-            g=1.0 / 0.6,
         )
         r2 = laplace_compat_check(Y, 2)
         r4 = laplace_compat_check(Y, 4)

@@ -2,7 +2,9 @@
 
 An `assert` in the package is a check that `python -O` removes, so
 preconditions are raised or reported instead.  A module-level import that
-nothing in its module reads is left over from a deletion.
+nothing in its module reads is left over from a deletion, and so is a
+top-level function or class that nothing in the package reads: a helper that
+only tests call belongs in the tests.
 """
 
 import ast
@@ -36,6 +38,34 @@ def unused_imports(tree):
     return {name: line for name, line in bound.items() if name not in read}
 
 
+def read_names(node):
+    """Names that node reads, as a bare name or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def unread_definitions(trees):
+    """Top-level functions and classes that the package reads nowhere but in
+    their own definition; trees maps a module name to its parsed source."""
+    defs = {
+        stmt.name: (f"{module}:{stmt.lineno}", stmt)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    read = {
+        name
+        for tree in trees.values()
+        for stmt in tree.body
+        for name in read_names(stmt)
+        if name in defs and defs[name][1] is not stmt
+    }
+    return {name: defs[name][0] for name in defs if name not in read}
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "drivers.py", "grid.py"}
 
@@ -47,6 +77,12 @@ def test_detects_both_faults():
     )
     assert assert_lines(tree) == [4]
     assert unused_imports(tree) == {"dataclass": 1}
+    # a call from another definition counts as a read, recursion does not
+    helpers = ast.parse(
+        "def used():\n    return 1\n"
+        "def orphan(n):\n    return orphan(n - 1) if n else used()\n"
+    )
+    assert unread_definitions({"m": helpers}) == {"orphan": "m:3"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -59,3 +95,9 @@ def test_no_assert_statements(path):
 def test_no_unused_module_imports(path):
     unused = unused_imports(parse(path))
     assert unused == {}, f"{path.name}: unused imports {unused}"
+
+
+def test_every_definition_is_read():
+    trees = {path.name: parse(path) for path in MODULES}
+    unread = unread_definitions(trees)
+    assert unread == {}, f"definitions nothing in the package reads: {unread}"

@@ -46,22 +46,22 @@ def dense_be_solve(Z, ds):
     for i in range(n):
         for j in range(n):
             sides = (i == 0) + (i == n - 1) + (j == 0) + (j == n - 1)
-            rhs[i, j] = Z.interior[i, j] / ds + sides * Z.g / h2
+            rhs[i, j] = Z.interior[i, j] / ds + sides * Z.grid.g / h2
     sol = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel())
     return sol.reshape(n, n)
 
 
-def single_node_field(value, g=1.0):
-    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2
+def single_node_field(value):
+    # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
-    return Field(grid=grid, interior=np.array([[value]]), g=g)
+    return Field(grid=grid, interior=np.array([[value]]))
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     rng = np.random.default_rng(seed)
     grid = Grid(A, N)
     n = N - 1
-    return Field(grid=grid, interior=rng.uniform(lo, hi, (n, n)), g=1.0 / A)
+    return Field(grid=grid, interior=rng.uniform(lo, hi, (n, n)))
 
 
 class TestDirichletSolver:
@@ -105,14 +105,14 @@ class TestPicardStep:
         assert rep.picard_iters == 1
         assert rep.converged
         # the step solves for the deviation from the boundary value g
-        g = Z.g
+        g = Z.grid.g
         one_solve = g + DirichletSolver(Z.grid, ds).solve((Z.interior - g) / ds)
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
         grid = Grid(0.6, 4)
-        g = 1.0 / 0.6
-        Z = Field(grid=grid, interior=np.full((3, 3), g), g=g)
+        g = grid.g
+        Z = Field(grid=grid, interior=np.full((3, 3), g))
         rep = picard_implicit_step(Z, 1e-3, 0.0)
         assert np.max(np.abs(rep.next.interior - g)) < 1e-13
 
@@ -137,8 +137,8 @@ class TestPicardStep:
         built from reciprocal_K rather than by the step itself."""
         K = reciprocal_K(Y)
         source = lam / (Y.interior ** 2 * K * K)
-        rhs = (Z.interior - Z.g) / ds - source
-        return Z.g + DirichletSolver(Z.grid, ds).solve(rhs)
+        rhs = (Z.interior - Z.grid.g) / ds - source
+        return Z.grid.g + DirichletSolver(Z.grid, ds).solve(rhs)
 
     def assert_certified(self, Z, rep, ds, lam):
         assert rep.converged
@@ -327,9 +327,9 @@ class TestDescentOracle:
         assert np.max(np.abs(got.interior - want)) < 1e-10
 
     def test_single_node_against_grid_search(self):
-        Z = single_node_field(1.0, g=1.0)
+        Z = single_node_field(1.0)
         ds, lam = 1e-3, 1.0
-        A, h, g, z = Z.grid.A, Z.grid.h, Z.g, Z.interior[0, 0]
+        A, h, g, z = Z.grid.A, Z.grid.h, Z.grid.g, Z.interior[0, 0]
 
         def J(y):
             # gradient part: four node-boundary edges; K = 1 + A^2 h^2 / y
