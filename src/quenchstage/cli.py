@@ -15,8 +15,10 @@ numbers and values the run configs reject (among them an A0 without a
 representable float grid and a grid above MAX_N intervals) are configuration
 errors (exit 2).  Numerical failures, a stage that starts at or below its
 trigger threshold after a transfer among them, exit 3; failed verify suites
-exit 1 and unknown suite names exit 2.  Any other exception is an internal
-error: main prints "internal error:" and the traceback to stderr and exits 4.
+exit 1.  An unknown suite name is an argparse usage error, so main raises
+SystemExit(2), as for any other bad argument.  Any other exception is an
+internal error: main prints "internal error:" and the traceback to stderr and
+exits 4.
 
 Output goes to the directory named by QUENCHSTAGE_OUT (default: current
 directory), created before the run starts; a path that cannot be a
@@ -52,8 +54,8 @@ from .drivers import (
     run_direct,
     run_stagewise,
 )
-from .stepper import PICARD_TOL, STOP_MARGIN
-from .verify import run_suite
+from .stepper import PICARD_TOL, SEED_ORDER, STOP_MARGIN
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -81,8 +83,9 @@ DIRECT_KEYS: dict[str, type] = {
 }
 
 CONVENTIONS = {
-    "picard_seed": "cubic extrapolation through the last 4 accepted states of "
-    "the stage or direct run (lower degree while fewer exist)",
+    "picard_seed": f"degree-{SEED_ORDER} extrapolation through the last "
+    f"{SEED_ORDER + 1} accepted states of the stage or direct run (lower "
+    "degree while fewer exist)",
     "nonlocal_term": "recomputed from the full iterate each Picard sweep",
     "picard_stop": "once ds * max|f(Y) - f(Y_prev)|, a bound on the next "
     "sweep's move by the maximum principle (||L^-1|| <= ds), is below "
@@ -291,11 +294,7 @@ def cmd_direct(config_path: str) -> int:
 
 
 def cmd_verify(suite: str) -> int:
-    try:
-        checks = run_suite(suite)
-    except KeyError:
-        print(f"unknown suite '{suite}'", file=sys.stderr)
-        return EXIT_CONFIG
+    checks = run_suite(suite)
     all_passed = all(c.passed for c in checks)
     payload = {
         "suite": suite,
@@ -318,11 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_direct = sub.add_parser("direct", help="run the fixed-domain check")
     p_direct.add_argument("--config", required=True, help="key = value config file")
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument(
-        "suite",
-        help="one of: green, unisolvence, edge, laplace, dissipation, "
-        "oracle, changevar, all",
-    )
+    p_verify.add_argument("suite", choices=[*SUITES, "all"], help="suite to run")
     return parser
 
 

@@ -13,8 +13,10 @@ the fractional event step included in s*_m.
 run_stage gates every stage start: a state whose minimum is not above the
 threshold (nonpositive or NaN included) cannot trigger, and after a transfer
 that is a numerical failure.  Each stage start and end is evaluated once, in
-run_stage; a switch row of the defect ledger pairs the end energy of one stage
-record with the start energy of the next.
+run_stage, and the run summary is read off the stage records: E0 is the first
+record's start energy, a switch row of the defect ledger pairs the end energy
+of one record with the start energy of the next, and the window areas come
+from each record's h and N.
 
 The direct driver evolves the physical deficit v = 1 - u on the unit square.
 That is stage 0 at amplitude 1: the rescaled square is then the unit square
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -103,6 +106,8 @@ class StagewiseConfig:
             raise ValueError("ds must be positive")
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if self.k > sys.float_info.max:  # the threshold k^(-2/3) needs a float k
+            raise ValueError("k is larger than the largest float")
         if self.max_stages < 0 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 0 and step_cap positive")
         # rejects A0 <= 0, N0 < 2 and an A0 whose h^2 is no positive float;
@@ -289,7 +294,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
             f"stage {state.m} starts at or below the trigger threshold: "
             f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
         )
-    A, h = Z.grid.A, Z.grid.h
+    A = Z.grid.A
     start = discrete_energy(Z, cfg.lam)
 
     steps = _march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
@@ -331,8 +336,8 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         m=state.m,
         A=A,
         N=Z.grid.N,
-        h=h,
-        A2h2=A * A * h * h,
+        h=Z.grid.h,
+        A2h2=Z.grid.A2h2,
         scaled_time=s_star,
         min_W=min_W,
         accumulated_time=state.t + s_star * A ** 3,
@@ -354,39 +359,35 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     """Execute the full stagewise run and assemble all diagnostics."""
     Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-    E0 = discrete_energy(Z, cfg.lam).total
-    ledger = DefectLedger(lam=cfg.lam)
     records: list[StageRecord] = []
-    areas: list[float] = []
-
     t = 0.0
     for m in range(cfg.max_stages):
         if m:
             Z, t = prolong_stage(event, cfg.k), records[-1].accumulated_time
-        areas.append(Z.grid.h ** 2 * Z.grid.node_count)
         record, event = run_stage(StageState(m=m, Z=Z, t=t), cfg)
-        if m:
-            # the switch pairs the previous stage's end with this start; the
-            # raw transfer is inserted unchanged, so E_id is E_start
-            E_end = records[-1].E_end
-            delta, eps = switch_jump(E_end, record.E_start)
-            ledger.append(
-                DefectRow(
-                    m_from=m - 1,
-                    m_to=m,
-                    E_end=E_end,
-                    E_id=record.E_start,
-                    E_start=record.E_start,
-                    delta_sw=delta,
-                    eps_sw=eps,
-                    eps_out=0.0,
-                )
-            )
         records.append(record)
 
+    E0 = records[0].E_start if records else discrete_energy(Z, cfg.lam).total
+    ledger = DefectLedger(lam=cfg.lam)
+    for end, start in itertools.pairwise(records):
+        # the raw transfer is inserted unchanged, so E_id is E_start
+        delta, eps = switch_jump(end.E_end, start.E_start)
+        ledger.append(
+            DefectRow(
+                m_from=end.m,
+                m_to=start.m,
+                E_end=end.E_end,
+                E_id=start.E_start,
+                E_start=start.E_start,
+                delta_sw=delta,
+                eps_sw=eps,
+                eps_out=0.0,
+            )
+        )
+    areas = [r.h ** 2 * (r.N + 1) ** 2 for r in records]
     continuation = (
         continuation_check(E0, ledger, areas, cfg.lam, full_domain=True)
-        if areas
+        if records
         else None
     )
     return RunReport(

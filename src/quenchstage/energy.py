@@ -78,8 +78,7 @@ def reciprocal_K(Y: Field) -> float:
     """
     if Y.min_interior() <= 0.0:
         return math.inf
-    A, h = Y.grid.A, Y.grid.h
-    return 1.0 + A * A * h * h * float(np.sum(1.0 / Y.interior))
+    return 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / Y.interior))
 
 
 def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:

@@ -3,9 +3,10 @@
 Every run works in one frame: a stage lattice is Grid(A, N), the frozen
 amplitude A and the interval count N.  Everything else follows from them:
 the rescaled square [-L, L]^2 with L = 1/(2 A^(3/2)), the mesh h = 2L/N,
-the stage boundary value 1/A and the A^2 weights of the energy.  The physical
-unit square of the direct run and of the change-of-variables checks is the
-A = 1 case: L = 1/2 and h = 1/N.
+the stage boundary value 1/A and the A^2 weights of the energy; A2h2 =
+A^2 h^2, the weight of the reciprocal sum in K, is written only here.  The
+physical unit square of the direct run and of the change-of-variables checks
+is the A = 1 case: L = 1/2 and h = 1/N.
 
 A Field stores only the interior nodal values on its Grid; the constant
 Dirichlet boundary value is the grid's g = 1/A, and the flat extension Y_flat
@@ -65,6 +66,11 @@ class Grid:
         """The constant Dirichlet boundary value 1/A."""
         return 1.0 / self.A
 
+    @property
+    def A2h2(self) -> float:
+        """The weight A^2 h^2 of the reciprocal sum in K."""
+        return self.A * self.A * self.h * self.h
+
     def nodes_1d(self) -> np.ndarray:
         """All node coordinates along one axis, boundary included."""
         return np.arange(self.N + 1) * self.h - self.L
@@ -75,10 +81,6 @@ class Grid:
     @property
     def interior_count(self) -> int:
         return (self.N - 1) ** 2
-
-    @property
-    def node_count(self) -> int:
-        return (self.N + 1) ** 2
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ The operator (I/ds - Lap_h) with zero Dirichlet data is inverted by
 sine-basis diagonalization, set up once per (grid, ds) and reused across
 Picard sweeps and across steps.  Values are clipped at CLIP only inside
 reciprocal evaluations.  The clipped source f(Y) = lam/(Yc^2 K(Yc)^2), with K
-from the full iterate, is evaluated once per iterate and carried into the
-next sweep.
+from the full iterate, is nonlocal_source, evaluated once per iterate and
+carried into the next sweep; the Euler-Lagrange residual adds the same
+function.
 
 The stop is certified without a confirming solve.  L = I/ds - Lap_h is an
 M-matrix whose row sums are at least 1/ds, so ||L^-1||_inf <= ds (the
@@ -34,7 +35,9 @@ at the start of a run or stage), evaluated one step ahead (Fischer 1998),
 which roughly halves the sweeps per step; the step converges to the same
 fixed point from either start.  Besides the new state the step returns
 E(next) and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}, the two
-numbers the stage loop's energy ledger needs.
+numbers the stage loop's energy ledger needs.  The penalty is
+movement_penalty, which the oracle's objective and the dissipation check
+also call.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, inner_product, laplacian_5pt
-from .energy import discrete_energy, reciprocal_K
+from .energy import discrete_energy
 
 # Degree of the Picard seed polynomial.  Degree 5 halves the sweeps again but
 # keeps six grid-sized states alive per stage; 3 keeps four.
@@ -118,6 +121,21 @@ class DirichletSolver:
         return S @ ((S @ rhs @ S) * self._inv) @ S
 
 
+def nonlocal_source(Y: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
+    """The source lam/(Yc^2 K(Yc)^2) of the interior values Y on grid, with
+    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc."""
+    Yc = np.maximum(Y, CLIP)
+    K = 1.0 + grid.A2h2 * float(np.sum(1.0 / Yc))
+    return lam / (Yc * Yc * K * K)
+
+
+def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
+    """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} on Z's grid."""
+    A = Z.grid.A
+    diff = Y.interior - Z.interior
+    return (A * A / (2.0 * ds)) * inner_product(diff, diff, Z.grid.h)
+
+
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
     """Picard start for the next step from the last accepted states.
 
@@ -167,16 +185,10 @@ def picard_implicit_step(
     if solver.ds != ds:
         raise ValueError("solver ds does not match the step size")
 
-    A, h, g = Z.grid.A, Z.grid.h, Z.grid.g
+    g = Z.grid.g
     base_rhs = (Z.interior - g) / ds
-
-    def source(Y: np.ndarray) -> np.ndarray:
-        Yc = np.maximum(Y, CLIP)
-        K = 1.0 + A * A * h * h * float(np.sum(1.0 / Yc))
-        return lam / (Yc * Yc * K * K)
-
     Y = seed.interior if seed is not None else Z.interior
-    F = source(Y)
+    F = nonlocal_source(Y, Z.grid, lam)
     iters = 0
     converged = False
     for _ in range(PICARD_MAX):
@@ -184,7 +196,7 @@ def picard_implicit_step(
         # live grid arrays set large-N peak memory
         Y = g + solver.solve(base_rhs - F)
         iters += 1
-        F_new = source(Y)
+        F_new = nonlocal_source(Y, Z.grid, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
@@ -193,22 +205,20 @@ def picard_implicit_step(
             break
 
     nxt = Z.with_interior(Y)
-    diff = Y - Z.interior
     return StepReport(
         next=nxt,
         picard_iters=iters,
         converged=converged,
         energy=discrete_energy(nxt, lam).total,
-        penalty=(A * A / (2.0 * ds)) * inner_product(diff, diff, h),
+        penalty=movement_penalty(nxt, Z, ds),
     )
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
-    K = reciprocal_K(Y)
-    if math.isinf(K):
+    if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    source = lam / (Y.interior ** 2 * K * K)
+    source = nonlocal_source(Y.interior, Y.grid, lam)
     return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 
@@ -227,15 +237,11 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 
-    A, h = Z.grid.A, Z.grid.h
-    h2 = h * h
-    scale = A * A * h2
+    h, scale = Z.grid.h, Z.grid.A2h2
 
     def objective(Yarr: np.ndarray) -> float:
         cand = Z.with_interior(Yarr)
-        diff = Yarr - Z.interior
-        penalty = (A * A / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
-        return discrete_energy(cand, lam).total + penalty
+        return discrete_energy(cand, lam).total + movement_penalty(cand, Z, ds)
 
     Y = Z.interior.copy()
     alpha0 = ds / scale
@@ -246,7 +252,7 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
             return cand
         G = scale * R  # plain gradient of J
         JY = objective(Y)
-        gsq = h2 * float(np.sum(G * G))
+        gsq = inner_product(G, G, h)
         slack = 8.0 * np.finfo(float).eps * abs(JY)
         a = alpha0
         while True:

@@ -1,6 +1,7 @@
 """Config parsing, exit codes, file formats, and determinism of the CLI."""
 
 import json
+import math
 import os
 import re
 import stat
@@ -21,6 +22,7 @@ from quenchstage.cli import (
     parse_config,
 )
 from quenchstage import verify
+from quenchstage.stepper import SEED_ORDER
 
 STAGE_BASE = {
     "lambda": 20.0,
@@ -167,7 +169,8 @@ class TestStagewiseCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "stagewise"
         assert manifest["config"]["N0"] == 9
-        assert "picard_seed" in manifest["conventions"]
+        seed = manifest["conventions"]["picard_seed"]
+        assert f"last {SEED_ORDER + 1} accepted states" in seed
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             assert digest == actual
@@ -353,7 +356,36 @@ class TestVerifyCommand:
         assert seed["measured"] <= seed["tolerance"]
 
     def test_unknown_suite_exit_code(self, capsys):
-        assert main(["verify", "spectral"]) == 2
+        # argparse rejects the name as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "spectral"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spectral'" in capsys.readouterr().err
+
+    def test_key_error_in_a_suite_is_internal(self, monkeypatch, capsys):
+        def broken():
+            raise KeyError("missing")
+
+        monkeypatch.setitem(verify.SUITES, "green", broken)
+        assert main(["verify", "green"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: KeyError")
+
+    def test_pass_rule_is_the_reported_bound(self):
+        # every check but the four that state their own rule passes exactly
+        # when its measured value is at most its reported tolerance
+        own_rule = {
+            "linf_le_l2_over_h",
+            "reference_matrix_condition",
+            "transfer_refinement_order",
+            "two_seed_uniqueness",
+        }
+        checks = verify.run_suite("all")
+        assert own_rule <= {c.name for c in checks}
+        for c in checks:
+            if c.name not in own_rule:
+                assert c.passed == (c.measured <= c.tolerance), c.name
+        assert verify._at_most("edge", 1e-12, 1e-12, "").passed
+        assert not verify._at_most("edge", math.nextafter(1e-12, 1.0), 1e-12, "").passed
 
 
 # the directory holding the quenchstage package, for fresh interpreters
@@ -497,6 +529,14 @@ def test_unwritable_output_file_exit_code(tmp_path, outdir, command, blocked):
     assert blocked in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(outdir.glob("*.tmp")) == []
+
+
+def test_k_beyond_float_range_exit_code(tmp_path, outdir, capsys):
+    cfg = write_cfg(tmp_path / "s.cfg", {**STAGE_BASE, "k": 10 ** 400})
+    assert main(["stagewise", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: k is larger than the largest float")
+    assert "Traceback" not in err
 
 
 def test_internal_error_exit_code(tmp_path, outdir, monkeypatch, capsys):

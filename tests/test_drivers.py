@@ -304,12 +304,14 @@ class TestStageTransition:
 
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig(max_stages=2))
-        # E0, then each stage's start and event once; the prolonged stage-1
-        # start is evaluated only by run_stage
-        assert [Y.grid.N for Y in calls] == [9, 9, 9, 18, 18]
-        assert calls[1] is calls[0]
-        E_start = discrete_energy(calls[3], report.config.lam).total
+        # each stage's start and event once, in run_stage; E0 and the switch
+        # rows are read off the records
+        assert [Y.grid.N for Y in calls] == [9, 9, 18, 18]
+        E_start = discrete_energy(calls[2], report.config.lam).total
         assert report.ledger.rows[0].E_start == E_start
+
+    def test_E0_is_the_first_start(self, reference_run):
+        assert reference_run.E0 == reference_run.records[0].E_start
 
 
 class TestRunStagewise:
@@ -418,11 +420,11 @@ class TestRunStagewise:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig())
-        # one E(next) per step, crossing steps included; a start and an
-        # event per stage; and E0
+        # one E(next) per step, crossing steps included, and a start and an
+        # event per stage; E0 is the stage-0 start
         stepped = sum(r.steps + 1 for r in report.records)
         stages = len(report.records)
-        assert len(calls) == stepped + 2 * stages + 1 == 628
+        assert len(calls) == stepped + 2 * stages == 627
 
     def test_switch_rows_come_from_records(self, reference_run):
         records, rows = reference_run.records, reference_run.ledger.rows

@@ -96,6 +96,8 @@ class TestGridConstruction:
                 assert grid.L == L
                 assert grid.h == 2.0 * L / N
                 assert grid.g == 1.0 / A
+                h = grid.h
+                assert grid.A2h2 == A * A * h * h
 
     def test_node_coordinates(self):
         grid = Grid(1.0, 4)

@@ -18,6 +18,8 @@ from quenchstage.stepper import (
     euler_lagrange_residual,
     extrapolated_seed,
     mm_oracle_step,
+    movement_penalty,
+    nonlocal_source,
     picard_implicit_step,
 )
 
@@ -247,6 +249,44 @@ class TestPicardStep:
         rep = picard_implicit_step(random_state(seed=14), ds, lam)
         assert len(calls) == 1
         assert calls[0] is rep.next
+
+
+class TestSourceAndPenalty:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_source_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        N, A, lam = int(rng.integers(3, 12)), float(rng.uniform(0.2, 2.0)), 20.0
+        Y = random_state(N=N, A=A, lo=1e-3, hi=3.0, seed=seed)
+        K = reciprocal_K(Y)
+        want = lam / (Y.interior ** 2 * K * K)
+        assert np.array_equal(nonlocal_source(Y.interior, Y.grid, lam), want)
+
+    def test_source_clips_small_values(self):
+        grid = Grid(1.0, 3)
+        Y = np.array([[1.0, -2.0], [0.0, 1e-20]])
+        Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
+        K = reciprocal_K(Field(grid=grid, interior=Yc))
+        assert np.array_equal(nonlocal_source(Y, grid, 3.0), 3.0 / (Yc ** 2 * K * K))
+
+    def test_penalty_matches_node_loop(self):
+        Z = random_state(N=5, A=1.3, seed=21)
+        Y = random_state(N=5, A=1.3, seed=22)
+        ds = 2e-3
+        h, n = Z.grid.h, Z.grid.N - 1
+        sq = sum(
+            h * h * (Y.interior[i, j] - Z.interior[i, j]) ** 2
+            for i in range(n) for j in range(n)
+        )
+        want = (1.3 * 1.3 / (2.0 * ds)) * sq
+        assert movement_penalty(Y, Z, ds) == pytest.approx(want, rel=1e-13)
+
+    def test_residual_rejects_nan_state(self):
+        Z = random_state(seed=23)
+        interior = Z.interior.copy()
+        interior[1, 1] = np.nan
+        Y = Z.with_interior(interior)
+        with pytest.raises(ValueError, match="vanishing branch"):
+            euler_lagrange_residual(Y, Z, 1e-3, 20.0)
 
 
 class TestExtrapolatedSeed:
