@@ -42,8 +42,9 @@ import sys
 import tempfile
 import traceback
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .drivers import (
@@ -63,24 +64,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
-STAGEWISE_KEYS: dict[str, type] = {
-    "lambda": float,
-    "u0_amplitude": float,
-    "A0": float,
-    "k": int,
-    "N0": int,
-    "ds": float,
-    "max_stages": int,
-}
-STAGEWISE_OPTIONAL: dict[str, type] = {"step_cap": int}
 
-DIRECT_KEYS: dict[str, type] = {
-    "lambda": float,
-    "N": int,
-    "dt": float,
-    "T": float,
-    "u0_amplitude": float,
-}
+def _config_keys(config: type) -> dict[str, type]:
+    """Config keys and value types of a run config, in field order: its
+    fields and annotations, with the `lam` field spelled `lambda`."""
+    hints = get_type_hints(config)
+    return {
+        ("lambda" if f.name == "lam" else f.name): hints[f.name]
+        for f in fields(config)
+    }
+
+
+STAGEWISE_KEYS = _config_keys(StagewiseConfig)
+STAGEWISE_OPTIONAL = {"step_cap": STAGEWISE_KEYS.pop("step_cap")}
+DIRECT_KEYS = _config_keys(DirectConfig)
 
 CONVENTIONS = {
     "picard_seed": f"degree-{SEED_ORDER} extrapolation through the last "

@@ -29,7 +29,11 @@ deficit quenches) is a numerical failure.
 Both drivers advance their state through one generator, _march: it owns the
 linear solver of the grid, starts each Picard step from extrapolated_seed
 over the run's last accepted states (the history restarts with every stage,
-since the grid changes) and raises on a step that does not converge.
+since the grid changes) and raises on a step that does not converge.  The
+step returns only the new state, so each loop evaluates what it records:
+run_stage the energy and the movement penalty of every completed step and
+the penalty of the crossing step, run_direct the energy of its start and
+of its final state.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .stepper import (
     DirichletSolver,
     StepReport,
     extrapolated_seed,
+    movement_penalty,
     picard_implicit_step,
 )
 
@@ -267,8 +272,7 @@ def _march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     solver = DirichletSolver(Z.grid, ds)
     history = deque([Z.interior], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
-        seed = Z.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(Z, ds, lam, solver, seed)
+        rep = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
         if not rep.converged:
             raise NumericalError(
                 f"{where}, step {step}: Picard did not converge within "
@@ -308,22 +312,23 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         hit = detect_trigger(prev, rep.next, thr)
         if hit is not None:
             break
-        if rep.energy > E_prev + 1e-12 * max(1.0, abs(E_prev)):
+        E_next = discrete_energy(rep.next, cfg.lam).total
+        if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
             increases += 1
             logger.warning(
                 "stage %d, step %d: energy increased by %.3e",
-                state.m, completed + 1, rep.energy - E_prev,
+                state.m, completed + 1, E_next - E_prev,
             )
-        dissipation += rep.penalty
+        dissipation += movement_penalty(rep.next, prev, cfg.ds)
         prev = rep.next
-        E_prev = rep.energy
+        E_prev = E_next
     else:
         raise StageRunawayError(
             f"stage {state.m}: no trigger within {cfg.step_cap} steps"
         )
 
     tau, event = hit
-    dissipation += tau * rep.penalty
+    dissipation += tau * movement_penalty(rep.next, prev, cfg.ds)
     s_star = (completed + tau) * cfg.ds
     end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
@@ -404,7 +409,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
     """Fixed-domain evolution of the physical deficit on the unit square,
     run as stage 0 at amplitude 1."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
-    E_start = E_end = discrete_energy(v, cfg.lam).total
+    E_start = discrete_energy(v, cfg.lam).total
     steps = _march(v, cfg.dt, cfg.lam, "direct run")
     for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
@@ -413,7 +418,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
                 f"direct run, step {j + 1}: the state left the positive cone "
                 f"(min v = {v.min_interior():.6e})"
             )
-        E_end = rep.energy
+    E_end = discrete_energy(v, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(
         config=cfg, E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v

@@ -6,10 +6,11 @@ iteration on the nonlocal source:
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
 with constant Dirichlet data g.  The frozen amplitude A and the boundary
-value g = 1/A are the ones of Z's grid; the step size ds and lam are plain
-arguments: the run configs validate them, and DirichletSolver rejects
-ds <= 0.  Since g is constant, Lap_h g = 0 and the step solves for the
-deviation Y - g, which vanishes on the boundary:
+value g = 1/A are the ones of Z's grid, the step size ds is the one of the
+DirichletSolver the step is given (which rejects ds <= 0), and lam is a
+plain argument the run configs validate.  Since g is constant, Lap_h g = 0
+and the step solves for the deviation Y - g, which vanishes on the
+boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
@@ -33,11 +34,11 @@ caller passes a seed.  The stage and direct drivers pass extrapolated_seed: the
 polynomial of degree SEED_ORDER through the run's last accepted states (fewer
 at the start of a run or stage), evaluated one step ahead (Fischer 1998),
 which roughly halves the sweeps per step; the step converges to the same
-fixed point from either start.  Besides the new state the step returns
-E(next) and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}, the two
-numbers the stage loop's energy ledger needs.  The penalty is
-movement_penalty, which the oracle's objective and the dissipation check
-also call.
+fixed point from either start.  The step returns the new state and its
+sweep count only; the energy E and the movement penalty
+(A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
+code that records them: the stage loop's ledger, the oracle's objective and
+the dissipation check.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -83,8 +84,6 @@ class StepReport:
     next: Field
     picard_iters: int
     converged: bool
-    energy: float  # E(next)
-    penalty: float  # (A^2/2ds)*||next - prev||^2_{2,h}
 
 
 class OracleStagnation(RuntimeError):
@@ -153,20 +152,16 @@ def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def picard_implicit_step(
-    Z: Field,
-    ds: float,
-    lam: float,
-    solver: DirichletSolver | None = None,
-    seed: Field | None = None,
+    Z: Field, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
 ) -> StepReport:
-    """One backward-Euler step of size ds with Picard iteration on the
+    """One backward-Euler step of size solver.ds with Picard iteration on the
     nonlocal source lam/(Y^2 K^2) at the amplitude A of Z's grid.
 
-    The optional solver must match (Z.grid, ds); passing one amortizes
-    its set-up over a whole stage.  The optional seed overrides the
-    default Picard start Y(0) = Z; the drivers pass extrapolated_seed, the
-    local-uniqueness checks a perturbed Z.  The start changes the number of
-    sweeps, not the stopping test.
+    The solver must be built on Z's grid; its ds is the step size, and one
+    solver serves a whole stage.  The optional seed, an interior array,
+    overrides the default Picard start Y(0) = Z; the drivers pass
+    extrapolated_seed, the local-uniqueness checks a perturbed Z.  The start
+    changes the number of sweeps, not the stopping test.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
     evaluates F_new = f(Y), the next sweep's source.  Since
@@ -178,16 +173,12 @@ def picard_implicit_step(
     """
     if not Z.is_admissible():
         raise ValueError("Picard step requires a positive previous state")
-    if solver is None:
-        solver = DirichletSolver(Z.grid, ds)
     if solver.grid != Z.grid:
         raise ValueError("solver grid does not match the state grid")
-    if solver.ds != ds:
-        raise ValueError("solver ds does not match the step size")
 
-    g = Z.grid.g
+    ds, g = solver.ds, Z.grid.g
     base_rhs = (Z.interior - g) / ds
-    Y = seed.interior if seed is not None else Z.interior
+    Y = seed if seed is not None else Z.interior
     F = nonlocal_source(Y, Z.grid, lam)
     iters = 0
     converged = False
@@ -203,14 +194,8 @@ def picard_implicit_step(
         if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
             converged = True
             break
-
-    nxt = Z.with_interior(Y)
     return StepReport(
-        next=nxt,
-        picard_iters=iters,
-        converged=converged,
-        energy=discrete_energy(nxt, lam).total,
-        penalty=movement_penalty(nxt, Z, ds),
+        next=Z.with_interior(Y), picard_iters=iters, converged=converged
     )
 
 

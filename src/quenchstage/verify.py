@@ -46,7 +46,12 @@ from .prolongation import (
     laplacian_cell,
     prolong_stage,
 )
-from .stepper import mm_oracle_step, movement_penalty, picard_implicit_step
+from .stepper import (
+    DirichletSolver,
+    mm_oracle_step,
+    movement_penalty,
+    picard_implicit_step,
+)
 from .drivers import StagewiseConfig, initial_rescaled_profile
 
 
@@ -237,7 +242,7 @@ def suite_oracle() -> list[CheckResult]:
     worst_gap = 0.0
     for _ in range(25):
         Z, ds, lam = _oracle_case(rng)
-        picard = picard_implicit_step(Z, ds, lam).next
+        picard = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam).next
         oracle = mm_oracle_step(Z, ds, lam)
         worst_gap = max(worst_gap, linf_norm(picard.interior - oracle.interior))
     results = [
@@ -246,7 +251,7 @@ def suite_oracle() -> list[CheckResult]:
     worst_l0 = 0.0
     for _ in range(5):
         Z, ds, _ = _oracle_case(rng)
-        picard = picard_implicit_step(Z, ds, 0.0).next
+        picard = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), 0.0).next
         oracle = mm_oracle_step(Z, ds, 0.0)
         worst_l0 = max(worst_l0, linf_norm(picard.interior - oracle.interior))
     results.append(
@@ -260,9 +265,9 @@ def suite_oracle() -> list[CheckResult]:
     for _ in range(20):
         Z, ds, lam = _oracle_case(rng)
         convex = convex and ds < Z.min_interior() ** 3 / (16.0 * lam)
-        from_z = picard_implicit_step(Z, ds, lam).next
-        seed = Z.with_interior(1.05 * Z.interior)
-        from_seed = picard_implicit_step(Z, ds, lam, seed=seed).next
+        solver = DirichletSolver(Z.grid, ds)
+        from_z = picard_implicit_step(Z, solver, lam).next
+        from_seed = picard_implicit_step(Z, solver, lam, 1.05 * Z.interior).next
         worst_seed = max(worst_seed, linf_norm(from_z.interior - from_seed.interior))
     results.append(
         CheckResult(

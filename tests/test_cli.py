@@ -1,5 +1,6 @@
 """Config parsing, exit codes, file formats, and determinism of the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from quenchstage.cli import (
     parse_config,
 )
 from quenchstage import verify
+from quenchstage.drivers import DirectConfig, StagewiseConfig
 from quenchstage.stepper import SEED_ORDER
 
 STAGE_BASE = {
@@ -95,6 +98,22 @@ class TestParseConfig:
         cfg = write_cfg(tmp_path / "a.cfg", DIRECT_BASE, ["just words"])
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config(cfg, DIRECT_KEYS)
+
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            (StagewiseConfig, {**STAGEWISE_KEYS, **STAGEWISE_OPTIONAL}),
+            (DirectConfig, DIRECT_KEYS),
+        ],
+        ids=["stagewise", "direct"],
+    )
+    def test_keys_are_the_config_fields(self, config, keys):
+        # the config keys are the run config's fields, `lam` spelled `lambda`
+        hints = typing.get_type_hints(config)
+        fields = [f.name for f in dataclasses.fields(config)]
+        assert [("lam" if key == "lambda" else key) for key in keys] == fields
+        assert list(keys.values()) == [hints[name] for name in fields]
+        assert set(keys.values()) <= {int, float}
 
     def test_optional_key_accepted(self, tmp_path):
         full = dict(STAGE_BASE)
@@ -503,6 +522,23 @@ def test_transfer_below_threshold_exit_code(tmp_path, outdir):
     assert "stage 1 starts at or below the trigger threshold" in proc.stderr
     assert "min W = 0.588583" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_transfer_undershoot_exit_code(tmp_path, outdir, capsys):
+    # a small A0 and a strong coupling: the prolonged stage-1 state dips
+    # below zero, far under k^(-2/3)
+    cfg = write_cfg(
+        tmp_path / "s.cfg",
+        {"lambda": 400.0, "u0_amplitude": 0.01, "A0": 0.05, "k": 2, "N0": 3,
+         "ds": 0.02, "max_stages": 2},
+    )
+    assert main(["stagewise", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: stage 1 starts at or below the trigger threshold: "
+        "min W = -6.68701"
+    )
+    assert "Traceback" not in err
 
 
 def test_undecodable_config_exit_code(tmp_path, outdir):

@@ -304,11 +304,19 @@ class TestStageTransition:
 
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig(max_stages=2))
-        # each stage's start and event once, in run_stage; E0 and the switch
-        # rows are read off the records
-        assert [Y.grid.N for Y in calls] == [9, 9, 18, 18]
-        E_start = discrete_energy(calls[2], report.config.lam).total
-        assert report.ledger.rows[0].E_start == E_start
+        lam = report.config.lam
+        # per stage, in run_stage: the start, each completed step once, then
+        # the event; E0 and the switch rows are read off the records
+        for r in report.records:
+            start, *stepped, event = calls[: r.steps + 2]
+            del calls[: r.steps + 2]
+            assert len(stepped) == r.steps
+            assert {Y.grid.N for Y in (start, *stepped, event)} == {r.N}
+            assert discrete_energy(start, lam).total == r.E_start
+            assert discrete_energy(event, lam).total == r.E_end
+            assert event.min_interior() == r.min_W
+        assert calls == []
+        assert report.ledger.rows[0].E_start == report.records[1].E_start
 
     def test_E0_is_the_first_start(self, reference_run):
         assert reference_run.E0 == reference_run.records[0].E_start
@@ -420,11 +428,11 @@ class TestRunStagewise:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig())
-        # one E(next) per step, crossing steps included, and a start and an
-        # event per stage; E0 is the stage-0 start
-        stepped = sum(r.steps + 1 for r in report.records)
+        # one E(next) per completed step, none for the crossing steps, and a
+        # start and an event per stage; E0 is the stage-0 start
+        completed = sum(r.steps for r in report.records)
         stages = len(report.records)
-        assert len(calls) == stepped + 2 * stages == 627
+        assert len(calls) == completed + 2 * stages == 623
 
     def test_switch_rows_come_from_records(self, reference_run):
         records, rows = reference_run.records, reference_run.ledger.rows
@@ -459,16 +467,45 @@ class TestRunStagewise:
 
         def rising(*args, **kwargs):
             calls.append(1)
-            rep = picard_implicit_step(*args, **kwargs)
-            return dataclasses.replace(rep, energy=rep.energy + len(calls))
+            eb = discrete_energy(*args, **kwargs)
+            return dataclasses.replace(eb, total=eb.total + len(calls))
 
-        monkeypatch.setattr("quenchstage.drivers.picard_implicit_step", rising)
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", rising)
         cfg = StagewiseConfig()
         with caplog.at_level(logging.WARNING, logger="quenchstage.drivers"):
             record, _ = run_stage(stage0_state(cfg), cfg)
         # every completed step rose; the crossing step is not scored
         assert record.energy_increases == record.steps == 139
         assert len(caplog.records) == record.steps
+
+    def test_dissipation_sum_from_recorded_states(self, monkeypatch):
+        # sum of (A^2/2ds)*||Y_{n+1} - Y_n||^2_{2,h} over the completed steps
+        # plus tau times the crossing step's penalty, by a loop over the nodes
+        states = []
+
+        def recording(Z, *args):
+            rep = picard_implicit_step(Z, *args)
+            states.append((Z, rep.next))
+            return rep
+
+        monkeypatch.setattr("quenchstage.drivers.picard_implicit_step", recording)
+        cfg = StagewiseConfig()
+        record, _ = run_stage(stage0_state(cfg), cfg)
+        assert len(states) == record.steps + 1
+        A, h, n = record.A, record.h, record.N - 1
+
+        def penalty(Y, Z):
+            sq = 0.0
+            for i in range(n):
+                for j in range(n):
+                    sq += h * h * (Y.interior[i, j] - Z.interior[i, j]) ** 2
+            return (A * A / (2.0 * cfg.ds)) * sq
+
+        *completed, (prev, crossing) = states
+        min_prev, min_next = prev.interior.min(), crossing.interior.min()
+        tau = (min_prev - THR) / (min_prev - min_next)
+        want = sum(penalty(Y, Z) for Z, Y in completed) + tau * penalty(crossing, prev)
+        assert record.dissipation_sum == pytest.approx(want, rel=1e-12)
 
     def test_empty_run(self):
         report = run_stagewise(StagewiseConfig(max_stages=0))
@@ -511,7 +548,7 @@ class TestRunDirect:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", recording)
         cfg = DirectConfig(T=0.0)
         run_direct(cfg)
-        [(v, _)] = starts
+        v, _ = starts[0]
         N, a = cfg.N, cfg.u0_amplitude
         assert v.grid == Grid(1.0, N)
         assert v.grid.g == 1.0
@@ -523,7 +560,7 @@ class TestRunDirect:
         for n in range(2, 600):
             assert Grid(1.0, n).h == 1.0 / n
 
-    def test_one_energy_evaluation_per_step(self, monkeypatch):
+    def test_two_energy_evaluations(self, monkeypatch):
         calls = []
 
         def counting(*args):
@@ -534,10 +571,12 @@ class TestRunDirect:
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
         cfg = DirectConfig(T=0.01)
         report = run_direct(cfg)
-        # E(start), then E(next) once per step; E_end is the last step's
-        assert len(calls) == cfg.steps + 1
-        assert report.E_end == discrete_energy(calls[-1], cfg.lam).total
-        assert report.min_v == calls[-1].min_interior()
+        # E(start) and E(final state), whatever the number of steps
+        assert cfg.steps == 20
+        start, end = calls
+        assert report.E_start == discrete_energy(start, cfg.lam).total
+        assert report.E_end == discrete_energy(end, cfg.lam).total
+        assert report.min_v == end.min_interior()
 
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))

@@ -59,6 +59,11 @@ def single_node_field(value):
     return Field(grid=grid, interior=np.array([[value]]))
 
 
+def step(Z, ds, lam, seed=None):
+    """One Picard step from Z with a solver built for it."""
+    return picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam, seed)
+
+
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     rng = np.random.default_rng(seed)
     grid = Grid(A, N)
@@ -103,7 +108,7 @@ class TestPicardStep:
         # next sweep's move is 0 after the first sweep
         Z = random_state(seed=5)
         ds, lam = 1e-3, 0.0
-        rep = picard_implicit_step(Z, ds, lam)
+        rep = step(Z, ds, lam)
         assert rep.picard_iters == 1
         assert rep.converged
         # the step solves for the deviation from the boundary value g
@@ -115,20 +120,20 @@ class TestPicardStep:
         grid = Grid(0.6, 4)
         g = grid.g
         Z = Field(grid=grid, interior=np.full((3, 3), g))
-        rep = picard_implicit_step(Z, 1e-3, 0.0)
+        rep = step(Z, 1e-3, 0.0)
         assert np.max(np.abs(rep.next.interior - g)) < 1e-13
 
     def test_source_free_matches_dense_oracle(self):
         Z = random_state(N=5, seed=6)
         ds, lam = 1e-3, 0.0
-        rep = picard_implicit_step(Z, ds, lam)
+        rep = step(Z, ds, lam)
         want = dense_be_solve(Z, ds)
         assert np.max(np.abs(rep.next.interior - want)) < 1e-11
 
     def test_converged_state_solves_euler_lagrange(self):
         Z = random_state(seed=7)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam)
+        rep = step(Z, ds, lam)
         assert rep.converged
         R = euler_lagrange_residual(rep.next, Z, ds, lam)
         assert np.max(np.abs(R)) < 1e-8
@@ -152,7 +157,7 @@ class TestPicardStep:
     def test_converged_state_is_a_certified_fixed_point(self):
         Z = random_state(seed=7)
         ds, lam = 1e-3, 20.0
-        self.assert_certified(Z, picard_implicit_step(Z, ds, lam), ds, lam)
+        self.assert_certified(Z, step(Z, ds, lam), ds, lam)
 
     def test_seeded_reference_step_is_a_certified_fixed_point(self):
         cfg = StagewiseConfig()
@@ -160,11 +165,10 @@ class TestPicardStep:
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
-            seed = Z.with_interior(extrapolated_seed(history))
-            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed).next
+            seed = extrapolated_seed(history)
+            Z = picard_implicit_step(Z, solver, cfg.lam, seed).next
             history.append(Z.interior)
-        seed = Z.with_interior(extrapolated_seed(history))
-        rep = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed)
+        rep = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
         self.assert_certified(Z, rep, cfg.ds, cfg.lam)
 
     def test_two_seeds_same_fixed_point(self):
@@ -172,9 +176,8 @@ class TestPicardStep:
         eta = Z.min_interior()
         ds, lam = 1e-3, 20.0
         assert ds < eta ** 3 / (16.0 * lam)
-        rep_a = picard_implicit_step(Z, ds, lam)
-        seed = Z.with_interior(1.05 * Z.interior)
-        rep_b = picard_implicit_step(Z, ds, lam, seed=seed)
+        rep_a = step(Z, ds, lam)
+        rep_b = step(Z, ds, lam, seed=1.05 * Z.interior)
         assert rep_a.converged and rep_b.converged
         assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
 
@@ -187,7 +190,7 @@ class TestPicardStep:
         # below the step bound the implicit minimizer stays positive
         # (min >= eta/2) and is locally unique
         bound = min(A * A * h * h * eta * eta / (8.0 * E), eta ** 3 / (16.0 * lam))
-        rep = picard_implicit_step(Z, 0.5 * bound, lam)
+        rep = step(Z, 0.5 * bound, lam)
         assert rep.converged
         assert rep.next.min_interior() >= 0.5 * eta
 
@@ -195,7 +198,7 @@ class TestPicardStep:
         ds, lam = 1e-3, 20.0
         for seed in range(5):
             Z = random_state(seed=20 + seed)
-            rep = picard_implicit_step(Z, ds, lam)
+            rep = step(Z, ds, lam)
             ref = mm_oracle_step(Z, ds, lam)
             assert np.max(np.abs(rep.next.interior - ref.interior)) < 1e-6
 
@@ -203,7 +206,7 @@ class TestPicardStep:
         monkeypatch.setattr(stepper, "PICARD_MAX", 1)
         Z = random_state(seed=10)
         ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam)
+        rep = step(Z, ds, lam)
         assert rep.picard_iters == 1
         assert not rep.converged
         assert rep.next.interior.shape == (3, 3)
@@ -212,32 +215,16 @@ class TestPicardStep:
         Z = random_state(seed=11)
         bad = Z.with_interior(Z.interior - 5.0)
         with pytest.raises(ValueError):
-            picard_implicit_step(bad, 1e-3, 20.0)
+            step(bad, 1e-3, 20.0)
 
     def test_rejects_mismatched_solver(self):
         Z = random_state(seed=12)
-        solver = DirichletSolver(Z.grid, 2e-3)
-        with pytest.raises(ValueError):
-            picard_implicit_step(Z, 1e-3, 20.0, solver=solver)
         other = DirichletSolver(Grid(0.6, 6), 1e-3)
-        with pytest.raises(ValueError):
-            picard_implicit_step(Z, 1e-3, 20.0, solver=other)
+        with pytest.raises(ValueError, match="solver grid"):
+            picard_implicit_step(Z, other, 20.0)
 
-    def test_dissipation_fields_recomputable(self):
-        Z = random_state(seed=13)
-        ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(Z, ds, lam)
-        assert rep.energy == discrete_energy(rep.next, lam).total
-        h2 = Z.grid.h ** 2
-        n = Z.grid.N - 1
-        sq = 0.0
-        for i in range(n):
-            for j in range(n):
-                sq += h2 * (rep.next.interior[i, j] - Z.interior[i, j]) ** 2
-        assert rep.penalty == pytest.approx((0.36 / (2.0 * ds)) * sq, rel=1e-13)
-        assert rep.penalty > 0.0
-
-    def test_one_energy_evaluation_per_step(self, monkeypatch):
+    def test_step_evaluates_no_energy(self, monkeypatch):
+        # the energy and the penalty are evaluated by the code that records them
         calls = []
 
         def counting(*args, **kwargs):
@@ -245,10 +232,10 @@ class TestPicardStep:
             return discrete_energy(*args, **kwargs)
 
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
-        ds, lam = 1e-3, 20.0
-        rep = picard_implicit_step(random_state(seed=14), ds, lam)
-        assert len(calls) == 1
-        assert calls[0] is rep.next
+        monkeypatch.setattr("quenchstage.stepper.movement_penalty", counting)
+        rep = step(random_state(seed=14), 1e-3, 20.0)
+        assert rep.converged
+        assert calls == []
 
 
 class TestSourceAndPenalty:
@@ -336,11 +323,10 @@ class TestExtrapolatedSeed:
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
-            Z = picard_implicit_step(Z, cfg.ds, cfg.lam, solver).next
+            Z = picard_implicit_step(Z, solver, cfg.lam).next
             history.append(Z.interior)
-        plain = picard_implicit_step(Z, cfg.ds, cfg.lam, solver)
-        seed = Z.with_interior(extrapolated_seed(history))
-        seeded = picard_implicit_step(Z, cfg.ds, cfg.lam, solver, seed)
+        plain = picard_implicit_step(Z, solver, cfg.lam)
+        seeded = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
         assert plain.converged and seeded.converged
         assert seeded.picard_iters < plain.picard_iters
         gap = np.max(np.abs(seeded.next.interior - plain.next.interior))
