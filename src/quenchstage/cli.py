@@ -243,16 +243,13 @@ def _stagewise_files(report: RunReport, outdir: Path) -> list[Path]:
     )
 
     ledger = outdir / "ledger.json"
-    continuation = None
-    if report.continuation is not None:
-        continuation = _lower_keys(asdict(report.continuation))
     payload = {
         "e0": report.E0,
         "d_star": report.ledger.D_star,
         "rows": [asdict(r) for r in report.ledger.rows],
         "stages": [asdict(r) for r in report.records],
         "areas": report.areas,
-        "continuation": continuation,
+        "continuation": _lower_keys(asdict(report.continuation)),
         "manifest": "manifest.json",
     }
     _write_atomic(ledger, json.dumps(payload, indent=2) + "\n")
@@ -282,7 +279,6 @@ def cmd_direct(config_path: str) -> int:
     outdir = _outdir()
     report = run_direct(cfg)
     payload = _lower_keys(asdict(report))
-    del payload["config"]
     path = outdir / "direct.json"
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
     _write_manifest(outdir, "direct", values, [path])

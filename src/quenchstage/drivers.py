@@ -113,8 +113,8 @@ class StagewiseConfig:
             raise ValueError("k must be at least 2")
         if self.k > sys.float_info.max:  # the threshold k^(-2/3) needs a float k
             raise ValueError("k is larger than the largest float")
-        if self.max_stages < 0 or self.step_cap <= 0:
-            raise ValueError("max_stages must be >= 0 and step_cap positive")
+        if self.max_stages < 1 or self.step_cap <= 0:
+            raise ValueError("max_stages must be >= 1 and step_cap positive")
         # rejects A0 <= 0, N0 < 2 and an A0 whose h^2 is no positive float;
         # h is the same on every stage, so the stage-0 grid stands for all
         Grid(self.A0, self.N0)
@@ -155,7 +155,10 @@ class DirectConfig:
             raise ValueError(f"grid N = {self.N} is above MAX_N = {MAX_N}")
         if not (0.0 < self.u0_amplitude < 1.0):
             raise ValueError("u0 amplitude must lie in (0, 1)")
-        if abs(self.T / self.dt - round(self.T / self.dt)) > 1e-9:
+        steps = self.T / self.dt
+        if not math.isfinite(steps):  # round() would raise OverflowError
+            raise ValueError(f"T/dt = {steps} is not a finite step count")
+        if abs(steps - round(steps)) > 1e-9:
             raise ValueError("T must be an integral multiple of dt")
 
     @property
@@ -200,7 +203,7 @@ class RunReport:
     records: list[StageRecord]
     ledger: DefectLedger
     areas: list[float]
-    continuation: CriterionReport | None
+    continuation: CriterionReport
 
     @property
     def transitions(self) -> list[DefectRow]:
@@ -210,7 +213,6 @@ class RunReport:
 
 @dataclass(frozen=True)
 class DirectReport:
-    config: DirectConfig
     E_start: float
     E_end: float
     min_v: float
@@ -288,7 +290,9 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
-    A start whose minimum is not above the threshold raises TransferError.
+    A start whose minimum is not above the threshold raises TransferError,
+    and a record with a non-finite float (an overflowed energy or penalty)
+    raises NumericalError.
     """
     Z = state.Z
     thr = cfg.threshold
@@ -358,6 +362,9 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         trigger_gap=gap,
         energy_increases=increases,
     )
+    nonfinite = [name for name, x in vars(record).items() if not math.isfinite(x)]
+    if nonfinite:
+        raise NumericalError(f"stage {state.m}: non-finite {', '.join(nonfinite)}")
     return record, event
 
 
@@ -372,12 +379,11 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
         record, event = run_stage(StageState(m=m, Z=Z, t=t), cfg)
         records.append(record)
 
-    E0 = records[0].E_start if records else discrete_energy(Z, cfg.lam).total
-    ledger = DefectLedger(lam=cfg.lam)
+    rows = []
     for end, start in itertools.pairwise(records):
         # the raw transfer is inserted unchanged, so E_id is E_start
         delta, eps = switch_jump(end.E_end, start.E_start)
-        ledger.append(
+        rows.append(
             DefectRow(
                 m_from=end.m,
                 m_to=start.m,
@@ -389,19 +395,16 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
                 eps_out=0.0,
             )
         )
+    E0 = records[0].E_start
+    ledger = DefectLedger(lam=cfg.lam, rows=rows)
     areas = [r.h ** 2 * (r.N + 1) ** 2 for r in records]
-    continuation = (
-        continuation_check(E0, ledger, areas, cfg.lam, full_domain=True)
-        if records
-        else None
-    )
     return RunReport(
         config=cfg,
         E0=E0,
         records=records,
         ledger=ledger,
         areas=areas,
-        continuation=continuation,
+        continuation=continuation_check(E0, ledger, areas, cfg.lam, full_domain=True),
     )
 
 
@@ -420,6 +423,4 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
             )
     E_end = discrete_energy(v, cfg.lam).total
     min_v = v.min_interior()
-    return DirectReport(
-        config=cfg, E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v
-    )
+    return DirectReport(E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v)

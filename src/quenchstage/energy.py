@@ -56,15 +56,12 @@ class DefectRow:
 
 @dataclass
 class DefectLedger:
-    """Append-only record of stage-switch defects."""
+    """The stage-switch defects of a run in switch order, and their budget
+    D*.  run_stagewise builds the rows from consecutive stage records with
+    eps_sw = max(delta, 0) and eps_out = 0, so no part is negative."""
 
     lam: float
     rows: list[DefectRow] = field(default_factory=list)
-
-    def append(self, row: DefectRow) -> None:
-        if row.eps_sw < 0.0 or row.eps_out < 0.0:
-            raise ValueError("defect parts must be nonnegative")
-        self.rows.append(row)
 
     @property
     def D_star(self) -> float:

@@ -161,14 +161,11 @@ def edge_consistency_check(end: Field) -> float:
 def laplace_compat_check(end: Field, k: int) -> float:
     """Max residual of the local Laplacian identity of the prolongation.
 
-    At fine nodes whose centered stencil stays inside one coarse cell, the
+    At fine nodes whose centered stencil stays inside one coarse cell (the
+    offsets l, r in {1..k-1}, so the cell centre alone for k = 2), the
     five-point Laplacian of the prolonged field equals k^(-4/3) times the
-    cell-polynomial Laplacian at the preimage.  Interior fine offsets
-    l, r in {1..k-1} require k >= 3; for k = 2 the identity is checked on a
-    synthetic refinement of the same end state with k = 4.
+    cell-polynomial Laplacian at the preimage.
     """
-    if k == 2:
-        k = 4
     fine = prolong_stage(end, k)  # rejects k < 2
     N = end.grid.N
     # fine Laplacian indexed by fine node (k*i + l, k*j + r); row/column 0

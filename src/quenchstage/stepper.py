@@ -34,11 +34,11 @@ caller passes a seed.  The stage and direct drivers pass extrapolated_seed: the
 polynomial of degree SEED_ORDER through the run's last accepted states (fewer
 at the start of a run or stage), evaluated one step ahead (Fischer 1998),
 which roughly halves the sweeps per step; the step converges to the same
-fixed point from either start.  The step returns the new state and its
-sweep count only; the energy E and the movement penalty
-(A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
-code that records them: the stage loop's ledger, the oracle's objective and
-the dissipation check.
+fixed point from either start.  The step returns only the new state, its
+sweep count and whether the stop was certified (StepReport); the energy E
+and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}
+(movement_penalty) are evaluated by the code that records them: the stage
+loop's ledger, the oracle's objective and the dissipation check.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by

@@ -454,6 +454,28 @@ def test_direct_quench_exit_code(tmp_path, outdir, key, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("dt, T", [(5e-324, 1.0), (1e-300, 1e10)])
+def test_non_finite_step_count_exit_code(tmp_path, outdir, capsys, dt, T):
+    # every value is finite, but T/dt overflows to inf
+    cfg = write_cfg(tmp_path / "d.cfg", dict(DIRECT_BASE, dt=dt, T=T))
+    assert main(["direct", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: T/dt = inf is not a finite step count")
+    assert "Traceback" not in err
+
+
+def test_overflowed_stage_record_exit_code(tmp_path, outdir):
+    # the crossing step's penalty overflows before it is scaled by tau;
+    # a subprocess, since the overflow warning is an error under pytest
+    huge = dict(STAGE_BASE, **{"lambda": 1e300})
+    cfg = write_cfg(tmp_path / "s.cfg", huge)
+    proc = run_python("-m", "quenchstage", "stagewise", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: stage 0: non-finite dissipation_sum" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (outdir / "ledger.json").exists()
+
+
 def test_start_below_threshold_exit_code(tmp_path, outdir):
     # the stage-0 profile must start above k^(-2/3) for a trigger to exist
     low = dict(STAGE_BASE)

@@ -81,7 +81,7 @@ class TestStagewiseConfig:
         with pytest.raises(ValueError, match=above):
             StagewiseConfig(max_stages=9)
         with pytest.raises(ValueError, match=r"N = N0\*k\^0 = 1153"):
-            StagewiseConfig(N0=1153, max_stages=0)
+            StagewiseConfig(N0=1153, max_stages=1)
 
     def test_rejects_huge_stage_count_quickly(self):
         # k^(max_stages - 1) is never formed: 2^(10^9) has 10^9 bits
@@ -507,12 +507,18 @@ class TestRunStagewise:
         want = sum(penalty(Y, Z) for Z, Y in completed) + tau * penalty(crossing, prev)
         assert record.dissipation_sum == pytest.approx(want, rel=1e-12)
 
-    def test_empty_run(self):
-        report = run_stagewise(StagewiseConfig(max_stages=0))
-        assert report.records == []
-        assert report.transitions == []
-        assert report.continuation is None
-        assert report.E0 == pytest.approx(10.3614604375, rel=1e-6)
+    def test_empty_run(self, monkeypatch, tmp_path, capsys):
+        # every run has a stage 0: E0 and the continuation test read it
+        with pytest.raises(ValueError, match="max_stages must be >= 1"):
+            StagewiseConfig(max_stages=0)
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(tmp_path / "out"))
+        text = (CONFIGS / "stagewise.cfg").read_text()
+        path = tmp_path / "s.cfg"
+        path.write_text(text.replace("max_stages = 4", "max_stages = 0"))
+        assert main(["stagewise", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: max_stages must be >= 1")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunDirect:
@@ -583,10 +589,11 @@ class TestRunDirect:
         assert report.E_end < report.E_start
 
     def test_zero_horizon_is_identity(self):
-        report = run_direct(DirectConfig(T=0.0))
+        cfg = DirectConfig(T=0.0)
+        report = run_direct(cfg)
         assert report.E_end == report.E_start
         # initial minimum from a direct loop over the nodes
-        N = report.config.N
+        N = cfg.N
         vals = []
         for i in range(1, N):
             for j in range(1, N):

@@ -129,16 +129,10 @@ class TestDefectLedger:
         )
 
     def test_budget_accumulates(self):
-        ledger = DefectLedger(lam=20.0)
-        assert ledger.D_star == 0.0
-        ledger.append(self.make_row(eps_sw=0.5))
-        ledger.append(self.make_row(eps_sw=0.25, eps_out=0.1))
+        assert DefectLedger(lam=20.0).D_star == 0.0
+        rows = [self.make_row(eps_sw=0.5), self.make_row(eps_sw=0.25, eps_out=0.1)]
+        ledger = DefectLedger(lam=20.0, rows=rows)
         assert ledger.D_star == pytest.approx(0.75 + 20.0 * 0.1, rel=1e-14)
-
-    def test_negative_parts_rejected(self):
-        ledger = DefectLedger(lam=20.0)
-        with pytest.raises(ValueError):
-            ledger.append(self.make_row(eps_sw=-0.1))
 
 
 class TestContinuationCheck:

@@ -269,19 +269,24 @@ class TestLaplaceCompat:
     def test_constant_field(self):
         assert laplace_compat_check(constant_end(), 2) < 1e-12
 
-    def test_factor_two_uses_synthetic_refinement(self):
-        # k = 2 has no strictly interior fine offsets, so the check runs a
-        # k = 4 refinement of the same end state; results must agree
+    def test_factor_two_checked_directly(self, monkeypatch):
+        # k = 2 checks its one fine node per cell, the cell centre, on the
+        # k = 2 prolongation itself
+        factors = []
+
+        def recording(end, k):
+            factors.append(k)
+            return prolong_stage(end, k)
+
+        monkeypatch.setattr("quenchstage.prolongation.prolong_stage", recording)
         rng = np.random.default_rng(28)
         grid = Grid(0.6, 8)
         Y = Field(
             grid=grid,
             interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
         )
-        r2 = laplace_compat_check(Y, 2)
-        r4 = laplace_compat_check(Y, 4)
-        assert r2 == pytest.approx(r4, rel=1e-12)
-        assert r2 < 1e-10
+        assert laplace_compat_check(Y, 2) < 1e-10
+        assert factors == [2]
 
     def test_reference_stage_end_state(self):
         event = reference_stage0_event()

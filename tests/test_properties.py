@@ -1,7 +1,8 @@
 """Every bounded config ends in a documented exit code, never a traceback.
 
 Configs are drawn over a small but rough space (any coupling, amplitude and
-step within the ranges below, up to three stages) and run through the CLI
+step within the ranges below, zero to three stages, zero being a config
+error) and run through the CLI
 entry point in process.  Success (0), a config error (2) and a numerical
 failure (3) are all acceptable outcomes; an internal error (4) is not.
 The number of examples comes from the Hypothesis profile (tests/conftest.py):
@@ -73,5 +74,9 @@ def test_stagewise_ends_in_documented_exit_code(workdir, values):
 
 
 @given(values=direct_configs())
+# T/dt overflows to inf: exit 2
+@example(
+    values={"lambda": 15.0, "N": 15, "dt": 5e-324, "T": 1.0, "u0_amplitude": 0.45}
+)
 def test_direct_ends_in_documented_exit_code(workdir, values):
     assert run(workdir, "direct", values) in OUTCOMES

@@ -396,6 +396,26 @@ class TestDescentOracle:
         with pytest.raises(ValueError):
             mm_oracle_step(Z, 1e-3, 1.0)
 
+    @pytest.mark.parametrize("ds", [0.2, 1.0])
+    def test_backtracking_stagnation_raises(self, ds):
+        # far above the verification step the trial steps are rejected and
+        # halved; the halving gives up below 1e-18, short of the target
+        Z = random_state(seed=16)
+        with pytest.raises(
+            stepper.OracleStagnation,
+            match="descent stagnated above the residual target",
+        ):
+            mm_oracle_step(Z, ds, 20.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(stepper, "ORACLE_MAX_ITERS", 1)
+        Z = random_state(seed=17)
+        with pytest.raises(
+            stepper.OracleStagnation,
+            match="descent did not reach the residual target",
+        ):
+            mm_oracle_step(Z, 1e-3, 20.0)
+
 
 class TestStepperConfig:
     def test_defaults(self):
