@@ -26,14 +26,11 @@ scheme (K = 1 + h^2 sum 1/v here).  It reports the energies at t = 0 and
 t = T plus the final minimum; a step that leaves the positive cone (the
 deficit quenches) is a numerical failure.
 
-Both drivers advance their state through one generator, _march: it owns the
-linear solver of the grid, starts each Picard step from extrapolated_seed
-over the run's last accepted states (the history restarts with every stage,
-since the grid changes) and raises on a step that does not converge.  The
-step returns only the new state, so each loop evaluates what it records:
-run_stage the energy and the movement penalty of every completed step and
-the penalty of the crossing step, run_direct the energy of its start and
-of its final state.
+Both drivers advance their state through stepper.march, which owns the
+linear solver, the Picard seeds and the non-convergence error, so each loop
+evaluates only what it records: run_stage the energy and the movement
+penalty of every completed step and the penalty of the crossing step,
+run_direct the energy of its start and of its final state.
 """
 
 from __future__ import annotations
@@ -42,9 +39,7 @@ import itertools
 import logging
 import math
 import sys
-from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,20 +53,9 @@ from .energy import (
     switch_jump,
 )
 from .prolongation import prolong_stage
-from .stepper import (
-    SEED_ORDER,
-    DirichletSolver,
-    StepReport,
-    extrapolated_seed,
-    movement_penalty,
-    picard_implicit_step,
-)
+from .stepper import NumericalError, march, movement_penalty
 
 logger = logging.getLogger(__name__)
-
-
-class NumericalError(RuntimeError):
-    """A run failed numerically (non-convergence, runaway, bad transfer)."""
 
 
 class StageRunawayError(NumericalError):
@@ -90,6 +74,18 @@ class TransferError(NumericalError):
 # N = 1152 adds about 70 s by the O(N^3) cost of the dense solve.
 MAX_N = 1152
 
+# Most steps a run may take: a stage's default step cap and the bound on a
+# direct run's T/dt (10^6 steps at the direct N = 15 take 70 s on 2 vCPUs).
+MAX_STEPS = 1_000_000
+
+
+def _reject_nonfinite(cfg: object) -> None:
+    """Reject a run config with a NaN or infinite float field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} = {value} is not finite")
+
 
 @dataclass(frozen=True)
 class StagewiseConfig:
@@ -100,9 +96,10 @@ class StagewiseConfig:
     N0: int = 9
     ds: float = 1e-3
     max_stages: int = 4
-    step_cap: int = 1_000_000
+    step_cap: int = MAX_STEPS
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self)
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
         if not (0.0 < self.u0_amplitude < 1.0):
@@ -149,6 +146,7 @@ class DirectConfig:
     u0_amplitude: float = 0.45
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self)
         if self.lam < 0.0 or self.N < 2 or self.dt <= 0.0 or self.T < 0.0:
             raise ValueError("invalid direct-run parameters")
         if self.N > MAX_N:
@@ -160,6 +158,8 @@ class DirectConfig:
             raise ValueError(f"T/dt = {steps} is not a finite step count")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("T must be an integral multiple of dt")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"T/dt = {self.steps} steps, above {MAX_STEPS = }")
 
     @property
     def steps(self) -> int:
@@ -263,28 +263,6 @@ def detect_trigger(
     return tau, event
 
 
-def _march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
-    """Seeded backward-Euler + Picard steps of size ds from Z at the amplitude
-    of its grid, lazily.
-
-    Yields one converged step report per step, each starting from the
-    previous report's state; a step that does not converge raises a
-    NumericalError naming where (the stage or the direct run) and the step.
-    """
-    solver = DirichletSolver(Z.grid, ds)
-    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
-    for step in itertools.count(1):
-        rep = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
-        if not rep.converged:
-            raise NumericalError(
-                f"{where}, step {step}: Picard did not converge within "
-                f"{rep.picard_iters} sweeps"
-            )
-        yield rep
-        Z = rep.next
-        history.append(Z.interior)
-
-
 def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Field]:
     """Advance one fixed stage until the trigger fires.
 
@@ -305,7 +283,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     A = Z.grid.A
     start = discrete_energy(Z, cfg.lam)
 
-    steps = _march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
+    steps = march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
     prev = Z
     E_prev = start.total
     sweeps = 0
@@ -413,7 +391,7 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
     run as stage 0 at amplitude 1."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
     E_start = discrete_energy(v, cfg.lam).total
-    steps = _march(v, cfg.dt, cfg.lam, "direct run")
+    steps = march(v, cfg.dt, cfg.lam, "direct run")
     for j, rep in zip(range(cfg.steps), steps):
         v = rep.next
         if not v.is_admissible():

@@ -127,7 +127,9 @@ def continuation_check(
     """Evaluate the bounded-window continuation inequality E0 + D* < lam*q*/2.
 
     areas are the window measures |Q| per stage, q = 1 for |Q| <= 1/2 and
-    1/(2|Q|) otherwise, q* their infimum.  The verdict only carries weight
+    1/(2|Q|) otherwise, q* their infimum.  run_stagewise passes the nodal
+    measure h^2 (N+1)^2 of each stage grid; at fixed h it grows by
+    ((kN+1)/(N+1))^2 per stage.  The verdict only carries weight
     when the windows stay uniformly bounded; growing-window (full-domain)
     runs are reported but flagged as outside the hypothesis.
     """

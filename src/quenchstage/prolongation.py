@@ -61,12 +61,13 @@ def basis_row(theta: float, zeta: float) -> np.ndarray:
 
 
 def laplacian_row(theta: float, zeta: float) -> np.ndarray:
-    """Laplacian of each basis monomial at (theta, zeta), in local units."""
-    tz = 6.0 * theta * zeta
-    return np.array(
-        [0.0, 0.0, 0.0, 2.0, 0.0, 2.0,
-         6.0 * theta, 2.0 * zeta, 2.0 * theta, 6.0 * zeta, tz, tz]
-    )
+    """Laplacian p(p-1) theta^(p-2) zeta^q + q(q-1) theta^p zeta^(q-2) of
+    each basis monomial at (theta, zeta), in local units."""
+    return np.array([
+        p * (p - 1) * theta ** max(p - 2, 0) * zeta ** q
+        + q * (q - 1) * theta ** p * zeta ** max(q - 2, 0)
+        for p, q in BASIS_EXPONENTS
+    ], dtype=float)
 
 
 def _reference_matrix() -> np.ndarray:

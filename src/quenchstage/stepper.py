@@ -29,16 +29,17 @@ the source f(Y_prev), the next sweep would move Y by exactly
 L^-1 (f(Y_prev) - f(Y)), hence by at most ds*max|f(Y) - f(Y_prev)|.  The step
 ends once that bound is below STOP_MARGIN*PICARD_TOL*max(1, max|Y|) (at most
 PICARD_MAX sweeps); f(Y) - f(Y_prev) is also the Euler-Lagrange residual of
-Y, which the margin keeps small.  The iteration starts from Z unless the
-caller passes a seed.  The stage and direct drivers pass extrapolated_seed: the
-polynomial of degree SEED_ORDER through the run's last accepted states (fewer
-at the start of a run or stage), evaluated one step ahead (Fischer 1998),
-which roughly halves the sweeps per step; the step converges to the same
-fixed point from either start.  The step returns only the new state, its
-sweep count and whether the stop was certified (StepReport); the energy E
-and the movement penalty (A^2/2ds)*||next - prev||^2_{2,h}
-(movement_penalty) are evaluated by the code that records them: the stage
-loop's ledger, the oracle's objective and the dissipation check.
+Y, which the margin keeps small.  A step not certified within PICARD_MAX
+sweeps raises NumericalError, so a step returns only a certified state and
+its sweep count (StepReport).  march owns the step sequence of a stage or
+direct run: one DirichletSolver per grid, and each step starts from
+extrapolated_seed, the polynomial of degree SEED_ORDER through the run's last
+accepted states (fewer at the start of a run or stage), evaluated one step
+ahead (Fischer 1998), which roughly halves the sweeps per step; a step
+converges to the same fixed point from any start.  The energy E and the
+movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
+evaluated by the code that records them: the stage loop's ledger, the
+oracle's objective and the dissipation check.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -53,8 +54,10 @@ with the Picard path.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +76,7 @@ PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # it stays below 1e-9.  A smaller margin costs sweeps without need (0.01 takes
 # 1436 solves on the 4-stage reference run, 0.1 takes 1127).
 STOP_MARGIN = 0.1
-PICARD_MAX = 50  # sweeps before a step is reported as not converged
+PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
 ORACLE_TOL = 1e-10  # max-norm first-order residual that ends the descent
 ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
@@ -83,7 +86,10 @@ ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
 class StepReport:
     next: Field
     picard_iters: int
-    converged: bool
+
+
+class NumericalError(RuntimeError):
+    """A run failed numerically (non-convergence, runaway, bad transfer)."""
 
 
 class OracleStagnation(RuntimeError):
@@ -159,17 +165,18 @@ def picard_implicit_step(
 
     The solver must be built on Z's grid; its ds is the step size, and one
     solver serves a whole stage.  The optional seed, an interior array,
-    overrides the default Picard start Y(0) = Z; the drivers pass
+    overrides the default Picard start Y(0) = Z; march passes
     extrapolated_seed, the local-uniqueness checks a perturbed Z.  The start
     changes the number of sweeps, not the stopping test.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
     evaluates F_new = f(Y), the next sweep's source.  Since
     ||L^-1||_inf <= ds, the next sweep would move Y by at most
-    ds*max|F_new - F|; the step is converged once this certified bound is
+    ds*max|F_new - F|; the step ends once this certified bound is
     below STOP_MARGIN*PICARD_TOL*max(1, max|Y|), so no solve is spent on
     confirming a move that small.  With lam = 0 the source is exactly 0 and
-    one sweep ends the step.
+    one sweep ends the step; PICARD_MAX sweeps without the stop raise
+    NumericalError.
     """
     if not Z.is_admissible():
         raise ValueError("Picard step requires a positive previous state")
@@ -180,23 +187,34 @@ def picard_implicit_step(
     base_rhs = (Z.interior - g) / ds
     Y = seed if seed is not None else Z.interior
     F = nonlocal_source(Y, Z.grid, lam)
-    iters = 0
-    converged = False
-    for _ in range(PICARD_MAX):
+    for sweeps in range(1, PICARD_MAX + 1):
         # Y is rebound before F_new exists, so the previous iterate is freed:
         # live grid arrays set large-N peak memory
         Y = g + solver.solve(base_rhs - F)
-        iters += 1
         F_new = nonlocal_source(Y, Z.grid, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
-            converged = True
-            break
-    return StepReport(
-        next=Z.with_interior(Y), picard_iters=iters, converged=converged
-    )
+            return StepReport(next=Z.with_interior(Y), picard_iters=sweeps)
+    raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
+
+
+def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
+    """Seeded backward-Euler + Picard steps of size ds from Z, lazily: each
+    yielded report starts from the previous one's state.  A step that does
+    not converge raises NumericalError naming where (the stage or the direct
+    run) and the step."""
+    solver = DirichletSolver(Z.grid, ds)
+    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
+    for step in itertools.count(1):
+        try:
+            rep = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
+        except NumericalError as exc:
+            raise NumericalError(f"{where}, step {step}: {exc}") from None
+        yield rep
+        Z = rep.next
+        history.append(Z.interior)
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from quenchstage.cli import (
     main,
     parse_config,
 )
-from quenchstage import verify
+from quenchstage import stepper, verify
 from quenchstage.drivers import DirectConfig, StagewiseConfig
 from quenchstage.stepper import SEED_ORDER
 
@@ -374,6 +374,15 @@ class TestVerifyCommand:
         assert seed["passed"] is False
         assert seed["measured"] <= seed["tolerance"]
 
+    def test_oracle_nonconvergence_exit_code(self, monkeypatch, capsys):
+        # two sweeps certify none of the oracle cases; the suite stops rather
+        # than compare unconverged Picard states
+        monkeypatch.setattr(stepper, "PICARD_MAX", 2)
+        assert main(["verify", "oracle"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: Picard did not converge within 2 sweeps\n"
+
     def test_unknown_suite_exit_code(self, capsys):
         # argparse rejects the name as a usage error
         with pytest.raises(SystemExit) as exc:
@@ -462,6 +471,19 @@ def test_non_finite_step_count_exit_code(tmp_path, outdir, capsys, dt, T):
     err = capsys.readouterr().err
     assert err.startswith("config error: T/dt = inf is not a finite step count")
     assert "Traceback" not in err
+
+
+def test_direct_step_cap_exit_code(tmp_path, outdir, monkeypatch, capsys):
+    # admission control: 10^20 steps are rejected before any stepping
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("quenchstage.cli.run_direct", no_run)
+    cfg = write_cfg(tmp_path / "d.cfg", dict(DIRECT_BASE, dt=1e-300, T=1e-280))
+    assert main(["direct", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: T/dt = 100000000000000000000 steps")
+    assert "MAX_STEPS = 1000000" in err
 
 
 def test_overflowed_stage_record_exit_code(tmp_path, outdir):

@@ -13,6 +13,7 @@ from quenchstage import stepper
 from quenchstage.cli import main
 from quenchstage.drivers import (
     MAX_N,
+    MAX_STEPS,
     DirectConfig,
     StagewiseConfig,
     StageRunawayError,
@@ -83,6 +84,13 @@ class TestStagewiseConfig:
         with pytest.raises(ValueError, match=r"N = N0\*k\^0 = 1153"):
             StagewiseConfig(N0=1153, max_stages=1)
 
+    @pytest.mark.parametrize("key", ["lam", "ds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite(self, key, value):
+        # NaN passes the sign checks, which compare false
+        with pytest.raises(ValueError, match=f"{key} = {value} is not finite"):
+            StagewiseConfig(**{key: value})
+
     def test_rejects_huge_stage_count_quickly(self):
         # k^(max_stages - 1) is never formed: 2^(10^9) has 10^9 bits
         t0 = time.perf_counter()
@@ -102,6 +110,27 @@ class TestDirectConfig:
             DirectConfig(dt=0.0)
         with pytest.raises(ValueError):
             DirectConfig(u0_amplitude=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"lam": float("nan")}, "lam"),
+            ({"lam": float("inf")}, "lam"),
+            ({"dt": float("inf"), "T": 0.0}, "dt"),  # would give 0 steps
+        ],
+    )
+    def test_rejects_nonfinite(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"{key} = .* is not finite"):
+            DirectConfig(**kwargs)
+
+    def test_step_cap(self):
+        assert MAX_STEPS == StagewiseConfig().step_cap == 1_000_000
+        assert DirectConfig(dt=1e-6, T=1.0).steps == MAX_STEPS
+        above = "1000001 steps, above MAX_STEPS = 1000000"
+        with pytest.raises(ValueError, match=above):
+            DirectConfig(dt=1e-6, T=1.000001)
+        with pytest.raises(ValueError, match=f"{10 ** 20} steps, above"):
+            DirectConfig(dt=1e-300, T=1e-280)
 
     def test_grid_cap(self):
         assert DirectConfig(N=MAX_N).N == 1152
@@ -393,7 +422,8 @@ class TestRunStagewise:
         assert rep.full_domain
         assert not rep.windows_bounded
         assert "outside the bounded-window hypothesis" in rep.note
-        # |Q| grows by k^2 per stage, so q = 1/(2|Q|) shrinks accordingly
+        # |Q| is the nodal measure h^2 (N+1)^2 at fixed h, which grows by
+        # ((kN+1)/(N+1))^2 per stage, so q = 1/(2|Q|) shrinks accordingly
         assert len(rep.q_values) == 4
         assert rep.q_values[0] == pytest.approx(
             1.0 / (2.0 * reference_run.areas[0]), rel=1e-12
@@ -488,7 +518,7 @@ class TestRunStagewise:
             states.append((Z, rep.next))
             return rep
 
-        monkeypatch.setattr("quenchstage.drivers.picard_implicit_step", recording)
+        monkeypatch.setattr("quenchstage.stepper.picard_implicit_step", recording)
         cfg = StagewiseConfig()
         record, _ = run_stage(stage0_state(cfg), cfg)
         assert len(states) == record.steps + 1

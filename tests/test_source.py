@@ -4,7 +4,8 @@ An `assert` in the package is a check that `python -O` removes, so
 preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
 top-level function or class that nothing in the package reads: a helper that
-only tests call belongs in the tests.
+only tests call belongs in the tests.  drivers.py leaves the step sequence
+(solver, seeds, Picard step) to stepper.march.
 """
 
 import ast
@@ -101,3 +102,19 @@ def test_every_definition_is_read():
     trees = {path.name: parse(path) for path in MODULES}
     unread = unread_definitions(trees)
     assert unread == {}, f"definitions nothing in the package reads: {unread}"
+
+
+def test_drivers_leave_the_step_sequence_to_the_stepper():
+    # stepper.march owns the solver, the seed history and the Picard step
+    tree = parse(PACKAGE / "drivers.py")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    stepper_internals = {
+        "DirichletSolver", "SEED_ORDER", "extrapolated_seed", "picard_implicit_step",
+    }
+    seen = stepper_internals & (imported | set(read_names(tree)))
+    assert seen == set(), f"drivers.py reads {sorted(seen)}"
