@@ -69,9 +69,10 @@ class TransferError(NumericalError):
     it names a prolonged state that the transfer left too low."""
 
 
-# Largest grid a run may build, in intervals per direction: one doubling
-# past the largest measured run (N = 576: 8.7 s, 82.4 MiB).  The stage at
-# N = 1152 adds about 70 s by the O(N^3) cost of the dense solve.
+# Largest grid a run may build, in intervals per direction: the reference
+# run to 8 stages, whose last stage has N = 1152, takes 19.2 s and 218 MiB
+# peak RSS in a fresh process (2 vCPUs, BLAS on 1 thread, mirror-folded
+# solve; median of 3).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -112,6 +113,8 @@ class StagewiseConfig:
             raise ValueError("k is larger than the largest float")
         if self.max_stages < 1 or self.step_cap <= 0:
             raise ValueError("max_stages must be >= 1 and step_cap positive")
+        if self.step_cap > MAX_STEPS:
+            raise ValueError(f"step_cap = {self.step_cap}, above {MAX_STEPS = }")
         # rejects A0 <= 0, N0 < 2 and an A0 whose h^2 is no positive float;
         # h is the same on every stage, so the stage-0 grid stands for all
         Grid(self.A0, self.N0)

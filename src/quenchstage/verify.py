@@ -48,6 +48,7 @@ from .prolongation import (
 )
 from .stepper import (
     DirichletSolver,
+    NumericalError,
     mm_oracle_step,
     movement_penalty,
     picard_implicit_step,
@@ -379,9 +380,13 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        out: list[CheckResult] = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    return SUITES[name]()
+    """The checks of one suite, or of every suite in order for "all".  A
+    numerical failure inside a suite is re-raised with the suite's name."""
+    names = list(SUITES) if name == "all" else [name]
+    out: list[CheckResult] = []
+    for suite in names:
+        try:
+            out.extend(SUITES[suite]())
+        except NumericalError as exc:
+            raise NumericalError(f"verify {suite}: {exc}") from None
+    return out

@@ -381,7 +381,32 @@ class TestVerifyCommand:
         assert main(["verify", "oracle"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "numerical failure: Picard did not converge within 2 sweeps\n"
+        assert err == (
+            "numerical failure: verify oracle: "
+            "Picard did not converge within 2 sweeps\n"
+        )
+
+    def test_nonconvergence_in_all_names_the_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(stepper, "PICARD_MAX", 2)
+        assert main(["verify", "all"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: verify oracle: "
+            "Picard did not converge within 2 sweeps\n"
+        )
+
+    def test_all_suites_take_the_dense_solve(self, monkeypatch, capsys):
+        # verify steps random asymmetric fields, so no solver is mirror-folded
+        built = []
+        init = stepper.DirichletSolver.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.mirrored)
+
+        monkeypatch.setattr(stepper.DirichletSolver, "__init__", recording)
+        assert main(["verify", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert built and not any(built)
 
     def test_unknown_suite_exit_code(self, capsys):
         # argparse rejects the name as a usage error
@@ -484,6 +509,21 @@ def test_direct_step_cap_exit_code(tmp_path, outdir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: T/dt = 100000000000000000000 steps")
     assert "MAX_STEPS = 1000000" in err
+
+
+def test_stagewise_step_cap_exit_code(tmp_path, outdir, monkeypatch, capsys):
+    # admission control: a stage step cap above MAX_STEPS is rejected before
+    # any stepping
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("quenchstage.cli.run_stagewise", no_run)
+    cfg = write_cfg(tmp_path / "s.cfg", dict(STAGE_BASE, step_cap=10 ** 12))
+    assert main(["stagewise", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: step_cap = 1000000000000, above MAX_STEPS = 1000000\n"
+    )
 
 
 def test_overflowed_stage_record_exit_code(tmp_path, outdir):

@@ -67,6 +67,12 @@ class TestStagewiseConfig:
             StagewiseConfig(max_stages=-1)
         with pytest.raises(ValueError):
             StagewiseConfig(step_cap=0)
+        assert StagewiseConfig(step_cap=MAX_STEPS).step_cap == MAX_STEPS
+        above = "step_cap = 1000001, above MAX_STEPS = 1000000"
+        with pytest.raises(ValueError, match=above):
+            StagewiseConfig(step_cap=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match=f"step_cap = {10 ** 12}, above"):
+            StagewiseConfig(step_cap=10 ** 12)
         # nodes sit at i/9: min W = (1 - 0.8 sin(4 pi/9)^2)/0.6, below 2^(-2/3)
         below = r"min W = 0\.373538 <= k\^\(-2/3\) = 0\.629961"
         with pytest.raises(ValueError, match=below):

@@ -75,6 +75,12 @@ def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     return Field(grid=grid, interior=rng.uniform(lo, hi, (n, n)))
 
 
+def mirror_symmetric(a):
+    """a folded onto the data symmetric about both mid-lines."""
+    a = a + a[::-1]
+    return a + a[:, ::-1]
+
+
 class TestDirichletSolver:
     # N = 2 is the single-interior-node grid
     @pytest.mark.parametrize("N", [2, 3, 5, 12])
@@ -89,6 +95,21 @@ class TestDirichletSolver:
         want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(n, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    # N = 2 is the single node; an even N has a middle line of weight 1
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 33])
+    def test_mirrored_matches_dense_on_symmetric_data(self, N):
+        grid, ds, n = Grid(0.6, N), 2e-3, N - 1
+        rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
+        got = DirichletSolver(grid, ds, mirrored=True).solve(rhs)
+        dense = DirichletSolver(grid, ds).solve(rhs)
+        loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
+        scale = float(np.max(np.abs(dense)))
+        assert np.max(np.abs(got - dense)) <= 1e-13 * scale
+        assert np.max(np.abs(got - loop)) <= 1e-12 * scale
+        # the quarter is mirrored back, so the result is symmetric to the bit
+        assert np.array_equal(got, got[::-1])
+        assert np.array_equal(got, got[:, ::-1])
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             DirichletSolver(Grid(0.6, 4), 0.0)
@@ -97,13 +118,18 @@ class TestDirichletSolver:
     @pytest.mark.parametrize("ds", [1e-4, 1e-3, 0.1, 10.0])
     def test_inverse_bounded_by_step_size(self, N, ds):
         # discrete maximum principle: the row sums of I/ds - Lap_h are at
-        # least 1/ds, so max|L^-1 r| <= ds max|r|; the Picard stop rests on it
-        solver = DirichletSolver(Grid(0.6, N), ds)
-        rng = np.random.default_rng(N)
-        n = N - 1
-        for r in (rng.normal(size=(n, n)), np.ones((n, n))):
-            got = float(np.max(np.abs(solver.solve(r))))
-            assert got <= ds * float(np.max(np.abs(r))) * (1.0 + 1e-12)
+        # least 1/ds, so max|L^-1 r| <= ds max|r|; the Picard stop rests on
+        # it, for the dense and for the mirrored solver (on symmetric data)
+        grid, n = Grid(0.6, N), N - 1
+        r = np.random.default_rng(N).normal(size=(n, n))
+        cases = [
+            (DirichletSolver(grid, ds), r),
+            (DirichletSolver(grid, ds, mirrored=True), mirror_symmetric(r)),
+        ]
+        for solver, r in cases:
+            for rhs in (r, np.ones((n, n))):
+                got = float(np.max(np.abs(solver.solve(rhs))))
+                assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
 
 class TestPicardStep:
@@ -234,19 +260,28 @@ class TestPicardStep:
 
 
 class TestMarch:
-    def test_seeded_steps_on_one_solver(self, monkeypatch):
-        # each step starts from the extrapolated seed over the states before it
+    @staticmethod
+    def recording_solvers(monkeypatch):
+        """The mirrored flag of every solver march builds, in order."""
         built = []
 
-        class CountingSolver(DirichletSolver):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+        class RecordingSolver(DirichletSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.mirrored)
 
+        monkeypatch.setattr(stepper, "DirichletSolver", RecordingSolver)
+        return built
+
+    def test_seeded_steps_on_one_solver(self, monkeypatch):
+        # each step starts from the extrapolated seed over the states before
+        # it; the reference solver is built as march builds it, mirror-folded
+        # for the symmetric stage-0 profile
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.grid, cfg.ds)
-        monkeypatch.setattr(stepper, "DirichletSolver", CountingSolver)
+        mirrored = stepper.mirror_asymmetry(Z.interior) <= stepper.MIRROR_TOL
+        solver = DirichletSolver(Z.grid, cfg.ds, mirrored=mirrored)
+        built = self.recording_solvers(monkeypatch)
         history = [Z.interior]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6):
             want = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
@@ -254,7 +289,49 @@ class TestMarch:
             assert rep.picard_iters == want.picard_iters
             Z = rep.next
             history.append(Z.interior)
-        assert built == [1]
+        assert built == [True]
+
+    def test_symmetric_start_folds(self, monkeypatch, caplog):
+        cfg = StagewiseConfig()
+        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+        built = self.recording_solvers(monkeypatch)
+        with caplog.at_level("INFO", logger="quenchstage.stepper"):
+            rep = next(march(Z, cfg.ds, cfg.lam, "stage 0"))
+        assert built == [True]
+        assert "stage 0: mirror-folded solve (asymmetry " in caplog.text
+        # the folded step stays on the symmetric subspace, to the bit
+        Y = rep.next.interior
+        assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
+        # and agrees with the dense step to round-off
+        want = step(Z, cfg.ds, cfg.lam).next.interior
+        assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
+        built = self.recording_solvers(monkeypatch)
+        with caplog.at_level("INFO", logger="quenchstage.stepper"):
+            next(march(random_state(seed=13), 1e-3, 20.0, "direct run"))
+        assert built == [False]
+        assert "direct run: dense solve (asymmetry " in caplog.text
+
+    def test_perturbed_start_takes_dense_solve(self, monkeypatch):
+        cfg = StagewiseConfig()
+        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+        interior = Z.interior.copy()
+        interior[1, 2] += 1e-9
+        Z = Z.with_interior(interior)
+        assert stepper.mirror_asymmetry(Z.interior) > stepper.MIRROR_TOL
+        built = self.recording_solvers(monkeypatch)
+        next(march(Z, cfg.ds, cfg.lam, "stage 0"))
+        assert built == [False]
+
+    def test_mirror_asymmetry(self):
+        Y = mirror_symmetric(np.arange(12.0).reshape(3, 4))
+        assert stepper.mirror_asymmetry(Y) == 0.0
+        Y = np.full((3, 4), 2.0)
+        Y[0, 0] = 3.0  # breaks both mirrors by 1, relative to max|Y| = 3
+        assert stepper.mirror_asymmetry(Y) == 1.0 / 3.0
+        Y[0, 0] = -6.0  # the scale is the largest magnitude
+        assert stepper.mirror_asymmetry(Y) == 8.0 / 6.0
 
 
 class TestSourceAndPenalty:
