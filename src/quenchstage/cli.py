@@ -20,14 +20,18 @@ SystemExit(2), as for any other bad argument.  Any other exception is an
 internal error: main prints "internal error:" and the traceback to stderr and
 exits 4.
 
-Output goes to the directory named by QUENCHSTAGE_OUT (default: current
-directory), created before the run starts; a path that cannot be a
-directory, or an output file that cannot be written, is a configuration
-error.  Every numeric cell is printed with 13 significant digits and files
-are written atomically (temp file + rename) with the mode the umask allows,
-so re-running a command with the same config produces byte-identical data
-files.  The manifest carries the timestamp and the convention flags; data
-files carry neither.
+Both run commands take one path: _load parses the config and builds the run
+config from it, the output directory named by QUENCHSTAGE_OUT (default:
+current directory) is created, the run runs, and _emit takes the run's
+{file name: text}.  It writes each data file in order through a hidden
+sibling .<name>.tmp, created exclusively and renamed over the file, hashes
+the bytes it wrote, writes manifest.json with those sha256 digests and prints
+"wrote ... to <dir>".  A path that cannot be a directory, or an output file
+that cannot be written, is a configuration error; a failed write removes its
+temporary sibling.  Files get the mode the umask allows.  Every numeric cell
+is printed with 13 significant digits, so re-running a command with the same
+config produces byte-identical data files.  The manifest carries the
+timestamp and the convention flags; data files carry neither.
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ import json
 import math
 import os
 import sys
-import tempfile
 import traceback
-from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -163,126 +165,112 @@ def _outdir() -> Path:
     return out
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: str) -> str:
+    """Write text to path through the hidden sibling .<name>.tmp, created
+    exclusively and renamed over path; return the sha256 of the bytes
+    written."""
+    data = text.encode()
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
+        handle = open(tmp, "xb")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            # mkstemp creates the file 0600; give it what open() would have.
-            # os.umask can only be read by setting it; the CLI runs one thread.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+            with handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            tmp.unlink()
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, files: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "conventions": CONVENTIONS,
-        "outputs": {f.name: _sha256(f) for f in files},
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    _write_atomic(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+def _csv(header: str, rows: list[tuple]) -> str:
     """Header line, then one line per row: ints as-is, floats through _fmt."""
     lines = [header]
     for row in rows:
         lines.append(
             ",".join(str(x) if isinstance(x, int) else _fmt(x) for x in row)
         )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _stagewise_files(report: RunReport, outdir: Path) -> list[Path]:
-    stages = outdir / "stages.csv"
-    _write_csv(
-        stages,
-        "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
-        "accumulated_time,e_start,e_end",
-        (
-            (r.m, r.A, r.N, r.h, r.A2h2, r.scaled_time, r.min_W,
-             r.accumulated_time, r.E_start, r.E_end)
-            for r in report.records
+def _stagewise_files(report: RunReport) -> dict[str, str]:
+    records = report.records
+    return {
+        "stages.csv": _csv(
+            "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
+            "accumulated_time,e_start,e_end",
+            [(r.m, r.A, r.N, r.h, r.A2h2, r.scaled_time, r.min_W,
+              r.accumulated_time, r.E_start, r.E_end) for r in records],
         ),
-    )
-    fb = outdir / "feedback.csv"
-    _write_csv(
-        fb,
-        "stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2",
-        (
-            (r.m, r.K_start, r.K_end, r.coeff_start, r.coeff_end)
-            for r in report.records
+        "feedback.csv": _csv(
+            "stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2",
+            [(r.m, r.K_start, r.K_end, r.coeff_start, r.coeff_end) for r in records],
         ),
-    )
-    tr = outdir / "transitions.csv"
-    _write_csv(
-        tr,
-        "m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw",
-        (
-            (t.m_from, t.m_to, t.E_end, t.E_id, t.E_start, t.delta_sw, t.eps_sw)
-            for t in report.transitions
+        "transitions.csv": _csv(
+            "m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw",
+            [(t.m_from, t.m_to, t.E_end, t.E_id, t.E_start, t.delta_sw, t.eps_sw)
+             for t in report.transitions],
         ),
-    )
-
-    ledger = outdir / "ledger.json"
-    payload = {
-        "e0": report.E0,
-        "d_star": report.ledger.D_star,
-        "rows": [asdict(r) for r in report.ledger.rows],
-        "stages": [asdict(r) for r in report.records],
-        "areas": report.areas,
-        "continuation": _lower_keys(asdict(report.continuation)),
-        "manifest": "manifest.json",
+        "ledger.json": _json({
+            "e0": report.E0,
+            "d_star": report.ledger.D_star,
+            "rows": [asdict(r) for r in report.ledger.rows],
+            "stages": [asdict(r) for r in records],
+            "areas": report.areas,
+            "continuation": _lower_keys(asdict(report.continuation)),
+            "manifest": "manifest.json",
+        }),
     }
-    _write_atomic(ledger, json.dumps(payload, indent=2) + "\n")
-    return [stages, fb, tr, ledger]
+
+
+def _load(
+    path: str, config: type, required: dict, optional: dict | None = None
+) -> tuple[dict, object]:
+    """The values of a config file and the run config built from them, with
+    a value the run config rejects reported as a ConfigError."""
+    values = parse_config(path, required, optional)
+    try:
+        return values, config(**_fields(values))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _emit(outdir: Path, command: str, values: dict, files: dict[str, str]) -> None:
+    """Write the data files in order, then the manifest with the sha256 of
+    the bytes each write put on disk, and report them on stdout."""
+    outputs = {name: _write_atomic(outdir / name, text)
+               for name, text in files.items()}
+    _write_atomic(outdir / "manifest.json", _json({
+        "command": command,
+        "config": values,
+        "version": __version__,
+        "conventions": CONVENTIONS,
+        "outputs": outputs,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }))
+    print(f"wrote {', '.join(files)} to {outdir}")
 
 
 def cmd_stagewise(config_path: str) -> int:
-    values = parse_config(config_path, STAGEWISE_KEYS, STAGEWISE_OPTIONAL)
-    try:
-        cfg = StagewiseConfig(**_fields(values))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values, cfg = _load(
+        config_path, StagewiseConfig, STAGEWISE_KEYS, STAGEWISE_OPTIONAL
+    )
     outdir = _outdir()
-    report = run_stagewise(cfg)
-    files = _stagewise_files(report, outdir)
-    _write_manifest(outdir, "stagewise", values, files)
-    print(f"wrote {', '.join(f.name for f in files)} to {outdir}")
+    _emit(outdir, "stagewise", values, _stagewise_files(run_stagewise(cfg)))
     return EXIT_OK
 
 
 def cmd_direct(config_path: str) -> int:
-    values = parse_config(config_path, DIRECT_KEYS)
-    try:
-        cfg = DirectConfig(**_fields(values))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values, cfg = _load(config_path, DirectConfig, DIRECT_KEYS)
     outdir = _outdir()
-    report = run_direct(cfg)
-    payload = _lower_keys(asdict(report))
-    path = outdir / "direct.json"
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
-    _write_manifest(outdir, "direct", values, [path])
-    print(f"wrote {path.name} to {outdir}")
+    direct = _json(_lower_keys(asdict(run_direct(cfg))))
+    _emit(outdir, "direct", values, {"direct.json": direct})
     return EXIT_OK
 
 

@@ -114,10 +114,11 @@ class StepReport:
 
 
 class NumericalError(RuntimeError):
-    """A run failed numerically (non-convergence, runaway, bad transfer)."""
+    """A run failed numerically (non-convergence, runaway, bad transfer,
+    a stagnated oracle descent)."""
 
 
-class OracleStagnation(RuntimeError):
+class OracleStagnation(NumericalError):
     """Raised when the descent oracle cannot reach its residual target."""
 
 
@@ -144,7 +145,8 @@ class DirichletSolver:
     on the lower-left quarter of rhs, and one flat take mirrors the quarter
     back (i -> min(i, N-i)); the full S is never built.  The result is
     symmetric to the last bit, so march, which measures the symmetry of a
-    stage start before it picks this form, stays on symmetric data.
+    stage start before it picks this form, stays on symmetric data.  The
+    dense form is the same set-up with every mode, all rows and w = 1.
     """
 
     def __init__(self, grid: Grid, ds: float, mirrored: bool = False):
@@ -154,26 +156,18 @@ class DirichletSolver:
         self.ds = ds
         self.mirrored = mirrored
         N = grid.N
-        if mirrored:
-            n = N // 2
-            i, j = np.arange(1, n + 1), np.arange(1, N, 2)
-        else:
-            n = N - 1
-            i = j = np.arange(1, N)
+        n = N // 2 if mirrored else N - 1
+        i, j = np.arange(1, n + 1), np.arange(1, N, 2 if mirrored else 1)
         T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j) / N)
         mu = (2.0 - 2.0 * np.cos(np.pi * j / N)) / grid.h ** 2
         self._inv = 1.0 / (1.0 / ds + mu[:, None] + mu[None, :])
+        w = np.where(2 * i == N, 1.0, 2.0 if mirrored else 1.0)
+        P = w[:, None] * T
+        self._basis = (T, P.T, P, T.T)
+        self._gather = None
         if mirrored:
-            w = np.full((n, 1), 2.0)
-            if N % 2 == 0:
-                w[-1] = 1.0  # the middle line i = N/2 is its own mirror
-            P = w * T
-            self._basis = (T, P.T, P, T.T)
             q = np.minimum(np.arange(N - 1), np.arange(N - 2, -1, -1))
             self._gather = q[:, None] * n + q[None, :]
-        else:
-            self._basis = (T, T, T, T)  # S is symmetric
-            self._gather = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         T, PT, P, TT = self._basis

@@ -386,6 +386,18 @@ class TestVerifyCommand:
             "Picard did not converge within 2 sweeps\n"
         )
 
+    def test_oracle_stagnation_exit_code(self, monkeypatch, capsys):
+        # one descent step reaches no residual target: a numerical failure
+        # that names the suite, not an internal error
+        monkeypatch.setattr(stepper, "ORACLE_MAX_ITERS", 1)
+        assert main(["verify", "dissipation"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical failure: verify dissipation: "
+            "descent did not reach the residual target\n"
+        )
+
     def test_nonconvergence_in_all_names_the_suite(self, monkeypatch, capsys):
         monkeypatch.setattr(stepper, "PICARD_MAX", 2)
         assert main(["verify", "all"]) == 3
@@ -649,6 +661,21 @@ def test_unwritable_output_file_exit_code(tmp_path, outdir, command, blocked):
     assert blocked in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(outdir.glob("*.tmp")) == []
+
+
+def test_stale_temporary_file_exit_code(tmp_path, outdir, capsys):
+    # the hidden sibling is created exclusively: one left by a killed run
+    # stops the write, is named, and is left as it was
+    stale = outdir / ".stages.csv.tmp"
+    outdir.mkdir()
+    stale.write_text("keep\n")
+    cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)
+    assert main(["stagewise", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output file")
+    assert ".stages.csv.tmp" in err
+    assert stale.read_text() == "keep\n"
+    assert not (outdir / "stages.csv").exists()
 
 
 def test_k_beyond_float_range_exit_code(tmp_path, outdir, capsys):

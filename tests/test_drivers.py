@@ -580,6 +580,30 @@ class TestRunDirect:
         # confirming each step with one more solve 440
         assert len(solves) <= 420
 
+    def test_stage0_is_the_direct_run(self):
+        # on the full domain W = v/A0 and s = t/A0^3 change variables exactly:
+        # the stage-0 steps of the reference config are direct steps on the
+        # physical profile at N0 with dt = ds*A0^3
+        cfg = StagewiseConfig()
+        A0, N0, u0 = cfg.A0, cfg.N0, cfg.u0_amplitude
+        stage = stepper.march(
+            initial_rescaled_profile(A0, N0, u0), cfg.ds, cfg.lam, "stage 0"
+        )
+        direct = stepper.march(
+            initial_rescaled_profile(1.0, N0, u0), cfg.ds * A0 ** 3, cfg.lam,
+            "direct run",
+        )
+        sweeps = []
+        for W, v in itertools.islice(zip(stage, direct), 139):
+            Wn, vn = A0 * W.next.interior, v.next.interior
+            assert np.max(np.abs(Wn - vn)) <= 1e-9 * np.max(np.abs(vn))
+            sweeps.append((W.picard_iters, v.picard_iters))
+        # the stop test's floor max(1, max|Y|) is not scaled with A0: in
+        # physical units stage 0 stops below PICARD_TOL*max|v|, the direct
+        # run below PICARD_TOL, so stage 0 may take one sweep more
+        assert all(0 <= w - d <= 1 for w, d in sweeps), sweeps
+        assert sum(w != d for w, d in sweeps) <= 1
+
     def test_start_is_stage0_at_unit_amplitude(self, monkeypatch):
         starts = []
 

@@ -5,10 +5,13 @@ preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
 top-level function or class that nothing in the package reads: a helper that
 only tests call belongs in the tests.  drivers.py leaves the step sequence
-(solver, seeds, Picard step) to stepper.march.
+(solver, seeds, Picard step) to stepper.march.  Every exception class the
+package defines is ConfigError or NumericalError or derives from
+NumericalError, so each maps to a documented exit code.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,34 @@ def unread_definitions(trees):
     return {name: defs[name][0] for name in defs if name not in read}
 
 
+def unmapped_exceptions(trees):
+    """Exception classes that are neither ConfigError nor NumericalError and
+    do not derive from NumericalError, with where they are defined."""
+    classes = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                bases = [b.id for b in stmt.bases if isinstance(b, ast.Name)]
+                classes[stmt.name] = (f"{module}:{stmt.lineno}", bases)
+
+    def ancestors(name):
+        for base in classes.get(name, (None, []))[1]:
+            yield base
+            yield from ancestors(base)
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return {
+        name: where
+        for name, (where, _) in classes.items()
+        if any(is_exception(a) for a in ancestors(name))
+        and name not in ("ConfigError", "NumericalError")
+        and "NumericalError" not in set(ancestors(name))
+    }
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "drivers.py", "grid.py"}
 
@@ -84,6 +115,17 @@ def test_detects_both_faults():
         "def orphan(n):\n    return orphan(n - 1) if n else used()\n"
     )
     assert unread_definitions({"m": helpers}) == {"orphan": "m:3"}
+    # an exception class must be one of the two mapped ones or derive from
+    # NumericalError, also through another package class
+    errors = ast.parse(
+        "class NumericalError(RuntimeError): pass\n"
+        "class ConfigError(Exception): pass\n"
+        "class Runaway(NumericalError): pass\n"
+        "class Deeper(Runaway): pass\n"
+        "class Stray(RuntimeError): pass\n"
+        "class Record: pass\n"
+    )
+    assert unmapped_exceptions({"m": errors}) == {"Stray": "m:5"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -102,6 +144,12 @@ def test_every_definition_is_read():
     trees = {path.name: parse(path) for path in MODULES}
     unread = unread_definitions(trees)
     assert unread == {}, f"definitions nothing in the package reads: {unread}"
+
+
+def test_every_exception_maps_to_an_exit_code():
+    trees = {path.name: parse(path) for path in MODULES}
+    unmapped = unmapped_exceptions(trees)
+    assert unmapped == {}, f"exception classes without an exit code: {unmapped}"
 
 
 def test_drivers_leave_the_step_sequence_to_the_stepper():
