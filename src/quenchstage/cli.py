@@ -85,7 +85,8 @@ CONVENTIONS = {
     "picard_seed": f"degree-{SEED_ORDER} extrapolation through the last "
     f"{SEED_ORDER + 1} accepted states of the stage or direct run (lower "
     "degree while fewer exist)",
-    "nonlocal_term": "recomputed from the full iterate each Picard sweep",
+    "nonlocal_term": "K of the full iterate, recomputed each Picard sweep; "
+    "on mirror-folded stages the mirror-weighted sum over the quarter",
     "picard_stop": "once ds * max|f(Y) - f(Y_prev)|, a bound on the next "
     "sweep's move by the maximum principle (||L^-1|| <= ds), is below "
     f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max(1, max|Y|)",

@@ -70,9 +70,9 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 19.2 s and 218 MiB
-# peak RSS in a fresh process (2 vCPUs, BLAS on 1 thread, mirror-folded
-# solve; median of 3).
+# run to 8 stages, whose last stage has N = 1152, takes 14.0 s and 155 MiB
+# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, Picard
+# sweeps on the mirror-folded quarter; median of 3).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a

@@ -18,7 +18,7 @@ The operator (I/ds - Lap_h) with zero Dirichlet data is inverted by
 sine-basis diagonalization, set up once per (grid, ds) and reused across
 Picard sweeps and across steps.  Values are clipped at CLIP only inside
 reciprocal evaluations.  The clipped source f(Y) = lam/(Yc^2 K(Yc)^2), with K
-from the full iterate, is nonlocal_source, evaluated once per iterate and
+of the full iterate, is nonlocal_source, evaluated once per iterate and
 carried into the next sweep; the Euler-Lagrange residual adds the same
 function.
 
@@ -45,18 +45,28 @@ The reference runs start from a profile centred in the square, and the
 operator, the source and the 12-point transfer commute with the square's
 mirrors.  For data symmetric about both mid-lines only the odd-odd sine modes
 are nonzero, since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), so a
-mirror-folded DirichletSolver solves on the lower-left quarter (weight 2 per
-mirrored pair, 1 on the middle line of an even N) with four products of size
-N/2 in place of N.  march measures the start's mirror asymmetry
-max(|Z - Z[::-1]|, |Z - Z[:, ::-1]|)/max|Z| (mirror_asymmetry) once per
-grid, folds only when it is at most MIRROR_TOL and otherwise keeps the dense
-solve, and logs the path at INFO.  One check per grid suffices: a folded
-solve returns an exactly symmetric array, and the seed (a combination of
-accepted states), the source (elementwise, with the scalar K) and the
-right-hand side built from them stay symmetric, so the stage stays on the
-symmetric subspace; the start's own asymmetry, at most MIRROR_TOL, is dropped
-by the first solve.  The oracle, verify and every DirichletSolver(grid, ds)
-built outside march step asymmetric fields with the dense solve.
+mirror-folded DirichletSolver solves on the lower-left floor(N/2)^2 quarter
+(weight 2 per mirrored pair, 1 on the middle line of an even N) with four
+products of size N/2 in place of N.  march measures the start's mirror
+asymmetry max(|Z - Z[::-1]|, |Z - Z[:, ::-1]|)/max|Z| (mirror_asymmetry)
+once per grid, folds only when it is at most MIRROR_TOL and otherwise keeps
+the dense solve, and logs the path at INFO.
+
+The whole Picard sweep runs in the solver's frame: the quarter on a folded
+solver, the full interior on a dense one.  A step restricts Z and the seed
+once, and every sweep builds the right-hand side, solves, evaluates the
+source, with K from the mirror-weighted quarter sum (each node of the full
+interior counted once), and takes the stop bound and max|Y| on the quarter,
+whose maxima are those of the full grid on symmetric data.  Only the
+accepted iterate is expanded (mirrored back) into the step's Field, and
+march keeps its seed history in the frame too, as quarter copies, so the
+seed is extrapolated on quarters.  One check per grid suffices: the expanded
+state is exactly symmetric, so the stage stays on the symmetric subspace,
+and the start's own asymmetry, at most MIRROR_TOL, is dropped by the
+restriction.  On a dense solver the restriction, the weights and the
+expansion are the identity.  The oracle, verify and every
+DirichletSolver(grid, ds) built outside march step asymmetric fields with
+the dense solve.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -86,7 +96,8 @@ from .energy import discrete_energy
 logger = logging.getLogger(__name__)
 
 # Degree of the Picard seed polynomial.  Degree 5 halves the sweeps again but
-# keeps six grid-sized states alive per stage; 3 keeps four.
+# keeps six states alive per stage (quarter grids on a folded stage); 3 keeps
+# four.
 SEED_ORDER = 3
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
@@ -142,11 +153,17 @@ class DirichletSolver:
     i = 1..N//2 with weight 2, or 1 on the self-mirrored middle line
     i = N/2 of an even N.  The solve then runs the same four products with
     T = S[1..N//2, odd] on the output side and P = w T on the input side,
-    on the lower-left quarter of rhs, and one flat take mirrors the quarter
-    back (i -> min(i, N-i)); the full S is never built.  The result is
-    symmetric to the last bit, so march, which measures the symmetry of a
-    stage start before it picks this form, stays on symmetric data.  The
-    dense form is the same set-up with every mode, all rows and w = 1.
+    on the lower-left quarter of rhs; the full S is never built.
+
+    That quarter is the solver's frame, and the Picard sweep runs in it:
+    restrict takes the frame from an interior array, weights = w (x) w
+    counts each interior node once in a sum over the frame, and expand
+    mirrors the frame back with one flat take (i -> min(i, N-i)), once per
+    accepted step.  The expansion is symmetric to the last bit, so march,
+    which measures the symmetry of a stage start before it picks this form,
+    stays on symmetric data.  The dense form is the same set-up with every
+    mode, all rows and w = 1; its frame is the whole interior, so restrict
+    and expand return their argument and weights is None.
     """
 
     def __init__(self, grid: Grid, ds: float, mirrored: bool = False):
@@ -164,23 +181,46 @@ class DirichletSolver:
         w = np.where(2 * i == N, 1.0, 2.0 if mirrored else 1.0)
         P = w[:, None] * T
         self._basis = (T, P.T, P, T.T)
+        self.weights = None
         self._gather = None
         if mirrored:
+            self.weights = np.outer(w, w)
             q = np.minimum(np.arange(N - 1), np.arange(N - 2, -1, -1))
             self._gather = q[:, None] * n + q[None, :]
 
+    def restrict(self, Y: np.ndarray) -> np.ndarray:
+        """The frame values of an interior array (or of a frame array): a
+        contiguous copy of the lower-left quarter when folded, Y when dense."""
+        if self._gather is None:
+            return Y
+        n = len(self._basis[0])
+        return np.ascontiguousarray(Y[:n, :n])
+
+    def expand(self, Y: np.ndarray) -> np.ndarray:
+        """The interior array of the frame values Y."""
+        return Y if self._gather is None else Y.take(self._gather)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^-1 rhs, returned in rhs's frame: an interior rhs gives the
+        interior solution, a frame rhs (a folded Picard sweep) the frame."""
         T, PT, P, TT = self._basis
         n = len(T)
         Y = T @ ((PT @ rhs[:n, :n] @ P) * self._inv) @ TT
-        return Y if self._gather is None else Y.take(self._gather)
+        return Y if rhs.shape == Y.shape else self.expand(Y)
 
 
-def nonlocal_source(Y: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
+def nonlocal_source(
+    Y: np.ndarray, grid: Grid, lam: float, weights: np.ndarray | None = None
+) -> np.ndarray:
     """The source lam/(Yc^2 K(Yc)^2) of the interior values Y on grid, with
-    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc."""
+    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc.  Given a folded
+    solver's weights, Y is the quarter of a symmetric interior and the sum
+    is the weighted quarter sum, sum w/Yc, the full interior's sum."""
     Yc = np.maximum(Y, CLIP)
-    K = 1.0 + grid.A2h2 * float(np.sum(1.0 / Yc))
+    recip = 1.0 / Yc
+    if weights is not None:
+        recip *= weights
+    K = 1.0 + grid.A2h2 * float(np.sum(recip))
     return lam / (Yc * Yc * K * K)
 
 
@@ -194,11 +234,12 @@ def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
     """Picard start for the next step from the last accepted states.
 
-    history holds accepted interiors of one run or stage on one grid, oldest
-    first.  With p = min(SEED_ORDER, len(history) - 1) the seed is the
-    degree-p polynomial through the last p + 1 states evaluated one step
-    ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) Z_{n-i}: 4Z_n - 6Z_{n-1} +
-    4Z_{n-2} - Z_{n-3} for p = 3, and a copy of Z_n for a single state.
+    history holds accepted states of one run or stage on one grid, oldest
+    first, all in one frame (march keeps them in its solver's frame).  With
+    p = min(SEED_ORDER, len(history) - 1) the seed is the degree-p
+    polynomial through the last p + 1 states evaluated one step ahead,
+    sum_{i=0..p} (-1)^i C(p+1, i+1) Z_{n-i}: 4Z_n - 6Z_{n-1} + 4Z_{n-2} -
+    Z_{n-3} for p = 3, and a copy of Z_n for a single state.
     """
     p = min(SEED_ORDER, len(history) - 1)
     seed = (p + 1) * history[-1]
@@ -214,14 +255,16 @@ def picard_implicit_step(
     nonlocal source lam/(Y^2 K^2) at the amplitude A of Z's grid.
 
     The solver must be built on Z's grid; its ds is the step size, and one
-    solver serves a whole stage.  The optional seed, an interior array,
-    overrides the default Picard start Y(0) = Z; march passes
-    extrapolated_seed, the local-uniqueness checks a perturbed Z.  The start
-    changes the number of sweeps, not the stopping test.
+    solver serves a whole stage.  The optional seed, an interior array or
+    one in the solver's frame, overrides the default Picard start Y(0) = Z;
+    march passes extrapolated_seed, the local-uniqueness checks a perturbed
+    Z.  The start changes the number of sweeps, not the stopping test.
 
-    Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
-    evaluates F_new = f(Y), the next sweep's source.  Since
-    ||L^-1||_inf <= ds, the next sweep would move Y by at most
+    Z and the seed are restricted to the solver's frame once, and every
+    sweep runs there (see the module docstring); only the accepted iterate
+    is expanded.  Each sweep solves L (Y - g) = (Z - g)/ds - F with
+    F = f(Y_prev) and then evaluates F_new = f(Y), the next sweep's source.
+    Since ||L^-1||_inf <= ds, the next sweep would move Y by at most
     ds*max|F_new - F|; the step ends once this certified bound is
     below STOP_MARGIN*PICARD_TOL*max(1, max|Y|), so no solve is spent on
     confirming a move that small.  With lam = 0 the source is exactly 0 and
@@ -233,19 +276,20 @@ def picard_implicit_step(
     if solver.grid != Z.grid:
         raise ValueError("solver grid does not match the state grid")
 
-    ds, g = solver.ds, Z.grid.g
-    base_rhs = (Z.interior - g) / ds
-    Y = seed if seed is not None else Z.interior
-    F = nonlocal_source(Y, Z.grid, lam)
+    ds, g, w = solver.ds, Z.grid.g, solver.weights
+    base_rhs = (solver.restrict(Z.interior) - g) / ds
+    Y = solver.restrict(seed if seed is not None else Z.interior)
+    F = nonlocal_source(Y, Z.grid, lam, w)
     for sweeps in range(1, PICARD_MAX + 1):
         # Y is rebound before F_new exists, so the previous iterate is freed:
         # live grid arrays set large-N peak memory
         Y = g + solver.solve(base_rhs - F)
-        F_new = nonlocal_source(Y, Z.grid, lam)
+        F_new = nonlocal_source(Y, Z.grid, lam, w)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
+            Y = solver.expand(Y)
             return StepReport(next=Z.with_interior(Y), picard_iters=sweeps)
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
@@ -262,7 +306,8 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     yielded report starts from the previous one's state.  A step that does
     not converge raises NumericalError naming where (the stage or the direct
     run) and the step.  The one solver is mirror-folded when the start's
-    mirror_asymmetry is at most MIRROR_TOL, and dense otherwise."""
+    mirror_asymmetry is at most MIRROR_TOL, and dense otherwise; the seed
+    history holds the accepted states in its frame."""
     asymmetry = mirror_asymmetry(Z.interior)
     mirrored = asymmetry <= MIRROR_TOL
     logger.info(
@@ -270,7 +315,7 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
         where, "mirror-folded" if mirrored else "dense", asymmetry,
     )
     solver = DirichletSolver(Z.grid, ds, mirrored=mirrored)
-    history = deque([Z.interior], maxlen=SEED_ORDER + 1)
+    history = deque([solver.restrict(Z.interior)], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         try:
             rep = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
@@ -278,7 +323,7 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
         yield rep
         Z = rep.next
-        history.append(Z.interior)
+        history.append(solver.restrict(Z.interior))
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:

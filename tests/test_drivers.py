@@ -450,9 +450,10 @@ class TestRunStagewise:
         # the extrapolated seed halves the sweeps (3117 when seeding from Z)
         # and the certified stop saves the confirming solve (1411 without)
         assert len(solves) <= 1200
-        # every record counts its own grid's solves, crossing step included
+        # every record counts its own grid's solves, crossing step included;
+        # every stage folds, so each sweep solves on the N//2 quarter
         for r in report.records:
-            assert solves.count((r.N - 1, r.N - 1)) == r.picard_sweeps
+            assert solves.count((r.N // 2, r.N // 2)) == r.picard_sweeps
 
     def test_energy_evaluations_per_run(self, monkeypatch):
         calls = []

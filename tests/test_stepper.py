@@ -5,15 +5,22 @@ explicit loops and solves it densely, sharing nothing with the sine-basis
 diagonalization used by the package.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from quenchstage import stepper
-from quenchstage.drivers import StagewiseConfig, initial_rescaled_profile
+from quenchstage.drivers import (
+    StageState,
+    StagewiseConfig,
+    initial_rescaled_profile,
+    run_stage,
+)
 from quenchstage.energy import discrete_energy, reciprocal_K
 from quenchstage.grid import Field, Grid
+from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
     SEED_ORDER,
     DirichletSolver,
@@ -81,6 +88,17 @@ def mirror_symmetric(a):
     return a + a[:, ::-1]
 
 
+@functools.cache
+def reference_stage_start(m):
+    """Start of stage m of the reference run: the prolonged event of stage
+    m - 1 (the centred profile for m = 0)."""
+    cfg = StagewiseConfig()
+    if m == 0:
+        return initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+    state = StageState(m=m - 1, Z=reference_stage_start(m - 1), t=0.0)
+    return prolong_stage(run_stage(state, cfg)[1], cfg.k)
+
+
 class TestDirichletSolver:
     # N = 2 is the single-interior-node grid
     @pytest.mark.parametrize("N", [2, 3, 5, 12])
@@ -100,15 +118,24 @@ class TestDirichletSolver:
     def test_mirrored_matches_dense_on_symmetric_data(self, N):
         grid, ds, n = Grid(0.6, N), 2e-3, N - 1
         rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
-        got = DirichletSolver(grid, ds, mirrored=True).solve(rhs)
-        dense = DirichletSolver(grid, ds).solve(rhs)
+        folded = DirichletSolver(grid, ds, mirrored=True)
+        dense = DirichletSolver(grid, ds)
+        got, want = folded.solve(rhs), dense.solve(rhs)
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
-        scale = float(np.max(np.abs(dense)))
-        assert np.max(np.abs(got - dense)) <= 1e-13 * scale
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
         assert np.max(np.abs(got - loop)) <= 1e-12 * scale
         # the quarter is mirrored back, so the result is symmetric to the bit
         assert np.array_equal(got, got[::-1])
         assert np.array_equal(got, got[:, ::-1])
+        # a rhs in the folded frame, the N//2 quarter, is solved in the frame
+        quarter = folded.restrict(rhs)
+        assert quarter.shape == (N // 2, N // 2)
+        assert np.array_equal(folded.expand(quarter), rhs)
+        assert np.array_equal(folded.solve(quarter), folded.restrict(got))
+        # the dense frame is the whole interior, with no weights
+        assert dense.restrict(rhs) is rhs and dense.expand(rhs) is rhs
+        assert dense.weights is None
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -291,20 +318,47 @@ class TestMarch:
             history.append(Z.interior)
         assert built == [True]
 
-    def test_symmetric_start_folds(self, monkeypatch, caplog):
+    # stage 0 has the odd N = 9; the prolonged starts of stages 1 and 2 have
+    # an even N, so a middle line of weight 1
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_symmetric_start_folds(self, monkeypatch, caplog, m):
         cfg = StagewiseConfig()
-        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+        Z = reference_stage_start(m)
+        assert Z.grid.N == cfg.N0 * cfg.k ** m
         built = self.recording_solvers(monkeypatch)
         with caplog.at_level("INFO", logger="quenchstage.stepper"):
-            rep = next(march(Z, cfg.ds, cfg.lam, "stage 0"))
+            rep = next(march(Z, cfg.ds, cfg.lam, f"stage {m}"))
         assert built == [True]
-        assert "stage 0: mirror-folded solve (asymmetry " in caplog.text
+        assert f"stage {m}: mirror-folded solve (asymmetry " in caplog.text
         # the folded step stays on the symmetric subspace, to the bit
         Y = rep.next.interior
         assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
         # and agrees with the dense step to round-off
         want = step(Z, cfg.ds, cfg.lam).next.interior
         assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("folded", [True, False])
+    def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
+        # folded: quarter copies that own their memory; dense: full interiors
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
+        N = Z.grid.N
+        shape = (N // 2, N // 2) if folded else (N - 1, N - 1)
+        seen = []
+
+        def recording(history):
+            seen.append(list(history))
+            return extrapolated_seed(history)
+
+        monkeypatch.setattr(stepper, "extrapolated_seed", recording)
+        reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 6))
+        assert [len(h) for h in seen] == [1, 2, 3, 4, 4, 4]
+        for history in seen:
+            for state in history:
+                assert state.shape == shape
+                assert not folded or state.base is None
+        if not folded:  # the dense history holds the accepted states
+            assert seen[-1][-1] is reps[-2].next.interior
 
     def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
         built = self.recording_solvers(monkeypatch)
@@ -343,6 +397,19 @@ class TestSourceAndPenalty:
         K = reciprocal_K(Y)
         want = lam / (Y.interior ** 2 * K * K)
         assert np.array_equal(nonlocal_source(Y.interior, Y.grid, lam), want)
+
+    @pytest.mark.parametrize("N", [9, 18, 36])
+    def test_weighted_quarter_K_is_the_full_K(self, N):
+        # odd N has no middle line; an even N has one, of weight 1
+        grid, lam, n = Grid(0.6, N), 20.0, N - 1
+        solver = DirichletSolver(grid, 1e-3, mirrored=True)
+        a = np.random.default_rng(N).uniform(0.5, 1.5, (n, n))
+        quarter = solver.restrict(mirror_symmetric(a))
+        full = Field(grid=grid, interior=solver.expand(quarter))
+        F = nonlocal_source(quarter, grid, lam, solver.weights)
+        K = np.sqrt(lam / (F * quarter * quarter))
+        want = reciprocal_K(full)
+        assert np.max(np.abs(K - want)) <= 1e-14 * want
 
     def test_source_clips_small_values(self):
         grid = Grid(1.0, 3)
