@@ -89,6 +89,8 @@ class Field:
 
     Admissible states have all interior values positive; this is checked by
     callers that require it (min_interior), never silently enforced here.
+    The minimum is taken once, when the Field is built, so the interior is
+    not to be changed in place afterwards (with_interior makes a new Field).
     """
 
     grid: Grid
@@ -102,12 +104,13 @@ class Field:
                 f"interior shape {arr.shape} does not match grid ({n}, {n})"
             )
         object.__setattr__(self, "interior", arr)
+        object.__setattr__(self, "_min", float(arr.min()))
 
     def min_interior(self) -> float:
-        return float(self.interior.min())
+        return self._min
 
     def is_admissible(self) -> bool:
-        return self.min_interior() > 0.0
+        return self._min > 0.0
 
     def with_interior(self, interior: np.ndarray) -> "Field":
         return Field(grid=self.grid, interior=interior)

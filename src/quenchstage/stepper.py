@@ -5,10 +5,10 @@ iteration on the nonlocal source:
 
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-with constant Dirichlet data g.  The frozen amplitude A and the boundary
-value g = 1/A are the ones of Z's grid, the step size ds is the one of the
-DirichletSolver the step is given (which rejects ds <= 0), and lam is a
-plain argument the run configs validate.  Since g is constant, Lap_h g = 0
+with constant Dirichlet data g.  The frozen amplitude A, the boundary
+value g = 1/A and the step size ds are the ones of the DirichletSolver the
+step is given (which rejects ds <= 0), and lam is a plain argument the run
+configs validate.  Since g is constant, Lap_h g = 0
 and the step solves for the deviation Y - g, which vanishes on the
 boundary:
 
@@ -31,7 +31,7 @@ ends once that bound is below STOP_MARGIN*PICARD_TOL*max(1, max|Y|) (at most
 PICARD_MAX sweeps); f(Y) - f(Y_prev) is also the Euler-Lagrange residual of
 Y, which the margin keeps small.  A step not certified within PICARD_MAX
 sweeps raises NumericalError, so a step returns only a certified state and
-its sweep count (StepReport).  march owns the step sequence of a stage or
+its sweep count.  march owns the step sequence of a stage or
 direct run: one DirichletSolver per grid, and each step starts from
 extrapolated_seed, the polynomial of degree SEED_ORDER through the run's last
 accepted states (fewer at the start of a run or stage), evaluated one step
@@ -52,19 +52,17 @@ asymmetry max(|Z - Z[::-1]|, |Z - Z[:, ::-1]|)/max|Z| (mirror_asymmetry)
 once per grid, folds only when it is at most MIRROR_TOL and otherwise keeps
 the dense solve, and logs the path at INFO.
 
-The whole Picard sweep runs in the solver's frame: the quarter on a folded
-solver, the full interior on a dense one.  A step restricts Z and the seed
-once, and every sweep builds the right-hand side, solves, evaluates the
-source, with K from the mirror-weighted quarter sum (each node of the full
-interior counted once), and takes the stop bound and max|Y| on the quarter,
-whose maxima are those of the full grid on symmetric data.  Only the
-accepted iterate is expanded (mirrored back) into the step's Field, and
-march keeps its seed history in the frame too, as quarter copies, so the
-seed is extrapolated on quarters.  One check per grid suffices: the expanded
-state is exactly symmetric, so the stage stays on the symmetric subspace,
-and the start's own asymmetry, at most MIRROR_TOL, is dropped by the
-restriction.  On a dense solver the restriction, the weights and the
-expansion are the identity.  The oracle, verify and every
+Every array the solve, the Picard step and the seed see is in the solver's
+frame: the quarter on a folded solver, the whole interior on a dense one,
+where the restriction, the weights and the expansion are the identity.
+march restricts the start once per grid.  Every sweep builds the right-hand
+side, solves, evaluates the source, with K from the weighted frame sum (each
+interior node counted once), and takes the stop bound and max|Y| in the
+frame, whose maxima are those of the full grid on symmetric data.  march
+keeps the accepted frame states as its seed history and expands each once
+(mirrors it back) into the Field of its report.  The expanded state is
+exactly symmetric, so one check per grid suffices, and the restriction drops
+the start's own asymmetry, at most MIRROR_TOL.  The oracle, verify and every
 DirichletSolver(grid, ds) built outside march step asymmetric fields with
 the dense solve.
 
@@ -155,15 +153,15 @@ class DirichletSolver:
     T = S[1..N//2, odd] on the output side and P = w T on the input side,
     on the lower-left quarter of rhs; the full S is never built.
 
-    That quarter is the solver's frame, and the Picard sweep runs in it:
-    restrict takes the frame from an interior array, weights = w (x) w
-    counts each interior node once in a sum over the frame, and expand
-    mirrors the frame back with one flat take (i -> min(i, N-i)), once per
-    accepted step.  The expansion is symmetric to the last bit, so march,
-    which measures the symmetry of a stage start before it picks this form,
-    stays on symmetric data.  The dense form is the same set-up with every
-    mode, all rows and w = 1; its frame is the whole interior, so restrict
-    and expand return their argument and weights is None.
+    That quarter is the solver's frame; the dense form is the same set-up
+    with every mode, all rows and w = 1, and its frame is the whole
+    interior.  solve takes and returns frame arrays only.  restrict takes
+    the frame of an interior array (a contiguous copy of the quarter when
+    folded), weights = w (x) w counts each interior node once in a sum over
+    the frame, and expand mirrors the frame back with one flat take
+    (i -> min(i, N-i) when folded, the identity when dense).  The expansion
+    is symmetric to the last bit, so march, which measures the symmetry of
+    a stage start before it folds, stays on symmetric data.
     """
 
     def __init__(self, grid: Grid, ds: float, mirrored: bool = False):
@@ -181,41 +179,35 @@ class DirichletSolver:
         w = np.where(2 * i == N, 1.0, 2.0 if mirrored else 1.0)
         P = w[:, None] * T
         self._basis = (T, P.T, P, T.T)
-        self.weights = None
-        self._gather = None
+        self.weights = np.outer(w, w)
+        q = np.arange(N - 1)
         if mirrored:
-            self.weights = np.outer(w, w)
-            q = np.minimum(np.arange(N - 1), np.arange(N - 2, -1, -1))
-            self._gather = q[:, None] * n + q[None, :]
+            q = np.minimum(q, q[::-1])
+        self._gather = q[:, None] * n + q[None, :]
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
-        """The frame values of an interior array (or of a frame array): a
-        contiguous copy of the lower-left quarter when folded, Y when dense."""
-        if self._gather is None:
-            return Y
-        n = len(self._basis[0])
+        """The frame values of the interior array Y, C-contiguous."""
+        n = len(self.weights)
         return np.ascontiguousarray(Y[:n, :n])
 
     def expand(self, Y: np.ndarray) -> np.ndarray:
         """The interior array of the frame values Y."""
-        return Y if self._gather is None else Y.take(self._gather)
+        return Y.take(self._gather)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs, returned in rhs's frame: an interior rhs gives the
-        interior solution, a frame rhs (a folded Picard sweep) the frame."""
+        """L^-1 rhs for a rhs in the frame, returned in the frame."""
         T, PT, P, TT = self._basis
-        n = len(T)
-        Y = T @ ((PT @ rhs[:n, :n] @ P) * self._inv) @ TT
-        return Y if rhs.shape == Y.shape else self.expand(Y)
+        return T @ ((PT @ rhs @ P) * self._inv) @ TT
 
 
 def nonlocal_source(
     Y: np.ndarray, grid: Grid, lam: float, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """The source lam/(Yc^2 K(Yc)^2) of the interior values Y on grid, with
-    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc.  Given a folded
-    solver's weights, Y is the quarter of a symmetric interior and the sum
-    is the weighted quarter sum, sum w/Yc, the full interior's sum."""
+    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc.  Given a solver's
+    weights, Y is in its frame (on a folded solver the quarter of a
+    symmetric interior) and the sum is the weighted frame sum, sum w/Yc,
+    the full interior's sum."""
     Yc = np.maximum(Y, CLIP)
     recip = 1.0 / Yc
     if weights is not None:
@@ -249,48 +241,48 @@ def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def picard_implicit_step(
-    Z: Field, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
-) -> StepReport:
+    Z: np.ndarray, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
-    nonlocal source lam/(Y^2 K^2) at the amplitude A of Z's grid.
+    nonlocal source lam/(Y^2 K^2) at the amplitude A of solver.grid.
 
-    The solver must be built on Z's grid; its ds is the step size, and one
-    solver serves a whole stage.  The optional seed, an interior array or
-    one in the solver's frame, overrides the default Picard start Y(0) = Z;
-    march passes extrapolated_seed, the local-uniqueness checks a perturbed
-    Z.  The start changes the number of sweeps, not the stopping test.
+    Z, the optional seed and the returned state are arrays in the solver's
+    frame (see DirichletSolver), and a Z or seed of another shape raises
+    ValueError.  The grid comes from the solver, whose ds is the step size;
+    one solver serves a whole stage.  The seed overrides the default Picard
+    start Y(0) = Z; march passes extrapolated_seed, the local-uniqueness
+    checks a perturbed Z.  The start changes the number of sweeps, not the
+    stopping test.  Returns the accepted state Y and its sweep count.
 
-    Z and the seed are restricted to the solver's frame once, and every
-    sweep runs there (see the module docstring); only the accepted iterate
-    is expanded.  Each sweep solves L (Y - g) = (Z - g)/ds - F with
-    F = f(Y_prev) and then evaluates F_new = f(Y), the next sweep's source.
-    Since ||L^-1||_inf <= ds, the next sweep would move Y by at most
+    Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
+    evaluates F_new = f(Y), the next sweep's source.  Since
+    ||L^-1||_inf <= ds, the next sweep would move Y by at most
     ds*max|F_new - F|; the step ends once this certified bound is
     below STOP_MARGIN*PICARD_TOL*max(1, max|Y|), so no solve is spent on
     confirming a move that small.  With lam = 0 the source is exactly 0 and
     one sweep ends the step; PICARD_MAX sweeps without the stop raise
     NumericalError.
     """
-    if not Z.is_admissible():
+    frame = solver.weights.shape
+    if Z.shape != frame or (seed is not None and seed.shape != frame):
+        raise ValueError(f"Picard step takes arrays in the solver's frame {frame}")
+    if not Z.min() > 0.0:  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
-    if solver.grid != Z.grid:
-        raise ValueError("solver grid does not match the state grid")
 
-    ds, g, w = solver.ds, Z.grid.g, solver.weights
-    base_rhs = (solver.restrict(Z.interior) - g) / ds
-    Y = solver.restrict(seed if seed is not None else Z.interior)
-    F = nonlocal_source(Y, Z.grid, lam, w)
+    grid, ds, w, g = solver.grid, solver.ds, solver.weights, solver.grid.g
+    base_rhs = (Z - g) / ds
+    Y = Z if seed is None else seed
+    F = nonlocal_source(Y, grid, lam, w)
     for sweeps in range(1, PICARD_MAX + 1):
         # Y is rebound before F_new exists, so the previous iterate is freed:
         # live grid arrays set large-N peak memory
         Y = g + solver.solve(base_rhs - F)
-        F_new = nonlocal_source(Y, Z.grid, lam, w)
+        F_new = nonlocal_source(Y, grid, lam, w)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
-            Y = solver.expand(Y)
-            return StepReport(next=Z.with_interior(Y), picard_iters=sweeps)
+            return Y, sweeps
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -306,8 +298,9 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     yielded report starts from the previous one's state.  A step that does
     not converge raises NumericalError naming where (the stage or the direct
     run) and the step.  The one solver is mirror-folded when the start's
-    mirror_asymmetry is at most MIRROR_TOL, and dense otherwise; the seed
-    history holds the accepted states in its frame."""
+    mirror_asymmetry is at most MIRROR_TOL, and dense otherwise.  march owns
+    the frame: it restricts the start once, keeps the accepted frame states
+    as the seed history and expands each once into its report's Field."""
     asymmetry = mirror_asymmetry(Z.interior)
     mirrored = asymmetry <= MIRROR_TOL
     logger.info(
@@ -315,15 +308,15 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
         where, "mirror-folded" if mirrored else "dense", asymmetry,
     )
     solver = DirichletSolver(Z.grid, ds, mirrored=mirrored)
-    history = deque([solver.restrict(Z.interior)], maxlen=SEED_ORDER + 1)
+    Y = solver.restrict(Z.interior)
+    history = deque([Y], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         try:
-            rep = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
+            Y, sweeps = picard_implicit_step(Y, solver, lam, extrapolated_seed(history))
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        yield rep
-        Z = rep.next
-        history.append(solver.restrict(Z.interior))
+        history.append(Y)
+        yield StepReport(next=Z.with_interior(solver.expand(Y)), picard_iters=sweeps)
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:

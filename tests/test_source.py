@@ -5,7 +5,9 @@ preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
 top-level function or class that nothing in the package reads: a helper that
 only tests call belongs in the tests.  drivers.py leaves the step sequence
-(solver, seeds, Picard step) to stepper.march.  Every exception class the
+(solver, seeds, Picard step) to stepper.march, and march is the only code
+outside DirichletSolver that moves states between the solver's frame and
+the interior (restrict, expand).  Every exception class the
 package defines is ConfigError or NumericalError or derives from
 NumericalError, so each maps to a documented exit code.
 """
@@ -70,6 +72,17 @@ def unread_definitions(trees):
     return {name: defs[name][0] for name in defs if name not in read}
 
 
+def frame_readers(trees):
+    """Top-level statements, as module:name (or module:line), that read a
+    restrict or an expand."""
+    return {
+        f"{module}:{getattr(stmt, 'name', stmt.lineno)}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if {"restrict", "expand"} & set(read_names(stmt))
+    }
+
+
 def unmapped_exceptions(trees):
     """Exception classes that are neither ConfigError nor NumericalError and
     do not derive from NumericalError, with where they are defined."""
@@ -126,6 +139,13 @@ def test_detects_both_faults():
         "class Record: pass\n"
     )
     assert unmapped_exceptions({"m": errors}) == {"Stray": "m:5"}
+    # a method call reads the attribute; a definition of that name does not
+    frames = ast.parse(
+        "class S:\n    def restrict(self, Y):\n        return Y\n"
+        "def step(s, Y):\n    return s.expand(Y)\n"
+        "Y0 = S().restrict(1)\n"
+    )
+    assert frame_readers({"m": frames}) == {"m:step", "m:6"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -166,3 +186,11 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
     }
     seen = stepper_internals & (imported | set(read_names(tree)))
     assert seen == set(), f"drivers.py reads {sorted(seen)}"
+
+
+def test_only_march_moves_states_in_and_out_of_the_frame():
+    # the solve, the Picard step and the seed see only frame arrays; march
+    # restricts the start once per grid and expands each accepted state
+    trees = {path.name: parse(path) for path in MODULES}
+    readers = frame_readers(trees) - {"stepper.py:DirichletSolver"}
+    assert readers == {"stepper.py:march"}, f"restrict/expand read by {readers}"

@@ -25,6 +25,7 @@ from quenchstage.stepper import (
     SEED_ORDER,
     DirichletSolver,
     NumericalError,
+    StepReport,
     euler_lagrange_residual,
     extrapolated_seed,
     march,
@@ -71,8 +72,10 @@ def single_node_field(value):
 
 
 def step(Z, ds, lam, seed=None):
-    """One Picard step from Z with a solver built for it."""
-    return picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam, seed)
+    """One Picard step from the Field Z with a dense solver built for it,
+    whose frame is the whole interior, reported as march reports it."""
+    Y, sweeps = picard_implicit_step(Z.interior, DirichletSolver(Z.grid, ds), lam, seed)
+    return StepReport(next=Z.with_interior(Y), picard_iters=sweeps)
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
@@ -120,7 +123,11 @@ class TestDirichletSolver:
         rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
         folded = DirichletSolver(grid, ds, mirrored=True)
         dense = DirichletSolver(grid, ds)
-        got, want = folded.solve(rhs), dense.solve(rhs)
+        # the folded frame is the N//2 quarter, and expand mirrors it back
+        quarter = folded.restrict(rhs)
+        assert quarter.shape == (N // 2, N // 2)
+        assert np.array_equal(folded.expand(quarter), rhs)
+        got, want = folded.expand(folded.solve(quarter)), dense.solve(rhs)
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -128,14 +135,11 @@ class TestDirichletSolver:
         # the quarter is mirrored back, so the result is symmetric to the bit
         assert np.array_equal(got, got[::-1])
         assert np.array_equal(got, got[:, ::-1])
-        # a rhs in the folded frame, the N//2 quarter, is solved in the frame
-        quarter = folded.restrict(rhs)
-        assert quarter.shape == (N // 2, N // 2)
-        assert np.array_equal(folded.expand(quarter), rhs)
-        assert np.array_equal(folded.solve(quarter), folded.restrict(got))
-        # the dense frame is the whole interior, with no weights
-        assert dense.restrict(rhs) is rhs and dense.expand(rhs) is rhs
-        assert dense.weights is None
+        # the dense frame is the whole interior: the same set-up with the
+        # identity restriction and expansion and unit weights
+        assert np.array_equal(dense.restrict(rhs), rhs)
+        assert np.array_equal(dense.expand(rhs), rhs)
+        assert np.array_equal(dense.weights, np.ones((n, n)))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -155,7 +159,7 @@ class TestDirichletSolver:
         ]
         for solver, r in cases:
             for rhs in (r, np.ones((n, n))):
-                got = float(np.max(np.abs(solver.solve(rhs))))
+                got = float(np.max(np.abs(solver.solve(solver.restrict(rhs)))))
                 assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
 
@@ -202,8 +206,7 @@ class TestPicardStep:
         rhs = (Z.interior - Z.grid.g) / ds - source
         return Z.grid.g + DirichletSolver(Z.grid, ds).solve(rhs)
 
-    def assert_certified(self, Z, rep, ds, lam):
-        Y = rep.next
+    def assert_certified(self, Z, Y, ds, lam):
         move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - Y.interior)))
         scale = max(1.0, float(np.max(np.abs(Y.interior))))
         assert move < stepper.STOP_MARGIN * stepper.PICARD_TOL * scale
@@ -211,7 +214,7 @@ class TestPicardStep:
     def test_converged_state_is_a_certified_fixed_point(self):
         Z = random_state(seed=7)
         ds, lam = 1e-3, 20.0
-        self.assert_certified(Z, step(Z, ds, lam), ds, lam)
+        self.assert_certified(Z, step(Z, ds, lam).next, ds, lam)
 
     def test_seeded_reference_step_is_a_certified_fixed_point(self):
         cfg = StagewiseConfig()
@@ -220,10 +223,11 @@ class TestPicardStep:
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
             seed = extrapolated_seed(history)
-            Z = picard_implicit_step(Z, solver, cfg.lam, seed).next
-            history.append(Z.interior)
-        rep = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
-        self.assert_certified(Z, rep, cfg.ds, cfg.lam)
+            history.append(picard_implicit_step(history[-1], solver, cfg.lam, seed)[0])
+        seed = extrapolated_seed(history)
+        Y, _ = picard_implicit_step(history[-1], solver, cfg.lam, seed)
+        Z = Z.with_interior(history[-1])
+        self.assert_certified(Z, Z.with_interior(Y), cfg.ds, cfg.lam)
 
     def test_two_seeds_same_fixed_point(self):
         Z = random_state(seed=8)
@@ -267,10 +271,22 @@ class TestPicardStep:
             step(bad, 1e-3, 20.0)
 
     def test_rejects_mismatched_solver(self):
-        Z = random_state(seed=12)
+        # the grid comes from the solver, so a state or seed of a shape other
+        # than the solver's frame is refused
+        Z = random_state(N=4, seed=12)
         other = DirichletSolver(Grid(0.6, 6), 1e-3)
-        with pytest.raises(ValueError, match="solver grid"):
-            picard_implicit_step(Z, other, 20.0)
+        folded = DirichletSolver(Z.grid, 1e-3, mirrored=True)
+        dense = DirichletSolver(Z.grid, 1e-3)
+        quarter = folded.restrict(Z.interior)
+        cases = [
+            (other, Z.interior, None),
+            (folded, Z.interior, None),
+            (dense, quarter, None),
+            (folded, quarter, Z.interior),
+        ]
+        for solver, state, seed in cases:
+            with pytest.raises(ValueError, match="solver's frame"):
+                picard_implicit_step(state, solver, 20.0, seed)
 
     def test_step_evaluates_no_energy(self, monkeypatch):
         # the energy and the penalty are evaluated by the code that records them
@@ -309,14 +325,34 @@ class TestMarch:
         mirrored = stepper.mirror_asymmetry(Z.interior) <= stepper.MIRROR_TOL
         solver = DirichletSolver(Z.grid, cfg.ds, mirrored=mirrored)
         built = self.recording_solvers(monkeypatch)
-        history = [Z.interior]
+        history = [solver.restrict(Z.interior)]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6):
-            want = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
-            assert np.array_equal(rep.next.interior, want.next.interior)
-            assert rep.picard_iters == want.picard_iters
-            Z = rep.next
-            history.append(Z.interior)
+            seed = extrapolated_seed(history)
+            Y, sweeps = picard_implicit_step(history[-1], solver, cfg.lam, seed)
+            assert np.array_equal(rep.next.interior, solver.expand(Y))
+            assert rep.picard_iters == sweeps
+            history.append(Y)
         assert built == [True]
+
+    def test_one_restriction_per_grid_one_expansion_per_step(self, monkeypatch):
+        # the Picard state stays in the frame: march restricts the start,
+        # expands each accepted step, and every solve is on the quarter
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(0)
+        calls = []
+        for name in ("restrict", "expand", "solve"):
+
+            def recording(self, Y, name=name, original=getattr(DirichletSolver, name)):
+                calls.append((name, Y.shape))
+                return original(self, Y)
+
+            monkeypatch.setattr(DirichletSolver, name, recording)
+        reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6))
+        names = [name for name, _ in calls]
+        assert (names.count("restrict"), names.count("expand")) == (1, 6)
+        quarter = (Z.grid.N // 2, Z.grid.N // 2)
+        solves = [shape for name, shape in calls if name == "solve"]
+        assert solves == [quarter] * sum(r.picard_iters for r in reps)
 
     # stage 0 has the odd N = 9; the prolonged starts of stages 1 and 2 have
     # an even N, so a middle line of weight 1
@@ -357,8 +393,10 @@ class TestMarch:
             for state in history:
                 assert state.shape == shape
                 assert not folded or state.base is None
-        if not folded:  # the dense history holds the accepted states
-            assert seen[-1][-1] is reps[-2].next.interior
+        # the history holds the frame of each accepted state
+        solver = DirichletSolver(Z.grid, cfg.ds, mirrored=folded)
+        for state, rep in zip(seen[-1][1:], reps[-4:-1], strict=True):
+            assert np.array_equal(solver.expand(state), rep.next.interior)
 
     def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
         built = self.recording_solvers(monkeypatch)
@@ -486,13 +524,13 @@ class TestExtrapolatedSeed:
         solver = DirichletSolver(Z.grid, cfg.ds)
         history = [Z.interior]
         for _ in range(SEED_ORDER + 2):
-            Z = picard_implicit_step(Z, solver, cfg.lam).next
-            history.append(Z.interior)
-        plain = picard_implicit_step(Z, solver, cfg.lam)
-        seeded = picard_implicit_step(Z, solver, cfg.lam, extrapolated_seed(history))
-        assert seeded.picard_iters < plain.picard_iters
-        gap = np.max(np.abs(seeded.next.interior - plain.next.interior))
-        assert gap <= 1e-10 * np.max(np.abs(plain.next.interior))
+            history.append(picard_implicit_step(history[-1], solver, cfg.lam)[0])
+        plain, plain_sweeps = picard_implicit_step(history[-1], solver, cfg.lam)
+        seeded, seeded_sweeps = picard_implicit_step(
+            history[-1], solver, cfg.lam, extrapolated_seed(history)
+        )
+        assert seeded_sweeps < plain_sweeps
+        assert np.max(np.abs(seeded - plain)) <= 1e-10 * np.max(np.abs(plain))
 
 
 def refine_grid_search(fn, lo, hi, width=1e-10):
