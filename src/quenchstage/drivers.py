@@ -27,10 +27,14 @@ t = T plus the final minimum; a step that leaves the positive cone (the
 deficit quenches) is a numerical failure.
 
 Both drivers advance their state through stepper.march, which owns the
-linear solver, the Picard seeds and the non-convergence error, so each loop
-evaluates only what it records: run_stage the energy and the movement
-penalty of every completed step and the penalty of the crossing step,
-run_direct the energy of its start and of its final state.
+linear solver, the Picard seeds and the non-convergence error and yields
+every step in the solver's frame (grid.Frame: the mirror-folded quarter on
+a symmetric run).  Each loop evaluates only what it records, and in that
+frame: run_stage the trigger minimum, the energy and the movement penalty of
+every completed step and the penalty of the crossing step, run_direct the
+minimum of every step.  Each expands one state into a Field: run_stage its
+event, interpolated in the frame, and run_direct its final state, whose
+energy it records with that of its start.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .energy import (
     CriterionReport,
     continuation_check,
     discrete_energy,
+    frame_energy,
     switch_jump,
 )
 from .prolongation import prolong_stage
@@ -70,9 +75,11 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 14.0 s and 155 MiB
-# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, Picard
-# sweeps on the mirror-folded quarter; median of 3).
+# run to 8 stages, whose last stage has N = 1152, takes 9.1 s and 138 MiB
+# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
+# stage stepped and scored on the mirror-folded quarter; median of 3).  The
+# peak follows glibc's allocation order: with MALLOC_MMAP_THRESHOLD_=131072
+# the same run reads 120 MiB (16.4 s).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -247,23 +254,19 @@ def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:
     return (1.0 - u0_amplitude * math.sin(math.pi * (N // 2) / N) ** 2) / A
 
 
-def detect_trigger(
-    prev: Field, nxt: Field, thr: float
-) -> tuple[float, Field] | None:
-    """Linear event interpolation when the interior minimum crosses thr.
+def detect_trigger(min_prev: float, min_next: float, thr: float) -> float | None:
+    """The fraction tau of the step at which the interior minimum crosses
+    thr, by linear interpolation of the two states' minima, or None if the
+    step ends above thr.
 
     The boundary value 1/A exceeds the threshold throughout a run, so the
     interior minimum is the global one.
     """
-    min_prev = prev.min_interior()
     if min_prev < thr:
         raise ValueError("previous state already below threshold; trigger missed")
-    min_next = nxt.min_interior()
     if min_next >= thr:
         return None
-    tau = (min_prev - thr) / (min_prev - min_next)
-    event = prev.with_interior((1.0 - tau) * prev.interior + tau * nxt.interior)
-    return tau, event
+    return (min_prev - thr) / (min_prev - min_next)
 
 
 def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Field]:
@@ -271,50 +274,53 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
-    A start whose minimum is not above the threshold raises TransferError,
-    and a record with a non-finite float (an overflowed energy or penalty)
-    raises NumericalError.
+    Every step is scored in the frame march yields: the trigger reads the
+    frame minimum, and the energy and the movement penalty are weighted
+    frame sums.  Only the event, interpolated in the frame, is expanded into
+    a Field.  A start whose minimum is not above the threshold raises
+    TransferError, and a record with a non-finite float (an overflowed
+    energy or penalty) raises NumericalError.
     """
     Z = state.Z
     thr = cfg.threshold
-    min_start = Z.min_interior()
-    if not min_start > thr:  # also true for a nonpositive or NaN minimum
+    min_prev = Z.min_interior()
+    if not min_prev > thr:  # also true for a nonpositive or NaN minimum
         raise TransferError(
             f"stage {state.m} starts at or below the trigger threshold: "
-            f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
+            f"min W = {min_prev:.6g} <= k^(-2/3) = {thr:.6g}"
         )
     A = Z.grid.A
     start = discrete_energy(Z, cfg.lam)
 
     steps = march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
-    prev = Z
     E_prev = start.total
     sweeps = 0
     increases = 0
     dissipation = 0.0
     for completed, rep in zip(range(cfg.step_cap), steps):
         sweeps += rep.picard_iters
-        hit = detect_trigger(prev, rep.next, thr)
-        if hit is not None:
+        min_next = float(rep.next.min())
+        tau = detect_trigger(min_prev, min_next, thr)
+        if tau is not None:
             break
-        E_next = discrete_energy(rep.next, cfg.lam).total
+        E_next = frame_energy(rep.next, min_next, rep.frame, cfg.lam).total
         if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
             increases += 1
             logger.warning(
                 "stage %d, step %d: energy increased by %.3e",
                 state.m, completed + 1, E_next - E_prev,
             )
-        dissipation += movement_penalty(rep.next, prev, cfg.ds)
-        prev = rep.next
+        dissipation += movement_penalty(rep.next, rep.prev, rep.frame, cfg.ds)
+        min_prev = min_next
         E_prev = E_next
     else:
         raise StageRunawayError(
             f"stage {state.m}: no trigger within {cfg.step_cap} steps"
         )
 
-    tau, event = hit
-    dissipation += tau * movement_penalty(rep.next, prev, cfg.ds)
+    dissipation += tau * movement_penalty(rep.next, rep.prev, rep.frame, cfg.ds)
     s_star = (completed + tau) * cfg.ds
+    event = rep.frame.field((1.0 - tau) * rep.prev + tau * rep.next)
     end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
     gap = min_W - thr
@@ -391,17 +397,20 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
 
 def run_direct(cfg: DirectConfig) -> DirectReport:
     """Fixed-domain evolution of the physical deficit on the unit square,
-    run as stage 0 at amplitude 1."""
+    run as stage 0 at amplitude 1.  Each step's admissibility is read off
+    the frame minimum, and only the final state is expanded into a Field."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
     E_start = discrete_energy(v, cfg.lam).total
-    steps = march(v, cfg.dt, cfg.lam, "direct run")
-    for j, rep in zip(range(cfg.steps), steps):
-        v = rep.next
-        if not v.is_admissible():
+    rep = None
+    for j, rep in zip(range(cfg.steps), march(v, cfg.dt, cfg.lam, "direct run")):
+        min_v = float(rep.next.min())
+        if not min_v > 0.0:  # also true for a NaN state
             raise NumericalError(
                 f"direct run, step {j + 1}: the state left the positive cone "
-                f"(min v = {v.min_interior():.6e})"
+                f"(min v = {min_v:.6e})"
             )
+    if rep is not None:  # T = 0 takes no step
+        v = rep.frame.field(rep.next)
     E_end = discrete_energy(v, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v)

@@ -2,7 +2,7 @@
 
 The discrete energy at the frozen amplitude A of the field's grid is
 
-    E(Y) = (A^2/2) * grad_norm_sq(Y) + lambda / K(Y),
+    E(Y) = (A^2/2) * |grad Y|^2 + lambda / K(Y),
 
 with the nonlocal feedback
 
@@ -14,6 +14,11 @@ are admissible competitors in the minimizing-movement problem but carry no
 reciprocal energy.  Only full-domain runs exist, so K has no outer-region
 term; the bounded-window contribution of the region outside the window is
 not implemented.
+
+frame_energy evaluates E from the values of a state in a grid.Frame, whose
+weighted sum and gradient sum are those of the full grid: the stage loop
+scores each step in the solver's frame, and discrete_energy is the same
+evaluation of a Field on its dense frame.
 
 Stage switches are scored by the signed jump delta = E_id(next start) -
 E(prev end) and its positive part eps; the ledger accumulates the budget
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, grad_norm_sq
+from .grid import Field, Frame
 
 
 @dataclass(frozen=True)
@@ -68,26 +73,21 @@ class DefectLedger:
         return sum(r.eps_sw + self.lam * r.eps_out for r in self.rows)
 
 
-def reciprocal_K(Y: Field) -> float:
-    """Nonlocal feedback K with the lower-semicontinuous extension.
+def frame_energy(
+    Y: np.ndarray, Y_min: float, frame: Frame, lam: float
+) -> EnergyBreakdown:
+    """Discrete energy of the state whose frame values are Y, split into
+    Dirichlet and reciprocal parts, with K and the feedback coefficient
+    lambda*K^-2.
 
-    Returns +inf as soon as any interior value is nonpositive.
+    Y_min is min Y, which the caller has taken.  K is the weighted frame sum
+    and +inf once Y_min is nonpositive; on that vanishing branch the
+    reciprocal part and the coefficient are 0 by convention, so the energy
+    stays finite and lower semicontinuous.
     """
-    if Y.min_interior() <= 0.0:
-        return math.inf
-    return 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / Y.interior))
-
-
-def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
-    """Discrete energy split into Dirichlet and reciprocal parts, with K and
-    the feedback coefficient lambda*K^-2.
-
-    On the vanishing branch the reciprocal part and the coefficient are 0 by
-    convention, so the energy stays finite and lower semicontinuous.
-    """
-    A = Y.grid.A
-    dirichlet = 0.5 * A * A * grad_norm_sq(Y)
-    K = reciprocal_K(Y)
+    grid = frame.grid
+    dirichlet = 0.5 * grid.A * grid.A * frame.grad_norm_sq(Y)
+    K = math.inf if Y_min <= 0.0 else 1.0 + grid.A2h2 * frame.sum(1.0 / Y)
     vanished = math.isinf(K)
     reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(
@@ -97,6 +97,11 @@ def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
         total=dirichlet + reciprocal,
         coeff=0.0 if vanished else lam / (K * K),
     )
+
+
+def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
+    """frame_energy of a Field, on the dense frame of its grid."""
+    return frame_energy(Y.interior, Y.min_interior(), Frame(Y.grid), lam)
 
 
 def switch_jump(E_prev_end: float, E_next_start_ideal: float) -> tuple[float, float]:

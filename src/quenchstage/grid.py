@@ -16,6 +16,12 @@ The gradient norm is the sum of squared forward differences over all
 horizontal and vertical node pairs of the extended array (the h^2 edge weight
 and the 1/h^2 of the difference quotient cancel), and the Laplacian is the
 standard five-point stencil.
+
+A Frame is the part of the interior that an array holds: the whole interior
+(dense), or the lower-left floor(N/2)^2 quarter of a state symmetric about
+both mid-lines (mirror-folded).  Its weighted sum and its gradient sum give
+the full-grid value from the frame array alone, so a folded stage is scored
+on the quarter.
 """
 
 from __future__ import annotations
@@ -116,26 +122,97 @@ class Field:
         return Field(grid=self.grid, interior=interior)
 
 
+class Frame:
+    """The interior nodes of a grid that a frame array holds, and the weight
+    of each in a sum over the whole interior.
+
+    The dense frame is the whole interior with unit weights.  The folded
+    frame (mirrored=True) holds a state symmetric about both mid-lines,
+    Y[i] = Y[N-i] in each index, by its lower-left floor(N/2)^2 quarter:
+    index i stands for i and N - i, so w_i = 2, or 1 on the self-mirrored
+    middle line i = N/2 of an even N, and node (i, j) weighs
+    weights[i, j] = w_i w_j.  restrict takes the frame of an interior array
+    (a contiguous copy of the quarter when folded), expand mirrors a frame
+    array back (i -> min(i, N-i)), exactly symmetric, and field wraps the
+    expansion in a Field.  sum and grad_norm_sq give the full-grid value of
+    the state that a frame array stands for; on the dense frame the unit
+    weights leave every product, and so every sum, as it was without them.
+    """
+
+    def __init__(self, grid: Grid, mirrored: bool = False):
+        N = grid.N
+        n = N // 2 if mirrored else N - 1
+        self.grid = grid
+        self.mirrored = mirrored
+        # the weight of each line of the frame extended by the boundary line
+        # before it (and after it, when dense), whose pairs all join g to g;
+        # w is the frame's own lines
+        lines = np.full(n + (1 if mirrored else 2), 2.0 if mirrored else 1.0)
+        lines[0] = 1.0
+        if 2 * n == N:  # the middle line of a folded even N
+            lines[n] = 1.0
+        self._lines = lines
+        self.w = lines[1 : n + 1]
+        self.weights = self.w[:, None] * self.w
+
+    def restrict(self, Y: np.ndarray) -> np.ndarray:
+        """The frame values of the interior array Y, C-contiguous."""
+        n = len(self.w)
+        return np.ascontiguousarray(Y[:n, :n])
+
+    def expand(self, Y: np.ndarray) -> np.ndarray:
+        """The interior array of the frame values Y."""
+        q = np.arange(self.grid.N - 1)
+        if self.mirrored:
+            q = np.minimum(q, q[::-1])
+        return Y[np.ix_(q, q)]
+
+    def field(self, Y: np.ndarray) -> Field:
+        """The Field of the frame values Y."""
+        return Field(grid=self.grid, interior=self.expand(Y))
+
+    def sum(self, X: np.ndarray) -> float:
+        """sum_ij w_i w_j X_ij: each interior node counted once.
+
+        The weighted array is summed whole, so the sum keeps the order of
+        the unweighted one; w @ X @ w reorders it, which moves the Picard
+        source's K and the run's states in their last bits.
+        """
+        return float((X * self.weights).sum())
+
+    def grad_norm_sq(self, Y: np.ndarray) -> float:
+        """Discrete gradient norm of the state whose frame values are Y: the
+        sum of squared forward differences over every horizontal and vertical
+        node pair of its flat extension.
+
+        Pairs with both endpoints on the boundary contribute zero because g
+        is constant, and the h^2 quadrature weight cancels the squared 1/h of
+        the difference quotient.  The frame is extended by g on its first row
+        and column (and its last, when dense), and each line's pairs weigh
+        the line's w.  On the folded frame the pair (i, i+1) of a line
+        mirrors onto (N-i-1, N-i), for an odd and an even N alike (the middle
+        pair of an odd N joins two equal values), so the sum is doubled.
+        """
+        c = self._lines
+        n, m = len(Y), len(c)
+        F = np.full((m, m), self.grid.g)
+        F[1 : n + 1, 1 : n + 1] = Y
+        dx = F[1:] - F[:-1]
+        dx *= dx
+        dx *= c
+        dy = F[:, 1:] - F[:, :-1]
+        dy *= dy
+        dy *= c[:, None]
+        total = float(dx.sum() + dy.sum())
+        return 2.0 * total if self.mirrored else total
+
+
 def flat_extend(Y: Field) -> np.ndarray:
     """Extension to all (N+1)^2 nodes: interior copied, boundary set to g."""
     N = Y.grid.N
     out = np.full((N + 1, N + 1), Y.grid.g, dtype=float)
     out[1:-1, 1:-1] = Y.interior
     return out
-
-
-def grad_norm_sq(Y: Field) -> float:
-    """Discrete gradient norm: sum of squared forward differences.
-
-    Runs over every horizontal and vertical node pair of the flat extension;
-    pairs with both endpoints on the boundary contribute zero because g is
-    constant.  The h^2 quadrature weight cancels the squared 1/h of the
-    difference quotient, leaving the bare squared differences.
-    """
-    F = flat_extend(Y)
-    dx = np.diff(F, axis=0)
-    dy = np.diff(F, axis=1)
-    return float(np.sum(dx * dx) + np.sum(dy * dy))
 
 
 def laplacian_5pt(Y: Field) -> np.ndarray:

@@ -53,18 +53,20 @@ once per grid, folds only when it is at most MIRROR_TOL and otherwise keeps
 the dense solve, and logs the path at INFO.
 
 Every array the solve, the Picard step and the seed see is in the solver's
-frame: the quarter on a folded solver, the whole interior on a dense one,
-where the restriction, the weights and the expansion are the identity.
-march restricts the start once per grid.  Every sweep builds the right-hand
-side, solves, evaluates the source, with K from the weighted frame sum (each
-interior node counted once), and takes the stop bound and max|Y| in the
-frame, whose maxima are those of the full grid on symmetric data.  march
-keeps the accepted frame states as its seed history and expands each once
-(mirrors it back) into the Field of its report.  The expanded state is
-exactly symmetric, so one check per grid suffices, and the restriction drops
-the start's own asymmetry, at most MIRROR_TOL.  The oracle, verify and every
-DirichletSolver(grid, ds) built outside march step asymmetric fields with
-the dense solve.
+frame (grid.Frame): the quarter on a folded solver, the whole interior on a
+dense one, where the restriction, the weights and the expansion are the
+identity.  march restricts the start once per grid.  Every sweep builds the
+right-hand side, solves, evaluates the source, with K from the weighted
+frame sum (each interior node counted once), and takes the stop bound and
+max|Y| in the frame, whose extrema are those of the full grid on symmetric
+data.  march yields each step's start and accepted state as frame arrays,
+which are also its seed history, and expands none of them: the drivers score
+every step in the frame and expand only what they hand on (the stage's
+event, the direct run's final state).  A folded frame array stands for an
+exactly symmetric state, so one check per grid suffices, and the
+restriction drops the start's own asymmetry, at most MIRROR_TOL.  The
+oracle, verify and every DirichletSolver(grid, ds) built outside march step
+asymmetric fields with the dense solve.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -88,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, inner_product, laplacian_5pt
+from .grid import Field, Frame, Grid, inner_product, laplacian_5pt
 from .energy import discrete_energy
 
 logger = logging.getLogger(__name__)
@@ -118,8 +120,13 @@ MIRROR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StepReport:
-    next: Field
+    """One accepted step of march: its start prev and its state next, both
+    as values in frame, the solver's frame, and its Picard sweep count."""
+
+    prev: np.ndarray
+    next: np.ndarray
     picard_iters: int
+    frame: Frame
 
 
 class NumericalError(RuntimeError):
@@ -153,15 +160,10 @@ class DirichletSolver:
     T = S[1..N//2, odd] on the output side and P = w T on the input side,
     on the lower-left quarter of rhs; the full S is never built.
 
-    That quarter is the solver's frame; the dense form is the same set-up
-    with every mode, all rows and w = 1, and its frame is the whole
-    interior.  solve takes and returns frame arrays only.  restrict takes
-    the frame of an interior array (a contiguous copy of the quarter when
-    folded), weights = w (x) w counts each interior node once in a sum over
-    the frame, and expand mirrors the frame back with one flat take
-    (i -> min(i, N-i) when folded, the identity when dense).  The expansion
-    is symmetric to the last bit, so march, which measures the symmetry of
-    a stage start before it folds, stays on symmetric data.
+    That quarter is the solver's frame (grid.Frame, with its weights w);
+    the dense form is the same set-up with every mode, all rows and w = 1,
+    and its frame is the whole interior.  solve takes and returns frame
+    arrays only.
     """
 
     def __init__(self, grid: Grid, ds: float, mirrored: bool = False):
@@ -169,30 +171,14 @@ class DirichletSolver:
             raise ValueError("ds must be positive")
         self.grid = grid
         self.ds = ds
-        self.mirrored = mirrored
-        N = grid.N
-        n = N // 2 if mirrored else N - 1
-        i, j = np.arange(1, n + 1), np.arange(1, N, 2 if mirrored else 1)
+        self.frame = Frame(grid, mirrored)
+        N, w = grid.N, self.frame.w
+        i, j = np.arange(1, len(w) + 1), np.arange(1, N, 2 if mirrored else 1)
         T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j) / N)
         mu = (2.0 - 2.0 * np.cos(np.pi * j / N)) / grid.h ** 2
         self._inv = 1.0 / (1.0 / ds + mu[:, None] + mu[None, :])
-        w = np.where(2 * i == N, 1.0, 2.0 if mirrored else 1.0)
         P = w[:, None] * T
         self._basis = (T, P.T, P, T.T)
-        self.weights = np.outer(w, w)
-        q = np.arange(N - 1)
-        if mirrored:
-            q = np.minimum(q, q[::-1])
-        self._gather = q[:, None] * n + q[None, :]
-
-    def restrict(self, Y: np.ndarray) -> np.ndarray:
-        """The frame values of the interior array Y, C-contiguous."""
-        n = len(self.weights)
-        return np.ascontiguousarray(Y[:n, :n])
-
-    def expand(self, Y: np.ndarray) -> np.ndarray:
-        """The interior array of the frame values Y."""
-        return Y.take(self._gather)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^-1 rhs for a rhs in the frame, returned in the frame."""
@@ -200,27 +186,21 @@ class DirichletSolver:
         return T @ ((PT @ rhs @ P) * self._inv) @ TT
 
 
-def nonlocal_source(
-    Y: np.ndarray, grid: Grid, lam: float, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """The source lam/(Yc^2 K(Yc)^2) of the interior values Y on grid, with
-    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc.  Given a solver's
-    weights, Y is in its frame (on a folded solver the quarter of a
-    symmetric interior) and the sum is the weighted frame sum, sum w/Yc,
-    the full interior's sum."""
+def nonlocal_source(Y: np.ndarray, frame: Frame, lam: float) -> np.ndarray:
+    """The source lam/(Yc^2 K(Yc)^2) of the frame values Y, with
+    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc, the weighted frame
+    sum (each interior node counted once)."""
     Yc = np.maximum(Y, CLIP)
-    recip = 1.0 / Yc
-    if weights is not None:
-        recip *= weights
-    K = 1.0 + grid.A2h2 * float(np.sum(recip))
+    K = 1.0 + frame.grid.A2h2 * frame.sum(1.0 / Yc)
     return lam / (Yc * Yc * K * K)
 
 
-def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
-    """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} on Z's grid."""
-    A = Z.grid.A
-    diff = Y.interior - Z.interior
-    return (A * A / (2.0 * ds)) * inner_product(diff, diff, Z.grid.h)
+def movement_penalty(Y: np.ndarray, Z: np.ndarray, frame: Frame, ds: float) -> float:
+    """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} of two states
+    given by their frame values, with the weighted frame sum."""
+    A, h = frame.grid.A, frame.grid.h
+    diff = Y - Z
+    return (A * A / (2.0 * ds)) * (h * h * frame.sum(diff * diff))
 
 
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
@@ -263,21 +243,22 @@ def picard_implicit_step(
     one sweep ends the step; PICARD_MAX sweeps without the stop raise
     NumericalError.
     """
-    frame = solver.weights.shape
-    if Z.shape != frame or (seed is not None and seed.shape != frame):
-        raise ValueError(f"Picard step takes arrays in the solver's frame {frame}")
+    frame = solver.frame
+    shape = frame.weights.shape
+    if Z.shape != shape or (seed is not None and seed.shape != shape):
+        raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
     if not Z.min() > 0.0:  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
-    grid, ds, w, g = solver.grid, solver.ds, solver.weights, solver.grid.g
+    ds, g = solver.ds, solver.grid.g
     base_rhs = (Z - g) / ds
     Y = Z if seed is None else seed
-    F = nonlocal_source(Y, grid, lam, w)
+    F = nonlocal_source(Y, frame, lam)
     for sweeps in range(1, PICARD_MAX + 1):
         # Y is rebound before F_new exists, so the previous iterate is freed:
         # live grid arrays set large-N peak memory
         Y = g + solver.solve(base_rhs - F)
-        F_new = nonlocal_source(Y, grid, lam, w)
+        F_new = nonlocal_source(Y, frame, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
@@ -299,8 +280,8 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     not converge raises NumericalError naming where (the stage or the direct
     run) and the step.  The one solver is mirror-folded when the start's
     mirror_asymmetry is at most MIRROR_TOL, and dense otherwise.  march owns
-    the frame: it restricts the start once, keeps the accepted frame states
-    as the seed history and expands each once into its report's Field."""
+    the frame: it restricts the start once and yields each step's start and
+    accepted state in the solver's frame, which are also the seed history."""
     asymmetry = mirror_asymmetry(Z.interior)
     mirrored = asymmetry <= MIRROR_TOL
     logger.info(
@@ -308,7 +289,7 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
         where, "mirror-folded" if mirrored else "dense", asymmetry,
     )
     solver = DirichletSolver(Z.grid, ds, mirrored=mirrored)
-    Y = solver.restrict(Z.interior)
+    Y = solver.frame.restrict(Z.interior)
     history = deque([Y], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         try:
@@ -316,14 +297,14 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
         history.append(Y)
-        yield StepReport(next=Z.with_interior(solver.expand(Y)), picard_iters=sweeps)
+        yield StepReport(history[-2], Y, sweeps, solver.frame)
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    source = nonlocal_source(Y.interior, Y.grid, lam)
+    source = nonlocal_source(Y.interior, Frame(Y.grid), lam)
     return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 
@@ -342,11 +323,11 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 
-    h, scale = Z.grid.h, Z.grid.A2h2
+    h, scale, frame = Z.grid.h, Z.grid.A2h2, Frame(Z.grid)
 
     def objective(Yarr: np.ndarray) -> float:
-        cand = Z.with_interior(Yarr)
-        return discrete_energy(cand, lam).total + movement_penalty(cand, Z, ds)
+        E = discrete_energy(Z.with_interior(Yarr), lam).total
+        return E + movement_penalty(Yarr, Z.interior, frame, ds)
 
     Y = Z.interior.copy()
     alpha0 = ds / scale

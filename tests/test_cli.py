@@ -413,7 +413,7 @@ class TestVerifyCommand:
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self.mirrored)
+            built.append(self.frame.mirrored)
 
         monkeypatch.setattr(stepper.DirichletSolver, "__init__", recording)
         assert main(["verify", "all"]) == 0

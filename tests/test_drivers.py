@@ -26,8 +26,8 @@ from quenchstage.drivers import (
     run_stage,
     run_stagewise,
 )
-from quenchstage.energy import discrete_energy, switch_jump
-from quenchstage.grid import Field, Grid
+from quenchstage.energy import discrete_energy, frame_energy, switch_jump
+from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import DirichletSolver, picard_implicit_step
 
@@ -195,28 +195,21 @@ class TestInitialProfile:
 
 
 class TestDetectTrigger:
-    def constant_pair(self, a, b):
-        grid = Grid(0.6, 4)
-        prev = Field(grid=grid, interior=np.full((3, 3), a))
-        nxt = Field(grid=grid, interior=np.full((3, 3), b))
-        return prev, nxt
-
+    # the trigger reads only the two minima, which run_stage takes in the frame
     def test_crossing_fraction(self):
-        prev, nxt = self.constant_pair(0.65, 0.60)
-        tau, event = detect_trigger(prev, nxt, THR)
+        tau = detect_trigger(0.65, 0.60, THR)
         assert tau == pytest.approx((0.65 - THR) / 0.05, rel=1e-14)
         assert tau == pytest.approx(0.4007895011, abs=1e-9)
         # constant states interpolate to the threshold exactly
-        assert event.min_interior() == pytest.approx(THR, abs=1e-15)
+        event = (1.0 - tau) * np.full((3, 3), 0.65) + tau * np.full((3, 3), 0.60)
+        assert event.min() == pytest.approx(THR, abs=1e-15)
 
     def test_no_crossing(self):
-        prev, nxt = self.constant_pair(0.64, 0.64)
-        assert detect_trigger(prev, nxt, THR) is None
+        assert detect_trigger(0.64, 0.64, THR) is None
 
     def test_missed_trigger_rejected(self):
-        prev, nxt = self.constant_pair(0.62, 0.60)
-        with pytest.raises(ValueError):
-            detect_trigger(prev, nxt, THR)
+        with pytest.raises(ValueError, match="trigger missed"):
+            detect_trigger(0.62, 0.60, THR)
 
 
 class TestRunStage:
@@ -340,13 +333,13 @@ class TestStageTransition:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig(max_stages=2))
         lam = report.config.lam
-        # per stage, in run_stage: the start, each completed step once, then
-        # the event; E0 and the switch rows are read off the records
+        # per stage, in run_stage: the start and the event (every completed
+        # step is scored in the frame); E0 and the switch rows are read off
+        # the records
         for r in report.records:
-            start, *stepped, event = calls[: r.steps + 2]
-            del calls[: r.steps + 2]
-            assert len(stepped) == r.steps
-            assert {Y.grid.N for Y in (start, *stepped, event)} == {r.N}
+            start, event = calls[:2]
+            del calls[:2]
+            assert start.grid.N == event.grid.N == r.N
             assert discrete_energy(start, lam).total == r.E_start
             assert discrete_energy(event, lam).total == r.E_end
             assert event.min_interior() == r.min_W
@@ -456,20 +449,44 @@ class TestRunStagewise:
             assert solves.count((r.N // 2, r.N // 2)) == r.picard_sweeps
 
     def test_energy_evaluations_per_run(self, monkeypatch):
-        calls = []
+        fields, frames = [], []
 
-        def counting(*args):
-            calls.append(1)
-            return discrete_energy(*args)
+        def on_field(Y, *args):
+            fields.append(Y.grid.N)
+            return discrete_energy(Y, *args)
 
-        monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
-        monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
+        def on_frame(Y, *args):
+            frames.append(Y.shape)
+            return frame_energy(Y, *args)
+
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_field)
+        monkeypatch.setattr("quenchstage.drivers.frame_energy", on_frame)
+        monkeypatch.setattr("quenchstage.stepper.discrete_energy", None)
         report = run_stagewise(StagewiseConfig())
-        # one E(next) per completed step, none for the crossing steps, and a
-        # start and an event per stage; E0 is the stage-0 start
+        # one E(next) per completed step, in the frame (the N//2 quarter), none
+        # for the crossing steps, and a Field start and event per stage; E0 is
+        # the stage-0 start
         completed = sum(r.steps for r in report.records)
         stages = len(report.records)
-        assert len(calls) == completed + 2 * stages == 623
+        assert len(fields) + len(frames) == completed + 2 * stages == 623
+        for r in report.records:
+            assert fields.count(r.N) == 2
+            assert frames.count((r.N // 2, r.N // 2)) == r.steps
+
+    def test_one_expansion_per_stage(self, monkeypatch):
+        # every step is scored in the frame; only the event becomes a Field
+        expanded = []
+        expand = Frame.expand
+
+        def counting(self, Y):
+            out = expand(self, Y)
+            expanded.append(out.shape)
+            return out
+
+        monkeypatch.setattr(Frame, "expand", counting)
+        report = run_stagewise(StagewiseConfig())
+        assert expanded == [(r.N - 1, r.N - 1) for r in report.records]
+        assert sum(r.steps for r in report.records) == 615
 
     def test_switch_rows_come_from_records(self, reference_run):
         records, rows = reference_run.records, reference_run.ledger.rows
@@ -504,10 +521,10 @@ class TestRunStagewise:
 
         def rising(*args, **kwargs):
             calls.append(1)
-            eb = discrete_energy(*args, **kwargs)
+            eb = frame_energy(*args, **kwargs)
             return dataclasses.replace(eb, total=eb.total + len(calls))
 
-        monkeypatch.setattr("quenchstage.drivers.discrete_energy", rising)
+        monkeypatch.setattr("quenchstage.drivers.frame_energy", rising)
         cfg = StagewiseConfig()
         with caplog.at_level(logging.WARNING, logger="quenchstage.drivers"):
             record, _ = run_stage(stage0_state(cfg), cfg)
@@ -522,7 +539,7 @@ class TestRunStagewise:
 
         def recording(Z, solver, *args):
             Y, sweeps = picard_implicit_step(Z, solver, *args)
-            states.append((solver.expand(Z), solver.expand(Y)))
+            states.append((solver.frame.expand(Z), solver.frame.expand(Y)))
             return Y, sweeps
 
         monkeypatch.setattr("quenchstage.stepper.picard_implicit_step", recording)
@@ -596,7 +613,7 @@ class TestRunDirect:
         )
         sweeps = []
         for W, v in itertools.islice(zip(stage, direct), 139):
-            Wn, vn = A0 * W.next.interior, v.next.interior
+            Wn, vn = A0 * W.next, v.next
             assert np.max(np.abs(Wn - vn)) <= 1e-9 * np.max(np.abs(vn))
             sweeps.append((W.picard_iters, v.picard_iters))
         # the stop test's floor max(1, max|Y|) is not scaled with A0: in
@@ -644,6 +661,24 @@ class TestRunDirect:
         assert report.E_start == discrete_energy(start, cfg.lam).total
         assert report.E_end == discrete_energy(end, cfg.lam).total
         assert report.min_v == end.min_interior()
+
+    def test_one_expansion_per_run(self, monkeypatch):
+        # admissibility is read off the frame minimum; only the final state
+        # becomes a Field, and a run without steps expands nothing
+        expanded = []
+        expand = Frame.expand
+
+        def counting(self, Y):
+            expanded.append(Y.shape)
+            return expand(self, Y)
+
+        monkeypatch.setattr(Frame, "expand", counting)
+        cfg = DirectConfig()
+        report = run_direct(cfg)
+        assert cfg.steps == 160 and expanded == [(cfg.N // 2, cfg.N // 2)]
+        assert report.min_v == pytest.approx(0.362574574560, rel=1e-6)
+        run_direct(DirectConfig(T=0.0))
+        assert len(expanded) == 1
 
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))

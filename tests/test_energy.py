@@ -11,10 +11,16 @@ from quenchstage.energy import (
     DefectRow,
     continuation_check,
     discrete_energy,
-    reciprocal_K,
+    frame_energy,
     switch_jump,
 )
-from quenchstage.grid import Field, Grid, grad_norm_sq
+from quenchstage.grid import Field, Frame, Grid
+from quenchstage.stepper import movement_penalty
+
+
+def reciprocal_K(Y):
+    """The feedback K of a Field; it does not depend on lam."""
+    return discrete_energy(Y, lam=1.0).K
 
 
 def single_node_field(value):
@@ -66,7 +72,9 @@ class TestDiscreteEnergy:
         eb = discrete_energy(W, cfg.lam)
         assert eb.total == pytest.approx(10.3614604375, rel=1e-6)
         # same number assembled from the two pieces directly
-        manual = 0.5 * cfg.A0**2 * grad_norm_sq(W) + cfg.lam / reciprocal_K(W)
+        grad = Frame(W.grid).grad_norm_sq(W.interior)
+        K = 1.0 + W.grid.A2h2 * float(np.sum(1.0 / W.interior))
+        manual = 0.5 * cfg.A0**2 * grad + cfg.lam / K
         assert eb.total == pytest.approx(manual, rel=1e-15)
 
     def test_vanishing_branch_consistency(self):
@@ -75,6 +83,43 @@ class TestDiscreteEnergy:
         assert math.isinf(eb.K)
         assert eb.reciprocal == 0.0
         assert eb.total == eb.dirichlet
+
+
+class TestFrameEnergy:
+    @staticmethod
+    def symmetric_state(N, seed):
+        """A positive state symmetric about both mid-lines on Grid(0.6, N)."""
+        a = np.random.default_rng(seed).uniform(0.5, 1.5, (N - 1, N - 1))
+        a = a + a[::-1]
+        return Field(grid=Grid(0.6, N), interior=a + a[:, ::-1])
+
+    # the stage loop scores each step in the solver's frame: the folded
+    # quarter and the dense interior give the full-grid energy, K and penalty
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 18, 19, 72])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_frame_scores_are_the_full_grid_scores(self, N, mirrored):
+        lam, ds = 20.0, 1e-3
+        Y, Z = self.symmetric_state(N, seed=N), self.symmetric_state(N, seed=N + 1)
+        frame = Frame(Y.grid, mirrored)
+        Yf, Zf = frame.restrict(Y.interior), frame.restrict(Z.interior)
+        got = frame_energy(Yf, float(Yf.min()), frame, lam)
+        # the full-grid values by plain sums over every node and node pair
+        F = np.pad(Y.interior, 1, constant_values=Y.grid.g)
+        grad = float(np.sum(np.diff(F, axis=0) ** 2) + np.sum(np.diff(F, axis=1) ** 2))
+        K = 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / Y.interior))
+        total = 0.5 * Y.grid.A ** 2 * grad + lam / K
+        assert got.K == pytest.approx(K, rel=1e-14)
+        assert got.total == pytest.approx(total, rel=1e-14)
+        assert got.total == pytest.approx(discrete_energy(Y, lam).total, rel=1e-14)
+        A, h = Y.grid.A, Y.grid.h
+        sq = float(np.sum((Y.interior - Z.interior) ** 2))
+        want = (A * A / (2.0 * ds)) * h * h * sq
+        assert movement_penalty(Yf, Zf, frame, ds) == pytest.approx(want, rel=1e-14)
+
+    def test_vanishing_branch_from_the_given_minimum(self):
+        frame = Frame(Grid(1.0, 2))
+        eb = frame_energy(np.array([[0.0]]), 0.0, frame, lam=20.0)
+        assert math.isinf(eb.K) and eb.reciprocal == 0.0 and eb.coeff == 0.0
 
 
 class TestFeedback:

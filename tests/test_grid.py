@@ -9,9 +9,9 @@ import pytest
 
 from quenchstage.grid import (
     Field,
+    Frame,
     Grid,
     flat_extend,
-    grad_norm_sq,
     gradient_bilinear,
     inner_product,
     l2_norm,
@@ -42,6 +42,11 @@ def brute_force_laplacian(F, h):
                 F[i + 1, j] + F[i - 1, j] + F[i, j + 1] + F[i, j - 1] - 4 * F[i, j]
             ) / h**2
     return out
+
+
+def grad_norm_sq(Y):
+    """The gradient sum of a Field, on the dense frame of its grid."""
+    return Frame(Y.grid).grad_norm_sq(Y.interior)
 
 
 def random_field(rng, N=6, A=0.6):
@@ -176,6 +181,50 @@ class TestGradNormSq:
         grid = Grid(1.0 / (Y.grid.g + 3.7), Y.grid.N)
         shifted = Field(grid=grid, interior=Y.interior + 3.7)
         assert grad_norm_sq(shifted) == pytest.approx(grad_norm_sq(Y), rel=1e-12)
+
+
+class TestFrame:
+    @staticmethod
+    def symmetric_field(N, seed):
+        """A random state symmetric about both mid-lines on Grid(0.6, N)."""
+        grid = Grid(0.6, N)
+        a = np.random.default_rng(seed).uniform(0.2, 1.0, (N - 1, N - 1))
+        a = a + a[::-1]
+        return Field(grid=grid, interior=a + a[:, ::-1])
+
+    # N = 2 folds to the dense frame; an even N has a middle line of weight 1
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 18, 19, 72])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_frame_sums_are_the_full_grid_sums(self, N, mirrored):
+        Y = self.symmetric_field(N, seed=N)
+        frame = Frame(Y.grid, mirrored)
+        n = N // 2 if mirrored else N - 1
+        values = frame.restrict(Y.interior)
+        assert values.shape == (n, n)
+        assert np.array_equal(frame.expand(values), Y.interior)
+        want = brute_force_grad_sq(flat_extend(Y))
+        assert frame.grad_norm_sq(values) == pytest.approx(want, rel=1e-14)
+        X = 1.0 / Y.interior
+        want = sum(float(x) for x in X.ravel())
+        assert frame.sum(1.0 / values) == pytest.approx(want, rel=1e-14)
+
+    def test_weights_count_each_node_once(self):
+        # odd N: every quarter line stands for two; even N: the middle for one
+        assert np.array_equal(Frame(Grid(0.6, 9), True).w, [2.0] * 4)
+        assert np.array_equal(Frame(Grid(0.6, 8), True).w, [2.0] * 3 + [1.0])
+        assert np.array_equal(Frame(Grid(0.6, 8)).w, np.ones(7))
+        for N in (2, 3, 8, 9):
+            for mirrored in (True, False):
+                frame = Frame(Grid(0.6, N), mirrored)
+                assert frame.sum(np.ones_like(frame.weights)) == (N - 1) ** 2
+
+    def test_field_expands_the_frame(self):
+        Y = self.symmetric_field(6, seed=1)
+        frame = Frame(Y.grid, mirrored=True)
+        out = frame.field(frame.restrict(Y.interior))
+        assert out.grid == Y.grid
+        assert np.array_equal(out.interior, Y.interior)
+        assert out.min_interior() == Y.min_interior()
 
 
 class TestLaplacian:

@@ -6,8 +6,9 @@ nothing in its module reads is left over from a deletion, and so is a
 top-level function or class that nothing in the package reads: a helper that
 only tests call belongs in the tests.  drivers.py leaves the step sequence
 (solver, seeds, Picard step) to stepper.march, and march is the only code
-outside DirichletSolver that moves states between the solver's frame and
-the interior (restrict, expand).  Every exception class the
+outside grid.Frame that moves states between the solver's frame and the
+interior (restrict, expand): it restricts each start, and the stage loop
+takes the one expanded event through Frame.field.  Every exception class the
 package defines is ConfigError or NumericalError or derives from
 NumericalError, so each maps to a documented exit code.
 """
@@ -189,8 +190,8 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
 
 
 def test_only_march_moves_states_in_and_out_of_the_frame():
-    # the solve, the Picard step and the seed see only frame arrays; march
-    # restricts the start once per grid and expands each accepted state
+    # the solve, the Picard step, the seed and the stage loop's scores see
+    # only frame arrays; march restricts the start once per grid
     trees = {path.name: parse(path) for path in MODULES}
-    readers = frame_readers(trees) - {"stepper.py:DirichletSolver"}
+    readers = frame_readers(trees) - {"grid.py:Frame"}
     assert readers == {"stepper.py:march"}, f"restrict/expand read by {readers}"

@@ -5,6 +5,7 @@ explicit loops and solves it densely, sharing nothing with the sine-basis
 diagonalization used by the package.
 """
 
+import collections
 import functools
 import itertools
 
@@ -18,14 +19,13 @@ from quenchstage.drivers import (
     initial_rescaled_profile,
     run_stage,
 )
-from quenchstage.energy import discrete_energy, reciprocal_K
-from quenchstage.grid import Field, Grid
+from quenchstage.energy import discrete_energy
+from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
     SEED_ORDER,
     DirichletSolver,
     NumericalError,
-    StepReport,
     euler_lagrange_residual,
     extrapolated_seed,
     march,
@@ -71,11 +71,19 @@ def single_node_field(value):
     return Field(grid=grid, interior=np.array([[value]]))
 
 
+def reciprocal_K(Y):
+    """The feedback K of a Field; it does not depend on lam."""
+    return discrete_energy(Y, lam=1.0).K
+
+
+Stepped = collections.namedtuple("Stepped", "next picard_iters")
+
+
 def step(Z, ds, lam, seed=None):
     """One Picard step from the Field Z with a dense solver built for it,
-    whose frame is the whole interior, reported as march reports it."""
+    whose frame is the whole interior: the next Field and the sweeps."""
     Y, sweeps = picard_implicit_step(Z.interior, DirichletSolver(Z.grid, ds), lam, seed)
-    return StepReport(next=Z.with_interior(Y), picard_iters=sweeps)
+    return Stepped(Z.with_interior(Y), sweeps)
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
@@ -124,10 +132,10 @@ class TestDirichletSolver:
         folded = DirichletSolver(grid, ds, mirrored=True)
         dense = DirichletSolver(grid, ds)
         # the folded frame is the N//2 quarter, and expand mirrors it back
-        quarter = folded.restrict(rhs)
+        quarter = folded.frame.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
-        assert np.array_equal(folded.expand(quarter), rhs)
-        got, want = folded.expand(folded.solve(quarter)), dense.solve(rhs)
+        assert np.array_equal(folded.frame.expand(quarter), rhs)
+        got, want = folded.frame.expand(folded.solve(quarter)), dense.solve(rhs)
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -137,9 +145,9 @@ class TestDirichletSolver:
         assert np.array_equal(got, got[:, ::-1])
         # the dense frame is the whole interior: the same set-up with the
         # identity restriction and expansion and unit weights
-        assert np.array_equal(dense.restrict(rhs), rhs)
-        assert np.array_equal(dense.expand(rhs), rhs)
-        assert np.array_equal(dense.weights, np.ones((n, n)))
+        assert np.array_equal(dense.frame.restrict(rhs), rhs)
+        assert np.array_equal(dense.frame.expand(rhs), rhs)
+        assert np.array_equal(dense.frame.weights, np.ones((n, n)))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -159,7 +167,7 @@ class TestDirichletSolver:
         ]
         for solver, r in cases:
             for rhs in (r, np.ones((n, n))):
-                got = float(np.max(np.abs(solver.solve(solver.restrict(rhs)))))
+                got = float(np.max(np.abs(solver.solve(solver.frame.restrict(rhs)))))
                 assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
 
@@ -277,7 +285,7 @@ class TestPicardStep:
         other = DirichletSolver(Grid(0.6, 6), 1e-3)
         folded = DirichletSolver(Z.grid, 1e-3, mirrored=True)
         dense = DirichletSolver(Z.grid, 1e-3)
-        quarter = folded.restrict(Z.interior)
+        quarter = folded.frame.restrict(Z.interior)
         cases = [
             (other, Z.interior, None),
             (folded, Z.interior, None),
@@ -311,7 +319,7 @@ class TestMarch:
         class RecordingSolver(DirichletSolver):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append(self.mirrored)
+                built.append(self.frame.mirrored)
 
         monkeypatch.setattr(stepper, "DirichletSolver", RecordingSolver)
         return built
@@ -325,32 +333,36 @@ class TestMarch:
         mirrored = stepper.mirror_asymmetry(Z.interior) <= stepper.MIRROR_TOL
         solver = DirichletSolver(Z.grid, cfg.ds, mirrored=mirrored)
         built = self.recording_solvers(monkeypatch)
-        history = [solver.restrict(Z.interior)]
+        history = [solver.frame.restrict(Z.interior)]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6):
             seed = extrapolated_seed(history)
             Y, sweeps = picard_implicit_step(history[-1], solver, cfg.lam, seed)
-            assert np.array_equal(rep.next.interior, solver.expand(Y))
+            assert np.array_equal(rep.prev, history[-1])
+            assert np.array_equal(rep.next, Y)
             assert rep.picard_iters == sweeps
             history.append(Y)
         assert built == [True]
 
-    def test_one_restriction_per_grid_one_expansion_per_step(self, monkeypatch):
+    def test_one_restriction_per_grid_no_expansion(self, monkeypatch):
         # the Picard state stays in the frame: march restricts the start,
-        # expands each accepted step, and every solve is on the quarter
+        # yields every step in the frame, and every solve is on the quarter
         cfg = StagewiseConfig()
         Z = reference_stage_start(0)
         calls = []
-        for name in ("restrict", "expand", "solve"):
+        owners = {"restrict": Frame, "expand": Frame, "solve": DirichletSolver}
+        for name, owner in owners.items():
 
-            def recording(self, Y, name=name, original=getattr(DirichletSolver, name)):
+            def recording(self, Y, name=name, original=getattr(owner, name)):
                 calls.append((name, Y.shape))
                 return original(self, Y)
 
-            monkeypatch.setattr(DirichletSolver, name, recording)
+            monkeypatch.setattr(owner, name, recording)
         reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6))
         names = [name for name, _ in calls]
-        assert (names.count("restrict"), names.count("expand")) == (1, 6)
+        assert (names.count("restrict"), names.count("expand")) == (1, 0)
         quarter = (Z.grid.N // 2, Z.grid.N // 2)
+        assert {r.next.shape for r in reps} == {quarter}
+        assert all(r.frame is reps[0].frame and r.frame.mirrored for r in reps)
         solves = [shape for name, shape in calls if name == "solve"]
         assert solves == [quarter] * sum(r.picard_iters for r in reps)
 
@@ -367,7 +379,7 @@ class TestMarch:
         assert built == [True]
         assert f"stage {m}: mirror-folded solve (asymmetry " in caplog.text
         # the folded step stays on the symmetric subspace, to the bit
-        Y = rep.next.interior
+        Y = rep.frame.expand(rep.next)
         assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
         # and agrees with the dense step to round-off
         want = step(Z, cfg.ds, cfg.lam).next.interior
@@ -394,9 +406,8 @@ class TestMarch:
                 assert state.shape == shape
                 assert not folded or state.base is None
         # the history holds the frame of each accepted state
-        solver = DirichletSolver(Z.grid, cfg.ds, mirrored=folded)
         for state, rep in zip(seen[-1][1:], reps[-4:-1], strict=True):
-            assert np.array_equal(solver.expand(state), rep.next.interior)
+            assert state is rep.next
 
     def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
         built = self.recording_solvers(monkeypatch)
@@ -434,17 +445,17 @@ class TestSourceAndPenalty:
         Y = random_state(N=N, A=A, lo=1e-3, hi=3.0, seed=seed)
         K = reciprocal_K(Y)
         want = lam / (Y.interior ** 2 * K * K)
-        assert np.array_equal(nonlocal_source(Y.interior, Y.grid, lam), want)
+        assert np.array_equal(nonlocal_source(Y.interior, Frame(Y.grid), lam), want)
 
     @pytest.mark.parametrize("N", [9, 18, 36])
     def test_weighted_quarter_K_is_the_full_K(self, N):
         # odd N has no middle line; an even N has one, of weight 1
         grid, lam, n = Grid(0.6, N), 20.0, N - 1
-        solver = DirichletSolver(grid, 1e-3, mirrored=True)
+        frame = Frame(grid, mirrored=True)
         a = np.random.default_rng(N).uniform(0.5, 1.5, (n, n))
-        quarter = solver.restrict(mirror_symmetric(a))
-        full = Field(grid=grid, interior=solver.expand(quarter))
-        F = nonlocal_source(quarter, grid, lam, solver.weights)
+        quarter = frame.restrict(mirror_symmetric(a))
+        full = frame.field(quarter)
+        F = nonlocal_source(quarter, frame, lam)
         K = np.sqrt(lam / (F * quarter * quarter))
         want = reciprocal_K(full)
         assert np.max(np.abs(K - want)) <= 1e-14 * want
@@ -454,7 +465,8 @@ class TestSourceAndPenalty:
         Y = np.array([[1.0, -2.0], [0.0, 1e-20]])
         Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
         K = reciprocal_K(Field(grid=grid, interior=Yc))
-        assert np.array_equal(nonlocal_source(Y, grid, 3.0), 3.0 / (Yc ** 2 * K * K))
+        want = 3.0 / (Yc ** 2 * K * K)
+        assert np.array_equal(nonlocal_source(Y, Frame(grid), 3.0), want)
 
     def test_penalty_matches_node_loop(self):
         Z = random_state(N=5, A=1.3, seed=21)
@@ -466,7 +478,8 @@ class TestSourceAndPenalty:
             for i in range(n) for j in range(n)
         )
         want = (1.3 * 1.3 / (2.0 * ds)) * sq
-        assert movement_penalty(Y, Z, ds) == pytest.approx(want, rel=1e-13)
+        got = movement_penalty(Y.interior, Z.interior, Frame(Z.grid), ds)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_residual_rejects_nan_state(self):
         Z = random_state(seed=23)
