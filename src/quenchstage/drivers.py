@@ -28,13 +28,15 @@ deficit quenches) is a numerical failure.
 
 Both drivers advance their state through stepper.march, which owns the
 linear solver, the Picard seeds and the non-convergence error and yields
-every step in the solver's frame (grid.Frame: the mirror-folded quarter on
-a symmetric run).  Each loop evaluates only what it records, and in that
-frame: run_stage the trigger minimum, the energy and the movement penalty of
-every completed step and the penalty of the crossing step, run_direct the
-minimum of every step.  Each expands one state into a Field: run_stage its
-event, interpolated in the frame, and run_direct its final state, whose
-energy it records with that of its start.
+every step as Fields on the solver's frame (grid.Frame: the mirror-folded
+quarter on a symmetric run).  Each loop evaluates only what it records, and
+on that frame: run_stage the energy and the movement penalty of every
+completed step, the penalty of the crossing step and the energy of the
+event, interpolated there; run_direct the energy of its final state.  The
+trigger and the positivity check read the minimum each Field took when it
+was built.  Neither expands a state: the transfer expands each event it
+reads, so the last stage's event and the direct run's final state never
+are.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Frame, Grid
 from .energy import (
     DefectLedger,
     DefectRow,
     CriterionReport,
     continuation_check,
     discrete_energy,
-    frame_energy,
     switch_jump,
 )
 from .prolongation import prolong_stage
@@ -75,11 +76,11 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 9.1 s and 138 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 9.1 s and 90 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
 # stage stepped and scored on the mirror-folded quarter; median of 3).  The
 # peak follows glibc's allocation order: with MALLOC_MMAP_THRESHOLD_=131072
-# the same run reads 120 MiB (16.4 s).
+# the same run reads 86 MiB (17.0 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -241,7 +242,7 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     x = 0.5 + A ** 1.5 * grid.interior_nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    return Field(grid=grid, interior=(1.0 - u0) / A)
+    return Field(Frame(grid), (1.0 - u0) / A)
 
 
 def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:
@@ -274,12 +275,13 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
-    Every step is scored in the frame march yields: the trigger reads the
-    frame minimum, and the energy and the movement penalty are weighted
-    frame sums.  Only the event, interpolated in the frame, is expanded into
-    a Field.  A start whose minimum is not above the threshold raises
-    TransferError, and a record with a non-finite float (an overflowed
-    energy or penalty) raises NumericalError.
+    Every step is scored on the frame of the Fields march yields: the
+    trigger reads each state's minimum, taken when it was built, and the
+    energy and the movement penalty are weighted frame sums.  The event is
+    interpolated and scored on that frame too, and is expanded only when
+    the transfer reads it.  A start whose minimum is not above the
+    threshold raises TransferError, and a record with a non-finite float
+    (an overflowed energy or penalty) raises NumericalError.
     """
     Z = state.Z
     thr = cfg.threshold
@@ -299,18 +301,18 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     dissipation = 0.0
     for completed, rep in zip(range(cfg.step_cap), steps):
         sweeps += rep.picard_iters
-        min_next = float(rep.next.min())
+        min_next = rep.next.min_interior()
         tau = detect_trigger(min_prev, min_next, thr)
         if tau is not None:
             break
-        E_next = frame_energy(rep.next, min_next, rep.frame, cfg.lam).total
+        E_next = discrete_energy(rep.next, cfg.lam).total
         if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
             increases += 1
             logger.warning(
                 "stage %d, step %d: energy increased by %.3e",
                 state.m, completed + 1, E_next - E_prev,
             )
-        dissipation += movement_penalty(rep.next, rep.prev, rep.frame, cfg.ds)
+        dissipation += movement_penalty(rep.next, rep.prev, cfg.ds)
         min_prev = min_next
         E_prev = E_next
     else:
@@ -318,9 +320,9 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
             f"stage {state.m}: no trigger within {cfg.step_cap} steps"
         )
 
-    dissipation += tau * movement_penalty(rep.next, rep.prev, rep.frame, cfg.ds)
+    dissipation += tau * movement_penalty(rep.next, rep.prev, cfg.ds)
     s_star = (completed + tau) * cfg.ds
-    event = rep.frame.field((1.0 - tau) * rep.prev + tau * rep.next)
+    event = Field(rep.next.frame, (1.0 - tau) * rep.prev.values + tau * rep.next.values)
     end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
     gap = min_W - thr
@@ -398,19 +400,18 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
 def run_direct(cfg: DirectConfig) -> DirectReport:
     """Fixed-domain evolution of the physical deficit on the unit square,
     run as stage 0 at amplitude 1.  Each step's admissibility is read off
-    the frame minimum, and only the final state is expanded into a Field."""
+    the minimum its Field took when it was built, and the final state is
+    scored on the solver's frame, never expanded."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
     E_start = discrete_energy(v, cfg.lam).total
-    rep = None
     for j, rep in zip(range(cfg.steps), march(v, cfg.dt, cfg.lam, "direct run")):
-        min_v = float(rep.next.min())
+        v = rep.next
+        min_v = v.min_interior()
         if not min_v > 0.0:  # also true for a NaN state
             raise NumericalError(
                 f"direct run, step {j + 1}: the state left the positive cone "
                 f"(min v = {min_v:.6e})"
             )
-    if rep is not None:  # T = 0 takes no step
-        v = rep.frame.field(rep.next)
     E_end = discrete_energy(v, cfg.lam).total
     min_v = v.min_interior()
     return DirectReport(E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v)

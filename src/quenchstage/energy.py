@@ -15,10 +15,9 @@ reciprocal energy.  Only full-domain runs exist, so K has no outer-region
 term; the bounded-window contribution of the region outside the window is
 not implemented.
 
-frame_energy evaluates E from the values of a state in a grid.Frame, whose
-weighted sum and gradient sum are those of the full grid: the stage loop
-scores each step in the solver's frame, and discrete_energy is the same
-evaluation of a Field on its dense frame.
+discrete_energy evaluates E from a Field's values on its grid.Frame, whose
+weighted sum and gradient sum are those of the full grid, so the stage loop
+scores each step in the solver's frame.
 
 Stage switches are scored by the signed jump delta = E_id(next start) -
 E(prev end) and its positive part eps; the ledger accumulates the budget
@@ -33,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .grid import Field, Frame
+from .grid import Field
 
 
 @dataclass(frozen=True)
@@ -73,21 +70,20 @@ class DefectLedger:
         return sum(r.eps_sw + self.lam * r.eps_out for r in self.rows)
 
 
-def frame_energy(
-    Y: np.ndarray, Y_min: float, frame: Frame, lam: float
-) -> EnergyBreakdown:
-    """Discrete energy of the state whose frame values are Y, split into
-    Dirichlet and reciprocal parts, with K and the feedback coefficient
-    lambda*K^-2.
+def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
+    """Discrete energy of Y, split into Dirichlet and reciprocal parts, with
+    K and the feedback coefficient lambda*K^-2, all from Y's frame values.
 
-    Y_min is min Y, which the caller has taken.  K is the weighted frame sum
-    and +inf once Y_min is nonpositive; on that vanishing branch the
-    reciprocal part and the coefficient are 0 by convention, so the energy
-    stays finite and lower semicontinuous.
+    K is the weighted frame sum and +inf once Y's minimum is nonpositive; on
+    that vanishing branch the reciprocal part and the coefficient are 0 by
+    convention, so the energy stays finite and lower semicontinuous.
     """
-    grid = frame.grid
-    dirichlet = 0.5 * grid.A * grid.A * frame.grad_norm_sq(Y)
-    K = math.inf if Y_min <= 0.0 else 1.0 + grid.A2h2 * frame.sum(1.0 / Y)
+    frame, grid = Y.frame, Y.grid
+    dirichlet = 0.5 * grid.A * grid.A * frame.grad_norm_sq(Y.values)
+    if Y.min_interior() <= 0.0:
+        K = math.inf
+    else:
+        K = 1.0 + grid.A2h2 * frame.sum(1.0 / Y.values)
     vanished = math.isinf(K)
     reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(
@@ -97,11 +93,6 @@ def frame_energy(
         total=dirichlet + reciprocal,
         coeff=0.0 if vanished else lam / (K * K),
     )
-
-
-def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
-    """frame_energy of a Field, on the dense frame of its grid."""
-    return frame_energy(Y.interior, Y.min_interior(), Frame(Y.grid), lam)
 
 
 def switch_jump(E_prev_end: float, E_next_start_ideal: float) -> tuple[float, float]:

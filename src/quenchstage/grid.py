@@ -8,26 +8,27 @@ A^2 h^2, the weight of the reciprocal sum in K, is written only here.  The
 physical unit square of the direct run and of the change-of-variables checks
 is the A = 1 case: L = 1/2 and h = 1/N.
 
-A Field stores only the interior nodal values on its Grid; the constant
-Dirichlet boundary value is the grid's g = 1/A, and the flat extension Y_flat
-places it on the boundary ring.  A Grid whose L, h or h^2 would overflow or
-underflow a float (a tiny or huge A) is rejected when it is built.
-The gradient norm is the sum of squared forward differences over all
-horizontal and vertical node pairs of the extended array (the h^2 edge weight
-and the 1/h^2 of the difference quotient cancel), and the Laplacian is the
-standard five-point stencil.
+A Field is a state on a Frame: it stores only its values there; the
+constant Dirichlet boundary value is the grid's g = 1/A, and the flat
+extension Y_flat places it on the boundary ring.  A Grid whose L, h or h^2
+would overflow or underflow a float (a tiny or huge A) is rejected when it
+is built.  The gradient norm is the sum of squared forward differences over
+all horizontal and vertical node pairs of the extended array (the h^2 edge
+weight and the 1/h^2 of the difference quotient cancel), and the Laplacian
+is the standard five-point stencil.
 
 A Frame is the part of the interior that an array holds: the whole interior
 (dense), or the lower-left floor(N/2)^2 quarter of a state symmetric about
 both mid-lines (mirror-folded).  Its weighted sum and its gradient sum give
 the full-grid value from the frame array alone, so a folded stage is scored
-on the quarter.
+on the quarter, and a Field's interior is expanded only where it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,39 +90,6 @@ class Grid:
         return (self.N - 1) ** 2
 
 
-@dataclass(frozen=True)
-class Field:
-    """Interior nodal values on a grid whose boundary value is grid.g = 1/A.
-
-    Admissible states have all interior values positive; this is checked by
-    callers that require it (min_interior), never silently enforced here.
-    The minimum is taken once, when the Field is built, so the interior is
-    not to be changed in place afterwards (with_interior makes a new Field).
-    """
-
-    grid: Grid
-    interior: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.grid.N - 1
-        arr = np.asarray(self.interior, dtype=float)
-        if arr.shape != (n, n):
-            raise ValueError(
-                f"interior shape {arr.shape} does not match grid ({n}, {n})"
-            )
-        object.__setattr__(self, "interior", arr)
-        object.__setattr__(self, "_min", float(arr.min()))
-
-    def min_interior(self) -> float:
-        return self._min
-
-    def is_admissible(self) -> bool:
-        return self._min > 0.0
-
-    def with_interior(self, interior: np.ndarray) -> "Field":
-        return Field(grid=self.grid, interior=interior)
-
-
 class Frame:
     """The interior nodes of a grid that a frame array holds, and the weight
     of each in a sum over the whole interior.
@@ -132,11 +100,12 @@ class Frame:
     index i stands for i and N - i, so w_i = 2, or 1 on the self-mirrored
     middle line i = N/2 of an even N, and node (i, j) weighs
     weights[i, j] = w_i w_j.  restrict takes the frame of an interior array
-    (a contiguous copy of the quarter when folded), expand mirrors a frame
-    array back (i -> min(i, N-i)), exactly symmetric, and field wraps the
-    expansion in a Field.  sum and grad_norm_sq give the full-grid value of
-    the state that a frame array stands for; on the dense frame the unit
-    weights leave every product, and so every sum, as it was without them.
+    (a contiguous copy of the quarter when folded), and expand mirrors a
+    frame array back (i -> min(i, N-i)), exactly symmetric; on the dense
+    frame expand returns the array itself.  sum and grad_norm_sq give the
+    full-grid value of the state that a frame array stands for; the dense
+    frame's weights are all 1, so its sums are the plain ones and it never
+    builds them.
     """
 
     def __init__(self, grid: Grid, mirrored: bool = False):
@@ -153,7 +122,11 @@ class Frame:
             lines[n] = 1.0
         self._lines = lines
         self.w = lines[1 : n + 1]
-        self.weights = self.w[:, None] * self.w
+        self.shape = (n, n)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.w[:, None] * self.w
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
         """The frame values of the interior array Y, C-contiguous."""
@@ -162,14 +135,11 @@ class Frame:
 
     def expand(self, Y: np.ndarray) -> np.ndarray:
         """The interior array of the frame values Y."""
+        if not self.mirrored:
+            return Y
         q = np.arange(self.grid.N - 1)
-        if self.mirrored:
-            q = np.minimum(q, q[::-1])
+        q = np.minimum(q, q[::-1])
         return Y[np.ix_(q, q)]
-
-    def field(self, Y: np.ndarray) -> Field:
-        """The Field of the frame values Y."""
-        return Field(grid=self.grid, interior=self.expand(Y))
 
     def sum(self, X: np.ndarray) -> float:
         """sum_ij w_i w_j X_ij: each interior node counted once.
@@ -178,7 +148,7 @@ class Frame:
         the unweighted one; w @ X @ w reorders it, which moves the Picard
         source's K and the run's states in their last bits.
         """
-        return float((X * self.weights).sum())
+        return float((X * self.weights).sum() if self.mirrored else X.sum())
 
     def grad_norm_sq(self, Y: np.ndarray) -> float:
         """Discrete gradient norm of the state whose frame values are Y: the
@@ -205,6 +175,48 @@ class Frame:
         dy *= c[:, None]
         total = float(dx.sum() + dy.sum())
         return 2.0 * total if self.mirrored else total
+
+
+@dataclass(frozen=True)
+class Field:
+    """A state on a Frame: its values there, on a grid whose boundary value
+    is grid.g = 1/A.
+
+    values is the frame array, the whole interior on a dense frame and the
+    quarter of a mirror-symmetric state on a folded one.  Admissible states
+    have all interior values positive; this is checked by callers that
+    require it (min_interior), never silently enforced here.  The minimum is
+    taken once, when the Field is built, so the values are not to be changed
+    in place afterwards.  interior is the whole interior array: the values
+    themselves on a dense frame, and their mirror expansion, a new array on
+    every read, on a folded one.
+    """
+
+    frame: Frame
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=float)
+        if arr.shape != self.frame.shape:
+            raise ValueError(
+                f"values shape {arr.shape} does not match frame {self.frame.shape}"
+            )
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_min", float(arr.min()))
+
+    @property
+    def grid(self) -> Grid:
+        return self.frame.grid
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.frame.expand(self.values)
+
+    def min_interior(self) -> float:
+        return self._min
+
+    def is_admissible(self) -> bool:
+        return self._min > 0.0
 
 
 def flat_extend(Y: Field) -> np.ndarray:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, laplacian_5pt
+from .grid import Field, Frame, Grid, laplacian_5pt
 
 # stencil offsets: 4x4 block {-1,0,1,2}^2 minus the four corners
 S12: tuple[tuple[int, int], ...] = (
@@ -131,7 +131,7 @@ def prolong_stage(end: Field, k: int) -> Field:
     W = k ** (2.0 / 3.0) * (B @ REFERENCE_INVERSE)
     values = np.einsum("ijs,lrs->iljr", _cell_stencils(end), W)
     out = np.ascontiguousarray(values.reshape(Nf, Nf)[1:, 1:])
-    return Field(grid=Grid(A_to, Nf), interior=out)
+    return Field(Frame(Grid(A_to, Nf)), out)
 
 
 def edge_consistency_check(end: Field) -> float:

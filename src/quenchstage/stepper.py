@@ -55,14 +55,15 @@ the dense solve, and logs the path at INFO.
 Every array the solve, the Picard step and the seed see is in the solver's
 frame (grid.Frame): the quarter on a folded solver, the whole interior on a
 dense one, where the restriction, the weights and the expansion are the
-identity.  march restricts the start once per grid.  Every sweep builds the
-right-hand side, solves, evaluates the source, with K from the weighted
-frame sum (each interior node counted once), and takes the stop bound and
-max|Y| in the frame, whose extrema are those of the full grid on symmetric
-data.  march yields each step's start and accepted state as frame arrays,
-which are also its seed history, and expands none of them: the drivers score
-every step in the frame and expand only what they hand on (the stage's
-event, the direct run's final state).  A folded frame array stands for an
+identity.  march restricts the start once per grid, into a Field on that
+frame.  Every sweep builds the right-hand side, solves, evaluates the
+source, with K from the weighted frame sum (each interior node counted
+once), and takes the stop bound and max|Y| in the frame, whose extrema are
+those of the full grid on symmetric data.  march yields each step's start
+and accepted state as Fields on the solver's frame, whose values are its
+seed history, and expands none of them: the drivers score every step on
+that frame, and a state is expanded only where its interior is read (the
+transfer reads the stage's event).  A folded Field stands for an
 exactly symmetric state, so one check per grid suffices, and the
 restriction drops the start's own asymmetry, at most MIRROR_TOL.  The
 oracle, verify and every DirichletSolver(grid, ds) built outside march step
@@ -121,12 +122,11 @@ MIRROR_TOL = 1e-12
 @dataclass(frozen=True)
 class StepReport:
     """One accepted step of march: its start prev and its state next, both
-    as values in frame, the solver's frame, and its Picard sweep count."""
+    Fields on the solver's frame, and its Picard sweep count."""
 
-    prev: np.ndarray
-    next: np.ndarray
+    prev: Field
+    next: Field
     picard_iters: int
-    frame: Frame
 
 
 class NumericalError(RuntimeError):
@@ -195,12 +195,12 @@ def nonlocal_source(Y: np.ndarray, frame: Frame, lam: float) -> np.ndarray:
     return lam / (Yc * Yc * K * K)
 
 
-def movement_penalty(Y: np.ndarray, Z: np.ndarray, frame: Frame, ds: float) -> float:
+def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
     """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} of two states
-    given by their frame values, with the weighted frame sum."""
-    A, h = frame.grid.A, frame.grid.h
-    diff = Y - Z
-    return (A * A / (2.0 * ds)) * (h * h * frame.sum(diff * diff))
+    on one frame, with the weighted frame sum."""
+    A, h = Y.grid.A, Y.grid.h
+    diff = Y.values - Z.values
+    return (A * A / (2.0 * ds)) * (h * h * Y.frame.sum(diff * diff))
 
 
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
@@ -221,18 +221,20 @@ def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def picard_implicit_step(
-    Z: np.ndarray, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+    Z: Field, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
+) -> tuple[Field, int]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
     nonlocal source lam/(Y^2 K^2) at the amplitude A of solver.grid.
 
-    Z, the optional seed and the returned state are arrays in the solver's
-    frame (see DirichletSolver), and a Z or seed of another shape raises
-    ValueError.  The grid comes from the solver, whose ds is the step size;
-    one solver serves a whole stage.  The seed overrides the default Picard
-    start Y(0) = Z; march passes extrapolated_seed, the local-uniqueness
-    checks a perturbed Z.  The start changes the number of sweeps, not the
-    stopping test.  Returns the accepted state Y and its sweep count.
+    The values of Z, the optional seed array and the returned Field are in
+    the solver's frame (see DirichletSolver), and a Z or seed of another
+    shape raises ValueError.  Z's positivity is read off the minimum it took
+    when it was built.  The grid comes from the solver, whose ds is the step
+    size; one solver serves a whole stage.  The seed overrides the default
+    Picard start Y(0) = Z; march passes extrapolated_seed, the
+    local-uniqueness checks a perturbed Z.  The start changes the number of
+    sweeps, not the stopping test.  Returns the accepted state Y, a Field on
+    the solver's frame, and its sweep count.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
     evaluates F_new = f(Y), the next sweep's source.  Since
@@ -244,15 +246,15 @@ def picard_implicit_step(
     NumericalError.
     """
     frame = solver.frame
-    shape = frame.weights.shape
-    if Z.shape != shape or (seed is not None and seed.shape != shape):
+    shape = frame.shape
+    if Z.values.shape != shape or (seed is not None and seed.shape != shape):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
-    if not Z.min() > 0.0:  # also true for a NaN state
+    if not Z.min_interior() > 0.0:  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, solver.grid.g
-    base_rhs = (Z - g) / ds
-    Y = Z if seed is None else seed
+    base_rhs = (Z.values - g) / ds
+    Y = Z.values if seed is None else seed
     F = nonlocal_source(Y, frame, lam)
     for sweeps in range(1, PICARD_MAX + 1):
         # Y is rebound before F_new exists, so the previous iterate is freed:
@@ -263,7 +265,7 @@ def picard_implicit_step(
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
-            return Y, sweeps
+            return Field(frame, Y), sweeps
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -280,8 +282,9 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     not converge raises NumericalError naming where (the stage or the direct
     run) and the step.  The one solver is mirror-folded when the start's
     mirror_asymmetry is at most MIRROR_TOL, and dense otherwise.  march owns
-    the frame: it restricts the start once and yields each step's start and
-    accepted state in the solver's frame, which are also the seed history."""
+    the frame: it restricts the start once into a Field on the solver's
+    frame and yields each step's start and accepted state as such Fields,
+    whose values are the seed history."""
     asymmetry = mirror_asymmetry(Z.interior)
     mirrored = asymmetry <= MIRROR_TOL
     logger.info(
@@ -289,15 +292,16 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
         where, "mirror-folded" if mirrored else "dense", asymmetry,
     )
     solver = DirichletSolver(Z.grid, ds, mirrored=mirrored)
-    Y = solver.frame.restrict(Z.interior)
-    history = deque([Y], maxlen=SEED_ORDER + 1)
+    Y = Field(solver.frame, solver.frame.restrict(Z.interior))
+    history = deque([Y.values], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
+        prev = Y
         try:
             Y, sweeps = picard_implicit_step(Y, solver, lam, extrapolated_seed(history))
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        history.append(Y)
-        yield StepReport(history[-2], Y, sweeps, solver.frame)
+        history.append(Y.values)
+        yield StepReport(prev, Y, sweeps)
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
@@ -316,34 +320,40 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     decrease falls below float resolution, so the line search accepts steps
     within a few ulps of J as well; the descent map still contracts the
     residual there.  Stops once the first-order residual is below
-    ORACLE_TOL in max norm; stagnation above the target raises.
+    ORACLE_TOL in max norm; stagnation above the target raises.  Z is a
+    Field on the dense frame of its grid, as verify's are.
+
+    The first trial step of each descent step is ds*R, an explicit step of
+    the diffusion, so it is stable only for ds below about h^2/8, the
+    reciprocal of the largest eigenvalue of -Lap_h.  verify's cases run at
+    ds = 1e-3 against h^2/8 = 0.036 on their 3x3 interiors and never halve
+    a trial step; above the limit the halved steps have not been seen to
+    reach the residual target, and the descent raises OracleStagnation.
     """
     if Z.grid.interior_count > 16:
         raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 
-    h, scale, frame = Z.grid.h, Z.grid.A2h2, Frame(Z.grid)
+    h, scale = Z.grid.h, Z.grid.A2h2
 
-    def objective(Yarr: np.ndarray) -> float:
-        E = discrete_energy(Z.with_interior(Yarr), lam).total
-        return E + movement_penalty(Yarr, Z.interior, frame, ds)
+    def objective(Y: Field) -> float:
+        return discrete_energy(Y, lam).total + movement_penalty(Y, Z, ds)
 
-    Y = Z.interior.copy()
+    Y = Z
     alpha0 = ds / scale
     for _ in range(ORACLE_MAX_ITERS):
-        cand = Z.with_interior(Y)
-        R = euler_lagrange_residual(cand, Z, ds, lam)
+        R = euler_lagrange_residual(Y, Z, ds, lam)
         if float(np.max(np.abs(R))) < ORACLE_TOL:
-            return cand
+            return Y
         G = scale * R  # plain gradient of J
         JY = objective(Y)
         gsq = inner_product(G, G, h)
         slack = 8.0 * np.finfo(float).eps * abs(JY)
         a = alpha0
         while True:
-            Yn = Y - a * G
-            if Yn.min() > 0.0 and objective(Yn) <= JY - 1e-4 * a * gsq + slack:
+            Yn = Field(Z.frame, Y.values - a * G)
+            if Yn.min_interior() > 0.0 and objective(Yn) <= JY - 1e-4 * a * gsq + slack:
                 break
             a *= 0.5
             if a < 1e-18:

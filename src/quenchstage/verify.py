@@ -82,7 +82,7 @@ def _at_most(
 def _random_field(rng: np.random.Generator, N: int, A: float) -> Field:
     grid = Grid(A, N)
     interior = grid.g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1))
-    return Field(grid=grid, interior=interior)
+    return Field(Frame(grid), interior)
 
 
 def suite_green() -> list[CheckResult]:
@@ -167,7 +167,7 @@ def suite_edge() -> list[CheckResult]:
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, edge_consistency_check(Y))
     grid = Grid(0.6, 6)
-    const = Field(grid=grid, interior=np.full((5, 5), grid.g))
+    const = Field(Frame(grid), np.full((5, 5), grid.g))
     const_gap = edge_consistency_check(const)
     return [
         _at_most("interface_continuity", worst, 1e-11, "5 random fields, N=8"),
@@ -227,8 +227,7 @@ def suite_dissipation() -> list[CheckResult]:
     for _ in range(50):
         Z, ds, lam = _oracle_case(rng)
         out = mm_oracle_step(Z, ds, lam)
-        penalty = movement_penalty(out.interior, Z.interior, Frame(Z.grid), ds)
-        lhs = discrete_energy(out, lam).total + penalty
+        lhs = discrete_energy(out, lam).total + movement_penalty(out, Z, ds)
         rhs = discrete_energy(Z, lam).total
         worst = max(worst, lhs - rhs)
     return [
@@ -244,18 +243,18 @@ def suite_oracle() -> list[CheckResult]:
     worst_gap = 0.0
     for _ in range(25):
         Z, ds, lam = _oracle_case(rng)
-        picard, _ = picard_implicit_step(Z.interior, DirichletSolver(Z.grid, ds), lam)
+        picard, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam)
         oracle = mm_oracle_step(Z, ds, lam)
-        worst_gap = max(worst_gap, linf_norm(picard - oracle.interior))
+        worst_gap = max(worst_gap, linf_norm(picard.values - oracle.values))
     results = [
         _at_most("picard_vs_mm", worst_gap, 1e-6, "25 random 3x3 cases")
     ]
     worst_l0 = 0.0
     for _ in range(5):
         Z, ds, _ = _oracle_case(rng)
-        picard, _ = picard_implicit_step(Z.interior, DirichletSolver(Z.grid, ds), 0.0)
+        picard, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), 0.0)
         oracle = mm_oracle_step(Z, ds, 0.0)
-        worst_l0 = max(worst_l0, linf_norm(picard - oracle.interior))
+        worst_l0 = max(worst_l0, linf_norm(picard.values - oracle.values))
     results.append(
         _at_most(
             "lam_zero_closed_form", worst_l0, 1e-10,
@@ -268,9 +267,9 @@ def suite_oracle() -> list[CheckResult]:
         Z, ds, lam = _oracle_case(rng)
         convex = convex and ds < Z.min_interior() ** 3 / (16.0 * lam)
         solver = DirichletSolver(Z.grid, ds)
-        from_z, _ = picard_implicit_step(Z.interior, solver, lam)
-        from_seed, _ = picard_implicit_step(Z.interior, solver, lam, 1.05 * Z.interior)
-        worst_seed = max(worst_seed, linf_norm(from_z - from_seed))
+        from_z, _ = picard_implicit_step(Z, solver, lam)
+        from_seed, _ = picard_implicit_step(Z, solver, lam, 1.05 * Z.values)
+        worst_seed = max(worst_seed, linf_norm(from_z.values - from_seed.values))
     results.append(
         CheckResult(
             name="two_seed_uniqueness",
@@ -308,15 +307,14 @@ def transfer_refinement_errors():
         L = grid.L
         xi = grid.interior_nodes_1d()
         X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        Y = Field(grid=grid, interior=_boundary_flat_profile(X1, X2, L, A_from))
+        Y = Field(Frame(grid), _boundary_flat_profile(X1, X2, L, A_from))
         fine = prolong_stage(Y, k)
         eb_fine = discrete_energy(fine, 1.0)
         fxi = fine.grid.interior_nodes_1d()
         F1, F2 = np.meshgrid(fxi, fxi, indexing="ij")
         ideal = Field(
-            grid=fine.grid,
-            interior=k ** (2.0 / 3.0)
-            * _boundary_flat_profile(F1 / k, F2 / k, L, A_from),
+            fine.frame,
+            k ** (2.0 / 3.0) * _boundary_flat_profile(F1 / k, F2 / k, L, A_from),
         )
         eb_ideal = discrete_energy(ideal, 1.0)
         errors.append(
@@ -333,7 +331,7 @@ def suite_changevar() -> list[CheckResult]:
     W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     E_resc = discrete_energy(W, cfg.lam).total
     phys = Grid(1.0, cfg.N0)
-    v = Field(grid=phys, interior=cfg.A0 * W.interior)
+    v = Field(Frame(phys), cfg.A0 * W.interior)
     E_phys = discrete_energy(v, cfg.lam).total
     eq_err = abs(E_resc - E_phys)
     results = [
@@ -343,7 +341,7 @@ def suite_changevar() -> list[CheckResult]:
         )
     ]
     grid = Grid(0.6, 6)
-    const = Field(grid=grid, interior=np.full((5, 5), grid.g))
+    const = Field(Frame(grid), np.full((5, 5), grid.g))
     out = prolong_stage(const, 2)
     const_err = float(np.max(np.abs(out.interior - 1.0 / out.grid.A)))
     results.append(

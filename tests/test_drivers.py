@@ -26,7 +26,7 @@ from quenchstage.drivers import (
     run_stage,
     run_stagewise,
 )
-from quenchstage.energy import discrete_energy, frame_energy, switch_jump
+from quenchstage.energy import discrete_energy, switch_jump
 from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import DirichletSolver, picard_implicit_step
@@ -234,7 +234,7 @@ class TestRunStage:
     def test_rejects_state_below_threshold(self):
         cfg = StagewiseConfig()
         grid = Grid(cfg.A0, cfg.N0)
-        low = Field(grid=grid, interior=np.full((8, 8), 0.5))
+        low = Field(Frame(grid), np.full((8, 8), 0.5))
         below = (
             r"stage 0 starts at or below the trigger threshold: "
             r"min W = 0\.5 <= k\^\(-2/3\) = 0\.629961"
@@ -247,7 +247,7 @@ class TestRunStage:
         cfg = StagewiseConfig()
         interior = np.full((8, 8), 2.0)
         interior[3, 4] = value
-        Z = Field(grid=Grid(cfg.A0, cfg.N0), interior=interior)
+        Z = Field(Frame(Grid(cfg.A0, cfg.N0)), interior)
         with pytest.raises(TransferError, match="stage 2 starts at or below"):
             run_stage(StageState(m=2, Z=Z, t=0.0), cfg)
 
@@ -290,7 +290,7 @@ class TestStageTransition:
 
     def test_amplitude_cascade_hits_exact_value(self):
         grid = Grid(0.6, 3)
-        Z = Field(grid=grid, interior=np.full((2, 2), grid.g))
+        Z = Field(Frame(grid), np.full((2, 2), grid.g))
         for _ in range(3):
             Z = prolong_stage(Z, 2)
         assert Z.grid.A == 0.15
@@ -299,7 +299,7 @@ class TestStageTransition:
         A, N, k, lam = 0.6, 6, 2, 20.0
         A_to = k ** (-2.0 / 3.0) * A
         grid = Grid(A, N)
-        event = Field(grid=grid, interior=np.full((N - 1, N - 1), grid.g))
+        event = Field(Frame(grid), np.full((N - 1, N - 1), grid.g))
         nxt = prolong_stage(event, k)
         E_end = discrete_energy(event, lam).total
         E_start = discrete_energy(nxt, lam).total
@@ -317,7 +317,7 @@ class TestStageTransition:
         grid = Grid(0.6, 6)
         # small flat interior against the large boundary: the cubic patches
         # undershoot below zero near the boundary ring
-        event = Field(grid=grid, interior=np.full((5, 5), 0.1))
+        event = Field(Frame(grid), np.full((5, 5), 0.1))
         nxt = prolong_stage(event, 2)
         assert nxt.min_interior() < 0.0
         with pytest.raises(TransferError, match="stage 1 starts at or below"):
@@ -333,12 +333,12 @@ class TestStageTransition:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", counting)
         report = run_stagewise(StagewiseConfig(max_stages=2))
         lam = report.config.lam
-        # per stage, in run_stage: the start and the event (every completed
-        # step is scored in the frame); E0 and the switch rows are read off
-        # the records
+        # each state once per stage, in run_stage: the start, every completed
+        # step and the event; E0 and the switch rows are read off the records
         for r in report.records:
-            start, event = calls[:2]
-            del calls[:2]
+            start, *steps, event = calls[: r.steps + 2]
+            del calls[: r.steps + 2]
+            assert len(steps) == r.steps and len({id(Y) for Y in steps}) == r.steps
             assert start.grid.N == event.grid.N == r.N
             assert discrete_energy(start, lam).total == r.E_start
             assert discrete_energy(event, lam).total == r.E_end
@@ -449,44 +449,24 @@ class TestRunStagewise:
             assert solves.count((r.N // 2, r.N // 2)) == r.picard_sweeps
 
     def test_energy_evaluations_per_run(self, monkeypatch):
-        fields, frames = [], []
+        shapes = []
 
         def on_field(Y, *args):
-            fields.append(Y.grid.N)
+            shapes.append(Y.values.shape)
             return discrete_energy(Y, *args)
 
-        def on_frame(Y, *args):
-            frames.append(Y.shape)
-            return frame_energy(Y, *args)
-
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_field)
-        monkeypatch.setattr("quenchstage.drivers.frame_energy", on_frame)
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", None)
         report = run_stagewise(StagewiseConfig())
-        # one E(next) per completed step, in the frame (the N//2 quarter), none
-        # for the crossing steps, and a Field start and event per stage; E0 is
-        # the stage-0 start
+        # per stage the start on its dense grid, then one E(next) per completed
+        # step and the event on the solver's frame (the N//2 quarter), none for
+        # the crossing steps; E0 is the stage-0 start
         completed = sum(r.steps for r in report.records)
         stages = len(report.records)
-        assert len(fields) + len(frames) == completed + 2 * stages == 623
+        assert len(shapes) == completed + 2 * stages == 623
         for r in report.records:
-            assert fields.count(r.N) == 2
-            assert frames.count((r.N // 2, r.N // 2)) == r.steps
-
-    def test_one_expansion_per_stage(self, monkeypatch):
-        # every step is scored in the frame; only the event becomes a Field
-        expanded = []
-        expand = Frame.expand
-
-        def counting(self, Y):
-            out = expand(self, Y)
-            expanded.append(out.shape)
-            return out
-
-        monkeypatch.setattr(Frame, "expand", counting)
-        report = run_stagewise(StagewiseConfig())
-        assert expanded == [(r.N - 1, r.N - 1) for r in report.records]
-        assert sum(r.steps for r in report.records) == 615
+            assert shapes.count((r.N - 1, r.N - 1)) == 1
+            assert shapes.count((r.N // 2, r.N // 2)) == r.steps + 1
 
     def test_switch_rows_come_from_records(self, reference_run):
         records, rows = reference_run.records, reference_run.ledger.rows
@@ -521,14 +501,15 @@ class TestRunStagewise:
 
         def rising(*args, **kwargs):
             calls.append(1)
-            eb = frame_energy(*args, **kwargs)
+            eb = discrete_energy(*args, **kwargs)
             return dataclasses.replace(eb, total=eb.total + len(calls))
 
-        monkeypatch.setattr("quenchstage.drivers.frame_energy", rising)
+        monkeypatch.setattr("quenchstage.drivers.discrete_energy", rising)
         cfg = StagewiseConfig()
         with caplog.at_level(logging.WARNING, logger="quenchstage.drivers"):
             record, _ = run_stage(stage0_state(cfg), cfg)
-        # every completed step rose; the crossing step is not scored
+        # every completed step rose (the start and the event are scored too,
+        # but compared with nothing); the crossing step is not scored
         assert record.energy_increases == record.steps == 139
         assert len(caplog.records) == record.steps
 
@@ -539,7 +520,7 @@ class TestRunStagewise:
 
         def recording(Z, solver, *args):
             Y, sweeps = picard_implicit_step(Z, solver, *args)
-            states.append((solver.frame.expand(Z), solver.frame.expand(Y)))
+            states.append((Z.interior, Y.interior))
             return Y, sweeps
 
         monkeypatch.setattr("quenchstage.stepper.picard_implicit_step", recording)
@@ -613,7 +594,7 @@ class TestRunDirect:
         )
         sweeps = []
         for W, v in itertools.islice(zip(stage, direct), 139):
-            Wn, vn = A0 * W.next, v.next
+            Wn, vn = A0 * W.next.values, v.next.values
             assert np.max(np.abs(Wn - vn)) <= 1e-9 * np.max(np.abs(vn))
             sweeps.append((W.picard_iters, v.picard_iters))
         # the stop test's floor max(1, max|Y|) is not scaled with A0: in
@@ -662,24 +643,6 @@ class TestRunDirect:
         assert report.E_end == discrete_energy(end, cfg.lam).total
         assert report.min_v == end.min_interior()
 
-    def test_one_expansion_per_run(self, monkeypatch):
-        # admissibility is read off the frame minimum; only the final state
-        # becomes a Field, and a run without steps expands nothing
-        expanded = []
-        expand = Frame.expand
-
-        def counting(self, Y):
-            expanded.append(Y.shape)
-            return expand(self, Y)
-
-        monkeypatch.setattr(Frame, "expand", counting)
-        cfg = DirectConfig()
-        report = run_direct(cfg)
-        assert cfg.steps == 160 and expanded == [(cfg.N // 2, cfg.N // 2)]
-        assert report.min_v == pytest.approx(0.362574574560, rel=1e-6)
-        run_direct(DirectConfig(T=0.0))
-        assert len(expanded) == 1
-
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))
         assert report.E_end < report.E_start
@@ -698,3 +661,51 @@ class TestRunDirect:
                     - 0.45 * np.sin(np.pi * i / N) * np.sin(np.pi * j / N)
                 )
         assert report.min_v == pytest.approx(min(vals), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "run, cfg, evaluations, expansions",
+    [
+        (run_stagewise, StagewiseConfig(), 623, 3),
+        (run_stagewise, StagewiseConfig(max_stages=6), 912, 5),
+        (run_direct, DirectConfig(), 2, 0),
+        (run_direct, DirectConfig(T=0.0), 2, 0),
+    ],
+    ids=["stagewise-ref", "stagewise-deep", "direct-ref", "direct-no-steps"],
+)
+def test_counts_per_run(monkeypatch, run, cfg, evaluations, expansions):
+    # every state a driver records is scored once, on its own frame; a folded
+    # state is expanded only when a transfer reads it, so the last event and
+    # the direct run's final state never are; and the Fields on the folded
+    # frame, each of which takes its minimum once, are the restricted start,
+    # every accepted state and each event
+    evaluated, expanded, folded = [], [], []
+    expand, post_init = Frame.expand, Field.__post_init__
+
+    def on_energy(Y, *args):
+        evaluated.append(Y)
+        return discrete_energy(Y, *args)
+
+    def on_expand(self, Y):
+        out = expand(self, Y)
+        if self.mirrored:
+            expanded.append(out.shape)
+        return out
+
+    def on_field(self):
+        post_init(self)
+        if self.frame.mirrored:
+            folded.append(self)
+
+    monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_energy)
+    monkeypatch.setattr(Frame, "expand", on_expand)
+    monkeypatch.setattr(Field, "__post_init__", on_field)
+    report = run(cfg)
+    assert len(evaluated) == evaluations
+    assert len(expanded) == expansions
+    if run is run_direct:
+        assert len(folded) == (cfg.steps + 1 if cfg.steps else 0)
+    else:
+        records = report.records
+        assert expanded == [(r.N - 1, r.N - 1) for r in records[:-1]]
+        assert len(folded) == sum(r.steps + 1 + 2 for r in records)

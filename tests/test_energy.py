@@ -11,7 +11,6 @@ from quenchstage.energy import (
     DefectRow,
     continuation_check,
     discrete_energy,
-    frame_energy,
     switch_jump,
 )
 from quenchstage.grid import Field, Frame, Grid
@@ -26,7 +25,7 @@ def reciprocal_K(Y):
 def single_node_field(value):
     # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
-    return Field(grid=grid, interior=np.array([[value]]))
+    return Field(Frame(grid), np.array([[value]]))
 
 
 class TestReciprocalK:
@@ -50,11 +49,11 @@ class TestReciprocalK:
         rng = np.random.default_rng(11)
         grid = Grid(0.6, 5)
         interior = 1.0 + rng.uniform(0.0, 1.0, (4, 4))
-        Y = Field(grid=grid, interior=interior)
+        Y = Field(Frame(grid), interior)
         K0 = reciprocal_K(Y)
         bumped = interior.copy()
         bumped[2, 1] += 0.25
-        K1 = reciprocal_K(Field(grid=grid, interior=bumped))
+        K1 = reciprocal_K(Field(Frame(grid), bumped))
         assert K1 < K0
 
 
@@ -91,7 +90,7 @@ class TestFrameEnergy:
         """A positive state symmetric about both mid-lines on Grid(0.6, N)."""
         a = np.random.default_rng(seed).uniform(0.5, 1.5, (N - 1, N - 1))
         a = a + a[::-1]
-        return Field(grid=Grid(0.6, N), interior=a + a[:, ::-1])
+        return Field(Frame(Grid(0.6, N)), a + a[:, ::-1])
 
     # the stage loop scores each step in the solver's frame: the folded
     # quarter and the dense interior give the full-grid energy, K and penalty
@@ -101,8 +100,8 @@ class TestFrameEnergy:
         lam, ds = 20.0, 1e-3
         Y, Z = self.symmetric_state(N, seed=N), self.symmetric_state(N, seed=N + 1)
         frame = Frame(Y.grid, mirrored)
-        Yf, Zf = frame.restrict(Y.interior), frame.restrict(Z.interior)
-        got = frame_energy(Yf, float(Yf.min()), frame, lam)
+        Yf, Zf = (Field(frame, frame.restrict(X.interior)) for X in (Y, Z))
+        got = discrete_energy(Yf, lam)
         # the full-grid values by plain sums over every node and node pair
         F = np.pad(Y.interior, 1, constant_values=Y.grid.g)
         grad = float(np.sum(np.diff(F, axis=0) ** 2) + np.sum(np.diff(F, axis=1) ** 2))
@@ -114,12 +113,17 @@ class TestFrameEnergy:
         A, h = Y.grid.A, Y.grid.h
         sq = float(np.sum((Y.interior - Z.interior) ** 2))
         want = (A * A / (2.0 * ds)) * h * h * sq
-        assert movement_penalty(Yf, Zf, frame, ds) == pytest.approx(want, rel=1e-14)
+        assert movement_penalty(Yf, Zf, ds) == pytest.approx(want, rel=1e-14)
 
     def test_vanishing_branch_from_the_given_minimum(self):
-        frame = Frame(Grid(1.0, 2))
-        eb = frame_energy(np.array([[0.0]]), 0.0, frame, lam=20.0)
-        assert math.isinf(eb.K) and eb.reciprocal == 0.0 and eb.coeff == 0.0
+        # the minimum the Field took when it was built picks the branch, on
+        # the folded quarter as on the dense frame
+        for mirrored in (True, False):
+            frame = Frame(Grid(1.0, 5), mirrored)
+            values = np.ones(frame.shape)
+            values[1, 1] = 0.0
+            eb = discrete_energy(Field(frame, values), lam=20.0)
+            assert math.isinf(eb.K) and eb.reciprocal == 0.0 and eb.coeff == 0.0
 
 
 class TestFeedback:
@@ -137,10 +141,7 @@ class TestFeedback:
         rng = np.random.default_rng(12)
         grid = Grid(0.6, 5)
         for _ in range(10):
-            Y = Field(
-                grid=grid,
-                interior=0.5 + rng.uniform(0.0, 2.0, (4, 4)),
-            )
+            Y = Field(Frame(grid), 0.5 + rng.uniform(0.0, 2.0, (4, 4)))
             sample = discrete_energy(Y, 20.0)
             assert 1.0 <= sample.K
             assert 0.0 < sample.coeff <= 20.0

@@ -52,7 +52,7 @@ def grad_norm_sq(Y):
 def random_field(rng, N=6, A=0.6):
     grid = Grid(A, N)
     interior = grid.g + rng.uniform(-0.3, 0.3, (N - 1, N - 1))
-    return Field(grid=grid, interior=interior)
+    return Field(Frame(grid), interior)
 
 
 class TestGridConstruction:
@@ -119,20 +119,23 @@ class TestField:
     def test_shape_checked(self):
         grid = Grid(1.0, 4)
         with pytest.raises(ValueError):
-            Field(grid=grid, interior=np.ones((2, 2)))
+            Field(Frame(grid), np.ones((2, 2)))
+        # the values are the frame's: the quarter on a folded frame
+        with pytest.raises(ValueError, match="does not match frame"):
+            Field(Frame(Grid(0.6, 7), mirrored=True), np.ones((6, 6)))
 
     def test_admissibility(self):
         grid = Grid(1.0, 3)
-        pos = Field(grid=grid, interior=np.ones((2, 2)))
+        pos = Field(Frame(grid), np.ones((2, 2)))
         assert pos.is_admissible()
-        touching = Field(grid=grid, interior=np.array([[1.0, 0.0], [1.0, 1.0]]))
+        touching = Field(Frame(grid), np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert not touching.is_admissible()
 
 
 class TestFlatExtend:
     def test_single_interior_node(self):
         grid = Grid(0.5, 2)  # boundary value g = 1/A = 2
-        Y = Field(grid=grid, interior=np.array([[1.0]]))
+        Y = Field(Frame(grid), np.array([[1.0]]))
         F = flat_extend(Y)
         assert F.shape == (3, 3)
         assert F[1, 1] == 1.0
@@ -142,13 +145,13 @@ class TestFlatExtend:
 
     def test_reciprocal_amplitude_boundary(self):
         grid = Grid(0.6, 4)
-        Y = Field(grid=grid, interior=np.ones((3, 3)))
+        Y = Field(Frame(grid), np.ones((3, 3)))
         F = flat_extend(Y)
         assert F[0, 0] == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_physical_boundary_of_ones(self):
         grid = Grid(1.0, 3)
-        Y = Field(grid=grid, interior=0.5 * np.ones((2, 2)))
+        Y = Field(Frame(grid), 0.5 * np.ones((2, 2)))
         F = flat_extend(Y)
         assert np.all(F[0, :] == 1.0) and np.all(F[:, 0] == 1.0)
 
@@ -156,14 +159,14 @@ class TestFlatExtend:
 class TestGradNormSq:
     def test_constant_field_vanishes(self):
         grid = Grid(0.7, 5)
-        Y = Field(grid=grid, interior=np.full((4, 4), grid.g))
+        Y = Field(Frame(grid), np.full((4, 4), grid.g))
         assert grad_norm_sq(Y) == 0.0
 
     def test_single_node_hand_count(self):
         # 3x3 node set has 12 edges; only the 4 touching the center differ
         grid = Grid(2.5, 2)  # g = 0.4
         y, g = 1.7, grid.g
-        Y = Field(grid=grid, interior=np.array([[y]]))
+        Y = Field(Frame(grid), np.array([[y]]))
         assert grad_norm_sq(Y) == pytest.approx(4.0 * (y - g) ** 2, rel=1e-14)
 
     def test_matches_brute_force_enumeration(self):
@@ -179,7 +182,7 @@ class TestGradNormSq:
         Y = random_field(rng)
         # the grid whose boundary value is g + 3.7; the gradient sum reads no A
         grid = Grid(1.0 / (Y.grid.g + 3.7), Y.grid.N)
-        shifted = Field(grid=grid, interior=Y.interior + 3.7)
+        shifted = Field(Frame(grid), Y.interior + 3.7)
         assert grad_norm_sq(shifted) == pytest.approx(grad_norm_sq(Y), rel=1e-12)
 
 
@@ -190,7 +193,7 @@ class TestFrame:
         grid = Grid(0.6, N)
         a = np.random.default_rng(seed).uniform(0.2, 1.0, (N - 1, N - 1))
         a = a + a[::-1]
-        return Field(grid=grid, interior=a + a[:, ::-1])
+        return Field(Frame(grid), a + a[:, ::-1])
 
     # N = 2 folds to the dense frame; an even N has a middle line of weight 1
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 18, 19, 72])
@@ -219,24 +222,33 @@ class TestFrame:
                 assert frame.sum(np.ones_like(frame.weights)) == (N - 1) ** 2
 
     def test_field_expands_the_frame(self):
-        Y = self.symmetric_field(6, seed=1)
-        frame = Frame(Y.grid, mirrored=True)
-        out = frame.field(frame.restrict(Y.interior))
-        assert out.grid == Y.grid
-        assert np.array_equal(out.interior, Y.interior)
-        assert out.min_interior() == Y.min_interior()
+        for N in (6, 7):
+            Y = self.symmetric_field(N, seed=1)
+            frame = Frame(Y.grid, mirrored=True)
+            out = Field(frame, frame.restrict(Y.interior))
+            assert out.grid == Y.grid
+            assert np.array_equal(out.interior, Y.interior)
+            assert out.min_interior() == Y.min_interior()
+
+    def test_dense_field_is_its_interior(self):
+        # the dense frame neither copies nor builds unit weights
+        Y = self.symmetric_field(6, seed=2)
+        assert Y.interior is Y.values
+        assert "weights" not in vars(Y.frame)
+        assert Y.frame.sum(1.0 / Y.values) == float((1.0 / Y.interior).sum())
+        assert "weights" not in vars(Y.frame)
 
 
 class TestLaplacian:
     def test_constant_field_vanishes(self):
         grid = Grid(0.9, 4)
-        Y = Field(grid=grid, interior=np.full((3, 3), grid.g))
+        Y = Field(Frame(grid), np.full((3, 3), grid.g))
         assert np.all(laplacian_5pt(Y) == 0.0)
 
     def test_single_node_stencil(self):
         grid = Grid(2.0, 2)  # g = 0.5
         y, g = 2.0, grid.g
-        Y = Field(grid=grid, interior=np.array([[y]]))
+        Y = Field(Frame(grid), np.array([[y]]))
         lap = laplacian_5pt(Y)
         assert lap[0, 0] == pytest.approx((4 * g - 4 * y) / grid.h**2, rel=1e-13)
 
@@ -245,7 +257,7 @@ class TestLaplacian:
         grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
-        Y = Field(grid=grid, interior=X**2 + Y2**2)
+        Y = Field(Frame(grid), X**2 + Y2**2)
         lap = laplacian_5pt(Y)
         # only stencils that read no boundary node see consistent samples
         assert np.allclose(lap[1:-1, 1:-1], 4.0, atol=1e-11)
@@ -254,7 +266,7 @@ class TestLaplacian:
         grid = Grid(1.0, 6)
         x = grid.interior_nodes_1d()
         X, Y2 = np.meshgrid(x, x, indexing="ij")
-        Y = Field(grid=grid, interior=2.0 * X - 3.0 * Y2 + 1.0)
+        Y = Field(Frame(grid), 2.0 * X - 3.0 * Y2 + 1.0)
         lap = laplacian_5pt(Y)
         assert np.allclose(lap[1:-1, 1:-1], 0.0, atol=1e-11)
 

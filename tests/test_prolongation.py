@@ -15,7 +15,7 @@ from quenchstage.drivers import (
     initial_rescaled_profile,
     run_stage,
 )
-from quenchstage.grid import Field, Grid, flat_extend
+from quenchstage.grid import Field, Frame, Grid, flat_extend
 from quenchstage.prolongation import (
     BASIS_EXPONENTS,
     REFERENCE_MATRIX,
@@ -155,7 +155,7 @@ class TestLaplacianCell:
 def constant_end():
     """The constant admissible state 1/A at A = 0.6 on 6 intervals."""
     grid = Grid(0.6, 6)
-    return Field(grid=grid, interior=np.full((5, 5), grid.g))
+    return Field(Frame(grid), np.full((5, 5), grid.g))
 
 
 class TestTransferAmplitude:
@@ -195,7 +195,7 @@ class TestProlongStage:
         C = 2.0 * grid.L + 1.0
         x = grid.interior_nodes_1d()
         interior = np.tile((x + C)[:, None], (1, N - 1))
-        end = Field(grid=grid, interior=interior)
+        end = Field(Frame(grid), interior)
         out = prolong_stage(end, k)
         h, Lf = grid.h, k * grid.L
         for i in range(2, N - 2):
@@ -215,16 +215,13 @@ class TestProlongStage:
         # N = 3 and 4 put every cell next to the fill ring
         rng = np.random.default_rng(100 * N + k)
         A = 0.6
-        end = Field(
-            grid=Grid(A, N),
-            interior=1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)),
-        )
+        end = Field(Frame(Grid(A, N)), 1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)))
         got = prolong_stage(end, k).interior
         assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
     def test_rejects_inadmissible_end(self):
         grid = Grid(0.6, 6)
-        bad = Field(grid=grid, interior=np.full((5, 5), -1.0))
+        bad = Field(Frame(grid), np.full((5, 5), -1.0))
         with pytest.raises(ValueError):
             prolong_stage(bad, 2)
 
@@ -242,10 +239,7 @@ class TestEdgeConsistency:
         rng = np.random.default_rng(26)
         for _ in range(3):
             grid = Grid(0.6, 8)
-            Y = Field(
-                grid=grid,
-                interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-            )
+            Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
             assert edge_consistency_check(Y) < 1e-11
 
     def test_constant_field(self):
@@ -260,10 +254,7 @@ class TestLaplaceCompat:
     def test_random_field_k4(self):
         rng = np.random.default_rng(27)
         grid = Grid(0.6, 8)
-        Y = Field(
-            grid=grid,
-            interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-        )
+        Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
         assert laplace_compat_check(Y, 4) < 1e-10
 
     def test_constant_field(self):
@@ -281,10 +272,7 @@ class TestLaplaceCompat:
         monkeypatch.setattr("quenchstage.prolongation.prolong_stage", recording)
         rng = np.random.default_rng(28)
         grid = Grid(0.6, 8)
-        Y = Field(
-            grid=grid,
-            interior=1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)),
-        )
+        Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
         assert laplace_compat_check(Y, 2) < 1e-10
         assert factors == [2]
 

@@ -4,17 +4,19 @@ An `assert` in the package is a check that `python -O` removes, so
 preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
 top-level function or class that nothing in the package reads: a helper that
-only tests call belongs in the tests.  drivers.py leaves the step sequence
-(solver, seeds, Picard step) to stepper.march, and march is the only code
-outside grid.Frame that moves states between the solver's frame and the
-interior (restrict, expand): it restricts each start, and the stage loop
-takes the one expanded event through Frame.field.  Every exception class the
-package defines is ConfigError or NumericalError or derives from
-NumericalError, so each maps to a documented exit code.
+only tests call belongs in the tests, and so is a method or property of a
+package class that nothing in the package reads.  drivers.py leaves the step
+sequence (solver, seeds, Picard step) to stepper.march.  A state moves
+between the interior and the solver's frame in two places only: march
+restricts each start, and a grid.Field expands its values when its interior
+is read.  Only a Field takes a minimum, once, when it is built.  Every
+exception class the package defines is ConfigError or NumericalError or
+derives from NumericalError, so each maps to a documented exit code.
 """
 
 import ast
 import builtins
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,33 +56,61 @@ def read_names(node):
             yield n.attr
 
 
+def definitions(tree):
+    """The top-level functions and classes of a module and the methods and
+    properties of its classes (dunder methods aside), as (name, node)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                name = getattr(member, "name", "__")
+                if isinstance(member, ast.FunctionDef) and not name.startswith("__"):
+                    yield f"{stmt.name}.{name}", member
+
+
+def attribute_reads(node):
+    """Attribute names that node reads."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+
+
 def unread_definitions(trees):
-    """Top-level functions and classes that the package reads nowhere but in
-    their own definition; trees maps a module name to its parsed source."""
+    """Top-level functions and classes, and methods and properties of package
+    classes, that the package reads nowhere but in their own definition;
+    trees maps a module name to its parsed source.  A member counts as read
+    wherever its own name is read as an attribute, of whatever object; a
+    bare name of the same spelling is some other binding."""
     defs = {
-        stmt.name: (f"{module}:{stmt.lineno}", stmt)
+        name: (f"{module}:{node.lineno}", node)
         for module, tree in trees.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for name, node in definitions(tree)
     }
-    read = {
-        name
-        for tree in trees.values()
-        for stmt in tree.body
-        for name in read_names(stmt)
-        if name in defs and defs[name][1] is not stmt
+    reads = {
+        kind: Counter(name for tree in trees.values() for name in kind(tree))
+        for kind in (read_names, attribute_reads)
     }
-    return {name: defs[name][0] for name in defs if name not in read}
+    unread = {}
+    for name, (where, node) in defs.items():
+        own = name.rpartition(".")[2]
+        kind = attribute_reads if "." in name else read_names
+        if reads[kind][own] == list(kind(node)).count(own):
+            unread[name] = where
+    return unread
 
 
-def frame_readers(trees):
-    """Top-level statements, as module:name (or module:line), that read a
-    restrict or an expand."""
+def readers(trees, name):
+    """Top-level statements, as module:name (or module:line), that read name
+    as an attribute, or as a bare name unless it is a builtin's."""
+    bare = not hasattr(builtins, name)
     return {
         f"{module}:{getattr(stmt, 'name', stmt.lineno)}"
         for module, tree in trees.items()
         for stmt in tree.body
-        if {"restrict", "expand"} & set(read_names(stmt))
+        for n in ast.walk(stmt)
+        if (isinstance(n, ast.Attribute) and n.attr == name)
+        or (bare and isinstance(n, ast.Name) and n.id == name)
     }
 
 
@@ -129,6 +159,15 @@ def test_detects_both_faults():
         "def orphan(n):\n    return orphan(n - 1) if n else used()\n"
     )
     assert unread_definitions({"m": helpers}) == {"orphan": "m:3"}
+    # so does a method or property of a class, by its name on any object
+    members = ast.parse(
+        "class C:\n"
+        "    def __init__(self):\n        self.n = self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def spare(self):\n        return self.spare\n"
+        "spare = 2\nC()\n"
+    )
+    assert unread_definitions({"m": members}) == {"C.spare": "m:7"}
     # an exception class must be one of the two mapped ones or derive from
     # NumericalError, also through another package class
     errors = ast.parse(
@@ -140,13 +179,18 @@ def test_detects_both_faults():
         "class Record: pass\n"
     )
     assert unmapped_exceptions({"m": errors}) == {"Stray": "m:5"}
-    # a method call reads the attribute; a definition of that name does not
+    # a method call reads the attribute; a definition of that name does not,
+    # and a call of the builtin of that name is no read of a method
     frames = ast.parse(
         "class S:\n    def restrict(self, Y):\n        return Y\n"
         "def step(s, Y):\n    return s.expand(Y)\n"
         "Y0 = S().restrict(1)\n"
+        "def low(Y):\n    return min(Y)\n"
+        "def lowest(Y):\n    return Y.min()\n"
     )
-    assert frame_readers({"m": frames}) == {"m:step", "m:6"}
+    assert readers({"m": frames}, "restrict") == {"m:6"}
+    assert readers({"m": frames}, "expand") == {"m:step"}
+    assert readers({"m": frames}, "min") == {"m:lowest"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -191,7 +235,17 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
 
 def test_only_march_moves_states_in_and_out_of_the_frame():
     # the solve, the Picard step, the seed and the stage loop's scores see
-    # only frame arrays; march restricts the start once per grid
+    # only frame values; march restricts the start once per grid, and a Field
+    # expands its values where its interior is read
     trees = {path.name: parse(path) for path in MODULES}
-    readers = frame_readers(trees) - {"grid.py:Frame"}
-    assert readers == {"stepper.py:march"}, f"restrict/expand read by {readers}"
+    restrict, expand = readers(trees, "restrict"), readers(trees, "expand")
+    assert restrict == {"stepper.py:march"}, f"restrict read by {restrict}"
+    assert expand == {"grid.py:Field"}, f"expand read by {expand}"
+
+
+def test_only_a_field_takes_a_minimum():
+    # each state's minimum is taken once, when its Field is built; the
+    # trigger, the positivity checks and the energy read that one
+    trees = {path.name: parse(path) for path in MODULES}
+    found = readers(trees, "min")
+    assert found == {"grid.py:Field"}, f"min read by {found}"
