@@ -28,15 +28,17 @@ deficit quenches) is a numerical failure.
 
 Both drivers advance their state through stepper.march, which owns the
 linear solver, the Picard seeds and the non-convergence error and yields
-every step as Fields on the solver's frame (grid.Frame: the mirror-folded
-quarter on a symmetric run).  Each loop evaluates only what it records, and
-on that frame: run_stage the energy and the movement penalty of every
+every step as Fields on the start's frame (grid.Frame).  The stage-0 profile
+is built on the mirror-folded quarter and the transfer keeps the frame of
+its input, so every stage and the direct run start and stay folded.  Each
+loop evaluates only what it records, and on that frame: run_stage the
+energy of the start, the energy and the movement penalty of every
 completed step, the penalty of the crossing step and the energy of the
-event, interpolated there; run_direct the energy of its final state.  The
-trigger and the positivity check read the minimum each Field took when it
-was built.  Neither expands a state: the transfer expands each event it
-reads, so the last stage's event and the direct run's final state never
-are.
+event, interpolated there; run_direct the energies of its start and final
+state.  The trigger and the positivity check read the minimum each Field
+took when it was built.  Neither expands a state: the transfer expands each
+event it reads, so the last stage's event and the direct run's final state
+never are.
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 9.1 s and 90 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 8.7 s and 82 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
-# stage stepped and scored on the mirror-folded quarter; median of 3).  The
-# peak follows glibc's allocation order: with MALLOC_MMAP_THRESHOLD_=131072
-# the same run reads 86 MiB (17.0 s, one run).
+# stage built, stepped and scored on the mirror-folded quarter; median of
+# 3).  The peak follows glibc's allocation order: with
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 79 MiB (17.1 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -236,13 +238,15 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
 
     The rescaled square maps exactly onto the unit square: A^(3/2)*L = 1/2,
     so x = 1/2 + A^(3/2)*xi puts the centre at (1/2, 1/2).  At A = 1 this is
-    the physical deficit v = 1 - u0 with boundary value 1.
+    the physical deficit v = 1 - u0 with boundary value 1.  The profile is
+    symmetric about both mid-lines, so the Field is on the folded frame and
+    u0 is evaluated at the quarter's nodes only.
     """
-    grid = Grid(A, N)
-    x = 0.5 + A ** 1.5 * grid.interior_nodes_1d()
+    frame = Frame(Grid(A, N), mirrored=True)
+    x = 0.5 + A ** 1.5 * frame.grid.interior_nodes_1d()[: frame.shape[0]]
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    return Field(Frame(grid), (1.0 - u0) / A)
+    return Field(frame, (1.0 - u0) / A)
 
 
 def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:

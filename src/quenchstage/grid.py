@@ -19,9 +19,12 @@ is the standard five-point stencil.
 
 A Frame is the part of the interior that an array holds: the whole interior
 (dense), or the lower-left floor(N/2)^2 quarter of a state symmetric about
-both mid-lines (mirror-folded).  Its weighted sum and its gradient sum give
-the full-grid value from the frame array alone, so a folded stage is scored
-on the quarter, and a Field's interior is expanded only where it is read.
+both mid-lines (mirror-folded).  A state's frame is set by how it is built:
+the stage-0 profile is built folded, the transfer keeps the frame of its
+input, and any other state is dense unless its builder says otherwise.  A
+frame's weighted sum and gradient sum give the full-grid value from the
+frame array alone, so a folded stage is scored on the quarter, and a
+Field's interior is expanded only where it is read.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class Frame:
     index i stands for i and N - i, so w_i = 2, or 1 on the self-mirrored
     middle line i = N/2 of an even N, and node (i, j) weighs
     weights[i, j] = w_i w_j.  restrict takes the frame of an interior array
-    (a contiguous copy of the quarter when folded), and expand mirrors a
+    (a contiguous copy of its leading rows and columns), and expand mirrors a
     frame array back (i -> min(i, N-i)), exactly symmetric; on the dense
     frame expand returns the array itself.  sum and grad_norm_sq give the
     full-grid value of the state that a frame array stands for; the dense
@@ -129,7 +132,9 @@ class Frame:
         return self.w[:, None] * self.w
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
-        """The frame values of the interior array Y, C-contiguous."""
+        """The frame values of Y, C-contiguous.  Y[i, j] is interior node
+        (i+1, j+1), and Y holds the whole interior or a leading block of it
+        that covers the frame: the transfer evaluates only such a block."""
         n = len(self.w)
         return np.ascontiguousarray(Y[:n, :n])
 

@@ -26,6 +26,13 @@ of the coarse grid, and the new boundary value is the fine grid's
 g = 1/A_to.  Evaluating P_ij at a fixed offset is a fixed linear map of the
 cell's 12 stencil values, so the transfer applies one k x k x 12 weight table
 to all cells at once.
+
+The stencil, the basis and the fill commute with the square's mirrors, so
+the transfer of a state symmetric about both mid-lines is symmetric too.
+The output Field is on the frame kind of the end state (grid.Frame): from a
+folded end the transfer evaluates only the coarse cells that own the fine
+quarter and writes that quarter, so a folded stage hands a folded start to
+the next one.
 """
 
 from __future__ import annotations
@@ -98,16 +105,17 @@ def laplacian_cell(c: np.ndarray, theta: float, zeta: float, h: float) -> float:
     return float(laplacian_row(theta, zeta) @ c) / (h * h)
 
 
-def _cell_stencils(end: Field) -> np.ndarray:
-    """Stencil values of every coarse cell, shape (N, N, 12) in S12 order.
+def _cell_stencils(end: Field, cells: int) -> np.ndarray:
+    """Stencil values of the first cells coarse cells in each direction,
+    shape (cells, cells, 12) in S12 order.
 
     Offsets that leave the coarse node set read the boundary value g, like
     the boundary ring itself.
     """
-    N = end.grid.N
     padded = np.pad(end.interior, 2, constant_values=end.grid.g)
     return np.stack(
-        [padded[a + 1:a + 1 + N, b + 1:b + 1 + N] for a, b in S12], axis=-1
+        [padded[a + 1:a + 1 + cells, b + 1:b + 1 + cells] for a, b in S12],
+        axis=-1,
     )
 
 
@@ -117,21 +125,24 @@ def prolong_stage(end: Field, k: int) -> Field:
     The end state's grid sets A_from.  The output grid has amplitude
     A_to = k^(-2/3) A_from and k*N intervals at the same mesh width (the
     domain dilates by k); its boundary value is 1/A_to, consistent with the
-    scaling of the coarse boundary 1/A_from.
+    scaling of the coarse boundary 1/A_from.  The output Field is on the
+    frame kind of the end state, and only the coarse cells that own the fine
+    frame's nodes are evaluated: all N of them on the dense frame, about N/2
+    in each direction on the folded one.
     """
     if k < 2:
         raise ValueError("stage factor k must be at least 2")
     if not end.is_admissible():
         raise ValueError("transfer requires a positive end state")
     A_to = k ** (-2.0 / 3.0) * end.grid.A
-    N = end.grid.N
-    Nf = k * N
+    frame = Frame(Grid(A_to, k * end.grid.N), end.frame.mirrored)
+    # fine indices 1..n of the frame belong to cells 0..n // k
+    cells = frame.shape[0] // k + 1
     offsets = np.arange(k) / k
     B = np.array([[basis_row(t, z) for z in offsets] for t in offsets])
     W = k ** (2.0 / 3.0) * (B @ REFERENCE_INVERSE)
-    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end), W)
-    out = np.ascontiguousarray(values.reshape(Nf, Nf)[1:, 1:])
-    return Field(Frame(Grid(A_to, Nf)), out)
+    values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, cells), W)
+    return Field(frame, frame.restrict(values.reshape(k * cells, k * cells)[1:, 1:]))
 
 
 def edge_consistency_check(end: Field) -> float:
@@ -143,7 +154,7 @@ def edge_consistency_check(end: Field) -> float:
     """
     N = end.grid.N
     # cells 1..N-2 in both directions read no fill values
-    inner = _cell_stencils(end)[1:N - 1, 1:N - 1]
+    inner = _cell_stencils(end, N)[1:N - 1, 1:N - 1]
     ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
     ones, zeros = np.ones(EDGE_SAMPLES), np.zeros(EDGE_SAMPLES)
 
@@ -176,7 +187,7 @@ def laplace_compat_check(end: Field, k: int) -> float:
     # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
     # cells 1..N-3 in both directions
     got = lap_fine.reshape(N, k, N, k)[1:N - 2, 1:, 1:N - 2, 1:]
-    inner = _cell_stencils(end)[1:N - 2, 1:N - 2]
+    inner = _cell_stencils(end, N)[1:N - 2, 1:N - 2]
     # the fine field carries the amplitude scale k^(2/3); together with the
     # 1/k^2 of the fine difference quotient this gives the k^(-4/3) factor
     h = end.grid.h

@@ -15,7 +15,7 @@ boundary:
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
 The operator (I/ds - Lap_h) with zero Dirichlet data is inverted by
-sine-basis diagonalization, set up once per (grid, ds) and reused across
+sine-basis diagonalization, set up once per (frame, ds) and reused across
 Picard sweeps and across steps.  Values are clipped at CLIP only inside
 reciprocal evaluations.  The clipped source f(Y) = lam/(Yc^2 K(Yc)^2), with K
 of the full iterate, is nonlocal_source, evaluated once per iterate and
@@ -31,8 +31,8 @@ ends once that bound is below STOP_MARGIN*PICARD_TOL*max(1, max|Y|) (at most
 PICARD_MAX sweeps); f(Y) - f(Y_prev) is also the Euler-Lagrange residual of
 Y, which the margin keeps small.  A step not certified within PICARD_MAX
 sweeps raises NumericalError, so a step returns only a certified state and
-its sweep count.  march owns the step sequence of a stage or
-direct run: one DirichletSolver per grid, and each step starts from
+its sweep count.  march owns the step sequence of a stage or direct run:
+one DirichletSolver, on the start's frame, and each step starts from
 extrapolated_seed, the polynomial of degree SEED_ORDER through the run's last
 accepted states (fewer at the start of a run or stage), evaluated one step
 ahead (Fischer 1998), which roughly halves the sweeps per step; a step
@@ -47,27 +47,24 @@ mirrors.  For data symmetric about both mid-lines only the odd-odd sine modes
 are nonzero, since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), so a
 mirror-folded DirichletSolver solves on the lower-left floor(N/2)^2 quarter
 (weight 2 per mirrored pair, 1 on the middle line of an even N) with four
-products of size N/2 in place of N.  march measures the start's mirror
-asymmetry max(|Z - Z[::-1]|, |Z - Z[:, ::-1]|)/max|Z| (mirror_asymmetry)
-once per grid, folds only when it is at most MIRROR_TOL and otherwise keeps
-the dense solve, and logs the path at INFO.
+products of size N/2 in place of N.  The frame is a property of how a state
+is built: the stage-0 profile and the transfer build their Fields on the
+folded frame, so these states are symmetric by construction, and march
+builds its solver on the start's own frame and logs the path at INFO.
 
 Every array the solve, the Picard step and the seed see is in the solver's
 frame (grid.Frame): the quarter on a folded solver, the whole interior on a
-dense one, where the restriction, the weights and the expansion are the
-identity.  march restricts the start once per grid, into a Field on that
-frame.  Every sweep builds the right-hand side, solves, evaluates the
-source, with K from the weighted frame sum (each interior node counted
-once), and takes the stop bound and max|Y| in the frame, whose extrema are
-those of the full grid on symmetric data.  march yields each step's start
-and accepted state as Fields on the solver's frame, whose values are its
-seed history, and expands none of them: the drivers score every step on
-that frame, and a state is expanded only where its interior is read (the
-transfer reads the stage's event).  A folded Field stands for an
-exactly symmetric state, so one check per grid suffices, and the
-restriction drops the start's own asymmetry, at most MIRROR_TOL.  The
-oracle, verify and every DirichletSolver(grid, ds) built outside march step
-asymmetric fields with the dense solve.
+dense one, where the weights and the expansion are the identity.  Every
+sweep builds the right-hand side, solves, evaluates the source, with K from
+the weighted frame sum (each interior node counted once), and takes the stop
+bound and max|Y| in the frame, whose extrema are those of the full grid on
+symmetric data.  march yields each step's start and accepted state as
+Fields on that frame, whose values are its seed history, and expands none
+of them: the drivers score every step on that frame, and a state is
+expanded only where its interior is read (the transfer reads the stage's
+event).  verify and every dense Field a test builds are stepped with the
+dense solve, because the frame they are built on says so, and the oracle
+takes dense Fields only.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -91,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Frame, Grid, inner_product, laplacian_5pt
+from .grid import Field, Frame, inner_product, laplacian_5pt
 from .energy import discrete_energy
 
 logger = logging.getLogger(__name__)
@@ -112,11 +109,6 @@ PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
 ORACLE_TOL = 1e-10  # max-norm first-order residual that ends the descent
 ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
-# Largest start asymmetry (mirror_asymmetry) that march folds.  With the fold
-# the stage starts of the 7-stage reference run measure 1.4e-16 to 4.2e-16;
-# stepped with the dense solve they drift from 1.4e-16 to 1.0e-12 by stage 6
-# (N = 576), and a start perturbed by 1e-9 at one node measures 6e-10.
-MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,33 +141,33 @@ class DirichletSolver:
     therefore diagonal in the S x S basis with entries 1/ds + mu_i + mu_j
     (Buzbee, Golub & Nielson 1970), and a solve is four dense products.
     The basis and the inverse eigenvalues are built once and reused for
-    every Picard sweep and every step on the same grid with the same ds.
+    every Picard sweep and every step on the same frame with the same ds.
 
-    With mirrored=True the solver is valid only for right-hand sides that
-    are symmetric about both mid-lines, rhs[i] = rhs[N-i] in each index.
-    Since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
+    On a folded frame (Frame(grid, mirrored=True)) the solver is valid only
+    for right-hand sides that are symmetric about both mid-lines,
+    rhs[i] = rhs[N-i] in each index.  Since
+    sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
     of such data vanish and each odd mode is the sum over the lower half
     i = 1..N//2 with weight 2, or 1 on the self-mirrored middle line
     i = N/2 of an even N.  The solve then runs the same four products with
     T = S[1..N//2, odd] on the output side and P = w T on the input side,
     on the lower-left quarter of rhs; the full S is never built.
 
-    That quarter is the solver's frame (grid.Frame, with its weights w);
-    the dense form is the same set-up with every mode, all rows and w = 1,
-    and its frame is the whole interior.  solve takes and returns frame
-    arrays only.
+    That quarter is the folded frame (with its weights w); on the dense
+    frame, the whole interior, the set-up is the same with every mode, all
+    rows and w = 1.  solve takes and returns arrays in the solver's frame
+    only.
     """
 
-    def __init__(self, grid: Grid, ds: float, mirrored: bool = False):
+    def __init__(self, frame: Frame, ds: float):
         if ds <= 0.0:
             raise ValueError("ds must be positive")
-        self.grid = grid
         self.ds = ds
-        self.frame = Frame(grid, mirrored)
-        N, w = grid.N, self.frame.w
-        i, j = np.arange(1, len(w) + 1), np.arange(1, N, 2 if mirrored else 1)
+        self.frame = frame
+        N, w = frame.grid.N, frame.w
+        i, j = np.arange(1, len(w) + 1), np.arange(1, N, 2 if frame.mirrored else 1)
         T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j) / N)
-        mu = (2.0 - 2.0 * np.cos(np.pi * j / N)) / grid.h ** 2
+        mu = (2.0 - 2.0 * np.cos(np.pi * j / N)) / frame.grid.h ** 2
         self._inv = 1.0 / (1.0 / ds + mu[:, None] + mu[None, :])
         P = w[:, None] * T
         self._basis = (T, P.T, P, T.T)
@@ -224,7 +216,7 @@ def picard_implicit_step(
     Z: Field, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
 ) -> tuple[Field, int]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
-    nonlocal source lam/(Y^2 K^2) at the amplitude A of solver.grid.
+    nonlocal source lam/(Y^2 K^2) at the amplitude A of the solver's grid.
 
     The values of Z, the optional seed array and the returned Field are in
     the solver's frame (see DirichletSolver), and a Z or seed of another
@@ -252,7 +244,7 @@ def picard_implicit_step(
     if not Z.min_interior() > 0.0:  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
-    ds, g = solver.ds, solver.grid.g
+    ds, g = solver.ds, frame.grid.g
     base_rhs = (Z.values - g) / ds
     Y = Z.values if seed is None else seed
     F = nonlocal_source(Y, frame, lam)
@@ -269,39 +261,25 @@ def picard_implicit_step(
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
-def mirror_asymmetry(Y: np.ndarray) -> float:
-    """max(|Y - Y[::-1]|, |Y - Y[:, ::-1]|) / max|Y| of an interior array:
-    0 for data symmetric about both mid-lines."""
-    diff = max(np.max(np.abs(Y - Y[::-1])), np.max(np.abs(Y - Y[:, ::-1])))
-    return float(diff / np.max(np.abs(Y)))
-
-
 def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     """Seeded backward-Euler + Picard steps of size ds from Z, lazily: each
     yielded report starts from the previous one's state.  A step that does
     not converge raises NumericalError naming where (the stage or the direct
-    run) and the step.  The one solver is mirror-folded when the start's
-    mirror_asymmetry is at most MIRROR_TOL, and dense otherwise.  march owns
-    the frame: it restricts the start once into a Field on the solver's
-    frame and yields each step's start and accepted state as such Fields,
-    whose values are the seed history."""
-    asymmetry = mirror_asymmetry(Z.interior)
-    mirrored = asymmetry <= MIRROR_TOL
-    logger.info(
-        "%s: %s solve (asymmetry %.1e)",
-        where, "mirror-folded" if mirrored else "dense", asymmetry,
-    )
-    solver = DirichletSolver(Z.grid, ds, mirrored=mirrored)
-    Y = Field(solver.frame, solver.frame.restrict(Z.interior))
-    history = deque([Y.values], maxlen=SEED_ORDER + 1)
+    run) and the step.  The one solver is built on Z's frame, so a folded
+    start takes the mirror-folded solve and a dense one the dense solve, and
+    every yielded state is a Field on that frame (Z itself is step 1's
+    prev), whose values are the seed history."""
+    logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
+    solver = DirichletSolver(Z.frame, ds)
+    history = deque([Z.values], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
-        prev = Y
         try:
-            Y, sweeps = picard_implicit_step(Y, solver, lam, extrapolated_seed(history))
+            Y, sweeps = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
         history.append(Y.values)
-        yield StepReport(prev, Y, sweeps)
+        yield StepReport(Z, Y, sweeps)
+        Z = Y
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
@@ -320,8 +298,9 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     decrease falls below float resolution, so the line search accepts steps
     within a few ulps of J as well; the descent map still contracts the
     residual there.  Stops once the first-order residual is below
-    ORACLE_TOL in max norm; stagnation above the target raises.  Z is a
-    Field on the dense frame of its grid, as verify's are.
+    ORACLE_TOL in max norm; stagnation above the target raises.  Z must be
+    a Field on the dense frame of its grid, as verify's are, since the
+    descent runs on the whole interior; a folded Z raises ValueError.
 
     The first trial step of each descent step is ds*R, an explicit step of
     the diffusion, so it is stable only for ds below about h^2/8, the
@@ -332,6 +311,8 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     """
     if Z.grid.interior_count > 16:
         raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
+    if Z.frame.mirrored:
+        raise ValueError("oracle requires a Field on the dense frame of its grid")
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 

@@ -407,7 +407,7 @@ class TestVerifyCommand:
         )
 
     def test_all_suites_take_the_dense_solve(self, monkeypatch, capsys):
-        # verify steps random asymmetric fields, so no solver is mirror-folded
+        # verify steps fields built on the dense frame, so no solver is folded
         built = []
         init = stepper.DirichletSolver.__init__
 

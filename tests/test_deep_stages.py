@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from quenchstage import stepper
+from quenchstage import drivers, stepper
 from quenchstage.cli import main
+from quenchstage.grid import Field, Frame
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -80,8 +81,15 @@ def test_deep_grids_and_steps_per_stage(deep):
 
 def test_dense_solve_matches_folded_run(tmp_path, monkeypatch, caplog):
     folded, _ = run_config(tmp_path / "folded", 4)
-    # no start measures a negative asymmetry, so every stage solves dense
-    monkeypatch.setattr(stepper, "MIRROR_TOL", -1.0)
+    # the same stage-0 values on the dense frame: the transfer keeps the
+    # frame kind of its input, so every stage solves dense
+    profile = drivers.initial_rescaled_profile
+
+    def dense_profile(*args):
+        Z = profile(*args)
+        return Field(Frame(Z.grid), Z.interior)
+
+    monkeypatch.setattr(drivers, "initial_rescaled_profile", dense_profile)
     with caplog.at_level(logging.INFO, logger="quenchstage.stepper"):
         dense, _ = run_config(tmp_path / "dense", 4)
     paths = [r.getMessage() for r in caplog.records if r.name == stepper.__name__]

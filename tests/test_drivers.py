@@ -193,6 +193,19 @@ class TestInitialProfile:
                 )
         assert W.min_interior() >= 1.0
 
+    # N = 2 is the single node; an even N has a middle line of weight 1
+    @pytest.mark.parametrize("N", [2, 3, 9, 15])
+    def test_folded_profile_is_the_restricted_dense_one(self, N):
+        # the profile is built on the folded frame from the quarter's nodes
+        # only, to the bit the quarter of the dense construction
+        A, a = 0.6, 0.4
+        W = initial_rescaled_profile(A, N, a)
+        x = 0.5 + A ** 1.5 * Grid(A, N).interior_nodes_1d()
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        dense = (1.0 - a * np.sin(np.pi * X) * np.sin(np.pi * Y)) / A
+        assert W.frame.mirrored and W.values.shape == (N // 2, N // 2)
+        assert np.array_equal(W.values, W.frame.restrict(dense))
+
 
 class TestDetectTrigger:
     # the trigger reads only the two minima, which run_stage takes in the frame
@@ -458,15 +471,14 @@ class TestRunStagewise:
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_field)
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", None)
         report = run_stagewise(StagewiseConfig())
-        # per stage the start on its dense grid, then one E(next) per completed
-        # step and the event on the solver's frame (the N//2 quarter), none for
-        # the crossing steps; E0 is the stage-0 start
+        # per stage the start, then one E(next) per completed step and the
+        # event, all on the folded frame (the N//2 quarter), none for the
+        # crossing steps; E0 is the stage-0 start
         completed = sum(r.steps for r in report.records)
         stages = len(report.records)
         assert len(shapes) == completed + 2 * stages == 623
         for r in report.records:
-            assert shapes.count((r.N - 1, r.N - 1)) == 1
-            assert shapes.count((r.N // 2, r.N // 2)) == r.steps + 1
+            assert shapes.count((r.N // 2, r.N // 2)) == r.steps + 2
 
     def test_switch_rows_come_from_records(self, reference_run):
         records, rows = reference_run.records, reference_run.ledger.rows
@@ -677,8 +689,8 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, expansions):
     # every state a driver records is scored once, on its own frame; a folded
     # state is expanded only when a transfer reads it, so the last event and
     # the direct run's final state never are; and the Fields on the folded
-    # frame, each of which takes its minimum once, are the restricted start,
-    # every accepted state and each event
+    # frame, each of which takes its minimum once, are the start (the stage-0
+    # profile or the transfer's output), every accepted state and each event
     evaluated, expanded, folded = [], [], []
     expand, post_init = Frame.expand, Field.__post_init__
 
@@ -702,9 +714,10 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, expansions):
     monkeypatch.setattr(Field, "__post_init__", on_field)
     report = run(cfg)
     assert len(evaluated) == evaluations
+    assert all(Y.frame.mirrored for Y in evaluated)
     assert len(expanded) == expansions
     if run is run_direct:
-        assert len(folded) == (cfg.steps + 1 if cfg.steps else 0)
+        assert len(folded) == cfg.steps + 1
     else:
         records = report.records
         assert expanded == [(r.N - 1, r.N - 1) for r in records[:-1]]

@@ -219,6 +219,25 @@ class TestProlongStage:
         got = prolong_stage(end, k).interior
         assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("N", [2, 9, 18])
+    def test_folded_end_gives_the_restricted_dense_transfer(self, N, k):
+        # the transfer keeps the frame kind of its end state; on a folded end
+        # it evaluates only the cells that own the fine quarter, to the bit
+        # the quarter of the dense transfer of the same state
+        rng = np.random.default_rng(10 * N + k)
+        grid = Grid(0.6, N)
+        frame = Frame(grid, mirrored=True)
+        end = Field(frame, 1.0 / 0.6 + rng.uniform(-0.5, 0.5, frame.shape))
+        dense = prolong_stage(Field(Frame(grid), end.interior), k)
+        got = prolong_stage(end, k)
+        assert got.frame.mirrored and not dense.frame.mirrored
+        assert got.grid == dense.grid
+        assert np.array_equal(got.values, got.frame.restrict(dense.interior))
+        # the folded output stands for an exactly symmetric state
+        Y = got.interior
+        assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
+
     def test_rejects_inadmissible_end(self):
         grid = Grid(0.6, 6)
         bad = Field(Frame(grid), np.full((5, 5), -1.0))

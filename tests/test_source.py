@@ -7,9 +7,11 @@ top-level function or class that nothing in the package reads: a helper that
 only tests call belongs in the tests, and so is a method or property of a
 package class that nothing in the package reads.  drivers.py leaves the step
 sequence (solver, seeds, Picard step) to stepper.march.  A state moves
-between the interior and the solver's frame in two places only: march
-restricts each start, and a grid.Field expands its values when its interior
-is read.  Only a Field takes a minimum, once, when it is built.  Every
+between the interior and its frame in two places only: the transfer, which
+builds its output on the frame of its input, restricts the fine values, and
+a grid.Field expands its values when its interior is read; march builds its
+solver on the start's frame and does neither.  Only a Field takes a
+minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
 derives from NumericalError, so each maps to a documented exit code.
 """
@@ -233,13 +235,14 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
     assert seen == set(), f"drivers.py reads {sorted(seen)}"
 
 
-def test_only_march_moves_states_in_and_out_of_the_frame():
+def test_only_the_state_constructors_move_states_in_and_out_of_the_frame():
     # the solve, the Picard step, the seed and the stage loop's scores see
-    # only frame values; march restricts the start once per grid, and a Field
-    # expands its values where its interior is read
+    # only frame values; the transfer restricts the fine values onto the frame
+    # of its input (the stage-0 profile is evaluated on its frame's nodes),
+    # and a Field expands its values where its interior is read
     trees = {path.name: parse(path) for path in MODULES}
     restrict, expand = readers(trees, "restrict"), readers(trees, "expand")
-    assert restrict == {"stepper.py:march"}, f"restrict read by {restrict}"
+    assert restrict == {"prolongation.py:prolong_stage"}, f"restrict read by {restrict}"
     assert expand == {"grid.py:Field"}, f"expand read by {expand}"
 
 

@@ -80,9 +80,10 @@ Stepped = collections.namedtuple("Stepped", "next picard_iters")
 
 
 def step(Z, ds, lam, seed=None):
-    """One Picard step from the Field Z with a dense solver built for it,
-    whose frame is the whole interior: the next Field and the sweeps."""
-    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam, seed))
+    """One Picard step from the Field Z with a solver built on its frame (the
+    whole interior for the random states here): the next Field and the
+    sweeps."""
+    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam, seed))
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
@@ -116,7 +117,7 @@ class TestDirichletSolver:
         Z = random_state(N=N, seed=3)
         ds = 2e-3
         n = N - 1
-        solver = DirichletSolver(Z.grid, ds)
+        solver = DirichletSolver(Z.frame, ds)
         rng = np.random.default_rng(4)
         rhs = rng.normal(size=(n, n))
         got = solver.solve(rhs)
@@ -128,8 +129,8 @@ class TestDirichletSolver:
     def test_mirrored_matches_dense_on_symmetric_data(self, N):
         grid, ds, n = Grid(0.6, N), 2e-3, N - 1
         rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
-        folded = DirichletSolver(grid, ds, mirrored=True)
-        dense = DirichletSolver(grid, ds)
+        folded = DirichletSolver(Frame(grid, mirrored=True), ds)
+        dense = DirichletSolver(Frame(grid), ds)
         # the folded frame is the N//2 quarter, and expand mirrors it back
         quarter = folded.frame.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
@@ -150,7 +151,7 @@ class TestDirichletSolver:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            DirichletSolver(Grid(0.6, 4), 0.0)
+            DirichletSolver(Frame(Grid(0.6, 4)), 0.0)
 
     @pytest.mark.parametrize("N", [2, 3, 5, 12, 33])
     @pytest.mark.parametrize("ds", [1e-4, 1e-3, 0.1, 10.0])
@@ -161,8 +162,8 @@ class TestDirichletSolver:
         grid, n = Grid(0.6, N), N - 1
         r = np.random.default_rng(N).normal(size=(n, n))
         cases = [
-            (DirichletSolver(grid, ds), r),
-            (DirichletSolver(grid, ds, mirrored=True), mirror_symmetric(r)),
+            (DirichletSolver(Frame(grid), ds), r),
+            (DirichletSolver(Frame(grid, mirrored=True), ds), mirror_symmetric(r)),
         ]
         for solver, r in cases:
             for rhs in (r, np.ones((n, n))):
@@ -180,7 +181,7 @@ class TestPicardStep:
         assert rep.picard_iters == 1
         # the step solves for the deviation from the boundary value g
         g = Z.grid.g
-        one_solve = g + DirichletSolver(Z.grid, ds).solve((Z.interior - g) / ds)
+        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.interior - g) / ds)
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
@@ -207,11 +208,12 @@ class TestPicardStep:
     @staticmethod
     def one_more_sweep(Z, Y, ds, lam):
         """One more Picard sweep from the accepted state Y, with the source
-        built from reciprocal_K rather than by the step itself."""
+        built from reciprocal_K rather than by the step itself, and the dense
+        solve on the whole interior whatever the frame of Z and Y."""
         K = reciprocal_K(Y)
         source = lam / (Y.interior ** 2 * K * K)
         rhs = (Z.interior - Z.grid.g) / ds - source
-        return Z.grid.g + DirichletSolver(Z.grid, ds).solve(rhs)
+        return Z.grid.g + DirichletSolver(Frame(Z.grid), ds).solve(rhs)
 
     def assert_certified(self, Z, Y, ds, lam):
         move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - Y.interior)))
@@ -224,9 +226,11 @@ class TestPicardStep:
         self.assert_certified(Z, step(Z, ds, lam).next, ds, lam)
 
     def test_seeded_reference_step_is_a_certified_fixed_point(self):
+        # the stage-0 profile is folded, so this steps on the quarter and
+        # certifies against a dense sweep
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.grid, cfg.ds)
+        solver = DirichletSolver(Z.frame, cfg.ds)
         states = [Z]
         for _ in range(SEED_ORDER + 3):
             seed = extrapolated_seed([X.values for X in states])
@@ -278,9 +282,9 @@ class TestPicardStep:
         # the grid comes from the solver, so a state or seed of a shape other
         # than the solver's frame is refused
         Z = random_state(N=4, seed=12)
-        other = DirichletSolver(Grid(0.6, 6), 1e-3)
-        folded = DirichletSolver(Z.grid, 1e-3, mirrored=True)
-        dense = DirichletSolver(Z.grid, 1e-3)
+        other = DirichletSolver(Frame(Grid(0.6, 6)), 1e-3)
+        folded = DirichletSolver(Frame(Z.grid, mirrored=True), 1e-3)
+        dense = DirichletSolver(Z.frame, 1e-3)
         quarter = Field(folded.frame, folded.frame.restrict(Z.interior))
         cases = [
             (other, Z, None),
@@ -322,14 +326,13 @@ class TestMarch:
 
     def test_seeded_steps_on_one_solver(self, monkeypatch):
         # each step starts from the extrapolated seed over the states before
-        # it; the reference solver is built as march builds it, mirror-folded
-        # for the symmetric stage-0 profile
+        # it; the reference solver is built as march builds it, on the folded
+        # frame of the stage-0 profile
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        mirrored = stepper.mirror_asymmetry(Z.interior) <= stepper.MIRROR_TOL
-        solver = DirichletSolver(Z.grid, cfg.ds, mirrored=mirrored)
+        solver = DirichletSolver(Z.frame, cfg.ds)
         built = self.recording_solvers(monkeypatch)
-        history = [Field(solver.frame, solver.frame.restrict(Z.interior))]
+        history = [Z]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6):
             seed = extrapolated_seed([X.values for X in history])
             Y, sweeps = picard_implicit_step(history[-1], solver, cfg.lam, seed)
@@ -339,10 +342,10 @@ class TestMarch:
             history.append(Y)
         assert built == [True]
 
-    def test_one_restriction_per_grid_no_expansion(self, monkeypatch):
-        # the Picard state stays in the frame: march restricts the start,
-        # yields every step as Fields on the folded frame, expands none of
-        # them, and every solve is on the quarter
+    def test_no_restriction_no_expansion(self, monkeypatch):
+        # the Picard state stays in the frame: the folded start is stepped as
+        # it was built, every step is yielded as a Field on its frame, none is
+        # restricted or expanded, and every solve is on the quarter
         cfg = StagewiseConfig()
         Z = reference_stage_start(0)
         calls = []
@@ -357,11 +360,12 @@ class TestMarch:
             monkeypatch.setattr(owner, name, recording)
         reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6))
         names = [name for name, _ in calls]
-        assert (names.count("restrict"), names.count("expand")) == (1, 0)
+        assert (names.count("restrict"), names.count("expand")) == (0, 0)
         quarter = (Z.grid.N // 2, Z.grid.N // 2)
         states = [r.prev for r in reps] + [r.next for r in reps]
+        assert states[0] is Z
         assert {X.values.shape for X in states} == {quarter}
-        assert all(X.frame is states[0].frame and X.frame.mirrored for X in states)
+        assert all(X.frame is Z.frame and X.frame.mirrored for X in states)
         solves = [shape for name, shape in calls if name == "solve"]
         assert solves == [quarter] * sum(r.picard_iters for r in reps)
 
@@ -376,12 +380,12 @@ class TestMarch:
         with caplog.at_level("INFO", logger="quenchstage.stepper"):
             rep = next(march(Z, cfg.ds, cfg.lam, f"stage {m}"))
         assert built == [True]
-        assert f"stage {m}: mirror-folded solve (asymmetry " in caplog.text
+        assert f"stage {m}: mirror-folded solve\n" in caplog.text
         # the folded step stays on the symmetric subspace, to the bit
         Y = rep.next.interior
         assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
-        # and agrees with the dense step to round-off
-        want = step(Z, cfg.ds, cfg.lam).next.interior
+        # and agrees with the dense step of the same values to round-off
+        want = step(Field(Frame(Z.grid), Z.interior), cfg.ds, cfg.lam).next.interior
         assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("folded", [True, False])
@@ -413,27 +417,21 @@ class TestMarch:
         with caplog.at_level("INFO", logger="quenchstage.stepper"):
             next(march(random_state(seed=13), 1e-3, 20.0, "direct run"))
         assert built == [False]
-        assert "direct run: dense solve (asymmetry " in caplog.text
+        assert "direct run: dense solve\n" in caplog.text
 
     def test_perturbed_start_takes_dense_solve(self, monkeypatch):
+        # the frame a start is built on picks the solve: the stage-0 profile
+        # perturbed at one node, on the dense frame, is stepped densely and
+        # keeps its asymmetry
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         interior = Z.interior.copy()
         interior[1, 2] += 1e-9
-        Z = Field(Z.frame, interior)
-        assert stepper.mirror_asymmetry(Z.interior) > stepper.MIRROR_TOL
+        Z = Field(Frame(Z.grid), interior)
         built = self.recording_solvers(monkeypatch)
-        next(march(Z, cfg.ds, cfg.lam, "stage 0"))
+        Y = next(march(Z, cfg.ds, cfg.lam, "stage 0")).next.interior
         assert built == [False]
-
-    def test_mirror_asymmetry(self):
-        Y = mirror_symmetric(np.arange(12.0).reshape(3, 4))
-        assert stepper.mirror_asymmetry(Y) == 0.0
-        Y = np.full((3, 4), 2.0)
-        Y[0, 0] = 3.0  # breaks both mirrors by 1, relative to max|Y| = 3
-        assert stepper.mirror_asymmetry(Y) == 1.0 / 3.0
-        Y[0, 0] = -6.0  # the scale is the largest magnitude
-        assert stepper.mirror_asymmetry(Y) == 8.0 / 6.0
+        assert not np.array_equal(Y, Y[::-1])
 
 
 class TestSourceAndPenalty:
@@ -532,7 +530,7 @@ class TestExtrapolatedSeed:
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.grid, cfg.ds)
+        solver = DirichletSolver(Z.frame, cfg.ds)
         states = [Z]
         for _ in range(SEED_ORDER + 2):
             states.append(picard_implicit_step(states[-1], solver, cfg.lam)[0])
@@ -606,6 +604,15 @@ class TestDescentOracle:
         Z = single_node_field(-1.0)
         with pytest.raises(ValueError):
             mm_oracle_step(Z, 1e-3, 1.0)
+
+    def test_rejects_folded_state(self):
+        # the descent runs on the whole interior, so a Field on the folded
+        # frame (the stage-0 profile at N = 4, within the size limit) is
+        # refused with the cause named
+        Z = initial_rescaled_profile(1.0, 4, 0.4)
+        assert Z.frame.mirrored and Z.grid.interior_count == 9
+        with pytest.raises(ValueError, match="dense frame"):
+            mm_oracle_step(Z, 1e-3, 20.0)
 
     @pytest.mark.parametrize("ds", [0.2, 1.0])
     def test_backtracking_stagnation_raises(self, ds):
