@@ -89,7 +89,7 @@ CONVENTIONS = {
     "on mirror-folded stages the mirror-weighted sum over the quarter",
     "picard_stop": "once ds * max|f(Y) - f(Y_prev)|, a bound on the next "
     "sweep's move by the maximum principle (||L^-1|| <= ds), is below "
-    f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max(1, max|Y|)",
+    f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max|Y|",
     "event_energies": "evaluated at the linearly interpolated trigger state",
     "scaled_duration": "completed steps plus trigger fraction, times ds",
     "transfer_boundary": "fine boundary ring pinned to 1/A_to",
@@ -101,18 +101,9 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
 def _lower_keys(record: dict) -> dict:
     """Output keys are the record's field names in lower case, in order."""
     return {key.lower(): value for key, value in record.items()}
-
-
-def _fields(values: dict) -> dict:
-    """Config values keyed by run-config field: the `lambda` key is `lam`."""
-    return {("lam" if key == "lambda" else key): v for key, v in values.items()}
 
 
 def parse_config(
@@ -191,11 +182,12 @@ def _json(payload: dict) -> str:
 
 
 def _csv(header: str, rows: list[tuple]) -> str:
-    """Header line, then one line per row: ints as-is, floats through _fmt."""
+    """Header line, then one line per row: ints as-is, floats with 13
+    significant digits."""
     lines = [header]
     for row in rows:
         lines.append(
-            ",".join(str(x) if isinstance(x, int) else _fmt(x) for x in row)
+            ",".join(str(x) if isinstance(x, int) else f"{x:.12e}" for x in row)
         )
     return "\n".join(lines) + "\n"
 
@@ -233,11 +225,14 @@ def _stagewise_files(report: RunReport) -> dict[str, str]:
 def _load(
     path: str, config: type, required: dict, optional: dict | None = None
 ) -> tuple[dict, object]:
-    """The values of a config file and the run config built from them, with
-    a value the run config rejects reported as a ConfigError."""
+    """The values of a config file and the run config built from them (the
+    `lambda` key is the `lam` field), with a value the run config rejects
+    reported as a ConfigError."""
     values = parse_config(path, required, optional)
     try:
-        return values, config(**_fields(values))
+        return values, config(
+            **{("lam" if key == "lambda" else key): v for key, v in values.items()}
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -36,9 +36,8 @@ energy of the start, the energy and the movement penalty of every
 completed step, the penalty of the crossing step and the energy of the
 event, interpolated there; run_direct the energies of its start and final
 state.  The trigger and the positivity check read the minimum each Field
-took when it was built.  Neither expands a state: the transfer expands each
-event it reads, so the last stage's event and the direct run's final state
-never are.
+took when it was built.  No state is expanded to the whole interior: the
+transfer reads each event's stencils from its quarter.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class StageRunawayError(NumericalError):
 class TransferError(NumericalError):
     """A stage starts at or below its trigger threshold (a nonpositive or NaN
     minimum included), so it cannot trigger.  run_stage raises it; the
-    stage-0 profile is checked in closed form by StagewiseConfig, so in a run
-    it names a prolonged state that the transfer left too low."""
+    stage-0 profile is checked by StagewiseConfig, so in a run it names a
+    prolonged state that the transfer left too low."""
 
 
 # Largest grid a run may build, in intervals per direction: the reference
@@ -138,7 +137,9 @@ class StagewiseConfig:
                 f"stage {m} needs a grid of N = N0*k^{m} = {N} intervals, "
                 f"above MAX_N = {MAX_N}"
             )
-        min_W = initial_rescaled_min(self.A0, self.N0, self.u0_amplitude)
+        # a quarter of (N0 // 2)^2 nodes, within MAX_N by the check above
+        W0 = initial_rescaled_profile(self.A0, self.N0, self.u0_amplitude)
+        min_W = W0.min_interior()
         if min_W <= self.threshold:
             raise ValueError(
                 f"the stage-0 profile starts at or below the trigger threshold: "
@@ -249,16 +250,6 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     return Field(frame, (1.0 - u0) / A)
 
 
-def initial_rescaled_min(A: float, N: int, u0_amplitude: float) -> float:
-    """Interior minimum of initial_rescaled_profile(A, N, u0_amplitude),
-    without building the field.
-
-    The interior nodes sit at x = j/N, so the bump peaks at j = N // 2 in
-    both directions (either middle node when N is odd).
-    """
-    return (1.0 - u0_amplitude * math.sin(math.pi * (N // 2) / N) ** 2) / A
-
-
 def detect_trigger(min_prev: float, min_next: float, thr: float) -> float | None:
     """The fraction tau of the step at which the interior minimum crosses
     thr, by linear interpolation of the two states' minima, or None if the
@@ -282,8 +273,8 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     Every step is scored on the frame of the Fields march yields: the
     trigger reads each state's minimum, taken when it was built, and the
     energy and the movement penalty are weighted frame sums.  The event is
-    interpolated and scored on that frame too, and is expanded only when
-    the transfer reads it.  A start whose minimum is not above the
+    interpolated and scored on that frame too, which is the frame the
+    transfer reads it in.  A start whose minimum is not above the
     threshold raises TransferError, and a record with a non-finite float
     (an overflowed energy or penalty) raises NumericalError.
     """

@@ -23,8 +23,10 @@ both mid-lines (mirror-folded).  A state's frame is set by how it is built:
 the stage-0 profile is built folded, the transfer keeps the frame of its
 input, and any other state is dense unless its builder says otherwise.  A
 frame's weighted sum and gradient sum give the full-grid value from the
-frame array alone, so a folded stage is scored on the quarter, and a
-Field's interior is expanded only where it is read.
+frame array alone, so a folded stage is scored on the quarter.  expand
+reads any window of nodes from the frame array, g off the interior, so the
+transfer reads the coarse event's stencils from the quarter too; a run never
+builds a full-grid state, and a Field's interior is for the property checks.
 """
 
 from __future__ import annotations
@@ -81,16 +83,9 @@ class Grid:
         """The weight A^2 h^2 of the reciprocal sum in K."""
         return self.A * self.A * self.h * self.h
 
-    def nodes_1d(self) -> np.ndarray:
-        """All node coordinates along one axis, boundary included."""
-        return np.arange(self.N + 1) * self.h - self.L
-
     def interior_nodes_1d(self) -> np.ndarray:
-        return self.nodes_1d()[1:-1]
-
-    @property
-    def interior_count(self) -> int:
-        return (self.N - 1) ** 2
+        """The interior node coordinates along one axis, -L + h .. L - h."""
+        return np.arange(1, self.N) * self.h - self.L
 
 
 class Frame:
@@ -103,12 +98,12 @@ class Frame:
     index i stands for i and N - i, so w_i = 2, or 1 on the self-mirrored
     middle line i = N/2 of an even N, and node (i, j) weighs
     weights[i, j] = w_i w_j.  restrict takes the frame of an interior array
-    (a contiguous copy of its leading rows and columns), and expand mirrors a
-    frame array back (i -> min(i, N-i)), exactly symmetric; on the dense
-    frame expand returns the array itself.  sum and grad_norm_sq give the
-    full-grid value of the state that a frame array stands for; the dense
-    frame's weights are all 1, so its sums are the plain ones and it never
-    builds them.
+    (a contiguous copy of its leading rows and columns), and expand reads a
+    window of nodes from a frame array (i -> min(i, N-i), exactly symmetric,
+    with g off the interior); the dense frame's interior is the array
+    itself.  sum and grad_norm_sq give the full-grid value of the state that
+    a frame array stands for; the dense frame's weights are all 1, so its
+    sums are the plain ones and it never builds them.
     """
 
     def __init__(self, grid: Grid, mirrored: bool = False):
@@ -138,13 +133,25 @@ class Frame:
         n = len(self.w)
         return np.ascontiguousarray(Y[:n, :n])
 
-    def expand(self, Y: np.ndarray) -> np.ndarray:
-        """The interior array of the frame values Y."""
-        if not self.mirrored:
+    def expand(
+        self, Y: np.ndarray, start: int = 1, stop: int | None = None
+    ) -> np.ndarray:
+        """The nodes start..stop-1 (default: the interior 1..N-1) along each
+        axis of the state whose frame values are Y, a new array, except that
+        the interior of the dense frame is Y itself.
+
+        Node i reads frame index i - 1, through min(i, N-i) on the folded
+        frame, and every node off the interior 1..N-1 reads g.
+        """
+        N = self.grid.N
+        stop = N if stop is None else stop
+        if not self.mirrored and (start, stop) == (1, N):
             return Y
-        q = np.arange(self.grid.N - 1)
-        q = np.minimum(q, q[::-1])
-        return Y[np.ix_(q, q)]
+        i = np.arange(start, stop)
+        q = np.minimum(i, N - i) if self.mirrored else i
+        q = np.where((i < 1) | (i >= N), 0, q)
+        # the frame values behind one leading line of g, read at index q
+        return np.pad(Y, (1, 0), constant_values=self.grid.g)[np.ix_(q, q)]
 
     def sum(self, X: np.ndarray) -> float:
         """sum_ij w_i w_j X_ij: each interior node counted once.
@@ -194,7 +201,8 @@ class Field:
     taken once, when the Field is built, so the values are not to be changed
     in place afterwards.  interior is the whole interior array: the values
     themselves on a dense frame, and their mirror expansion, a new array on
-    every read, on a folded one.
+    every read, on a folded one.  No run reads it: the stage loop scores the
+    frame values and the transfer reads a window of them (Frame.expand).
     """
 
     frame: Frame

@@ -31,8 +31,10 @@ The stencil, the basis and the fill commute with the square's mirrors, so
 the transfer of a state symmetric about both mid-lines is symmetric too.
 The output Field is on the frame kind of the end state (grid.Frame): from a
 folded end the transfer evaluates only the coarse cells that own the fine
-quarter and writes that quarter, so a folded stage hands a folded start to
-the next one.
+quarter, reads their stencils from the coarse quarter and writes the fine
+one, so a folded stage hands a folded start to the next one and neither
+side is expanded to the whole interior.  The frame supplies the fill: the
+transfer reads its stencils' nodes through Frame.expand.
 """
 
 from __future__ import annotations
@@ -77,13 +79,11 @@ def laplacian_row(theta: float, zeta: float) -> np.ndarray:
     ], dtype=float)
 
 
-def _reference_matrix() -> np.ndarray:
-    return np.array([basis_row(float(a), float(b)) for a, b in S12])
-
-
 # the reference matrix has exact small-integer entries; its inverse is
 # computed once at import and shared by every cell fit
-REFERENCE_MATRIX: np.ndarray = _reference_matrix()
+REFERENCE_MATRIX: np.ndarray = np.array(
+    [basis_row(float(a), float(b)) for a, b in S12]
+)
 REFERENCE_INVERSE: np.ndarray = np.linalg.inv(REFERENCE_MATRIX)
 
 
@@ -109,12 +109,14 @@ def _cell_stencils(end: Field, cells: int) -> np.ndarray:
     """Stencil values of the first cells coarse cells in each direction,
     shape (cells, cells, 12) in S12 order.
 
-    Offsets that leave the coarse node set read the boundary value g, like
-    the boundary ring itself.
+    Cell i reads nodes i - 1 .. i + 2, so the cells read nodes
+    -1 .. cells + 1 of each axis, which the end state's frame gives from its
+    own values (Frame.expand): on a folded end the quarter is read through
+    the mirror, and nodes off the interior read the boundary value g.
     """
-    padded = np.pad(end.interior, 2, constant_values=end.grid.g)
+    nodes = end.frame.expand(end.values, -1, cells + 2)
     return np.stack(
-        [padded[a + 1:a + 1 + cells, b + 1:b + 1 + cells] for a, b in S12],
+        [nodes[a + 1:a + 1 + cells, b + 1:b + 1 + cells] for a, b in S12],
         axis=-1,
     )
 

@@ -27,11 +27,13 @@ M-matrix whose row sums are at least 1/ds, so ||L^-1||_inf <= ds (the
 discrete maximum principle; Varga 1962).  After a sweep that produced Y from
 the source f(Y_prev), the next sweep would move Y by exactly
 L^-1 (f(Y_prev) - f(Y)), hence by at most ds*max|f(Y) - f(Y_prev)|.  The step
-ends once that bound is below STOP_MARGIN*PICARD_TOL*max(1, max|Y|) (at most
-PICARD_MAX sweeps); f(Y) - f(Y_prev) is also the Euler-Lagrange residual of
-Y, which the margin keeps small.  A step not certified within PICARD_MAX
-sweeps raises NumericalError, so a step returns only a certified state and
-its sweep count.  march owns the step sequence of a stage or direct run:
+ends once that bound is below STOP_MARGIN*PICARD_TOL*max|Y| (at most
+PICARD_MAX sweeps).  The test is relative to the state's own size, so a
+stage and the same steps on the physical profile (W = v/A) stop alike;
+f(Y) - f(Y_prev) is also the Euler-Lagrange residual of Y, which the margin
+keeps small.  A step not certified within PICARD_MAX sweeps raises
+NumericalError, so a step returns only a certified state and its sweep
+count.  march owns the step sequence of a stage or direct run:
 one DirichletSolver, on the start's frame, and each step starts from
 extrapolated_seed, the polynomial of degree SEED_ORDER through the run's last
 accepted states (fewer at the start of a run or stage), evaluated one step
@@ -60,11 +62,11 @@ the weighted frame sum (each interior node counted once), and takes the stop
 bound and max|Y| in the frame, whose extrema are those of the full grid on
 symmetric data.  march yields each step's start and accepted state as
 Fields on that frame, whose values are its seed history, and expands none
-of them: the drivers score every step on that frame, and a state is
-expanded only where its interior is read (the transfer reads the stage's
-event).  verify and every dense Field a test builds are stepped with the
-dense solve, because the frame they are built on says so, and the oracle
-takes dense Fields only.
+of them: the drivers score every step on that frame, and the transfer reads
+the stage's event from it, so no run expands a state to the whole interior.
+verify and every dense Field a test builds are stepped with the dense
+solve, because the frame they are built on says so, and the oracle takes
+dense Fields only, whose whole interior its residual reads.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
@@ -232,7 +234,7 @@ def picard_implicit_step(
     evaluates F_new = f(Y), the next sweep's source.  Since
     ||L^-1||_inf <= ds, the next sweep would move Y by at most
     ds*max|F_new - F|; the step ends once this certified bound is
-    below STOP_MARGIN*PICARD_TOL*max(1, max|Y|), so no solve is spent on
+    below STOP_MARGIN*PICARD_TOL*max|Y|, so no solve is spent on
     confirming a move that small.  With lam = 0 the source is exactly 0 and
     one sweep ends the step; PICARD_MAX sweeps without the stop raise
     NumericalError.
@@ -256,7 +258,7 @@ def picard_implicit_step(
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         bound = ds * float(np.max(np.abs(F_new - F)))
         F = F_new
-        if bound < STOP_MARGIN * PICARD_TOL * max(1.0, float(np.max(np.abs(Y)))):
+        if bound < STOP_MARGIN * PICARD_TOL * float(np.max(np.abs(Y))):
             return Field(frame, Y), sweeps
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
@@ -309,7 +311,7 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     a trial step; above the limit the halved steps have not been seen to
     reach the residual target, and the descent raises OracleStagnation.
     """
-    if Z.grid.interior_count > 16:
+    if (Z.grid.N - 1) ** 2 > 16:
         raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
     if Z.frame.mirrored:
         raise ValueError("oracle requires a Field on the dense frame of its grid")

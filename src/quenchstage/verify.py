@@ -81,8 +81,7 @@ def _at_most(
 
 def _random_field(rng: np.random.Generator, N: int, A: float) -> Field:
     grid = Grid(A, N)
-    interior = grid.g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1))
-    return Field(Frame(grid), interior)
+    return Field(Frame(grid), grid.g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1)))
 
 
 def suite_green() -> list[CheckResult]:

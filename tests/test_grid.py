@@ -105,14 +105,18 @@ class TestGridConstruction:
                 assert grid.A2h2 == A * A * h * h
 
     def test_node_coordinates(self):
+        # A = 1 is the physical unit square, centred: the interior nodes run
+        # over [-1/2 + h, 1/2 - h]
         grid = Grid(1.0, 4)
-        nodes = grid.nodes_1d()
-        assert nodes[0] == pytest.approx(-grid.L)
-        assert nodes[-1] == pytest.approx(grid.L)
-        # A = 1 is the physical unit square, centred: nodes run over [-1/2, 1/2]
-        assert nodes[0] == -0.5
-        assert nodes[-1] == 0.5
         assert grid.h == 0.25
+        assert np.array_equal(grid.interior_nodes_1d(), [-0.25, 0.0, 0.25])
+        # N - 1 nodes h apart, one h inside the boundary lines -L and L
+        grid = Grid(0.6, 9)
+        nodes = grid.interior_nodes_1d()
+        assert len(nodes) == 8
+        assert nodes[0] == pytest.approx(-grid.L + grid.h, rel=1e-15)
+        assert nodes[-1] == pytest.approx(grid.L - grid.h, rel=1e-15)
+        assert np.diff(nodes) == pytest.approx(grid.h, rel=1e-14)
 
 
 class TestField:
@@ -210,6 +214,20 @@ class TestFrame:
         X = 1.0 / Y.interior
         want = sum(float(x) for x in X.ravel())
         assert frame.sum(1.0 / values) == pytest.approx(want, rel=1e-14)
+
+    # N <= 4 puts the windows' last nodes on the boundary ring and beyond it
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 9, 18, 19])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_window_is_the_padded_interior(self, N, mirrored):
+        # the transfer reads nodes -1 .. stop - 1 from the frame values: to
+        # the bit the leading block of the interior padded by two lines of g
+        Y = self.symmetric_field(N, seed=N)
+        frame = Frame(Y.grid, mirrored)
+        values = frame.restrict(Y.interior)
+        padded = np.pad(frame.expand(values), 2, constant_values=Y.grid.g)
+        for stop in range(N + 3):
+            window = frame.expand(values, -1, stop)
+            assert np.array_equal(window, padded[: stop + 1, : stop + 1])
 
     def test_weights_count_each_node_once(self):
         # odd N: every quarter line stands for two; even N: the middle for one

@@ -219,12 +219,14 @@ class TestProlongStage:
         got = prolong_stage(end, k).interior
         assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("N", [2, 9, 18])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 9, 18])
     def test_folded_end_gives_the_restricted_dense_transfer(self, N, k):
         # the transfer keeps the frame kind of its end state; on a folded end
-        # it evaluates only the cells that own the fine quarter, to the bit
-        # the quarter of the dense transfer of the same state
+        # it evaluates only the cells that own the fine quarter, reading their
+        # stencils from the coarse quarter, to the bit the quarter of the
+        # dense transfer of the same state (N = 2..6 is the property tests'
+        # N0 range, where the stencils reach the boundary ring and beyond)
         rng = np.random.default_rng(10 * N + k)
         grid = Grid(0.6, N)
         frame = Frame(grid, mirrored=True)

@@ -8,9 +8,12 @@ only tests call belongs in the tests, and so is a method or property of a
 package class that nothing in the package reads.  drivers.py leaves the step
 sequence (solver, seeds, Picard step) to stepper.march.  A state moves
 between the interior and its frame in two places only: the transfer, which
-builds its output on the frame of its input, restricts the fine values, and
-a grid.Field expands its values when its interior is read; march builds its
-solver on the start's frame and does neither.  Only a Field takes a
+builds its output on the frame of its input, restricts the fine values and
+reads its stencils' window of the coarse frame values, and a grid.Field
+expands its values when its interior is read; march builds its solver on
+the start's frame and does neither.  Only the flat extension, the
+Euler-Lagrange residual and the verify suites read a whole interior, so no
+run function builds a full-grid state.  Only a Field takes a
 minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
 derives from NumericalError, so each maps to a documented exit code.
@@ -238,12 +241,29 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
 def test_only_the_state_constructors_move_states_in_and_out_of_the_frame():
     # the solve, the Picard step, the seed and the stage loop's scores see
     # only frame values; the transfer restricts the fine values onto the frame
-    # of its input (the stage-0 profile is evaluated on its frame's nodes),
-    # and a Field expands its values where its interior is read
+    # of its input (the stage-0 profile is evaluated on its frame's nodes)
+    # and reads a window of the coarse frame values, and a Field expands its
+    # values where its interior is read
     trees = {path.name: parse(path) for path in MODULES}
     restrict, expand = readers(trees, "restrict"), readers(trees, "expand")
     assert restrict == {"prolongation.py:prolong_stage"}, f"restrict read by {restrict}"
-    assert expand == {"grid.py:Field"}, f"expand read by {expand}"
+    assert expand == {
+        "grid.py:Field", "prolongation.py:_cell_stencils",
+    }, f"expand read by {expand}"
+
+
+def test_only_the_checks_read_a_whole_interior():
+    # a run reads frame values only; the flat extension (the Laplacian and the
+    # Green form), the oracle's Euler-Lagrange residual and the verify suites
+    # work on the whole interior of dense Fields
+    trees = {path.name: parse(path) for path in MODULES}
+    found = readers(trees, "interior")
+    assert found == {
+        "grid.py:flat_extend",
+        "stepper.py:euler_lagrange_residual",
+        "verify.py:suite_changevar",
+        "verify.py:suite_green",
+    }, f"interior read by {found}"
 
 
 def test_only_a_field_takes_a_minimum():
