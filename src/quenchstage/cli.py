@@ -82,13 +82,15 @@ STAGEWISE_OPTIONAL = {"step_cap": STAGEWISE_KEYS.pop("step_cap")}
 DIRECT_KEYS = _config_keys(DirectConfig)
 
 CONVENTIONS = {
-    "picard_seed": f"degree-{SEED_ORDER} extrapolation through the last "
-    f"{SEED_ORDER + 1} accepted states of the stage or direct run (lower "
-    "degree while fewer exist)",
+    "picard_seed": f"degree-{SEED_ORDER} extrapolation of the last "
+    f"{SEED_ORDER + 1} accepted sources f(Y) of the stage or direct run, the "
+    "source the first Picard sweep solves with (lower degree while fewer "
+    "exist)",
     "nonlocal_term": "K of the full iterate, recomputed each Picard sweep; "
     "on mirror-folded stages the mirror-weighted sum over the quarter",
-    "picard_stop": "once ds * max|f(Y) - f(Y_prev)|, a bound on the next "
-    "sweep's move by the maximum principle (||L^-1|| <= ds), is below "
+    "picard_stop": "once ds * max|f(Y) - F|, with F the source the sweep "
+    "solved with, a bound on the next sweep's move by the maximum principle "
+    "(||L^-1|| <= ds), is below "
     f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max|Y|",
     "event_energies": "evaluated at the linearly interpolated trigger state",
     "scaled_duration": "completed steps plus trigger fraction, times ds",

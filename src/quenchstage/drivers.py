@@ -77,11 +77,13 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 8.7 s and 82 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 7.8 s and 85 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
 # stage built, stepped and scored on the mirror-folded quarter; median of
-# 3).  The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 79 MiB (17.1 s, one run).
+# 3).  The last stage's steps set the peak: the solver, the six sources of
+# the seed history and the states the stage loop holds, each a 576^2
+# quarter.  The peak follows glibc's allocation order: with
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 81 MiB (12.8 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -96,14 +95,14 @@ class Frame:
     frame (mirrored=True) holds a state symmetric about both mid-lines,
     Y[i] = Y[N-i] in each index, by its lower-left floor(N/2)^2 quarter:
     index i stands for i and N - i, so w_i = 2, or 1 on the self-mirrored
-    middle line i = N/2 of an even N, and node (i, j) weighs
-    weights[i, j] = w_i w_j.  restrict takes the frame of an interior array
-    (a contiguous copy of its leading rows and columns), and expand reads a
-    window of nodes from a frame array (i -> min(i, N-i), exactly symmetric,
-    with g off the interior); the dense frame's interior is the array
-    itself.  sum and grad_norm_sq give the full-grid value of the state that
-    a frame array stands for; the dense frame's weights are all 1, so its
-    sums are the plain ones and it never builds them.
+    middle line i = N/2 of an even N, and node (i, j) weighs w_i w_j.
+    restrict takes the frame of an interior array (a contiguous copy of its
+    leading rows and columns), and expand reads a window of nodes from a
+    frame array (i -> min(i, N-i), exactly symmetric, with g off the
+    interior); the dense frame's interior is the array itself.  sum and
+    grad_norm_sq give the full-grid value of the state that a frame array
+    stands for; the dense frame's weights are all 1, so its sums are the
+    plain ones.
     """
 
     def __init__(self, grid: Grid, mirrored: bool = False):
@@ -121,10 +120,6 @@ class Frame:
         self._lines = lines
         self.w = lines[1 : n + 1]
         self.shape = (n, n)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return self.w[:, None] * self.w
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
         """The frame values of Y, C-contiguous.  Y[i, j] is interior node
@@ -156,11 +151,12 @@ class Frame:
     def sum(self, X: np.ndarray) -> float:
         """sum_ij w_i w_j X_ij: each interior node counted once.
 
-        The weighted array is summed whole, so the sum keeps the order of
-        the unweighted one; w @ X @ w reorders it, which moves the Picard
-        source's K and the run's states in their last bits.
+        The folded sum is the two matrix-vector products w @ X @ w, which
+        build no weighted copy of X; the dense frame's weights are all 1,
+        so its sum is the plain X.sum(), and the dense-built states of the
+        property checks keep its order of summation.
         """
-        return float((X * self.weights).sum() if self.mirrored else X.sum())
+        return float(self.w @ X @ self.w if self.mirrored else X.sum())
 
     def grad_norm_sq(self, Y: np.ndarray) -> float:
         """Discrete gradient norm of the state whose frame values are Y: the

@@ -19,26 +19,29 @@ sine-basis diagonalization, set up once per (frame, ds) and reused across
 Picard sweeps and across steps.  Values are clipped at CLIP only inside
 reciprocal evaluations.  The clipped source f(Y) = lam/(Yc^2 K(Yc)^2), with K
 of the full iterate, is nonlocal_source, evaluated once per iterate and
-carried into the next sweep; the Euler-Lagrange residual adds the same
-function.
+carried into the next sweep, and the accepted state's is handed back with
+it; the Euler-Lagrange residual adds the same function.
 
 The stop is certified without a confirming solve.  L = I/ds - Lap_h is an
 M-matrix whose row sums are at least 1/ds, so ||L^-1||_inf <= ds (the
 discrete maximum principle; Varga 1962).  After a sweep that produced Y from
-the source f(Y_prev), the next sweep would move Y by exactly
-L^-1 (f(Y_prev) - f(Y)), hence by at most ds*max|f(Y) - f(Y_prev)|.  The step
-ends once that bound is below STOP_MARGIN*PICARD_TOL*max|Y| (at most
-PICARD_MAX sweeps).  The test is relative to the state's own size, so a
-stage and the same steps on the physical profile (W = v/A) stop alike;
-f(Y) - f(Y_prev) is also the Euler-Lagrange residual of Y, which the margin
-keeps small.  A step not certified within PICARD_MAX sweeps raises
-NumericalError, so a step returns only a certified state and its sweep
-count.  march owns the step sequence of a stage or direct run:
-one DirichletSolver, on the start's frame, and each step starts from
-extrapolated_seed, the polynomial of degree SEED_ORDER through the run's last
-accepted states (fewer at the start of a run or stage), evaluated one step
-ahead (Fischer 1998), which roughly halves the sweeps per step; a step
-converges to the same fixed point from any start.  The energy E and the
+a source F, f(Y_prev) or on the first sweep any start source, the next sweep
+would move Y by exactly L^-1 (F - f(Y)), hence by at most
+ds*max|f(Y) - F|.  The step ends once that bound is below
+STOP_MARGIN*PICARD_TOL*max|Y| (at most PICARD_MAX sweeps).  The test is
+relative to the state's own size, so a stage and the same steps on the
+physical profile (W = v/A) stop alike; f(Y) - F is also the Euler-Lagrange
+residual of Y, which the margin keeps small.  A step not certified within
+PICARD_MAX sweeps raises NumericalError, so a step returns only a certified
+state, its sweep count and its source.  march owns the step sequence of a
+stage or direct run: one DirichletSolver, on the start's frame, and each
+step's first sweep solves with extrapolated_seed, the polynomial of degree
+SEED_ORDER through the sources of the run's last accepted states, f(Z) of
+its start first (fewer at the start of a run or stage), evaluated one step
+ahead (Fischer 1998).  That source is what the first sweep reads, so no
+source is evaluated at a seed state: a run evaluates one source per solve
+and one at its start, and takes about 1.1 solves per step.  A step converges
+to the same fixed point from any start source.  The energy E and the
 movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
 evaluated by the code that records them: the stage loop's ledger, the
 oracle's objective and the dissipation check.
@@ -60,10 +63,10 @@ dense one, where the weights and the expansion are the identity.  Every
 sweep builds the right-hand side, solves, evaluates the source, with K from
 the weighted frame sum (each interior node counted once), and takes the stop
 bound and max|Y| in the frame, whose extrema are those of the full grid on
-symmetric data.  march yields each step's start and accepted state as
-Fields on that frame, whose values are its seed history, and expands none
-of them: the drivers score every step on that frame, and the transfer reads
-the stage's event from it, so no run expands a state to the whole interior.
+symmetric data.  march keeps its sources in that frame and yields each
+step's start and accepted state as Fields on it, and expands none of them:
+the drivers score every step on that frame, and the transfer reads the
+stage's event from it, so no run expands a state to the whole interior.
 verify and every dense Field a test builds are stepped with the dense
 solve, because the frame they are built on says so, and the oracle takes
 dense Fields only, whose whole interior its residual reads.
@@ -95,17 +98,18 @@ from .energy import discrete_energy
 
 logger = logging.getLogger(__name__)
 
-# Degree of the Picard seed polynomial.  Degree 5 halves the sweeps again but
-# keeps six states alive per stage (quarter grids on a folded stage); 3 keeps
-# four.
-SEED_ORDER = 3
+# Degree of the polynomial through the last SEED_ORDER + 1 accepted sources
+# that starts each step's first sweep.  On the 6-stage run degree 3 takes 1799
+# solves, 4 takes 1200 and 5 takes 1010 for 906 steps; each stage keeps six
+# sources (quarter grids on a folded stage) alive.
+SEED_ORDER = 5
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
 # ends a step.  The source change F_new - F that the bound scales is also the
 # Euler-Lagrange residual of the accepted iterate, so the margin sets that
 # residual: at 1.0 it reaches 5e-8 on a random 3x3 state at ds = 1e-3, at 0.1
 # it stays below 1e-9.  A smaller margin costs sweeps without need (0.01 takes
-# 1436 solves on the 4-stage reference run, 0.1 takes 1127).
+# 825 solves on the 4-stage reference run, 0.1 takes 701).
 STOP_MARGIN = 0.1
 PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
@@ -175,9 +179,12 @@ class DirichletSolver:
         self._basis = (T, P.T, P, T.T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs for a rhs in the frame, returned in the frame."""
+        """L^-1 rhs for a rhs in the frame, written over rhs, which is
+        returned: the Picard sweep solves in its right-hand side's buffer."""
         T, PT, P, TT = self._basis
-        return T @ ((PT @ rhs @ P) * self._inv) @ TT
+        X = PT @ rhs @ P
+        X *= self._inv
+        return np.matmul(T @ X, TT, out=rhs)
 
 
 def nonlocal_source(Y: np.ndarray, frame: Frame, lam: float) -> np.ndarray:
@@ -186,7 +193,10 @@ def nonlocal_source(Y: np.ndarray, frame: Frame, lam: float) -> np.ndarray:
     sum (each interior node counted once)."""
     Yc = np.maximum(Y, CLIP)
     K = 1.0 + frame.grid.A2h2 * frame.sum(1.0 / Yc)
-    return lam / (Yc * Yc * K * K)
+    Yc *= Yc
+    Yc *= K
+    Yc *= K
+    return np.divide(lam, Yc, out=Yc)
 
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
@@ -198,14 +208,15 @@ def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
 
 
 def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
-    """Picard start for the next step from the last accepted states.
+    """Picard start for the next step from the last accepted sources.
 
-    history holds accepted states of one run or stage on one grid, oldest
-    first, all in one frame (march keeps them in its solver's frame).  With
-    p = min(SEED_ORDER, len(history) - 1) the seed is the degree-p
-    polynomial through the last p + 1 states evaluated one step ahead,
-    sum_{i=0..p} (-1)^i C(p+1, i+1) Z_{n-i}: 4Z_n - 6Z_{n-1} + 4Z_{n-2} -
-    Z_{n-3} for p = 3, and a copy of Z_n for a single state.
+    history holds the sources f(Y) of accepted states of one run or stage on
+    one grid, oldest first, all in one frame (march keeps them in its
+    solver's frame).  With p = min(SEED_ORDER, len(history) - 1) the seed
+    is the degree-p polynomial through the last p + 1 entries evaluated one
+    step ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
+    20F_{n-2} - 15F_{n-3} + 6F_{n-4} - F_{n-5} for p = 5, and a copy of F_n
+    for a single entry.
     """
     p = min(SEED_ORDER, len(history) - 1)
     seed = (p + 1) * history[-1]
@@ -215,51 +226,57 @@ def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def picard_implicit_step(
-    Z: Field, solver: DirichletSolver, lam: float, seed: np.ndarray | None = None
-) -> tuple[Field, int]:
+    Z: Field, solver: DirichletSolver, lam: float, source: np.ndarray | None = None
+) -> tuple[Field, int, np.ndarray]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
     nonlocal source lam/(Y^2 K^2) at the amplitude A of the solver's grid.
 
-    The values of Z, the optional seed array and the returned Field are in
-    the solver's frame (see DirichletSolver), and a Z or seed of another
-    shape raises ValueError.  Z's positivity is read off the minimum it took
-    when it was built.  The grid comes from the solver, whose ds is the step
-    size; one solver serves a whole stage.  The seed overrides the default
-    Picard start Y(0) = Z; march passes extrapolated_seed, the
-    local-uniqueness checks a perturbed Z.  The start changes the number of
-    sweeps, not the stopping test.  Returns the accepted state Y, a Field on
-    the solver's frame, and its sweep count.
+    The values of Z, the optional source array and the returned arrays are
+    in the solver's frame (see DirichletSolver), and a Z or source of
+    another shape raises ValueError.  Z's positivity is read off the minimum
+    it took when it was built.  The grid comes from the solver, whose ds is
+    the step size; one solver serves a whole stage.  The first sweep reads
+    the source F~, by default f(Z); march passes extrapolated_seed of the
+    accepted sources, the local-uniqueness check the source of a perturbed
+    Z.  The start changes the number of sweeps, not the stopping test.
+    Returns the accepted state Y, a Field on the solver's frame, its sweep
+    count and f(Y), which the last sweep has computed.
 
-    Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev) and then
-    evaluates F_new = f(Y), the next sweep's source.  Since
-    ||L^-1||_inf <= ds, the next sweep would move Y by at most
-    ds*max|F_new - F|; the step ends once this certified bound is
-    below STOP_MARGIN*PICARD_TOL*max|Y|, so no solve is spent on
+    Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev), or F~
+    on the first, and then evaluates F_new = f(Y), the next sweep's source.
+    Since ||L^-1||_inf <= ds, the next sweep would move Y by at most
+    ds*max|F_new - F|, whatever F was; the step ends once this certified
+    bound is below STOP_MARGIN*PICARD_TOL*max|Y|, so no solve is spent on
     confirming a move that small.  With lam = 0 the source is exactly 0 and
-    one sweep ends the step; PICARD_MAX sweeps without the stop raise
-    NumericalError.
+    one sweep ends the step (from the default start); PICARD_MAX sweeps
+    without the stop raise NumericalError.
     """
     frame = solver.frame
     shape = frame.shape
-    if Z.values.shape != shape or (seed is not None and seed.shape != shape):
+    if Z.values.shape != shape or (source is not None and source.shape != shape):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
     if not Z.min_interior() > 0.0:  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, frame.grid.g
-    base_rhs = (Z.values - g) / ds
-    Y = Z.values if seed is None else seed
-    F = nonlocal_source(Y, frame, lam)
+    # live grid arrays set large-N peak memory: F holds the only reference to
+    # the start source, which sweep 2 drops, and each sweep builds its
+    # right-hand side, solves and shifts by g in one buffer
+    F = nonlocal_source(Z.values, frame, lam) if source is None else source
+    del source
     for sweeps in range(1, PICARD_MAX + 1):
-        # Y is rebound before F_new exists, so the previous iterate is freed:
-        # live grid arrays set large-N peak memory
-        Y = g + solver.solve(base_rhs - F)
+        Y = Z.values - g
+        Y /= ds
+        Y -= F
+        solver.solve(Y)
+        Y += g
         F_new = nonlocal_source(Y, frame, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
-        bound = ds * float(np.max(np.abs(F_new - F)))
+        move = F_new - F
+        bound = ds * float(np.max(np.abs(move, out=move)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * float(np.max(np.abs(Y))):
-            return Field(frame, Y), sweeps
+            return Field(frame, Y), sweeps, F
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -270,16 +287,19 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     run) and the step.  The one solver is built on Z's frame, so a folded
     start takes the mirror-folded solve and a dense one the dense solve, and
     every yielded state is a Field on that frame (Z itself is step 1's
-    prev), whose values are the seed history."""
+    prev).  The seed history holds f(Z) and the source f(Y) each step hands
+    back, so the run evaluates one source per solve and one at its start."""
     logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
     solver = DirichletSolver(Z.frame, ds)
-    history = deque([Z.values], maxlen=SEED_ORDER + 1)
+    sources = deque([nonlocal_source(Z.values, Z.frame, lam)], maxlen=SEED_ORDER + 1)
     for step in itertools.count(1):
         try:
-            Y, sweeps = picard_implicit_step(Z, solver, lam, extrapolated_seed(history))
+            Y, sweeps, F = picard_implicit_step(
+                Z, solver, lam, extrapolated_seed(sources)
+            )
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        history.append(Y.values)
+        sources.append(F)
         yield StepReport(Z, Y, sweeps)
         Z = Y
 

@@ -189,7 +189,7 @@ class TestStagewiseCommand:
         assert manifest["command"] == "stagewise"
         assert manifest["config"]["N0"] == 9
         seed = manifest["conventions"]["picard_seed"]
-        assert f"last {SEED_ORDER + 1} accepted states" in seed
+        assert f"last {SEED_ORDER + 1} accepted sources" in seed
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             assert digest == actual

@@ -76,14 +76,14 @@ def reciprocal_K(Y):
     return discrete_energy(Y, lam=1.0).K
 
 
-Stepped = collections.namedtuple("Stepped", "next picard_iters")
+Stepped = collections.namedtuple("Stepped", "next picard_iters source")
 
 
-def step(Z, ds, lam, seed=None):
+def step(Z, ds, lam, source=None):
     """One Picard step from the Field Z with a solver built on its frame (the
-    whole interior for the random states here): the next Field and the
-    sweeps."""
-    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam, seed))
+    whole interior for the random states here): the next Field, the sweeps
+    and the source of the next Field."""
+    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam, source))
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
@@ -120,7 +120,9 @@ class TestDirichletSolver:
         solver = DirichletSolver(Z.frame, ds)
         rng = np.random.default_rng(4)
         rhs = rng.normal(size=(n, n))
-        got = solver.solve(rhs)
+        # the solve is written over its right-hand side
+        got = rhs.copy()
+        assert solver.solve(got) is got
         want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(n, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -135,7 +137,8 @@ class TestDirichletSolver:
         quarter = folded.frame.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
         assert np.array_equal(folded.frame.expand(quarter), rhs)
-        got, want = folded.frame.expand(folded.solve(quarter)), dense.solve(rhs)
+        got = folded.frame.expand(folded.solve(quarter.copy()))
+        want = dense.solve(rhs.copy())
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -147,7 +150,7 @@ class TestDirichletSolver:
         # identity restriction and expansion and unit weights
         assert np.array_equal(dense.frame.restrict(rhs), rhs)
         assert np.array_equal(dense.frame.expand(rhs), rhs)
-        assert np.array_equal(dense.frame.weights, np.ones((n, n)))
+        assert np.array_equal(dense.frame.w, np.ones(n))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
@@ -167,7 +170,8 @@ class TestDirichletSolver:
         ]
         for solver, r in cases:
             for rhs in (r, np.ones((n, n))):
-                got = float(np.max(np.abs(solver.solve(solver.frame.restrict(rhs)))))
+                got = solver.solve(solver.frame.restrict(rhs).copy())
+                got = float(np.max(np.abs(got)))
                 assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
 
@@ -231,11 +235,40 @@ class TestPicardStep:
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
-        states = [Z]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
         for _ in range(SEED_ORDER + 3):
-            seed = extrapolated_seed([X.values for X in states])
-            states.append(picard_implicit_step(states[-1], solver, cfg.lam, seed)[0])
+            seed = extrapolated_seed(sources)
+            Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
+            states.append(Y)
+            sources.append(F)
         self.assert_certified(states[-2], states[-1], cfg.ds, cfg.lam)
+
+    @pytest.mark.parametrize("folded", [True, False])
+    def test_any_start_source_reaches_the_certified_fixed_point(self, folded):
+        # the first sweep from any source F~ moves to g + L^-1(base - F~), and
+        # the next one by L^-1(F~ - f(Y)), so the stop bound holds whatever F~
+        # was: a zero source and ten times f(Z) take more sweeps to the
+        # default start's fixed point, each certified, and the given source is
+        # left unchanged
+        cfg = StagewiseConfig()
+        if folded:
+            Z, ds, lam = reference_stage_start(1), cfg.ds, cfg.lam
+        else:
+            Z, ds, lam = random_state(seed=7), 1e-3, 20.0
+        solver = DirichletSolver(Z.frame, ds)
+        plain, _, F = picard_implicit_step(Z, solver, lam)
+        assert np.array_equal(F, nonlocal_source(plain.values, Z.frame, lam))
+        scale = float(np.max(np.abs(plain.values)))
+        ten = 10.0 * nonlocal_source(Z.values, Z.frame, lam)
+        for wrong in (np.zeros(Z.values.shape), ten):
+            given = wrong.copy()
+            Y, sweeps, _ = picard_implicit_step(Z, solver, lam, source=given)
+            assert np.array_equal(given, wrong)
+            assert sweeps > 1
+            self.assert_certified(Z, Y, ds, lam)
+            # two certified states of one contraction: within twice the stop
+            gap = float(np.max(np.abs(Y.values - plain.values)))
+            assert gap <= 2.0 * stepper.STOP_MARGIN * stepper.PICARD_TOL * scale
 
     def test_two_seeds_same_fixed_point(self):
         Z = random_state(seed=8)
@@ -243,7 +276,7 @@ class TestPicardStep:
         ds, lam = 1e-3, 20.0
         assert ds < eta ** 3 / (16.0 * lam)
         rep_a = step(Z, ds, lam)
-        rep_b = step(Z, ds, lam, seed=1.05 * Z.interior)
+        rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.frame, lam))
         assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
 
     def test_positivity_below_step_bound(self):
@@ -279,8 +312,8 @@ class TestPicardStep:
             step(bad, 1e-3, 20.0)
 
     def test_rejects_mismatched_solver(self):
-        # the grid comes from the solver, so a state or seed of a shape other
-        # than the solver's frame is refused
+        # the grid comes from the solver, so a state or source of a shape
+        # other than the solver's frame is refused
         Z = random_state(N=4, seed=12)
         other = DirichletSolver(Frame(Grid(0.6, 6)), 1e-3)
         folded = DirichletSolver(Frame(Z.grid, mirrored=True), 1e-3)
@@ -292,9 +325,9 @@ class TestPicardStep:
             (dense, quarter, None),
             (folded, quarter, Z.interior),
         ]
-        for solver, state, seed in cases:
+        for solver, state, source in cases:
             with pytest.raises(ValueError, match="solver's frame"):
-                picard_implicit_step(state, solver, 20.0, seed)
+                picard_implicit_step(state, solver, 20.0, source)
 
     def test_step_evaluates_no_energy(self, monkeypatch):
         # the energy and the penalty are evaluated by the code that records them
@@ -325,21 +358,23 @@ class TestMarch:
         return built
 
     def test_seeded_steps_on_one_solver(self, monkeypatch):
-        # each step starts from the extrapolated seed over the states before
-        # it; the reference solver is built as march builds it, on the folded
-        # frame of the stage-0 profile
+        # each step's first sweep reads the extrapolated seed over the sources
+        # of the states before it, f(Z) of the start included; the reference
+        # solver is built as march builds it, on the folded frame of the
+        # stage-0 profile
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
         built = self.recording_solvers(monkeypatch)
-        history = [Z]
-        for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6):
-            seed = extrapolated_seed([X.values for X in history])
-            Y, sweeps = picard_implicit_step(history[-1], solver, cfg.lam, seed)
-            assert np.array_equal(rep.prev.values, history[-1].values)
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
+        for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 8):
+            seed = extrapolated_seed(sources)
+            Y, sweeps, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
+            assert np.array_equal(rep.prev.values, states[-1].values)
             assert np.array_equal(rep.next.values, Y.values)
             assert rep.picard_iters == sweeps
-            history.append(Y)
+            states.append(Y)
+            sources.append(F)
         assert built == [True]
 
     def test_no_restriction_no_expansion(self, monkeypatch):
@@ -390,7 +425,7 @@ class TestMarch:
 
     @pytest.mark.parametrize("folded", [True, False])
     def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
-        # folded: quarter copies that own their memory; dense: full interiors
+        # folded: quarters that own their memory; dense: full interiors
         cfg = StagewiseConfig()
         Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
         N = Z.grid.N
@@ -402,15 +437,42 @@ class TestMarch:
             return extrapolated_seed(history)
 
         monkeypatch.setattr(stepper, "extrapolated_seed", recording)
-        reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 6))
-        assert [len(h) for h in seen] == [1, 2, 3, 4, 4, 4]
+        reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 8))
+        assert [len(h) for h in seen] == [1, 2, 3, 4, 5, 6, 6, 6]
         for history in seen:
-            for state in history:
-                assert state.shape == shape
-                assert not folded or state.base is None
-        # the history holds the values of each accepted state
-        for state, rep in zip(seen[-1][1:], reps[-4:-1], strict=True):
-            assert state is rep.next.values
+            for source in history:
+                assert source.shape == shape
+                assert source.base is None
+        # the history holds f(Z) and then the source of each accepted state,
+        # the one its step handed back
+        assert np.array_equal(seen[0][0], nonlocal_source(Z.values, Z.frame, cfg.lam))
+        for source, rep in zip(seen[-1][1:], reps[-6:-1], strict=True):
+            want = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
+            assert np.array_equal(source, want)
+
+    @pytest.mark.parametrize("folded", [True, False])
+    def test_one_source_per_solve_and_start(self, monkeypatch, folded):
+        # no source is evaluated at a seed: a step's sweeps evaluate f of
+        # each iterate, and march adds f(Z) of its start, on either frame
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
+        counts = collections.Counter()
+        solve, source = DirichletSolver.solve, stepper.nonlocal_source
+
+        def counting_solve(self, rhs):
+            counts["solves"] += 1
+            return solve(self, rhs)
+
+        def counting_source(*args):
+            counts["sources"] += 1
+            return source(*args)
+
+        monkeypatch.setattr(DirichletSolver, "solve", counting_solve)
+        monkeypatch.setattr(stepper, "nonlocal_source", counting_source)
+        for starts in (1, 2):
+            reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 12))
+            assert counts["solves"] == sum(r.picard_iters for r in reps) * starts
+            assert counts["sources"] == counts["solves"] + starts
 
     def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
         built = self.recording_solvers(monkeypatch)
@@ -520,23 +582,27 @@ class TestExtrapolatedSeed:
         quad = self.polynomial_states(2, 2, seed=7)
         assert np.max(np.abs(extrapolated_seed(quad[:2]) - quad[2])) > 1e-3
 
-    def test_weights_on_last_four_states(self):
+    def test_weights_on_last_six_sources(self):
         rng = np.random.default_rng(3)
-        history = [rng.uniform(size=(2, 2)) for _ in range(6)]
-        Zn, Zn1, Zn2, Zn3 = history[-1], history[-2], history[-3], history[-4]
-        want = 4.0 * Zn - 6.0 * Zn1 + 4.0 * Zn2 - Zn3
-        assert np.max(np.abs(extrapolated_seed(history) - want)) <= 1e-14
+        history = [rng.uniform(size=(2, 2)) for _ in range(8)]
+        F0, F1, F2, F3, F4, F5 = history[:-7:-1]
+        want = 6.0 * F0 - 15.0 * F1 + 20.0 * F2 - 15.0 * F3 + 6.0 * F4 - F5
+        assert np.max(np.abs(extrapolated_seed(history) - want)) <= 1e-13
 
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
-        states = [Z]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
         for _ in range(SEED_ORDER + 2):
-            states.append(picard_implicit_step(states[-1], solver, cfg.lam)[0])
-        plain, plain_sweeps = picard_implicit_step(states[-1], solver, cfg.lam)
-        seed = extrapolated_seed([X.values for X in states])
-        seeded, seeded_sweeps = picard_implicit_step(states[-1], solver, cfg.lam, seed)
+            Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam)
+            states.append(Y)
+            sources.append(F)
+        plain, plain_sweeps, _ = picard_implicit_step(states[-1], solver, cfg.lam)
+        seed = extrapolated_seed(sources)
+        seeded, seeded_sweeps, _ = picard_implicit_step(
+            states[-1], solver, cfg.lam, seed
+        )
         assert seeded_sweeps < plain_sweeps
         diff = np.max(np.abs(seeded.values - plain.values))
         assert diff <= 1e-10 * np.max(np.abs(plain.values))
