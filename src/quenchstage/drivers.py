@@ -35,9 +35,12 @@ loop evaluates only what it records, and on that frame: run_stage the
 energy of the start, the energy and the movement penalty of every
 completed step, the penalty of the crossing step and the energy of the
 event, interpolated there; run_direct the energies of its start and final
-state.  The trigger and the positivity check read the minimum each Field
-took when it was built.  No state is expanded to the whole interior: the
-transfer reads each event's stencils from its quarter.
+state.  A state march yields carries the gradient sum and K of its energy,
+from its step's last solve and source, so only the starts and the events
+are summed from their values (grid.Frame.grad_norm_sq), two per stage.  The
+trigger and the positivity check read the minimum each Field took when it
+was built.  No state is expanded to the whole interior: the transfer reads
+each event's stencils from its quarter.
 """
 
 from __future__ import annotations
@@ -77,13 +80,14 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 7.8 s and 85 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 7.4 s and 82 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
 # stage built, stepped and scored on the mirror-folded quarter; median of
-# 3).  The last stage's steps set the peak: the solver, the six sources of
-# the seed history and the states the stage loop holds, each a 576^2
+# 3), 43.7 MiB by tracemalloc.  The last stage's steps set the peak: the
+# solver (its basis, inverse and gradient-form tables), the ring of six
+# sources of the seed and the states the stage loop holds, each a 576^2
 # quarter.  The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 81 MiB (12.8 s, one run).
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 81 MiB (9.6 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -291,27 +295,32 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     A = Z.grid.A
     start = discrete_energy(Z, cfg.lam)
 
-    steps = march(Z, cfg.ds, cfg.lam, f"stage {state.m}")
     E_prev = start.total
-    sweeps = 0
-    increases = 0
+    completed = sweeps = increases = 0
     dissipation = 0.0
-    for completed, rep in zip(range(cfg.step_cap), steps):
+    # no reference to a report outlives its loop body, so the start of the
+    # previous step is freed before march computes the next one, and the
+    # march (its solver and seed ring) is freed when the loop ends
+    for rep in itertools.islice(
+        march(Z, cfg.ds, cfg.lam, f"stage {state.m}"), cfg.step_cap
+    ):
         sweeps += rep.picard_iters
         min_next = rep.next.min_interior()
         tau = detect_trigger(min_prev, min_next, thr)
         if tau is not None:
             break
         E_next = discrete_energy(rep.next, cfg.lam).total
+        completed += 1
         if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
             increases += 1
             logger.warning(
                 "stage %d, step %d: energy increased by %.3e",
-                state.m, completed + 1, E_next - E_prev,
+                state.m, completed, E_next - E_prev,
             )
         dissipation += movement_penalty(rep.next, rep.prev, cfg.ds)
         min_prev = min_next
         E_prev = E_next
+        del rep
     else:
         raise StageRunawayError(
             f"stage {state.m}: no trigger within {cfg.step_cap} steps"

@@ -17,7 +17,12 @@ not implemented.
 
 discrete_energy evaluates E from a Field's values on its grid.Frame, whose
 weighted sum and gradient sum are those of the full grid, so the stage loop
-scores each step in the solver's frame.
+scores each step in the solver's frame.  A state that a Picard step accepted
+carries both sums: the gradient sum from the sine coefficients of its last
+solve and K from its last source (stepper.picard_implicit_step), and the
+energy reads those.  The stage start, the event and every state verify or a
+test builds carry none, and their sums are taken from the values
+(Frame.grad_norm_sq and the weighted reciprocal sum).
 
 Stage switches are scored by the signed jump delta = E_id(next start) -
 E(prev end) and its positive part eps; the ledger accumulates the budget
@@ -76,12 +81,17 @@ def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
 
     K is the weighted frame sum and +inf once Y's minimum is nonpositive; on
     that vanishing branch the reciprocal part and the coefficient are 0 by
-    convention, so the energy stays finite and lower semicontinuous.
+    convention, so the energy stays finite and lower semicontinuous.  The
+    gradient sum and K that Y carries (a Picard step's accepted state) are
+    read as they are; a Field that carries none is summed here.
     """
     frame, grid = Y.frame, Y.grid
-    dirichlet = 0.5 * grid.A * grid.A * frame.grad_norm_sq(Y.values)
+    grad = frame.grad_norm_sq(Y.values) if Y.grad_norm_sq is None else Y.grad_norm_sq
+    dirichlet = 0.5 * grid.A * grid.A * grad
     if Y.min_interior() <= 0.0:
         K = math.inf
+    elif Y.K is not None:
+        K = Y.K
     else:
         K = 1.0 + grid.A2h2 * frame.sum(1.0 / Y.values)
     vanished = math.isinf(K)

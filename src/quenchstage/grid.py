@@ -27,6 +27,12 @@ frame array alone, so a folded stage is scored on the quarter.  expand
 reads any window of nodes from the frame array, g off the interior, so the
 transfer reads the coarse event's stencils from the quarter too; a run never
 builds a full-grid state, and a Field's interior is for the property checks.
+
+Frame.grad_norm_sq, the difference form, sums every Field that no Picard
+step built: a stage start, an event, verify's states and the tests', for
+which it is the reference.  A state that a Picard step accepted carries its
+gradient sum and K instead, taken from the step's last solve and source
+(stepper.picard_implicit_step), so a run sums two states per stage this way.
 """
 
 from __future__ import annotations
@@ -122,11 +128,12 @@ class Frame:
         self.shape = (n, n)
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
-        """The frame values of Y, C-contiguous.  Y[i, j] is interior node
-        (i+1, j+1), and Y holds the whole interior or a leading block of it
-        that covers the frame: the transfer evaluates only such a block."""
+        """The frame values of Y, a new C-contiguous array that shares no
+        memory with Y.  Y[i, j] is interior node (i+1, j+1), and Y holds the
+        whole interior or a leading block of it that covers the frame: the
+        transfer evaluates only such a block."""
         n = len(self.w)
-        return np.ascontiguousarray(Y[:n, :n])
+        return Y[:n, :n].copy()
 
     def expand(
         self, Y: np.ndarray, start: int = 1, stop: int | None = None
@@ -199,10 +206,20 @@ class Field:
     themselves on a dense frame, and their mirror expansion, a new array on
     every read, on a folded one.  No run reads it: the stage loop scores the
     frame values and the transfer reads a window of them (Frame.expand).
+
+    grad_norm_sq and K are sums of the values that the code building the
+    Field already holds, or None: a Picard step hands its accepted state the
+    gradient sum of its last solve and the K of its last source, and
+    energy.discrete_energy reads them in place of Frame.grad_norm_sq and the
+    reciprocal sum.  Every other state (a stage start, an event, a state
+    verify or a test builds) carries neither, and its sums are taken from its
+    values.
     """
 
     frame: Frame
     values: np.ndarray
+    grad_norm_sq: float | None = None
+    K: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)

@@ -38,13 +38,19 @@ stage or direct run: one DirichletSolver, on the start's frame, and each
 step's first sweep solves with extrapolated_seed, the polynomial of degree
 SEED_ORDER through the sources of the run's last accepted states, f(Z) of
 its start first (fewer at the start of a run or stage), evaluated one step
-ahead (Fischer 1998).  That source is what the first sweep reads, so no
-source is evaluated at a seed state: a run evaluates one source per solve
-and one at its start, and takes about 1.1 solves per step.  A step converges
-to the same fixed point from any start source.  The energy E and the
-movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
-evaluated by the code that records them: the stage loop's ledger, the
-oracle's objective and the dissipation check.
+ahead (Fischer 1998): one product of a weight row (SEED_WEIGHTS) with the
+ring that holds the last SEED_ORDER + 1 sources.  That source is what the
+first sweep reads, so no source is evaluated at a seed state: a run
+evaluates one source per solve and one at its start, and takes about 1.1
+solves per step.  A step converges to the same fixed point from any start
+source.  The energy E and the movement penalty
+(A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
+code that records them: the stage loop's ledger, the oracle's objective and
+the dissipation check.  The step evaluates neither, but its accepted state
+carries the two sums of E that the step already holds: the gradient sum,
+from the sine coefficients of its last solve (the basis diagonalizes the
+Dirichlet form too), and K, from its last source, which is the energy's K
+to the bit unless a value is below CLIP.
 
 The reference runs start from a profile centred in the square, and the
 operator, the source and the 12-point transfer commute with the square's
@@ -87,8 +93,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +106,15 @@ logger = logging.getLogger(__name__)
 # Degree of the polynomial through the last SEED_ORDER + 1 accepted sources
 # that starts each step's first sweep.  On the 6-stage run degree 3 takes 1799
 # solves, 4 takes 1200 and 5 takes 1010 for 906 steps; each stage keeps six
-# sources (quarter grids on a folded stage) alive.
+# sources (quarter grids on a folded stage) alive, in one ring array.
 SEED_ORDER = 5
+# Row p: the weight (-1)^i C(p+1, i+1) of F_{n-i} in the degree-p seed,
+# 6, -15, 20, -15, 6, -1 at p = 5, and 0 past i = p.
+SEED_WEIGHTS = np.array(
+    [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(SEED_ORDER + 1)]
+     for p in range(SEED_ORDER + 1)],
+    dtype=float,
+)
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
 # ends a step.  The source change F_new - F that the bound scales is also the
@@ -173,30 +185,48 @@ class DirichletSolver:
         N, w = frame.grid.N, frame.w
         i, j = np.arange(1, len(w) + 1), np.arange(1, N, 2 if frame.mirrored else 1)
         T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j) / N)
-        mu = (2.0 - 2.0 * np.cos(np.pi * j / N)) / frame.grid.h ** 2
+        # eigenvalues l_j of the second difference tridiag(-1, 2, -1); the
+        # gradient sum of the solution weighs its squared coefficients by
+        # l_a + l_b, a table that costs one frame array per solver
+        eig = 2.0 - 2.0 * np.cos(np.pi * j / N)
+        self._form = eig[:, None] + eig[None, :]
+        mu = eig / frame.grid.h ** 2
         self._inv = 1.0 / (1.0 / ds + mu[:, None] + mu[None, :])
         P = w[:, None] * T
         self._basis = (T, P.T, P, T.T)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
-        returned: the Picard sweep solves in its right-hand side's buffer."""
+        returned (the Picard sweep solves in its right-hand side's buffer),
+        and the gradient sum of that solution u: Frame.grad_norm_sq of g + u
+        for any constant g, since u vanishes on the boundary.
+
+        The basis diagonalizes the Dirichlet form too.  With X the sine
+        coefficients of u, the sum of (u_i - u_j)^2 over all node pairs is
+        sum_ab (l_a + l_b) X_ab^2, l_j = 2 - 2 cos(pi j / N), the odd-odd
+        modes being all of it on the folded frame; X is dropped once summed.
+        """
         T, PT, P, TT = self._basis
         X = PT @ rhs @ P
         X *= self._inv
-        return np.matmul(T @ X, TT, out=rhs)
+        u = np.matmul(T @ X, TT, out=rhs)
+        X *= X
+        return u, float(np.vdot(X, self._form))
 
 
-def nonlocal_source(Y: np.ndarray, frame: Frame, lam: float) -> np.ndarray:
-    """The source lam/(Yc^2 K(Yc)^2) of the frame values Y, with
+def nonlocal_source(
+    Y: np.ndarray, frame: Frame, lam: float
+) -> tuple[np.ndarray, float]:
+    """The source lam/(Yc^2 K(Yc)^2) of the frame values Y and K(Yc), with
     Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc, the weighted frame
-    sum (each interior node counted once)."""
+    sum (each interior node counted once).  Once min Y >= CLIP, Yc is Y and
+    K is discrete_energy's K of Y to the bit."""
     Yc = np.maximum(Y, CLIP)
     K = 1.0 + frame.grid.A2h2 * frame.sum(1.0 / Yc)
     Yc *= Yc
     Yc *= K
     Yc *= K
-    return np.divide(lam, Yc, out=Yc)
+    return np.divide(lam, Yc, out=Yc), K
 
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
@@ -207,22 +237,24 @@ def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
     return (A * A / (2.0 * ds)) * (h * h * Y.frame.sum(diff * diff))
 
 
-def extrapolated_seed(history: Sequence[np.ndarray]) -> np.ndarray:
+def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     """Picard start for the next step from the last accepted sources.
 
-    history holds the sources f(Y) of accepted states of one run or stage on
-    one grid, oldest first, all in one frame (march keeps them in its
-    solver's frame).  With p = min(SEED_ORDER, len(history) - 1) the seed
-    is the degree-p polynomial through the last p + 1 entries evaluated one
-    step ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
+    ring holds the sources f(Y) of accepted states of one run or stage on
+    one grid, all in one frame (march keeps them in its solver's frame), in
+    SEED_ORDER + 1 rows: the k-th source written (k = 0 .. count - 1) is row
+    k % len(ring).  With p = min(SEED_ORDER, count - 1) the seed is the
+    degree-p polynomial through the last p + 1 sources evaluated one step
+    ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
     20F_{n-2} - 15F_{n-3} + 6F_{n-4} - F_{n-5} for p = 5, and a copy of F_n
-    for a single entry.
+    for a single source.  It is one product of SEED_WEIGHTS[p], laid on the
+    ring's rows, with the rows written so far: an unwritten row may hold
+    NaN, and 0 * NaN is NaN.
     """
-    p = min(SEED_ORDER, len(history) - 1)
-    seed = (p + 1) * history[-1]
-    for i in range(1, p + 1):
-        seed += (-1) ** i * math.comb(p + 1, i + 1) * history[-1 - i]
-    return seed
+    rows = min(count, len(ring))
+    newest = (count - 1) % len(ring)
+    weights = SEED_WEIGHTS[rows - 1, (newest - np.arange(rows)) % len(ring)]
+    return (weights @ ring[:rows].reshape(rows, -1)).reshape(ring.shape[1:])
 
 
 def picard_implicit_step(
@@ -240,7 +272,10 @@ def picard_implicit_step(
     accepted sources, the local-uniqueness check the source of a perturbed
     Z.  The start changes the number of sweeps, not the stopping test.
     Returns the accepted state Y, a Field on the solver's frame, its sweep
-    count and f(Y), which the last sweep has computed.
+    count and f(Y), which the last sweep has computed.  Y carries the
+    gradient sum of its solve and the K of f(Y), which discrete_energy reads;
+    if a value of Y is below CLIP, that K is of the clipped values, and Y
+    carries none.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev), or F~
     on the first, and then evaluates F_new = f(Y), the next sweep's source.
@@ -262,21 +297,24 @@ def picard_implicit_step(
     # live grid arrays set large-N peak memory: F holds the only reference to
     # the start source, which sweep 2 drops, and each sweep builds its
     # right-hand side, solves and shifts by g in one buffer
-    F = nonlocal_source(Z.values, frame, lam) if source is None else source
+    F = nonlocal_source(Z.values, frame, lam)[0] if source is None else source
     del source
     for sweeps in range(1, PICARD_MAX + 1):
         Y = Z.values - g
         Y /= ds
         Y -= F
-        solver.solve(Y)
+        Y, grad_sq = solver.solve(Y)
         Y += g
-        F_new = nonlocal_source(Y, frame, lam)
+        F_new, K = nonlocal_source(Y, frame, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         move = F_new - F
         bound = ds * float(np.max(np.abs(move, out=move)))
         F = F_new
         if bound < STOP_MARGIN * PICARD_TOL * float(np.max(np.abs(Y))):
-            return Field(frame, Y), sweeps, F
+            state = Field(frame, Y, grad_sq, K)
+            if state.min_interior() < CLIP:  # K is that of the clipped values
+                state = Field(frame, Y, grad_sq)
+            return state, sweeps, F
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -287,19 +325,23 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     run) and the step.  The one solver is built on Z's frame, so a folded
     start takes the mirror-folded solve and a dense one the dense solve, and
     every yielded state is a Field on that frame (Z itself is step 1's
-    prev).  The seed history holds f(Z) and the source f(Y) each step hands
-    back, so the run evaluates one source per solve and one at its start."""
+    prev).  The seed ring holds f(Z) and a copy of the source f(Y) each step
+    hands back, so the run evaluates one source per solve and one at its
+    start; before step n it has written n sources and holds the last
+    SEED_ORDER + 1 of them."""
     logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
     solver = DirichletSolver(Z.frame, ds)
-    sources = deque([nonlocal_source(Z.values, Z.frame, lam)], maxlen=SEED_ORDER + 1)
+    ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
+    ring[0] = nonlocal_source(Z.values, Z.frame, lam)[0]
     for step in itertools.count(1):
         try:
             Y, sweeps, F = picard_implicit_step(
-                Z, solver, lam, extrapolated_seed(sources)
+                Z, solver, lam, extrapolated_seed(ring, step)
             )
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        sources.append(F)
+        ring[step % len(ring)] = F
+        del F
         yield StepReport(Z, Y, sweeps)
         Z = Y
 
@@ -308,7 +350,7 @@ def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.nda
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    source = nonlocal_source(Y.interior, Frame(Y.grid), lam)
+    source, _ = nonlocal_source(Y.interior, Frame(Y.grid), lam)
     return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import logging
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -667,23 +668,31 @@ class TestRunDirect:
 
 
 @pytest.mark.parametrize(
-    "run, cfg, evaluations",
+    "run, cfg, evaluations, gradient_sums",
     [
-        (run_stagewise, StagewiseConfig(), 623),
-        (run_stagewise, StagewiseConfig(max_stages=6), 912),
-        (run_direct, DirectConfig(), 2),
-        (run_direct, DirectConfig(T=0.0), 2),
+        (run_stagewise, StagewiseConfig(), 623, 8),
+        (run_stagewise, StagewiseConfig(max_stages=6), 912, 12),
+        (run_direct, DirectConfig(), 2, 1),
+        (run_direct, DirectConfig(T=0.0), 2, 2),
     ],
     ids=["stagewise-ref", "stagewise-deep", "direct-ref", "direct-no-steps"],
 )
-def test_counts_per_run(monkeypatch, run, cfg, evaluations):
+def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
     # every state a driver records is scored once, on its own frame; the
     # transfer reads a window of each event's quarter, never all N - 1 lines
     # of the interior; and the Fields on the folded frame, each of which
     # takes its minimum once, are the start (the stage-0 profile or the
-    # transfer's output), every accepted state and each event
-    evaluated, read, expanded, folded = [], [], [], []
+    # transfer's output), every accepted state and each event.  Only the
+    # states no Picard step built, each stage's start and event and the
+    # direct run's start (and its end when it takes no step), are summed by
+    # Frame.grad_norm_sq; an accepted state carries its solve's sum
+    evaluated, read, expanded, folded, summed = [], [], [], [], []
     expand, post_init = Frame.expand, Field.__post_init__
+    grad_norm_sq = Frame.grad_norm_sq
+
+    def on_gradient(self, Y):
+        summed.append(Y)
+        return grad_norm_sq(self, Y)
 
     def on_energy(Y, *args):
         evaluated.append(Y)
@@ -705,8 +714,10 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations):
     monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_energy)
     monkeypatch.setattr(Frame, "expand", on_expand)
     monkeypatch.setattr(Field, "__post_init__", on_field)
+    monkeypatch.setattr(Frame, "grad_norm_sq", on_gradient)
     report = run(cfg)
     assert len(evaluated) == evaluations
+    assert len(summed) == gradient_sums
     assert all(Y.frame.mirrored for Y in evaluated)
     assert expanded == []
     if run is run_direct:
@@ -717,6 +728,29 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations):
         # cells = (k N / 2) // k + 1 read nodes -1 .. cells + 1 of the end
         assert read == [(r.N // 2 + 4,) * 2 for r in records[:-1]]
         assert len(folded) == sum(r.steps + 1 + 2 for r in records)
+
+
+def test_previous_report_is_freed_before_the_next_step(monkeypatch):
+    # run_stage keeps no report past its loop body: when march computes step
+    # j + 1, the report of step j, and with it the start of step j, is gone
+    refs, alive = [], []
+    report, picard = stepper.StepReport, stepper.picard_implicit_step
+
+    def recording_report(*args):
+        rep = report(*args)
+        refs.append(weakref.ref(rep))
+        return rep
+
+    def stepping(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return picard(*args)
+
+    monkeypatch.setattr(stepper, "StepReport", recording_report)
+    monkeypatch.setattr(stepper, "picard_implicit_step", stepping)
+    cfg = StagewiseConfig()
+    record, _ = run_stage(stage0_state(cfg), cfg)
+    assert len(alive) == record.steps + 1
+    assert alive == [0] * len(alive)
 
 
 def test_runs_read_no_full_grid_state(monkeypatch):

@@ -229,6 +229,17 @@ class TestFrame:
             window = frame.expand(values, -1, stop)
             assert np.array_equal(window, padded[: stop + 1, : stop + 1])
 
+    # N = 2 and 3 fold to a 1x1 quarter, once a view of the interior
+    @pytest.mark.parametrize("N", [2, 3, 8])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_restrict_copies(self, N, mirrored):
+        # the solve writes over its right-hand side, so a restricted array
+        # must not be the caller's interior or a view of it
+        Y = self.symmetric_field(N, seed=N).interior
+        values = Frame(Grid(0.6, N), mirrored).restrict(Y)
+        assert not np.shares_memory(values, Y)
+        assert values.flags.c_contiguous
+
     def test_weights_count_each_node_once(self):
         # odd N: every quarter line stands for two; even N: the middle for one
         assert np.array_equal(Frame(Grid(0.6, 9), True).w, [2.0] * 4)

@@ -8,6 +8,7 @@ diagonalization used by the package.
 import collections
 import functools
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from quenchstage.drivers import (
     StagewiseConfig,
     initial_rescaled_profile,
     run_stage,
+    run_stagewise,
 )
 from quenchstage.energy import discrete_energy
 from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
     SEED_ORDER,
+    SEED_WEIGHTS,
     DirichletSolver,
     NumericalError,
     euler_lagrange_residual,
@@ -93,6 +96,20 @@ def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     return Field(Frame(grid), rng.uniform(lo, hi, (n, n)))
 
 
+def ring_of(history):
+    """The seed ring march holds once it has written history, oldest first:
+    source k in row k % (SEED_ORDER + 1), and NaN in the rows not written,
+    which the seed must not read.  Returns the ring and the count written."""
+    ring = np.full((SEED_ORDER + 1, *history[0].shape), np.nan)
+    for k, F in enumerate(history):
+        ring[k % len(ring)] = F
+    return ring, len(history)
+
+
+def seed_of(history):
+    return extrapolated_seed(*ring_of(history))
+
+
 def mirror_symmetric(a):
     """a folded onto the data symmetric about both mid-lines."""
     a = a + a[::-1]
@@ -122,9 +139,14 @@ class TestDirichletSolver:
         rhs = rng.normal(size=(n, n))
         # the solve is written over its right-hand side
         got = rhs.copy()
-        assert solver.solve(got) is got
+        u, grad_sq = solver.solve(got)
+        assert u is got
         want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(n, n)
         assert np.max(np.abs(got - want)) < 1e-12
+        # and hands back the gradient sum of its solution, from the
+        # coefficients, which the difference form of any g + u agrees with
+        ref = Z.frame.grad_norm_sq(Z.grid.g + want)
+        assert grad_sq == pytest.approx(ref, rel=1e-13)
 
     # N = 2 is the single node; an even N has a middle line of weight 1
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 33])
@@ -137,8 +159,9 @@ class TestDirichletSolver:
         quarter = folded.frame.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
         assert np.array_equal(folded.frame.expand(quarter), rhs)
-        got = folded.frame.expand(folded.solve(quarter.copy()))
-        want = dense.solve(rhs.copy())
+        got, got_sq = folded.solve(quarter.copy())
+        got = folded.frame.expand(got)
+        want, want_sq = dense.solve(rhs.copy())
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -146,6 +169,10 @@ class TestDirichletSolver:
         # the quarter is mirrored back, so the result is symmetric to the bit
         assert np.array_equal(got, got[::-1])
         assert np.array_equal(got, got[:, ::-1])
+        # the odd-odd coefficients carry the whole gradient sum of the grid
+        ref = dense.frame.grad_norm_sq(grid.g + loop)
+        assert got_sq == pytest.approx(ref, rel=1e-12)
+        assert want_sq == pytest.approx(ref, rel=1e-12)
         # the dense frame is the whole interior: the same set-up with the
         # identity restriction and expansion and unit weights
         assert np.array_equal(dense.frame.restrict(rhs), rhs)
@@ -170,7 +197,7 @@ class TestDirichletSolver:
         ]
         for solver, r in cases:
             for rhs in (r, np.ones((n, n))):
-                got = solver.solve(solver.frame.restrict(rhs).copy())
+                got, _ = solver.solve(solver.frame.restrict(rhs))
                 got = float(np.max(np.abs(got)))
                 assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
@@ -185,7 +212,7 @@ class TestPicardStep:
         assert rep.picard_iters == 1
         # the step solves for the deviation from the boundary value g
         g = Z.grid.g
-        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.interior - g) / ds)
+        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.interior - g) / ds)[0]
         assert np.array_equal(rep.next.interior, one_solve)
 
     def test_source_free_constant_fixed_point(self):
@@ -217,7 +244,7 @@ class TestPicardStep:
         K = reciprocal_K(Y)
         source = lam / (Y.interior ** 2 * K * K)
         rhs = (Z.interior - Z.grid.g) / ds - source
-        return Z.grid.g + DirichletSolver(Frame(Z.grid), ds).solve(rhs)
+        return Z.grid.g + DirichletSolver(Frame(Z.grid), ds).solve(rhs)[0]
 
     def assert_certified(self, Z, Y, ds, lam):
         move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - Y.interior)))
@@ -235,9 +262,9 @@ class TestPicardStep:
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
         for _ in range(SEED_ORDER + 3):
-            seed = extrapolated_seed(sources)
+            seed = seed_of(sources)
             Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
             states.append(Y)
             sources.append(F)
@@ -257,9 +284,9 @@ class TestPicardStep:
             Z, ds, lam = random_state(seed=7), 1e-3, 20.0
         solver = DirichletSolver(Z.frame, ds)
         plain, _, F = picard_implicit_step(Z, solver, lam)
-        assert np.array_equal(F, nonlocal_source(plain.values, Z.frame, lam))
+        assert np.array_equal(F, nonlocal_source(plain.values, Z.frame, lam)[0])
         scale = float(np.max(np.abs(plain.values)))
-        ten = 10.0 * nonlocal_source(Z.values, Z.frame, lam)
+        ten = 10.0 * nonlocal_source(Z.values, Z.frame, lam)[0]
         for wrong in (np.zeros(Z.values.shape), ten):
             given = wrong.copy()
             Y, sweeps, _ = picard_implicit_step(Z, solver, lam, source=given)
@@ -276,7 +303,7 @@ class TestPicardStep:
         ds, lam = 1e-3, 20.0
         assert ds < eta ** 3 / (16.0 * lam)
         rep_a = step(Z, ds, lam)
-        rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.frame, lam))
+        rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.frame, lam)[0])
         assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
 
     def test_positivity_below_step_bound(self):
@@ -366,9 +393,9 @@ class TestMarch:
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
         built = self.recording_solvers(monkeypatch)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 8):
-            seed = extrapolated_seed(sources)
+            seed = seed_of(sources)
             Y, sweeps, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
             assert np.array_equal(rep.prev.values, states[-1].values)
             assert np.array_equal(rep.next.values, Y.values)
@@ -425,29 +452,48 @@ class TestMarch:
 
     @pytest.mark.parametrize("folded", [True, False])
     def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
-        # folded: quarters that own their memory; dense: full interiors
+        # one ring of six sources in the solver's frame, which owns its
+        # memory (folded: quarters; dense: full interiors), holds copies of
+        # the sources the steps hand back and drops each original
         cfg = StagewiseConfig()
         Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
         N = Z.grid.N
         shape = (N // 2, N // 2) if folded else (N - 1, N - 1)
-        seen = []
+        rings, seen, returned = [], [], []
+        picard = stepper.picard_implicit_step
 
-        def recording(history):
-            seen.append(list(history))
-            return extrapolated_seed(history)
+        def recording(ring, count):
+            # a returned source is copied into the ring and dropped before
+            # the next seed is taken
+            assert all(ref() is None for ref in returned)
+            rings.append(ring)
+            rows = min(count, len(ring))
+            order = [k % len(ring) for k in range(count - rows, count)]
+            seen.append([ring[r].copy() for r in order])  # oldest first
+            return extrapolated_seed(ring, count)
+
+        def stepping(*args):
+            Y, sweeps, F = picard(*args)
+            returned.append(weakref.ref(F))
+            return Y, sweeps, F
 
         monkeypatch.setattr(stepper, "extrapolated_seed", recording)
+        monkeypatch.setattr(stepper, "picard_implicit_step", stepping)
         reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 8))
         assert [len(h) for h in seen] == [1, 2, 3, 4, 5, 6, 6, 6]
+        assert all(ring is rings[0] for ring in rings)
+        assert rings[0].shape == (SEED_ORDER + 1, *shape)
+        assert rings[0].base is None
         for history in seen:
             for source in history:
                 assert source.shape == shape
-                assert source.base is None
         # the history holds f(Z) and then the source of each accepted state,
         # the one its step handed back
-        assert np.array_equal(seen[0][0], nonlocal_source(Z.values, Z.frame, cfg.lam))
+        assert np.array_equal(
+            seen[0][0], nonlocal_source(Z.values, Z.frame, cfg.lam)[0]
+        )
         for source, rep in zip(seen[-1][1:], reps[-6:-1], strict=True):
-            want = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
+            want, _ = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
             assert np.array_equal(source, want)
 
     @pytest.mark.parametrize("folded", [True, False])
@@ -496,6 +542,72 @@ class TestMarch:
         assert not np.array_equal(Y, Y[::-1])
 
 
+class TestCarriedSums:
+    @staticmethod
+    def accepted_states(monkeypatch):
+        """Every state a Picard step accepts from now on, in order."""
+        states = []
+        picard = stepper.picard_implicit_step
+
+        def recording(*args, **kwargs):
+            Y, sweeps, F = picard(*args, **kwargs)
+            states.append(Y)
+            return Y, sweeps, F
+
+        monkeypatch.setattr(stepper, "picard_implicit_step", recording)
+        return states
+
+    @pytest.mark.parametrize("run", ["stagewise", "dense"])
+    def test_sums_are_the_values_sums(self, monkeypatch, run):
+        # the gradient sum from the last solve's sine coefficients agrees
+        # with the difference form of the values (at most 3.3e-15 relative
+        # was seen on these runs, 3.3e-13 at N = 288), and K of the last
+        # source is the values' K to the bit
+        states = self.accepted_states(monkeypatch)
+        if run == "stagewise":
+            cfg = StagewiseConfig(max_stages=2)
+            lam = cfg.lam
+            run_stagewise(cfg)
+            assert {Y.grid.N for Y in states} == {9, 18}
+        else:
+            lam = 15.0
+            v = initial_rescaled_profile(1.0, 15, 0.45)
+            Z = Field(Frame(v.grid), v.interior)
+            list(itertools.islice(march(Z, 5e-4, lam, "direct run"), 160))
+            assert not any(Y.frame.mirrored for Y in states)
+        assert len(states) > 100
+        for Y in states:
+            want = Y.frame.grad_norm_sq(Y.values)
+            assert abs(Y.grad_norm_sq - want) <= 1e-14 * want
+            assert Y.K == discrete_energy(Field(Y.frame, Y.values), lam).K
+            assert discrete_energy(Y, lam).K == Y.K
+
+    def test_clipped_state_keeps_the_values_K(self, monkeypatch):
+        # with CLIP above the state, the last source's K is that of the
+        # clipped values, so the accepted state carries no K and the energy
+        # takes its own: finite above 0, +inf once a value is at or below 0
+        monkeypatch.setattr(stepper, "CLIP", 1.5)
+        Z = random_state(lo=1.0, hi=2.0, seed=30)
+        solver = DirichletSolver(Z.frame, 1e-3)
+        for lam in (20.0, 1.5e5):
+            Y, _, F = picard_implicit_step(Z, solver, lam)
+            assert Y.min_interior() < stepper.CLIP and Y.K is None
+            _, clipped_K = nonlocal_source(Y.values, Y.frame, lam)
+            own = discrete_energy(Field(Y.frame, Y.values), lam)
+            assert discrete_energy(Y, lam).K == own.K != clipped_K
+            assert Y.grad_norm_sq is not None
+        assert Y.min_interior() <= 0.0 and own.K == np.inf
+
+    def test_vanishing_branch_ignores_a_carried_K(self):
+        Z = random_state(seed=31)
+        values = Z.values.copy()
+        values[0, 0] = 0.0
+        Y = Field(Z.frame, values, grad_norm_sq=1.0, K=2.0)
+        energy = discrete_energy(Y, 20.0)
+        assert energy.K == np.inf and energy.reciprocal == 0.0
+        assert energy.dirichlet == 0.5 * Z.grid.A ** 2
+
+
 class TestSourceAndPenalty:
     @pytest.mark.parametrize("seed", range(5))
     def test_source_bit_for_bit(self, seed):
@@ -504,7 +616,10 @@ class TestSourceAndPenalty:
         Y = random_state(N=N, A=A, lo=1e-3, hi=3.0, seed=seed)
         K = reciprocal_K(Y)
         want = lam / (Y.interior ** 2 * K * K)
-        assert np.array_equal(nonlocal_source(Y.interior, Frame(Y.grid), lam), want)
+        got, got_K = nonlocal_source(Y.interior, Frame(Y.grid), lam)
+        assert np.array_equal(got, want)
+        # no value is below CLIP, so the source's K is the energy's
+        assert got_K == K
 
     @pytest.mark.parametrize("N", [9, 18, 36])
     def test_weighted_quarter_K_is_the_full_K(self, N):
@@ -513,10 +628,11 @@ class TestSourceAndPenalty:
         frame = Frame(grid, mirrored=True)
         a = np.random.default_rng(N).uniform(0.5, 1.5, (n, n))
         quarter = frame.restrict(mirror_symmetric(a))
-        F = nonlocal_source(quarter, frame, lam)
+        F, got_K = nonlocal_source(quarter, frame, lam)
         K = np.sqrt(lam / (F * quarter * quarter))
         want = reciprocal_K(Field(Frame(grid), mirror_symmetric(a)))
         assert np.max(np.abs(K - want)) <= 1e-14 * want
+        assert got_K == reciprocal_K(Field(frame, quarter))
 
     def test_source_clips_small_values(self):
         grid = Grid(1.0, 3)
@@ -524,7 +640,10 @@ class TestSourceAndPenalty:
         Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
         K = reciprocal_K(Field(Frame(grid), Yc))
         want = 3.0 / (Yc ** 2 * K * K)
-        assert np.array_equal(nonlocal_source(Y, Frame(grid), 3.0), want)
+        got, got_K = nonlocal_source(Y, Frame(grid), 3.0)
+        assert np.array_equal(got, want)
+        # K of the clipped values, which is not the energy's K of Y (+inf)
+        assert got_K == K and reciprocal_K(Field(Frame(grid), Y)) == np.inf
 
     def test_penalty_matches_node_loop(self):
         Z = random_state(N=5, A=1.3, seed=21)
@@ -561,45 +680,48 @@ class TestExtrapolatedSeed:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reproduces_next_term_of_cubic(self, seed):
-        states = self.polynomial_states(3, 6, seed=seed)
-        for n in range(4, 7):
+        # up to six sources, and past six, where the ring has wrapped
+        states = self.polynomial_states(3, 9, seed=seed)
+        for n in range(4, 10):
             history = states[:n]
-            got = extrapolated_seed(history)
+            got = seed_of(history)
             scale = max(float(np.max(np.abs(Z))) for Z in states[: n + 1])
             assert np.max(np.abs(got - states[n])) <= 1e-13 * scale
 
     def test_short_histories_drop_order(self):
         Z = np.arange(12.0).reshape(3, 4)
-        got = extrapolated_seed([Z])
+        ring, count = ring_of([Z])
+        got = extrapolated_seed(ring, count)
         assert np.array_equal(got, Z)
-        assert got is not Z
+        assert got is not Z and not np.shares_memory(got, ring)
         # p = 1 and p = 2 reproduce linear and quadratic sequences
         for degree in (1, 2):
             states = self.polynomial_states(degree, degree + 1, seed=degree)
-            got = extrapolated_seed(states[:-1])
+            got = seed_of(states[:-1])
             assert np.max(np.abs(got - states[-1])) <= 1e-13
         # p = 1 does not reproduce a quadratic: the order is capped by length
         quad = self.polynomial_states(2, 2, seed=7)
-        assert np.max(np.abs(extrapolated_seed(quad[:2]) - quad[2])) > 1e-3
+        assert np.max(np.abs(seed_of(quad[:2]) - quad[2])) > 1e-3
 
     def test_weights_on_last_six_sources(self):
+        assert SEED_WEIGHTS[SEED_ORDER].tolist() == [6, -15, 20, -15, 6, -1]
         rng = np.random.default_rng(3)
         history = [rng.uniform(size=(2, 2)) for _ in range(8)]
         F0, F1, F2, F3, F4, F5 = history[:-7:-1]
         want = 6.0 * F0 - 15.0 * F1 + 20.0 * F2 - 15.0 * F3 + 6.0 * F4 - F5
-        assert np.max(np.abs(extrapolated_seed(history) - want)) <= 1e-13
+        assert np.max(np.abs(seed_of(history) - want)) <= 1e-13
 
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
         for _ in range(SEED_ORDER + 2):
             Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam)
             states.append(Y)
             sources.append(F)
         plain, plain_sweeps, _ = picard_implicit_step(states[-1], solver, cfg.lam)
-        seed = extrapolated_seed(sources)
+        seed = seed_of(sources)
         seeded, seeded_sweeps, _ = picard_implicit_step(
             states[-1], solver, cfg.lam, seed
         )
