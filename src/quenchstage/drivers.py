@@ -22,25 +22,19 @@ The direct driver evolves the physical deficit v = 1 - u on the unit square.
 That is stage 0 at amplitude 1: the rescaled square is then the unit square
 (h = 1/N), W = v and g = 1/A = 1, so both runs start from
 initial_rescaled_profile and step with the same backward-Euler + Picard
-scheme (K = 1 + h^2 sum 1/v here).  It reports the energies at t = 0 and
-t = T plus the final minimum; a step that leaves the positive cone (the
-deficit quenches) is a numerical failure.
+scheme (K = 1 + h^2 sum 1/v here).  Its threshold is 0: a step that leaves
+the positive cone (the deficit quenches) is a numerical failure.
 
-Both drivers advance their state through stepper.march, which owns the
-linear solver, the Picard seeds and the non-convergence error and yields
-every step as Fields on the start's frame (grid.Frame).  The stage-0 profile
-is built on the mirror-folded quarter and the transfer keeps the frame of
-its input, so every stage and the direct run start and stay folded.  Each
-loop evaluates only what it records, and on that frame: run_stage the
-energy of the start, the energy and the movement penalty of every
-completed step, the penalty of the crossing step and the energy of the
-event, interpolated there; run_direct the energies of its start and final
-state.  A state march yields carries the gradient sum and K of its energy,
-from its step's last solve and source, so only the starts and the events
-are summed from their values (grid.Frame.grad_norm_sq), two per stage.  The
-trigger and the positivity check read the minimum each Field took when it
-was built.  No state is expanded to the whole interior: the transfer reads
-each event's stencils from its quarter.
+Both drivers run one loop, scored_march over stepper.march, which yields
+every step as Fields on the start's frame (grid.Frame), the folded quarter
+in every run.  The loop scores the energy, the movement penalty and the sweeps
+of each completed step on that frame and stops at the first step whose
+minimum, taken when its Field was built, is at or below the threshold.
+Each driver scores its start, and run_stage the crossing step's penalty and
+the event interpolated there.  A state march yields carries the gradient
+sum and K of its energy, so only the starts and the events are summed from
+their values (grid.Frame.grad_norm_sq).  No state is expanded to the whole
+interior: the transfer reads each event's stencils from its quarter.
 """
 
 from __future__ import annotations
@@ -80,14 +74,13 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 7.4 s and 82 MiB
-# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, every
-# stage built, stepped and scored on the mirror-folded quarter; median of
-# 3), 43.7 MiB by tracemalloc.  The last stage's steps set the peak: the
-# solver (its basis, inverse and gradient-form tables), the ring of six
-# sources of the seed and the states the stage loop holds, each a 576^2
-# quarter.  The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 81 MiB (9.6 s, one run).
+# run to 8 stages, whose last stage has N = 1152, takes 5.7 s and 81.7 MiB
+# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, median
+# of 3), 43.7 MiB by tracemalloc.  The last stage's steps set the peak: the
+# solver (its basis, inverse and gradient-form tables), the seed's ring of
+# six sources and the states the scored loop holds, each a 576^2 quarter.
+# The peak follows glibc's allocation order: with
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 80.5 MiB (10.8 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -237,6 +230,10 @@ class DirectReport:
     E_end: float
     min_v: float
     max_u: float
+    steps: int  # completed steps
+    picard_sweeps: int
+    dissipation_sum: float
+    energy_increases: int
 
 
 def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
@@ -257,18 +254,53 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
 
 
 def detect_trigger(min_prev: float, min_next: float, thr: float) -> float | None:
-    """The fraction tau of the step at which the interior minimum crosses
+    """The fraction tau of the step at which the interior minimum reaches
     thr, by linear interpolation of the two states' minima, or None if the
-    step ends above thr.
+    step ends above thr (a NaN minimum does not).
 
     The boundary value 1/A exceeds the threshold throughout a run, so the
     interior minimum is the global one.
     """
-    if min_prev < thr:
-        raise ValueError("previous state already below threshold; trigger missed")
-    if min_next >= thr:
+    if not min_prev > thr:
+        raise ValueError("previous state already at or below threshold; trigger missed")
+    if min_next > thr:
         return None
     return (min_prev - thr) / (min_prev - min_next)
+
+
+def scored_march(
+    Z: Field, E_start: float, ds: float, lam: float, thr: float, cap: int, where: str
+) -> tuple[DirectReport, tuple[Field, Field, float] | None]:
+    """March from Z, of energy E_start, until a step ends at or below thr
+    (detect_trigger) or cap steps complete, scoring each completed step: its
+    energy, an increase above round-off (counted and logged), its movement
+    penalty and its sweeps.  Returns the sums, the crossing step's sweeps
+    included, with E_end and min_v of the last completed state (Z if none),
+    and the crossing step's (prev, next, tau), or None."""
+    min_prev, E_prev = Z.min_interior(), E_start
+    completed = sweeps = increases = 0
+    dissipation, crossing = 0.0, None
+    # no reference to a report outlives its loop body, so the start of the
+    # previous step is freed before march computes the next one, and the
+    # march (its solver and seed ring) is freed when the loop ends
+    for rep in itertools.islice(march(Z, ds, lam, where), cap):
+        sweeps += rep.picard_iters
+        min_next = rep.next.min_interior()
+        tau = detect_trigger(min_prev, min_next, thr)
+        if tau is not None:
+            crossing = rep.prev, rep.next, tau
+            break
+        E_next = discrete_energy(rep.next, lam).total
+        completed += 1
+        if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
+            increases += 1
+            logger.warning("%s, step %d: energy increased by %.3e",
+                           where, completed, E_next - E_prev)
+        dissipation += movement_penalty(rep.next, rep.prev, ds)
+        min_prev, E_prev = min_next, E_next
+        del rep
+    return DirectReport(E_start, E_prev, min_prev, 1.0 - min_prev,
+                        completed, sweeps, dissipation, increases), crossing
 
 
 def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Field]:
@@ -276,75 +308,47 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
 
     Returns the stage record and the interpolated event state.  The scaled
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
-    Every step is scored on the frame of the Fields march yields: the
-    trigger reads each state's minimum, taken when it was built, and the
-    energy and the movement penalty are weighted frame sums.  The event is
-    interpolated and scored on that frame too, which is the frame the
-    transfer reads it in.  A start whose minimum is not above the
-    threshold raises TransferError, and a record with a non-finite float
-    (an overflowed energy or penalty) raises NumericalError.
+    scored_march scores the steps on the frame of the Fields march yields,
+    and the event is interpolated and scored there too, in the frame the
+    transfer reads.  A start whose minimum is not above the threshold
+    raises TransferError, no trigger within the step cap StageRunawayError,
+    and a record with a non-finite float (an overflowed energy or penalty)
+    NumericalError.
     """
     Z = state.Z
     thr = cfg.threshold
-    min_prev = Z.min_interior()
-    if not min_prev > thr:  # also true for a nonpositive or NaN minimum
+    min_start = Z.min_interior()
+    if not min_start > thr:  # also true for a nonpositive or NaN minimum
         raise TransferError(
             f"stage {state.m} starts at or below the trigger threshold: "
-            f"min W = {min_prev:.6g} <= k^(-2/3) = {thr:.6g}"
+            f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
         )
-    A = Z.grid.A
     start = discrete_energy(Z, cfg.lam)
-
-    E_prev = start.total
-    completed = sweeps = increases = 0
-    dissipation = 0.0
-    # no reference to a report outlives its loop body, so the start of the
-    # previous step is freed before march computes the next one, and the
-    # march (its solver and seed ring) is freed when the loop ends
-    for rep in itertools.islice(
-        march(Z, cfg.ds, cfg.lam, f"stage {state.m}"), cfg.step_cap
-    ):
-        sweeps += rep.picard_iters
-        min_next = rep.next.min_interior()
-        tau = detect_trigger(min_prev, min_next, thr)
-        if tau is not None:
-            break
-        E_next = discrete_energy(rep.next, cfg.lam).total
-        completed += 1
-        if E_next > E_prev + 1e-12 * max(1.0, abs(E_prev)):
-            increases += 1
-            logger.warning(
-                "stage %d, step %d: energy increased by %.3e",
-                state.m, completed, E_next - E_prev,
-            )
-        dissipation += movement_penalty(rep.next, rep.prev, cfg.ds)
-        min_prev = min_next
-        E_prev = E_next
-        del rep
-    else:
-        raise StageRunawayError(
-            f"stage {state.m}: no trigger within {cfg.step_cap} steps"
-        )
-
-    dissipation += tau * movement_penalty(rep.next, rep.prev, cfg.ds)
-    s_star = (completed + tau) * cfg.ds
-    event = Field(rep.next.frame, (1.0 - tau) * rep.prev.values + tau * rep.next.values)
+    scored, crossing = scored_march(Z, start.total, cfg.ds, cfg.lam, thr,
+                                    cfg.step_cap, f"stage {state.m}")
+    if crossing is None:
+        raise StageRunawayError(f"stage {state.m}: no trigger within "
+                                f"{cfg.step_cap} steps")
+    prev, nxt, tau = crossing
+    dissipation = scored.dissipation_sum + tau * movement_penalty(nxt, prev, cfg.ds)
+    s_star = (scored.steps + tau) * cfg.ds
+    event = Field(nxt.frame, (1.0 - tau) * prev.values + tau * nxt.values)
     end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
     gap = min_W - thr
     logger.info(
         "stage %d: trigger after %d full steps, tau=%.6f, "
-        "min W - thr = %.3e", state.m, completed, tau, gap,
+        "min W - thr = %.3e", state.m, scored.steps, tau, gap,
     )
     record = StageRecord(
         m=state.m,
-        A=A,
+        A=Z.grid.A,
         N=Z.grid.N,
         h=Z.grid.h,
         A2h2=Z.grid.A2h2,
         scaled_time=s_star,
         min_W=min_W,
-        accumulated_time=state.t + s_star * A ** 3,
+        accumulated_time=state.t + s_star * Z.grid.A ** 3,
         E_start=start.total,
         E_end=end.total,
         K_start=start.K,
@@ -352,10 +356,10 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
         coeff_start=start.coeff,
         coeff_end=end.coeff,
         dissipation_sum=dissipation,
-        steps=completed,
-        picard_sweeps=sweeps,
+        steps=scored.steps,
+        picard_sweeps=scored.picard_sweeps,
         trigger_gap=gap,
-        energy_increases=increases,
+        energy_increases=scored.energy_increases,
     )
     nonfinite = [name for name, x in vars(record).items() if not math.isfinite(x)]
     if nonfinite:
@@ -405,19 +409,16 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
 
 def run_direct(cfg: DirectConfig) -> DirectReport:
     """Fixed-domain evolution of the physical deficit on the unit square,
-    run as stage 0 at amplitude 1.  Each step's admissibility is read off
-    the minimum its Field took when it was built, and the final state is
-    scored on the solver's frame, never expanded."""
+    run as stage 0 at amplitude 1 and threshold 0 for T/dt steps: the
+    first step whose minimum is nonpositive or NaN (the deficit quenches)
+    raises NumericalError.  Every step is scored on the solver's frame."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
     E_start = discrete_energy(v, cfg.lam).total
-    for j, rep in zip(range(cfg.steps), march(v, cfg.dt, cfg.lam, "direct run")):
-        v = rep.next
-        min_v = v.min_interior()
-        if not min_v > 0.0:  # also true for a NaN state
-            raise NumericalError(
-                f"direct run, step {j + 1}: the state left the positive cone "
-                f"(min v = {min_v:.6e})"
-            )
-    E_end = discrete_energy(v, cfg.lam).total
-    min_v = v.min_interior()
-    return DirectReport(E_start=E_start, E_end=E_end, min_v=min_v, max_u=1.0 - min_v)
+    report, crossing = scored_march(v, E_start, cfg.dt, cfg.lam, 0.0, cfg.steps,
+                                    "direct run")
+    if crossing is not None:
+        raise NumericalError(
+            f"direct run, step {report.steps + 1}: the state left the positive "
+            f"cone (min v = {crossing[1].min_interior():.6e})"
+        )
+    return report

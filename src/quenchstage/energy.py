@@ -16,11 +16,11 @@ term; the bounded-window contribution of the region outside the window is
 not implemented.
 
 discrete_energy evaluates E from a Field's values on its grid.Frame, whose
-weighted sum and gradient sum are those of the full grid, so the stage loop
-scores each step in the solver's frame.  A state that a Picard step accepted
+weighted sum and gradient sum are those of the full grid, so the drivers
+score each step in the solver's frame.  A state that a Picard step accepted
 carries both sums: the gradient sum from the sine coefficients of its last
 solve and K from its last source (stepper.picard_implicit_step), and the
-energy reads those.  The stage start, the event and every state verify or a
+energy reads those.  A run's start, an event and every state verify or a
 test builds carry none, and their sums are taken from the values
 (Frame.grad_norm_sq and the weighted reciprocal sum).
 

@@ -29,16 +29,17 @@ transfer reads the coarse event's stencils from the quarter too; a run never
 builds a full-grid state, and a Field's interior is for the property checks.
 
 Frame.grad_norm_sq, the difference form, sums every Field that no Picard
-step built: a stage start, an event, verify's states and the tests', for
+step built: a run's start, an event, verify's states and the tests', for
 which it is the reference.  A state that a Picard step accepted carries its
 gradient sum and K instead, taken from the step's last solve and source
-(stepper.picard_implicit_step), so a run sums two states per stage this way.
+(stepper.picard_implicit_step), so a run sums only starts and events.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class Grid:
     """Stage lattice at frozen amplitude A with N intervals per direction.
 
     The half-width L = 1/(2 A^(3/2)), the mesh width h = 2L/N and the
-    boundary value g = 1/A follow from them.
+    boundary value g = 1/A follow from them, computed once.
     """
 
     A: float
@@ -70,20 +71,20 @@ class Grid:
                 f"h^2 = (1/(N A^(3/2)))^2 is not a positive finite float"
             )
 
-    @property
+    @cached_property
     def L(self) -> float:
         return 1.0 / (2.0 * self.A ** 1.5)
 
-    @property
+    @cached_property
     def h(self) -> float:
         return 2.0 * self.L / self.N
 
-    @property
+    @cached_property
     def g(self) -> float:
         """The constant Dirichlet boundary value 1/A."""
         return 1.0 / self.A
 
-    @property
+    @cached_property
     def A2h2(self) -> float:
         """The weight A^2 h^2 of the reciprocal sum in K."""
         return self.A * self.A * self.h * self.h
@@ -204,14 +205,14 @@ class Field:
     taken once, when the Field is built, so the values are not to be changed
     in place afterwards.  interior is the whole interior array: the values
     themselves on a dense frame, and their mirror expansion, a new array on
-    every read, on a folded one.  No run reads it: the stage loop scores the
+    every read, on a folded one.  No run reads it: the drivers score the
     frame values and the transfer reads a window of them (Frame.expand).
 
     grad_norm_sq and K are sums of the values that the code building the
     Field already holds, or None: a Picard step hands its accepted state the
     gradient sum of its last solve and the K of its last source, and
     energy.discrete_energy reads them in place of Frame.grad_norm_sq and the
-    reciprocal sum.  Every other state (a stage start, an event, a state
+    reciprocal sum.  Every other state (a run's start, an event, a state
     verify or a test builds) carries neither, and its sums are taken from its
     values.
     """

@@ -34,23 +34,16 @@ physical profile (W = v/A) stop alike; f(Y) - F is also the Euler-Lagrange
 residual of Y, which the margin keeps small.  A step not certified within
 PICARD_MAX sweeps raises NumericalError, so a step returns only a certified
 state, its sweep count and its source.  march owns the step sequence of a
-stage or direct run: one DirichletSolver, on the start's frame, and each
-step's first sweep solves with extrapolated_seed, the polynomial of degree
-SEED_ORDER through the sources of the run's last accepted states, f(Z) of
-its start first (fewer at the start of a run or stage), evaluated one step
-ahead (Fischer 1998): one product of a weight row (SEED_WEIGHTS) with the
-ring that holds the last SEED_ORDER + 1 sources.  That source is what the
-first sweep reads, so no source is evaluated at a seed state: a run
-evaluates one source per solve and one at its start, and takes about 1.1
-solves per step.  A step converges to the same fixed point from any start
-source.  The energy E and the movement penalty
+run: one DirichletSolver, and each step's first sweep solves with
+extrapolated_seed, the degree-SEED_ORDER extrapolation of the last accepted
+sources (Fischer 1998), so a run evaluates one source per solve and one at
+its start and takes about 1.1 solves per step; a step reaches the same
+fixed point from any start source.  The energy E and the movement penalty
 (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
-code that records them: the stage loop's ledger, the oracle's objective and
-the dissipation check.  The step evaluates neither, but its accepted state
-carries the two sums of E that the step already holds: the gradient sum,
-from the sine coefficients of its last solve (the basis diagonalizes the
-Dirichlet form too), and K, from its last source, which is the energy's K
-to the bit unless a value is below CLIP.
+code that records them: the drivers' scored loop, the oracle's objective
+and the dissipation check.  The step evaluates neither, but its accepted
+state carries the gradient sum of its last solve and the K of its last
+source (picard_implicit_step).
 
 The reference runs start from a profile centred in the square, and the
 operator, the source and the 12-point transfer commute with the square's
@@ -308,9 +301,9 @@ def picard_implicit_step(
         F_new, K = nonlocal_source(Y, frame, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         move = F_new - F
-        bound = ds * float(np.max(np.abs(move, out=move)))
+        bound = ds * float(np.abs(move, out=move).max())
         F = F_new
-        if bound < STOP_MARGIN * PICARD_TOL * float(np.max(np.abs(Y))):
+        if bound < STOP_MARGIN * PICARD_TOL * float(np.abs(Y).max()):
             state = Field(frame, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
                 state = Field(frame, Y, grad_sq)

@@ -255,6 +255,20 @@ class TestDirectCommand:
         assert data["min_v"] == pytest.approx(0.362574574560, rel=1e-6)
         assert data["max_u"] == pytest.approx(1.0 - data["min_v"], rel=1e-14)
 
+    def test_scored_steps(self, outdir):
+        # the four reference keys, then the sums of the 160 scored steps;
+        # (e_start - e_end) / dissipation_sum is 2.0021 here
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "direct.cfg"
+        assert main(["direct", "--config", str(cfg)]) == 0
+        data = json.loads((outdir / "direct.json").read_text())
+        assert list(data) == [
+            "e_start", "e_end", "min_v", "max_u",
+            "steps", "picard_sweeps", "dissipation_sum", "energy_increases",
+        ]
+        assert (data["steps"], data["picard_sweeps"]) == (160, 215)
+        assert data["dissipation_sum"] == pytest.approx(0.04429996752928, rel=1e-6)
+        assert data["energy_increases"] == 0
+
     def test_zero_horizon(self, tmp_path, outdir):
         zero = dict(DIRECT_BASE)
         zero["T"] = 0.0

@@ -25,6 +25,7 @@ from quenchstage.drivers import (
     run_direct,
     run_stage,
     run_stagewise,
+    scored_march,
 )
 from quenchstage.energy import discrete_energy, switch_jump
 from quenchstage.grid import Field, Frame, Grid
@@ -218,6 +219,14 @@ class TestDetectTrigger:
     def test_missed_trigger_rejected(self):
         with pytest.raises(ValueError, match="trigger missed"):
             detect_trigger(0.62, 0.60, THR)
+        with pytest.raises(ValueError, match="trigger missed"):
+            detect_trigger(THR, 0.60, THR)
+
+    @pytest.mark.parametrize("thr", [THR, 0.0], ids=["stage", "direct"])
+    def test_reaching_the_threshold_is_a_crossing(self, thr):
+        # the stage trigger and the direct run's positivity follow one rule
+        assert detect_trigger(0.65, thr, thr) == 1.0
+        assert np.isnan(detect_trigger(0.65, float("nan"), thr))
 
 
 class TestRunStage:
@@ -629,7 +638,7 @@ class TestRunDirect:
         for n in range(2, 600):
             assert Grid(1.0, n).h == 1.0 / n
 
-    def test_two_energy_evaluations(self, monkeypatch):
+    def test_one_energy_evaluation_per_step(self, monkeypatch):
         calls = []
 
         def counting(*args):
@@ -640,12 +649,59 @@ class TestRunDirect:
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", counting)
         cfg = DirectConfig(T=0.01)
         report = run_direct(cfg)
-        # E(start) and E(final state), whatever the number of steps
-        assert cfg.steps == 20
-        start, end = calls
+        # E(start) and E of every completed step, the last one the final state
+        assert cfg.steps == report.steps == 20
+        start, *steps, end = calls
+        assert len({id(Y) for Y in steps + [end]}) == cfg.steps
         assert report.E_start == discrete_energy(start, cfg.lam).total
         assert report.E_end == discrete_energy(end, cfg.lam).total
         assert report.min_v == end.min_interior()
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
+    def test_quench_names_the_step(self, monkeypatch, tmp_path, capsys, value):
+        # a step whose minimum is at or below 0 ends the run before another
+        # Picard step starts from it, and the run exits 3
+        def quenching(Z, *args):
+            for step, rep in enumerate(stepper.march(Z, *args), 1):
+                if step == 3:
+                    values = rep.next.values.copy()
+                    values[-1, -1] = value
+                    rep = stepper.StepReport(rep.prev, Field(Z.frame, values), 1)
+                yield rep
+
+        monkeypatch.setattr("quenchstage.drivers.march", quenching)
+        quench = (
+            "direct run, step 3: the state left the positive cone "
+            f"(min v = {value:.6e})"
+        )
+        with pytest.raises(stepper.NumericalError) as exc:
+            run_direct(DirectConfig())
+        assert str(exc.value) == quench
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(tmp_path))
+        assert main(["direct", "--config", str(CONFIGS / "direct.cfg")]) == 3
+        assert f"numerical failure: {quench}" in capsys.readouterr().err
+
+    def test_physical_stage0_is_the_scored_stage0_march(self):
+        # the stage-0 steps on the physical profile (W = v/A0, dt = ds*A0^3)
+        # score what the loop scores on the stage-0 start: E and the penalty
+        # are invariant under the change of variables
+        cfg = StagewiseConfig()
+        A0, ds = cfg.A0, cfg.ds
+        dt = ds * A0 ** 3
+        direct = run_direct(DirectConfig(
+            lam=cfg.lam, N=cfg.N0, dt=dt, T=139 * dt, u0_amplitude=cfg.u0_amplitude
+        ))
+        Z = stage0_state(cfg).Z
+        E_start = discrete_energy(Z, cfg.lam).total
+        stage, crossing = scored_march(
+            Z, E_start, ds, cfg.lam, cfg.threshold, 139, "stage 0"
+        )
+        assert crossing is None
+        assert direct.steps == stage.steps == 139
+        assert direct.picard_sweeps == stage.picard_sweeps
+        for key in ("E_start", "E_end", "dissipation_sum"):
+            got, want = getattr(direct, key), getattr(stage, key)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_lam_zero_energy_decreases(self):
         report = run_direct(DirectConfig(lam=0.0, N=8, dt=1e-3, T=0.02))
@@ -672,8 +728,8 @@ class TestRunDirect:
     [
         (run_stagewise, StagewiseConfig(), 623, 8),
         (run_stagewise, StagewiseConfig(max_stages=6), 912, 12),
-        (run_direct, DirectConfig(), 2, 1),
-        (run_direct, DirectConfig(T=0.0), 2, 2),
+        (run_direct, DirectConfig(), 161, 1),
+        (run_direct, DirectConfig(T=0.0), 1, 1),
     ],
     ids=["stagewise-ref", "stagewise-deep", "direct-ref", "direct-no-steps"],
 )
@@ -684,8 +740,8 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
     # takes its minimum once, are the start (the stage-0 profile or the
     # transfer's output), every accepted state and each event.  Only the
     # states no Picard step built, each stage's start and event and the
-    # direct run's start (and its end when it takes no step), are summed by
-    # Frame.grad_norm_sq; an accepted state carries its solve's sum
+    # direct run's start, are summed by Frame.grad_norm_sq; an accepted
+    # state carries its solve's sum
     evaluated, read, expanded, folded, summed = [], [], [], [], []
     expand, post_init = Frame.expand, Field.__post_init__
     grad_norm_sq = Frame.grad_norm_sq
@@ -730,8 +786,16 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
         assert len(folded) == sum(r.steps + 1 + 2 for r in records)
 
 
-def test_previous_report_is_freed_before_the_next_step(monkeypatch):
-    # run_stage keeps no report past its loop body: when march computes step
+@pytest.mark.parametrize(
+    "run, crossed",
+    [
+        (lambda: run_stage(stage0_state(StagewiseConfig()), StagewiseConfig())[0], 1),
+        (lambda: run_direct(DirectConfig()), 0),
+    ],
+    ids=["run_stage", "run_direct"],
+)
+def test_previous_report_is_freed_before_the_next_step(monkeypatch, run, crossed):
+    # the scored loop keeps no report past its body: when march computes step
     # j + 1, the report of step j, and with it the start of step j, is gone
     refs, alive = [], []
     report, picard = stepper.StepReport, stepper.picard_implicit_step
@@ -747,9 +811,8 @@ def test_previous_report_is_freed_before_the_next_step(monkeypatch):
 
     monkeypatch.setattr(stepper, "StepReport", recording_report)
     monkeypatch.setattr(stepper, "picard_implicit_step", stepping)
-    cfg = StagewiseConfig()
-    record, _ = run_stage(stage0_state(cfg), cfg)
-    assert len(alive) == record.steps + 1
+    report = run()
+    assert len(alive) == report.steps + crossed
     assert alive == [0] * len(alive)
 
 
