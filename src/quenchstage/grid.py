@@ -264,17 +264,8 @@ def laplacian_5pt(Y: Field) -> np.ndarray:
     ) / h2
 
 
-def inner_product(Y: np.ndarray, Z: np.ndarray, h: float) -> float:
-    """h^2-weighted inner product of two interior arrays."""
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Y.shape != Z.shape:
-        raise ValueError(f"shape mismatch: {Y.shape} vs {Z.shape}")
-    return float(h * h * np.sum(Y * Z))
-
-
 def l2_norm(Y: np.ndarray, h: float) -> float:
-    return float(np.sqrt(inner_product(Y, Y, h)))
+    return float(np.sqrt(h * h * np.sum(Y * Y)))
 
 
 def linf_norm(Y: np.ndarray) -> float:

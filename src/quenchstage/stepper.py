@@ -14,71 +14,32 @@ boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-The operator (I/ds - Lap_h) with zero Dirichlet data is inverted by
-sine-basis diagonalization, set up once per (frame, ds) and reused across
-Picard sweeps and across steps.  Values are clipped at CLIP only inside
-reciprocal evaluations.  The clipped source f(Y) = lam/(Yc^2 K(Yc)^2), with K
-of the full iterate, is nonlocal_source, evaluated once per iterate and
-carried into the next sweep, and the accepted state's is handed back with
-it; the Euler-Lagrange residual adds the same function.
-
-The stop is certified without a confirming solve.  L = I/ds - Lap_h is an
-M-matrix whose row sums are at least 1/ds, so ||L^-1||_inf <= ds (the
-discrete maximum principle; Varga 1962).  After a sweep that produced Y from
-a source F, f(Y_prev) or on the first sweep any start source, the next sweep
-would move Y by exactly L^-1 (F - f(Y)), hence by at most
-ds*max|f(Y) - F|.  The step ends once that bound is below
-STOP_MARGIN*PICARD_TOL*max|Y| (at most PICARD_MAX sweeps).  The test is
-relative to the state's own size, so a stage and the same steps on the
-physical profile (W = v/A) stop alike; f(Y) - F is also the Euler-Lagrange
-residual of Y, which the margin keeps small.  A step not certified within
-PICARD_MAX sweeps raises NumericalError, so a step returns only a certified
-state, its sweep count and its source.  march owns the step sequence of a
-run: one DirichletSolver, and each step's first sweep solves with
-extrapolated_seed, the degree-SEED_ORDER extrapolation of the last accepted
-sources (Fischer 1998), so a run evaluates one source per solve and one at
-its start and takes about 1.1 solves per step; a step reaches the same
-fixed point from any start source.  The energy E and the movement penalty
+DirichletSolver inverts (I/ds - Lap_h) by sine-basis diagonalization, on
+the whole interior or on the mirror-folded quarter of a state symmetric
+about both mid-lines, the frame (grid.Frame) the state was built on.
+Values are clipped at CLIP only inside reciprocal evaluations
+(nonlocal_source).  picard_implicit_step stops once the discrete maximum
+principle (Varga 1962) certifies that a further sweep would move Y by less
+than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
+so a stage and the same steps on the physical profile (W = v/A) stop alike.
+march owns the step sequence of a run: one solver on the start's frame, each
+step seeded by extrapolated_seed (Fischer 1998).  No run expands a state to
+the whole interior; verify and every dense Field a test builds are stepped
+with the dense solve.  The energy E and the movement penalty
 (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
 code that records them: the drivers' scored loop, the oracle's objective
-and the dissipation check.  The step evaluates neither, but its accepted
-state carries the gradient sum of its last solve and the K of its last
-source (picard_implicit_step).
-
-The reference runs start from a profile centred in the square, and the
-operator, the source and the 12-point transfer commute with the square's
-mirrors.  For data symmetric about both mid-lines only the odd-odd sine modes
-are nonzero, since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), so a
-mirror-folded DirichletSolver solves on the lower-left floor(N/2)^2 quarter
-(weight 2 per mirrored pair, 1 on the middle line of an even N) with four
-products of size N/2 in place of N.  The frame is a property of how a state
-is built: the stage-0 profile and the transfer build their Fields on the
-folded frame, so these states are symmetric by construction, and march
-builds its solver on the start's own frame and logs the path at INFO.
-
-Every array the solve, the Picard step and the seed see is in the solver's
-frame (grid.Frame): the quarter on a folded solver, the whole interior on a
-dense one, where the weights and the expansion are the identity.  Every
-sweep builds the right-hand side, solves, evaluates the source, with K from
-the weighted frame sum (each interior node counted once), and takes the stop
-bound and max|Y| in the frame, whose extrema are those of the full grid on
-symmetric data.  march keeps its sources in that frame and yields each
-step's start and accepted state as Fields on it, and expands none of them:
-the drivers score every step on that frame, and the transfer reads the
-stage's event from it, so no run expands a state to the whole interior.
-verify and every dense Field a test builds are stepped with the dense
-solve, because the frame they are built on says so, and the oracle takes
-dense Fields only, whose whole interior its residual reads.
+and the dissipation check.
 
 A minimizing-movement oracle doubles the step on verification-size grids
-(<= 16 interior nodes): it minimizes E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2 by
-plain gradient descent from Z with backtracking step sizes, run until the
+(<= 16 interior nodes): it minimizes J(Y) = E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2
+by gradient descent from Z, each iteration the full step ds*R along the
 first-order residual
 
-    R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2)
+    R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2),
 
-drops below ORACLE_TOL in max norm.  The oracle shares no linear algebra
-with the Picard path.
+until max|R| < ORACLE_TOL.  One rule: the full step must lower J, or the
+call raises OracleStagnation.  The oracle shares no linear algebra with
+the Picard path.
 """
 
 from __future__ import annotations
@@ -91,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Frame, inner_product, laplacian_5pt
+from .grid import Field, Frame, laplacian_5pt
 from .energy import discrete_energy
 
 logger = logging.getLogger(__name__)
@@ -108,6 +69,12 @@ SEED_WEIGHTS = np.array(
      for p in range(SEED_ORDER + 1)],
     dtype=float,
 )
+# SEED_ROTATIONS[p, n, k]: the weight of ring row k in the degree-p seed whose
+# newest source is row n, SEED_WEIGHTS[p, (n - k) % (SEED_ORDER + 1)]
+SEED_ROTATIONS = SEED_WEIGHTS[
+    :, [[(n - k) % (SEED_ORDER + 1) for k in range(SEED_ORDER + 1)]
+        for n in range(SEED_ORDER + 1)]
+]
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
 # ends a step.  The source change F_new - F that the bound scales is also the
@@ -240,13 +207,13 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     degree-p polynomial through the last p + 1 sources evaluated one step
     ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
     20F_{n-2} - 15F_{n-3} + 6F_{n-4} - F_{n-5} for p = 5, and a copy of F_n
-    for a single source.  It is one product of SEED_WEIGHTS[p], laid on the
-    ring's rows, with the rows written so far: an unwritten row may hold
-    NaN, and 0 * NaN is NaN.
+    for a single source.  It is one product of the SEED_ROTATIONS row of p
+    and the newest row with the rows written so far: an unwritten row may
+    hold NaN, and 0 * NaN is NaN.  The row is copied, since the product's
+    last bits depend on where its operand sits in memory.
     """
     rows = min(count, len(ring))
-    newest = (count - 1) % len(ring)
-    weights = SEED_WEIGHTS[rows - 1, (newest - np.arange(rows)) % len(ring)]
+    weights = SEED_ROTATIONS[rows - 1, (count - 1) % len(ring), :rows].copy()
     return (weights @ ring[:rows].reshape(rows, -1)).reshape(ring.shape[1:])
 
 
@@ -350,21 +317,18 @@ def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.nda
 def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     """Minimizing-movement reference step on verification-size grids.
 
-    Gradient descent from Z on J(Y) = E(Y) + (A^2/2ds)*||Y - Z||^2 with
-    backtracking (halved) step sizes.  Near the minimum the objective
-    decrease falls below float resolution, so the line search accepts steps
-    within a few ulps of J as well; the descent map still contracts the
-    residual there.  Stops once the first-order residual is below
-    ORACLE_TOL in max norm; stagnation above the target raises.  Z must be
-    a Field on the dense frame of its grid, as verify's are, since the
-    descent runs on the whole interior; a folded Z raises ValueError.
-
-    The first trial step of each descent step is ds*R, an explicit step of
-    the diffusion, so it is stable only for ds below about h^2/8, the
-    reciprocal of the largest eigenvalue of -Lap_h.  verify's cases run at
-    ds = 1e-3 against h^2/8 = 0.036 on their 3x3 interiors and never halve
-    a trial step; above the limit the halved steps have not been seen to
-    reach the residual target, and the descent raises OracleStagnation.
+    Gradient descent from Z on J(Y) = E(Y) + (A^2/2ds)*||Y - Z||^2, each
+    iteration the full step ds*R, until the first-order residual R is below
+    ORACLE_TOL in max norm.  The one rule: the full step must lower J by the
+    Armijo share 1e-4 of its first-order decrease, within a few ulps of J
+    (near the minimum the decrease falls below float resolution, and the
+    descent map still contracts the residual there), or the call raises
+    OracleStagnation.  ds*R is an explicit step of the diffusion, so it
+    lowers J only for ds below about h^2/8, the reciprocal of the largest
+    eigenvalue of -Lap_h; verify's cases run at ds = 1e-3 against
+    h^2/8 = 0.036 on their 3x3 interiors.  Z must be a Field on the dense
+    frame of its grid, as verify's are, since the descent runs on the whole
+    interior; a folded Z raises ValueError.
     """
     if (Z.grid.N - 1) ** 2 > 16:
         raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
@@ -374,29 +338,19 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
         raise ValueError("oracle requires a positive previous state")
 
     h, scale = Z.grid.h, Z.grid.A2h2
+    step, slack = ds / scale, 8.0 * np.finfo(float).eps
 
     def objective(Y: Field) -> float:
         return discrete_energy(Y, lam).total + movement_penalty(Y, Z, ds)
 
-    Y = Z
-    alpha0 = ds / scale
+    Y, JY = Z, objective(Z)
     for _ in range(ORACLE_MAX_ITERS):
         R = euler_lagrange_residual(Y, Z, ds, lam)
         if float(np.max(np.abs(R))) < ORACLE_TOL:
             return Y
         G = scale * R  # plain gradient of J
-        JY = objective(Y)
-        gsq = inner_product(G, G, h)
-        slack = 8.0 * np.finfo(float).eps * abs(JY)
-        a = alpha0
-        while True:
-            Yn = Field(Z.frame, Y.values - a * G)
-            if Yn.min_interior() > 0.0 and objective(Yn) <= JY - 1e-4 * a * gsq + slack:
-                break
-            a *= 0.5
-            if a < 1e-18:
-                raise OracleStagnation(
-                    "descent stagnated above the residual target"
-                )
-        Y = Yn
+        bar = JY - 1e-4 * step * (h * h * Z.frame.sum(G * G)) + slack * abs(JY)
+        Y = Field(Z.frame, Y.values - step * G)
+        if not (Y.min_interior() > 0.0 and (JY := objective(Y)) <= bar):
+            raise OracleStagnation("descent stagnated above the residual target")
     raise OracleStagnation("descent did not reach the residual target")

@@ -13,7 +13,6 @@ from quenchstage.grid import (
     Grid,
     flat_extend,
     gradient_bilinear,
-    inner_product,
     l2_norm,
     laplacian_5pt,
     linf_norm,
@@ -309,23 +308,12 @@ class TestLaplacian:
 
 
 class TestInnerProduct:
-    def test_single_node(self):
-        assert inner_product(np.array([[1.0]]), np.array([[1.0]]), 0.5) == 0.25
-
-    def test_orthogonal_indicators(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert inner_product(a, b, 0.3) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(np.ones((2, 2)), np.ones((3, 3)), 0.5)
-
     def test_linf_bounded_by_scaled_l2(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             h = float(rng.uniform(0.05, 0.5))
             Y = rng.uniform(-3.0, 3.0, (5, 5))
+            assert l2_norm(Y, h) == np.sqrt(h * h * np.sum(Y * Y))
             assert linf_norm(Y) <= l2_norm(Y, h) / h + 1e-12
 
 
@@ -336,6 +324,6 @@ class TestGreenIdentity:
             Y = random_field(rng, N=int(rng.integers(3, 9)), A=float(rng.uniform(0.3, 1.2)))
             # a test function with boundary value 0, given by its interior
             Phi = rng.uniform(-1.0, 1.0, Y.interior.shape)
-            lhs = inner_product(-laplacian_5pt(Y), Phi, Y.grid.h)
+            lhs = Y.grid.h * Y.grid.h * np.sum(-laplacian_5pt(Y) * Phi)
             rhs = gradient_bilinear(Y, Phi)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

@@ -3,11 +3,12 @@
 An `assert` in the package is a check that `python -O` removes, so
 preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
-top-level function or class that nothing in the package reads: a helper that
-only tests call belongs in the tests, and so is a method or property of a
-package class that nothing in the package reads.  drivers.py leaves the step
-sequence (solver, seeds, Picard step) to stepper.march.  A state moves
-between the interior and its frame in two places only: the transfer, which
+module-level constant or a top-level function or class that nothing in the
+package reads: a helper that only tests call belongs in the tests, and so is
+a method or property of a package class that nothing in the package reads.
+drivers.py leaves the step sequence (solver, seeds, Picard step) to
+stepper.march.  A state moves between the interior and its frame in two
+places only: the transfer, which
 builds its output on the frame of its input, restricts the fine values and
 reads its stencils' window of the coarse frame values, and a grid.Field
 expands its values when its interior is read; march builds its solver on
@@ -105,6 +106,28 @@ def unread_definitions(trees):
     return unread
 
 
+def unread_constants(trees):
+    """Module-level names bound by assignment (dunders aside) that the
+    package reads nowhere but in their own assignment, with where they are
+    bound; a read is the bare name or an attribute of that name."""
+    reads = Counter(name for tree in trees.values() for name in read_names(tree))
+    unread = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            own = Counter(read_names(stmt))
+            for target in targets:
+                name = getattr(target, "id", "__")
+                if not name.startswith("__") and reads[name] == own[name]:
+                    unread[name] = f"{module}:{stmt.lineno}"
+    return unread
+
+
 def readers(trees, name):
     """Top-level statements, as module:name (or module:line), that read name
     as an attribute, or as a bare name unless it is a builtin's."""
@@ -173,6 +196,13 @@ def test_detects_both_faults():
         "spare = 2\nC()\n"
     )
     assert unread_definitions({"m": members}) == {"C.spare": "m:7"}
+    # a module constant is read by another statement, by name or attribute;
+    # its own assignment is no read, and a dunder is the import system's
+    constants = ast.parse(
+        "import m\nWEIGHTS = [1, 2]\nTABLE = WEIGHTS * 2\nLEFT: int = 3\n"
+        "__version__ = '1'\ndef f():\n    return m.TABLE\n"
+    )
+    assert unread_constants({"m": constants}) == {"LEFT": "m:4"}
     # an exception class must be one of the two mapped ones or derive from
     # NumericalError, also through another package class
     errors = ast.parse(
@@ -214,6 +244,12 @@ def test_every_definition_is_read():
     trees = {path.name: parse(path) for path in MODULES}
     unread = unread_definitions(trees)
     assert unread == {}, f"definitions nothing in the package reads: {unread}"
+
+
+def test_every_module_constant_is_read():
+    trees = {path.name: parse(path) for path in MODULES}
+    unread = unread_constants(trees)
+    assert unread == {}, f"module constants nothing in the package reads: {unread}"
 
 
 def test_every_exception_maps_to_an_exit_code():

@@ -711,6 +711,19 @@ class TestExtrapolatedSeed:
         want = 6.0 * F0 - 15.0 * F1 + 20.0 * F2 - 15.0 * F3 + 6.0 * F4 - F5
         assert np.max(np.abs(seed_of(history) - want)) <= 1e-13
 
+    def test_rotation_table_is_the_per_call_row(self):
+        # the looked-up row is, to the bit, the row built from SEED_WEIGHTS
+        # for the newest source and the rows written, through three wraps
+        rng = np.random.default_rng(4)
+        ring = rng.uniform(size=(SEED_ORDER + 1, 7, 7))
+        R = len(ring)
+        for count in range(1, 3 * R + 1):
+            rows = min(count, R)
+            newest = (count - 1) % R
+            weights = SEED_WEIGHTS[rows - 1, (newest - np.arange(rows)) % R]
+            want = (weights @ ring[:rows].reshape(rows, -1)).reshape(7, 7)
+            assert np.array_equal(extrapolated_seed(ring, count), want)
+
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
@@ -728,6 +741,22 @@ class TestExtrapolatedSeed:
         assert seeded_sweeps < plain_sweeps
         diff = np.max(np.abs(seeded.values - plain.values))
         assert diff <= 1e-10 * np.max(np.abs(plain.values))
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named stepper functions, by name."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(stepper, name, counted(name, getattr(stepper, name)))
+    return calls
 
 
 def refine_grid_search(fn, lo, hi, width=1e-10):
@@ -802,16 +831,29 @@ class TestDescentOracle:
         with pytest.raises(ValueError, match="dense frame"):
             mm_oracle_step(Z, 1e-3, 20.0)
 
+    def test_one_objective_per_iterate(self, monkeypatch):
+        # a converging descent scores each iterate once, Z included: as many
+        # energy evaluations as Euler-Lagrange residuals
+        calls = count_calls(
+            monkeypatch, "discrete_energy", "euler_lagrange_residual"
+        )
+        Z = random_state(seed=18)
+        mm_oracle_step(Z, 1e-3, 20.0)
+        assert calls["euler_lagrange_residual"] > 2
+        assert calls["discrete_energy"] == calls["euler_lagrange_residual"]
+
     @pytest.mark.parametrize("ds", [0.2, 1.0])
-    def test_backtracking_stagnation_raises(self, ds):
-        # far above the verification step the trial steps are rejected and
-        # halved; the halving gives up below 1e-18, short of the target
+    def test_rejected_full_step_raises(self, monkeypatch, ds):
+        # far above the verification step the full step does not lower J,
+        # and the descent raises at once, with no shorter trial steps
+        calls = count_calls(monkeypatch, "discrete_energy")
         Z = random_state(seed=16)
         with pytest.raises(
             stepper.OracleStagnation,
             match="descent stagnated above the residual target",
         ):
             mm_oracle_step(Z, ds, 20.0)
+        assert calls["discrete_energy"] <= 3
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(stepper, "ORACLE_MAX_ITERS", 1)
