@@ -1,4 +1,4 @@
-"""Square grids, Dirichlet flat extension, and first-order difference calculus.
+"""Square grids, the frames and states on them, and the difference calculus.
 
 Every run works in one frame: a stage lattice is Grid(A, N), the frozen
 amplitude A and the interval count N.  Everything else follows from them:
@@ -9,13 +9,9 @@ physical unit square of the direct run and of the change-of-variables checks
 is the A = 1 case: L = 1/2 and h = 1/N.
 
 A Field is a state on a Frame: it stores only its values there; the
-constant Dirichlet boundary value is the grid's g = 1/A, and the flat
-extension Y_flat places it on the boundary ring.  A Grid whose L, h or h^2
-would overflow or underflow a float (a tiny or huge A) is rejected when it
-is built.  The gradient norm is the sum of squared forward differences over
-all horizontal and vertical node pairs of the extended array (the h^2 edge
-weight and the 1/h^2 of the difference quotient cancel), and the Laplacian
-is the standard five-point stencil.
+constant Dirichlet boundary value is the grid's g = 1/A.  A Grid whose L, h
+or h^2 would overflow or underflow a float (a tiny or huge A) is rejected
+when it is built.
 
 A Frame is the part of the interior that an array holds: the whole interior
 (dense), or the lower-left floor(N/2)^2 quarter of a state symmetric about
@@ -28,11 +24,16 @@ reads any window of nodes from the frame array, g off the interior, so the
 transfer reads the coarse event's stencils from the quarter too; a run never
 builds a full-grid state, and a Field's interior is for the property checks.
 
-Frame.grad_norm_sq, the difference form, sums every Field that no Picard
-step built: a run's start, an event, verify's states and the tests', for
-which it is the reference.  A state that a Picard step accepted carries its
-gradient sum and K instead, taken from the step's last solve and source
-(stepper.picard_implicit_step), so a run sums only starts and events.
+Frame.grad_norm_sq is the one difference form: the sum of squared
+differences over every horizontal and vertical node pair, g on the boundary
+ring (the h^2 edge weight cancels the 1/h^2 of the quotient).  It sums every
+Field that no Picard step built: a run's start, an event, verify's states
+and the tests', for which it is the reference.  A state that a Picard step
+accepted carries its gradient sum and K instead, taken from the step's last
+solve and source (stepper.picard_implicit_step), so a run sums only starts
+and events.  laplacian_5pt is the five-point stencil, and verify green ties
+-laplacian_5pt to the form: h^2 (-lap Y, Phi) is its polarization at
+Y +- Phi for every Phi that vanishes on the boundary (discrete Green).
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class Frame:
     def grad_norm_sq(self, Y: np.ndarray) -> float:
         """Discrete gradient norm of the state whose frame values are Y: the
         sum of squared forward differences over every horizontal and vertical
-        node pair of its flat extension.
+        node pair, g on the boundary ring.
 
         Pairs with both endpoints on the boundary contribute zero because g
         is constant, and the h^2 quadrature weight cancels the squared 1/h of
@@ -246,44 +247,14 @@ class Field:
         return self._min > 0.0
 
 
-def flat_extend(Y: Field) -> np.ndarray:
-    """Extension to all (N+1)^2 nodes: interior copied, boundary set to g."""
-    N = Y.grid.N
-    out = np.full((N + 1, N + 1), Y.grid.g, dtype=float)
-    out[1:-1, 1:-1] = Y.interior
-    return out
-
-
 def laplacian_5pt(Y: Field) -> np.ndarray:
-    """Five-point Laplacian of the flat extension, returned on the interior."""
-    F = flat_extend(Y)
+    """Five-point Laplacian of the state with g on its boundary ring,
+    returned on the interior."""
+    N = Y.grid.N
+    F = np.full((N + 1, N + 1), Y.grid.g)
+    F[1:-1, 1:-1] = Y.interior
     h2 = Y.grid.h ** 2
     return (
         F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
         - 4.0 * F[1:-1, 1:-1]
     ) / h2
-
-
-def l2_norm(Y: np.ndarray, h: float) -> float:
-    return float(np.sqrt(h * h * np.sum(Y * Y)))
-
-
-def linf_norm(Y: np.ndarray) -> float:
-    return float(np.max(np.abs(Y)))
-
-
-def gradient_bilinear(Y: Field, Phi: np.ndarray) -> float:
-    """Forward-difference bilinear form of a field and a zero-boundary function
-    (polarized gradient sum).
-
-    Phi holds the interior values of a function on Y's grid that vanishes on
-    the boundary ring.  Used by the discrete Green identity:
-    (-laplacian_5pt(Y), Phi)_{2,h} equals this form.
-    """
-    FY = flat_extend(Y)
-    FP = np.pad(np.asarray(Phi, dtype=float), 1)
-    dxY = np.diff(FY, axis=0)
-    dxP = np.diff(FP, axis=0)
-    dyY = np.diff(FY, axis=1)
-    dyP = np.diff(FP, axis=1)
-    return float(np.sum(dxY * dxP) + np.sum(dyY * dyP))

@@ -250,7 +250,7 @@ def picard_implicit_step(
     shape = frame.shape
     if Z.values.shape != shape or (source is not None and source.shape != shape):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
-    if not Z.min_interior() > 0.0:  # also true for a NaN state
+    if not Z.is_admissible():  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, frame.grid.g
@@ -351,6 +351,6 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
         G = scale * R  # plain gradient of J
         bar = JY - 1e-4 * step * (h * h * Z.frame.sum(G * G)) + slack * abs(JY)
         Y = Field(Z.frame, Y.values - step * G)
-        if not (Y.min_interior() > 0.0 and (JY := objective(Y)) <= bar):
+        if not (Y.is_admissible() and (JY := objective(Y)) <= bar):
             raise OracleStagnation("descent stagnated above the residual target")
     raise OracleStagnation("descent did not reach the residual target")

@@ -1,22 +1,19 @@
-"""Grid construction, flat extension, and difference-calculus checks.
+"""Grid construction, frames, and difference-calculus checks.
 
 The brute-force oracles here enumerate edges and stencils with explicit
-Python loops so they share no code path with the vectorized operators.
+Python loops over the flat extension, built here with np.pad, so they share
+no code path with the vectorized operators.
 """
 
 import numpy as np
 import pytest
 
-from quenchstage.grid import (
-    Field,
-    Frame,
-    Grid,
-    flat_extend,
-    gradient_bilinear,
-    l2_norm,
-    laplacian_5pt,
-    linf_norm,
-)
+from quenchstage.grid import Field, Frame, Grid, laplacian_5pt
+
+
+def flat_extension(Y):
+    """All (N+1)^2 nodes of a Field: its interior inside a ring of g."""
+    return np.pad(Y.interior, 1, constant_values=Y.grid.g)
 
 
 def brute_force_grad_sq(F):
@@ -136,10 +133,17 @@ class TestField:
 
 
 class TestFlatExtend:
+    # the window of every node, 0 .. N, is the flat extension
+    @staticmethod
+    def all_nodes(Y):
+        F = Y.frame.expand(Y.values, 0, Y.grid.N + 1)
+        assert np.array_equal(F, flat_extension(Y))
+        return F
+
     def test_single_interior_node(self):
         grid = Grid(0.5, 2)  # boundary value g = 1/A = 2
         Y = Field(Frame(grid), np.array([[1.0]]))
-        F = flat_extend(Y)
+        F = self.all_nodes(Y)
         assert F.shape == (3, 3)
         assert F[1, 1] == 1.0
         boundary = np.concatenate([F[0, :], F[-1, :], F[1:-1, 0], F[1:-1, -1]])
@@ -149,13 +153,13 @@ class TestFlatExtend:
     def test_reciprocal_amplitude_boundary(self):
         grid = Grid(0.6, 4)
         Y = Field(Frame(grid), np.ones((3, 3)))
-        F = flat_extend(Y)
+        F = self.all_nodes(Y)
         assert F[0, 0] == pytest.approx(1.6666666667, abs=1e-9)
 
     def test_physical_boundary_of_ones(self):
         grid = Grid(1.0, 3)
         Y = Field(Frame(grid), 0.5 * np.ones((2, 2)))
-        F = flat_extend(Y)
+        F = self.all_nodes(Y)
         assert np.all(F[0, :] == 1.0) and np.all(F[:, 0] == 1.0)
 
 
@@ -177,7 +181,7 @@ class TestGradNormSq:
         for _ in range(10):
             Y = random_field(rng, N=int(rng.integers(3, 8)))
             assert grad_norm_sq(Y) == pytest.approx(
-                brute_force_grad_sq(flat_extend(Y)), rel=1e-13
+                brute_force_grad_sq(flat_extension(Y)), rel=1e-13
             )
 
     def test_invariant_under_constant_shift(self):
@@ -208,7 +212,7 @@ class TestFrame:
         values = frame.restrict(Y.interior)
         assert values.shape == (n, n)
         assert np.array_equal(frame.expand(values), Y.interior)
-        want = brute_force_grad_sq(flat_extend(Y))
+        want = brute_force_grad_sq(flat_extension(Y))
         assert frame.grad_norm_sq(values) == pytest.approx(want, rel=1e-14)
         X = 1.0 / Y.interior
         want = sum(float(x) for x in X.ravel())
@@ -301,23 +305,19 @@ class TestLaplacian:
         Y = random_field(rng, N=7)
         assert np.allclose(
             laplacian_5pt(Y),
-            brute_force_laplacian(flat_extend(Y), Y.grid.h),
+            brute_force_laplacian(flat_extension(Y), Y.grid.h),
             rtol=1e-12,
             atol=1e-12,
         )
 
 
-class TestInnerProduct:
-    def test_linf_bounded_by_scaled_l2(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            h = float(rng.uniform(0.05, 0.5))
-            Y = rng.uniform(-3.0, 3.0, (5, 5))
-            assert l2_norm(Y, h) == np.sqrt(h * h * np.sum(Y * Y))
-            assert linf_norm(Y) <= l2_norm(Y, h) / h + 1e-12
-
-
 class TestGreenIdentity:
+    # h^2 (-lap Y, Phi) is the energy's gradient form polarized at Y +- Phi,
+    # which keep Y's boundary value g when Phi vanishes on the boundary
+    @staticmethod
+    def polarized(frame, Y, Phi):
+        return (frame.grad_norm_sq(Y + Phi) - frame.grad_norm_sq(Y - Phi)) / 4.0
+
     def test_twenty_random_fields(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -325,5 +325,19 @@ class TestGreenIdentity:
             # a test function with boundary value 0, given by its interior
             Phi = rng.uniform(-1.0, 1.0, Y.interior.shape)
             lhs = Y.grid.h * Y.grid.h * np.sum(-laplacian_5pt(Y) * Phi)
-            rhs = gradient_bilinear(Y, Phi)
+            rhs = self.polarized(Y.frame, Y.values, Phi)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    # N = 2 folds to one node; an even N has a middle line of weight 1
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9])
+    def test_folded_frame(self, N):
+        # symmetric Y and Phi: the left side on the full interior, the right
+        # side from the quarter values alone
+        Y = TestFrame.symmetric_field(N, seed=N)
+        a = np.random.default_rng(N + 100).uniform(-1.0, 1.0, (N - 1, N - 1))
+        a = a + a[::-1]
+        Phi = a + a[:, ::-1]
+        lhs = Y.grid.h * Y.grid.h * np.sum(-laplacian_5pt(Y) * Phi)
+        frame = Frame(Y.grid, mirrored=True)
+        rhs = self.polarized(frame, frame.restrict(Y.interior), frame.restrict(Phi))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

@@ -15,7 +15,7 @@ from quenchstage.drivers import (
     initial_rescaled_profile,
     run_stage,
 )
-from quenchstage.grid import Field, Frame, Grid, flat_extend
+from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import (
     BASIS_EXPONENTS,
     REFERENCE_MATRIX,
@@ -33,7 +33,7 @@ from quenchstage.verify import transfer_refinement_errors
 def loop_prolong(end, k):
     """Per-node transfer: fit the owning cell, evaluate at the fine offset."""
     N = end.grid.N
-    F = flat_extend(end)
+    F = np.pad(end.interior, 1, constant_values=end.grid.g)
     fill = end.grid.g
 
     def value(p, q):

@@ -12,9 +12,9 @@ places only: the transfer, which
 builds its output on the frame of its input, restricts the fine values and
 reads its stencils' window of the coarse frame values, and a grid.Field
 expands its values when its interior is read; march builds its solver on
-the start's frame and does neither.  Only the flat extension, the
-Euler-Lagrange residual and the verify suites read a whole interior, so no
-run function builds a full-grid state.  Only a Field takes a
+the start's frame and does neither.  Only the five-point Laplacian, the
+Euler-Lagrange residual and the change-of-variables suite read a whole
+interior, so no run function builds a full-grid state.  Only a Field takes a
 minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
 derives from NumericalError, so each maps to a documented exit code.
@@ -289,16 +289,15 @@ def test_only_the_state_constructors_move_states_in_and_out_of_the_frame():
 
 
 def test_only_the_checks_read_a_whole_interior():
-    # a run reads frame values only; the flat extension (the Laplacian and the
-    # Green form), the oracle's Euler-Lagrange residual and the verify suites
-    # work on the whole interior of dense Fields
+    # a run reads frame values only; the Laplacian, the oracle's
+    # Euler-Lagrange residual and the change-of-variables suite work on the
+    # whole interior of dense Fields, and the Green check reads the values
     trees = {path.name: parse(path) for path in MODULES}
     found = readers(trees, "interior")
     assert found == {
-        "grid.py:flat_extend",
+        "grid.py:laplacian_5pt",
         "stepper.py:euler_lagrange_residual",
         "verify.py:suite_changevar",
-        "verify.py:suite_green",
     }, f"interior read by {found}"
 
 
