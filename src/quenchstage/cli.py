@@ -15,10 +15,11 @@ numbers and values the run configs reject (among them an A0 without a
 representable float grid and a grid above MAX_N intervals) are configuration
 errors (exit 2).  Numerical failures, a stage that starts at or below its
 trigger threshold after a transfer among them, exit 3; failed verify suites
-exit 1.  An unknown suite name is an argparse usage error, so main raises
-SystemExit(2), as for any other bad argument.  Any other exception is an
-internal error: main prints "internal error:" and the traceback to stderr and
-exits 4.
+exit 1.  A numerical failure inside `verify all` first prints the report of
+the suites that completed, marked failed.  An unknown suite name is an
+argparse usage error, so main raises SystemExit(2), as for any other bad
+argument.  Any other exception is an internal error: main prints "internal
+error:" and the traceback to stderr and exits 4.
 
 Both run commands take one path: _load parses the config and builds the run
 config from it, the output directory named by QUENCHSTAGE_OUT (default:
@@ -58,7 +59,7 @@ from .drivers import (
     run_stagewise,
 )
 from .stepper import PICARD_TOL, SEED_ORDER, STOP_MARGIN
-from .verify import SUITES, run_suite
+from .verify import SUITES, SuiteError, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -272,15 +273,25 @@ def cmd_direct(config_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(suite: str) -> int:
-    checks = run_suite(suite)
-    all_passed = all(c.passed for c in checks)
+def _report(suite: str, passed: bool, checks: list) -> None:
     payload = {
         "suite": suite,
-        "passed": all_passed,
+        "passed": passed,
         "checks": [asdict(c) for c in checks],
     }
     print(json.dumps(payload, indent=2))
+
+
+def cmd_verify(suite: str) -> int:
+    try:
+        checks = run_suite(suite)
+    except SuiteError as exc:
+        # report the checks that completed as a failed run, then exit 3
+        if exc.checks:
+            _report(suite, False, exc.checks)
+        raise
+    all_passed = all(c.passed for c in checks)
+    _report(suite, all_passed, checks)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAIL
 
 

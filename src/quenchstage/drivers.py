@@ -160,8 +160,14 @@ class DirectConfig:
 
     def __post_init__(self) -> None:
         _reject_nonfinite(self)
-        if self.lam < 0.0 or self.N < 2 or self.dt <= 0.0 or self.T < 0.0:
-            raise ValueError("invalid direct-run parameters")
+        if self.lam < 0.0:
+            raise ValueError("lam must be nonnegative")
+        if self.N < 2:
+            raise ValueError("N must be at least 2")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if self.T < 0.0:
+            raise ValueError("T must be nonnegative")
         if self.N > MAX_N:
             raise ValueError(f"grid N = {self.N} is above MAX_N = {MAX_N}")
         if not (0.0 < self.u0_amplitude < 1.0):

@@ -376,17 +376,18 @@ class TestVerifyCommand:
         assert gap["measured"] <= 1e-6
 
     def test_oracle_precondition_fails_the_check(self, monkeypatch, capsys):
-        # lam = 500 puts ds = 1e-3 above eta^3/(16 lam): the uniqueness
-        # check must fail in the report, not stop the suite
+        # lam = 500 puts ds = 1e-3 above eta^3/(16 lam): the convexity check
+        # must fail in the report, not stop the suite
         case = verify._oracle_case
         monkeypatch.setattr(
             verify, "_oracle_case", lambda rng: (*case(rng)[:2], 500.0)
         )
         assert main(["verify", "oracle"]) == 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        seed = next(c for c in checks if c["name"] == "two_seed_uniqueness")
-        assert seed["passed"] is False
-        assert seed["measured"] <= seed["tolerance"]
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        convexity = checks["uniqueness_convexity"]
+        assert convexity["passed"] is False
+        assert convexity["measured"] > convexity["tolerance"] == 1.0
+        assert checks["two_seed_uniqueness"]["passed"] is True
 
     def test_oracle_nonconvergence_exit_code(self, monkeypatch, capsys):
         # two sweeps certify none of the oracle cases; the suite stops rather
@@ -420,6 +421,32 @@ class TestVerifyCommand:
             "Picard did not converge within 2 sweeps\n"
         )
 
+    def test_all_reports_the_checks_before_a_numerical_failure(
+        self, monkeypatch, capsys
+    ):
+        # the suites before oracle completed: their checks are reported, and
+        # the run as failed, before the failure exits 3
+        monkeypatch.setattr(stepper, "PICARD_MAX", 2)
+        assert main(["verify", "all"]) == 3
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert data["suite"] == "all"
+        assert data["passed"] is False
+        # the checks of green, unisolvence, edge, laplace and dissipation
+        assert [c["name"] for c in data["checks"]] == [
+            "green_identity",
+            "round_trip",
+            "degree3_reproduction",
+            "reference_matrix_condition",
+            "interface_continuity",
+            "interface_continuity_constant",
+            "local_laplace_identity",
+            "patch_laplacian_vs_fd",
+            "mm_dissipation_inequality",
+        ]
+        assert all(c["passed"] for c in data["checks"])
+        assert err.startswith("numerical failure: verify oracle: ")
+
     def test_all_suites_take_the_dense_solve(self, monkeypatch, capsys):
         # verify steps fields built on the dense frame, so no solver is folded
         built = []
@@ -450,21 +477,18 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("internal error: KeyError")
 
     def test_pass_rule_is_the_reported_bound(self):
-        # every check but the four that state their own rule passes exactly
-        # when its measured value is at most its reported tolerance
-        own_rule = {
-            "linf_le_l2_over_h",
-            "reference_matrix_condition",
-            "transfer_refinement_order",
-            "two_seed_uniqueness",
-        }
+        # every check passes exactly when its measured value is at most its
+        # reported tolerance
         checks = verify.run_suite("all")
-        assert own_rule <= {c.name for c in checks}
+        assert len(checks) == 16
         for c in checks:
-            if c.name not in own_rule:
-                assert c.passed == (c.measured <= c.tolerance), c.name
-        assert verify._at_most("edge", 1e-12, 1e-12, "").passed
-        assert not verify._at_most("edge", math.nextafter(1e-12, 1.0), 1e-12, "").passed
+            assert c.passed == (c.measured <= c.tolerance), c.name
+        assert verify.CheckResult("edge", 1e-12, 1e-12).passed
+        above = math.nextafter(1e-12, 1.0)
+        assert not verify.CheckResult("edge", above, 1e-12).passed
+        assert list(dataclasses.asdict(verify.CheckResult("edge", 0.0, 1.0))) == [
+            "name", "passed", "measured", "tolerance", "detail",
+        ]
 
 
 # the directory holding the quenchstage package, for fresh interpreters
@@ -512,6 +536,13 @@ def test_direct_quench_exit_code(tmp_path, outdir, key, value):
     assert proc.returncode == 3, proc.stderr
     assert "numerical failure" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_direct_invalid_value_names_the_key(tmp_path, outdir, capsys):
+    # a rejected value is a config error that names its key
+    cfg = write_cfg(tmp_path / "d.cfg", dict(DIRECT_BASE, dt=0.0))
+    assert main(["direct", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: dt must be positive\n"
 
 
 @pytest.mark.parametrize("dt, T", [(5e-324, 1.0), (1e-300, 1e10)])

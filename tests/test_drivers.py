@@ -139,6 +139,20 @@ class TestDirectConfig:
         with pytest.raises(ValueError, match=f"{10 ** 20} steps, above"):
             DirectConfig(dt=1e-300, T=1e-280)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"lam": -1.0}, "lam must be nonnegative"),
+            ({"N": 1}, "N must be at least 2"),
+            ({"dt": 0.0}, "dt must be positive"),
+            ({"dt": -5e-4}, "dt must be positive"),
+            ({"T": -0.08}, "T must be nonnegative"),
+        ],
+    )
+    def test_message_names_the_key(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DirectConfig(**kwargs)
+
     def test_grid_cap(self):
         assert DirectConfig(N=MAX_N).N == 1152
         with pytest.raises(ValueError, match="N = 1153 is above MAX_N = 1152"):
