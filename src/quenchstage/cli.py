@@ -55,6 +55,7 @@ from .drivers import (
     NumericalError,
     RunReport,
     StagewiseConfig,
+    config_key,
     run_direct,
     run_stagewise,
 )
@@ -70,12 +71,9 @@ EXIT_INTERNAL = 4
 
 def _config_keys(config: type) -> dict[str, type]:
     """Config keys and value types of a run config, in field order: its
-    fields and annotations, with the `lam` field spelled `lambda`."""
+    fields and annotations, each field under its config_key."""
     hints = get_type_hints(config)
-    return {
-        ("lambda" if f.name == "lam" else f.name): hints[f.name]
-        for f in fields(config)
-    }
+    return {config_key(f.name): hints[f.name] for f in fields(config)}
 
 
 STAGEWISE_KEYS = _config_keys(StagewiseConfig)
@@ -228,14 +226,13 @@ def _stagewise_files(report: RunReport) -> dict[str, str]:
 def _load(
     path: str, config: type, required: dict, optional: dict | None = None
 ) -> tuple[dict, object]:
-    """The values of a config file and the run config built from them (the
-    `lambda` key is the `lam` field), with a value the run config rejects
-    reported as a ConfigError."""
+    """The values of a config file and the run config built from them (each
+    key is the field whose config_key it is), with a value the run config
+    rejects reported as a ConfigError."""
     values = parse_config(path, required, optional)
+    field_of = {config_key(f.name): f.name for f in fields(config)}
     try:
-        return values, config(
-            **{("lam" if key == "lambda" else key): v for key, v in values.items()}
-        )
+        return values, config(**{field_of[key]: v for key, v in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

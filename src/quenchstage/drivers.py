@@ -88,12 +88,18 @@ MAX_N = 1152
 MAX_STEPS = 1_000_000
 
 
+def config_key(name: str) -> str:
+    """The config-file key of a run-config field: the `lam` field is spelled
+    `lambda`, every other key is the field's name.  Messages name the key."""
+    return "lambda" if name == "lam" else name
+
+
 def _reject_nonfinite(cfg: object) -> None:
     """Reject a run config with a NaN or infinite float field."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} = {value} is not finite")
+            raise ValueError(f"{config_key(f.name)} = {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class StagewiseConfig:
     def __post_init__(self) -> None:
         _reject_nonfinite(self)
         if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+            raise ValueError(f"{config_key('lam')} must be nonnegative")
         if not (0.0 < self.u0_amplitude < 1.0):
             raise ValueError("u0 amplitude must lie in (0, 1)")
         if self.ds <= 0.0:
@@ -161,7 +167,7 @@ class DirectConfig:
     def __post_init__(self) -> None:
         _reject_nonfinite(self)
         if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+            raise ValueError(f"{config_key('lam')} must be nonnegative")
         if self.N < 2:
             raise ValueError("N must be at least 2")
         if self.dt <= 0.0:

@@ -25,7 +25,9 @@ Stencil entries outside the coarse node set take the fill value g = 1/A_from
 of the coarse grid, and the new boundary value is the fine grid's
 g = 1/A_to.  Evaluating P_ij at a fixed offset is a fixed linear map of the
 cell's 12 stencil values, so the transfer applies one k x k x 12 weight table
-to all cells at once.
+to all cells at once: cell_map's at the k x k offsets, times k^(2/3).
+cell_map is the one evaluation of the patch; the edge and Laplace checks
+take their tables from it too.
 
 The stencil, the basis and the fill commute with the square's mirrors, so
 the transfer of a state symmetric about both mid-lines is symmetric too.
@@ -51,8 +53,8 @@ S12: tuple[tuple[int, int], ...] = (
     (2, 0), (2, 1),
 )
 
-# monomial exponents (p, q) for theta^p * zeta^q, the order of fit_cell's
-# 12 coefficients
+# monomial exponents (p, q) for theta^p * zeta^q: the order of the rows of
+# REFERENCE_INVERSE, the cell polynomial's 12 coefficients
 BASIS_EXPONENTS: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 0), (0, 1),
     (2, 0), (1, 1), (0, 2),
@@ -63,46 +65,33 @@ BASIS_EXPONENTS: tuple[tuple[int, int], ...] = (
 EDGE_SAMPLES = 5  # points per shared edge in edge_consistency_check
 
 
-def basis_row(theta: float, zeta: float) -> np.ndarray:
-    return np.array(
-        [theta ** p * zeta ** q for p, q in BASIS_EXPONENTS], dtype=float
-    )
-
-
-def laplacian_row(theta: float, zeta: float) -> np.ndarray:
-    """Laplacian p(p-1) theta^(p-2) zeta^q + q(q-1) theta^p zeta^(q-2) of
-    each basis monomial at (theta, zeta), in local units."""
-    return np.array([
-        p * (p - 1) * theta ** max(p - 2, 0) * zeta ** q
-        + q * (q - 1) * theta ** p * zeta ** max(q - 2, 0)
-        for p, q in BASIS_EXPONENTS
-    ], dtype=float)
+def _monomials(theta, zeta, laplacian: bool = False) -> np.ndarray:
+    """The basis monomials at the points (theta, zeta), shape (*points, 12),
+    or their Laplacians p(p-1) theta^(p-2) zeta^q + q(q-1) theta^p zeta^(q-2)
+    in local units."""
+    p, q = np.array(BASIS_EXPONENTS).T
+    t = np.asarray(theta, dtype=float)[..., None]
+    z = np.asarray(zeta, dtype=float)[..., None]
+    if not laplacian:
+        return t ** p * z ** q
+    return (p * (p - 1) * t ** np.maximum(p - 2, 0) * z ** q
+            + q * (q - 1) * t ** p * z ** np.maximum(q - 2, 0))
 
 
 # the reference matrix has exact small-integer entries; its inverse is
-# computed once at import and shared by every cell fit
-REFERENCE_MATRIX: np.ndarray = np.array(
-    [basis_row(float(a), float(b)) for a, b in S12]
-)
+# computed once at import and maps a cell's stencil values to its
+# coefficients
+REFERENCE_MATRIX: np.ndarray = _monomials(*np.array(S12).T)
 REFERENCE_INVERSE: np.ndarray = np.linalg.inv(REFERENCE_MATRIX)
 
 
-def fit_cell(data: np.ndarray) -> np.ndarray:
-    """The 12 coefficients, in BASIS_EXPONENTS order, of the unique 12-point
-    interpolant of stencil data."""
-    data = np.asarray(data, dtype=float)
-    if data.shape != (12,):
-        raise ValueError("expected 12 stencil values in S12 order")
-    return REFERENCE_INVERSE @ data
-
-
-def eval_cell(c: np.ndarray, theta: float, zeta: float) -> float:
-    return float(basis_row(theta, zeta) @ c)
-
-
-def laplacian_cell(c: np.ndarray, theta: float, zeta: float, h: float) -> float:
-    """Laplacian of the cell polynomial in grid coordinates (units 1/h^2)."""
-    return float(laplacian_row(theta, zeta) @ c) / (h * h)
+def cell_map(theta, zeta, laplacian: bool = False) -> np.ndarray:
+    """The linear map from a cell's 12 stencil values, in S12 order, to its
+    interpolant at the points (theta, zeta), shape (*points, 12); with
+    laplacian=True, to the interpolant's Laplacian there in local units (a
+    grid Laplacian is this over h^2).  The transfer and every patch check
+    evaluate the patch through it."""
+    return _monomials(theta, zeta, laplacian) @ REFERENCE_INVERSE
 
 
 def _cell_stencils(end: Field, cells: int) -> np.ndarray:
@@ -141,8 +130,7 @@ def prolong_stage(end: Field, k: int) -> Field:
     # fine indices 1..n of the frame belong to cells 0..n // k
     cells = frame.shape[0] // k + 1
     offsets = np.arange(k) / k
-    B = np.array([[basis_row(t, z) for z in offsets] for t in offsets])
-    W = k ** (2.0 / 3.0) * (B @ REFERENCE_INVERSE)
+    W = k ** (2.0 / 3.0) * cell_map(offsets[:, None], offsets[None, :])
     values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, cells), W)
     return Field(frame, frame.restrict(values.reshape(k * cells, k * cells)[1:, 1:]))
 
@@ -158,14 +146,8 @@ def edge_consistency_check(end: Field) -> float:
     # cells 1..N-2 in both directions read no fill values
     inner = _cell_stencils(end, N)[1:N - 1, 1:N - 1]
     ts = np.linspace(0.0, 1.0, EDGE_SAMPLES)
-    ones, zeros = np.ones(EDGE_SAMPLES), np.zeros(EDGE_SAMPLES)
-
-    def at(thetas: np.ndarray, zetas: np.ndarray) -> np.ndarray:
-        rows = np.array([basis_row(t, z) for t, z in zip(thetas, zetas)])
-        return (rows @ REFERENCE_INVERSE).T
-
-    x_gap = inner[:-1] @ at(ones, ts) - inner[1:] @ at(zeros, ts)
-    y_gap = inner[:, :-1] @ at(ts, ones) - inner[:, 1:] @ at(ts, zeros)
+    x_gap = inner[:-1] @ cell_map(1.0, ts).T - inner[1:] @ cell_map(0.0, ts).T
+    y_gap = inner[:, :-1] @ cell_map(ts, 1.0).T - inner[:, 1:] @ cell_map(ts, 0.0).T
     return max(
         float(np.max(np.abs(x_gap), initial=0.0)),
         float(np.max(np.abs(y_gap), initial=0.0)),
@@ -194,7 +176,8 @@ def laplace_compat_check(end: Field, k: int) -> float:
     # 1/k^2 of the fine difference quotient this gives the k^(-4/3) factor
     h = end.grid.h
     offsets = np.arange(1, k) / k
-    rows = np.array([[laplacian_row(t, z) for z in offsets] for t in offsets])
-    L = (k ** (-4.0 / 3.0) / (h * h)) * (rows @ REFERENCE_INVERSE)
+    L = (k ** (-4.0 / 3.0) / (h * h)) * cell_map(
+        offsets[:, None], offsets[None, :], laplacian=True
+    )
     expected = np.einsum("ijs,lrs->iljr", inner, L)
     return float(np.max(np.abs(got - expected), initial=0.0))

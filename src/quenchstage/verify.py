@@ -5,9 +5,11 @@ random data (fixed seeds) and reports measured residuals against pinned
 tolerances:
 
   green        Green identity of -lap_h and Frame.grad_norm_sq
-  unisolvence  12-point fit/eval round trip, cubic monomial reproduction
+  unisolvence  cell_map, the map the transfer applies: identity at the 12
+               stencil nodes, cubic monomial reproduction
   edge         interface continuity of the cell polynomials
-  laplace      local Laplacian identity of the prolongation, patch formula
+  laplace      local Laplacian identity of the prolongation, cell_map's
+               Laplacian vs differences of its values
   dissipation  minimizing-movement energy inequality
   oracle       Picard step vs minimizing-movement reference solutions
   changevar    amplitude rescaling identities and transfer consistency
@@ -30,11 +32,9 @@ from .energy import discrete_energy
 from .prolongation import (
     REFERENCE_MATRIX,
     S12,
+    cell_map,
     edge_consistency_check,
-    eval_cell,
-    fit_cell,
     laplace_compat_check,
-    laplacian_cell,
     prolong_stage,
 )
 from .stepper import (
@@ -92,23 +92,17 @@ def suite_green() -> list[CheckResult]:
 
 def suite_unisolvence() -> list[CheckResult]:
     rng = np.random.default_rng(20260102)
-    worst = 0.0
-    for _ in range(200):
-        data = rng.uniform(-5.0, 5.0, size=12)
-        c = fit_cell(data)
-        for idx, (a, b) in enumerate(S12):
-            worst = max(worst, abs(eval_cell(c, float(a), float(b)) - data[idx]))
-    worst_mono = 0.0
-    cubic_monomials = [
-        (p, q) for p in range(4) for q in range(4) if p + q <= 3
-    ]
-    for p, q in cubic_monomials:
-        data = np.array([float(a) ** p * float(b) ** q for a, b in S12])
-        c = fit_cell(data)
-        for _ in range(20):
-            t = float(rng.uniform(-1.0, 2.0))
-            z = float(rng.uniform(-1.0, 2.0))
-            worst_mono = max(worst_mono, abs(eval_cell(c, t, z) - t ** p * z ** q))
+    a, b = np.array(S12).T
+    # the map at the stencil nodes is the identity on every stencil
+    data = rng.uniform(-5.0, 5.0, size=(200, 12))
+    worst = np.max(np.abs(data @ cell_map(a, b).T - data))
+    # each cubic monomial, sampled on the stencil, at 20 off-stencil points
+    p, q = np.array([(p, q) for p in range(4) for q in range(4) if p + q <= 3]).T
+    points = rng.uniform(-1.0, 2.0, size=(len(p), 20, 2))
+    t, z = points[..., 0], points[..., 1]
+    stencils = a ** p[:, None] * b ** q[:, None]
+    got = np.einsum("mns,ms->mn", cell_map(t, z), stencils)
+    worst_mono = np.max(np.abs(got - t ** p[:, None] * z ** q[:, None]))
     return [
         CheckResult("round_trip", worst, 1e-11, "200 random stencils"),
         CheckResult(
@@ -146,23 +140,20 @@ def suite_laplace() -> list[CheckResult]:
     for _ in range(3):
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, laplace_compat_check(Y, 4))
-    worst_fd = 0.0
-    # h = 1 isolates the polynomial content; the 1/h^2 prefactor is exact
-    # and would only amplify the finite-difference round-off here
-    h = 1.0
-    for _ in range(50):
-        c = fit_cell(rng.uniform(-2.0, 2.0, size=12))
-        t = float(rng.uniform(0.0, 1.0))
-        z = float(rng.uniform(0.0, 1.0))
-        d = 1e-4
-        fd = (
-            eval_cell(c, t + d, z)
-            + eval_cell(c, t - d, z)
-            + eval_cell(c, t, z + d)
-            + eval_cell(c, t, z - d)
-            - 4.0 * eval_cell(c, t, z)
-        ) / (d * d * h * h)
-        worst_fd = max(worst_fd, abs(fd - laplacian_cell(c, t, z, h)))
+    # each case draws its 12 stencil values, then its point
+    data, points = np.empty((50, 12)), np.empty((50, 2))
+    for n in range(50):
+        data[n], points[n] = rng.uniform(-2.0, 2.0, 12), rng.uniform(0.0, 1.0, 2)
+    t, z = points.T
+    d = 1e-4
+
+    def value(dt: float, dz: float) -> np.ndarray:
+        return np.einsum("ns,ns->n", cell_map(t + dt, z + dz), data)
+
+    fd = (value(d, 0) + value(-d, 0) + value(0, d) + value(0, -d)
+          - 4.0 * value(0, 0)) / (d * d)
+    lap = np.einsum("ns,ns->n", cell_map(t, z, laplacian=True), data)
+    worst_fd = np.max(np.abs(fd - lap))
     return [
         CheckResult(
             "local_laplace_identity", worst, 1e-10,
@@ -170,7 +161,7 @@ def suite_laplace() -> list[CheckResult]:
         ),
         CheckResult(
             "patch_laplacian_vs_fd", worst_fd, 1e-6,
-            "50 random coefficient sets, centered differences",
+            "50 random stencils, centered differences of the value map",
         ),
     ]
 
@@ -232,7 +223,7 @@ def suite_oracle() -> list[CheckResult]:
         ),
         CheckResult(
             "two_seed_uniqueness", worst_seed, 1e-8,
-            "Picard from Z vs from 1.05*Z, ds below the convexity bound",
+            "Picard from Z vs from 1.05*Z, same step and lam",
         ),
         CheckResult(
             "uniqueness_convexity", worst_convex, 1.0,

@@ -545,6 +545,16 @@ def test_direct_invalid_value_names_the_key(tmp_path, outdir, capsys):
     assert capsys.readouterr().err == "config error: dt must be positive\n"
 
 
+@pytest.mark.parametrize("command", ["stagewise", "direct"])
+def test_negative_lambda_names_the_config_key(tmp_path, outdir, capsys, command):
+    # the run configs call the field lam; the message names the key the
+    # config file has
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", dict(base, **{"lambda": -1.0}))
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: lambda must be nonnegative\n"
+
+
 @pytest.mark.parametrize("dt, T", [(5e-324, 1.0), (1e-300, 1e10)])
 def test_non_finite_step_count_exit_code(tmp_path, outdir, capsys, dt, T):
     # every value is finite, but T/dt overflows to inf

@@ -94,8 +94,10 @@ class TestStagewiseConfig:
     @pytest.mark.parametrize("key", ["lam", "ds"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_nonfinite(self, key, value):
-        # NaN passes the sign checks, which compare false
-        with pytest.raises(ValueError, match=f"{key} = {value} is not finite"):
+        # NaN passes the sign checks, which compare false; the message names
+        # the config key, which spells the field lam as lambda
+        named = "lambda" if key == "lam" else key
+        with pytest.raises(ValueError, match=f"^{named} = {value} is not finite$"):
             StagewiseConfig(**{key: value})
 
     def test_rejects_huge_stage_count_quickly(self):
@@ -127,7 +129,8 @@ class TestDirectConfig:
         ],
     )
     def test_rejects_nonfinite(self, kwargs, key):
-        with pytest.raises(ValueError, match=f"{key} = .* is not finite"):
+        named = "lambda" if key == "lam" else key  # the config key
+        with pytest.raises(ValueError, match=f"^{named} = .* is not finite$"):
             DirectConfig(**kwargs)
 
     def test_step_cap(self):
@@ -142,7 +145,7 @@ class TestDirectConfig:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"lam": -1.0}, "lam must be nonnegative"),
+            ({"lam": -1.0}, "lambda must be nonnegative"),
             ({"N": 1}, "N must be at least 2"),
             ({"dt": 0.0}, "dt must be positive"),
             ({"dt": -5e-4}, "dt must be positive"),

@@ -1,9 +1,11 @@
-"""12-point transfer: fit, evaluation, prolongation, compatibility checks.
+"""12-point transfer: the cell map, prolongation, compatibility checks.
 
-The fit oracle rebuilds the 12x12 interpolation system with explicit loops
-and solves it densely; the Laplacian oracle is a centered second difference
-of eval_cell; the transfer oracle fits and evaluates every fine node's
-owning cell one at a time.
+The oracle shares no code with cell_map: dense_fit rebuilds the 12x12
+interpolation system with explicit loops and solves it densely, and
+oracle_value evaluates the fitted monomials one point at a time.  The
+Laplacian oracle is a centered second difference of oracle_value; the
+transfer oracle fits and evaluates every fine node's owning cell one at a
+time.
 """
 
 import numpy as np
@@ -20,14 +22,34 @@ from quenchstage.prolongation import (
     BASIS_EXPONENTS,
     REFERENCE_MATRIX,
     S12,
+    cell_map,
     edge_consistency_check,
-    eval_cell,
-    fit_cell,
     laplace_compat_check,
-    laplacian_cell,
     prolong_stage,
 )
 from quenchstage.verify import transfer_refinement_errors
+
+NODES = np.array(S12, dtype=float).T  # theta and zeta of the stencil nodes
+
+
+def dense_fit(data):
+    """Independent 12x12 fit: loop-built Vandermonde rows, dense solve."""
+    M = np.zeros((12, 12))
+    for row, (a, b) in enumerate(S12):
+        for col, (p, q) in enumerate(BASIS_EXPONENTS):
+            M[row, col] = float(a) ** p * float(b) ** q
+    return np.linalg.solve(M, np.asarray(data, dtype=float))
+
+
+def oracle_value(data, t, z):
+    """The interpolant of stencil data at one point, monomial by monomial."""
+    c = dense_fit(data)
+    return sum(c[n] * t ** p * z ** q for n, (p, q) in enumerate(BASIS_EXPONENTS))
+
+
+def samples(p, q):
+    """theta^p * zeta^q at the stencil nodes, in S12 order."""
+    return np.array([float(a) ** p * float(b) ** q for a, b in S12])
 
 
 def loop_prolong(end, k):
@@ -44,65 +66,50 @@ def loop_prolong(end, k):
         i, l = divmod(I, k)
         for J in range(1, k * N):
             j, r = divmod(J, k)
-            c = fit_cell(np.array([value(i + a, j + b) for a, b in S12]))
-            out[I - 1, J - 1] = k ** (2.0 / 3.0) * eval_cell(c, l / k, r / k)
+            data = [value(i + a, j + b) for a, b in S12]
+            out[I - 1, J - 1] = k ** (2.0 / 3.0) * oracle_value(data, l / k, r / k)
     return out
 
 
-def dense_fit(data):
-    """Independent 12x12 fit: loop-built Vandermonde rows, dense solve."""
-    M = np.zeros((12, 12))
-    for row, (a, b) in enumerate(S12):
-        for col, (p, q) in enumerate(BASIS_EXPONENTS):
-            M[row, col] = float(a) ** p * float(b) ** q
-    return np.linalg.solve(M, np.asarray(data, dtype=float))
-
-
 class TestFitCell:
+    """The fit behind cell_map: the patch through a cell's 12 values."""
+
     def test_constant_data(self):
-        c = fit_cell(np.ones(12))
-        assert c[0] == pytest.approx(1.0, abs=1e-13)
-        assert np.max(np.abs(c[1:])) < 1e-13
+        t, z = np.meshgrid(np.linspace(-1.0, 2.0, 7), np.linspace(-1.0, 2.0, 7))
+        assert np.max(np.abs(cell_map(t, z) @ np.ones(12) - 1.0)) < 1e-13
+        assert np.max(np.abs(cell_map(t, z, laplacian=True) @ np.ones(12))) < 1e-12
 
     def test_basis_monomial_theta3_zeta(self):
-        data = np.array([float(a) ** 3 * float(b) for a, b in S12])
-        c = fit_cell(data)
-        assert c[10] == pytest.approx(1.0, abs=1e-12)
-        others = np.delete(c, 10)
-        assert np.max(np.abs(others)) < 1e-12
+        t, z = np.random.default_rng(20).uniform(-1.0, 2.0, (2, 20))
+        got = cell_map(t, z) @ samples(3, 1)
+        assert np.max(np.abs(got - t ** 3 * z)) < 1e-12
 
     def test_matches_dense_loop_solve(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             data = rng.uniform(-5.0, 5.0, 12)
-            assert np.max(np.abs(fit_cell(data) - dense_fit(data))) < 1e-11
+            t, z = rng.uniform(-1.0, 2.0, 2)
+            assert cell_map(t, z) @ data == pytest.approx(
+                oracle_value(data, t, z), abs=1e-11
+            )
 
     def test_round_trip_on_stencil(self):
         rng = np.random.default_rng(22)
         data = rng.uniform(-5.0, 5.0, 12)
-        c = fit_cell(data)
-        for idx, (a, b) in enumerate(S12):
-            assert eval_cell(c, float(a), float(b)) == pytest.approx(
-                data[idx], abs=1e-11
-            )
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            fit_cell(np.ones(11))
+        assert np.max(np.abs(cell_map(*NODES) @ data - data)) < 1e-11
 
     def test_reference_matrix_well_conditioned(self):
         assert np.linalg.cond(REFERENCE_MATRIX) < 1e3
 
 
 class TestEvalCell:
+    """cell_map as the value of the patch at given points."""
+
     def test_constant_fit_anywhere(self):
-        c = fit_cell(np.ones(12))
-        assert eval_cell(c, 0.37, -0.8) == pytest.approx(1.0, abs=1e-12)
+        assert cell_map(0.37, -0.8) @ np.ones(12) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_fit(self):
-        data = np.array([float(a) for a, _ in S12])
-        c = fit_cell(data)
-        assert eval_cell(c, 0.5, 0.3) == pytest.approx(0.5, abs=1e-12)
+        assert cell_map(0.5, 0.3) @ samples(1, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_cubic_exact_off_stencil(self):
         rng = np.random.default_rng(23)
@@ -112,44 +119,52 @@ class TestEvalCell:
         def poly(t, z):
             return sum(v * t ** p * z ** q for (p, q), v in coeffs.items())
 
-        data = np.array([poly(float(a), float(b)) for a, b in S12])
-        c = fit_cell(data)
-        for _ in range(20):
-            t, z = rng.uniform(-1.0, 2.0, 2)
-            assert eval_cell(c, t, z) == pytest.approx(poly(t, z), abs=1e-11)
+        data = poly(*NODES)
+        t, z = rng.uniform(-1.0, 2.0, (2, 20))
+        assert np.max(np.abs(cell_map(t, z) @ data - poly(t, z))) < 1e-11
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_shape_contract(self, shape):
+        # points of any shape map to (*shape, 12), and each point's row is
+        # the per-point oracle's
+        rng = np.random.default_rng(29)
+        t, z = rng.uniform(-1.0, 2.0, (2, *shape))
+        data = rng.uniform(-5.0, 5.0, 12)
+        maps = cell_map(t, z)
+        assert maps.shape == (*shape, 12)
+        for idx in np.ndindex(*shape):
+            assert maps[idx] @ data == pytest.approx(
+                oracle_value(data, t[idx], z[idx]), abs=1e-11
+            )
 
 
 class TestLaplacianCell:
+    """cell_map(laplacian=True) as the Laplacian of the patch, local units."""
+
     def test_pure_theta_square(self):
-        c = np.zeros(12)
-        c[3] = 1.0
         for t, z in ((0.0, 0.0), (0.5, 0.7), (1.0, -1.0)):
-            assert laplacian_cell(c, t, z, 1.0) == pytest.approx(2.0)
+            lap = cell_map(t, z, laplacian=True) @ samples(2, 0)
+            assert lap == pytest.approx(2.0)
 
     def test_constant_fit(self):
-        c = fit_cell(np.ones(12))
-        assert laplacian_cell(c, 0.3, 0.3, 1.0) == pytest.approx(0.0, abs=1e-12)
+        lap = cell_map(0.3, 0.3, laplacian=True) @ np.ones(12)
+        assert lap == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_centered_differences(self):
         rng = np.random.default_rng(24)
         for _ in range(25):
-            c = fit_cell(rng.uniform(-2.0, 2.0, 12))
+            data = rng.uniform(-2.0, 2.0, 12)
             t, z = rng.uniform(0.0, 1.0, 2)
             d = 1e-4
             fd = (
-                eval_cell(c, t + d, z)
-                + eval_cell(c, t - d, z)
-                + eval_cell(c, t, z + d)
-                + eval_cell(c, t, z - d)
-                - 4.0 * eval_cell(c, t, z)
+                oracle_value(data, t + d, z)
+                + oracle_value(data, t - d, z)
+                + oracle_value(data, t, z + d)
+                + oracle_value(data, t, z - d)
+                - 4.0 * oracle_value(data, t, z)
             ) / (d * d)
-            assert laplacian_cell(c, t, z, 1.0) == pytest.approx(fd, abs=1e-6)
-
-    def test_mesh_scaling(self):
-        rng = np.random.default_rng(25)
-        c = fit_cell(rng.uniform(-2.0, 2.0, 12))
-        base = laplacian_cell(c, 0.4, 0.6, 1.0)
-        assert laplacian_cell(c, 0.4, 0.6, 0.5) == pytest.approx(4.0 * base)
+            lap = cell_map(t, z, laplacian=True) @ data
+            assert lap == pytest.approx(fd, abs=1e-6)
 
 
 def constant_end():
