@@ -29,7 +29,9 @@ sibling .<name>.tmp, created exclusively and renamed over the file, hashes
 the bytes it wrote, writes manifest.json with those sha256 digests and prints
 "wrote ... to <dir>".  A path that cannot be a directory, or an output file
 that cannot be written, is a configuration error; a failed write removes its
-temporary sibling.  Files get the mode the umask allows.  Every numeric cell
+temporary sibling.  A sibling that already exists (a killed run leaves one)
+would stop the write, so it is reported, with the same message, before the
+run starts.  Files get the mode the umask allows.  Every numeric cell
 is printed with 13 significant digits, so re-running a command with the same
 config produces byte-identical data files.  The manifest carries the
 timestamp and the convention flags; data files carry neither.
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import hashlib
 import json
 import math
@@ -96,6 +99,11 @@ CONVENTIONS = {
     "transfer_boundary": "fine boundary ring pinned to 1/A_to",
     "stencil_fill": "out-of-domain stencil entries take 1/A_from",
 }
+
+
+# the data files each run command writes, in order; manifest.json follows
+STAGEWISE_FILES = ("stages.csv", "feedback.csv", "transitions.csv", "ledger.json")
+DIRECT_FILES = ("direct.json",)
 
 
 class ConfigError(Exception):
@@ -158,12 +166,31 @@ def _outdir() -> Path:
     return out
 
 
+def _sibling(path: Path) -> Path:
+    """The hidden sibling .<name>.tmp that a write of path goes through."""
+    return path.with_name(f".{path.name}.tmp")
+
+
+def _unwritable(path: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output file {path}: {exc}")
+
+
+def _check_siblings(outdir: Path, names: tuple[str, ...]) -> None:
+    """Raise before a run what its write would raise after it: the error
+    for the first of names, then manifest.json, whose sibling exists."""
+    for name in (*names, "manifest.json"):
+        tmp = _sibling(outdir / name)
+        if os.path.lexists(tmp):
+            exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(tmp))
+            raise _unwritable(outdir / name, exc)
+
+
 def _write_atomic(path: Path, text: str) -> str:
     """Write text to path through the hidden sibling .<name>.tmp, created
     exclusively and renamed over path; return the sha256 of the bytes
     written."""
     data = text.encode()
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = _sibling(path)
     try:
         handle = open(tmp, "xb")
         try:
@@ -174,7 +201,7 @@ def _write_atomic(path: Path, text: str) -> str:
             tmp.unlink()
             raise
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
     return hashlib.sha256(data).hexdigest()
 
 
@@ -194,33 +221,33 @@ def _csv(header: str, rows: list[tuple]) -> str:
 
 
 def _stagewise_files(report: RunReport) -> dict[str, str]:
+    """The texts of STAGEWISE_FILES, in that order."""
     records = report.records
-    return {
-        "stages.csv": _csv(
-            "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
-            "accumulated_time,e_start,e_end",
-            [(r.m, r.A, r.N, r.h, r.A2h2, r.scaled_time, r.min_W,
-              r.accumulated_time, r.E_start, r.E_end) for r in records],
-        ),
-        "feedback.csv": _csv(
-            "stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2",
-            [(r.m, r.K_start, r.K_end, r.coeff_start, r.coeff_end) for r in records],
-        ),
-        "transitions.csv": _csv(
-            "m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw",
-            [(t.m_from, t.m_to, t.E_end, t.E_id, t.E_start, t.delta_sw, t.eps_sw)
-             for t in report.transitions],
-        ),
-        "ledger.json": _json({
-            "e0": report.E0,
-            "d_star": report.ledger.D_star,
-            "rows": [asdict(r) for r in report.ledger.rows],
-            "stages": [asdict(r) for r in records],
-            "areas": report.areas,
-            "continuation": _lower_keys(asdict(report.continuation)),
-            "manifest": "manifest.json",
-        }),
-    }
+    stages = _csv(
+        "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
+        "accumulated_time,e_start,e_end",
+        [(r.m, r.A, r.N, r.h, r.A2h2, r.scaled_time, r.min_W,
+          r.accumulated_time, r.E_start, r.E_end) for r in records],
+    )
+    feedback = _csv(
+        "stage_m,k_start,k_end,lambda_k_start_inv2,lambda_k_end_inv2",
+        [(r.m, r.K_start, r.K_end, r.coeff_start, r.coeff_end) for r in records],
+    )
+    transitions = _csv(
+        "m_from,m_to,e_end,e_id,e_start,delta_sw,eps_sw",
+        [(t.m_from, t.m_to, t.E_end, t.E_id, t.E_start, t.delta_sw, t.eps_sw)
+         for t in report.transitions],
+    )
+    ledger = _json({
+        "e0": report.E0,
+        "d_star": report.ledger.D_star,
+        "rows": [asdict(r) for r in report.ledger.rows],
+        "stages": [asdict(r) for r in records],
+        "areas": report.areas,
+        "continuation": _lower_keys(asdict(report.continuation)),
+        "manifest": "manifest.json",
+    })
+    return dict(zip(STAGEWISE_FILES, (stages, feedback, transitions, ledger)))
 
 
 def _load(
@@ -258,6 +285,7 @@ def cmd_stagewise(config_path: str) -> int:
         config_path, StagewiseConfig, STAGEWISE_KEYS, STAGEWISE_OPTIONAL
     )
     outdir = _outdir()
+    _check_siblings(outdir, STAGEWISE_FILES)
     _emit(outdir, "stagewise", values, _stagewise_files(run_stagewise(cfg)))
     return EXIT_OK
 
@@ -265,8 +293,9 @@ def cmd_stagewise(config_path: str) -> int:
 def cmd_direct(config_path: str) -> int:
     values, cfg = _load(config_path, DirectConfig, DIRECT_KEYS)
     outdir = _outdir()
+    _check_siblings(outdir, DIRECT_FILES)
     direct = _json(_lower_keys(asdict(run_direct(cfg))))
-    _emit(outdir, "direct", values, {"direct.json": direct})
+    _emit(outdir, "direct", values, dict(zip(DIRECT_FILES, (direct,))))
     return EXIT_OK
 
 

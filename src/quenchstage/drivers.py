@@ -74,13 +74,14 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 5.7 s and 81.7 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 6.0 s and 73.2 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, median
-# of 3), 43.7 MiB by tracemalloc.  The last stage's steps set the peak: the
-# solver (its basis, inverse and gradient-form tables), the seed's ring of
-# six sources and the states the scored loop holds, each a 576^2 quarter.
+# of 3), 36.1 MiB by tracemalloc.  The last stage's steps set the peak, about
+# 14 quarters of 576^2: the seed's ring of six sources, the solver's three
+# tables (basis, inverse and gradient form), the stage start, the step start
+# and a Picard sweep's three arrays.
 # The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 80.5 MiB (10.8 s, one run).
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 72.9 MiB (7.9 s, one run).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a

@@ -203,11 +203,13 @@ class Field:
     quarter of a mirror-symmetric state on a folded one.  Admissible states
     have all interior values positive; this is checked by callers that
     require it (min_interior), never silently enforced here.  The minimum is
-    taken once, when the Field is built, so the values are not to be changed
-    in place afterwards.  interior is the whole interior array: the values
-    themselves on a dense frame, and their mirror expansion, a new array on
-    every read, on a folded one.  No run reads it: the drivers score the
-    frame values and the transfer reads a window of them (Frame.expand).
+    taken once, when the Field is built, and the values are read-only from
+    then on: a write into them raises ValueError.  The array is not copied,
+    so a caller that passes its own array has it frozen too.  interior is
+    the whole interior array: the values themselves on a dense frame, and
+    their mirror expansion, a new array on every read, on a folded one.  No
+    run reads it: the drivers score the frame values and the transfer reads
+    a window of them (Frame.expand).
 
     grad_norm_sq and K are sums of the values that the code building the
     Field already holds, or None: a Picard step hands its accepted state the
@@ -229,6 +231,7 @@ class Field:
             raise ValueError(
                 f"values shape {arr.shape} does not match frame {self.frame.shape}"
             )
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_min", float(arr.min()))
 

@@ -69,12 +69,11 @@ SEED_WEIGHTS = np.array(
      for p in range(SEED_ORDER + 1)],
     dtype=float,
 )
-# SEED_ROTATIONS[p, n, k]: the weight of ring row k in the degree-p seed whose
-# newest source is row n, SEED_WEIGHTS[p, (n - k) % (SEED_ORDER + 1)]
-SEED_ROTATIONS = SEED_WEIGHTS[
-    :, [[(n - k) % (SEED_ORDER + 1) for k in range(SEED_ORDER + 1)]
-        for n in range(SEED_ORDER + 1)]
-]
+# SEED_ROWS[p][n][k]: the weight of ring row k = 0..p in the degree-p seed
+# whose newest source is row n, SEED_WEIGHTS[p, (n - k) % (SEED_ORDER + 1)];
+# each row is an array of its own
+SEED_ROWS = [[SEED_WEIGHTS[p, (n - np.arange(p + 1)) % (SEED_ORDER + 1)]
+              for n in range(SEED_ORDER + 1)] for p in range(SEED_ORDER + 1)]
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
 # ends a step.  The source change F_new - F that the bound scales is also the
@@ -126,15 +125,20 @@ class DirichletSolver:
     rhs[i] = rhs[N-i] in each index.  Since
     sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
     of such data vanish and each odd mode is the sum over the lower half
-    i = 1..N//2 with weight 2, or 1 on the self-mirrored middle line
+    i = 1..N//2 with weight w_i = 2, or 1 on the self-mirrored middle line
     i = N/2 of an even N.  The solve then runs the same four products with
-    T = S[1..N//2, odd] on the output side and P = w T on the input side,
-    on the lower-left quarter of rhs; the full S is never built.
+    T = S[1..N//2, odd] on the output side and w T on the input side, on
+    the lower-left quarter of rhs; the full S is never built.  Since w T is
+    2T with the middle line of an even N halved, the solve halves that line
+    of rhs in place and the inverse table carries the factor 4, and as
+    scaling by a power of two is exact, the result is bit for bit that of
+    the products with w T.
 
     That quarter is the folded frame (with its weights w); on the dense
     frame, the whole interior, the set-up is the same with every mode, all
-    rows and w = 1.  solve takes and returns arrays in the solver's frame
-    only.
+    rows and w = 1.  The solver holds three frame arrays: T, the inverse
+    table and the gradient-form table.  solve takes and returns arrays in
+    the solver's frame only.
     """
 
     def __init__(self, frame: Frame, ds: float):
@@ -151,9 +155,11 @@ class DirichletSolver:
         eig = 2.0 - 2.0 * np.cos(np.pi * j / N)
         self._form = eig[:, None] + eig[None, :]
         mu = eig / frame.grid.h ** 2
-        self._inv = 1.0 / (1.0 / ds + mu[:, None] + mu[None, :])
-        P = w[:, None] * T
-        self._basis = (T, P.T, P, T.T)
+        # the factor 2 of w on each input side, off the middle line
+        fold = 4.0 if frame.mirrored else 1.0
+        self._inv = fold / (1.0 / ds + mu[:, None] + mu[None, :])
+        self._halve_middle = frame.mirrored and 2 * len(w) == N
+        self._T = T
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
@@ -164,29 +170,35 @@ class DirichletSolver:
         The basis diagonalizes the Dirichlet form too.  With X the sine
         coefficients of u, the sum of (u_i - u_j)^2 over all node pairs is
         sum_ab (l_a + l_b) X_ab^2, l_j = 2 - 2 cos(pi j / N), the odd-odd
-        modes being all of it on the folded frame; X is dropped once summed.
+        modes being all of it on the folded frame.  X is held in rhs, and
+        the solve allocates one more frame array, for its products and X^2.
         """
-        T, PT, P, TT = self._basis
-        X = PT @ rhs @ P
+        T = self._T
+        TT = T.T
+        if self._halve_middle:  # w = 1 on the middle line of an even N
+            rhs[-1] *= 0.5
+            rhs[:, -1] *= 0.5
+        work = TT @ rhs
+        X = np.matmul(work, T, out=rhs)
         X *= self._inv
-        u = np.matmul(T @ X, TT, out=rhs)
-        X *= X
-        return u, float(np.vdot(X, self._form))
+        grad_sq = float(np.vdot(np.multiply(X, X, out=work), self._form))
+        return np.matmul(np.matmul(T, X, out=work), TT, out=rhs), grad_sq
 
 
 def nonlocal_source(
-    Y: np.ndarray, frame: Frame, lam: float
+    Y: np.ndarray, frame: Frame, lam: float, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """The source lam/(Yc^2 K(Yc)^2) of the frame values Y and K(Yc), with
     Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc, the weighted frame
     sum (each interior node counted once).  Once min Y >= CLIP, Yc is Y and
-    K is discrete_energy's K of Y to the bit."""
-    Yc = np.maximum(Y, CLIP)
-    K = 1.0 + frame.grid.A2h2 * frame.sum(1.0 / Yc)
-    Yc *= Yc
-    Yc *= K
-    Yc *= K
-    return np.divide(lam, Yc, out=Yc), K
+    K is discrete_energy's K of Y to the bit.  1/Yc is written into scratch,
+    a frame array the caller may overwrite, or into a new one."""
+    S = np.maximum(Y, CLIP)
+    K = 1.0 + frame.grid.A2h2 * frame.sum(np.divide(1.0, S, out=scratch))
+    S *= S
+    S *= K
+    S *= K
+    return np.divide(lam, S, out=S), K
 
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
@@ -194,7 +206,8 @@ def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
     on one frame, with the weighted frame sum."""
     A, h = Y.grid.A, Y.grid.h
     diff = Y.values - Z.values
-    return (A * A / (2.0 * ds)) * (h * h * Y.frame.sum(diff * diff))
+    diff *= diff
+    return (A * A / (2.0 * ds)) * (h * h * Y.frame.sum(diff))
 
 
 def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
@@ -207,30 +220,39 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     degree-p polynomial through the last p + 1 sources evaluated one step
     ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
     20F_{n-2} - 15F_{n-3} + 6F_{n-4} - F_{n-5} for p = 5, and a copy of F_n
-    for a single source.  It is one product of the SEED_ROTATIONS row of p
-    and the newest row with the rows written so far: an unwritten row may
-    hold NaN, and 0 * NaN is NaN.  The row is copied, since the product's
-    last bits depend on where its operand sits in memory.
+    for a single source.  It is one product of the SEED_ROWS row of p and
+    the newest row with the rows written so far: an unwritten row may hold
+    NaN, and 0 * NaN is NaN.  The row is an array of its own, not a view
+    into a larger table, since the product's last bits depend on where its
+    operand sits in memory.
     """
     rows = min(count, len(ring))
-    weights = SEED_ROTATIONS[rows - 1, (count - 1) % len(ring), :rows].copy()
+    weights = SEED_ROWS[rows - 1][(count - 1) % len(ring)]
     return (weights @ ring[:rows].reshape(rows, -1)).reshape(ring.shape[1:])
 
 
 def picard_implicit_step(
-    Z: Field, solver: DirichletSolver, lam: float, source: np.ndarray | None = None
+    Z: Field,
+    solver: DirichletSolver,
+    lam: float,
+    source: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[Field, int, np.ndarray]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
     nonlocal source lam/(Y^2 K^2) at the amplitude A of the solver's grid.
 
-    The values of Z, the optional source array and the returned arrays are
-    in the solver's frame (see DirichletSolver), and a Z or source of
-    another shape raises ValueError.  Z's positivity is read off the minimum
-    it took when it was built.  The grid comes from the solver, whose ds is
-    the step size; one solver serves a whole stage.  The first sweep reads
-    the source F~, by default f(Z); march passes extrapolated_seed of the
-    accepted sources, the local-uniqueness check the source of a perturbed
-    Z.  The start changes the number of sweeps, not the stopping test.
+    The values of Z, the optional source and work arrays and the returned
+    arrays are in the solver's frame (see DirichletSolver), and a Z, source
+    or work of another shape raises ValueError.  Z's positivity is read off
+    the minimum it took when it was built.  The grid comes from the solver,
+    whose ds is the step size; one solver serves a whole stage.  The first
+    sweep reads the source F~, by default f(Z); march passes
+    extrapolated_seed of the accepted sources, the local-uniqueness check
+    the source of a perturbed Z.  The start changes the number of sweeps,
+    not the stopping test, and the step never writes into it.  work, if
+    given, is an array the step may overwrite (march lends it the ring row
+    that the step's source replaces); without it the first sweep allocates
+    one.
     Returns the accepted state Y, a Field on the solver's frame, its sweep
     count and f(Y), which the last sweep has computed.  Y carries the
     gradient sum of its solve and the K of f(Y), which discrete_energy reads;
@@ -248,15 +270,20 @@ def picard_implicit_step(
     """
     frame = solver.frame
     shape = frame.shape
-    if Z.values.shape != shape or (source is not None and source.shape != shape):
+    if (Z.values.shape != shape or (source is not None and source.shape != shape)
+            or (work is not None and work.shape != shape)):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
     if not Z.is_admissible():  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, frame.grid.g
-    # live grid arrays set large-N peak memory: F holds the only reference to
-    # the start source, which sweep 2 drops, and each sweep builds its
-    # right-hand side, solves and shifts by g in one buffer
+    # Live frame arrays set large-N peak memory.  Besides Z and work, a sweep
+    # holds at most three: the source F, the state Y (right-hand side,
+    # solution and shift by g in one buffer) and, in turn, the solve's
+    # product array and the new source, whose 1/Yc goes into work.  The move
+    # F_new - F and |Y| go into work in sweep 1, whose F is the caller's, and
+    # into F from sweep 2 on, whose F is this step's own.  F holds the only
+    # reference to the start source, which the end of sweep 1 drops.
     F = nonlocal_source(Z.values, frame, lam)[0] if source is None else source
     del source
     for sweeps in range(1, PICARD_MAX + 1):
@@ -265,12 +292,14 @@ def picard_implicit_step(
         Y -= F
         Y, grad_sq = solver.solve(Y)
         Y += g
-        F_new, K = nonlocal_source(Y, frame, lam)
+        F_new, K = nonlocal_source(Y, frame, lam, work)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
-        move = F_new - F
-        bound = ds * float(np.abs(move, out=move).max())
+        spare = np.subtract(F_new, F, out=F if sweeps > 1 else work)
+        bound = ds * float(np.abs(spare, out=spare).max())
+        scale = float(np.abs(Y, out=spare).max())
+        del spare
         F = F_new
-        if bound < STOP_MARGIN * PICARD_TOL * float(np.abs(Y).max()):
+        if bound < STOP_MARGIN * PICARD_TOL * scale:
             state = Field(frame, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
                 state = Field(frame, Y, grad_sq)
@@ -288,19 +317,22 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     prev).  The seed ring holds f(Z) and a copy of the source f(Y) each step
     hands back, so the run evaluates one source per solve and one at its
     start; before step n it has written n sources and holds the last
-    SEED_ORDER + 1 of them."""
+    SEED_ORDER + 1 of them.  The row that step n's source replaces is
+    unwritten or read last by step n's seed, so the step takes it as its
+    work array."""
     logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
     solver = DirichletSolver(Z.frame, ds)
     ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
     ring[0] = nonlocal_source(Z.values, Z.frame, lam)[0]
     for step in itertools.count(1):
+        row = ring[step % len(ring)]
         try:
             Y, sweeps, F = picard_implicit_step(
-                Z, solver, lam, extrapolated_seed(ring, step)
+                Z, solver, lam, extrapolated_seed(ring, step), row
             )
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        ring[step % len(ring)] = F
+        row[...] = F
         del F
         yield StepReport(Z, Y, sweeps)
         Z = Y

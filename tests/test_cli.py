@@ -752,3 +752,48 @@ def test_internal_error_exit_code(tmp_path, outdir, monkeypatch, capsys):
     assert err.startswith("internal error: RuntimeError('injected fault')")
     assert "Traceback (most recent call last)" in err
     assert err.rstrip().endswith("RuntimeError: injected fault")
+
+
+@pytest.mark.parametrize(
+    "command, stale",
+    [("stagewise", "stages.csv"), ("stagewise", "ledger.json"),
+     ("stagewise", "manifest.json"), ("direct", "direct.json"),
+     ("direct", "manifest.json")],
+)
+def test_stale_sibling_stops_the_run_before_it_starts(
+    tmp_path, outdir, monkeypatch, capsys, command, stale
+):
+    # the sibling of any file the command writes is found before the run:
+    # no stage or step runs, and the message and exit code are those of the
+    # write that the sibling would stop
+    runs = []
+    for name in ("run_stagewise", "run_direct"):
+        monkeypatch.setattr(f"quenchstage.cli.{name}", lambda cfg: runs.append(cfg))
+    outdir.mkdir()
+    sibling = outdir / f".{stale}.tmp"
+    sibling.write_text("keep\n")
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", base)
+    assert main([command, "--config", cfg]) == 2
+    assert runs == []
+    with pytest.raises(ConfigError) as write:
+        quenchstage.cli._write_atomic(outdir / stale, "text\n")
+    assert capsys.readouterr().err == f"config error: {write.value}\n"
+    assert str(write.value) == (
+        f"cannot write output file {outdir / stale}: "
+        f"[Errno 17] File exists: '{sibling}'"
+    )
+    assert sibling.read_text() == "keep\n"
+    assert sorted(p.name for p in outdir.iterdir()) == [sibling.name]
+
+
+@pytest.mark.parametrize("command", ["stagewise", "direct"])
+def test_checked_siblings_are_the_written_files(tmp_path, outdir, command):
+    # the names checked before the run are the files the run writes, in order
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", base)
+    assert main([command, "--config", cfg]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    names = {"stagewise": quenchstage.cli.STAGEWISE_FILES,
+             "direct": quenchstage.cli.DIRECT_FILES}[command]
+    assert tuple(manifest["outputs"]) == names

@@ -8,6 +8,7 @@ diagonalization used by the package.
 import collections
 import functools
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -871,3 +872,57 @@ class TestStepperConfig:
         assert stepper.PICARD_TOL == 1e-10
         assert stepper.PICARD_MAX == 50
         assert stepper.CLIP == 1e-12
+
+
+class TestWorkingSet:
+    """Frame arrays alive while a folded stage steps, counted in quarters
+    of n^2 doubles (n = N // 2)."""
+
+    @pytest.mark.parametrize("m", [0, 1])  # N = 9 (odd) and 18 (even)
+    def test_solver_holds_three_frame_arrays(self, m):
+        # T, the inverse table and the gradient-form table, also after a solve
+        Z = reference_stage_start(m)
+        solver = DirichletSolver(Z.frame, StagewiseConfig().ds)
+        n = Z.frame.shape[0]
+        solver.solve(np.ones(Z.frame.shape))
+        arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 3 * n * n * 8
+
+    def test_stage_step_peak(self):
+        # stage 3 of the reference run (N = 72): above its start, the seed
+        # ring (6), the solver (3), the step start (1) and a sweep's three
+        # arrays (the source, the state and one more).  Measured at 13.30
+        # quarters; with four solver tables and a spare array per sweep
+        # step it read 16.33.
+        cfg = StagewiseConfig()
+        state = StageState(m=3, Z=reference_stage_start(3), t=0.0)
+        n = state.Z.frame.shape[0]
+        run_stage(state, cfg)
+        tracemalloc.start()
+        try:
+            run_stage(state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 13.0 <= peak / (n * n * 8) <= 13.5
+
+    def test_work_array_changes_no_bit(self):
+        # march lends each step a ring row: the step overwrites it and
+        # returns the state, sweeps and source of a step without one, and
+        # leaves its given source as it was
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(1)
+        solver = DirichletSolver(Z.frame, cfg.ds)
+        seed = 2.0 * nonlocal_source(Z.values, Z.frame, cfg.lam)[0]
+        given = seed.copy()
+        work = np.full(Z.frame.shape, np.nan)
+        plain = picard_implicit_step(Z, solver, cfg.lam, given)
+        lent = picard_implicit_step(Z, solver, cfg.lam, given, work)
+        assert np.array_equal(given, seed)
+        assert not np.isnan(work).any()
+        assert lent[1] == plain[1] > 1
+        assert np.array_equal(lent[0].values, plain[0].values)
+        assert np.array_equal(lent[2], plain[2])
+        assert not any(np.shares_memory(work, a) for a in (lent[0].values, lent[2]))
+        with pytest.raises(ValueError, match="solver's frame"):
+            picard_implicit_step(Z, solver, cfg.lam, given, work[1:])
