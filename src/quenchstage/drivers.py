@@ -25,7 +25,7 @@ initial_rescaled_profile and step with the same backward-Euler + Picard
 scheme (K = 1 + h^2 sum 1/v here).  Its threshold is 0: a step that leaves
 the positive cone (the deficit quenches) is a numerical failure.
 
-Both drivers run one loop, scored_march over stepper.march, which yields
+Both drivers run one loop, scored_march over a stepper.march, which yields
 every step as Fields on the start's frame (grid.Frame), the folded quarter
 in every run.  The loop scores the energy, the movement penalty and the sweeps
 of each completed step on that frame and stops at the first step whose
@@ -34,7 +34,10 @@ Each driver scores its start, and run_stage the crossing step's penalty and
 the event interpolated there.  A state march yields carries the gradient
 sum and K of its energy, so only the starts and the events are summed from
 their values (grid.Frame.grad_norm_sq).  No state is expanded to the whole
-interior: the transfer reads each event's stencils from its quarter.
+interior: the transfer reads each event's stencils from its quarter.  Each
+driver builds the march and hands it the last reference to its start, so
+the start is freed once step 1 is scored, and run_stagewise drops each event
+once the next start is built from it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import itertools
 import logging
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,7 +61,7 @@ from .energy import (
     switch_jump,
 )
 from .prolongation import prolong_stage
-from .stepper import NumericalError, march, movement_penalty
+from .stepper import NumericalError, StepReport, march, movement_penalty
 
 logger = logging.getLogger(__name__)
 
@@ -74,14 +78,15 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 6.0 s and 73.2 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 6.3 s and 70.4 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, median
-# of 3), 36.1 MiB by tracemalloc.  The last stage's steps set the peak, about
-# 14 quarters of 576^2: the seed's ring of six sources, the solver's three
-# tables (basis, inverse and gradient form), the stage start, the step start
-# and a Picard sweep's three arrays.
+# of 3), 32.9 MiB by tracemalloc.  The last stage's steps set the peak, about
+# 13 quarters of 576^2: the seed's ring of seven sources, the solver's three
+# tables (basis, inverse and gradient form), the step start and a Picard
+# sweep's two arrays besides the ring row that holds its source.
 # The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 72.9 MiB (7.9 s, one run).
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 69.8 MiB (7.7-7.9 s, two
+# runs).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -282,21 +287,22 @@ def detect_trigger(min_prev: float, min_next: float, thr: float) -> float | None
 
 
 def scored_march(
-    Z: Field, E_start: float, ds: float, lam: float, thr: float, cap: int, where: str
+    steps: Iterator[StepReport], min_start: float, E_start: float, ds: float,
+    lam: float, thr: float, where: str,
 ) -> tuple[DirectReport, tuple[Field, Field, float] | None]:
-    """March from Z, of energy E_start, until a step ends at or below thr
-    (detect_trigger) or cap steps complete, scoring each completed step: its
-    energy, an increase above round-off (counted and logged), its movement
-    penalty and its sweeps.  Returns the sums, the crossing step's sweeps
-    included, with E_end and min_v of the last completed state (Z if none),
-    and the crossing step's (prev, next, tau), or None."""
-    min_prev, E_prev = Z.min_interior(), E_start
+    """Score the steps of a march from a start of minimum min_start and
+    energy E_start until a step ends at or below thr (detect_trigger) or the
+    steps run out: each completed step's energy, an increase above round-off
+    (counted and logged), its movement penalty and its sweeps.  Returns the
+    sums, the crossing step's sweeps included, with E_end and min_v of the
+    last completed state (the start if none), and the crossing step's
+    (prev, next, tau), or None."""
+    min_prev, E_prev = min_start, E_start
     completed = sweeps = increases = 0
     dissipation, crossing = 0.0, None
     # no reference to a report outlives its loop body, so the start of the
-    # previous step is freed before march computes the next one, and the
-    # march (its solver and seed ring) is freed when the loop ends
-    for rep in itertools.islice(march(Z, ds, lam, where), cap):
+    # previous step is freed before march computes the next one
+    for rep in steps:
         sweeps += rep.picard_iters
         min_next = rep.next.min_interior()
         tau = detect_trigger(min_prev, min_next, thr)
@@ -326,21 +332,27 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     transfer reads.  A start whose minimum is not above the threshold
     raises TransferError, no trigger within the step cap StageRunawayError,
     and a record with a non-finite float (an overflowed energy or penalty)
-    NumericalError.
+    NumericalError.  The start is freed once step 1 is scored if the caller
+    holds no reference to state, as run_stagewise holds none.
     """
-    Z = state.Z
+    m, t, Z = state.m, state.t, state.Z
+    del state
     thr = cfg.threshold
     min_start = Z.min_interior()
     if not min_start > thr:  # also true for a nonpositive or NaN minimum
         raise TransferError(
-            f"stage {state.m} starts at or below the trigger threshold: "
+            f"stage {m} starts at or below the trigger threshold: "
             f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
         )
     start = discrete_energy(Z, cfg.lam)
-    scored, crossing = scored_march(Z, start.total, cfg.ds, cfg.lam, thr,
-                                    cfg.step_cap, f"stage {state.m}")
+    grid, where = Z.grid, f"stage {m}"
+    steps = itertools.islice(march(Z, cfg.ds, cfg.lam, where), cfg.step_cap)
+    del Z  # march holds the start alone and drops it once step 1 is scored
+    scored, crossing = scored_march(steps, min_start, start.total, cfg.ds,
+                                    cfg.lam, thr, where)
+    del steps  # the march, with its solver and seed ring
     if crossing is None:
-        raise StageRunawayError(f"stage {state.m}: no trigger within "
+        raise StageRunawayError(f"stage {m}: no trigger within "
                                 f"{cfg.step_cap} steps")
     prev, nxt, tau = crossing
     dissipation = scored.dissipation_sum + tau * movement_penalty(nxt, prev, cfg.ds)
@@ -351,17 +363,17 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     gap = min_W - thr
     logger.info(
         "stage %d: trigger after %d full steps, tau=%.6f, "
-        "min W - thr = %.3e", state.m, scored.steps, tau, gap,
+        "min W - thr = %.3e", m, scored.steps, tau, gap,
     )
     record = StageRecord(
-        m=state.m,
-        A=Z.grid.A,
-        N=Z.grid.N,
-        h=Z.grid.h,
-        A2h2=Z.grid.A2h2,
+        m=m,
+        A=grid.A,
+        N=grid.N,
+        h=grid.h,
+        A2h2=grid.A2h2,
         scaled_time=s_star,
         min_W=min_W,
-        accumulated_time=state.t + s_star * Z.grid.A ** 3,
+        accumulated_time=t + s_star * grid.A ** 3,
         E_start=start.total,
         E_end=end.total,
         K_start=start.K,
@@ -376,19 +388,23 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     )
     nonfinite = [name for name, x in vars(record).items() if not math.isfinite(x)]
     if nonfinite:
-        raise NumericalError(f"stage {state.m}: non-finite {', '.join(nonfinite)}")
+        raise NumericalError(f"stage {m}: non-finite {', '.join(nonfinite)}")
     return record, event
 
 
 def run_stagewise(cfg: StagewiseConfig) -> RunReport:
     """Execute the full stagewise run and assemble all diagnostics."""
-    Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
+    # run_stage takes each start out of the list, so no start is held here
+    # while its stage runs, and no event once the next start is built from it
+    starts = [initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)]
     records: list[StageRecord] = []
     t = 0.0
     for m in range(cfg.max_stages):
         if m:
-            Z, t = prolong_stage(event, cfg.k), records[-1].accumulated_time
-        record, event = run_stage(StageState(m=m, Z=Z, t=t), cfg)
+            starts.append(prolong_stage(event, cfg.k))
+            del event
+            t = records[-1].accumulated_time
+        record, event = run_stage(StageState(m=m, Z=starts.pop(), t=t), cfg)
         records.append(record)
 
     rows = []
@@ -426,9 +442,11 @@ def run_direct(cfg: DirectConfig) -> DirectReport:
     first step whose minimum is nonpositive or NaN (the deficit quenches)
     raises NumericalError.  Every step is scored on the solver's frame."""
     v = initial_rescaled_profile(1.0, cfg.N, cfg.u0_amplitude)
-    E_start = discrete_energy(v, cfg.lam).total
-    report, crossing = scored_march(v, E_start, cfg.dt, cfg.lam, 0.0, cfg.steps,
-                                    "direct run")
+    E_start, min_start = discrete_energy(v, cfg.lam).total, v.min_interior()
+    steps = itertools.islice(march(v, cfg.dt, cfg.lam, "direct run"), cfg.steps)
+    del v  # march holds the start alone and drops it once step 1 is scored
+    report, crossing = scored_march(steps, min_start, E_start, cfg.dt, cfg.lam,
+                                    0.0, "direct run")
     if crossing is not None:
         raise NumericalError(
             f"direct run, step {report.steps + 1}: the state left the positive "

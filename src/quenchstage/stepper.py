@@ -58,12 +58,14 @@ from .energy import discrete_energy
 logger = logging.getLogger(__name__)
 
 # Degree of the polynomial through the last SEED_ORDER + 1 accepted sources
-# that starts each step's first sweep.  On the 6-stage run degree 3 takes 1799
-# solves, 4 takes 1200 and 5 takes 1010 for 906 steps; each stage keeps six
+# that starts each step's first sweep.  On the 6-stage run, 906 steps at every
+# degree, degrees 3 to 8 take 1799, 1200, 1010, 956, 950 and 1058 solves.  At
+# degree 6 the 4-stage run takes 657 (701 at degree 5, 651 at 7) and the
+# direct run 190 for 160 steps (215 at 5, 206 at 7).  Each stage keeps seven
 # sources (quarter grids on a folded stage) alive, in one ring array.
-SEED_ORDER = 5
+SEED_ORDER = 6
 # Row p: the weight (-1)^i C(p+1, i+1) of F_{n-i} in the degree-p seed,
-# 6, -15, 20, -15, 6, -1 at p = 5, and 0 past i = p.
+# 7, -21, 35, -35, 21, -7, 1 at p = 6, and 0 past i = p.
 SEED_WEIGHTS = np.array(
     [[(-1) ** i * math.comb(p + 1, i + 1) for i in range(SEED_ORDER + 1)]
      for p in range(SEED_ORDER + 1)],
@@ -186,19 +188,19 @@ class DirichletSolver:
 
 
 def nonlocal_source(
-    Y: np.ndarray, frame: Frame, lam: float, scratch: np.ndarray | None = None
+    Y: np.ndarray, frame: Frame, lam: float
 ) -> tuple[np.ndarray, float]:
-    """The source lam/(Yc^2 K(Yc)^2) of the frame values Y and K(Yc), with
-    Yc = max(Y, CLIP) and K(Yc) = 1 + A^2 h^2 sum 1/Yc, the weighted frame
-    sum (each interior node counted once).  Once min Y >= CLIP, Yc is Y and
-    K is discrete_energy's K of Y to the bit.  1/Yc is written into scratch,
-    a frame array the caller may overwrite, or into a new one."""
-    S = np.maximum(Y, CLIP)
-    K = 1.0 + frame.grid.A2h2 * frame.sum(np.divide(1.0, S, out=scratch))
-    S *= S
-    S *= K
-    S *= K
-    return np.divide(lam, S, out=S), K
+    """The source F = lam/(Yc^2 K^2) of the frame values Y, a new frame array,
+    and K = 1 + A^2 h^2 sum 1/Yc, the weighted frame sum (each interior node
+    counted once), with Yc = max(Y, CLIP).  One division per node: the terms
+    R = 1/Yc that K sums give F = (lam/K^2) R^2, in R's array.  Once
+    min Y >= CLIP, Yc is Y and K is discrete_energy's K of Y to the bit."""
+    R = np.maximum(Y, CLIP)
+    np.divide(1.0, R, out=R)
+    K = 1.0 + frame.grid.A2h2 * frame.sum(R)
+    R *= R
+    R *= lam / (K * K)
+    return R, K
 
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
@@ -218,13 +220,13 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     SEED_ORDER + 1 rows: the k-th source written (k = 0 .. count - 1) is row
     k % len(ring).  With p = min(SEED_ORDER, count - 1) the seed is the
     degree-p polynomial through the last p + 1 sources evaluated one step
-    ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 6F_n - 15F_{n-1} +
-    20F_{n-2} - 15F_{n-3} + 6F_{n-4} - F_{n-5} for p = 5, and a copy of F_n
-    for a single source.  It is one product of the SEED_ROWS row of p and
-    the newest row with the rows written so far: an unwritten row may hold
-    NaN, and 0 * NaN is NaN.  The row is an array of its own, not a view
-    into a larger table, since the product's last bits depend on where its
-    operand sits in memory.
+    ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 7F_n - 21F_{n-1} +
+    35F_{n-2} - 35F_{n-3} + 21F_{n-4} - 7F_{n-5} + F_{n-6} for p = 6, and a
+    copy of F_n for a single source.  It is one product of the SEED_ROWS
+    row of p and the newest row with the rows written so far: an unwritten
+    row may hold NaN, and 0 * NaN is NaN.  The row is an array of its own,
+    not a view into a larger table, since the product's last bits depend on
+    where its operand sits in memory.
     """
     rows = min(count, len(ring))
     weights = SEED_ROWS[rows - 1][(count - 1) % len(ring)]
@@ -249,10 +251,11 @@ def picard_implicit_step(
     sweep reads the source F~, by default f(Z); march passes
     extrapolated_seed of the accepted sources, the local-uniqueness check
     the source of a perturbed Z.  The start changes the number of sweeps,
-    not the stopping test, and the step never writes into it.  work, if
-    given, is an array the step may overwrite (march lends it the ring row
-    that the step's source replaces); without it the first sweep allocates
-    one.
+    not the stopping test.  work, if given, is an array the step may
+    overwrite, and without it sweep 1 allocates one; from sweep 2 on it
+    holds the sweep's source.  The step never writes into the start source
+    unless it is work itself: march writes the seed into the ring row that
+    the step's source replaces and passes that row as both.
     Returns the accepted state Y, a Field on the solver's frame, its sweep
     count and f(Y), which the last sweep has computed.  Y carries the
     gradient sum of its solve and the K of f(Y), which discrete_energy reads;
@@ -277,13 +280,14 @@ def picard_implicit_step(
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, frame.grid.g
-    # Live frame arrays set large-N peak memory.  Besides Z and work, a sweep
-    # holds at most three: the source F, the state Y (right-hand side,
-    # solution and shift by g in one buffer) and, in turn, the solve's
-    # product array and the new source, whose 1/Yc goes into work.  The move
-    # F_new - F and |Y| go into work in sweep 1, whose F is the caller's, and
-    # into F from sweep 2 on, whose F is this step's own.  F holds the only
-    # reference to the start source, which the end of sweep 1 drops.
+    # Live frame arrays set large-N peak memory.  Besides Z, the start source
+    # and work, a sweep holds two: the state Y (right-hand side, solution and
+    # shift by g in one buffer) and, in turn, the solve's product array and
+    # the new source F_new.  The move F_new - F and |Y| go into work, which
+    # takes a copy of F_new if a sweep follows, so from sweep 2 on F is work
+    # and the start source is dropped.  march passes one ring row as both the
+    # start source and work, so a step holds two frame arrays besides Z and
+    # the ring.
     F = nonlocal_source(Z.values, frame, lam)[0] if source is None else source
     del source
     for sweeps in range(1, PICARD_MAX + 1):
@@ -292,18 +296,20 @@ def picard_implicit_step(
         Y -= F
         Y, grad_sq = solver.solve(Y)
         Y += g
-        F_new, K = nonlocal_source(Y, frame, lam, work)
-        # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
-        spare = np.subtract(F_new, F, out=F if sweeps > 1 else work)
-        bound = ds * float(np.abs(spare, out=spare).max())
-        scale = float(np.abs(Y, out=spare).max())
-        del spare
-        F = F_new
+        F_new, K = nonlocal_source(Y, frame, lam)
+        # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds;
+        # F is read here for the last time, so work may be F itself
+        move = np.subtract(F_new, F, out=work)
+        bound = ds * float(np.abs(move, out=move).max())
+        scale = float(np.abs(Y, out=move).max())
         if bound < STOP_MARGIN * PICARD_TOL * scale:
             state = Field(frame, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
                 state = Field(frame, Y, grad_sq)
-            return state, sweeps, F
+            return state, sweeps, F_new
+        F = work = move  # a new array if the step was lent no work
+        F[...] = F_new
+        del F_new
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -318,18 +324,19 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     hands back, so the run evaluates one source per solve and one at its
     start; before step n it has written n sources and holds the last
     SEED_ORDER + 1 of them.  The row that step n's source replaces is
-    unwritten or read last by step n's seed, so the step takes it as its
-    work array."""
+    unwritten or read last by step n's seed, so the seed is written there
+    and the step takes that row as its start source and its work array.
+    Z is held only as the current step's start: a caller that hands march
+    the only reference to its start has it freed once step 1 is scored."""
     logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
     solver = DirichletSolver(Z.frame, ds)
     ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
     ring[0] = nonlocal_source(Z.values, Z.frame, lam)[0]
     for step in itertools.count(1):
         row = ring[step % len(ring)]
+        row[...] = extrapolated_seed(ring, step)
         try:
-            Y, sweeps, F = picard_implicit_step(
-                Z, solver, lam, extrapolated_seed(ring, step), row
-            )
+            Y, sweeps, F = picard_implicit_step(Z, solver, lam, row, row)
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
         row[...] = F

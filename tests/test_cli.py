@@ -265,7 +265,7 @@ class TestDirectCommand:
             "e_start", "e_end", "min_v", "max_u",
             "steps", "picard_sweeps", "dissipation_sum", "energy_increases",
         ]
-        assert (data["steps"], data["picard_sweeps"]) == (160, 215)
+        assert (data["steps"], data["picard_sweeps"]) == (160, 190)
         assert data["dissipation_sum"] == pytest.approx(0.04429996752928, rel=1e-6)
         assert data["energy_increases"] == 0
 

@@ -3,9 +3,10 @@
 tests/test_acceptance.py pins stages 0-3 of the reference config.  Here the
 same config runs to 6 stages, and stages 4 and 5 are checked cell by cell
 against the table in perfbench/reference.json, read from that file, so the
-benchmark and the tests share one table.  The steps per stage are pinned
-exactly, and the mirror-folded solve that the reference runs take is checked
-against the dense solve on every table cell of the 4-stage run.
+benchmark and the tests share one table.  The steps and Picard sweeps per
+stage are pinned exactly, and the mirror-folded solve that the reference runs
+take is checked against the dense solve on every table cell of the 4-stage
+run.
 """
 
 import csv
@@ -77,6 +78,9 @@ def test_deep_grids_and_steps_per_stage(deep):
     tables, ledger = deep
     assert [row[2] for row in tables["stages.csv"]] == [9, 18, 36, 72, 144, 288]
     assert [s["steps"] for s in ledger["stages"]] == [139, 129, 182, 165, 149, 136]
+    # the degree-6 source seed's solves: 956 in all
+    sweeps = [s["picard_sweeps"] for s in ledger["stages"]]
+    assert sweeps == [155, 139, 190, 173, 156, 143]
 
 
 def test_dense_solve_matches_folded_run(tmp_path, monkeypatch, caplog):

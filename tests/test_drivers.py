@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchstage import stepper
+from quenchstage import drivers, stepper
 from quenchstage.cli import main
 from quenchstage.drivers import (
     MAX_N,
@@ -474,12 +474,12 @@ class TestRunStagewise:
         report = run_stagewise(StagewiseConfig())
         assert [r.steps for r in report.records] == [139, 129, 182, 165]
         assert sum(r.picard_sweeps for r in report.records) == len(solves)
-        # the degree-5 source seed leaves about 1.1 sweeps per step (1127
-        # solves with the cubic state seed, 3117 when starting from Z), and
-        # the certified stop saves the confirming solve; pinned, so a lost
-        # sweep shows
-        assert [r.picard_sweeps for r in report.records] == [173, 151, 198, 179]
-        assert len(solves) == 701
+        # the degree-6 source seed leaves about 1.06 sweeps per step (701
+        # solves at degree 5, 1127 with the cubic state seed, 3117 when
+        # starting from Z), and the certified stop saves the confirming
+        # solve; pinned, so a lost sweep shows
+        assert [r.picard_sweeps for r in report.records] == [155, 139, 190, 173]
+        assert len(solves) == 657
         # every record counts its own grid's solves, crossing step included;
         # every stage folds, so each sweep solves on the N//2 quarter
         for r in report.records:
@@ -611,9 +611,10 @@ class TestRunDirect:
 
         monkeypatch.setattr(DirichletSolver, "solve", counting)
         run_direct(DirectConfig())
-        # 160 steps; the degree-5 source seed takes 215 solves, the cubic
-        # state seed 392 and seeding from the previous state 952
-        assert len(solves) == 215
+        # 160 steps; the degree-6 source seed takes 190 solves, degree 5
+        # 215, the cubic state seed 392 and seeding from the previous state
+        # 952
+        assert len(solves) == 190
 
     def test_stage0_is_the_direct_run(self):
         # on the full domain W = v/A0 and s = t/A0^3 change variables exactly:
@@ -710,8 +711,9 @@ class TestRunDirect:
         ))
         Z = stage0_state(cfg).Z
         E_start = discrete_energy(Z, cfg.lam).total
+        steps = itertools.islice(stepper.march(Z, ds, cfg.lam, "stage 0"), 139)
         stage, crossing = scored_march(
-            Z, E_start, ds, cfg.lam, cfg.threshold, 139, "stage 0"
+            steps, Z.min_interior(), E_start, ds, cfg.lam, cfg.threshold, "stage 0"
         )
         assert crossing is None
         assert direct.steps == stage.steps == 139
@@ -831,6 +833,41 @@ def test_previous_report_is_freed_before_the_next_step(monkeypatch, run, crossed
     report = run()
     assert len(alive) == report.steps + crossed
     assert alive == [0] * len(alive)
+
+
+def test_stage_start_and_event_are_freed(monkeypatch):
+    # run_stagewise hands each stage start on to march, which drops it once
+    # step 1 has been scored, and keeps no event once the next start is
+    # built from it: from step 2 of a stage on, neither the stage's start
+    # nor an earlier event is alive
+    starts, events, seen = [], [], []
+    march, prolong = drivers.march, drivers.prolong_stage
+    picard = stepper.picard_implicit_step
+
+    def recording_march(Z, *args):
+        starts.append(weakref.ref(Z))
+        return march(Z, *args)
+
+    def recording_prolong(event, *args):
+        events.append(weakref.ref(event))
+        return prolong(event, *args)
+
+    def stepping(Z, *args):
+        start = starts[-1]()
+        alive = sum(ref() is not None for ref in events)
+        seen.append((len(starts) - 1, Z is start, start is not None, alive))
+        del start
+        return picard(Z, *args)
+
+    monkeypatch.setattr(drivers, "march", recording_march)
+    monkeypatch.setattr(drivers, "prolong_stage", recording_prolong)
+    monkeypatch.setattr(stepper, "picard_implicit_step", stepping)
+    report = run_stagewise(StagewiseConfig())
+    assert len(events) == len(report.records) - 1
+    want = []
+    for m, r in enumerate(report.records):
+        want += [(m, True, True, 0)] + [(m, False, False, 0)] * r.steps
+    assert seen == want
 
 
 def test_runs_read_no_full_grid_state(monkeypatch):

@@ -453,7 +453,7 @@ class TestMarch:
 
     @pytest.mark.parametrize("folded", [True, False])
     def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
-        # one ring of six sources in the solver's frame, which owns its
+        # one ring of seven sources in the solver's frame, which owns its
         # memory (folded: quarters; dense: full interiors), holds copies of
         # the sources the steps hand back and drops each original
         cfg = StagewiseConfig()
@@ -481,7 +481,7 @@ class TestMarch:
         monkeypatch.setattr(stepper, "extrapolated_seed", recording)
         monkeypatch.setattr(stepper, "picard_implicit_step", stepping)
         reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 1"), 8))
-        assert [len(h) for h in seen] == [1, 2, 3, 4, 5, 6, 6, 6]
+        assert [len(h) for h in seen] == [1, 2, 3, 4, 5, 6, 7, 7]
         assert all(ring is rings[0] for ring in rings)
         assert rings[0].shape == (SEED_ORDER + 1, *shape)
         assert rings[0].base is None
@@ -493,7 +493,7 @@ class TestMarch:
         assert np.array_equal(
             seen[0][0], nonlocal_source(Z.values, Z.frame, cfg.lam)[0]
         )
-        for source, rep in zip(seen[-1][1:], reps[-6:-1], strict=True):
+        for source, rep in zip(seen[-1][1:], reps[-7:-1], strict=True):
             want, _ = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
             assert np.array_equal(source, want)
 
@@ -616,7 +616,8 @@ class TestSourceAndPenalty:
         N, A, lam = int(rng.integers(3, 12)), float(rng.uniform(0.2, 2.0)), 20.0
         Y = random_state(N=N, A=A, lo=1e-3, hi=3.0, seed=seed)
         K = reciprocal_K(Y)
-        want = lam / (Y.interior ** 2 * K * K)
+        # one division per node: the terms 1/Y that K sums, squared and scaled
+        want = (lam / (K * K)) * (1.0 / Y.interior) ** 2
         got, got_K = nonlocal_source(Y.interior, Frame(Y.grid), lam)
         assert np.array_equal(got, want)
         # no value is below CLIP, so the source's K is the energy's
@@ -640,7 +641,7 @@ class TestSourceAndPenalty:
         Y = np.array([[1.0, -2.0], [0.0, 1e-20]])
         Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
         K = reciprocal_K(Field(Frame(grid), Yc))
-        want = 3.0 / (Yc ** 2 * K * K)
+        want = (3.0 / (K * K)) * (1.0 / Yc) ** 2
         got, got_K = nonlocal_source(Y, Frame(grid), 3.0)
         assert np.array_equal(got, want)
         # K of the clipped values, which is not the energy's K of Y (+inf)
@@ -681,7 +682,7 @@ class TestExtrapolatedSeed:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reproduces_next_term_of_cubic(self, seed):
-        # up to six sources, and past six, where the ring has wrapped
+        # up to seven sources, and past seven, where the ring has wrapped
         states = self.polynomial_states(3, 9, seed=seed)
         for n in range(4, 10):
             history = states[:n]
@@ -704,12 +705,13 @@ class TestExtrapolatedSeed:
         quad = self.polynomial_states(2, 2, seed=7)
         assert np.max(np.abs(seed_of(quad[:2]) - quad[2])) > 1e-3
 
-    def test_weights_on_last_six_sources(self):
-        assert SEED_WEIGHTS[SEED_ORDER].tolist() == [6, -15, 20, -15, 6, -1]
+    def test_weights_on_last_seven_sources(self):
+        assert SEED_WEIGHTS[SEED_ORDER].tolist() == [7, -21, 35, -35, 21, -7, 1]
         rng = np.random.default_rng(3)
-        history = [rng.uniform(size=(2, 2)) for _ in range(8)]
-        F0, F1, F2, F3, F4, F5 = history[:-7:-1]
-        want = 6.0 * F0 - 15.0 * F1 + 20.0 * F2 - 15.0 * F3 + 6.0 * F4 - F5
+        history = [rng.uniform(size=(2, 2)) for _ in range(9)]
+        F0, F1, F2, F3, F4, F5, F6 = history[:-8:-1]
+        want = (7.0 * F0 - 21.0 * F1 + 35.0 * F2 - 35.0 * F3 + 21.0 * F4
+                - 7.0 * F5 + F6)
         assert np.max(np.abs(seed_of(history) - want)) <= 1e-13
 
     def test_rotation_table_is_the_per_call_row(self):
@@ -889,18 +891,20 @@ class TestWorkingSet:
         assert sum(a.nbytes for a in arrays) == 3 * n * n * 8
 
     def test_stage_step_peak(self):
-        # stage 3 of the reference run (N = 72): above its start, the seed
-        # ring (6), the solver (3), the step start (1) and a sweep's three
-        # arrays (the source, the state and one more).  Measured at 13.30
-        # quarters; with four solver tables and a spare array per sweep
-        # step it read 16.33.
+        # stage 3 of the reference run (N = 72), its start built inside the
+        # trace and handed to run_stage as run_stagewise hands it, with no
+        # other reference: the seed ring (7), the solver (3), the step start
+        # (1, the stage start at step 1) and a sweep's two arrays besides
+        # the ring row that holds its source (the state and, in turn, the
+        # solve's product array and the new source).  Measured at 13.30
+        # quarters; a start held for the whole stage reads 14.35.
         cfg = StagewiseConfig()
-        state = StageState(m=3, Z=reference_stage_start(3), t=0.0)
-        n = state.Z.frame.shape[0]
-        run_stage(state, cfg)
+        Z = reference_stage_start(3)
+        n = Z.frame.shape[0]
+        run_stage(StageState(m=3, Z=Z, t=0.0), cfg)
         tracemalloc.start()
         try:
-            run_stage(state, cfg)
+            run_stage(StageState(m=3, Z=Field(Z.frame, Z.values.copy()), t=0.0), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
