@@ -34,7 +34,8 @@ would stop the write, so it is reported, with the same message, before the
 run starts.  Files get the mode the umask allows.  Every numeric cell
 is printed with 13 significant digits, so re-running a command with the same
 config produces byte-identical data files.  The manifest carries the
-timestamp and the convention flags; data files carry neither.
+timestamp, the convention flags and the numpy, BLAS and thread settings
+that the products' last bits depend on; data files carry none of them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .drivers import (
     DirectConfig,
@@ -62,7 +65,7 @@ from .drivers import (
     run_direct,
     run_stagewise,
 )
-from .stepper import PICARD_TOL, SEED_ORDER, STOP_MARGIN
+from .stepper import BUTTERFLY_MIN_N, PICARD_TOL, SEED_ORDER, STOP_MARGIN
 from .verify import SUITES, SuiteError, run_suite
 
 EXIT_OK = 0
@@ -94,6 +97,9 @@ CONVENTIONS = {
     "solved with, a bound on the next sweep's move by the maximum principle "
     "(||L^-1|| <= ds), is below "
     f"{STOP_MARGIN:g} * {PICARD_TOL:g} * max|Y|",
+    "linear_solve": "sine-basis diagonalization, four dense products; on "
+    f"mirror-folded stages with N % 4 == 0 and N >= {BUTTERFLY_MIN_N} a "
+    "butterfly pairs odd mode j with N - j, half the flops, equal to round-off",
     "event_energies": "evaluated at the linearly interpolated trigger state",
     "scaled_duration": "completed steps plus trigger fraction, times ds",
     "transfer_boundary": "fine boundary ring pinned to 1/A_to",
@@ -101,6 +107,8 @@ CONVENTIONS = {
 }
 
 
+# the BLAS/OpenMP thread variables the manifest records
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # the data files each run command writes, in order; manifest.json follows
 STAGEWISE_FILES = ("stages.csv", "feedback.csv", "transitions.csv", "ledger.json")
 DIRECT_FILES = ("direct.json",)
@@ -264,6 +272,18 @@ def _load(
         raise ConfigError(str(exc)) from exc
 
 
+def _linear_algebra() -> dict:
+    """numpy's version, BLAS (None where numpy does not report it) and
+    thread variables, on which the products' last bits depend."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {"numpy": np.__version__, "blas": blas,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+
+
 def _emit(outdir: Path, command: str, values: dict, files: dict[str, str]) -> None:
     """Write the data files in order, then the manifest with the sha256 of
     the bytes each write put on disk, and report them on stdout."""
@@ -274,6 +294,7 @@ def _emit(outdir: Path, command: str, values: dict, files: dict[str, str]) -> No
         "config": values,
         "version": __version__,
         "conventions": CONVENTIONS,
+        "linear_algebra": _linear_algebra(),
         "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }))

@@ -78,15 +78,15 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 6.3 s and 70.4 MiB
+# run to 8 stages, whose last stage has N = 1152, takes 5.0 s and 71.2 MiB
 # peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, median
-# of 3), 32.9 MiB by tracemalloc.  The last stage's steps set the peak, about
-# 13 quarters of 576^2: the seed's ring of seven sources, the solver's three
-# tables (basis, inverse and gradient form), the step start and a Picard
-# sweep's two arrays besides the ring row that holds its source.
-# The peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 69.8 MiB (7.7-7.9 s, two
-# runs).
+# of 3), 31.7 MiB by tracemalloc.  The last stage's steps set the peak, about
+# 12.5 quarters of 576^2: the seed's ring of seven sources, the solver's
+# inverse and gradient-form tables and its half tables (half a quarter), the
+# step start and a Picard sweep's two arrays besides the ring row that holds
+# its source.  The RSS peak follows glibc's allocation order: with
+# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 67.9 MiB (6.6-7.2 s, two
+# runs), and started from another directory it reads 70.4 MiB.
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a

@@ -5,18 +5,18 @@ iteration on the nonlocal source:
 
     (1/ds) Y - Lap_h Y = Z/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-with constant Dirichlet data g.  The frozen amplitude A, the boundary
-value g = 1/A and the step size ds are the ones of the DirichletSolver the
-step is given (which rejects ds <= 0), and lam is a plain argument the run
-configs validate.  Since g is constant, Lap_h g = 0
-and the step solves for the deviation Y - g, which vanishes on the
-boundary:
+with constant Dirichlet data g = 1/A (A, g and ds are the solver's).
+Since g is constant, Lap_h g = 0 and the step solves for the deviation
+Y - g, which vanishes on the boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
 DirichletSolver inverts (I/ds - Lap_h) by sine-basis diagonalization, on
 the whole interior or on the mirror-folded quarter of a state symmetric
-about both mid-lines, the frame (grid.Frame) the state was built on.
+about both mid-lines, the frame (grid.Frame) the state was built on.  On a
+quarter with N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode N - j is
+(-1)^(i+1) times that of mode j, so each product is two half products (a
+butterfly) and the solver keeps two half tables in place of T.
 Values are clipped at CLIP only inside reciprocal evaluations
 (nonlocal_source).  picard_implicit_step stops once the discrete maximum
 principle (Varga 1962) certifies that a further sweep would move Y by less
@@ -88,6 +88,11 @@ PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
 ORACLE_TOL = 1e-10  # max-norm first-order residual that ends the descent
 ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
+# Smallest N from which a folded frame with N % 4 == 0 takes the butterfly
+# products (DirichletSolver).  Against the plain folded products a solve
+# takes 1.03-1.05x the time at N = 168, 0.94-0.96x at 172 and 0.65x at 288
+# (medians of 40 interleaved rounds, 2-vCPU Intel Xeon, BLAS on 1 thread).
+BUTTERFLY_MIN_N = 172
 
 
 @dataclass(frozen=True)
@@ -116,31 +121,29 @@ class DirichletSolver:
     The orthonormal sine matrix S[i, j] = sqrt(2/N) sin(pi i j / N),
     i, j = 1..N-1, is symmetric with S @ S = I and diagonalizes the
     one-dimensional Dirichlet second difference, with eigenvalues
-    mu_j = (2 - 2 cos(pi j / N)) / h^2.  The two-dimensional operator is
-    therefore diagonal in the S x S basis with entries 1/ds + mu_i + mu_j
-    (Buzbee, Golub & Nielson 1970), and a solve is four dense products.
-    The basis and the inverse eigenvalues are built once and reused for
-    every Picard sweep and every step on the same frame with the same ds.
+    mu_j = (2 - 2 cos(pi j / N)) / h^2, so the two-dimensional operator is
+    diagonal in the S x S basis with entries 1/ds + mu_i + mu_j (Buzbee,
+    Golub & Nielson 1970): a solve is four dense products.
 
     On a folded frame (Frame(grid, mirrored=True)) the solver is valid only
-    for right-hand sides that are symmetric about both mid-lines,
-    rhs[i] = rhs[N-i] in each index.  Since
-    sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
-    of such data vanish and each odd mode is the sum over the lower half
-    i = 1..N//2 with weight w_i = 2, or 1 on the self-mirrored middle line
-    i = N/2 of an even N.  The solve then runs the same four products with
-    T = S[1..N//2, odd] on the output side and w T on the input side, on
-    the lower-left quarter of rhs; the full S is never built.  Since w T is
-    2T with the middle line of an even N halved, the solve halves that line
-    of rhs in place and the inverse table carries the factor 4, and as
-    scaling by a power of two is exact, the result is bit for bit that of
-    the products with w T.
+    for right-hand sides symmetric about both mid-lines, rhs[i] = rhs[N-i].
+    Since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
+    of such data vanish and each odd mode is the sum over the quarter's
+    rows i = 1..N//2 with weight w_i = 2, or 1 on the middle line of an even
+    N: the products run with T = S[1..N//2, odd] on the output side and
+    w T on the input side.  The solve halves the middle line of rhs in place
+    and the inverse table carries the factor 4; scaling by a power of two is
+    exact, so this is bit for bit the products with w T.  On the dense frame
+    T is S and w = 1.
 
-    That quarter is the folded frame (with its weights w); on the dense
-    frame, the whole interior, the set-up is the same with every mode, all
-    rows and w = 1.  The solver holds three frame arrays: T, the inverse
-    table and the gradient-form table.  solve takes and returns arrays in
-    the solver's frame only.
+    For N % 4 == 0 the odd modes pair up, T[i, N-j] = (-1)^(i+1) T[i, j].
+    From N = BUTTERFLY_MIN_N on, the folded solver orders its modes 1, 3, ..,
+    N/2 - 1, then their partners, and keeps the first half of T as its odd
+    rows C and even rows D.  T^T R is then C^T R[0::2] + D^T R[1::2] over
+    C^T R[0::2] - D^T R[1::2], and T X puts C (X' + X'') in the odd rows and
+    D (X' - X'') in the even ones: half the flops, the other axis on a
+    transposed copy.  The solver holds the inverse and gradient-form tables
+    (one frame array each) and T, or C and D (a quarter of one each).
     """
 
     def __init__(self, frame: Frame, ds: float):
@@ -148,20 +151,27 @@ class DirichletSolver:
             raise ValueError("ds must be positive")
         self.ds = ds
         self.frame = frame
-        N, w = frame.grid.N, frame.w
-        i, j = np.arange(1, len(w) + 1), np.arange(1, N, 2 if frame.mirrored else 1)
-        T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j) / N)
-        # eigenvalues l_j of the second difference tridiag(-1, 2, -1); the
-        # gradient sum of the solution weighs its squared coefficients by
-        # l_a + l_b, a table that costs one frame array per solver
+        N, n = frame.grid.N, frame.shape[0]
+        i, j = np.arange(1, n + 1), np.arange(1, N, 2 if frame.mirrored else 1)
+        half = n // 2 if frame.mirrored and N % 4 == 0 and N >= BUTTERFLY_MIN_N else 0
+        if half:  # modes 1, 3, .., N/2 - 1, then their partners N - 1, N - 3, ..
+            j = np.concatenate((j[:half], j[half:][::-1]))
+        T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j[:half or n]) / N)
+        if half:
+            self._C, self._D = T[0::2].copy(), T[1::2].copy()
+        else:
+            self._T = T
+        self._half = half
+        self.path = "mirror-folded butterfly" if half else (
+            "mirror-folded" if frame.mirrored else "dense")
+        # eigenvalues l_j of the second difference tridiag(-1, 2, -1)
         eig = 2.0 - 2.0 * np.cos(np.pi * j / N)
         self._form = eig[:, None] + eig[None, :]
         mu = eig / frame.grid.h ** 2
         # the factor 2 of w on each input side, off the middle line
         fold = 4.0 if frame.mirrored else 1.0
         self._inv = fold / (1.0 / ds + mu[:, None] + mu[None, :])
-        self._halve_middle = frame.mirrored and 2 * len(w) == N
-        self._T = T
+        self._halve_middle = frame.mirrored and 2 * n == N
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
@@ -172,19 +182,47 @@ class DirichletSolver:
         The basis diagonalizes the Dirichlet form too.  With X the sine
         coefficients of u, the sum of (u_i - u_j)^2 over all node pairs is
         sum_ab (l_a + l_b) X_ab^2, l_j = 2 - 2 cos(pi j / N), the odd-odd
-        modes being all of it on the folded frame.  X is held in rhs, and
-        the solve allocates one more frame array, for its products and X^2.
+        modes being all of it on the folded frame.  The solve allocates one
+        more frame array, for its products and X^2.
         """
-        T = self._T
-        TT = T.T
         if self._halve_middle:  # w = 1 on the middle line of an even N
             rhs[-1] *= 0.5
             rhs[:, -1] *= 0.5
+        if self._half:
+            work = np.empty_like(rhs)
+            self._forward(rhs, work)  # rhs = T^T R
+            work[...] = rhs.T
+            # work = X^T: the tables are symmetric (the inverse to rounding)
+            self._forward(work, rhs)
+            work *= self._inv
+            grad_sq = float(np.vdot(np.multiply(work, work, out=rhs), self._form))
+            self._back(work, rhs)
+            rhs[...] = work.T
+            self._back(rhs, work)
+            return rhs, grad_sq
+        T = self._T
+        TT = T.T
         work = TT @ rhs
         X = np.matmul(work, T, out=rhs)
         X *= self._inv
         grad_sq = float(np.vdot(np.multiply(X, X, out=work), self._form))
         return np.matmul(np.matmul(T, X, out=work), TT, out=rhs), grad_sq
+
+    def _forward(self, a: np.ndarray, b: np.ndarray) -> None:
+        """a = T^T a by the butterfly, with b for the half products."""
+        h = self._half
+        np.matmul(self._C.T, a[0::2], out=b[:h])
+        np.matmul(self._D.T, a[1::2], out=b[h:])
+        np.add(b[:h], b[h:], out=a[:h])
+        np.subtract(b[:h], b[h:], out=a[h:])
+
+    def _back(self, a: np.ndarray, b: np.ndarray) -> None:
+        """a = T a by the butterfly, with b for the sum and difference."""
+        h = self._half
+        np.add(a[:h], a[h:], out=b[:h])
+        np.subtract(a[:h], a[h:], out=b[h:])
+        np.matmul(self._C, b[:h], out=a[0::2])
+        np.matmul(self._D, b[h:], out=a[1::2])
 
 
 def nonlocal_source(
@@ -328,8 +366,8 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     and the step takes that row as its start source and its work array.
     Z is held only as the current step's start: a caller that hands march
     the only reference to its start has it freed once step 1 is scored."""
-    logger.info("%s: %s solve", where, "mirror-folded" if Z.frame.mirrored else "dense")
     solver = DirichletSolver(Z.frame, ds)
+    logger.info("%s: %s solve", where, solver.path)
     ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
     ring[0] = nonlocal_source(Z.values, Z.frame, lam)[0]
     for step in itertools.count(1):

@@ -11,6 +11,7 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quenchstage
@@ -25,7 +26,7 @@ from quenchstage.cli import (
 )
 from quenchstage import stepper, verify
 from quenchstage.drivers import DirectConfig, StagewiseConfig
-from quenchstage.stepper import SEED_ORDER
+from quenchstage.stepper import BUTTERFLY_MIN_N, SEED_ORDER
 
 STAGE_BASE = {
     "lambda": 20.0,
@@ -193,6 +194,24 @@ class TestStagewiseCommand:
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             assert digest == actual
+
+    def test_manifest_records_linear_algebra(self, tmp_path, outdir, monkeypatch):
+        # from BUTTERFLY_MIN_N on, a stage's last bits follow the butterfly's
+        # product order, so the manifest names it, numpy, its BLAS and the
+        # thread variables
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)
+        main(["stagewise", "--config", cfg])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert f"N >= {BUTTERFLY_MIN_N}" in manifest["conventions"]["linear_solve"]
+        record = manifest["linear_algebra"]
+        assert record["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert record["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert record["threads"]["MKL_NUM_THREADS"] is None
+        assert "OMP_NUM_THREADS" in record["threads"]
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)

@@ -26,6 +26,7 @@ from quenchstage.energy import discrete_energy
 from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
+    BUTTERFLY_MIN_N,
     SEED_ORDER,
     SEED_WEIGHTS,
     DirichletSolver,
@@ -184,7 +185,8 @@ class TestDirichletSolver:
         with pytest.raises(ValueError):
             DirichletSolver(Frame(Grid(0.6, 4)), 0.0)
 
-    @pytest.mark.parametrize("N", [2, 3, 5, 12, 33])
+    # BUTTERFLY_MIN_N: the folded solver takes the butterfly there
+    @pytest.mark.parametrize("N", [2, 3, 5, 12, 33, BUTTERFLY_MIN_N])
     @pytest.mark.parametrize("ds", [1e-4, 1e-3, 0.1, 10.0])
     def test_inverse_bounded_by_step_size(self, N, ds):
         # discrete maximum principle: the row sums of I/ds - Lap_h are at
@@ -201,6 +203,43 @@ class TestDirichletSolver:
                 got, _ = solver.solve(solver.frame.restrict(rhs))
                 got = float(np.max(np.abs(got)))
                 assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
+
+    # the multiples of 4 just below and at or just above the threshold
+    @pytest.mark.parametrize(
+        "N", [(BUTTERFLY_MIN_N - 1) // 4 * 4, -(-BUTTERFLY_MIN_N // 4) * 4]
+    )
+    def test_butterfly_matches_plain_products(self, monkeypatch, N):
+        # for N % 4 == 0, row i of odd mode N - j is (-1)^(i+1) times that
+        # of mode j: the butterfly's half products and sum and difference
+        # passes give the plain folded products to round-off (measured at
+        # <= 5e-15 relative up to N = 576), and the solver takes them from
+        # BUTTERFLY_MIN_N on
+        frame, ds = Frame(Grid(0.6, N), mirrored=True), 2e-3
+        rhs = np.random.default_rng(N).normal(size=frame.shape)
+        above = N >= BUTTERFLY_MIN_N
+        assert DirichletSolver(frame, ds).path.endswith("butterfly") == above
+        monkeypatch.setattr(stepper, "BUTTERFLY_MIN_N", N)
+        butterfly = DirichletSolver(frame, ds)
+        monkeypatch.setattr(stepper, "BUTTERFLY_MIN_N", N + 1)
+        plain = DirichletSolver(frame, ds)
+        assert butterfly.path == "mirror-folded butterfly"
+        assert plain.path == "mirror-folded"
+        got, got_sq = butterfly.solve(rhs.copy())
+        want, want_sq = plain.solve(rhs.copy())
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert got_sq == pytest.approx(want_sq, rel=1e-14)
+
+    # N = 2 (mod 4) and odd N above the threshold, and the dense frame
+    @pytest.mark.parametrize(
+        "N, mirrored, path",
+        [(BUTTERFLY_MIN_N + 2, True, "mirror-folded"),
+         (BUTTERFLY_MIN_N + 1, True, "mirror-folded"),
+         (BUTTERFLY_MIN_N, False, "dense")],
+    )
+    def test_plain_products_off_the_butterfly(self, N, mirrored, path):
+        solver = DirichletSolver(Frame(Grid(0.6, N), mirrored=mirrored), 2e-3)
+        assert solver.path == path
+        assert solver._T.shape == solver.frame.shape
 
 
 class TestPicardStep:
@@ -450,6 +489,20 @@ class TestMarch:
         # and agrees with the dense step of the same values to round-off
         want = step(Field(Frame(Z.grid), Z.interior), cfg.ds, cfg.lam).next.interior
         assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_large_folded_start_takes_butterfly(self, monkeypatch, caplog):
+        # stage 5 (N = 288) names the butterfly path, and its first step
+        # agrees with the plain folded products' to round-off
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(5)
+        with caplog.at_level("INFO", logger="quenchstage.stepper"):
+            rep = next(march(Z, cfg.ds, cfg.lam, "stage 5"))
+        assert "stage 5: mirror-folded butterfly solve\n" in caplog.text
+        monkeypatch.setattr(stepper, "BUTTERFLY_MIN_N", Z.grid.N + 1)
+        want = next(march(Z, cfg.ds, cfg.lam, "stage 5"))
+        assert rep.picard_iters == want.picard_iters
+        got, want = rep.next.values, want.next.values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("folded", [True, False])
     def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
@@ -909,6 +962,33 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert 13.0 <= peak / (n * n * 8) <= 13.5
+
+    def test_butterfly_solver_holds_two_and_a_half(self):
+        # the inverse and gradient-form tables and the half tables C and D,
+        # a quarter of a frame array each, in place of T
+        Z = reference_stage_start(5)
+        assert Z.grid.N == 288 >= BUTTERFLY_MIN_N
+        solver = DirichletSolver(Z.frame, StagewiseConfig().ds)
+        n = Z.frame.shape[0]
+        solver.solve(np.ones(Z.frame.shape))
+        arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 2.5 * n * n * 8
+
+    def test_butterfly_stage_step_peak(self):
+        # stage 5 of the 6-stage run (N = 288) as test_stage_step_peak takes
+        # stage 3: the half tables hold half a quarter less than T, and the
+        # butterfly solve works in rhs and one array as the plain one does.
+        # Measured at 12.53 quarters; the plain products there read 13.02.
+        cfg = StagewiseConfig()
+        Z = reference_stage_start(5)
+        n = Z.frame.shape[0]
+        tracemalloc.start()
+        try:
+            run_stage(StageState(m=5, Z=Field(Z.frame, Z.values.copy()), t=0.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 12.3 <= peak / (n * n * 8) <= 13.02
 
     def test_work_array_changes_no_bit(self):
         # march lends each step a ring row: the step overwrites it and
