@@ -78,15 +78,16 @@ class TransferError(NumericalError):
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 5.0 s and 71.2 MiB
-# peak RSS in a fresh process (2-vCPU Intel Xeon, BLAS on 1 thread, median
-# of 3), 31.7 MiB by tracemalloc.  The last stage's steps set the peak, about
-# 12.5 quarters of 576^2: the seed's ring of seven sources, the solver's
-# inverse and gradient-form tables and its half tables (half a quarter), the
-# step start and a Picard sweep's two arrays besides the ring row that holds
-# its source.  The RSS peak follows glibc's allocation order: with
-# MALLOC_MMAP_THRESHOLD_=131072 the same run reads 67.9 MiB (6.6-7.2 s, two
-# runs), and started from another directory it reads 70.4 MiB.
+# run to 8 stages, whose last stage has N = 1152, takes 4.6-5.5 s and
+# 66.9-67.0 MiB peak RSS in a fresh process started in the checkout's root
+# (2-vCPU Intel Xeon, BLAS on 1 thread, 3 runs), 31.7 MiB by tracemalloc.
+# The last stage's steps set the peak, about 12.5 quarters of 576^2: the
+# seed's ring of seven sources, the solver's inverse and gradient-form
+# tables and its half tables (half a quarter), the step start and a Picard
+# sweep's two arrays besides the ring row that holds its source.  The RSS
+# peak follows glibc's allocation order: started from a directory outside
+# the checkout the same run reads 67.6-67.7 MiB, and with
+# MALLOC_MMAP_THRESHOLD_=131072 64.4-64.5 MiB (6.5-6.9 s).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -124,19 +125,25 @@ class StagewiseConfig:
         if self.lam < 0.0:
             raise ValueError(f"{config_key('lam')} must be nonnegative")
         if not (0.0 < self.u0_amplitude < 1.0):
-            raise ValueError("u0 amplitude must lie in (0, 1)")
+            raise ValueError("u0_amplitude must lie in (0, 1)")
+        if not self.A0 > 0.0:
+            raise ValueError("A0 must be positive")
+        if self.N0 < 2:
+            raise ValueError("N0 must be at least 2")
         if self.ds <= 0.0:
             raise ValueError("ds must be positive")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.k > sys.float_info.max:  # the threshold k^(-2/3) needs a float k
             raise ValueError("k is larger than the largest float")
-        if self.max_stages < 1 or self.step_cap <= 0:
-            raise ValueError("max_stages must be >= 1 and step_cap positive")
+        if self.max_stages < 1:
+            raise ValueError("max_stages must be >= 1")
+        if self.step_cap <= 0:
+            raise ValueError("step_cap must be positive")
         if self.step_cap > MAX_STEPS:
             raise ValueError(f"step_cap = {self.step_cap}, above {MAX_STEPS = }")
-        # rejects A0 <= 0, N0 < 2 and an A0 whose h^2 is no positive float;
-        # h is the same on every stage, so the stage-0 grid stands for all
+        # rejects an A0 whose h^2 is no positive float; h is the same on
+        # every stage, so the stage-0 grid stands for all
         Grid(self.A0, self.N0)
         # stage m has N0*k^m intervals.  Multiply only up to the cap:
         # k^(max_stages-1) can be an enormous integer.
@@ -183,7 +190,7 @@ class DirectConfig:
         if self.N > MAX_N:
             raise ValueError(f"grid N = {self.N} is above MAX_N = {MAX_N}")
         if not (0.0 < self.u0_amplitude < 1.0):
-            raise ValueError("u0 amplitude must lie in (0, 1)")
+            raise ValueError("u0_amplitude must lie in (0, 1)")
         steps = self.T / self.dt
         if not math.isfinite(steps):  # round() would raise OverflowError
             raise ValueError(f"T/dt = {steps} is not a finite step count")

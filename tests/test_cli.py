@@ -1,6 +1,7 @@
 """Config parsing, exit codes, file formats, and determinism of the CLI."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -515,8 +516,8 @@ PACKAGE_ROOT = Path(quenchstage.__file__).resolve().parents[1]
 PROJECT_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
-    env = dict(os.environ)
+def run_python(*args, **environ):
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
@@ -543,6 +544,82 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module (_sha2 or _sha256): the manifest "
+    "hashes through hashlib, which loads OpenSSL",
+)
+def test_run_does_not_load_openssl(outdir):
+    # hashlib's sha256 loads OpenSSL's libcrypto (_hashlib), about 3.4 MiB
+    # of a run's peak RSS; the manifest hashes with CPython's own module
+    cfg = PROJECT_ROOT / "configs" / "direct.cfg"
+    proc = run_python(
+        "-c",
+        "import json, sys; from quenchstage.cli import main; "
+        f"code = main(['direct', '--config', {str(cfg)!r}]); "
+        "print(json.dumps([code, '_hashlib' in sys.modules]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert (outdir / "manifest.json").exists()
+
+
+def _cells(outdir: Path) -> dict:
+    """Every cell of a stagewise run's data files, keyed by file and place:
+    CSV fields as floats, the ledger's JSON leaves as they parse."""
+    cells = {}
+
+    def leaves(value, key):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for name, item in items:
+                leaves(item, (*key, name))
+        else:
+            cells[key] = value
+
+    for name in quenchstage.cli.STAGEWISE_FILES:
+        text = (outdir / name).read_text()
+        if name.endswith(".json"):
+            leaves(json.loads(text), (name,))
+            continue
+        header, *rows = (line.split(",") for line in text.splitlines())
+        for i, row in enumerate(rows):
+            for column, cell in zip(header, row):
+                cells[name, i, column] = float(cell)
+    return cells
+
+
+def test_reference_run_agrees_across_blas_kernels(tmp_path):
+    # data files are byte-identical per BLAS kernel only; across kernels
+    # every numeric cell agrees to 1e-11 relative (1.8e-13 seen on Haswell
+    # against SkylakeX), and trigger_gap, round-off by construction, to
+    # 1e-15 absolute
+    cfg = str(PROJECT_ROOT / "configs" / "stagewise.cfg")
+    runs = []
+    for core in ("Haswell", "SkylakeX"):
+        out = tmp_path / core
+        proc = run_python(
+            "-m", "quenchstage", "stagewise", "--config", cfg,
+            QUENCHSTAGE_OUT=str(out), OPENBLAS_CORETYPE=core,
+            OPENBLAS_VERBOSE="2",
+        )
+        if f"Core: {core}" not in proc.stderr:
+            pytest.skip(f"OPENBLAS_CORETYPE={core} did not take effect: "
+                        f"OPENBLAS_VERBOSE=2 printed no 'Core: {core}'")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(_cells(out))
+    first, second = runs
+    assert first.keys() == second.keys()
+    for key, a in first.items():
+        b = second[key]
+        if key[-1] == "trigger_gap":
+            assert abs(a - b) <= 1e-15, key
+        elif isinstance(a, (int, float)) and not isinstance(a, bool):
+            assert abs(a - b) <= 1e-11 * max(abs(a), abs(b)), (key, a, b)
+        else:
+            assert a == b, key
 
 
 @pytest.mark.parametrize("key, value", [("lambda", 2000.0), ("u0_amplitude", 0.999)])
@@ -572,6 +649,27 @@ def test_negative_lambda_names_the_config_key(tmp_path, outdir, capsys, command)
     cfg = write_cfg(tmp_path / "c.cfg", dict(base, **{"lambda": -1.0}))
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err == "config error: lambda must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("stagewise", "A0", -0.6),
+        ("stagewise", "N0", 1),
+        ("stagewise", "u0_amplitude", 1.5),
+        ("direct", "u0_amplitude", 1.5),
+        ("stagewise", "max_stages", 0),
+        ("stagewise", "step_cap", 0),
+    ],
+)
+def test_rejected_value_names_its_key(
+    tmp_path, outdir, capsys, command, key, value
+):
+    # each message names the one key the user wrote, as the config has it
+    base = STAGE_BASE if command == "stagewise" else DIRECT_BASE
+    cfg = write_cfg(tmp_path / "c.cfg", dict(base, **{key: value}))
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must ")
 
 
 @pytest.mark.parametrize("dt, T", [(5e-324, 1.0), (1e-300, 1e10)])
