@@ -28,16 +28,18 @@ current directory) is created, the run runs, and _emit takes the run's
 sibling .<name>.tmp, created exclusively and renamed over the file, hashes
 the bytes it wrote, writes manifest.json with those sha256 digests and prints
 "wrote ... to <dir>".  The digests come from CPython's built-in SHA-256
-module: hashlib would load OpenSSL's libcrypto, about 3.4 MiB of every run's
-peak RSS, for a few KB of data.  A path that cannot be a directory, or an
-output file that cannot be written, is a configuration error; a failed write
-removes its temporary sibling.  A sibling that already exists (a killed run
-leaves one) would stop the write, so it is reported, with the same message,
-before the run starts.  Files get the mode the umask allows.  Every numeric
-cell is printed with 13 significant digits, so re-running a command with the
-same config produces byte-identical data files.  The manifest carries the
-timestamp, the convention flags and the numpy, BLAS and thread settings
-that the products' last bits depend on; data files carry none of them.
+module: hashlib would load OpenSSL's libcrypto, about 3.4 MiB of peak RSS,
+for a few KB of data.  No command loads it: verify draws its data from
+random.Random, as numpy.random loads OpenSSL through secrets.  A path that
+cannot be a directory, or an output file that cannot be written, is a
+configuration error; a failed write removes its temporary sibling.  A
+sibling that already exists (a killed run leaves one) would stop the write,
+so it is reported, with the same message, before the run starts.  Files get
+the mode the umask allows.  Every numeric cell is printed with 13
+significant digits, so re-running a command with the same config produces
+byte-identical data files.  The manifest carries the timestamp, the
+convention flags and the numpy, BLAS and thread settings that the products'
+last bits depend on; data files carry none of them.
 """
 
 from __future__ import annotations

@@ -142,9 +142,15 @@ class StagewiseConfig:
             raise ValueError("step_cap must be positive")
         if self.step_cap > MAX_STEPS:
             raise ValueError(f"step_cap = {self.step_cap}, above {MAX_STEPS = }")
-        # rejects an A0 whose h^2 is no positive float; h is the same on
-        # every stage, so the stage-0 grid stands for all
-        Grid(self.A0, self.N0)
+        # h is the same on every stage, so the stage-0 grid stands for all;
+        # with A0 > 0 and N0 >= 2, Grid rejects only an h^2 that is no float
+        try:
+            Grid(self.A0, self.N0)
+        except ValueError:
+            raise ValueError(
+                f"A0 = {self.A0:g} gives no representable grid: "
+                "h^2 = (1/(N0 A0^(3/2)))^2 is not a positive finite float"
+            ) from None
         # stage m has N0*k^m intervals.  Multiply only up to the cap:
         # k^(max_stages-1) can be an enormous integer.
         m, N = 0, self.N0

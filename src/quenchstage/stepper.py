@@ -384,10 +384,12 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
 
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
-    """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step."""
+    """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step,
+    on the whole interior; K is summed on Y's frame when it is dense."""
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    source, _ = nonlocal_source(Y.interior, Frame(Y.grid), lam)
+    frame = Frame(Y.grid) if Y.frame.mirrored else Y.frame
+    source, _ = nonlocal_source(Y.interior, frame, lam)
     return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
 
 

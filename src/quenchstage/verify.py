@@ -1,8 +1,10 @@
 """Property suites behind the `verify` command.
 
 Each suite exercises one family of structural guarantees on deterministic
-random data (fixed seeds) and reports measured residuals against pinned
-tolerances:
+random data and reports measured residuals against pinned tolerances.  Each
+suite draws from its own random.Random(seed) through random() alone, whose
+stream CPython keeps for a seed across versions; numpy.random would load its
+generators and, through secrets, OpenSSL.  The suites:
 
   green        Green identity of -lap_h and Frame.grad_norm_sq
   unisolvence  cell_map, the map the transfer applies: identity at the 12
@@ -23,6 +25,8 @@ measures the worst error ratio per doubling of N against 1/4 (order 2).
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,20 +67,28 @@ class CheckResult:
         object.__setattr__(self, "passed", self.measured <= self.tolerance)
 
 
-def _random_field(rng: np.random.Generator, N: int, A: float) -> Field:
+def _uniform(rng: random.Random, low: float, high: float, shape=()):
+    """Uniform draws on [low, high) from rng.random(), in C order: a float
+    for shape (), else an array of that shape."""
+    if not shape:
+        return low + (high - low) * rng.random()
+    u = np.fromiter(iter(rng.random, None), float, math.prod(shape))
+    return low + (high - low) * u.reshape(shape)
+
+
+def _random_field(rng: random.Random, N: int, A: float) -> Field:
     grid = Grid(A, N)
-    return Field(Frame(grid), grid.g + rng.uniform(-0.3, 0.3, size=(N - 1, N - 1)))
+    return Field(Frame(grid), grid.g + _uniform(rng, -0.3, 0.3, (N - 1, N - 1)))
 
 
 def suite_green() -> list[CheckResult]:
-    rng = np.random.default_rng(20260101)
+    rng = random.Random(20260101)
     worst = 0.0
     for _ in range(20):
-        N = int(rng.integers(4, 9))
-        A = float(rng.uniform(0.3, 1.5))
-        Y = _random_field(rng, N, A)
+        N = 4 + int(5 * rng.random())
+        Y = _random_field(rng, N, _uniform(rng, 0.3, 1.5))
         # a test function with boundary value 0, given by its interior
-        Phi = rng.uniform(-1.0, 1.0, size=Y.values.shape)
+        Phi = _uniform(rng, -1.0, 1.0, Y.values.shape)
         lhs = float(Y.grid.h * Y.grid.h * np.sum(-laplacian_5pt(Y) * Phi))
         # Y +- Phi keep Y's boundary value g: the energy's form, polarized
         form = Y.frame.grad_norm_sq
@@ -91,14 +103,14 @@ def suite_green() -> list[CheckResult]:
 
 
 def suite_unisolvence() -> list[CheckResult]:
-    rng = np.random.default_rng(20260102)
+    rng = random.Random(20260102)
     a, b = np.array(S12).T
     # the map at the stencil nodes is the identity on every stencil
-    data = rng.uniform(-5.0, 5.0, size=(200, 12))
+    data = _uniform(rng, -5.0, 5.0, (200, 12))
     worst = np.max(np.abs(data @ cell_map(a, b).T - data))
     # each cubic monomial, sampled on the stencil, at 20 off-stencil points
     p, q = np.array([(p, q) for p in range(4) for q in range(4) if p + q <= 3]).T
-    points = rng.uniform(-1.0, 2.0, size=(len(p), 20, 2))
+    points = _uniform(rng, -1.0, 2.0, (len(p), 20, 2))
     t, z = points[..., 0], points[..., 1]
     stencils = a ** p[:, None] * b ** q[:, None]
     got = np.einsum("mns,ms->mn", cell_map(t, z), stencils)
@@ -117,7 +129,7 @@ def suite_unisolvence() -> list[CheckResult]:
 
 
 def suite_edge() -> list[CheckResult]:
-    rng = np.random.default_rng(20260103)
+    rng = random.Random(20260103)
     worst = 0.0
     for _ in range(5):
         Y = _random_field(rng, 8, 0.6)
@@ -135,16 +147,13 @@ def suite_edge() -> list[CheckResult]:
 
 
 def suite_laplace() -> list[CheckResult]:
-    rng = np.random.default_rng(20260104)
+    rng = random.Random(20260104)
     worst = 0.0
     for _ in range(3):
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, laplace_compat_check(Y, 4))
-    # each case draws its 12 stencil values, then its point
-    data, points = np.empty((50, 12)), np.empty((50, 2))
-    for n in range(50):
-        data[n], points[n] = rng.uniform(-2.0, 2.0, 12), rng.uniform(0.0, 1.0, 2)
-    t, z = points.T
+    data = _uniform(rng, -2.0, 2.0, (50, 12))
+    t, z = _uniform(rng, 0.0, 1.0, (50, 2)).T
     d = 1e-4
 
     def value(dt: float, dz: float) -> np.ndarray:
@@ -166,13 +175,13 @@ def suite_laplace() -> list[CheckResult]:
     ]
 
 
-def _oracle_case(rng: np.random.Generator) -> tuple[Field, float, float]:
+def _oracle_case(rng: random.Random) -> tuple[Field, float, float]:
     """A random 3x3-interior state at A = 0.6 with (ds, lam) = (1e-3, 20)."""
     return _random_field(rng, 4, 0.6), 1e-3, 20.0
 
 
 def suite_dissipation() -> list[CheckResult]:
-    rng = np.random.default_rng(20260105)
+    rng = random.Random(20260105)
     worst = -np.inf
     for _ in range(50):
         Z, ds, lam = _oracle_case(rng)
@@ -190,7 +199,7 @@ def suite_dissipation() -> list[CheckResult]:
 
 
 def suite_oracle() -> list[CheckResult]:
-    rng = np.random.default_rng(20260106)
+    rng = random.Random(20260106)
     worst_gap = 0.0
     for _ in range(25):
         Z, ds, lam = _oracle_case(rng)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -511,6 +512,44 @@ class TestVerifyCommand:
         ]
 
 
+class TestUniformDraws:
+    """verify._uniform, the suites' fixed-seed data: the values of
+    random.Random(seed).random() mapped onto [low, high)."""
+
+    def test_same_seed_same_values(self):
+        first = verify._uniform(random.Random(7), -0.3, 0.3, (4, 5))
+        again = verify._uniform(random.Random(7), -0.3, 0.3, (4, 5))
+        other = verify._uniform(random.Random(8), -0.3, 0.3, (4, 5))
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
+    def test_values_lie_in_the_interval(self):
+        x = verify._uniform(random.Random(1), -2.0, 3.0, (100, 100))
+        assert -2.0 <= x.min() and x.max() < 3.0
+        # and cover it: each fifth of the interval holds about 2000 draws
+        counts = np.histogram(x, bins=5, range=(-2.0, 3.0))[0]
+        assert counts.min() > 1800
+
+    def test_shapes_and_the_scalar_case(self):
+        rng = random.Random(3)
+        assert verify._uniform(rng, 0.0, 1.0, (2, 3, 4)).shape == (2, 3, 4)
+        assert verify._uniform(rng, 0.0, 1.0, (6,)).shape == (6,)
+        scalar = verify._uniform(rng, 0.3, 1.5)
+        assert type(scalar) is float and 0.3 <= scalar < 1.5
+
+    def test_draws_are_the_stream_in_c_order(self):
+        # one random() per value, in C order, so the scalar and the array
+        # draws of a suite read one stream; CPython keeps that stream for a
+        # seed across versions
+        stream = random.Random(20260101)
+        u = [stream.random() for _ in range(7)]
+        assert u[:2] == [0.044717192733188416, 0.297835610487425]
+        rng = random.Random(20260101)
+        assert verify._uniform(rng, 1.0, 3.0) == 1.0 + 2.0 * u[0]
+        got = verify._uniform(rng, 1.0, 3.0, (2, 3))
+        assert np.array_equal(got, 1.0 + 2.0 * np.array(u[1:]).reshape(2, 3))
+
+
 # the directory holding the quenchstage package, for fresh interpreters
 PACKAGE_ROOT = Path(quenchstage.__file__).resolve().parents[1]
 PROJECT_ROOT = Path(__file__).resolve().parents[1]
@@ -546,11 +585,16 @@ def test_cli_import_does_not_load_scipy():
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.skipif(
+# without CPython's own SHA-256 module the cli imports hashlib, and with it
+# OpenSSL, whatever the command
+needs_builtin_sha256 = pytest.mark.skipif(
     not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
     reason="no built-in SHA-256 module (_sha2 or _sha256): the manifest "
     "hashes through hashlib, which loads OpenSSL",
 )
+
+
+@needs_builtin_sha256
 def test_run_does_not_load_openssl(outdir):
     # hashlib's sha256 loads OpenSSL's libcrypto (_hashlib), about 3.4 MiB
     # of a run's peak RSS; the manifest hashes with CPython's own module
@@ -564,6 +608,22 @@ def test_run_does_not_load_openssl(outdir):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
     assert (outdir / "manifest.json").exists()
+
+
+@needs_builtin_sha256
+def test_verify_loads_neither_numpy_random_nor_openssl():
+    # numpy.random's extensions and the secrets -> hmac -> _hashlib chain
+    # it imports are about 5.7 MiB of peak RSS; verify draws its data from
+    # the standard library's generator instead
+    proc = run_python(
+        "-c",
+        "import json, sys; from quenchstage.cli import main; "
+        "code = main(['verify', 'all']); "
+        "print(json.dumps([code, '_hashlib' in sys.modules, "
+        "[m for m in sys.modules if m.startswith('numpy.random')]]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, []]
 
 
 def _cells(outdir: Path) -> dict:
@@ -748,7 +808,7 @@ def test_unrepresentable_amplitude_exit_code(
     cfg = write_cfg(tmp_path / "s.cfg", tiny)
     assert main(["stagewise", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: amplitude")
+    assert err.startswith("config error: A0 = ")
     assert "no representable grid" in err
     assert "Traceback" not in err
 

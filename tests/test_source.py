@@ -17,7 +17,10 @@ Euler-Lagrange residual and the change-of-variables suite read a whole
 interior, so no run function builds a full-grid state.  Only a Field takes a
 minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
-derives from NumericalError, so each maps to a documented exit code.
+derives from NumericalError, so each maps to a documented exit code.  No
+module uses numpy.random: its extensions and the OpenSSL it loads through
+secrets would raise every command's peak memory, and verify draws its
+fixed-seed data from the standard library's random.Random.
 """
 
 import ast
@@ -140,6 +143,35 @@ def readers(trees, name):
         if (isinstance(n, ast.Attribute) and n.attr == name)
         or (bare and isinstance(n, ast.Name) and n.id == name)
     }
+
+
+def numpy_random_lines(tree):
+    """Lines that import numpy.random (or a name from it) or read random as
+    an attribute of a name bound to numpy (np.random)."""
+
+    def in_numpy_random(module):
+        return module.split(".")[:2] == ["numpy", "random"]
+
+    numpy_names = {
+        alias.asname or alias.name
+        for n in ast.walk(tree) if isinstance(n, ast.Import)
+        for alias in n.names if alias.name == "numpy"
+    }
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            hit = any(in_numpy_random(alias.name) for alias in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            module = n.module or ""
+            hit = in_numpy_random(module) or (
+                module == "numpy" and any(a.name == "random" for a in n.names)
+            )
+        else:
+            hit = (isinstance(n, ast.Attribute) and n.attr == "random"
+                   and isinstance(n.value, ast.Name) and n.value.id in numpy_names)
+        if hit:
+            lines.append(n.lineno)
+    return lines
 
 
 def unmapped_exceptions(trees):
@@ -307,3 +339,20 @@ def test_only_a_field_takes_a_minimum():
     trees = {path.name: parse(path) for path in MODULES}
     found = readers(trees, "min")
     assert found == {"grid.py:Field"}, f"min read by {found}"
+
+
+def test_no_module_uses_numpy_random():
+    # every way in is caught; the standard library's generator, and a
+    # random method of any other object, are no use of numpy.random
+    uses = ast.parse(
+        "import numpy as np\nimport numpy.random\nimport random\n"
+        "from numpy import random as npr\nfrom numpy.random import default_rng\n"
+        "rng = np.random.default_rng(1)\nx = random.Random(1).random()\n"
+    )
+    assert numpy_random_lines(uses) == [2, 4, 5, 6]
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := numpy_random_lines(parse(path)))
+    }
+    assert found == {}, f"numpy.random used at {found}"
