@@ -10,7 +10,9 @@ fitted on the 4x4 node block minus its four corners (12 nodes).  The fit is
 unisolvent, reproduces every bivariate polynomial of total degree <= 3, and
 restricts to the same univariate cubic on a shared cell edge from either
 side, which makes the prolonged surface single-valued across interior
-interfaces.
+interfaces.  The fit's inverse, REFERENCE_INVERSE, is written out as its
+exact integer table over 6, so the patch's weights are the same on every
+build and no LAPACK routine runs.
 
 A stage transfer by the factor k takes the end state from the amplitude
 A_from of its grid to A_to = k^(-2/3) A_from; no other parameter is needed.
@@ -78,11 +80,28 @@ def _monomials(theta, zeta, laplacian: bool = False) -> np.ndarray:
             + q * (q - 1) * t ** p * z ** np.maximum(q - 2, 0))
 
 
-# the reference matrix has exact small-integer entries; its inverse is
-# computed once at import and maps a cell's stencil values to its
-# coefficients
+# the reference matrix has exact small-integer entries, the basis monomials
+# at the stencil nodes; its inverse maps a cell's stencil values to its
+# coefficients.  6 times the inverse is an integer table, written out here
+# as derived in exact rational arithmetic: row m, in BASIS_EXPONENTS order,
+# is the finite-difference formula of monomial m's coefficient on the
+# stencil values in S12 order.  Divided by 6 once, each weight is the exact
+# one rounded.
 REFERENCE_MATRIX: np.ndarray = _monomials(*np.array(S12).T)
-REFERENCE_INVERSE: np.ndarray = np.linalg.inv(REFERENCE_MATRIX)
+REFERENCE_INVERSE: np.ndarray = np.array((
+    ( 0,  0,  0,  6,  0,  0,  0,  0,  0,  0,  0,  0),  # 1
+    (-2,  0,  0, -3,  0,  0,  0,  6,  0,  0, -1,  0),  # theta
+    ( 0,  0, -2, -3,  6, -1,  0,  0,  0,  0,  0,  0),  # zeta
+    ( 3,  0,  0, -6,  0,  0,  0,  3,  0,  0,  0,  0),  # theta^2
+    ( 2, -2,  2,  0, -3,  1, -2, -3,  6, -1,  1, -1),  # theta*zeta
+    ( 0,  0,  3, -6,  3,  0,  0,  0,  0,  0,  0,  0),  # zeta^2
+    (-1,  0,  0,  3,  0,  0,  0, -3,  0,  0,  1,  0),  # theta^3
+    (-3,  3,  0,  6, -6,  0,  0, -3,  3,  0,  0,  0),  # theta^2*zeta
+    ( 0,  0, -3,  6, -3,  0,  3, -6,  3,  0,  0,  0),  # theta*zeta^2
+    ( 0,  0, -1,  3, -3,  1,  0,  0,  0,  0,  0,  0),  # zeta^3
+    ( 1, -1,  0, -3,  3,  0,  0,  3, -3,  0, -1,  1),  # theta^3*zeta
+    ( 0,  0,  1, -3,  3, -1, -1,  3, -3,  1,  0,  0),  # theta*zeta^3
+), dtype=float) / 6.0
 
 
 def cell_map(theta, zeta, laplacian: bool = False) -> np.ndarray:

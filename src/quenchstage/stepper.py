@@ -389,8 +389,9 @@ def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.nda
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
     frame = Frame(Y.grid) if Y.frame.mirrored else Y.frame
-    source, _ = nonlocal_source(Y.interior, frame, lam)
-    return (Y.interior - Z.interior) / ds - laplacian_5pt(Y) + source
+    y = Y.interior
+    source, _ = nonlocal_source(y, frame, lam)
+    return (y - Z.interior) / ds - laplacian_5pt(Y) + source
 
 
 def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
@@ -425,7 +426,7 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     Y, JY = Z, objective(Z)
     for _ in range(ORACLE_MAX_ITERS):
         R = euler_lagrange_residual(Y, Z, ds, lam)
-        if float(np.max(np.abs(R))) < ORACLE_TOL:
+        if np.abs(R).max() < ORACLE_TOL:
             return Y
         G = scale * R  # plain gradient of J
         bar = JY - 1e-4 * step * (h * h * Z.frame.sum(G * G)) + slack * abs(JY)

@@ -20,6 +20,7 @@ from quenchstage.drivers import (
 from quenchstage.grid import Field, Frame, Grid
 from quenchstage.prolongation import (
     BASIS_EXPONENTS,
+    REFERENCE_INVERSE,
     REFERENCE_MATRIX,
     S12,
     cell_map,
@@ -27,7 +28,7 @@ from quenchstage.prolongation import (
     laplace_compat_check,
     prolong_stage,
 )
-from quenchstage.verify import transfer_refinement_errors
+from quenchstage.verify import suite_unisolvence, transfer_refinement_errors
 
 NODES = np.array(S12, dtype=float).T  # theta and zeta of the stencil nodes
 
@@ -100,6 +101,25 @@ class TestFitCell:
 
     def test_reference_matrix_well_conditioned(self):
         assert np.linalg.cond(REFERENCE_MATRIX) < 1e3
+
+    def test_inverse_is_an_exact_integer_table_over_6(self):
+        table = 6.0 * REFERENCE_INVERSE
+        assert np.array_equal(table, np.round(table))
+        assert np.abs(table).max() <= 6.0
+        ints = table.astype(np.int64)
+        product = REFERENCE_MATRIX.astype(np.int64) @ ints
+        assert np.array_equal(product, 6 * np.eye(12, dtype=np.int64))
+        assert np.array_equal(REFERENCE_MATRIX, REFERENCE_MATRIX.astype(np.int64))
+
+    def test_inverse_matches_lapack(self):
+        assert np.max(np.abs(REFERENCE_INVERSE - np.linalg.inv(REFERENCE_MATRIX))) < 1e-14
+
+    def test_reference_matrix_one_norm_condition(self):
+        # the value suite_unisolvence reports: ||A||_1 = 22, ||A^-1||_1 = 8
+        condition = [c.measured for c in suite_unisolvence()
+                     if c.name == "reference_matrix_condition"]
+        assert condition == [176.0]
+        assert np.linalg.cond(REFERENCE_MATRIX, 1) == pytest.approx(176.0, rel=1e-13)
 
 
 class TestEvalCell:

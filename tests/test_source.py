@@ -20,7 +20,10 @@ exception class the package defines is ConfigError or NumericalError or
 derives from NumericalError, so each maps to a documented exit code.  No
 module uses numpy.random: its extensions and the OpenSSL it loads through
 secrets would raise every command's peak memory, and verify draws its
-fixed-seed data from the standard library's random.Random.
+fixed-seed data from the standard library's random.Random.  No module uses
+numpy.linalg either: a LAPACK call pages its code into every command's
+memory, and the one table that needed it, the transfer's 12-point inverse,
+is written out exactly.
 """
 
 import ast
@@ -145,12 +148,12 @@ def readers(trees, name):
     }
 
 
-def numpy_random_lines(tree):
-    """Lines that import numpy.random (or a name from it) or read random as
-    an attribute of a name bound to numpy (np.random)."""
+def numpy_submodule_lines(tree, submodule):
+    """Lines that import numpy.<submodule> (or a name from it) or read the
+    submodule as an attribute of a name bound to numpy (np.random)."""
 
-    def in_numpy_random(module):
-        return module.split(".")[:2] == ["numpy", "random"]
+    def in_submodule(module):
+        return module.split(".")[:2] == ["numpy", submodule]
 
     numpy_names = {
         alias.asname or alias.name
@@ -160,14 +163,14 @@ def numpy_random_lines(tree):
     lines = []
     for n in ast.walk(tree):
         if isinstance(n, ast.Import):
-            hit = any(in_numpy_random(alias.name) for alias in n.names)
+            hit = any(in_submodule(alias.name) for alias in n.names)
         elif isinstance(n, ast.ImportFrom):
             module = n.module or ""
-            hit = in_numpy_random(module) or (
-                module == "numpy" and any(a.name == "random" for a in n.names)
+            hit = in_submodule(module) or (
+                module == "numpy" and any(a.name == submodule for a in n.names)
             )
         else:
-            hit = (isinstance(n, ast.Attribute) and n.attr == "random"
+            hit = (isinstance(n, ast.Attribute) and n.attr == submodule
                    and isinstance(n.value, ast.Name) and n.value.id in numpy_names)
         if hit:
             lines.append(n.lineno)
@@ -349,10 +352,26 @@ def test_no_module_uses_numpy_random():
         "from numpy import random as npr\nfrom numpy.random import default_rng\n"
         "rng = np.random.default_rng(1)\nx = random.Random(1).random()\n"
     )
-    assert numpy_random_lines(uses) == [2, 4, 5, 6]
+    assert numpy_submodule_lines(uses, "random") == [2, 4, 5, 6]
     found = {
         path.name: lines
         for path in MODULES
-        if (lines := numpy_random_lines(parse(path)))
+        if (lines := numpy_submodule_lines(parse(path), "random"))
     }
     assert found == {}, f"numpy.random used at {found}"
+
+
+def test_no_module_uses_numpy_linalg():
+    # every way in is caught, through any name numpy is bound to
+    uses = ast.parse(
+        "import numpy\nimport numpy.linalg\nfrom numpy import linalg\n"
+        "from numpy.linalg import inv\nc = numpy.linalg.cond(1)\n"
+        "x = numpy.ones(2).sum()\n"
+    )
+    assert numpy_submodule_lines(uses, "linalg") == [2, 3, 4, 5]
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := numpy_submodule_lines(parse(path), "linalg"))
+    }
+    assert found == {}, f"numpy.linalg used at {found}"

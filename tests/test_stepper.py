@@ -372,6 +372,20 @@ class TestPicardStep:
         with pytest.raises(NumericalError, match="within 1 sweeps"):
             step(Z, 1e-3, 20.0)
 
+    def test_nan_source_never_stops(self):
+        # every sweep from an all-NaN source solves to NaN, whose certified
+        # bound compares false with the stop, so the step runs out of sweeps
+        # and raises instead of accepting a NaN state
+        Z = random_state(seed=10)
+        solver = DirichletSolver(Z.frame, 1e-3)
+        solves = []
+        solve = solver.solve
+        solver.solve = lambda rhs: solves.append(1) or solve(rhs)
+        source = np.full(Z.frame.shape, np.nan)
+        with pytest.raises(NumericalError, match="did not converge within 50 sweeps"):
+            picard_implicit_step(Z, solver, 20.0, source)
+        assert len(solves) == stepper.PICARD_MAX == 50
+
     def test_rejects_inadmissible_state(self):
         Z = random_state(seed=11)
         bad = Field(Z.frame, Z.values - 5.0)
