@@ -34,7 +34,9 @@ random.Random, as numpy.random loads OpenSSL through secrets.  A path that
 cannot be a directory, or an output file that cannot be written, is a
 configuration error; a failed write removes its temporary sibling.  A
 sibling that already exists (a killed run leaves one) would stop the write,
-so it is reported, with the same message, before the run starts.  Files get
+so it is reported, with the same message, before the run starts.  So is a
+data file of the other run command in the output directory: this run's
+manifest.json would replace the one that holds that file's digest.  Files get
 the mode the umask allows.  Every numeric cell is printed with 13
 significant digits, so re-running a command with the same config produces
 byte-identical data files.  The manifest carries the timestamp, the
@@ -103,7 +105,7 @@ CONVENTIONS = {
     "source the first Picard sweep solves with (lower degree while fewer "
     "exist)",
     "nonlocal_term": "K of the full iterate, recomputed each Picard sweep; "
-    "on mirror-folded stages the mirror-weighted sum over the quarter",
+    "the mirror-weighted sum over the quarter",
     "picard_stop": "once ds * max|f(Y) - F|, with F the source the sweep "
     "solved with, a bound on the next sweep's move by the maximum principle "
     "(||L^-1|| <= ds), is below "
@@ -202,6 +204,18 @@ def _check_siblings(outdir: Path, names: tuple[str, ...]) -> None:
         if os.path.lexists(tmp):
             exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(tmp))
             raise _unwritable(outdir / name, exc)
+
+
+def _check_foreign_outputs(outdir: Path, others: tuple[str, ...]) -> None:
+    """Raise before a run if outdir holds a data file of the other run
+    command, others: the manifest this run writes would replace the one that
+    holds that file's digest."""
+    for name in others:
+        if os.path.lexists(outdir / name):
+            raise ConfigError(
+                f"output directory {outdir} holds {name}, a data file of "
+                "another command; its manifest.json would be replaced"
+            )
 
 
 def _write_atomic(path: Path, text: str) -> bytes:
@@ -316,6 +330,7 @@ def cmd_stagewise(config_path: str) -> int:
         config_path, StagewiseConfig, STAGEWISE_KEYS, STAGEWISE_OPTIONAL
     )
     outdir = _outdir()
+    _check_foreign_outputs(outdir, DIRECT_FILES)
     _check_siblings(outdir, STAGEWISE_FILES)
     _emit(outdir, "stagewise", values, _stagewise_files(run_stagewise(cfg)))
     return EXIT_OK
@@ -324,6 +339,7 @@ def cmd_stagewise(config_path: str) -> int:
 def cmd_direct(config_path: str) -> int:
     values, cfg = _load(config_path, DirectConfig, DIRECT_KEYS)
     outdir = _outdir()
+    _check_foreign_outputs(outdir, STAGEWISE_FILES)
     _check_siblings(outdir, DIRECT_FILES)
     direct = _json(_lower_keys(asdict(run_direct(cfg))))
     _emit(outdir, "direct", values, dict(zip(DIRECT_FILES, (direct,))))

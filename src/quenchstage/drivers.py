@@ -26,10 +26,10 @@ scheme (K = 1 + h^2 sum 1/v here).  Its threshold is 0: a step that leaves
 the positive cone (the deficit quenches) is a numerical failure.
 
 Both drivers run one loop, scored_march over a stepper.march, which yields
-every step as Fields on the start's frame (grid.Frame), the folded quarter
-in every run.  The loop scores the energy, the movement penalty and the sweeps
-of each completed step on that frame and stops at the first step whose
-minimum, taken when its Field was built, is at or below the threshold.
+every step as Fields on the start's frame, the quarter (grid.Frame).  The
+loop scores the energy, the movement penalty and the sweeps of each
+completed step on that frame and stops at the first step whose minimum,
+taken when its Field was built, is at or below the threshold.
 Each driver scores its start, and run_stage the crossing step's penalty and
 the event interpolated there.  A state march yields carries the gradient
 sum and K of its energy, so only the starts and the events are summed from
@@ -274,11 +274,11 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     The rescaled square maps exactly onto the unit square: A^(3/2)*L = 1/2,
     so x = 1/2 + A^(3/2)*xi puts the centre at (1/2, 1/2).  At A = 1 this is
     the physical deficit v = 1 - u0 with boundary value 1.  The profile is
-    symmetric about both mid-lines, so the Field is on the folded frame and
-    u0 is evaluated at the quarter's nodes only.
+    symmetric about both mid-lines, so u0 is evaluated at the quarter's
+    nodes only (grid.Frame).
     """
-    frame = Frame(Grid(A, N), mirrored=True)
-    x = 0.5 + A ** 1.5 * frame.grid.interior_nodes_1d()[: frame.shape[0]]
+    frame = Frame(Grid(A, N))
+    x = 0.5 + A ** 1.5 * frame.nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
     return Field(frame, (1.0 - u0) / A)

@@ -33,12 +33,10 @@ take their tables from it too.
 
 The stencil, the basis and the fill commute with the square's mirrors, so
 the transfer of a state symmetric about both mid-lines is symmetric too.
-The output Field is on the frame kind of the end state (grid.Frame): from a
-folded end the transfer evaluates only the coarse cells that own the fine
-quarter, reads their stencils from the coarse quarter and writes the fine
-one, so a folded stage hands a folded start to the next one and neither
-side is expanded to the whole interior.  The frame supplies the fill: the
-transfer reads its stencils' nodes through Frame.expand.
+It evaluates only the coarse cells that own the fine quarter (grid.Frame),
+reads their stencils from the coarse quarter and writes the fine one, so
+neither side is expanded to the whole interior.  The frame supplies the
+fill: the transfer reads its stencils' nodes through Frame.expand.
 """
 
 from __future__ import annotations
@@ -119,8 +117,8 @@ def _cell_stencils(end: Field, cells: int) -> np.ndarray:
 
     Cell i reads nodes i - 1 .. i + 2, so the cells read nodes
     -1 .. cells + 1 of each axis, which the end state's frame gives from its
-    own values (Frame.expand): on a folded end the quarter is read through
-    the mirror, and nodes off the interior read the boundary value g.
+    own values (Frame.expand): the quarter is read through the mirror, and
+    nodes off the interior read the boundary value g.
     """
     nodes = end.frame.expand(end.values, -1, cells + 2)
     return np.stack(
@@ -135,17 +133,15 @@ def prolong_stage(end: Field, k: int) -> Field:
     The end state's grid sets A_from.  The output grid has amplitude
     A_to = k^(-2/3) A_from and k*N intervals at the same mesh width (the
     domain dilates by k); its boundary value is 1/A_to, consistent with the
-    scaling of the coarse boundary 1/A_from.  The output Field is on the
-    frame kind of the end state, and only the coarse cells that own the fine
-    frame's nodes are evaluated: all N of them on the dense frame, about N/2
-    in each direction on the folded one.
+    scaling of the coarse boundary 1/A_from.  Only the coarse cells that own
+    the fine frame's nodes are evaluated, about N/2 in each direction.
     """
     if k < 2:
         raise ValueError("stage factor k must be at least 2")
     if not end.is_admissible():
         raise ValueError("transfer requires a positive end state")
     A_to = k ** (-2.0 / 3.0) * end.grid.A
-    frame = Frame(Grid(A_to, k * end.grid.N), end.frame.mirrored)
+    frame = Frame(Grid(A_to, k * end.grid.N))
     # fine indices 1..n of the frame belong to cells 0..n // k
     cells = frame.shape[0] // k + 1
     offsets = np.arange(k) / k
@@ -183,9 +179,9 @@ def laplace_compat_check(end: Field, k: int) -> float:
     """
     fine = prolong_stage(end, k)  # rejects k < 2
     N = end.grid.N
-    # fine Laplacian indexed by fine node (k*i + l, k*j + r); row/column 0
-    # is boundary padding that no cell below reads
-    lap_fine = np.pad(laplacian_5pt(fine), ((1, 0), (1, 0)))
+    # fine Laplacian, symmetric like the state, expanded to fine nodes
+    # (k*i + l, k*j + r); row/column 0 is the boundary, which no cell reads
+    lap_fine = fine.frame.expand(laplacian_5pt(fine), 0, k * N)
     # the node values bordering the cell must come from consistent
     # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
     # cells 1..N-3 in both directions

@@ -11,29 +11,26 @@ Y - g, which vanishes on the boundary:
 
     (1/ds - Lap_h)(Y - g) = (Z - g)/ds - lam / (Y_prev^2 K(Y_prev)^2)
 
-DirichletSolver inverts (I/ds - Lap_h) by sine-basis diagonalization, on
-the whole interior or on the mirror-folded quarter of a state symmetric
-about both mid-lines, the frame (grid.Frame) the state was built on.  On a
-quarter with N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode N - j is
-(-1)^(i+1) times that of mode j, so each product is two half products (a
-butterfly) and the solver keeps two half tables in place of T.
+DirichletSolver inverts (I/ds - Lap_h) by sine-basis diagonalization on
+the mirror-folded quarter of a state symmetric about both mid-lines, its
+grid.Frame.  With N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode
+N - j is (-1)^(i+1) times that of mode j, so each product is two half
+products (a butterfly) and the solver keeps two half tables in place of T.
 Values are clipped at CLIP only inside reciprocal evaluations
 (nonlocal_source).  picard_implicit_step stops once the discrete maximum
 principle (Varga 1962) certifies that a further sweep would move Y by less
 than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
 so a stage and the same steps on the physical profile (W = v/A) stop alike.
 march owns the step sequence of a run: one solver on the start's frame, each
-step seeded by extrapolated_seed (Fischer 1998).  No run expands a state to
-the whole interior; verify and every dense Field a test builds are stepped
-with the dense solve.  The energy E and the movement penalty
-(A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are evaluated by the
-code that records them: the drivers' scored loop, the oracle's objective
-and the dissipation check.
+step seeded by extrapolated_seed (Fischer 1998).  The energy E and the
+movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
+evaluated by the code that records them: the drivers' scored loop, the
+oracle's objective and the dissipation check.
 
 A minimizing-movement oracle doubles the step on verification-size grids
-(<= 16 interior nodes): it minimizes J(Y) = E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2
-by gradient descent from Z, each iteration the full step ds*R along the
-first-order residual
+(<= 16 frame values): it minimizes J(Y) = E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2
+over symmetric states by gradient descent from Z, each iteration the full
+step ds*R along the first-order residual
 
     R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2),
 
@@ -79,16 +76,16 @@ SEED_ROWS = [[SEED_WEIGHTS[p, (n - np.arange(p + 1)) % (SEED_ORDER + 1)]
 PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # Share of PICARD_TOL under which the certified bound on the next sweep's move
 # ends a step.  The source change F_new - F that the bound scales is also the
-# Euler-Lagrange residual of the accepted iterate, so the margin sets that
-# residual: at 1.0 it reaches 5e-8 on a random 3x3 state at ds = 1e-3, at 0.1
-# it stays below 1e-9.  A smaller margin costs sweeps without need (0.01 takes
-# 825 solves on the 4-stage reference run, 0.1 takes 701).
+# Euler-Lagrange residual of the accepted iterate, so the stop holds that
+# residual below STOP_MARGIN*PICARD_TOL*max|Y|/ds, 1e-8 max|Y| at ds = 1e-3.
+# A smaller margin costs sweeps without need (0.01 takes 825 solves on the
+# 4-stage reference run, 0.1 takes 701).
 STOP_MARGIN = 0.1
 PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
 ORACLE_TOL = 1e-10  # max-norm first-order residual that ends the descent
 ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
-# Smallest N from which a folded frame with N % 4 == 0 takes the butterfly
+# Smallest N from which a frame with N % 4 == 0 takes the butterfly
 # products (DirichletSolver).  Against the plain folded products a solve
 # takes 1.03-1.05x the time at N = 168, 0.94-0.96x at 172 and 0.65x at 288
 # (medians of 40 interleaved rounds, 2-vCPU Intel Xeon, BLAS on 1 thread).
@@ -115,8 +112,8 @@ class OracleStagnation(NumericalError):
 
 
 class DirichletSolver:
-    """Sine-basis diagonalization of (I/ds - Lap_h) on the interior of a grid,
-    with zero Dirichlet data.
+    """Sine-basis diagonalization of (I/ds - Lap_h) on the quarter frame of
+    a grid, with zero Dirichlet data.
 
     The orthonormal sine matrix S[i, j] = sqrt(2/N) sin(pi i j / N),
     i, j = 1..N-1, is symmetric with S @ S = I and diagonalizes the
@@ -125,19 +122,18 @@ class DirichletSolver:
     diagonal in the S x S basis with entries 1/ds + mu_i + mu_j (Buzbee,
     Golub & Nielson 1970): a solve is four dense products.
 
-    On a folded frame (Frame(grid, mirrored=True)) the solver is valid only
-    for right-hand sides symmetric about both mid-lines, rhs[i] = rhs[N-i].
-    Since sin(pi (N-i) j / N) = (-1)^(j+1) sin(pi i j / N), the even modes
-    of such data vanish and each odd mode is the sum over the quarter's
-    rows i = 1..N//2 with weight w_i = 2, or 1 on the middle line of an even
-    N: the products run with T = S[1..N//2, odd] on the output side and
-    w T on the input side.  The solve halves the middle line of rhs in place
-    and the inverse table carries the factor 4; scaling by a power of two is
-    exact, so this is bit for bit the products with w T.  On the dense frame
-    T is S and w = 1.
+    The frame (grid.Frame) holds right-hand sides symmetric about both
+    mid-lines, rhs[i] = rhs[N-i].  Since sin(pi (N-i) j / N) =
+    (-1)^(j+1) sin(pi i j / N), the even modes of such data vanish and each
+    odd mode is the sum over the quarter's rows i = 1..N//2 with weight
+    w_i = 2, or 1 on the middle line of an even N: the products run with
+    T = S[1..N//2, odd] on the output side and w T on the input side.  The
+    solve halves the middle line of rhs in place and the inverse table
+    carries the factor 4; scaling by a power of two is exact, so this is bit
+    for bit the products with w T.
 
     For N % 4 == 0 the odd modes pair up, T[i, N-j] = (-1)^(i+1) T[i, j].
-    From N = BUTTERFLY_MIN_N on, the folded solver orders its modes 1, 3, ..,
+    From N = BUTTERFLY_MIN_N on, the solver orders its modes 1, 3, ..,
     N/2 - 1, then their partners, and keeps the first half of T as its odd
     rows C and even rows D.  T^T R is then C^T R[0::2] + D^T R[1::2] over
     C^T R[0::2] - D^T R[1::2], and T X puts C (X' + X'') in the odd rows and
@@ -152,8 +148,8 @@ class DirichletSolver:
         self.ds = ds
         self.frame = frame
         N, n = frame.grid.N, frame.shape[0]
-        i, j = np.arange(1, n + 1), np.arange(1, N, 2 if frame.mirrored else 1)
-        half = n // 2 if frame.mirrored and N % 4 == 0 and N >= BUTTERFLY_MIN_N else 0
+        i, j = np.arange(1, n + 1), np.arange(1, N, 2)
+        half = n // 2 if N % 4 == 0 and N >= BUTTERFLY_MIN_N else 0
         if half:  # modes 1, 3, .., N/2 - 1, then their partners N - 1, N - 3, ..
             j = np.concatenate((j[:half], j[half:][::-1]))
         T = np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(i, j[:half or n]) / N)
@@ -162,16 +158,14 @@ class DirichletSolver:
         else:
             self._T = T
         self._half = half
-        self.path = "mirror-folded butterfly" if half else (
-            "mirror-folded" if frame.mirrored else "dense")
+        self.path = "mirror-folded butterfly" if half else "mirror-folded"
         # eigenvalues l_j of the second difference tridiag(-1, 2, -1)
         eig = 2.0 - 2.0 * np.cos(np.pi * j / N)
         self._form = eig[:, None] + eig[None, :]
         mu = eig / frame.grid.h ** 2
         # the factor 2 of w on each input side, off the middle line
-        fold = 4.0 if frame.mirrored else 1.0
-        self._inv = fold / (1.0 / ds + mu[:, None] + mu[None, :])
-        self._halve_middle = frame.mirrored and 2 * n == N
+        self._inv = 4.0 / (1.0 / ds + mu[:, None] + mu[None, :])
+        self._halve_middle = 2 * n == N
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
@@ -182,7 +176,7 @@ class DirichletSolver:
         The basis diagonalizes the Dirichlet form too.  With X the sine
         coefficients of u, the sum of (u_i - u_j)^2 over all node pairs is
         sum_ab (l_a + l_b) X_ab^2, l_j = 2 - 2 cos(pi j / N), the odd-odd
-        modes being all of it on the folded frame.  The solve allocates one
+        modes being all of it for symmetric data.  The solve allocates one
         more frame array, for its products and X^2.
         """
         if self._halve_middle:  # w = 1 on the middle line of an even N
@@ -254,17 +248,17 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     """Picard start for the next step from the last accepted sources.
 
     ring holds the sources f(Y) of accepted states of one run or stage on
-    one grid, all in one frame (march keeps them in its solver's frame), in
-    SEED_ORDER + 1 rows: the k-th source written (k = 0 .. count - 1) is row
-    k % len(ring).  With p = min(SEED_ORDER, count - 1) the seed is the
-    degree-p polynomial through the last p + 1 sources evaluated one step
-    ahead, sum_{i=0..p} (-1)^i C(p+1, i+1) F_{n-i}: 7F_n - 21F_{n-1} +
-    35F_{n-2} - 35F_{n-3} + 21F_{n-4} - 7F_{n-5} + F_{n-6} for p = 6, and a
-    copy of F_n for a single source.  It is one product of the SEED_ROWS
-    row of p and the newest row with the rows written so far: an unwritten
-    row may hold NaN, and 0 * NaN is NaN.  The row is an array of its own,
-    not a view into a larger table, since the product's last bits depend on
-    where its operand sits in memory.
+    one grid, all on its frame, in SEED_ORDER + 1 rows: the k-th source
+    written (k = 0 .. count - 1) is row k % len(ring).  With p =
+    min(SEED_ORDER, count - 1) the seed is the degree-p polynomial through
+    the last p + 1 sources evaluated one step ahead, sum_{i=0..p} (-1)^i
+    C(p+1, i+1) F_{n-i}: 7F_n - 21F_{n-1} + 35F_{n-2} - 35F_{n-3} +
+    21F_{n-4} - 7F_{n-5} + F_{n-6} for p = 6, and a copy of F_n for a single
+    source.  It is one product of the SEED_ROWS row of p and the newest row
+    with the rows written so far: an unwritten row may hold NaN, and 0 * NaN
+    is NaN.  The row is an array of its own, not a view into a larger table,
+    since the product's last bits depend on where its operand sits in
+    memory.
     """
     rows = min(count, len(ring))
     weights = SEED_ROWS[rows - 1][(count - 1) % len(ring)]
@@ -355,17 +349,16 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     """Seeded backward-Euler + Picard steps of size ds from Z, lazily: each
     yielded report starts from the previous one's state.  A step that does
     not converge raises NumericalError naming where (the stage or the direct
-    run) and the step.  The one solver is built on Z's frame, so a folded
-    start takes the mirror-folded solve and a dense one the dense solve, and
-    every yielded state is a Field on that frame (Z itself is step 1's
-    prev).  The seed ring holds f(Z) and a copy of the source f(Y) each step
-    hands back, so the run evaluates one source per solve and one at its
-    start; before step n it has written n sources and holds the last
-    SEED_ORDER + 1 of them.  The row that step n's source replaces is
-    unwritten or read last by step n's seed, so the seed is written there
-    and the step takes that row as its start source and its work array.
-    Z is held only as the current step's start: a caller that hands march
-    the only reference to its start has it freed once step 1 is scored."""
+    run) and the step.  The one solver is built on Z's frame, and every
+    yielded state is a Field on that frame (Z itself is step 1's prev).  The
+    seed ring holds f(Z) and a copy of the source f(Y) each step hands back,
+    so the run evaluates one source per solve and one at its start; before
+    step n it has written n sources and holds the last SEED_ORDER + 1 of
+    them.  The row that step n's source replaces is unwritten or read last
+    by step n's seed, so the seed is written there and the step takes that
+    row as its start source and its work array.  Z is held only as the
+    current step's start: a caller that hands march the only reference to
+    its start has it freed once step 1 is scored."""
     solver = DirichletSolver(Z.frame, ds)
     logger.info("%s: %s solve", where, solver.path)
     ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
@@ -385,13 +378,11 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step,
-    on the whole interior; K is summed on Y's frame when it is dense."""
+    on the frame of Y and Z."""
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    frame = Frame(Y.grid) if Y.frame.mirrored else Y.frame
-    y = Y.interior
-    source, _ = nonlocal_source(y, frame, lam)
-    return (y - Z.interior) / ds - laplacian_5pt(Y) + source
+    source, _ = nonlocal_source(Y.values, Y.frame, lam)
+    return (Y.values - Z.values) / ds - laplacian_5pt(Y) + source
 
 
 def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
@@ -406,14 +397,12 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     OracleStagnation.  ds*R is an explicit step of the diffusion, so it
     lowers J only for ds below about h^2/8, the reciprocal of the largest
     eigenvalue of -Lap_h; verify's cases run at ds = 1e-3 against
-    h^2/8 = 0.036 on their 3x3 interiors.  Z must be a Field on the dense
-    frame of its grid, as verify's are, since the descent runs on the whole
-    interior; a folded Z raises ValueError.
+    h^2/8 = 0.036 on their 3x3 interiors.  The descent runs on Z's frame, so
+    it minimizes J over the states symmetric about both mid-lines; it takes
+    at most 16 frame values, N <= 9.
     """
-    if (Z.grid.N - 1) ** 2 > 16:
-        raise ValueError("oracle is restricted to grids with <= 16 interior nodes")
-    if Z.frame.mirrored:
-        raise ValueError("oracle requires a Field on the dense frame of its grid")
+    if Z.values.size > 16:
+        raise ValueError("oracle is restricted to grids with <= 16 frame values")
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 

@@ -4,7 +4,10 @@ Each suite exercises one family of structural guarantees on deterministic
 random data and reports measured residuals against pinned tolerances.  Each
 suite draws from its own random.Random(seed) through random() alone, whose
 stream CPython keeps for a seed across versions; numpy.random would load its
-generators and, through secrets, OpenSSL.  The suites:
+generators and, through secrets, OpenSSL.  Every state is drawn on the
+quarter frame (grid.Frame), as every run's is, so the suites step, score and
+transfer through the code the runs take; they check symmetric data only.
+The suites:
 
   green        Green identity of -lap_h and Frame.grad_norm_sq
   unisolvence  cell_map, the map the transfer applies: identity at the 12
@@ -79,8 +82,8 @@ def _uniform(rng: random.Random, low: float, high: float, shape=()):
 
 
 def _random_field(rng: random.Random, N: int, A: float) -> Field:
-    grid = Grid(A, N)
-    return Field(Frame(grid), grid.g + _uniform(rng, -0.3, 0.3, (N - 1, N - 1)))
+    frame = Frame(Grid(A, N))
+    return Field(frame, frame.grid.g + _uniform(rng, -0.3, 0.3, frame.shape))
 
 
 def _one_norm(M: np.ndarray) -> float:
@@ -95,9 +98,9 @@ def suite_green() -> list[CheckResult]:
     for _ in range(20):
         N = 4 + int(5 * rng.random())
         Y = _random_field(rng, N, _uniform(rng, 0.3, 1.5))
-        # a test function with boundary value 0, given by its interior
+        # a test function with boundary value 0, given by its frame values
         Phi = _uniform(rng, -1.0, 1.0, Y.values.shape)
-        lhs = float(Y.grid.h * Y.grid.h * np.sum(-laplacian_5pt(Y) * Phi))
+        lhs = Y.grid.h * Y.grid.h * Y.frame.sum(-laplacian_5pt(Y) * Phi)
         # Y +- Phi keep Y's boundary value g: the energy's form, polarized
         form = Y.frame.grad_norm_sq
         rhs = (form(Y.values + Phi) - form(Y.values - Phi)) / 4.0
@@ -143,8 +146,8 @@ def suite_edge() -> list[CheckResult]:
     for _ in range(5):
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, edge_consistency_check(Y))
-    grid = Grid(0.6, 6)
-    const = Field(Frame(grid), np.full((5, 5), grid.g))
+    frame = Frame(Grid(0.6, 6))
+    const = Field(frame, np.full(frame.shape, frame.grid.g))
     const_gap = edge_consistency_check(const)
     return [
         CheckResult("interface_continuity", worst, 1e-11, "5 random fields, N=8"),
@@ -185,7 +188,8 @@ def suite_laplace() -> list[CheckResult]:
 
 
 def _oracle_case(rng: random.Random) -> tuple[Field, float, float]:
-    """A random 3x3-interior state at A = 0.6 with (ds, lam) = (1e-3, 20)."""
+    """A random state at A = 0.6, N = 4 (a 3x3 interior, a 2x2 frame), with
+    (ds, lam) = (1e-3, 20)."""
     return _random_field(rng, 4, 0.6), 1e-3, 20.0
 
 
@@ -271,14 +275,14 @@ def transfer_refinement_errors():
     k, A_from = 2, 0.6
     errors = []
     for N in REFINEMENT_LEVELS:
-        grid = Grid(A_from, N)
-        L = grid.L
-        xi = grid.interior_nodes_1d()
+        frame = Frame(Grid(A_from, N))
+        L = frame.grid.L
+        xi = frame.nodes_1d()
         X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        Y = Field(Frame(grid), _boundary_flat_profile(X1, X2, L, A_from))
+        Y = Field(frame, _boundary_flat_profile(X1, X2, L, A_from))
         fine = prolong_stage(Y, k)
         eb_fine = discrete_energy(fine, 1.0)
-        fxi = fine.grid.interior_nodes_1d()
+        fxi = fine.frame.nodes_1d()
         F1, F2 = np.meshgrid(fxi, fxi, indexing="ij")
         ideal = Field(
             fine.frame,
@@ -298,14 +302,13 @@ def suite_changevar() -> list[CheckResult]:
     cfg = StagewiseConfig()
     W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     E_resc = discrete_energy(W, cfg.lam).total
-    phys = Grid(1.0, cfg.N0)
-    v = Field(Frame(phys), cfg.A0 * W.interior)
+    v = Field(Frame(Grid(1.0, cfg.N0)), cfg.A0 * W.values)
     E_phys = discrete_energy(v, cfg.lam).total
     eq_err = abs(E_resc - E_phys)
-    grid = Grid(0.6, 6)
-    const = Field(Frame(grid), np.full((5, 5), grid.g))
+    frame = Frame(Grid(0.6, 6))
+    const = Field(frame, np.full(frame.shape, frame.grid.g))
     out = prolong_stage(const, 2)
-    const_err = float(np.max(np.abs(out.interior - 1.0 / out.grid.A)))
+    const_err = float(np.max(np.abs(out.values - 1.0 / out.grid.A)))
     errors = transfer_refinement_errors()
     # error ratios per doubling of N, both sums; order >= 2 is ratio <= 1/4
     ratios = [

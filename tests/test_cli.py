@@ -355,22 +355,56 @@ def test_unusable_outdir_exit_code(tmp_path, monkeypatch, capsys, command, under
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
-def test_output_file_modes_follow_umask(tmp_path, outdir, umask):
+def test_output_file_modes_follow_umask(tmp_path, outdir, monkeypatch, umask):
+    # the two commands write into two directories, since neither writes
+    # into a directory that holds the other's data files
     stage_cfg = write_cfg(tmp_path / "s.cfg", STAGE_BASE)
     direct_cfg = write_cfg(tmp_path / "d.cfg", DIRECT_BASE)
+    direct_dir = tmp_path / "direct"
     old = os.umask(umask)
     try:
         assert main(["stagewise", "--config", stage_cfg]) == 0
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(direct_dir))
         assert main(["direct", "--config", direct_cfg]) == 0
     finally:
         os.umask(old)
     written = sorted(outdir.iterdir())
     assert [f.name for f in written] == [
-        "direct.json", "feedback.csv", "ledger.json", "manifest.json",
-        "stages.csv", "transitions.csv",
+        "feedback.csv", "ledger.json", "manifest.json", "stages.csv",
+        "transitions.csv",
     ]
-    for f in written:
+    direct = sorted(direct_dir.iterdir())
+    assert [f.name for f in direct] == ["direct.json", "manifest.json"]
+    for f in written + direct:
         assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~umask, f.name
+
+
+@pytest.mark.parametrize(
+    "first, second", [("stagewise", "direct"), ("direct", "stagewise")]
+)
+def test_other_commands_data_file_stops_the_run(
+    tmp_path, outdir, monkeypatch, capsys, first, second
+):
+    # a run into the directory of the other command would replace the
+    # manifest that holds that run's digests: it stops before it starts,
+    # with a config error naming the directory and the file, and leaves
+    # the directory as it was
+    bases = {"stagewise": STAGE_BASE, "direct": DIRECT_BASE}
+    assert main([first, "--config", write_cfg(tmp_path / "a.cfg", bases[first])]) == 0
+    before = {f.name: f.read_bytes() for f in outdir.iterdir()}
+    capsys.readouterr()
+    runs = []
+    for name in ("run_stagewise", "run_direct"):
+        monkeypatch.setattr(f"quenchstage.cli.{name}", lambda cfg: runs.append(cfg))
+    cfg = write_cfg(tmp_path / "b.cfg", bases[second])
+    assert main([second, "--config", cfg]) == 2
+    assert runs == []
+    found = {"stagewise": "stages.csv", "direct": "direct.json"}[first]
+    assert capsys.readouterr().err == (
+        f"config error: output directory {outdir} holds {found}, a data file "
+        "of another command; its manifest.json would be replaced\n"
+    )
+    assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
 
 
 class TestVerifyCommand:
@@ -468,19 +502,20 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in data["checks"])
         assert err.startswith("numerical failure: verify oracle: ")
 
-    def test_all_suites_take_the_dense_solve(self, monkeypatch, capsys):
-        # verify steps fields built on the dense frame, so no solver is folded
+    def test_all_suites_take_the_folded_solve(self, monkeypatch, capsys):
+        # verify draws its states on the quarter, as every run builds them,
+        # so each solver it builds takes the solve the runs take
         built = []
         init = stepper.DirichletSolver.__init__
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self.frame.mirrored)
+            built.append(self.path)
 
         monkeypatch.setattr(stepper.DirichletSolver, "__init__", recording)
         assert main(["verify", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert built and not any(built)
+        assert built == ["mirror-folded"] * 50
 
     def test_unknown_suite_exit_code(self, capsys):
         # argparse rejects the name as a usage error

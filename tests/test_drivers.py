@@ -36,6 +36,11 @@ THR = 2.0 ** (-2.0 / 3.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def interior(Y):
+    """The whole interior of a Field: its frame values mirrored out."""
+    return Y.frame.expand(Y.values, 1, Y.grid.N)
+
+
 def stage0_state(cfg):
     Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     return StageState(m=0, Z=Z, t=0.0)
@@ -184,7 +189,8 @@ class TestInitialProfile:
         # N0 = 8 puts a node at xi = 0, which maps to the unit-square center
         cfg = StagewiseConfig(N0=8)
         W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        assert W.interior[3, 3] == pytest.approx(1.0, abs=1e-14)
+        # the quarter of an even N holds the centre line
+        assert W.values[3, 3] == pytest.approx(1.0, abs=1e-14)
         assert W.min_interior() == pytest.approx(1.0, abs=1e-14)
 
     def test_boundary_value(self):
@@ -194,29 +200,28 @@ class TestInitialProfile:
     def test_matches_pointwise_loop(self):
         cfg = StagewiseConfig()
         W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        xi = W.grid.interior_nodes_1d()
-        scale = cfg.A0 ** 1.5
+        scale, h, L = cfg.A0 ** 1.5, W.grid.h, W.grid.L
+        full = interior(W)
         for i in range(cfg.N0 - 1):
             for j in range(cfg.N0 - 1):
-                x = 0.5 + scale * xi[i]
-                y = 0.5 + scale * xi[j]
+                x = 0.5 + scale * ((i + 1) * h - L)
+                y = 0.5 + scale * ((j + 1) * h - L)
                 u0 = 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y)
-                assert W.interior[i, j] == pytest.approx(
-                    (1.0 - u0) / cfg.A0, rel=1e-13
-                )
+                assert full[i, j] == pytest.approx((1.0 - u0) / cfg.A0, rel=1e-13)
         assert W.min_interior() >= 1.0
 
     # N = 2 is the single node; an even N has a middle line of weight 1
     @pytest.mark.parametrize("N", [2, 3, 9, 15])
     def test_folded_profile_is_the_restricted_dense_one(self, N):
-        # the profile is built on the folded frame from the quarter's nodes
-        # only, to the bit the quarter of the dense construction
+        # the profile is built on the frame from the quarter's nodes only,
+        # to the bit the quarter of the construction on every interior node
         A, a = 0.6, 0.4
         W = initial_rescaled_profile(A, N, a)
-        x = 0.5 + A ** 1.5 * Grid(A, N).interior_nodes_1d()
+        grid = Grid(A, N)
+        x = 0.5 + A ** 1.5 * (np.arange(1, N) * grid.h - grid.L)
         X, Y = np.meshgrid(x, x, indexing="ij")
         dense = (1.0 - a * np.sin(np.pi * X) * np.sin(np.pi * Y)) / A
-        assert W.frame.mirrored and W.values.shape == (N // 2, N // 2)
+        assert W.values.shape == (N // 2, N // 2)
         assert np.array_equal(W.values, W.frame.restrict(dense))
 
 
@@ -267,8 +272,8 @@ class TestRunStage:
 
     def test_rejects_state_below_threshold(self):
         cfg = StagewiseConfig()
-        grid = Grid(cfg.A0, cfg.N0)
-        low = Field(Frame(grid), np.full((8, 8), 0.5))
+        frame = Frame(Grid(cfg.A0, cfg.N0))
+        low = Field(frame, np.full(frame.shape, 0.5))
         below = (
             r"stage 0 starts at or below the trigger threshold: "
             r"min W = 0\.5 <= k\^\(-2/3\) = 0\.629961"
@@ -279,9 +284,10 @@ class TestRunStage:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_or_nan_start(self, value):
         cfg = StagewiseConfig()
-        interior = np.full((8, 8), 2.0)
-        interior[3, 4] = value
-        Z = Field(Frame(Grid(cfg.A0, cfg.N0)), interior)
+        frame = Frame(Grid(cfg.A0, cfg.N0))
+        values = np.full(frame.shape, 2.0)
+        values[3, 2] = value
+        Z = Field(frame, values)
         with pytest.raises(TransferError, match="stage 2 starts at or below"):
             run_stage(StageState(m=2, Z=Z, t=0.0), cfg)
 
@@ -323,8 +329,8 @@ class TestStageTransition:
         assert row.eps_sw == 0.0
 
     def test_amplitude_cascade_hits_exact_value(self):
-        grid = Grid(0.6, 3)
-        Z = Field(Frame(grid), np.full((2, 2), grid.g))
+        frame = Frame(Grid(0.6, 3))
+        Z = Field(frame, np.full(frame.shape, frame.grid.g))
         for _ in range(3):
             Z = prolong_stage(Z, 2)
         assert Z.grid.A == 0.15
@@ -332,8 +338,9 @@ class TestStageTransition:
     def test_constant_event_closed_form_jump(self):
         A, N, k, lam = 0.6, 6, 2, 20.0
         A_to = k ** (-2.0 / 3.0) * A
-        grid = Grid(A, N)
-        event = Field(Frame(grid), np.full((N - 1, N - 1), grid.g))
+        frame = Frame(Grid(A, N))
+        grid = frame.grid
+        event = Field(frame, np.full(frame.shape, grid.g))
         nxt = prolong_stage(event, k)
         E_end = discrete_energy(event, lam).total
         E_start = discrete_energy(nxt, lam).total
@@ -341,17 +348,17 @@ class TestStageTransition:
         h = grid.h
         K_end = 1.0 + A ** 3 * h * h * (N - 1) ** 2
         K_start = 1.0 + A_to ** 3 * h * h * (k * N - 1) ** 2
-        assert np.max(np.abs(nxt.interior - 1.0 / A_to)) < 1e-13
+        assert np.max(np.abs(nxt.values - 1.0 / A_to)) < 1e-13
         assert E_end == pytest.approx(lam / K_end, rel=1e-13)
         assert E_start == pytest.approx(lam / K_start, rel=1e-13)
         assert delta == pytest.approx(lam / K_start - lam / K_end, rel=1e-12)
         assert eps == 0.0
 
     def test_undershoot_aborts(self):
-        grid = Grid(0.6, 6)
+        frame = Frame(Grid(0.6, 6))
         # small flat interior against the large boundary: the cubic patches
         # undershoot below zero near the boundary ring
-        event = Field(Frame(grid), np.full((5, 5), 0.1))
+        event = Field(frame, np.full(frame.shape, 0.1))
         nxt = prolong_stage(event, 2)
         assert nxt.min_interior() < 0.0
         with pytest.raises(TransferError, match="stage 1 starts at or below"):
@@ -496,8 +503,8 @@ class TestRunStagewise:
         monkeypatch.setattr("quenchstage.stepper.discrete_energy", None)
         report = run_stagewise(StagewiseConfig())
         # per stage the start, then one E(next) per completed step and the
-        # event, all on the folded frame (the N//2 quarter), none for the
-        # crossing steps; E0 is the stage-0 start
+        # event, all on the quarter (N//2 a side), none for the crossing
+        # steps; E0 is the stage-0 start
         completed = sum(r.steps for r in report.records)
         stages = len(report.records)
         assert len(shapes) == completed + 2 * stages == 623
@@ -556,7 +563,7 @@ class TestRunStagewise:
 
         def recording(Z, solver, *args):
             Y, sweeps, F = picard_implicit_step(Z, solver, *args)
-            states.append((Z.interior, Y.interior))
+            states.append((interior(Z), interior(Y)))
             return Y, sweeps, F
 
         monkeypatch.setattr("quenchstage.stepper.picard_implicit_step", recording)
@@ -651,7 +658,7 @@ class TestRunDirect:
         for j in range(1, N):
             for l in range(1, N):
                 want = 1.0 - a * np.sin(np.pi * j / N) * np.sin(np.pi * l / N)
-                assert abs(v.interior[j - 1, l - 1] - want) <= 1e-15
+                assert abs(interior(v)[j - 1, l - 1] - want) <= 1e-15
         # the A = 1 grid is the unit square: h = 2 * (1/2) / N is 1/N exactly
         for n in range(2, 600):
             assert Grid(1.0, n).h == 1.0 / n
@@ -755,13 +762,12 @@ class TestRunDirect:
 def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
     # every state a driver records is scored once, on its own frame; the
     # transfer reads a window of each event's quarter, never all N - 1 lines
-    # of the interior; and the Fields on the folded frame, each of which
-    # takes its minimum once, are the start (the stage-0 profile or the
-    # transfer's output), every accepted state and each event.  Only the
-    # states no Picard step built, each stage's start and event and the
-    # direct run's start, are summed by Frame.grad_norm_sq; an accepted
-    # state carries its solve's sum
-    evaluated, read, expanded, folded, summed = [], [], [], [], []
+    # of the interior; and the Fields, each of which takes its minimum once,
+    # are the start (the stage-0 profile or the transfer's output), every
+    # accepted state and each event.  Only the states no Picard step built,
+    # each stage's start and event and the direct run's start, are summed
+    # by Frame.grad_norm_sq; an accepted state carries its solve's sum
+    evaluated, read, built, summed = [], [], [], []
     expand, post_init = Frame.expand, Field.__post_init__
     grad_norm_sq = Frame.grad_norm_sq
 
@@ -773,18 +779,14 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
         evaluated.append(Y)
         return discrete_energy(Y, *args)
 
-    def on_expand(self, Y, *window):
-        out = expand(self, Y, *window)
-        if window:
-            read.append(out.shape)
-        elif self.mirrored:
-            expanded.append(out.shape)
+    def on_expand(self, Y, start, stop):
+        out = expand(self, Y, start, stop)
+        read.append(out.shape)
         return out
 
     def on_field(self):
         post_init(self)
-        if self.frame.mirrored:
-            folded.append(self)
+        built.append(self)
 
     monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_energy)
     monkeypatch.setattr(Frame, "expand", on_expand)
@@ -793,16 +795,14 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
     report = run(cfg)
     assert len(evaluated) == evaluations
     assert len(summed) == gradient_sums
-    assert all(Y.frame.mirrored for Y in evaluated)
-    assert expanded == []
     if run is run_direct:
         assert read == []
-        assert len(folded) == cfg.steps + 1
+        assert len(built) == cfg.steps + 1
     else:
         records = report.records
         # cells = (k N / 2) // k + 1 read nodes -1 .. cells + 1 of the end
         assert read == [(r.N // 2 + 4,) * 2 for r in records[:-1]]
-        assert len(folded) == sum(r.steps + 1 + 2 for r in records)
+        assert len(built) == sum(r.steps + 1 + 2 for r in records)
 
 
 @pytest.mark.parametrize(
@@ -872,15 +872,18 @@ def test_stage_start_and_event_are_freed(monkeypatch):
 
 def test_runs_read_no_full_grid_state(monkeypatch):
     # every stage is built, stepped, scored and transferred on its quarter:
-    # with the whole-interior read refused, the 6-stage run and the direct
-    # run complete with the same reports
+    # with any window of a state that covers its whole interior refused,
+    # the 6-stage run and the direct run complete with the same reports
     def runs():
         return run_stagewise(StagewiseConfig(max_stages=6)), run_direct(DirectConfig())
 
     want = runs()
+    expand = Frame.expand
 
-    def refuse(self):
-        raise AssertionError("a run read the whole interior of a state")
+    def refuse(self, Y, start, stop):
+        if start <= 1 and stop >= self.grid.N:
+            raise AssertionError("a run read the whole interior of a state")
+        return expand(self, Y, start, stop)
 
-    monkeypatch.setattr(Field, "interior", property(refuse))
+    monkeypatch.setattr(Frame, "expand", refuse)
     assert runs() == want

@@ -22,6 +22,11 @@ def reciprocal_K(Y):
     return discrete_energy(Y, lam=1.0).K
 
 
+def interior(Y):
+    """The whole interior of a Field: its frame values mirrored out."""
+    return Y.frame.expand(Y.values, 1, Y.grid.N)
+
+
 def single_node_field(value):
     # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
@@ -47,13 +52,12 @@ class TestReciprocalK:
 
     def test_monotone_in_values(self):
         rng = np.random.default_rng(11)
-        grid = Grid(0.6, 5)
-        interior = 1.0 + rng.uniform(0.0, 1.0, (4, 4))
-        Y = Field(Frame(grid), interior)
-        K0 = reciprocal_K(Y)
-        bumped = interior.copy()
-        bumped[2, 1] += 0.25
-        K1 = reciprocal_K(Field(Frame(grid), bumped))
+        frame = Frame(Grid(0.6, 5))
+        values = 1.0 + rng.uniform(0.0, 1.0, frame.shape)
+        K0 = reciprocal_K(Field(frame, values))
+        bumped = values.copy()
+        bumped[1, 0] += 0.25
+        K1 = reciprocal_K(Field(frame, bumped))
         assert K1 < K0
 
 
@@ -70,9 +74,11 @@ class TestDiscreteEnergy:
         W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         eb = discrete_energy(W, cfg.lam)
         assert eb.total == pytest.approx(10.3614604375, rel=1e-6)
-        # same number assembled from the two pieces directly
-        grad = Frame(W.grid).grad_norm_sq(W.interior)
-        K = 1.0 + W.grid.A2h2 * float(np.sum(1.0 / W.interior))
+        # same number assembled from the two pieces directly, by plain sums
+        # over the whole interior
+        F = np.pad(interior(W), 1, constant_values=W.grid.g)
+        grad = float(np.sum(np.diff(F, axis=0) ** 2) + np.sum(np.diff(F, axis=1) ** 2))
+        K = 1.0 + W.grid.A2h2 * float(np.sum(1.0 / interior(W)))
         manual = 0.5 * cfg.A0**2 * grad + cfg.lam / K
         assert eb.total == pytest.approx(manual, rel=1e-15)
 
@@ -86,40 +92,46 @@ class TestDiscreteEnergy:
 
 class TestFrameEnergy:
     @staticmethod
-    def symmetric_state(N, seed):
-        """A positive state symmetric about both mid-lines on Grid(0.6, N)."""
-        a = np.random.default_rng(seed).uniform(0.5, 1.5, (N - 1, N - 1))
+    def symmetric_state(N, seed, restricted):
+        """A positive state symmetric about both mid-lines on Grid(0.6, N),
+        and its whole interior: the quarter of a random symmetric interior,
+        or a random quarter and its mirror expansion."""
+        frame = Frame(Grid(0.6, N))
+        rng = np.random.default_rng(seed)
+        if not restricted:
+            Y = Field(frame, rng.uniform(0.5, 1.5, frame.shape))
+            return Y, interior(Y)
+        a = rng.uniform(0.5, 1.5, (N - 1, N - 1))
         a = a + a[::-1]
-        return Field(Frame(Grid(0.6, N)), a + a[:, ::-1])
+        full = a + a[:, ::-1]
+        return Field(frame, frame.restrict(full)), full
 
-    # the stage loop scores each step in the solver's frame: the folded
-    # quarter and the dense interior give the full-grid energy, K and penalty
+    # the stage loop scores each step on the quarter, which gives the
+    # full-grid energy, K and penalty
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 18, 19, 72])
-    @pytest.mark.parametrize("mirrored", [True, False])
-    def test_frame_scores_are_the_full_grid_scores(self, N, mirrored):
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_frame_scores_are_the_full_grid_scores(self, N, restricted):
         lam, ds = 20.0, 1e-3
-        Y, Z = self.symmetric_state(N, seed=N), self.symmetric_state(N, seed=N + 1)
-        frame = Frame(Y.grid, mirrored)
-        Yf, Zf = (Field(frame, frame.restrict(X.interior)) for X in (Y, Z))
-        got = discrete_energy(Yf, lam)
+        Y, y = self.symmetric_state(N, N, restricted)
+        Z, z = self.symmetric_state(N, N + 1, restricted)
+        got = discrete_energy(Y, lam)
         # the full-grid values by plain sums over every node and node pair
-        F = np.pad(Y.interior, 1, constant_values=Y.grid.g)
+        F = np.pad(y, 1, constant_values=Y.grid.g)
         grad = float(np.sum(np.diff(F, axis=0) ** 2) + np.sum(np.diff(F, axis=1) ** 2))
-        K = 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / Y.interior))
+        K = 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / y))
         total = 0.5 * Y.grid.A ** 2 * grad + lam / K
         assert got.K == pytest.approx(K, rel=1e-14)
         assert got.total == pytest.approx(total, rel=1e-14)
-        assert got.total == pytest.approx(discrete_energy(Y, lam).total, rel=1e-14)
         A, h = Y.grid.A, Y.grid.h
-        sq = float(np.sum((Y.interior - Z.interior) ** 2))
+        sq = float(np.sum((y - z) ** 2))
         want = (A * A / (2.0 * ds)) * h * h * sq
-        assert movement_penalty(Yf, Zf, ds) == pytest.approx(want, rel=1e-14)
+        assert movement_penalty(Y, Z, ds) == pytest.approx(want, rel=1e-14)
 
     def test_vanishing_branch_from_the_given_minimum(self):
-        # the minimum the Field took when it was built picks the branch, on
-        # the folded quarter as on the dense frame
-        for mirrored in (True, False):
-            frame = Frame(Grid(1.0, 5), mirrored)
+        # the minimum the Field took when it was built picks the branch, for
+        # an odd and an even N
+        for N in (4, 5):
+            frame = Frame(Grid(1.0, N))
             values = np.ones(frame.shape)
             values[1, 1] = 0.0
             eb = discrete_energy(Field(frame, values), lam=20.0)
@@ -139,9 +151,9 @@ class TestFeedback:
 
     def test_coeff_bounded_by_lam(self):
         rng = np.random.default_rng(12)
-        grid = Grid(0.6, 5)
+        frame = Frame(Grid(0.6, 5))
         for _ in range(10):
-            Y = Field(Frame(grid), 0.5 + rng.uniform(0.0, 2.0, (4, 4)))
+            Y = Field(frame, 0.5 + rng.uniform(0.0, 2.0, frame.shape))
             sample = discrete_energy(Y, 20.0)
             assert 1.0 <= sample.K
             assert 0.0 < sample.coeff <= 20.0

@@ -5,7 +5,8 @@ interpolation system with explicit loops and solves it densely, and
 oracle_value evaluates the fitted monomials one point at a time.  The
 Laplacian oracle is a centered second difference of oracle_value; the
 transfer oracle fits and evaluates every fine node's owning cell one at a
-time.
+time, reading the coarse state's whole interior, the mirror expansion of its
+frame values.
 """
 
 import numpy as np
@@ -53,19 +54,26 @@ def samples(p, q):
     return np.array([float(a) ** p * float(b) ** q for a, b in S12])
 
 
-def loop_prolong(end, k):
-    """Per-node transfer: fit the owning cell, evaluate at the fine offset."""
+def interior(Y):
+    """The whole interior of a Field: its frame values mirrored out."""
+    return Y.frame.expand(Y.values, 1, Y.grid.N)
+
+
+def loop_prolong(end, k, stop=None):
+    """Per-node transfer: fit the owning cell, evaluate at the fine offset,
+    for the fine nodes 1 .. stop - 1 (default: the whole fine interior)."""
     N = end.grid.N
-    F = np.pad(end.interior, 1, constant_values=end.grid.g)
+    F = np.pad(interior(end), 1, constant_values=end.grid.g)
     fill = end.grid.g
+    stop = k * N if stop is None else stop
 
     def value(p, q):
         return F[p, q] if 0 <= p <= N and 0 <= q <= N else fill
 
-    out = np.empty((k * N - 1, k * N - 1))
-    for I in range(1, k * N):
+    out = np.empty((stop - 1, stop - 1))
+    for I in range(1, stop):
         i, l = divmod(I, k)
-        for J in range(1, k * N):
+        for J in range(1, stop):
             j, r = divmod(J, k)
             data = [value(i + a, j + b) for a, b in S12]
             out[I - 1, J - 1] = k ** (2.0 / 3.0) * oracle_value(data, l / k, r / k)
@@ -189,8 +197,14 @@ class TestLaplacianCell:
 
 def constant_end():
     """The constant admissible state 1/A at A = 0.6 on 6 intervals."""
-    grid = Grid(0.6, 6)
-    return Field(Frame(grid), np.full((5, 5), grid.g))
+    frame = Frame(Grid(0.6, 6))
+    return Field(frame, np.full(frame.shape, frame.grid.g))
+
+
+def random_end(rng, N, spread):
+    """A random state at A = 0.6 within spread of its boundary value."""
+    frame = Frame(Grid(0.6, N))
+    return Field(frame, 1.0 / 0.6 + rng.uniform(-spread, spread, frame.shape))
 
 
 class TestTransferAmplitude:
@@ -213,7 +227,7 @@ class TestProlongStage:
     def test_constant_maps_to_constant(self):
         out = prolong_stage(constant_end(), 2)
         assert out.grid.N == 12
-        assert np.max(np.abs(out.interior - 1.0 / out.grid.A)) < 1e-13
+        assert np.max(np.abs(out.values - 1.0 / out.grid.A)) < 1e-13
 
     def test_mesh_width_preserved_domain_dilated(self):
         const = constant_end()
@@ -223,61 +237,56 @@ class TestProlongStage:
         assert out.grid.L == pytest.approx(2.0 * coarse.L, rel=1e-12)
 
     def test_linear_profile_rescales_exactly(self):
-        # affine samples prolong to k^{-1/3} xi + k^{2/3} C on cells whose
-        # stencil reads only interior (linear) values: 2 <= i, j <= N-3
-        A, N, k = 0.6, 9, 2
-        grid = Grid(A, N)
+        # affine samples on the quarter prolong to k^{-1/3} xi + k^{2/3} C on
+        # cells whose stencil reads only quarter (linear) values, 2 <= i, j
+        # <= n - 2: the mirror expansion bends at the mid-line
+        A, N, k = 0.6, 17, 2
+        frame = Frame(Grid(A, N))
+        grid, n = frame.grid, frame.shape[0]
         C = 2.0 * grid.L + 1.0
-        x = grid.interior_nodes_1d()
-        interior = np.tile((x + C)[:, None], (1, N - 1))
-        end = Field(Frame(grid), interior)
+        x = frame.nodes_1d()
+        end = Field(frame, np.tile((x + C)[:, None], (1, n)))
         out = prolong_stage(end, k)
         h, Lf = grid.h, k * grid.L
-        for i in range(2, N - 2):
-            for j in range(2, N - 2):
+        for i in range(2, n - 1):
+            for j in range(2, n - 1):
                 for l in range(k):
                     for r in range(k):
                         I, J = k * i + l, k * j + r
                         xi = I * h - Lf
                         want = k ** (-1.0 / 3.0) * xi + k ** (2.0 / 3.0) * C
-                        assert out.interior[I - 1, J - 1] == pytest.approx(
+                        assert out.values[I - 1, J - 1] == pytest.approx(
                             want, rel=1e-12
                         )
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("N", [3, 4, 9])
     def test_matches_per_node_loop(self, N, k):
-        # N = 3 and 4 put every cell next to the fill ring
-        rng = np.random.default_rng(100 * N + k)
-        A = 0.6
-        end = Field(Frame(Grid(A, N)), 1.0 / A + rng.uniform(-0.5, 0.5, (N - 1, N - 1)))
-        got = prolong_stage(end, k).interior
+        # N = 3 and 4 put every cell next to the fill ring; the fine quarter,
+        # mirrored out, is the loop transfer of the whole coarse interior
+        end = random_end(np.random.default_rng(100 * N + k), N, 0.5)
+        got = interior(prolong_stage(end, k))
         assert np.max(np.abs(got - loop_prolong(end, k))) < 1e-13
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 9, 18])
     def test_folded_end_gives_the_restricted_dense_transfer(self, N, k):
-        # the transfer keeps the frame kind of its end state; on a folded end
-        # it evaluates only the cells that own the fine quarter, reading their
-        # stencils from the coarse quarter, to the bit the quarter of the
-        # dense transfer of the same state (N = 2..6 is the property tests'
-        # N0 range, where the stencils reach the boundary ring and beyond)
-        rng = np.random.default_rng(10 * N + k)
-        grid = Grid(0.6, N)
-        frame = Frame(grid, mirrored=True)
-        end = Field(frame, 1.0 / 0.6 + rng.uniform(-0.5, 0.5, frame.shape))
-        dense = prolong_stage(Field(Frame(grid), end.interior), k)
+        # the transfer evaluates only the cells that own the fine quarter,
+        # reading their stencils from the coarse quarter: the quarter of the
+        # loop transfer of the whole interior (N = 2..6 is the property
+        # tests' N0 range, where the stencils reach the boundary ring and
+        # beyond)
+        end = random_end(np.random.default_rng(10 * N + k), N, 0.5)
         got = prolong_stage(end, k)
-        assert got.frame.mirrored and not dense.frame.mirrored
-        assert got.grid == dense.grid
-        assert np.array_equal(got.values, got.frame.restrict(dense.interior))
-        # the folded output stands for an exactly symmetric state
-        Y = got.interior
-        assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
+        assert got.grid == Grid(0.6 * k ** (-2.0 / 3.0), k * N)
+        assert got.values.shape == (k * N // 2, k * N // 2)
+        n = got.values.shape[0]
+        want = loop_prolong(end, k, stop=n + 1)
+        assert np.max(np.abs(got.values - want)) < 1e-13
 
     def test_rejects_inadmissible_end(self):
-        grid = Grid(0.6, 6)
-        bad = Field(Frame(grid), np.full((5, 5), -1.0))
+        frame = Frame(Grid(0.6, 6))
+        bad = Field(frame, np.full(frame.shape, -1.0))
         with pytest.raises(ValueError):
             prolong_stage(bad, 2)
 
@@ -294,9 +303,7 @@ class TestEdgeConsistency:
     def test_random_fields(self):
         rng = np.random.default_rng(26)
         for _ in range(3):
-            grid = Grid(0.6, 8)
-            Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
-            assert edge_consistency_check(Y) < 1e-11
+            assert edge_consistency_check(random_end(rng, 8, 0.3)) < 1e-11
 
     def test_constant_field(self):
         assert edge_consistency_check(constant_end()) < 1e-13
@@ -308,9 +315,7 @@ class TestEdgeConsistency:
 
 class TestLaplaceCompat:
     def test_random_field_k4(self):
-        rng = np.random.default_rng(27)
-        grid = Grid(0.6, 8)
-        Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
+        Y = random_end(np.random.default_rng(27), 8, 0.3)
         assert laplace_compat_check(Y, 4) < 1e-10
 
     def test_constant_field(self):
@@ -326,9 +331,7 @@ class TestLaplaceCompat:
             return prolong_stage(end, k)
 
         monkeypatch.setattr("quenchstage.prolongation.prolong_stage", recording)
-        rng = np.random.default_rng(28)
-        grid = Grid(0.6, 8)
-        Y = Field(Frame(grid), 1.0 / 0.6 + rng.uniform(-0.3, 0.3, (7, 7)))
+        Y = random_end(np.random.default_rng(28), 8, 0.3)
         assert laplace_compat_check(Y, 2) < 1e-10
         assert factors == [2]
 

@@ -5,17 +5,18 @@ preconditions are raised or reported instead.  A module-level import that
 nothing in its module reads is left over from a deletion, and so is a
 module-level constant or a top-level function or class that nothing in the
 package reads: a helper that only tests call belongs in the tests, and so is
-a method or property of a package class that nothing in the package reads.
+a method or property of a package class that nothing in the package reads,
+unless the benchmark harness (perfbench) reads it by name.
 drivers.py leaves the step sequence (solver, seeds, Picard step) to
-stepper.march.  A state moves between the interior and its frame in two
-places only: the transfer, which
-builds its output on the frame of its input, restricts the fine values and
-reads its stencils' window of the coarse frame values, and a grid.Field
-expands its values when its interior is read; march builds its solver on
-the start's frame and does neither.  Only the five-point Laplacian, the
-Euler-Lagrange residual and the change-of-variables suite read a whole
-interior, so no run function builds a full-grid state.  Only a Field takes a
-minimum, once, when it is built.  Every
+stepper.march.  There is one frame, the quarter of a state symmetric about
+both mid-lines: every package Frame(...) call takes one argument, the grid,
+and no package code reads an attribute named mirrored.  A state moves
+between the interior and its frame in the transfer only, which restricts
+the fine values and reads its stencils' window of the coarse frame values;
+its Laplace check reads the fine Laplacian's window the same way, and march
+builds its solver on the start's frame and does neither.  No package code
+reads a whole interior, so nothing builds a full-grid state.  Only a Field
+takes a minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
 derives from NumericalError, so each maps to a documented exit code.  No
 module uses numpy.random: its extensions and the OpenSSL it loads through
@@ -35,6 +36,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quenchstage"
 MODULES = sorted(PACKAGE.glob("*.py"))
+HARNESS = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
 
 
 def parse(path):
@@ -86,6 +88,14 @@ def attribute_reads(node):
     for n in ast.walk(node):
         if isinstance(n, ast.Attribute):
             yield n.attr
+
+
+def getattr_names(tree):
+    """Attribute names that tree reads through getattr with a constant name."""
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+                and len(n.args) >= 2 and isinstance(n.args[1], ast.Constant)):
+            yield n.args[1].value
 
 
 def unread_definitions(trees):
@@ -177,6 +187,20 @@ def numpy_submodule_lines(tree, submodule):
     return lines
 
 
+def frame_rule_lines(tree):
+    """Lines that call Frame (by name or as an attribute) with other than one
+    argument, or read an attribute named mirrored."""
+    lines = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name == "Frame" and len(n.args) + len(n.keywords) != 1:
+                lines.append(n.lineno)
+        elif isinstance(n, ast.Attribute) and n.attr == "mirrored":
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
 def unmapped_exceptions(trees):
     """Exception classes that are neither ConfigError nor NumericalError and
     do not derive from NumericalError, with where they are defined."""
@@ -231,6 +255,9 @@ def test_detects_both_faults():
         "spare = 2\nC()\n"
     )
     assert unread_definitions({"m": members}) == {"C.spare": "m:7"}
+    # the harness reads a member by getattr with its name as a constant
+    harness = ast.parse("n = getattr(r, 'spare', None)\nm = getattr(r, k)\n")
+    assert list(getattr_names(harness)) == ["spare"]
     # a module constant is read by another statement, by name or attribute;
     # its own assignment is no read, and a dunder is the import system's
     constants = ast.parse(
@@ -276,8 +303,14 @@ def test_no_unused_module_imports(path):
 
 
 def test_every_definition_is_read():
+    # Field.interior is read by perfbench's tracer alone, which sizes a
+    # transfer's result by it
     trees = {path.name: parse(path) for path in MODULES}
-    unread = unread_definitions(trees)
+    harness = {name for path in HARNESS for name in getattr_names(parse(path))}
+    unread = {
+        name: where for name, where in unread_definitions(trees).items()
+        if name.rpartition(".")[2] not in harness
+    }
     assert unread == {}, f"definitions nothing in the package reads: {unread}"
 
 
@@ -311,29 +344,43 @@ def test_drivers_leave_the_step_sequence_to_the_stepper():
 
 def test_only_the_state_constructors_move_states_in_and_out_of_the_frame():
     # the solve, the Picard step, the seed and the stage loop's scores see
-    # only frame values; the transfer restricts the fine values onto the frame
-    # of its input (the stage-0 profile is evaluated on its frame's nodes)
-    # and reads a window of the coarse frame values, and a Field expands its
-    # values where its interior is read
+    # only frame values; the transfer restricts the fine values onto the
+    # quarter (the stage-0 profile is evaluated on its frame's nodes) and
+    # reads a window of the coarse frame values, and the transfer's Laplace
+    # check reads the window of the fine Laplacian that its cells cover;
+    # Field.interior, which only perfbench reads, mirrors out the interior
     trees = {path.name: parse(path) for path in MODULES}
     restrict, expand = readers(trees, "restrict"), readers(trees, "expand")
     assert restrict == {"prolongation.py:prolong_stage"}, f"restrict read by {restrict}"
     assert expand == {
-        "grid.py:Field", "prolongation.py:_cell_stencils",
+        "prolongation.py:_cell_stencils", "prolongation.py:laplace_compat_check",
+        "grid.py:Field",
     }, f"expand read by {expand}"
 
 
 def test_only_the_checks_read_a_whole_interior():
-    # a run reads frame values only; the Laplacian, the oracle's
-    # Euler-Lagrange residual and the change-of-variables suite work on the
-    # whole interior of dense Fields, and the Green check reads the values
+    # a Field holds its frame values alone, and the Laplacian, the oracle's
+    # Euler-Lagrange residual and every verify suite work on them, so no
+    # package code reads a whole interior, the checks included
     trees = {path.name: parse(path) for path in MODULES}
     found = readers(trees, "interior")
-    assert found == {
-        "grid.py:laplacian_5pt",
-        "stepper.py:euler_lagrange_residual",
-        "verify.py:suite_changevar",
-    }, f"interior read by {found}"
+    assert found == set(), f"interior read by {found}"
+
+
+def test_one_frame():
+    # a Frame takes its grid alone, through any name; a call of another
+    # callable of two arguments is no Frame, and a mirrored flag is read
+    # nowhere
+    cases = ast.parse(
+        "from grid import Frame\nimport grid\n"
+        "a = Frame(g)\nb = Frame(g, True)\nc = grid.Frame(g, mirrored=True)\n"
+        "d = a.mirrored\ne = grid.Frame(grid=g)\nf = Field(a, v)\n"
+    )
+    assert frame_rule_lines(cases) == [4, 5, 6]
+    found = {
+        path.name: lines for path in MODULES if (lines := frame_rule_lines(parse(path)))
+    }
+    assert found == {}, f"Frame called with more than its grid, or mirrored read, at {found}"
 
 
 def test_only_a_field_takes_a_minimum():

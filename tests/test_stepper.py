@@ -1,7 +1,8 @@
 """Implicit step and minimizing-movement oracle checks.
 
 The linear-algebra oracle here assembles the backward-Euler system with
-explicit loops and solves it densely, sharing nothing with the sine-basis
+explicit loops and solves it densely on the whole interior, the mirror
+expansion of a state's frame values, sharing nothing with the sine-basis
 diagonalization used by the package.
 """
 
@@ -57,17 +58,58 @@ def dense_operator(grid, ds):
     return M
 
 
-def dense_be_solve(Z, ds):
-    """Source-free backward-Euler step via the loop-built dense system."""
+def interior(Y):
+    """The whole interior of a Field: its frame values mirrored out."""
+    return Y.frame.expand(Y.values, 1, Y.grid.N)
+
+
+def dense_be_solve(Z, ds, source=0.0):
+    """Backward-Euler step with a fixed source on the whole interior, via
+    the loop-built dense system."""
     n = Z.grid.N - 1
     h2 = Z.grid.h ** 2
+    z = interior(Z)
     rhs = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             sides = (i == 0) + (i == n - 1) + (j == 0) + (j == n - 1)
-            rhs[i, j] = Z.interior[i, j] / ds + sides * Z.grid.g / h2
+            rhs[i, j] = z[i, j] / ds + sides * Z.grid.g / h2
+    rhs -= source
     sol = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel())
     return sol.reshape(n, n)
+
+
+def full_laplacian(Y):
+    """The five-point Laplacian of a Field on its whole interior."""
+    F = np.pad(interior(Y), 1, constant_values=Y.grid.g)
+    return (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
+            - 4.0 * F[1:-1, 1:-1]) / Y.grid.h ** 2
+
+
+def dense_residual(Y, Z, ds, lam):
+    """The Euler-Lagrange residual on the whole interior, K the plain sum."""
+    y = interior(Y)
+    K = 1.0 + Y.grid.A2h2 * float(np.sum(1.0 / y))
+    return (y - interior(Z)) / ds - full_laplacian(Y) + lam / (y * y * K * K)
+
+
+def dense_picard(Z, ds, lam, sweeps):
+    """sweeps Picard sweeps of the loop-built system on the whole interior,
+    K the plain sum: the first solves with f(Z), each next one with f of the
+    last solution, as a step started without a seed does."""
+    y = interior(Z)
+    for _ in range(sweeps):
+        K = 1.0 + Z.grid.A2h2 * float(np.sum(1.0 / y))
+        y = dense_be_solve(Z, ds, lam / (y * y * K * K))
+    return y
+
+
+def residual_bound(Y, ds):
+    """The largest Euler-Lagrange residual an accepted step Y may leave: the
+    residual is its last source change F_new - F, which the stop holds below
+    this, with 1e-12 for the round-off of evaluating it."""
+    scale = float(np.max(np.abs(Y.values)))
+    return stepper.STOP_MARGIN * stepper.PICARD_TOL * scale / ds + 1e-12
 
 
 def single_node_field(value):
@@ -85,17 +127,15 @@ Stepped = collections.namedtuple("Stepped", "next picard_iters source")
 
 
 def step(Z, ds, lam, source=None):
-    """One Picard step from the Field Z with a solver built on its frame (the
-    whole interior for the random states here): the next Field, the sweeps
-    and the source of the next Field."""
+    """One Picard step from the Field Z with a solver built on its frame:
+    the next Field, the sweeps and the source of the next Field."""
     return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam, source))
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
-    rng = np.random.default_rng(seed)
-    grid = Grid(A, N)
-    n = N - 1
-    return Field(Frame(grid), rng.uniform(lo, hi, (n, n)))
+    """A random state symmetric about both mid-lines: its frame values."""
+    frame = Frame(Grid(A, N))
+    return Field(frame, np.random.default_rng(seed).uniform(lo, hi, frame.shape))
 
 
 def ring_of(history):
@@ -133,76 +173,67 @@ class TestDirichletSolver:
     # N = 2 is the single-interior-node grid
     @pytest.mark.parametrize("N", [2, 3, 5, 12])
     def test_matches_dense_loop_system(self, N):
-        Z = random_state(N=N, seed=3)
-        ds = 2e-3
-        n = N - 1
-        solver = DirichletSolver(Z.frame, ds)
-        rng = np.random.default_rng(4)
-        rhs = rng.normal(size=(n, n))
+        # a right-hand side drawn on the frame, against the loop-built
+        # system on its mirror expansion
+        frame, ds, n = Frame(Grid(0.6, N)), 2e-3, N - 1
+        solver = DirichletSolver(frame, ds)
+        rhs = np.random.default_rng(4).normal(size=frame.shape)
         # the solve is written over its right-hand side
         got = rhs.copy()
         u, grad_sq = solver.solve(got)
         assert u is got
-        want = np.linalg.solve(dense_operator(Z.grid, ds), rhs.ravel()).reshape(n, n)
-        assert np.max(np.abs(got - want)) < 1e-12
+        full = frame.expand(rhs, 1, N)
+        want = np.linalg.solve(dense_operator(frame.grid, ds), full.ravel()).reshape(n, n)
+        assert np.max(np.abs(got - frame.restrict(want))) < 1e-12
         # and hands back the gradient sum of its solution, from the
         # coefficients, which the difference form of any g + u agrees with
-        ref = Z.frame.grad_norm_sq(Z.grid.g + want)
+        ref = frame.grad_norm_sq(frame.grid.g + frame.restrict(want))
         assert grad_sq == pytest.approx(ref, rel=1e-13)
 
     # N = 2 is the single node; an even N has a middle line of weight 1
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 33])
     def test_mirrored_matches_dense_on_symmetric_data(self, N):
+        # symmetric data on the whole interior, solved on its quarter and by
+        # the loop-built system
         grid, ds, n = Grid(0.6, N), 2e-3, N - 1
         rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
-        folded = DirichletSolver(Frame(grid, mirrored=True), ds)
-        dense = DirichletSolver(Frame(grid), ds)
-        # the folded frame is the N//2 quarter, and expand mirrors it back
-        quarter = folded.frame.restrict(rhs)
+        solver = DirichletSolver(Frame(grid), ds)
+        # the frame is the N//2 quarter, and expand mirrors it back
+        quarter = solver.frame.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
-        assert np.array_equal(folded.frame.expand(quarter), rhs)
-        got, got_sq = folded.solve(quarter.copy())
-        got = folded.frame.expand(got)
-        want, want_sq = dense.solve(rhs.copy())
+        assert np.array_equal(solver.frame.expand(quarter, 1, N), rhs)
+        got, got_sq = solver.solve(quarter.copy())
+        got = solver.frame.expand(got, 1, N)
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
-        scale = float(np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        scale = float(np.max(np.abs(loop)))
         assert np.max(np.abs(got - loop)) <= 1e-12 * scale
         # the quarter is mirrored back, so the result is symmetric to the bit
         assert np.array_equal(got, got[::-1])
         assert np.array_equal(got, got[:, ::-1])
-        # the odd-odd coefficients carry the whole gradient sum of the grid
-        ref = dense.frame.grad_norm_sq(grid.g + loop)
+        # the odd-odd coefficients carry the whole gradient sum of the grid,
+        # here summed over every node pair of the loop solution
+        F = np.pad(grid.g + loop, 1, constant_values=grid.g)
+        ref = float(np.sum(np.diff(F, axis=0) ** 2) + np.sum(np.diff(F, axis=1) ** 2))
         assert got_sq == pytest.approx(ref, rel=1e-12)
-        assert want_sq == pytest.approx(ref, rel=1e-12)
-        # the dense frame is the whole interior: the same set-up with the
-        # identity restriction and expansion and unit weights
-        assert np.array_equal(dense.frame.restrict(rhs), rhs)
-        assert np.array_equal(dense.frame.expand(rhs), rhs)
-        assert np.array_equal(dense.frame.w, np.ones(n))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             DirichletSolver(Frame(Grid(0.6, 4)), 0.0)
 
-    # BUTTERFLY_MIN_N: the folded solver takes the butterfly there
+    # BUTTERFLY_MIN_N: the solver takes the butterfly there
     @pytest.mark.parametrize("N", [2, 3, 5, 12, 33, BUTTERFLY_MIN_N])
     @pytest.mark.parametrize("ds", [1e-4, 1e-3, 0.1, 10.0])
     def test_inverse_bounded_by_step_size(self, N, ds):
         # discrete maximum principle: the row sums of I/ds - Lap_h are at
         # least 1/ds, so max|L^-1 r| <= ds max|r|; the Picard stop rests on
-        # it, for the dense and for the mirrored solver (on symmetric data)
+        # it, for the solver on symmetric data
         grid, n = Grid(0.6, N), N - 1
-        r = np.random.default_rng(N).normal(size=(n, n))
-        cases = [
-            (DirichletSolver(Frame(grid), ds), r),
-            (DirichletSolver(Frame(grid, mirrored=True), ds), mirror_symmetric(r)),
-        ]
-        for solver, r in cases:
-            for rhs in (r, np.ones((n, n))):
-                got, _ = solver.solve(solver.frame.restrict(rhs))
-                got = float(np.max(np.abs(got)))
-                assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
+        solver = DirichletSolver(Frame(grid), ds)
+        r = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
+        for rhs in (r, np.ones((n, n))):
+            got, _ = solver.solve(solver.frame.restrict(rhs))
+            got = float(np.max(np.abs(got)))
+            assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
     # the multiples of 4 just below and at or just above the threshold
     @pytest.mark.parametrize(
@@ -214,7 +245,7 @@ class TestDirichletSolver:
         # passes give the plain folded products to round-off (measured at
         # <= 5e-15 relative up to N = 576), and the solver takes them from
         # BUTTERFLY_MIN_N on
-        frame, ds = Frame(Grid(0.6, N), mirrored=True), 2e-3
+        frame, ds = Frame(Grid(0.6, N)), 2e-3
         rhs = np.random.default_rng(N).normal(size=frame.shape)
         above = N >= BUTTERFLY_MIN_N
         assert DirichletSolver(frame, ds).path.endswith("butterfly") == above
@@ -229,15 +260,15 @@ class TestDirichletSolver:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert got_sq == pytest.approx(want_sq, rel=1e-14)
 
-    # N = 2 (mod 4) and odd N above the threshold, and the dense frame
+    # N = 2 (mod 4) and odd N, both above the threshold
     @pytest.mark.parametrize(
-        "N, mirrored, path",
+        "N, above, path",
         [(BUTTERFLY_MIN_N + 2, True, "mirror-folded"),
-         (BUTTERFLY_MIN_N + 1, True, "mirror-folded"),
-         (BUTTERFLY_MIN_N, False, "dense")],
+         (BUTTERFLY_MIN_N + 1, True, "mirror-folded")],
     )
-    def test_plain_products_off_the_butterfly(self, N, mirrored, path):
-        solver = DirichletSolver(Frame(Grid(0.6, N), mirrored=mirrored), 2e-3)
+    def test_plain_products_off_the_butterfly(self, N, above, path):
+        assert (N >= BUTTERFLY_MIN_N) == above
+        solver = DirichletSolver(Frame(Grid(0.6, N)), 2e-3)
         assert solver.path == path
         assert solver._T.shape == solver.frame.shape
 
@@ -252,43 +283,45 @@ class TestPicardStep:
         assert rep.picard_iters == 1
         # the step solves for the deviation from the boundary value g
         g = Z.grid.g
-        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.interior - g) / ds)[0]
-        assert np.array_equal(rep.next.interior, one_solve)
+        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.values - g) / ds)[0]
+        assert np.array_equal(rep.next.values, one_solve)
 
     def test_source_free_constant_fixed_point(self):
-        grid = Grid(0.6, 4)
-        g = grid.g
-        Z = Field(Frame(grid), np.full((3, 3), g))
+        frame = Frame(Grid(0.6, 4))
+        g = frame.grid.g
+        Z = Field(frame, np.full(frame.shape, g))
         rep = step(Z, 1e-3, 0.0)
-        assert np.max(np.abs(rep.next.interior - g)) < 1e-13
+        assert np.max(np.abs(rep.next.values - g)) < 1e-13
 
     def test_source_free_matches_dense_oracle(self):
         Z = random_state(N=5, seed=6)
         ds, lam = 1e-3, 0.0
         rep = step(Z, ds, lam)
         want = dense_be_solve(Z, ds)
-        assert np.max(np.abs(rep.next.interior - want)) < 1e-11
+        assert np.max(np.abs(interior(rep.next) - want)) < 1e-11
 
     def test_converged_state_solves_euler_lagrange(self):
         Z = random_state(seed=7)
         ds, lam = 1e-3, 20.0
         rep = step(Z, ds, lam)
         R = euler_lagrange_residual(rep.next, Z, ds, lam)
-        assert np.max(np.abs(R)) < 1e-8
+        assert np.max(np.abs(R)) <= residual_bound(rep.next, ds)
+        # and it is the loop-built system's Picard iterate of as many sweeps,
+        # to round-off
+        want = dense_picard(Z, ds, lam, rep.picard_iters)
+        assert np.max(np.abs(interior(rep.next) - want)) <= 1e-12 * np.max(np.abs(want))
 
     @staticmethod
     def one_more_sweep(Z, Y, ds, lam):
         """One more Picard sweep from the accepted state Y, with the source
-        built from reciprocal_K rather than by the step itself, and the dense
-        solve on the whole interior whatever the frame of Z and Y."""
+        built from reciprocal_K rather than by the step itself, and solved
+        by the loop-built system on the whole interior."""
         K = reciprocal_K(Y)
-        source = lam / (Y.interior ** 2 * K * K)
-        rhs = (Z.interior - Z.grid.g) / ds - source
-        return Z.grid.g + DirichletSolver(Frame(Z.grid), ds).solve(rhs)[0]
+        return dense_be_solve(Z, ds, lam / (interior(Y) ** 2 * K * K))
 
     def assert_certified(self, Z, Y, ds, lam):
-        move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - Y.interior)))
-        scale = float(np.max(np.abs(Y.interior)))
+        move = float(np.max(np.abs(self.one_more_sweep(Z, Y, ds, lam) - interior(Y))))
+        scale = float(np.max(np.abs(Y.values)))
         assert move < stepper.STOP_MARGIN * stepper.PICARD_TOL * scale
 
     def test_converged_state_is_a_certified_fixed_point(self):
@@ -297,8 +330,8 @@ class TestPicardStep:
         self.assert_certified(Z, step(Z, ds, lam).next, ds, lam)
 
     def test_seeded_reference_step_is_a_certified_fixed_point(self):
-        # the stage-0 profile is folded, so this steps on the quarter and
-        # certifies against a dense sweep
+        # this steps the stage-0 profile on the quarter and certifies against
+        # a sweep of the loop-built system
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
@@ -310,15 +343,15 @@ class TestPicardStep:
             sources.append(F)
         self.assert_certified(states[-2], states[-1], cfg.ds, cfg.lam)
 
-    @pytest.mark.parametrize("folded", [True, False])
-    def test_any_start_source_reaches_the_certified_fixed_point(self, folded):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_any_start_source_reaches_the_certified_fixed_point(self, reference):
         # the first sweep from any source F~ moves to g + L^-1(base - F~), and
         # the next one by L^-1(F~ - f(Y)), so the stop bound holds whatever F~
         # was: a zero source and ten times f(Z) take more sweeps to the
         # default start's fixed point, each certified, and the given source is
-        # left unchanged
+        # left unchanged; from the reference run's stage 1 or a random state
         cfg = StagewiseConfig()
-        if folded:
+        if reference:
             Z, ds, lam = reference_stage_start(1), cfg.ds, cfg.lam
         else:
             Z, ds, lam = random_state(seed=7), 1e-3, 20.0
@@ -344,7 +377,7 @@ class TestPicardStep:
         assert ds < eta ** 3 / (16.0 * lam)
         rep_a = step(Z, ds, lam)
         rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.frame, lam)[0])
-        assert np.max(np.abs(rep_a.next.interior - rep_b.next.interior)) < 1e-8
+        assert np.max(np.abs(rep_a.next.values - rep_b.next.values)) < 1e-8
 
     def test_positivity_below_step_bound(self):
         Z = random_state(lo=1.5, hi=2.0, seed=9)
@@ -364,7 +397,7 @@ class TestPicardStep:
             Z = random_state(seed=20 + seed)
             rep = step(Z, ds, lam)
             ref = mm_oracle_step(Z, ds, lam)
-            assert np.max(np.abs(rep.next.interior - ref.interior)) < 1e-6
+            assert np.max(np.abs(rep.next.values - ref.values)) < 1e-6
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(stepper, "PICARD_MAX", 1)
@@ -397,14 +430,11 @@ class TestPicardStep:
         # other than the solver's frame is refused
         Z = random_state(N=4, seed=12)
         other = DirichletSolver(Frame(Grid(0.6, 6)), 1e-3)
-        folded = DirichletSolver(Frame(Z.grid, mirrored=True), 1e-3)
-        dense = DirichletSolver(Z.frame, 1e-3)
-        quarter = Field(folded.frame, folded.frame.restrict(Z.interior))
+        own = DirichletSolver(Z.frame, 1e-3)
         cases = [
             (other, Z, None),
-            (folded, Z, None),
-            (dense, quarter, None),
-            (folded, quarter, Z.interior),
+            (own, Z, interior(Z)),
+            (other, random_state(N=6, seed=12), Z.values),
         ]
         for solver, state, source in cases:
             with pytest.raises(ValueError, match="solver's frame"):
@@ -427,13 +457,13 @@ class TestPicardStep:
 class TestMarch:
     @staticmethod
     def recording_solvers(monkeypatch):
-        """The mirrored flag of every solver march builds, in order."""
+        """The path of every solver march builds, in order."""
         built = []
 
         class RecordingSolver(DirichletSolver):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append(self.frame.mirrored)
+                built.append(self.path)
 
         monkeypatch.setattr(stepper, "DirichletSolver", RecordingSolver)
         return built
@@ -441,8 +471,8 @@ class TestMarch:
     def test_seeded_steps_on_one_solver(self, monkeypatch):
         # each step's first sweep reads the extrapolated seed over the sources
         # of the states before it, f(Z) of the start included; the reference
-        # solver is built as march builds it, on the folded frame of the
-        # stage-0 profile
+        # solver is built as march builds it, on the frame of the stage-0
+        # profile
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
         solver = DirichletSolver(Z.frame, cfg.ds)
@@ -456,11 +486,11 @@ class TestMarch:
             assert rep.picard_iters == sweeps
             states.append(Y)
             sources.append(F)
-        assert built == [True]
+        assert built == ["mirror-folded"]
 
     def test_no_restriction_no_expansion(self, monkeypatch):
-        # the Picard state stays in the frame: the folded start is stepped as
-        # it was built, every step is yielded as a Field on its frame, none is
+        # the Picard state stays in the frame: the start is stepped as it was
+        # built, every step is yielded as a Field on its frame, none is
         # restricted or expanded, and every solve is on the quarter
         cfg = StagewiseConfig()
         Z = reference_stage_start(0)
@@ -468,10 +498,9 @@ class TestMarch:
         owners = {"restrict": Frame, "expand": Frame, "solve": DirichletSolver}
         for name, owner in owners.items():
 
-            def recording(self, Y, name=name, original=getattr(owner, name)):
-                if name != "expand" or self.mirrored:
-                    calls.append((name, Y.shape))
-                return original(self, Y)
+            def recording(self, Y, *window, name=name, original=getattr(owner, name)):
+                calls.append((name, Y.shape))
+                return original(self, Y, *window)
 
             monkeypatch.setattr(owner, name, recording)
         reps = list(itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 6))
@@ -481,7 +510,7 @@ class TestMarch:
         states = [r.prev for r in reps] + [r.next for r in reps]
         assert states[0] is Z
         assert {X.values.shape for X in states} == {quarter}
-        assert all(X.frame is Z.frame and X.frame.mirrored for X in states)
+        assert all(X.frame is Z.frame for X in states)
         solves = [shape for name, shape in calls if name == "solve"]
         assert solves == [quarter] * sum(r.picard_iters for r in reps)
 
@@ -495,14 +524,14 @@ class TestMarch:
         built = self.recording_solvers(monkeypatch)
         with caplog.at_level("INFO", logger="quenchstage.stepper"):
             rep = next(march(Z, cfg.ds, cfg.lam, f"stage {m}"))
-        assert built == [True]
+        assert built == ["mirror-folded"]
         assert f"stage {m}: mirror-folded solve\n" in caplog.text
-        # the folded step stays on the symmetric subspace, to the bit
-        Y = rep.next.interior
-        assert np.array_equal(Y, Y[::-1]) and np.array_equal(Y, Y[:, ::-1])
-        # and agrees with the dense step of the same values to round-off
-        want = step(Field(Frame(Z.grid), Z.interior), cfg.ds, cfg.lam).next.interior
-        assert np.max(np.abs(Y - want)) <= 1e-13 * np.max(np.abs(want))
+        # the folded step is the loop-built system's Picard iterate of as many
+        # sweeps from f(Z), march's first seed, on the mirror expansion, to
+        # round-off
+        want = dense_picard(Z, cfg.ds, cfg.lam, rep.picard_iters)
+        got = interior(rep.next)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_large_folded_start_takes_butterfly(self, monkeypatch, caplog):
         # stage 5 (N = 288) names the butterfly path, and its first step
@@ -518,15 +547,15 @@ class TestMarch:
         got, want = rep.next.values, want.next.values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("folded", [True, False])
-    def test_seed_history_in_the_solver_frame(self, monkeypatch, folded):
-        # one ring of seven sources in the solver's frame, which owns its
-        # memory (folded: quarters; dense: full interiors), holds copies of
-        # the sources the steps hand back and drops each original
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_seed_history_in_the_solver_frame(self, monkeypatch, reference):
+        # one ring of seven quarters in the solver's frame, which owns its
+        # memory, holds copies of the sources the steps hand back and drops
+        # each original; from the reference run's stage 1 or a random state
         cfg = StagewiseConfig()
-        Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
+        Z = reference_stage_start(1) if reference else random_state(N=18, seed=24)
         N = Z.grid.N
-        shape = (N // 2, N // 2) if folded else (N - 1, N - 1)
+        shape = (N // 2, N // 2)
         rings, seen, returned = [], [], []
         picard = stepper.picard_implicit_step
 
@@ -564,12 +593,12 @@ class TestMarch:
             want, _ = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
             assert np.array_equal(source, want)
 
-    @pytest.mark.parametrize("folded", [True, False])
-    def test_one_source_per_solve_and_start(self, monkeypatch, folded):
+    @pytest.mark.parametrize("reference", [True, False])
+    def test_one_source_per_solve_and_start(self, monkeypatch, reference):
         # no source is evaluated at a seed: a step's sweeps evaluate f of
-        # each iterate, and march adds f(Z) of its start, on either frame
+        # each iterate, and march adds f(Z) of its start, from either start
         cfg = StagewiseConfig()
-        Z = reference_stage_start(1) if folded else random_state(N=18, seed=24)
+        Z = reference_stage_start(1) if reference else random_state(N=18, seed=24)
         counts = collections.Counter()
         solve, source = DirichletSolver.solve, stepper.nonlocal_source
 
@@ -588,27 +617,6 @@ class TestMarch:
             assert counts["solves"] == sum(r.picard_iters for r in reps) * starts
             assert counts["sources"] == counts["solves"] + starts
 
-    def test_random_start_takes_dense_solve(self, monkeypatch, caplog):
-        built = self.recording_solvers(monkeypatch)
-        with caplog.at_level("INFO", logger="quenchstage.stepper"):
-            next(march(random_state(seed=13), 1e-3, 20.0, "direct run"))
-        assert built == [False]
-        assert "direct run: dense solve\n" in caplog.text
-
-    def test_perturbed_start_takes_dense_solve(self, monkeypatch):
-        # the frame a start is built on picks the solve: the stage-0 profile
-        # perturbed at one node, on the dense frame, is stepped densely and
-        # keeps its asymmetry
-        cfg = StagewiseConfig()
-        Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        interior = Z.interior.copy()
-        interior[1, 2] += 1e-9
-        Z = Field(Frame(Z.grid), interior)
-        built = self.recording_solvers(monkeypatch)
-        Y = next(march(Z, cfg.ds, cfg.lam, "stage 0")).next.interior
-        assert built == [False]
-        assert not np.array_equal(Y, Y[::-1])
-
 
 class TestCarriedSums:
     @staticmethod
@@ -625,7 +633,7 @@ class TestCarriedSums:
         monkeypatch.setattr(stepper, "picard_implicit_step", recording)
         return states
 
-    @pytest.mark.parametrize("run", ["stagewise", "dense"])
+    @pytest.mark.parametrize("run", ["stagewise", "direct"])
     def test_sums_are_the_values_sums(self, monkeypatch, run):
         # the gradient sum from the last solve's sine coefficients agrees
         # with the difference form of the values (at most 3.3e-15 relative
@@ -640,9 +648,7 @@ class TestCarriedSums:
         else:
             lam = 15.0
             v = initial_rescaled_profile(1.0, 15, 0.45)
-            Z = Field(Frame(v.grid), v.interior)
-            list(itertools.islice(march(Z, 5e-4, lam, "direct run"), 160))
-            assert not any(Y.frame.mirrored for Y in states)
+            list(itertools.islice(march(v, 5e-4, lam, "direct run"), 160))
         assert len(states) > 100
         for Y in states:
             want = Y.frame.grad_norm_sq(Y.values)
@@ -684,8 +690,8 @@ class TestSourceAndPenalty:
         Y = random_state(N=N, A=A, lo=1e-3, hi=3.0, seed=seed)
         K = reciprocal_K(Y)
         # one division per node: the terms 1/Y that K sums, squared and scaled
-        want = (lam / (K * K)) * (1.0 / Y.interior) ** 2
-        got, got_K = nonlocal_source(Y.interior, Frame(Y.grid), lam)
+        want = (lam / (K * K)) * (1.0 / Y.values) ** 2
+        got, got_K = nonlocal_source(Y.values, Y.frame, lam)
         assert np.array_equal(got, want)
         # no value is below CLIP, so the source's K is the energy's
         assert got_K == K
@@ -694,17 +700,18 @@ class TestSourceAndPenalty:
     def test_weighted_quarter_K_is_the_full_K(self, N):
         # odd N has no middle line; an even N has one, of weight 1
         grid, lam, n = Grid(0.6, N), 20.0, N - 1
-        frame = Frame(grid, mirrored=True)
-        a = np.random.default_rng(N).uniform(0.5, 1.5, (n, n))
-        quarter = frame.restrict(mirror_symmetric(a))
+        frame = Frame(grid)
+        full = mirror_symmetric(np.random.default_rng(N).uniform(0.5, 1.5, (n, n)))
+        quarter = frame.restrict(full)
         F, got_K = nonlocal_source(quarter, frame, lam)
         K = np.sqrt(lam / (F * quarter * quarter))
-        want = reciprocal_K(Field(Frame(grid), mirror_symmetric(a)))
+        # the plain sum over the whole interior
+        want = 1.0 + grid.A2h2 * sum(float(x) for x in (1.0 / full).ravel())
         assert np.max(np.abs(K - want)) <= 1e-14 * want
         assert got_K == reciprocal_K(Field(frame, quarter))
 
     def test_source_clips_small_values(self):
-        grid = Grid(1.0, 3)
+        grid = Grid(1.0, 5)
         Y = np.array([[1.0, -2.0], [0.0, 1e-20]])
         Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
         K = reciprocal_K(Field(Frame(grid), Yc))
@@ -719,9 +726,9 @@ class TestSourceAndPenalty:
         Y = random_state(N=5, A=1.3, seed=22)
         ds = 2e-3
         h, n = Z.grid.h, Z.grid.N - 1
+        y, z = interior(Y), interior(Z)
         sq = sum(
-            h * h * (Y.interior[i, j] - Z.interior[i, j]) ** 2
-            for i in range(n) for j in range(n)
+            h * h * (y[i, j] - z[i, j]) ** 2 for i in range(n) for j in range(n)
         )
         want = (1.3 * 1.3 / (2.0 * ds)) * sq
         got = movement_penalty(Y, Z, ds)
@@ -729,11 +736,23 @@ class TestSourceAndPenalty:
 
     def test_residual_rejects_nan_state(self):
         Z = random_state(seed=23)
-        interior = Z.interior.copy()
-        interior[1, 1] = np.nan
-        Y = Field(Z.frame, interior)
+        values = Z.values.copy()
+        values[1, 1] = np.nan
+        Y = Field(Z.frame, values)
         with pytest.raises(ValueError, match="vanishing branch"):
             euler_lagrange_residual(Y, Z, 1e-3, 20.0)
+
+    @pytest.mark.parametrize("N", range(4, 10))
+    def test_residual_is_the_restricted_dense_residual(self, N):
+        # on the quarter, with the weighted K, against the residual of the
+        # mirror expansion on the whole interior with the plain K
+        Z, Y = random_state(N=N, seed=N), random_state(N=N, seed=N + 50)
+        ds, lam = 1e-3, 20.0
+        got = euler_lagrange_residual(Y, Z, ds, lam)
+        assert got.shape == Y.frame.shape
+        want = Y.frame.restrict(dense_residual(Y, Z, ds, lam))
+        scale = float(np.max(np.abs(Y.values - Z.values))) / ds
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 class TestExtrapolatedSeed:
@@ -846,12 +865,12 @@ class TestDescentOracle:
         ds, lam = 1e-3, 0.0
         got = mm_oracle_step(Z, ds, lam)
         want = dense_be_solve(Z, ds)
-        assert np.max(np.abs(got.interior - want)) < 1e-10
+        assert np.max(np.abs(interior(got) - want)) < 1e-10
 
     def test_single_node_against_grid_search(self):
         Z = single_node_field(1.0)
         ds, lam = 1e-3, 1.0
-        A, h, g, z = Z.grid.A, Z.grid.h, Z.grid.g, Z.interior[0, 0]
+        A, h, g, z = Z.grid.A, Z.grid.h, Z.grid.g, Z.values[0, 0]
 
         def J(y):
             # gradient part: four node-boundary edges; K = 1 + A^2 h^2 / y
@@ -865,7 +884,7 @@ class TestDescentOracle:
         ystar = refine_grid_search(J, 1e-6, 3.0)
         # the bracket reaches 1e-10 but argmin localization on the flat
         # quadratic bottoms out near sqrt(eps*J/J''); compare above that floor
-        assert abs(got.interior[0, 0] - ystar) < 1e-7
+        assert abs(got.values[0, 0] - ystar) < 1e-7
         R = euler_lagrange_residual(got, Z, ds, lam)
         assert np.max(np.abs(R)) < 1e-10
 
@@ -875,31 +894,33 @@ class TestDescentOracle:
         for seed in range(10):
             Z = random_state(seed=40 + seed)
             out = mm_oracle_step(Z, ds, lam)
-            diff = out.interior - Z.interior
+            diff = interior(out) - interior(Z)
             penalty = (0.36 / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
             lhs = discrete_energy(out, lam).total + penalty
             rhs = discrete_energy(Z, lam).total
             assert lhs <= rhs + 1e-12
 
     def test_rejects_large_grids(self):
-        Z = random_state(N=6, seed=15)
+        Z = random_state(N=10, seed=15)
         assert Z.values.size == 25
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="<= 16 frame values"):
             mm_oracle_step(Z, 1e-3, 20.0)
+
+    def test_size_limit_counts_frame_values(self):
+        # N = 9 holds 16 values on its quarter (64 interior nodes) and
+        # descends; N = 10 holds 25 and is refused
+        Z = random_state(N=9, seed=19)
+        assert (Z.values.size, (Z.grid.N - 1) ** 2) == (16, 64)
+        out = mm_oracle_step(Z, 1e-3, 20.0)
+        R = euler_lagrange_residual(out, Z, 1e-3, 20.0)
+        assert np.max(np.abs(R)) < stepper.ORACLE_TOL
+        with pytest.raises(ValueError, match="<= 16 frame values"):
+            mm_oracle_step(random_state(N=10, seed=19), 1e-3, 20.0)
 
     def test_rejects_inadmissible_state(self):
         Z = single_node_field(-1.0)
         with pytest.raises(ValueError):
             mm_oracle_step(Z, 1e-3, 1.0)
-
-    def test_rejects_folded_state(self):
-        # the descent runs on the whole interior, so a Field on the folded
-        # frame (the stage-0 profile at N = 4, within the size limit) is
-        # refused with the cause named
-        Z = initial_rescaled_profile(1.0, 4, 0.4)
-        assert Z.frame.mirrored and Z.interior.size == 9
-        with pytest.raises(ValueError, match="dense frame"):
-            mm_oracle_step(Z, 1e-3, 20.0)
 
     def test_one_objective_per_iterate(self, monkeypatch):
         # a converging descent scores each iterate once, Z included: as many
@@ -944,8 +965,8 @@ class TestStepperConfig:
 
 
 class TestWorkingSet:
-    """Frame arrays alive while a folded stage steps, counted in quarters
-    of n^2 doubles (n = N // 2)."""
+    """Frame arrays alive while a stage steps, counted in quarters of n^2
+    doubles (n = N // 2)."""
 
     @pytest.mark.parametrize("m", [0, 1])  # N = 9 (odd) and 18 (even)
     def test_solver_holds_three_frame_arrays(self, m):
