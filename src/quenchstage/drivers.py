@@ -26,14 +26,14 @@ scheme (K = 1 + h^2 sum 1/v here).  Its threshold is 0: a step that leaves
 the positive cone (the deficit quenches) is a numerical failure.
 
 Both drivers run one loop, scored_march over a stepper.march, which yields
-every step as Fields on the start's frame, the quarter (grid.Frame).  The
-loop scores the energy, the movement penalty and the sweeps of each
+every step as Fields on the start's grid, held by its quarter, the frame.
+The loop scores the energy, the movement penalty and the sweeps of each
 completed step on that frame and stops at the first step whose minimum,
 taken when its Field was built, is at or below the threshold.
 Each driver scores its start, and run_stage the crossing step's penalty and
 the event interpolated there.  A state march yields carries the gradient
 sum and K of its energy, so only the starts and the events are summed from
-their values (grid.Frame.grad_norm_sq).  No state is expanded to the whole
+their values (grid.Grid.grad_norm_sq).  No state is expanded to the whole
 interior: the transfer reads each event's stencils from its quarter.  Each
 driver builds the march and hands it the last reference to its start, so
 the start is freed once step 1 is scored, and run_stagewise drops each event
@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import Field, Frame, Grid
+from .grid import Field, Grid
 from .energy import (
     DefectLedger,
     DefectRow,
@@ -275,13 +275,13 @@ def initial_rescaled_profile(A: float, N: int, u0_amplitude: float) -> Field:
     so x = 1/2 + A^(3/2)*xi puts the centre at (1/2, 1/2).  At A = 1 this is
     the physical deficit v = 1 - u0 with boundary value 1.  The profile is
     symmetric about both mid-lines, so u0 is evaluated at the quarter's
-    nodes only (grid.Frame).
+    nodes only (grid.Grid.nodes_1d).
     """
-    frame = Frame(Grid(A, N))
-    x = 0.5 + A ** 1.5 * frame.nodes_1d()
+    grid = Grid(A, N)
+    x = 0.5 + A ** 1.5 * grid.nodes_1d()
     X, Y = np.meshgrid(x, x, indexing="ij")
     u0 = u0_amplitude * np.sin(np.pi * X) * np.sin(np.pi * Y)
-    return Field(frame, (1.0 - u0) / A)
+    return Field(grid, (1.0 - u0) / A)
 
 
 def detect_trigger(min_prev: float, min_next: float, thr: float) -> float | None:
@@ -370,7 +370,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     prev, nxt, tau = crossing
     dissipation = scored.dissipation_sum + tau * movement_penalty(nxt, prev, cfg.ds)
     s_star = (scored.steps + tau) * cfg.ds
-    event = Field(nxt.frame, (1.0 - tau) * prev.values + tau * nxt.values)
+    event = Field(nxt.grid, (1.0 - tau) * prev.values + tau * nxt.values)
     end = discrete_energy(event, cfg.lam)
     min_W = event.min_interior()
     gap = min_W - thr
@@ -445,7 +445,7 @@ def run_stagewise(cfg: StagewiseConfig) -> RunReport:
         records=records,
         ledger=ledger,
         areas=areas,
-        continuation=continuation_check(E0, ledger, areas, cfg.lam, full_domain=True),
+        continuation=continuation_check(E0, ledger, areas, full_domain=True),
     )
 
 

@@ -15,14 +15,14 @@ reciprocal energy.  Only full-domain runs exist, so K has no outer-region
 term; the bounded-window contribution of the region outside the window is
 not implemented.
 
-discrete_energy evaluates E from a Field's values on its grid.Frame, whose
-weighted sum and gradient sum are those of the full grid, so the drivers
-score each step in the solver's frame.  A state that a Picard step accepted
-carries both sums: the gradient sum from the sine coefficients of its last
-solve and K from its last source (stepper.picard_implicit_step), and the
-energy reads those.  A run's start, an event and every state verify or a
-test builds carry none, and their sums are taken from the values
-(Frame.grad_norm_sq and the weighted reciprocal sum).
+discrete_energy evaluates E from a Field's frame values on its grid.Grid,
+whose weighted sum and gradient sum are those of the full grid, so the
+drivers score each step in the solver's frame.  A state that a Picard step
+accepted carries both sums: the gradient sum from the sine coefficients of
+its last solve and K from its last source (stepper.picard_implicit_step),
+and the energy reads those.  A run's start, an event and every state
+verify or a test builds carry none, and their sums are taken from the
+values (Grid.grad_norm_sq and the weighted reciprocal sum).
 
 Stage switches are scored by the signed jump delta = E_id(next start) -
 E(prev end) and its positive part eps; the ledger accumulates the budget
@@ -85,15 +85,15 @@ def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
     gradient sum and K that Y carries (a Picard step's accepted state) are
     read as they are; a Field that carries none is summed here.
     """
-    frame, grid = Y.frame, Y.grid
-    grad = frame.grad_norm_sq(Y.values) if Y.grad_norm_sq is None else Y.grad_norm_sq
+    grid = Y.grid
+    grad = grid.grad_norm_sq(Y.values) if Y.grad_norm_sq is None else Y.grad_norm_sq
     dirichlet = 0.5 * grid.A * grid.A * grad
     if Y.min_interior() <= 0.0:
         K = math.inf
     elif Y.K is not None:
         K = Y.K
     else:
-        K = 1.0 + grid.A2h2 * frame.sum(1.0 / Y.values)
+        K = 1.0 + grid.A2h2 * grid.sum(1.0 / Y.values)
     vanished = math.isinf(K)
     reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(
@@ -127,10 +127,10 @@ def continuation_check(
     E0: float,
     ledger: DefectLedger,
     areas: list[float],
-    lam: float,
     full_domain: bool = False,
 ) -> CriterionReport:
-    """Evaluate the bounded-window continuation inequality E0 + D* < lam*q*/2.
+    """Evaluate the bounded-window continuation inequality E0 + D* < lam*q*/2
+    for the lam of the ledger, which sets both D* and the threshold.
 
     areas are the window measures |Q| per stage, q = 1 for |Q| <= 1/2 and
     1/(2|Q|) otherwise, q* their infimum.  run_stagewise passes the nodal
@@ -146,7 +146,7 @@ def continuation_check(
     q_values = tuple(1.0 if a <= 0.5 else 1.0 / (2.0 * a) for a in areas)
     q_star = min(q_values)
     D_star = ledger.D_star
-    threshold = 0.5 * lam * q_star
+    threshold = 0.5 * ledger.lam * q_star
     verdict = (E0 + D_star) < threshold
     windows_bounded = max(areas) <= areas[0] * (1.0 + 1e-12)
     if full_domain:

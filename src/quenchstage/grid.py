@@ -1,27 +1,26 @@
-"""Square grids, the frames and states on them, and the difference calculus.
+"""Square grids, the states on them, and the difference calculus.
 
-Every run works in one frame: a stage lattice is Grid(A, N), the frozen
-amplitude A and the interval count N.  Everything else follows from them:
-the rescaled square [-L, L]^2 with L = 1/(2 A^(3/2)), the mesh h = 2L/N,
-the stage boundary value 1/A and the A^2 weights of the energy; A2h2 =
-A^2 h^2, the weight of the reciprocal sum in K, is written only here.  The
-physical unit square of the direct run and of the change-of-variables checks
-is the A = 1 case: L = 1/2 and h = 1/N.
+A stage lattice is Grid(A, N), the frozen amplitude A and the interval count
+N.  Everything else follows from them: the rescaled square [-L, L]^2 with
+L = 1/(2 A^(3/2)), the mesh h = 2L/N, the stage boundary value 1/A and the
+A^2 weights of the energy; A2h2 = A^2 h^2, the weight of the reciprocal sum
+in K, is written only here.  The physical unit square of the direct run and
+of the change-of-variables checks is the A = 1 case: L = 1/2 and h = 1/N.
 
-A Field is a state on a Frame: it stores only its values there; the
-constant Dirichlet boundary value is the grid's g = 1/A.  A Grid whose L, h
-or h^2 would overflow or underflow a float (a tiny or huge A) is rejected
-when it is built.
+A Field is a state on a Grid: it stores only its values there; the constant
+Dirichlet boundary value is the grid's g = 1/A.  A Grid whose L, h or h^2
+would overflow or underflow a float (a tiny or huge A) is rejected when it
+is built.
 
 Every state is symmetric about both mid-lines (the reference problem is: its
-bump is centred), and a Frame holds one by its lower-left floor(N/2)^2
-quarter, the mirror-folded frame.  A frame's weighted sum and gradient sum
-give the full-grid value from the quarter alone, so a stage is scored on the
-quarter.  expand reads any window of nodes from the quarter, g off the
-interior, so the transfer reads the coarse event's stencils from it too; no
-run holds a state on the whole interior.
+bump is centred), and a Field holds one by its lower-left floor(N/2)^2
+quarter, the mirror-folded frame of its grid.  The grid's weighted sum and
+gradient sum give the full-grid value from the quarter alone, so a stage is
+scored on the quarter.  Grid.expand reads any window of nodes from the
+quarter, g off the interior, so the transfer reads the coarse event's
+stencils from it too; no run holds a state on the whole interior.
 
-Frame.grad_norm_sq is the one difference form: the sum of squared
+Grid.grad_norm_sq is the one difference form: the sum of squared
 differences over every horizontal and vertical node pair, g on the boundary
 ring (the h^2 edge weight cancels the 1/h^2 of the quotient).  It sums every
 Field that no Picard step built: a run's start, an event, verify's states
@@ -49,6 +48,16 @@ class Grid:
 
     The half-width L = 1/(2 A^(3/2)), the mesh width h = 2L/N and the
     boundary value g = 1/A follow from them, computed once.
+
+    A state on the grid, symmetric about both mid-lines, Y[i] = Y[N-i] in
+    each index, is held by its lower-left floor(N/2)^2 quarter, the frame:
+    index i stands for i and N - i, so w_i = 2, or 1 on the middle line
+    i = N/2 of an even N, its own mirror, and node (i, j) weighs w_i w_j.
+    restrict takes the frame of an interior array (a contiguous copy of its
+    leading rows and columns), and expand reads a window of nodes from a
+    frame array (i -> min(i, N-i), exactly symmetric, with g off the
+    interior).  sum and grad_norm_sq give the full-grid value of the state
+    that a frame array stands for.
     """
 
     A: float
@@ -88,39 +97,28 @@ class Grid:
         """The weight A^2 h^2 of the reciprocal sum in K."""
         return self.A * self.A * self.h * self.h
 
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        return (self.N // 2,) * 2
 
-class Frame:
-    """The interior nodes of a grid that a frame array holds, and the weight
-    of each in a sum over the whole interior.
-
-    A frame holds a state symmetric about both mid-lines, Y[i] = Y[N-i] in
-    each index, by its lower-left floor(N/2)^2 quarter: index i stands for
-    i and N - i, so w_i = 2, or 1 on the middle line i = N/2 of an even N,
-    its own mirror, and node (i, j) weighs w_i w_j.  restrict takes the frame
-    of an interior array (a contiguous copy of its leading rows and
-    columns), and expand reads a window of nodes from a frame array
-    (i -> min(i, N-i), exactly symmetric, with g off the interior).  sum
-    and grad_norm_sq give the full-grid value of the state that a frame
-    array stands for.
-    """
-
-    def __init__(self, grid: Grid):
-        N = grid.N
-        n = N // 2
-        self.grid = grid
+    @cached_property
+    def _lines(self) -> np.ndarray:
         # the weight of each line of the frame extended by the boundary line
         # before it, whose pairs all join g to g; w is the frame's own lines
+        n = self.N // 2
         lines = np.full(n + 1, 2.0)
         lines[0] = 1.0
-        if 2 * n == N:  # the middle line of an even N
+        if 2 * n == self.N:  # the middle line of an even N
             lines[n] = 1.0
-        self._lines = lines
-        self.w = lines[1:]
-        self.shape = (n, n)
+        return lines
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self._lines[1:]
 
     def nodes_1d(self) -> np.ndarray:
         """The frame's node coordinates along one axis, -L + h .. -L + nh."""
-        return np.arange(1, self.shape[0] + 1) * self.grid.h - self.grid.L
+        return np.arange(1, self.shape[0] + 1) * self.h - self.L
 
     def restrict(self, Y: np.ndarray) -> np.ndarray:
         """The frame values of Y, a new C-contiguous array that shares no
@@ -134,12 +132,11 @@ class Frame:
         """The nodes start..stop-1 along each axis of the state whose frame
         values are Y, a new array: node i reads frame index min(i, N-i) - 1,
         and every node off the interior 1..N-1 reads g."""
-        N = self.grid.N
         i = np.arange(start, stop)
         # index min(i, N-i) of the frame values behind one leading line of g,
         # and 0, a g, wherever that is not above 0: off the interior
-        q = np.maximum(np.minimum(i, N - i), 0)
-        F = np.full((len(Y) + 1,) * 2, self.grid.g)
+        q = np.maximum(np.minimum(i, self.N - i), 0)
+        F = np.full((len(Y) + 1,) * 2, self.g)
         F[1:, 1:] = Y
         return F.take(q, 0).take(q, 1)
 
@@ -162,7 +159,7 @@ class Frame:
         sum is doubled.
         """
         c = self._lines
-        F = np.full((len(c), len(c)), self.grid.g)
+        F = np.full((len(c), len(c)), self.g)
         F[1:, 1:] = Y
         dx = F[1:] - F[:-1]
         dx *= dx
@@ -175,8 +172,8 @@ class Frame:
 
 @dataclass(frozen=True)
 class Field:
-    """A state on a Frame: its values there, on a grid whose boundary value
-    is grid.g = 1/A.
+    """A state on a Grid: its values there, whose boundary value is
+    grid.g = 1/A.
 
     values is the frame array, the quarter of a mirror-symmetric state.
     Admissible states have all interior values positive; this is checked by
@@ -188,36 +185,32 @@ class Field:
     grad_norm_sq and K are sums of the values that the code building the
     Field already holds, or None: a Picard step hands its accepted state the
     gradient sum of its last solve and the K of its last source, and
-    energy.discrete_energy reads them in place of Frame.grad_norm_sq and the
+    energy.discrete_energy reads them in place of Grid.grad_norm_sq and the
     reciprocal sum.  Every other state (a run's start, an event, a state
     verify or a test builds) carries neither, and its sums are taken from its
     values.
     """
 
-    frame: Frame
+    grid: Grid
     values: np.ndarray
     grad_norm_sq: float | None = None
     K: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.frame.shape:
+        if arr.shape != self.grid.shape:
             raise ValueError(
-                f"values shape {arr.shape} does not match frame {self.frame.shape}"
+                f"values shape {arr.shape} does not match frame {self.grid.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_min", float(arr.min()))
 
     @property
-    def grid(self) -> Grid:
-        return self.frame.grid
-
-    @property
     def interior(self) -> np.ndarray:
         """The whole interior array, the mirror expansion of the frame.  No
         package code reads it; perfbench sizes a transfer's result by it."""
-        return self.frame.expand(self.values, 1, self.grid.N)
+        return self.grid.expand(self.values, 1, self.grid.N)
 
     def min_interior(self) -> float:
         return self._min
@@ -230,7 +223,7 @@ def laplacian_5pt(Y: Field) -> np.ndarray:
     """Five-point Laplacian of the state with g on its boundary ring,
     returned on its frame.  The frame is bordered by g before it and by its
     mirror line n + 1 after it: node n + 1 is node N - n - 1, frame index
-    N - n - 2, or the boundary when N = 2.  These are Frame.expand's nodes
+    N - n - 2, or the boundary when N = 2.  These are Grid.expand's nodes
     0..n+1, filled here by two slices: verify all takes 628 Laplacians, 613
     at N = 4, where expand's index arrays make each call a third slower."""
     N, n = Y.grid.N, len(Y.values)

@@ -33,17 +33,18 @@ take their tables from it too.
 
 The stencil, the basis and the fill commute with the square's mirrors, so
 the transfer of a state symmetric about both mid-lines is symmetric too.
-It evaluates only the coarse cells that own the fine quarter (grid.Frame),
-reads their stencils from the coarse quarter and writes the fine one, so
-neither side is expanded to the whole interior.  The frame supplies the
-fill: the transfer reads its stencils' nodes through Frame.expand.
+It evaluates only the coarse cells that own the fine quarter, the frame
+of the fine grid, reads their stencils from the coarse quarter and writes
+the fine one, so neither side is expanded to the whole interior.  The grid
+supplies the fill: the transfer reads its stencils' nodes through
+Grid.expand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Frame, Grid, laplacian_5pt
+from .grid import Field, Grid, laplacian_5pt
 
 # stencil offsets: 4x4 block {-1,0,1,2}^2 minus the four corners
 S12: tuple[tuple[int, int], ...] = (
@@ -116,11 +117,11 @@ def _cell_stencils(end: Field, cells: int) -> np.ndarray:
     shape (cells, cells, 12) in S12 order.
 
     Cell i reads nodes i - 1 .. i + 2, so the cells read nodes
-    -1 .. cells + 1 of each axis, which the end state's frame gives from its
-    own values (Frame.expand): the quarter is read through the mirror, and
+    -1 .. cells + 1 of each axis, which the end state's grid gives from its
+    frame values (Grid.expand): the quarter is read through the mirror, and
     nodes off the interior read the boundary value g.
     """
-    nodes = end.frame.expand(end.values, -1, cells + 2)
+    nodes = end.grid.expand(end.values, -1, cells + 2)
     return np.stack(
         [nodes[a + 1:a + 1 + cells, b + 1:b + 1 + cells] for a, b in S12],
         axis=-1,
@@ -141,13 +142,13 @@ def prolong_stage(end: Field, k: int) -> Field:
     if not end.is_admissible():
         raise ValueError("transfer requires a positive end state")
     A_to = k ** (-2.0 / 3.0) * end.grid.A
-    frame = Frame(Grid(A_to, k * end.grid.N))
+    grid = Grid(A_to, k * end.grid.N)
     # fine indices 1..n of the frame belong to cells 0..n // k
-    cells = frame.shape[0] // k + 1
+    cells = grid.shape[0] // k + 1
     offsets = np.arange(k) / k
     W = k ** (2.0 / 3.0) * cell_map(offsets[:, None], offsets[None, :])
     values = np.einsum("ijs,lrs->iljr", _cell_stencils(end, cells), W)
-    return Field(frame, frame.restrict(values.reshape(k * cells, k * cells)[1:, 1:]))
+    return Field(grid, grid.restrict(values.reshape(k * cells, k * cells)[1:, 1:]))
 
 
 def edge_consistency_check(end: Field) -> float:
@@ -181,7 +182,7 @@ def laplace_compat_check(end: Field, k: int) -> float:
     N = end.grid.N
     # fine Laplacian, symmetric like the state, expanded to fine nodes
     # (k*i + l, k*j + r); row/column 0 is the boundary, which no cell reads
-    lap_fine = fine.frame.expand(laplacian_5pt(fine), 0, k * N)
+    lap_fine = fine.grid.expand(laplacian_5pt(fine), 0, k * N)
     # the node values bordering the cell must come from consistent
     # polynomials, so this cell and its +x/+y neighbors must all be fill-free:
     # cells 1..N-3 in both directions

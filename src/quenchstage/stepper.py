@@ -13,7 +13,7 @@ Y - g, which vanishes on the boundary:
 
 DirichletSolver inverts (I/ds - Lap_h) by sine-basis diagonalization on
 the mirror-folded quarter of a state symmetric about both mid-lines, its
-grid.Frame.  With N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode
+grid's frame.  With N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode
 N - j is (-1)^(i+1) times that of mode j, so each product is two half
 products (a butterfly) and the solver keeps two half tables in place of T.
 Values are clipped at CLIP only inside reciprocal evaluations
@@ -21,7 +21,7 @@ Values are clipped at CLIP only inside reciprocal evaluations
 principle (Varga 1962) certifies that a further sweep would move Y by less
 than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
 so a stage and the same steps on the physical profile (W = v/A) stop alike.
-march owns the step sequence of a run: one solver on the start's frame, each
+march owns the step sequence of a run: one solver on the start's grid, each
 step seeded by extrapolated_seed (Fischer 1998).  The energy E and the
 movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
 evaluated by the code that records them: the drivers' scored loop, the
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Frame, laplacian_5pt
+from .grid import Field, Grid, laplacian_5pt
 from .energy import discrete_energy
 
 logger = logging.getLogger(__name__)
@@ -78,8 +78,8 @@ PICARD_TOL = 1e-10  # relative bound on a further sweep's move that ends a step
 # ends a step.  The source change F_new - F that the bound scales is also the
 # Euler-Lagrange residual of the accepted iterate, so the stop holds that
 # residual below STOP_MARGIN*PICARD_TOL*max|Y|/ds, 1e-8 max|Y| at ds = 1e-3.
-# A smaller margin costs sweeps without need (0.01 takes 825 solves on the
-# 4-stage reference run, 0.1 takes 701).
+# A smaller margin costs sweeps without need (0.01 takes 714 solves on the
+# 4-stage reference run, 0.1 takes 657).
 STOP_MARGIN = 0.1
 PICARD_MAX = 50  # sweeps before a step raises NumericalError
 CLIP = 1e-12  # floor on iterate values inside the reciprocal source
@@ -95,7 +95,7 @@ BUTTERFLY_MIN_N = 172
 @dataclass(frozen=True)
 class StepReport:
     """One accepted step of march: its start prev and its state next, both
-    Fields on the solver's frame, and its Picard sweep count."""
+    Fields on the solver's grid, and its Picard sweep count."""
 
     prev: Field
     next: Field
@@ -122,7 +122,7 @@ class DirichletSolver:
     diagonal in the S x S basis with entries 1/ds + mu_i + mu_j (Buzbee,
     Golub & Nielson 1970): a solve is four dense products.
 
-    The frame (grid.Frame) holds right-hand sides symmetric about both
+    The grid's frame holds right-hand sides symmetric about both
     mid-lines, rhs[i] = rhs[N-i].  Since sin(pi (N-i) j / N) =
     (-1)^(j+1) sin(pi i j / N), the even modes of such data vanish and each
     odd mode is the sum over the quarter's rows i = 1..N//2 with weight
@@ -142,12 +142,12 @@ class DirichletSolver:
     (one frame array each) and T, or C and D (a quarter of one each).
     """
 
-    def __init__(self, frame: Frame, ds: float):
+    def __init__(self, grid: Grid, ds: float):
         if ds <= 0.0:
             raise ValueError("ds must be positive")
         self.ds = ds
-        self.frame = frame
-        N, n = frame.grid.N, frame.shape[0]
+        self.grid = grid
+        N, n = grid.N, grid.shape[0]
         i, j = np.arange(1, n + 1), np.arange(1, N, 2)
         half = n // 2 if N % 4 == 0 and N >= BUTTERFLY_MIN_N else 0
         if half:  # modes 1, 3, .., N/2 - 1, then their partners N - 1, N - 3, ..
@@ -162,7 +162,7 @@ class DirichletSolver:
         # eigenvalues l_j of the second difference tridiag(-1, 2, -1)
         eig = 2.0 - 2.0 * np.cos(np.pi * j / N)
         self._form = eig[:, None] + eig[None, :]
-        mu = eig / frame.grid.h ** 2
+        mu = eig / grid.h ** 2
         # the factor 2 of w on each input side, off the middle line
         self._inv = 4.0 / (1.0 / ds + mu[:, None] + mu[None, :])
         self._halve_middle = 2 * n == N
@@ -170,7 +170,7 @@ class DirichletSolver:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
         returned (the Picard sweep solves in its right-hand side's buffer),
-        and the gradient sum of that solution u: Frame.grad_norm_sq of g + u
+        and the gradient sum of that solution u: Grid.grad_norm_sq of g + u
         for any constant g, since u vanishes on the boundary.
 
         The basis diagonalizes the Dirichlet form too.  With X the sine
@@ -220,7 +220,7 @@ class DirichletSolver:
 
 
 def nonlocal_source(
-    Y: np.ndarray, frame: Frame, lam: float
+    Y: np.ndarray, grid: Grid, lam: float
 ) -> tuple[np.ndarray, float]:
     """The source F = lam/(Yc^2 K^2) of the frame values Y, a new frame array,
     and K = 1 + A^2 h^2 sum 1/Yc, the weighted frame sum (each interior node
@@ -229,7 +229,7 @@ def nonlocal_source(
     min Y >= CLIP, Yc is Y and K is discrete_energy's K of Y to the bit."""
     R = np.maximum(Y, CLIP)
     np.divide(1.0, R, out=R)
-    K = 1.0 + frame.grid.A2h2 * frame.sum(R)
+    K = 1.0 + grid.A2h2 * grid.sum(R)
     R *= R
     R *= lam / (K * K)
     return R, K
@@ -237,11 +237,11 @@ def nonlocal_source(
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
     """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} of two states
-    on one frame, with the weighted frame sum."""
+    on one grid, with the weighted frame sum."""
     A, h = Y.grid.A, Y.grid.h
     diff = Y.values - Z.values
     diff *= diff
-    return (A * A / (2.0 * ds)) * (h * h * Y.frame.sum(diff))
+    return (A * A / (2.0 * ds)) * (h * h * Y.grid.sum(diff))
 
 
 def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
@@ -288,7 +288,7 @@ def picard_implicit_step(
     holds the sweep's source.  The step never writes into the start source
     unless it is work itself: march writes the seed into the ring row that
     the step's source replaces and passes that row as both.
-    Returns the accepted state Y, a Field on the solver's frame, its sweep
+    Returns the accepted state Y, a Field on the solver's grid, its sweep
     count and f(Y), which the last sweep has computed.  Y carries the
     gradient sum of its solve and the K of f(Y), which discrete_energy reads;
     if a value of Y is below CLIP, that K is of the clipped values, and Y
@@ -303,15 +303,15 @@ def picard_implicit_step(
     one sweep ends the step (from the default start); PICARD_MAX sweeps
     without the stop raise NumericalError.
     """
-    frame = solver.frame
-    shape = frame.shape
+    grid = solver.grid
+    shape = grid.shape
     if (Z.values.shape != shape or (source is not None and source.shape != shape)
             or (work is not None and work.shape != shape)):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
     if not Z.is_admissible():  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
-    ds, g = solver.ds, frame.grid.g
+    ds, g = solver.ds, grid.g
     # Live frame arrays set large-N peak memory.  Besides Z, the start source
     # and work, a sweep holds two: the state Y (right-hand side, solution and
     # shift by g in one buffer) and, in turn, the solve's product array and
@@ -320,7 +320,7 @@ def picard_implicit_step(
     # and the start source is dropped.  march passes one ring row as both the
     # start source and work, so a step holds two frame arrays besides Z and
     # the ring.
-    F = nonlocal_source(Z.values, frame, lam)[0] if source is None else source
+    F = nonlocal_source(Z.values, grid, lam)[0] if source is None else source
     del source
     for sweeps in range(1, PICARD_MAX + 1):
         Y = Z.values - g
@@ -328,16 +328,16 @@ def picard_implicit_step(
         Y -= F
         Y, grad_sq = solver.solve(Y)
         Y += g
-        F_new, K = nonlocal_source(Y, frame, lam)
+        F_new, K = nonlocal_source(Y, grid, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds;
         # F is read here for the last time, so work may be F itself
         move = np.subtract(F_new, F, out=work)
         bound = ds * float(np.abs(move, out=move).max())
         scale = float(np.abs(Y, out=move).max())
         if bound < STOP_MARGIN * PICARD_TOL * scale:
-            state = Field(frame, Y, grad_sq, K)
+            state = Field(grid, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
-                state = Field(frame, Y, grad_sq)
+                state = Field(grid, Y, grad_sq)
             return state, sweeps, F_new
         F = work = move  # a new array if the step was lent no work
         F[...] = F_new
@@ -349,8 +349,8 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     """Seeded backward-Euler + Picard steps of size ds from Z, lazily: each
     yielded report starts from the previous one's state.  A step that does
     not converge raises NumericalError naming where (the stage or the direct
-    run) and the step.  The one solver is built on Z's frame, and every
-    yielded state is a Field on that frame (Z itself is step 1's prev).  The
+    run) and the step.  The one solver is built on Z's grid, and every
+    yielded state is a Field on that grid (Z itself is step 1's prev).  The
     seed ring holds f(Z) and a copy of the source f(Y) each step hands back,
     so the run evaluates one source per solve and one at its start; before
     step n it has written n sources and holds the last SEED_ORDER + 1 of
@@ -359,10 +359,10 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     row as its start source and its work array.  Z is held only as the
     current step's start: a caller that hands march the only reference to
     its start has it freed once step 1 is scored."""
-    solver = DirichletSolver(Z.frame, ds)
+    solver = DirichletSolver(Z.grid, ds)
     logger.info("%s: %s solve", where, solver.path)
-    ring = np.empty((SEED_ORDER + 1, *Z.frame.shape))
-    ring[0] = nonlocal_source(Z.values, Z.frame, lam)[0]
+    ring = np.empty((SEED_ORDER + 1, *Z.grid.shape))
+    ring[0] = nonlocal_source(Z.values, Z.grid, lam)[0]
     for step in itertools.count(1):
         row = ring[step % len(ring)]
         row[...] = extrapolated_seed(ring, step)
@@ -378,10 +378,10 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
 
 def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.ndarray:
     """Residual (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2) of the implicit step,
-    on the frame of Y and Z."""
+    on the grid of Y and Z."""
     if not Y.is_admissible():  # also true for a NaN state
         raise ValueError("residual undefined on the vanishing branch")
-    source, _ = nonlocal_source(Y.values, Y.frame, lam)
+    source, _ = nonlocal_source(Y.values, Y.grid, lam)
     return (Y.values - Z.values) / ds - laplacian_5pt(Y) + source
 
 
@@ -418,8 +418,8 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
         if np.abs(R).max() < ORACLE_TOL:
             return Y
         G = scale * R  # plain gradient of J
-        bar = JY - 1e-4 * step * (h * h * Z.frame.sum(G * G)) + slack * abs(JY)
-        Y = Field(Z.frame, Y.values - step * G)
+        bar = JY - 1e-4 * step * (h * h * Z.grid.sum(G * G)) + slack * abs(JY)
+        Y = Field(Z.grid, Y.values - step * G)
         if not (Y.is_admissible() and (JY := objective(Y)) <= bar):
             raise OracleStagnation("descent stagnated above the residual target")
     raise OracleStagnation("descent did not reach the residual target")

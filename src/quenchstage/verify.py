@@ -5,11 +5,11 @@ random data and reports measured residuals against pinned tolerances.  Each
 suite draws from its own random.Random(seed) through random() alone, whose
 stream CPython keeps for a seed across versions; numpy.random would load its
 generators and, through secrets, OpenSSL.  Every state is drawn on the
-quarter frame (grid.Frame), as every run's is, so the suites step, score and
-transfer through the code the runs take; they check symmetric data only.
+quarter frame of its grid.Grid, as every run's is, so the suites step, score
+and transfer through the code the runs take; they check symmetric data only.
 The suites:
 
-  green        Green identity of -lap_h and Frame.grad_norm_sq
+  green        Green identity of -lap_h and Grid.grad_norm_sq
   unisolvence  cell_map, the map the transfer applies: identity at the 12
                stencil nodes, cubic monomial reproduction, the 1-norm
                condition of the reference matrix
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Frame, Grid, laplacian_5pt
+from .grid import Field, Grid, laplacian_5pt
 from .energy import discrete_energy
 from .prolongation import (
     REFERENCE_INVERSE,
@@ -82,8 +82,8 @@ def _uniform(rng: random.Random, low: float, high: float, shape=()):
 
 
 def _random_field(rng: random.Random, N: int, A: float) -> Field:
-    frame = Frame(Grid(A, N))
-    return Field(frame, frame.grid.g + _uniform(rng, -0.3, 0.3, frame.shape))
+    grid = Grid(A, N)
+    return Field(grid, grid.g + _uniform(rng, -0.3, 0.3, grid.shape))
 
 
 def _one_norm(M: np.ndarray) -> float:
@@ -100,15 +100,15 @@ def suite_green() -> list[CheckResult]:
         Y = _random_field(rng, N, _uniform(rng, 0.3, 1.5))
         # a test function with boundary value 0, given by its frame values
         Phi = _uniform(rng, -1.0, 1.0, Y.values.shape)
-        lhs = Y.grid.h * Y.grid.h * Y.frame.sum(-laplacian_5pt(Y) * Phi)
+        lhs = Y.grid.h * Y.grid.h * Y.grid.sum(-laplacian_5pt(Y) * Phi)
         # Y +- Phi keep Y's boundary value g: the energy's form, polarized
-        form = Y.frame.grad_norm_sq
+        form = Y.grid.grad_norm_sq
         rhs = (form(Y.values + Phi) - form(Y.values - Phi)) / 4.0
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return [
         CheckResult(
             "green_identity", worst, 1e-12,
-            "20 random fields, relative, against Frame.grad_norm_sq",
+            "20 random fields, relative, against Grid.grad_norm_sq",
         )
     ]
 
@@ -146,8 +146,8 @@ def suite_edge() -> list[CheckResult]:
     for _ in range(5):
         Y = _random_field(rng, 8, 0.6)
         worst = max(worst, edge_consistency_check(Y))
-    frame = Frame(Grid(0.6, 6))
-    const = Field(frame, np.full(frame.shape, frame.grid.g))
+    grid = Grid(0.6, 6)
+    const = Field(grid, np.full(grid.shape, grid.g))
     const_gap = edge_consistency_check(const)
     return [
         CheckResult("interface_continuity", worst, 1e-11, "5 random fields, N=8"),
@@ -216,13 +216,13 @@ def suite_oracle() -> list[CheckResult]:
     worst_gap = 0.0
     for _ in range(25):
         Z, ds, lam = _oracle_case(rng)
-        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam)
+        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam)
         oracle = mm_oracle_step(Z, ds, lam)
         worst_gap = max(worst_gap, float(np.max(np.abs(picard.values - oracle.values))))
     worst_l0 = 0.0
     for _ in range(5):
         Z, ds, _ = _oracle_case(rng)
-        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.frame, ds), 0.0)
+        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), 0.0)
         oracle = mm_oracle_step(Z, ds, 0.0)
         worst_l0 = max(worst_l0, float(np.max(np.abs(picard.values - oracle.values))))
     worst_seed = worst_convex = 0.0
@@ -230,10 +230,10 @@ def suite_oracle() -> list[CheckResult]:
         Z, ds, lam = _oracle_case(rng)
         # uniqueness needs ds <= eta^3/(16 lam), eta the state's minimum
         worst_convex = max(worst_convex, 16.0 * lam * ds / Z.min_interior() ** 3)
-        solver = DirichletSolver(Z.frame, ds)
+        solver = DirichletSolver(Z.grid, ds)
         from_z, _, _ = picard_implicit_step(Z, solver, lam)
         # the first sweep of the second start reads the source of 1.05*Z
-        perturbed, _ = nonlocal_source(1.05 * Z.values, Z.frame, lam)
+        perturbed, _ = nonlocal_source(1.05 * Z.values, Z.grid, lam)
         from_seed, _, _ = picard_implicit_step(Z, solver, lam, perturbed)
         gap = float(np.max(np.abs(from_z.values - from_seed.values)))
         worst_seed = max(worst_seed, gap)
@@ -275,17 +275,17 @@ def transfer_refinement_errors():
     k, A_from = 2, 0.6
     errors = []
     for N in REFINEMENT_LEVELS:
-        frame = Frame(Grid(A_from, N))
-        L = frame.grid.L
-        xi = frame.nodes_1d()
+        grid = Grid(A_from, N)
+        L = grid.L
+        xi = grid.nodes_1d()
         X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        Y = Field(frame, _boundary_flat_profile(X1, X2, L, A_from))
+        Y = Field(grid, _boundary_flat_profile(X1, X2, L, A_from))
         fine = prolong_stage(Y, k)
         eb_fine = discrete_energy(fine, 1.0)
-        fxi = fine.frame.nodes_1d()
+        fxi = fine.grid.nodes_1d()
         F1, F2 = np.meshgrid(fxi, fxi, indexing="ij")
         ideal = Field(
-            fine.frame,
+            fine.grid,
             k ** (2.0 / 3.0) * _boundary_flat_profile(F1 / k, F2 / k, L, A_from),
         )
         eb_ideal = discrete_energy(ideal, 1.0)
@@ -302,11 +302,11 @@ def suite_changevar() -> list[CheckResult]:
     cfg = StagewiseConfig()
     W = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
     E_resc = discrete_energy(W, cfg.lam).total
-    v = Field(Frame(Grid(1.0, cfg.N0)), cfg.A0 * W.values)
+    v = Field(Grid(1.0, cfg.N0), cfg.A0 * W.values)
     E_phys = discrete_energy(v, cfg.lam).total
     eq_err = abs(E_resc - E_phys)
-    frame = Frame(Grid(0.6, 6))
-    const = Field(frame, np.full(frame.shape, frame.grid.g))
+    grid = Grid(0.6, 6)
+    const = Field(grid, np.full(grid.shape, grid.g))
     out = prolong_stage(const, 2)
     const_err = float(np.max(np.abs(out.values - 1.0 / out.grid.A)))
     errors = transfer_refinement_errors()

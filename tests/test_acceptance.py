@@ -199,7 +199,7 @@ def test_continuation_diagnostics(stagewise):
             rep.threshold == 0.5 * report.config.lam * rep.q_star,
         )
     synthetic = continuation_check(
-        1.0, DefectLedger(lam=20.0), [2.0], 20.0, full_domain=False
+        1.0, DefectLedger(lam=20.0), [2.0], full_domain=False
     )
     _check(failures, "synthetic D* = 0", synthetic.D_star == 0.0)
     _check(

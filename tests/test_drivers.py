@@ -28,7 +28,7 @@ from quenchstage.drivers import (
     scored_march,
 )
 from quenchstage.energy import discrete_energy, switch_jump
-from quenchstage.grid import Field, Frame, Grid
+from quenchstage.grid import Field, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import DirichletSolver, picard_implicit_step
 
@@ -38,7 +38,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def interior(Y):
     """The whole interior of a Field: its frame values mirrored out."""
-    return Y.frame.expand(Y.values, 1, Y.grid.N)
+    return Y.grid.expand(Y.values, 1, Y.grid.N)
 
 
 def stage0_state(cfg):
@@ -222,7 +222,7 @@ class TestInitialProfile:
         X, Y = np.meshgrid(x, x, indexing="ij")
         dense = (1.0 - a * np.sin(np.pi * X) * np.sin(np.pi * Y)) / A
         assert W.values.shape == (N // 2, N // 2)
-        assert np.array_equal(W.values, W.frame.restrict(dense))
+        assert np.array_equal(W.values, W.grid.restrict(dense))
 
 
 class TestDetectTrigger:
@@ -272,8 +272,8 @@ class TestRunStage:
 
     def test_rejects_state_below_threshold(self):
         cfg = StagewiseConfig()
-        frame = Frame(Grid(cfg.A0, cfg.N0))
-        low = Field(frame, np.full(frame.shape, 0.5))
+        grid = Grid(cfg.A0, cfg.N0)
+        low = Field(grid, np.full(grid.shape, 0.5))
         below = (
             r"stage 0 starts at or below the trigger threshold: "
             r"min W = 0\.5 <= k\^\(-2/3\) = 0\.629961"
@@ -284,10 +284,10 @@ class TestRunStage:
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_or_nan_start(self, value):
         cfg = StagewiseConfig()
-        frame = Frame(Grid(cfg.A0, cfg.N0))
-        values = np.full(frame.shape, 2.0)
+        grid = Grid(cfg.A0, cfg.N0)
+        values = np.full(grid.shape, 2.0)
         values[3, 2] = value
-        Z = Field(frame, values)
+        Z = Field(grid, values)
         with pytest.raises(TransferError, match="stage 2 starts at or below"):
             run_stage(StageState(m=2, Z=Z, t=0.0), cfg)
 
@@ -329,8 +329,8 @@ class TestStageTransition:
         assert row.eps_sw == 0.0
 
     def test_amplitude_cascade_hits_exact_value(self):
-        frame = Frame(Grid(0.6, 3))
-        Z = Field(frame, np.full(frame.shape, frame.grid.g))
+        grid = Grid(0.6, 3)
+        Z = Field(grid, np.full(grid.shape, grid.g))
         for _ in range(3):
             Z = prolong_stage(Z, 2)
         assert Z.grid.A == 0.15
@@ -338,9 +338,8 @@ class TestStageTransition:
     def test_constant_event_closed_form_jump(self):
         A, N, k, lam = 0.6, 6, 2, 20.0
         A_to = k ** (-2.0 / 3.0) * A
-        frame = Frame(Grid(A, N))
-        grid = frame.grid
-        event = Field(frame, np.full(frame.shape, grid.g))
+        grid = Grid(A, N)
+        event = Field(grid, np.full(grid.shape, grid.g))
         nxt = prolong_stage(event, k)
         E_end = discrete_energy(event, lam).total
         E_start = discrete_energy(nxt, lam).total
@@ -355,10 +354,10 @@ class TestStageTransition:
         assert eps == 0.0
 
     def test_undershoot_aborts(self):
-        frame = Frame(Grid(0.6, 6))
+        grid = Grid(0.6, 6)
         # small flat interior against the large boundary: the cubic patches
         # undershoot below zero near the boundary ring
-        event = Field(frame, np.full(frame.shape, 0.1))
+        event = Field(grid, np.full(grid.shape, 0.1))
         nxt = prolong_stage(event, 2)
         assert nxt.min_interior() < 0.0
         with pytest.raises(TransferError, match="stage 1 starts at or below"):
@@ -691,7 +690,7 @@ class TestRunDirect:
                 if step == 3:
                     values = rep.next.values.copy()
                     values[-1, -1] = value
-                    rep = stepper.StepReport(rep.prev, Field(Z.frame, values), 1)
+                    rep = stepper.StepReport(rep.prev, Field(Z.grid, values), 1)
                 yield rep
 
         monkeypatch.setattr("quenchstage.drivers.march", quenching)
@@ -766,10 +765,10 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
     # are the start (the stage-0 profile or the transfer's output), every
     # accepted state and each event.  Only the states no Picard step built,
     # each stage's start and event and the direct run's start, are summed
-    # by Frame.grad_norm_sq; an accepted state carries its solve's sum
+    # by Grid.grad_norm_sq; an accepted state carries its solve's sum
     evaluated, read, built, summed = [], [], [], []
-    expand, post_init = Frame.expand, Field.__post_init__
-    grad_norm_sq = Frame.grad_norm_sq
+    expand, post_init = Grid.expand, Field.__post_init__
+    grad_norm_sq = Grid.grad_norm_sq
 
     def on_gradient(self, Y):
         summed.append(Y)
@@ -789,9 +788,9 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
         built.append(self)
 
     monkeypatch.setattr("quenchstage.drivers.discrete_energy", on_energy)
-    monkeypatch.setattr(Frame, "expand", on_expand)
+    monkeypatch.setattr(Grid, "expand", on_expand)
     monkeypatch.setattr(Field, "__post_init__", on_field)
-    monkeypatch.setattr(Frame, "grad_norm_sq", on_gradient)
+    monkeypatch.setattr(Grid, "grad_norm_sq", on_gradient)
     report = run(cfg)
     assert len(evaluated) == evaluations
     assert len(summed) == gradient_sums
@@ -878,12 +877,12 @@ def test_runs_read_no_full_grid_state(monkeypatch):
         return run_stagewise(StagewiseConfig(max_stages=6)), run_direct(DirectConfig())
 
     want = runs()
-    expand = Frame.expand
+    expand = Grid.expand
 
     def refuse(self, Y, start, stop):
-        if start <= 1 and stop >= self.grid.N:
+        if start <= 1 and stop >= self.N:
             raise AssertionError("a run read the whole interior of a state")
         return expand(self, Y, start, stop)
 
-    monkeypatch.setattr(Frame, "expand", refuse)
+    monkeypatch.setattr(Grid, "expand", refuse)
     assert runs() == want

@@ -13,7 +13,7 @@ from quenchstage.energy import (
     discrete_energy,
     switch_jump,
 )
-from quenchstage.grid import Field, Frame, Grid
+from quenchstage.grid import Field, Grid
 from quenchstage.stepper import movement_penalty
 
 
@@ -24,13 +24,13 @@ def reciprocal_K(Y):
 
 def interior(Y):
     """The whole interior of a Field: its frame values mirrored out."""
-    return Y.frame.expand(Y.values, 1, Y.grid.N)
+    return Y.grid.expand(Y.values, 1, Y.grid.N)
 
 
 def single_node_field(value):
     # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
-    return Field(Frame(grid), np.array([[value]]))
+    return Field(grid, np.array([[value]]))
 
 
 class TestReciprocalK:
@@ -52,12 +52,12 @@ class TestReciprocalK:
 
     def test_monotone_in_values(self):
         rng = np.random.default_rng(11)
-        frame = Frame(Grid(0.6, 5))
-        values = 1.0 + rng.uniform(0.0, 1.0, frame.shape)
-        K0 = reciprocal_K(Field(frame, values))
+        grid = Grid(0.6, 5)
+        values = 1.0 + rng.uniform(0.0, 1.0, grid.shape)
+        K0 = reciprocal_K(Field(grid, values))
         bumped = values.copy()
         bumped[1, 0] += 0.25
-        K1 = reciprocal_K(Field(frame, bumped))
+        K1 = reciprocal_K(Field(grid, bumped))
         assert K1 < K0
 
 
@@ -96,15 +96,15 @@ class TestFrameEnergy:
         """A positive state symmetric about both mid-lines on Grid(0.6, N),
         and its whole interior: the quarter of a random symmetric interior,
         or a random quarter and its mirror expansion."""
-        frame = Frame(Grid(0.6, N))
+        grid = Grid(0.6, N)
         rng = np.random.default_rng(seed)
         if not restricted:
-            Y = Field(frame, rng.uniform(0.5, 1.5, frame.shape))
+            Y = Field(grid, rng.uniform(0.5, 1.5, grid.shape))
             return Y, interior(Y)
         a = rng.uniform(0.5, 1.5, (N - 1, N - 1))
         a = a + a[::-1]
         full = a + a[:, ::-1]
-        return Field(frame, frame.restrict(full)), full
+        return Field(grid, grid.restrict(full)), full
 
     # the stage loop scores each step on the quarter, which gives the
     # full-grid energy, K and penalty
@@ -131,10 +131,10 @@ class TestFrameEnergy:
         # the minimum the Field took when it was built picks the branch, for
         # an odd and an even N
         for N in (4, 5):
-            frame = Frame(Grid(1.0, N))
-            values = np.ones(frame.shape)
+            grid = Grid(1.0, N)
+            values = np.ones(grid.shape)
             values[1, 1] = 0.0
-            eb = discrete_energy(Field(frame, values), lam=20.0)
+            eb = discrete_energy(Field(grid, values), lam=20.0)
             assert math.isinf(eb.K) and eb.reciprocal == 0.0 and eb.coeff == 0.0
 
 
@@ -151,9 +151,9 @@ class TestFeedback:
 
     def test_coeff_bounded_by_lam(self):
         rng = np.random.default_rng(12)
-        frame = Frame(Grid(0.6, 5))
+        grid = Grid(0.6, 5)
         for _ in range(10):
-            Y = Field(frame, 0.5 + rng.uniform(0.0, 2.0, frame.shape))
+            Y = Field(grid, 0.5 + rng.uniform(0.0, 2.0, grid.shape))
             sample = discrete_energy(Y, 20.0)
             assert 1.0 <= sample.K
             assert 0.0 < sample.coeff <= 20.0
@@ -195,34 +195,41 @@ class TestDefectLedger:
 
 class TestContinuationCheck:
     def test_small_window_branch(self):
-        report = continuation_check(1.0, DefectLedger(lam=20.0), [0.25], 20.0)
+        report = continuation_check(1.0, DefectLedger(lam=20.0), [0.25])
         assert report.q_values == (1.0,)
 
     def test_large_window_branch(self):
-        report = continuation_check(1.0, DefectLedger(lam=20.0), [2.0], 20.0)
+        report = continuation_check(1.0, DefectLedger(lam=20.0), [2.0])
         assert report.q_values == (0.25,)
 
     def test_threshold_arithmetic(self):
         # q* = 0.25 with E0 = 1 and an empty ledger: E0 + D* = 1 < 2.5
-        report = continuation_check(1.0, DefectLedger(lam=20.0), [2.0], 20.0)
+        report = continuation_check(1.0, DefectLedger(lam=20.0), [2.0])
         assert report.q_star == pytest.approx(0.25)
         assert report.threshold == pytest.approx(2.5)
         assert report.verdict is True
 
+    def test_threshold_reads_the_ledger_lam(self):
+        # one lam sets both sides: D* and the threshold lam*q*/2
+        row = DefectRow(m_from=0, m_to=1, E_end=1.0, E_id=1.0, E_start=1.0,
+                        delta_sw=-0.1, eps_sw=0.0, eps_out=0.1)
+        ledger = DefectLedger(lam=3.0, rows=[row])
+        report = continuation_check(1.0, ledger, [2.0])
+        assert report.D_star == pytest.approx(0.3, rel=1e-14)
+        assert report.threshold == 0.5 * ledger.lam * report.q_star
+
     def test_empty_area_list_rejected(self):
         with pytest.raises(ValueError):
-            continuation_check(1.0, DefectLedger(lam=20.0), [], 20.0)
+            continuation_check(1.0, DefectLedger(lam=20.0), [])
 
     def test_growing_windows_flagged(self):
-        report = continuation_check(
-            1.0, DefectLedger(lam=20.0), [1.0, 4.0, 16.0], 20.0
-        )
+        report = continuation_check(1.0, DefectLedger(lam=20.0), [1.0, 4.0, 16.0])
         assert not report.windows_bounded
         assert "diagnostic" in report.note
 
     def test_full_domain_flag(self):
         report = continuation_check(
-            1.0, DefectLedger(lam=20.0), [1.0], 20.0, full_domain=True
+            1.0, DefectLedger(lam=20.0), [1.0], full_domain=True
         )
         assert report.full_domain
         assert "outside the bounded-window hypothesis" in report.note

@@ -18,7 +18,7 @@ from quenchstage.drivers import (
     initial_rescaled_profile,
     run_stage,
 )
-from quenchstage.grid import Field, Frame, Grid
+from quenchstage.grid import Field, Grid
 from quenchstage.prolongation import (
     BASIS_EXPONENTS,
     REFERENCE_INVERSE,
@@ -56,7 +56,7 @@ def samples(p, q):
 
 def interior(Y):
     """The whole interior of a Field: its frame values mirrored out."""
-    return Y.frame.expand(Y.values, 1, Y.grid.N)
+    return Y.grid.expand(Y.values, 1, Y.grid.N)
 
 
 def loop_prolong(end, k, stop=None):
@@ -197,14 +197,14 @@ class TestLaplacianCell:
 
 def constant_end():
     """The constant admissible state 1/A at A = 0.6 on 6 intervals."""
-    frame = Frame(Grid(0.6, 6))
-    return Field(frame, np.full(frame.shape, frame.grid.g))
+    grid = Grid(0.6, 6)
+    return Field(grid, np.full(grid.shape, grid.g))
 
 
 def random_end(rng, N, spread):
     """A random state at A = 0.6 within spread of its boundary value."""
-    frame = Frame(Grid(0.6, N))
-    return Field(frame, 1.0 / 0.6 + rng.uniform(-spread, spread, frame.shape))
+    grid = Grid(0.6, N)
+    return Field(grid, 1.0 / 0.6 + rng.uniform(-spread, spread, grid.shape))
 
 
 class TestTransferAmplitude:
@@ -241,11 +241,11 @@ class TestProlongStage:
         # cells whose stencil reads only quarter (linear) values, 2 <= i, j
         # <= n - 2: the mirror expansion bends at the mid-line
         A, N, k = 0.6, 17, 2
-        frame = Frame(Grid(A, N))
-        grid, n = frame.grid, frame.shape[0]
+        grid = Grid(A, N)
+        n = grid.shape[0]
         C = 2.0 * grid.L + 1.0
-        x = frame.nodes_1d()
-        end = Field(frame, np.tile((x + C)[:, None], (1, n)))
+        x = grid.nodes_1d()
+        end = Field(grid, np.tile((x + C)[:, None], (1, n)))
         out = prolong_stage(end, k)
         h, Lf = grid.h, k * grid.L
         for i in range(2, n - 1):
@@ -285,8 +285,8 @@ class TestProlongStage:
         assert np.max(np.abs(got.values - want)) < 1e-13
 
     def test_rejects_inadmissible_end(self):
-        frame = Frame(Grid(0.6, 6))
-        bad = Field(frame, np.full(frame.shape, -1.0))
+        grid = Grid(0.6, 6)
+        bad = Field(grid, np.full(grid.shape, -1.0))
         with pytest.raises(ValueError):
             prolong_stage(bad, 2)
 

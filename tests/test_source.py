@@ -9,12 +9,13 @@ a method or property of a package class that nothing in the package reads,
 unless the benchmark harness (perfbench) reads it by name.
 drivers.py leaves the step sequence (solver, seeds, Picard step) to
 stepper.march.  There is one frame, the quarter of a state symmetric about
-both mid-lines: every package Frame(...) call takes one argument, the grid,
-and no package code reads an attribute named mirrored.  A state moves
-between the interior and its frame in the transfer only, which restricts
-the fine values and reads its stencils' window of the coarse frame values;
-its Laplace check reads the fine Laplacian's window the same way, and march
-builds its solver on the start's frame and does neither.  No package code
+both mid-lines, and its grid alone sets it: every package Grid(...) call
+takes A and N alone, and no package code reads an attribute named mirrored
+or frame.  A state moves between the interior and its frame in the
+transfer only, which restricts the fine values and reads its stencils'
+window of the coarse frame values; its Laplace check reads the fine
+Laplacian's window the same way, and march builds its solver on the start's
+grid and does neither.  No package code
 reads a whole interior, so nothing builds a full-grid state.  Only a Field
 takes a minimum, once, when it is built.  Every
 exception class the package defines is ConfigError or NumericalError or
@@ -187,16 +188,18 @@ def numpy_submodule_lines(tree, submodule):
     return lines
 
 
-def frame_rule_lines(tree):
-    """Lines that call Frame (by name or as an attribute) with other than one
-    argument, or read an attribute named mirrored."""
+def grid_rule_lines(tree):
+    """Lines that call Grid (by name or as an attribute) with other than its
+    A and N, or read an attribute named mirrored or frame."""
     lines = []
     for n in ast.walk(tree):
         if isinstance(n, ast.Call):
             name = getattr(n.func, "id", getattr(n.func, "attr", None))
-            if name == "Frame" and len(n.args) + len(n.keywords) != 1:
+            keys = {k.arg for k in n.keywords}
+            if name == "Grid" and (len(n.args) + len(n.keywords) != 2
+                                   or not keys <= {"A", "N"}):
                 lines.append(n.lineno)
-        elif isinstance(n, ast.Attribute) and n.attr == "mirrored":
+        elif isinstance(n, ast.Attribute) and n.attr in ("mirrored", "frame"):
             lines.append(n.lineno)
     return sorted(lines)
 
@@ -368,19 +371,22 @@ def test_only_the_checks_read_a_whole_interior():
 
 
 def test_one_frame():
-    # a Frame takes its grid alone, through any name; a call of another
-    # callable of two arguments is no Frame, and a mirrored flag is read
-    # nowhere
+    # a Grid takes its A and N alone, through any name, and sets its frame;
+    # a call of another callable of two arguments is no Grid, and neither a
+    # mirrored flag nor a frame apart from the grid is read anywhere
     cases = ast.parse(
-        "from grid import Frame\nimport grid\n"
-        "a = Frame(g)\nb = Frame(g, True)\nc = grid.Frame(g, mirrored=True)\n"
-        "d = a.mirrored\ne = grid.Frame(grid=g)\nf = Field(a, v)\n"
+        "from grid import Grid\nimport grid\n"
+        "a = Grid(A, N)\nb = Grid(A, N, True)\nc = grid.Grid(A, N, mirrored=True)\n"
+        "d = a.mirrored\ne = grid.Grid(A=A, N=N)\nf = Field(a, v)\n"
+        "g = f.frame\nh = Grid(A, mirrored=True)\n"
     )
-    assert frame_rule_lines(cases) == [4, 5, 6]
+    assert grid_rule_lines(cases) == [4, 5, 6, 9, 10]
     found = {
-        path.name: lines for path in MODULES if (lines := frame_rule_lines(parse(path)))
+        path.name: lines for path in MODULES if (lines := grid_rule_lines(parse(path)))
     }
-    assert found == {}, f"Frame called with more than its grid, or mirrored read, at {found}"
+    assert found == {}, (
+        f"Grid called with more than its A and N, or mirrored or frame read, at {found}"
+    )
 
 
 def test_only_a_field_takes_a_minimum():

@@ -24,7 +24,7 @@ from quenchstage.drivers import (
     run_stagewise,
 )
 from quenchstage.energy import discrete_energy
-from quenchstage.grid import Field, Frame, Grid
+from quenchstage.grid import Field, Grid
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
     BUTTERFLY_MIN_N,
@@ -60,7 +60,7 @@ def dense_operator(grid, ds):
 
 def interior(Y):
     """The whole interior of a Field: its frame values mirrored out."""
-    return Y.frame.expand(Y.values, 1, Y.grid.N)
+    return Y.grid.expand(Y.values, 1, Y.grid.N)
 
 
 def dense_be_solve(Z, ds, source=0.0):
@@ -115,7 +115,7 @@ def residual_bound(Y, ds):
 def single_node_field(value):
     # the A = 1 grid with one interior node: N = 2, L = 1/2, h = 1/2, g = 1
     grid = Grid(1.0, 2)
-    return Field(Frame(grid), np.array([[value]]))
+    return Field(grid, np.array([[value]]))
 
 
 def reciprocal_K(Y):
@@ -129,13 +129,13 @@ Stepped = collections.namedtuple("Stepped", "next picard_iters source")
 def step(Z, ds, lam, source=None):
     """One Picard step from the Field Z with a solver built on its frame:
     the next Field, the sweeps and the source of the next Field."""
-    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.frame, ds), lam, source))
+    return Stepped(*picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam, source))
 
 
 def random_state(N=4, A=0.6, lo=1.0, hi=2.0, seed=0):
     """A random state symmetric about both mid-lines: its frame values."""
-    frame = Frame(Grid(A, N))
-    return Field(frame, np.random.default_rng(seed).uniform(lo, hi, frame.shape))
+    grid = Grid(A, N)
+    return Field(grid, np.random.default_rng(seed).uniform(lo, hi, grid.shape))
 
 
 def ring_of(history):
@@ -175,19 +175,19 @@ class TestDirichletSolver:
     def test_matches_dense_loop_system(self, N):
         # a right-hand side drawn on the frame, against the loop-built
         # system on its mirror expansion
-        frame, ds, n = Frame(Grid(0.6, N)), 2e-3, N - 1
-        solver = DirichletSolver(frame, ds)
-        rhs = np.random.default_rng(4).normal(size=frame.shape)
+        grid, ds, n = Grid(0.6, N), 2e-3, N - 1
+        solver = DirichletSolver(grid, ds)
+        rhs = np.random.default_rng(4).normal(size=grid.shape)
         # the solve is written over its right-hand side
         got = rhs.copy()
         u, grad_sq = solver.solve(got)
         assert u is got
-        full = frame.expand(rhs, 1, N)
-        want = np.linalg.solve(dense_operator(frame.grid, ds), full.ravel()).reshape(n, n)
-        assert np.max(np.abs(got - frame.restrict(want))) < 1e-12
+        full = grid.expand(rhs, 1, N)
+        want = np.linalg.solve(dense_operator(grid, ds), full.ravel()).reshape(n, n)
+        assert np.max(np.abs(got - grid.restrict(want))) < 1e-12
         # and hands back the gradient sum of its solution, from the
         # coefficients, which the difference form of any g + u agrees with
-        ref = frame.grad_norm_sq(frame.grid.g + frame.restrict(want))
+        ref = grid.grad_norm_sq(grid.g + grid.restrict(want))
         assert grad_sq == pytest.approx(ref, rel=1e-13)
 
     # N = 2 is the single node; an even N has a middle line of weight 1
@@ -197,13 +197,13 @@ class TestDirichletSolver:
         # the loop-built system
         grid, ds, n = Grid(0.6, N), 2e-3, N - 1
         rhs = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
-        solver = DirichletSolver(Frame(grid), ds)
+        solver = DirichletSolver(grid, ds)
         # the frame is the N//2 quarter, and expand mirrors it back
-        quarter = solver.frame.restrict(rhs)
+        quarter = solver.grid.restrict(rhs)
         assert quarter.shape == (N // 2, N // 2)
-        assert np.array_equal(solver.frame.expand(quarter, 1, N), rhs)
+        assert np.array_equal(solver.grid.expand(quarter, 1, N), rhs)
         got, got_sq = solver.solve(quarter.copy())
-        got = solver.frame.expand(got, 1, N)
+        got = solver.grid.expand(got, 1, N)
         loop = np.linalg.solve(dense_operator(grid, ds), rhs.ravel()).reshape(n, n)
         scale = float(np.max(np.abs(loop)))
         assert np.max(np.abs(got - loop)) <= 1e-12 * scale
@@ -218,7 +218,7 @@ class TestDirichletSolver:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            DirichletSolver(Frame(Grid(0.6, 4)), 0.0)
+            DirichletSolver(Grid(0.6, 4), 0.0)
 
     # BUTTERFLY_MIN_N: the solver takes the butterfly there
     @pytest.mark.parametrize("N", [2, 3, 5, 12, 33, BUTTERFLY_MIN_N])
@@ -228,10 +228,10 @@ class TestDirichletSolver:
         # least 1/ds, so max|L^-1 r| <= ds max|r|; the Picard stop rests on
         # it, for the solver on symmetric data
         grid, n = Grid(0.6, N), N - 1
-        solver = DirichletSolver(Frame(grid), ds)
+        solver = DirichletSolver(grid, ds)
         r = mirror_symmetric(np.random.default_rng(N).normal(size=(n, n)))
         for rhs in (r, np.ones((n, n))):
-            got, _ = solver.solve(solver.frame.restrict(rhs))
+            got, _ = solver.solve(solver.grid.restrict(rhs))
             got = float(np.max(np.abs(got)))
             assert got <= ds * float(np.max(np.abs(rhs))) * (1.0 + 1e-12)
 
@@ -245,14 +245,14 @@ class TestDirichletSolver:
         # passes give the plain folded products to round-off (measured at
         # <= 5e-15 relative up to N = 576), and the solver takes them from
         # BUTTERFLY_MIN_N on
-        frame, ds = Frame(Grid(0.6, N)), 2e-3
-        rhs = np.random.default_rng(N).normal(size=frame.shape)
+        grid, ds = Grid(0.6, N), 2e-3
+        rhs = np.random.default_rng(N).normal(size=grid.shape)
         above = N >= BUTTERFLY_MIN_N
-        assert DirichletSolver(frame, ds).path.endswith("butterfly") == above
+        assert DirichletSolver(grid, ds).path.endswith("butterfly") == above
         monkeypatch.setattr(stepper, "BUTTERFLY_MIN_N", N)
-        butterfly = DirichletSolver(frame, ds)
+        butterfly = DirichletSolver(grid, ds)
         monkeypatch.setattr(stepper, "BUTTERFLY_MIN_N", N + 1)
-        plain = DirichletSolver(frame, ds)
+        plain = DirichletSolver(grid, ds)
         assert butterfly.path == "mirror-folded butterfly"
         assert plain.path == "mirror-folded"
         got, got_sq = butterfly.solve(rhs.copy())
@@ -268,9 +268,9 @@ class TestDirichletSolver:
     )
     def test_plain_products_off_the_butterfly(self, N, above, path):
         assert (N >= BUTTERFLY_MIN_N) == above
-        solver = DirichletSolver(Frame(Grid(0.6, N)), 2e-3)
+        solver = DirichletSolver(Grid(0.6, N), 2e-3)
         assert solver.path == path
-        assert solver._T.shape == solver.frame.shape
+        assert solver._T.shape == solver.grid.shape
 
 
 class TestPicardStep:
@@ -283,13 +283,13 @@ class TestPicardStep:
         assert rep.picard_iters == 1
         # the step solves for the deviation from the boundary value g
         g = Z.grid.g
-        one_solve = g + DirichletSolver(Z.frame, ds).solve((Z.values - g) / ds)[0]
+        one_solve = g + DirichletSolver(Z.grid, ds).solve((Z.values - g) / ds)[0]
         assert np.array_equal(rep.next.values, one_solve)
 
     def test_source_free_constant_fixed_point(self):
-        frame = Frame(Grid(0.6, 4))
-        g = frame.grid.g
-        Z = Field(frame, np.full(frame.shape, g))
+        grid = Grid(0.6, 4)
+        g = grid.g
+        Z = Field(grid, np.full(grid.shape, g))
         rep = step(Z, 1e-3, 0.0)
         assert np.max(np.abs(rep.next.values - g)) < 1e-13
 
@@ -334,8 +334,8 @@ class TestPicardStep:
         # a sweep of the loop-built system
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.frame, cfg.ds)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
+        solver = DirichletSolver(Z.grid, cfg.ds)
+        states, sources = [Z], [nonlocal_source(Z.values, Z.grid, cfg.lam)[0]]
         for _ in range(SEED_ORDER + 3):
             seed = seed_of(sources)
             Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
@@ -355,11 +355,11 @@ class TestPicardStep:
             Z, ds, lam = reference_stage_start(1), cfg.ds, cfg.lam
         else:
             Z, ds, lam = random_state(seed=7), 1e-3, 20.0
-        solver = DirichletSolver(Z.frame, ds)
+        solver = DirichletSolver(Z.grid, ds)
         plain, _, F = picard_implicit_step(Z, solver, lam)
-        assert np.array_equal(F, nonlocal_source(plain.values, Z.frame, lam)[0])
+        assert np.array_equal(F, nonlocal_source(plain.values, Z.grid, lam)[0])
         scale = float(np.max(np.abs(plain.values)))
-        ten = 10.0 * nonlocal_source(Z.values, Z.frame, lam)[0]
+        ten = 10.0 * nonlocal_source(Z.values, Z.grid, lam)[0]
         for wrong in (np.zeros(Z.values.shape), ten):
             given = wrong.copy()
             Y, sweeps, _ = picard_implicit_step(Z, solver, lam, source=given)
@@ -376,7 +376,7 @@ class TestPicardStep:
         ds, lam = 1e-3, 20.0
         assert ds < eta ** 3 / (16.0 * lam)
         rep_a = step(Z, ds, lam)
-        rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.frame, lam)[0])
+        rep_b = step(Z, ds, lam, nonlocal_source(1.05 * Z.values, Z.grid, lam)[0])
         assert np.max(np.abs(rep_a.next.values - rep_b.next.values)) < 1e-8
 
     def test_positivity_below_step_bound(self):
@@ -410,18 +410,18 @@ class TestPicardStep:
         # bound compares false with the stop, so the step runs out of sweeps
         # and raises instead of accepting a NaN state
         Z = random_state(seed=10)
-        solver = DirichletSolver(Z.frame, 1e-3)
+        solver = DirichletSolver(Z.grid, 1e-3)
         solves = []
         solve = solver.solve
         solver.solve = lambda rhs: solves.append(1) or solve(rhs)
-        source = np.full(Z.frame.shape, np.nan)
+        source = np.full(Z.grid.shape, np.nan)
         with pytest.raises(NumericalError, match="did not converge within 50 sweeps"):
             picard_implicit_step(Z, solver, 20.0, source)
         assert len(solves) == stepper.PICARD_MAX == 50
 
     def test_rejects_inadmissible_state(self):
         Z = random_state(seed=11)
-        bad = Field(Z.frame, Z.values - 5.0)
+        bad = Field(Z.grid, Z.values - 5.0)
         with pytest.raises(ValueError, match="positive previous state"):
             step(bad, 1e-3, 20.0)
 
@@ -429,8 +429,8 @@ class TestPicardStep:
         # the grid comes from the solver, so a state or source of a shape
         # other than the solver's frame is refused
         Z = random_state(N=4, seed=12)
-        other = DirichletSolver(Frame(Grid(0.6, 6)), 1e-3)
-        own = DirichletSolver(Z.frame, 1e-3)
+        other = DirichletSolver(Grid(0.6, 6), 1e-3)
+        own = DirichletSolver(Z.grid, 1e-3)
         cases = [
             (other, Z, None),
             (own, Z, interior(Z)),
@@ -475,9 +475,9 @@ class TestMarch:
         # profile
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.frame, cfg.ds)
+        solver = DirichletSolver(Z.grid, cfg.ds)
         built = self.recording_solvers(monkeypatch)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
+        states, sources = [Z], [nonlocal_source(Z.values, Z.grid, cfg.lam)[0]]
         for rep in itertools.islice(march(Z, cfg.ds, cfg.lam, "stage 0"), 8):
             seed = seed_of(sources)
             Y, sweeps, F = picard_implicit_step(states[-1], solver, cfg.lam, seed)
@@ -495,7 +495,7 @@ class TestMarch:
         cfg = StagewiseConfig()
         Z = reference_stage_start(0)
         calls = []
-        owners = {"restrict": Frame, "expand": Frame, "solve": DirichletSolver}
+        owners = {"restrict": Grid, "expand": Grid, "solve": DirichletSolver}
         for name, owner in owners.items():
 
             def recording(self, Y, *window, name=name, original=getattr(owner, name)):
@@ -510,7 +510,7 @@ class TestMarch:
         states = [r.prev for r in reps] + [r.next for r in reps]
         assert states[0] is Z
         assert {X.values.shape for X in states} == {quarter}
-        assert all(X.frame is Z.frame for X in states)
+        assert all(X.grid is Z.grid for X in states)
         solves = [shape for name, shape in calls if name == "solve"]
         assert solves == [quarter] * sum(r.picard_iters for r in reps)
 
@@ -587,10 +587,10 @@ class TestMarch:
         # the history holds f(Z) and then the source of each accepted state,
         # the one its step handed back
         assert np.array_equal(
-            seen[0][0], nonlocal_source(Z.values, Z.frame, cfg.lam)[0]
+            seen[0][0], nonlocal_source(Z.values, Z.grid, cfg.lam)[0]
         )
         for source, rep in zip(seen[-1][1:], reps[-7:-1], strict=True):
-            want, _ = nonlocal_source(rep.next.values, Z.frame, cfg.lam)
+            want, _ = nonlocal_source(rep.next.values, Z.grid, cfg.lam)
             assert np.array_equal(source, want)
 
     @pytest.mark.parametrize("reference", [True, False])
@@ -651,9 +651,9 @@ class TestCarriedSums:
             list(itertools.islice(march(v, 5e-4, lam, "direct run"), 160))
         assert len(states) > 100
         for Y in states:
-            want = Y.frame.grad_norm_sq(Y.values)
+            want = Y.grid.grad_norm_sq(Y.values)
             assert abs(Y.grad_norm_sq - want) <= 1e-14 * want
-            assert Y.K == discrete_energy(Field(Y.frame, Y.values), lam).K
+            assert Y.K == discrete_energy(Field(Y.grid, Y.values), lam).K
             assert discrete_energy(Y, lam).K == Y.K
 
     def test_clipped_state_keeps_the_values_K(self, monkeypatch):
@@ -662,12 +662,12 @@ class TestCarriedSums:
         # takes its own: finite above 0, +inf once a value is at or below 0
         monkeypatch.setattr(stepper, "CLIP", 1.5)
         Z = random_state(lo=1.0, hi=2.0, seed=30)
-        solver = DirichletSolver(Z.frame, 1e-3)
+        solver = DirichletSolver(Z.grid, 1e-3)
         for lam in (20.0, 1.5e5):
             Y, _, F = picard_implicit_step(Z, solver, lam)
             assert Y.min_interior() < stepper.CLIP and Y.K is None
-            _, clipped_K = nonlocal_source(Y.values, Y.frame, lam)
-            own = discrete_energy(Field(Y.frame, Y.values), lam)
+            _, clipped_K = nonlocal_source(Y.values, Y.grid, lam)
+            own = discrete_energy(Field(Y.grid, Y.values), lam)
             assert discrete_energy(Y, lam).K == own.K != clipped_K
             assert Y.grad_norm_sq is not None
         assert Y.min_interior() <= 0.0 and own.K == np.inf
@@ -676,7 +676,7 @@ class TestCarriedSums:
         Z = random_state(seed=31)
         values = Z.values.copy()
         values[0, 0] = 0.0
-        Y = Field(Z.frame, values, grad_norm_sq=1.0, K=2.0)
+        Y = Field(Z.grid, values, grad_norm_sq=1.0, K=2.0)
         energy = discrete_energy(Y, 20.0)
         assert energy.K == np.inf and energy.reciprocal == 0.0
         assert energy.dirichlet == 0.5 * Z.grid.A ** 2
@@ -691,7 +691,7 @@ class TestSourceAndPenalty:
         K = reciprocal_K(Y)
         # one division per node: the terms 1/Y that K sums, squared and scaled
         want = (lam / (K * K)) * (1.0 / Y.values) ** 2
-        got, got_K = nonlocal_source(Y.values, Y.frame, lam)
+        got, got_K = nonlocal_source(Y.values, Y.grid, lam)
         assert np.array_equal(got, want)
         # no value is below CLIP, so the source's K is the energy's
         assert got_K == K
@@ -700,26 +700,25 @@ class TestSourceAndPenalty:
     def test_weighted_quarter_K_is_the_full_K(self, N):
         # odd N has no middle line; an even N has one, of weight 1
         grid, lam, n = Grid(0.6, N), 20.0, N - 1
-        frame = Frame(grid)
         full = mirror_symmetric(np.random.default_rng(N).uniform(0.5, 1.5, (n, n)))
-        quarter = frame.restrict(full)
-        F, got_K = nonlocal_source(quarter, frame, lam)
+        quarter = grid.restrict(full)
+        F, got_K = nonlocal_source(quarter, grid, lam)
         K = np.sqrt(lam / (F * quarter * quarter))
         # the plain sum over the whole interior
         want = 1.0 + grid.A2h2 * sum(float(x) for x in (1.0 / full).ravel())
         assert np.max(np.abs(K - want)) <= 1e-14 * want
-        assert got_K == reciprocal_K(Field(frame, quarter))
+        assert got_K == reciprocal_K(Field(grid, quarter))
 
     def test_source_clips_small_values(self):
         grid = Grid(1.0, 5)
         Y = np.array([[1.0, -2.0], [0.0, 1e-20]])
         Yc = np.array([[1.0, stepper.CLIP], [stepper.CLIP, stepper.CLIP]])
-        K = reciprocal_K(Field(Frame(grid), Yc))
+        K = reciprocal_K(Field(grid, Yc))
         want = (3.0 / (K * K)) * (1.0 / Yc) ** 2
-        got, got_K = nonlocal_source(Y, Frame(grid), 3.0)
+        got, got_K = nonlocal_source(Y, grid, 3.0)
         assert np.array_equal(got, want)
         # K of the clipped values, which is not the energy's K of Y (+inf)
-        assert got_K == K and reciprocal_K(Field(Frame(grid), Y)) == np.inf
+        assert got_K == K and reciprocal_K(Field(grid, Y)) == np.inf
 
     def test_penalty_matches_node_loop(self):
         Z = random_state(N=5, A=1.3, seed=21)
@@ -738,7 +737,7 @@ class TestSourceAndPenalty:
         Z = random_state(seed=23)
         values = Z.values.copy()
         values[1, 1] = np.nan
-        Y = Field(Z.frame, values)
+        Y = Field(Z.grid, values)
         with pytest.raises(ValueError, match="vanishing branch"):
             euler_lagrange_residual(Y, Z, 1e-3, 20.0)
 
@@ -749,8 +748,8 @@ class TestSourceAndPenalty:
         Z, Y = random_state(N=N, seed=N), random_state(N=N, seed=N + 50)
         ds, lam = 1e-3, 20.0
         got = euler_lagrange_residual(Y, Z, ds, lam)
-        assert got.shape == Y.frame.shape
-        want = Y.frame.restrict(dense_residual(Y, Z, ds, lam))
+        assert got.shape == Y.grid.shape
+        want = Y.grid.restrict(dense_residual(Y, Z, ds, lam))
         scale = float(np.max(np.abs(Y.values - Z.values))) / ds
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
@@ -816,8 +815,8 @@ class TestExtrapolatedSeed:
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
         Z = initial_rescaled_profile(cfg.A0, cfg.N0, cfg.u0_amplitude)
-        solver = DirichletSolver(Z.frame, cfg.ds)
-        states, sources = [Z], [nonlocal_source(Z.values, Z.frame, cfg.lam)[0]]
+        solver = DirichletSolver(Z.grid, cfg.ds)
+        states, sources = [Z], [nonlocal_source(Z.values, Z.grid, cfg.lam)[0]]
         for _ in range(SEED_ORDER + 2):
             Y, _, F = picard_implicit_step(states[-1], solver, cfg.lam)
             states.append(Y)
@@ -965,16 +964,16 @@ class TestStepperConfig:
 
 
 class TestWorkingSet:
-    """Frame arrays alive while a stage steps, counted in quarters of n^2
+    """The frame arrays alive while a stage steps, counted in quarters of n^2
     doubles (n = N // 2)."""
 
     @pytest.mark.parametrize("m", [0, 1])  # N = 9 (odd) and 18 (even)
     def test_solver_holds_three_frame_arrays(self, m):
         # T, the inverse table and the gradient-form table, also after a solve
         Z = reference_stage_start(m)
-        solver = DirichletSolver(Z.frame, StagewiseConfig().ds)
-        n = Z.frame.shape[0]
-        solver.solve(np.ones(Z.frame.shape))
+        solver = DirichletSolver(Z.grid, StagewiseConfig().ds)
+        n = Z.grid.shape[0]
+        solver.solve(np.ones(Z.grid.shape))
         arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == 3 * n * n * 8
 
@@ -988,11 +987,11 @@ class TestWorkingSet:
         # quarters; a start held for the whole stage reads 14.35.
         cfg = StagewiseConfig()
         Z = reference_stage_start(3)
-        n = Z.frame.shape[0]
+        n = Z.grid.shape[0]
         run_stage(StageState(m=3, Z=Z, t=0.0), cfg)
         tracemalloc.start()
         try:
-            run_stage(StageState(m=3, Z=Field(Z.frame, Z.values.copy()), t=0.0), cfg)
+            run_stage(StageState(m=3, Z=Field(Z.grid, Z.values.copy()), t=0.0), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1003,9 +1002,9 @@ class TestWorkingSet:
         # a quarter of a frame array each, in place of T
         Z = reference_stage_start(5)
         assert Z.grid.N == 288 >= BUTTERFLY_MIN_N
-        solver = DirichletSolver(Z.frame, StagewiseConfig().ds)
-        n = Z.frame.shape[0]
-        solver.solve(np.ones(Z.frame.shape))
+        solver = DirichletSolver(Z.grid, StagewiseConfig().ds)
+        n = Z.grid.shape[0]
+        solver.solve(np.ones(Z.grid.shape))
         arrays = [a for a in vars(solver).values() if isinstance(a, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == 2.5 * n * n * 8
 
@@ -1016,10 +1015,10 @@ class TestWorkingSet:
         # Measured at 12.53 quarters; the plain products there read 13.02.
         cfg = StagewiseConfig()
         Z = reference_stage_start(5)
-        n = Z.frame.shape[0]
+        n = Z.grid.shape[0]
         tracemalloc.start()
         try:
-            run_stage(StageState(m=5, Z=Field(Z.frame, Z.values.copy()), t=0.0), cfg)
+            run_stage(StageState(m=5, Z=Field(Z.grid, Z.values.copy()), t=0.0), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1031,10 +1030,10 @@ class TestWorkingSet:
         # leaves its given source as it was
         cfg = StagewiseConfig()
         Z = reference_stage_start(1)
-        solver = DirichletSolver(Z.frame, cfg.ds)
-        seed = 2.0 * nonlocal_source(Z.values, Z.frame, cfg.lam)[0]
+        solver = DirichletSolver(Z.grid, cfg.ds)
+        seed = 2.0 * nonlocal_source(Z.values, Z.grid, cfg.lam)[0]
         given = seed.copy()
-        work = np.full(Z.frame.shape, np.nan)
+        work = np.full(Z.grid.shape, np.nan)
         plain = picard_implicit_step(Z, solver, cfg.lam, given)
         lent = picard_implicit_step(Z, solver, cfg.lam, given, work)
         assert np.array_equal(given, seed)
