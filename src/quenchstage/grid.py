@@ -224,7 +224,7 @@ def laplacian_5pt(Y: Field) -> np.ndarray:
     returned on its frame.  The frame is bordered by g before it and by its
     mirror line n + 1 after it: node n + 1 is node N - n - 1, frame index
     N - n - 2, or the boundary when N = 2.  These are Grid.expand's nodes
-    0..n+1, filled here by two slices: verify all takes 628 Laplacians, 613
+    0..n+1, filled here by two slices: verify all takes 631 Laplacians, 613
     at N = 4, where expand's index arrays make each call a third slower."""
     N, n = Y.grid.N, len(Y.values)
     F = np.full((n + 2, n + 2), Y.grid.g)

@@ -22,7 +22,9 @@ principle (Varga 1962) certifies that a further sweep would move Y by less
 than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
 so a stage and the same steps on the physical profile (W = v/A) stop alike.
 march owns the step sequence of a run: one solver on the start's grid, each
-step seeded by extrapolated_seed (Fischer 1998).  The energy E and the
+step seeded by extrapolated_seed (Fischer 1998) in the row of the seed ring
+that the step's source replaces.  That row is the step's one source buffer:
+the step works in it and leaves f(Y) there.  The energy E and the
 movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
 evaluated by the code that records them: the drivers' scored loop, the
 oracle's objective and the dissipation check.
@@ -245,7 +247,8 @@ def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
 
 
 def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
-    """Picard start for the next step from the last accepted sources.
+    """Picard start for the next step from the last accepted sources,
+    written into the ring row count % len(ring), which is returned.
 
     ring holds the sources f(Y) of accepted states of one run or stage on
     one grid, all on its frame, in SEED_ORDER + 1 rows: the k-th source
@@ -254,15 +257,19 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     the last p + 1 sources evaluated one step ahead, sum_{i=0..p} (-1)^i
     C(p+1, i+1) F_{n-i}: 7F_n - 21F_{n-1} + 35F_{n-2} - 35F_{n-3} +
     21F_{n-4} - 7F_{n-5} + F_{n-6} for p = 6, and a copy of F_n for a single
-    source.  It is one product of the SEED_ROWS row of p and the newest row
-    with the rows written so far: an unwritten row may hold NaN, and 0 * NaN
-    is NaN.  The row is an array of its own, not a view into a larger table,
-    since the product's last bits depend on where its operand sits in
-    memory.
+    source.  The row it goes into is the one the next source replaces:
+    unwritten, or the oldest source, which no later seed reads (numpy
+    buffers an output that overlaps an operand).  It is one product of the
+    SEED_ROWS row of p and the newest row with the rows written so far: an
+    unwritten row may hold NaN, and 0 * NaN is NaN.  The weight row is an
+    array of its own, not a view into a larger table, since the product's
+    last bits depend on where its operand sits in memory.
     """
     rows = min(count, len(ring))
     weights = SEED_ROWS[rows - 1][(count - 1) % len(ring)]
-    return (weights @ ring[:rows].reshape(rows, -1)).reshape(ring.shape[1:])
+    row = ring[count % len(ring)]
+    np.matmul(weights, ring[:rows].reshape(rows, -1), out=row.reshape(-1))
+    return row
 
 
 def picard_implicit_step(
@@ -270,29 +277,24 @@ def picard_implicit_step(
     solver: DirichletSolver,
     lam: float,
     source: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> tuple[Field, int, np.ndarray]:
     """One backward-Euler step of size solver.ds with Picard iteration on the
     nonlocal source lam/(Y^2 K^2) at the amplitude A of the solver's grid.
 
-    The values of Z, the optional source and work arrays and the returned
-    arrays are in the solver's frame (see DirichletSolver), and a Z, source
-    or work of another shape raises ValueError.  Z's positivity is read off
-    the minimum it took when it was built.  The grid comes from the solver,
-    whose ds is the step size; one solver serves a whole stage.  The first
-    sweep reads the source F~, by default f(Z); march passes
-    extrapolated_seed of the accepted sources, the local-uniqueness check
-    the source of a perturbed Z.  The start changes the number of sweeps,
-    not the stopping test.  work, if given, is an array the step may
-    overwrite, and without it sweep 1 allocates one; from sweep 2 on it
-    holds the sweep's source.  The step never writes into the start source
-    unless it is work itself: march writes the seed into the ring row that
-    the step's source replaces and passes that row as both.
+    The values of Z, the optional source and the returned arrays are in the
+    solver's frame (see DirichletSolver), and a Z or source of another shape
+    raises ValueError.  Z's positivity is read off the minimum it took when
+    it was built.  The grid comes from the solver, whose ds is the step
+    size; one solver serves a whole stage.  The first sweep reads the source
+    F~, by default f(Z); march passes extrapolated_seed of the accepted
+    sources, the local-uniqueness check the source of a perturbed Z.  The
+    start changes the number of sweeps, not the stopping test.  The step
+    owns its source buffer, as a numpy out= array: the given source, or the
+    array it allocates for f(Z), is overwritten and returned holding f(Y).
     Returns the accepted state Y, a Field on the solver's grid, its sweep
-    count and f(Y), which the last sweep has computed.  Y carries the
-    gradient sum of its solve and the K of f(Y), which discrete_energy reads;
-    if a value of Y is below CLIP, that K is of the clipped values, and Y
-    carries none.
+    count and that buffer.  Y carries the gradient sum of its solve and the
+    K of f(Y), which discrete_energy reads; if a value of Y is below CLIP,
+    that K is of the clipped values, and Y carries none.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev), or F~
     on the first, and then evaluates F_new = f(Y), the next sweep's source.
@@ -305,23 +307,19 @@ def picard_implicit_step(
     """
     grid = solver.grid
     shape = grid.shape
-    if (Z.values.shape != shape or (source is not None and source.shape != shape)
-            or (work is not None and work.shape != shape)):
+    if Z.values.shape != shape or (source is not None and source.shape != shape):
         raise ValueError(f"Picard step takes arrays in the solver's frame {shape}")
     if not Z.is_admissible():  # also true for a NaN state
         raise ValueError("Picard step requires a positive previous state")
 
     ds, g = solver.ds, grid.g
-    # Live frame arrays set large-N peak memory.  Besides Z, the start source
-    # and work, a sweep holds two: the state Y (right-hand side, solution and
+    # Live frame arrays set large-N peak memory.  Besides Z and the source
+    # buffer F, a sweep holds two: the state Y (right-hand side, solution and
     # shift by g in one buffer) and, in turn, the solve's product array and
-    # the new source F_new.  The move F_new - F and |Y| go into work, which
-    # takes a copy of F_new if a sweep follows, so from sweep 2 on F is work
-    # and the start source is dropped.  march passes one ring row as both the
-    # start source and work, so a step holds two frame arrays besides Z and
-    # the ring.
+    # the new source F_new.  The move F_new - F and |Y| go into F, which then
+    # takes a copy of F_new.  march passes a ring row as F, so a step holds
+    # two frame arrays besides Z and the ring.
     F = nonlocal_source(Z.values, grid, lam)[0] if source is None else source
-    del source
     for sweeps in range(1, PICARD_MAX + 1):
         Y = Z.values - g
         Y /= ds
@@ -329,19 +327,17 @@ def picard_implicit_step(
         Y, grad_sq = solver.solve(Y)
         Y += g
         F_new, K = nonlocal_source(Y, grid, lam)
-        # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds;
-        # F is read here for the last time, so work may be F itself
-        move = np.subtract(F_new, F, out=work)
-        bound = ds * float(np.abs(move, out=move).max())
-        scale = float(np.abs(Y, out=move).max())
+        # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
+        np.subtract(F_new, F, out=F)
+        bound = ds * float(np.abs(F, out=F).max())
+        scale = float(np.abs(Y, out=F).max())
+        F[...] = F_new
+        del F_new
         if bound < STOP_MARGIN * PICARD_TOL * scale:
             state = Field(grid, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
                 state = Field(grid, Y, grad_sq)
-            return state, sweeps, F_new
-        F = work = move  # a new array if the step was lent no work
-        F[...] = F_new
-        del F_new
+            return state, sweeps, F
     raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
 
 
@@ -351,27 +347,23 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     not converge raises NumericalError naming where (the stage or the direct
     run) and the step.  The one solver is built on Z's grid, and every
     yielded state is a Field on that grid (Z itself is step 1's prev).  The
-    seed ring holds f(Z) and a copy of the source f(Y) each step hands back,
-    so the run evaluates one source per solve and one at its start; before
-    step n it has written n sources and holds the last SEED_ORDER + 1 of
-    them.  The row that step n's source replaces is unwritten or read last
-    by step n's seed, so the seed is written there and the step takes that
-    row as its start source and its work array.  Z is held only as the
-    current step's start: a caller that hands march the only reference to
-    its start has it freed once step 1 is scored."""
+    seed ring holds f(Z) and the source f(Y) of each accepted state, so the
+    run evaluates one source per solve and one at its start; before step n
+    it has written n sources and holds the last SEED_ORDER + 1 of them.
+    extrapolated_seed writes step n's seed into the row its source replaces,
+    and the step takes that row as its source buffer and leaves f(Y) there.
+    Z is held only as the current step's start: a caller that hands march
+    the only reference to its start has it freed once step 1 is scored."""
     solver = DirichletSolver(Z.grid, ds)
     logger.info("%s: %s solve", where, solver.path)
     ring = np.empty((SEED_ORDER + 1, *Z.grid.shape))
     ring[0] = nonlocal_source(Z.values, Z.grid, lam)[0]
     for step in itertools.count(1):
-        row = ring[step % len(ring)]
-        row[...] = extrapolated_seed(ring, step)
+        row = extrapolated_seed(ring, step)
         try:
-            Y, sweeps, F = picard_implicit_step(Z, solver, lam, row, row)
+            Y, sweeps, _ = picard_implicit_step(Z, solver, lam, row)
         except NumericalError as exc:
             raise NumericalError(f"{where}, step {step}: {exc}") from None
-        row[...] = F
-        del F
         yield StepReport(Z, Y, sweeps)
         Z = Y
 

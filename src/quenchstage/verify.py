@@ -213,18 +213,14 @@ def suite_dissipation() -> list[CheckResult]:
 
 def suite_oracle() -> list[CheckResult]:
     rng = random.Random(20260106)
-    worst_gap = 0.0
-    for _ in range(25):
+    gaps = []
+    for case in range(30):
         Z, ds, lam = _oracle_case(rng)
+        lam = lam if case < 25 else 0.0  # the last 5 cases are source-free
         picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam)
         oracle = mm_oracle_step(Z, ds, lam)
-        worst_gap = max(worst_gap, float(np.max(np.abs(picard.values - oracle.values))))
-    worst_l0 = 0.0
-    for _ in range(5):
-        Z, ds, _ = _oracle_case(rng)
-        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), 0.0)
-        oracle = mm_oracle_step(Z, ds, 0.0)
-        worst_l0 = max(worst_l0, float(np.max(np.abs(picard.values - oracle.values))))
+        gaps.append(float(np.max(np.abs(picard.values - oracle.values))))
+    worst_gap, worst_l0 = max(gaps[:25]), max(gaps[25:])
     worst_seed = worst_convex = 0.0
     for _ in range(20):
         Z, ds, lam = _oracle_case(rng)

@@ -10,7 +10,6 @@ import collections
 import functools
 import itertools
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -349,7 +348,8 @@ class TestPicardStep:
         # the next one by L^-1(F~ - f(Y)), so the stop bound holds whatever F~
         # was: a zero source and ten times f(Z) take more sweeps to the
         # default start's fixed point, each certified, and the given source is
-        # left unchanged; from the reference run's stage 1 or a random state
+        # the buffer handed back, holding f(Y) to the bit; from the reference
+        # run's stage 1 or a random state
         cfg = StagewiseConfig()
         if reference:
             Z, ds, lam = reference_stage_start(1), cfg.ds, cfg.lam
@@ -362,8 +362,9 @@ class TestPicardStep:
         ten = 10.0 * nonlocal_source(Z.values, Z.grid, lam)[0]
         for wrong in (np.zeros(Z.values.shape), ten):
             given = wrong.copy()
-            Y, sweeps, _ = picard_implicit_step(Z, solver, lam, source=given)
-            assert np.array_equal(given, wrong)
+            Y, sweeps, F = picard_implicit_step(Z, solver, lam, source=given)
+            assert np.shares_memory(F, given)
+            assert np.array_equal(F, nonlocal_source(Y.values, Z.grid, lam)[0])
             assert sweeps > 1
             self.assert_certified(Z, Y, ds, lam)
             # two certified states of one contraction: within twice the stop
@@ -550,28 +551,28 @@ class TestMarch:
     @pytest.mark.parametrize("reference", [True, False])
     def test_seed_history_in_the_solver_frame(self, monkeypatch, reference):
         # one ring of seven quarters in the solver's frame, which owns its
-        # memory, holds copies of the sources the steps hand back and drops
-        # each original; from the reference run's stage 1 or a random state
+        # memory, is every step's source buffer: the seed goes into a ring
+        # row, and the step hands that row back holding the source of its
+        # state; from the reference run's stage 1 or a random state
         cfg = StagewiseConfig()
         Z = reference_stage_start(1) if reference else random_state(N=18, seed=24)
         N = Z.grid.N
         shape = (N // 2, N // 2)
-        rings, seen, returned = [], [], []
+        rings, seen, seeds = [], [], []
         picard = stepper.picard_implicit_step
 
         def recording(ring, count):
-            # a returned source is copied into the ring and dropped before
-            # the next seed is taken
-            assert all(ref() is None for ref in returned)
             rings.append(ring)
             rows = min(count, len(ring))
             order = [k % len(ring) for k in range(count - rows, count)]
             seen.append([ring[r].copy() for r in order])  # oldest first
-            return extrapolated_seed(ring, count)
+            seeds.append(extrapolated_seed(ring, count))
+            return seeds[-1]
 
-        def stepping(*args):
-            Y, sweeps, F = picard(*args)
-            returned.append(weakref.ref(F))
+        def stepping(Z, solver, lam, source):
+            Y, sweeps, F = picard(Z, solver, lam, source)
+            assert F is source is seeds[-1] and F.base is rings[0]
+            assert np.array_equal(F, nonlocal_source(Y.values, Z.grid, lam)[0])
             return Y, sweeps, F
 
         monkeypatch.setattr(stepper, "extrapolated_seed", recording)
@@ -780,7 +781,9 @@ class TestExtrapolatedSeed:
         ring, count = ring_of([Z])
         got = extrapolated_seed(ring, count)
         assert np.array_equal(got, Z)
-        assert got is not Z and not np.shares_memory(got, ring)
+        # a copy of F_n, in the row after it
+        assert got.base is ring and np.shares_memory(got, ring[1])
+        assert np.array_equal(ring[0], Z)
         # p = 1 and p = 2 reproduce linear and quadratic sequences
         for degree in (1, 2):
             states = self.polynomial_states(degree, degree + 1, seed=degree)
@@ -801,7 +804,10 @@ class TestExtrapolatedSeed:
 
     def test_rotation_table_is_the_per_call_row(self):
         # the looked-up row is, to the bit, the row built from SEED_WEIGHTS
-        # for the newest source and the rows written, through three wraps
+        # for the newest source and the rows written, through three wraps;
+        # the seed is the product taken on a copy of the ring, written into
+        # row count % len(ring) and returned, and no other row changes, also
+        # from count 7 on, where that row is the oldest source it reads
         rng = np.random.default_rng(4)
         ring = rng.uniform(size=(SEED_ORDER + 1, 7, 7))
         R = len(ring)
@@ -809,8 +815,13 @@ class TestExtrapolatedSeed:
             rows = min(count, R)
             newest = (count - 1) % R
             weights = SEED_WEIGHTS[rows - 1, (newest - np.arange(rows)) % R]
-            want = (weights @ ring[:rows].reshape(rows, -1)).reshape(7, 7)
-            assert np.array_equal(extrapolated_seed(ring, count), want)
+            before = ring.copy()
+            want = (weights @ before[:rows].reshape(rows, -1)).reshape(7, 7)
+            got = extrapolated_seed(ring, count)
+            assert got.base is ring and np.shares_memory(got, ring[count % R])
+            assert np.array_equal(got, want)
+            others = np.arange(R) != count % R
+            assert np.array_equal(ring[others], before[others])
 
     def test_same_fixed_point_fewer_sweeps(self):
         cfg = StagewiseConfig()
@@ -1025,22 +1036,20 @@ class TestWorkingSet:
         assert 12.3 <= peak / (n * n * 8) <= 13.02
 
     def test_work_array_changes_no_bit(self):
-        # march lends each step a ring row: the step overwrites it and
-        # returns the state, sweeps and source of a step without one, and
-        # leaves its given source as it was
+        # march lends each step a ring row as its source buffer: a step given
+        # f(Z) in a row returns the state, sweeps and source of a step that
+        # allocates f(Z) itself, hands that row back holding the source and
+        # writes no other row
         cfg = StagewiseConfig()
         Z = reference_stage_start(1)
         solver = DirichletSolver(Z.grid, cfg.ds)
-        seed = 2.0 * nonlocal_source(Z.values, Z.grid, cfg.lam)[0]
-        given = seed.copy()
-        work = np.full(Z.grid.shape, np.nan)
-        plain = picard_implicit_step(Z, solver, cfg.lam, given)
-        lent = picard_implicit_step(Z, solver, cfg.lam, given, work)
-        assert np.array_equal(given, seed)
-        assert not np.isnan(work).any()
+        ring = np.full((2, *Z.grid.shape), np.nan)
+        ring[1] = nonlocal_source(Z.values, Z.grid, cfg.lam)[0]
+        plain = picard_implicit_step(Z, solver, cfg.lam)
+        lent = picard_implicit_step(Z, solver, cfg.lam, ring[1])
+        assert lent[2].base is ring and np.shares_memory(lent[2], ring[1])
+        assert np.isnan(ring[0]).all()
         assert lent[1] == plain[1] > 1
         assert np.array_equal(lent[0].values, plain[0].values)
         assert np.array_equal(lent[2], plain[2])
-        assert not any(np.shares_memory(work, a) for a in (lent[0].values, lent[2]))
-        with pytest.raises(ValueError, match="solver's frame"):
-            picard_implicit_step(Z, solver, cfg.lam, given, work[1:])
+        assert not np.shares_memory(lent[0].values, ring)
