@@ -37,9 +37,10 @@ sibling that already exists (a killed run leaves one) would stop the write,
 so it is reported, with the same message, before the run starts.  So is a
 data file of the other run command in the output directory: this run's
 manifest.json would replace the one that holds that file's digest.  Files get
-the mode the umask allows.  Every numeric cell is printed with 13
-significant digits, so re-running a command with the same config produces
-byte-identical data files.  The manifest carries the timestamp, the
+the mode the umask allows.  CSV cells carry 13 significant digits and the
+JSON files Python's shortest round-trip floats; a run is deterministic on
+one BLAS kernel, so re-running a command with the same config there
+produces byte-identical data files.  The manifest carries the timestamp, the
 convention flags and the numpy, BLAS and thread settings that the products'
 last bits depend on; data files carry none of them.
 """
@@ -141,7 +142,7 @@ def parse_config(
 ) -> dict:
     optional = optional or {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, object] = {}
@@ -178,15 +179,6 @@ def parse_config(
     return values
 
 
-def _outdir() -> Path:
-    out = Path(os.environ.get("QUENCHSTAGE_OUT", "."))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
-    return out
-
-
 def _sibling(path: Path) -> Path:
     """The hidden sibling .<name>.tmp that a write of path goes through."""
     return path.with_name(f".{path.name}.tmp")
@@ -196,26 +188,30 @@ def _unwritable(path: Path, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write output file {path}: {exc}")
 
 
-def _check_siblings(outdir: Path, names: tuple[str, ...]) -> None:
-    """Raise before a run what its write would raise after it: the error
-    for the first of names, then manifest.json, whose sibling exists."""
-    for name in (*names, "manifest.json"):
-        tmp = _sibling(outdir / name)
-        if os.path.lexists(tmp):
-            exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(tmp))
-            raise _unwritable(outdir / name, exc)
-
-
-def _check_foreign_outputs(outdir: Path, others: tuple[str, ...]) -> None:
-    """Raise before a run if outdir holds a data file of the other run
-    command, others: the manifest this run writes would replace the one that
-    holds that file's digest."""
+def _outdir(names: tuple[str, ...], others: tuple[str, ...]) -> Path:
+    """The output directory, created, for a run that writes names and
+    manifest.json.  Raise before the run if it holds a data file of the
+    other run command, others (the manifest this run writes would replace
+    the one that holds that file's digest), then what the run's write would
+    raise after it: the error for the first of names, then manifest.json,
+    whose sibling exists."""
+    out = Path(os.environ.get("QUENCHSTAGE_OUT", "."))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     for name in others:
-        if os.path.lexists(outdir / name):
+        if os.path.lexists(out / name):
             raise ConfigError(
-                f"output directory {outdir} holds {name}, a data file of "
+                f"output directory {out} holds {name}, a data file of "
                 "another command; its manifest.json would be replaced"
             )
+    for name in (*names, "manifest.json"):
+        tmp = _sibling(out / name)
+        if os.path.lexists(tmp):
+            exc = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(tmp))
+            raise _unwritable(out / name, exc)
+    return out
 
 
 def _write_atomic(path: Path, text: str) -> bytes:
@@ -329,18 +325,14 @@ def cmd_stagewise(config_path: str) -> int:
     values, cfg = _load(
         config_path, StagewiseConfig, STAGEWISE_KEYS, STAGEWISE_OPTIONAL
     )
-    outdir = _outdir()
-    _check_foreign_outputs(outdir, DIRECT_FILES)
-    _check_siblings(outdir, STAGEWISE_FILES)
+    outdir = _outdir(STAGEWISE_FILES, DIRECT_FILES)
     _emit(outdir, "stagewise", values, _stagewise_files(run_stagewise(cfg)))
     return EXIT_OK
 
 
 def cmd_direct(config_path: str) -> int:
     values, cfg = _load(config_path, DirectConfig, DIRECT_KEYS)
-    outdir = _outdir()
-    _check_foreign_outputs(outdir, STAGEWISE_FILES)
-    _check_siblings(outdir, DIRECT_FILES)
+    outdir = _outdir(DIRECT_FILES, STAGEWISE_FILES)
     direct = _json(_lower_keys(asdict(run_direct(cfg))))
     _emit(outdir, "direct", values, dict(zip(DIRECT_FILES, (direct,))))
     return EXIT_OK
@@ -402,7 +394,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

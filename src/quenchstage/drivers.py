@@ -66,17 +66,6 @@ from .stepper import NumericalError, StepReport, march, movement_penalty
 logger = logging.getLogger(__name__)
 
 
-class StageRunawayError(NumericalError):
-    """No trigger within the step cap."""
-
-
-class TransferError(NumericalError):
-    """A stage starts at or below its trigger threshold (a nonpositive or NaN
-    minimum included), so it cannot trigger.  run_stage raises it; the
-    stage-0 profile is checked by StagewiseConfig, so in a run it names a
-    prolonged state that the transfer left too low."""
-
-
 # Largest grid a run may build, in intervals per direction: the reference
 # run to 8 stages, whose last stage has N = 1152, takes 4.6-5.5 s and
 # 66.9-67.0 MiB peak RSS in a fresh process started in the checkout's root
@@ -342,18 +331,18 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
     duration counts the fractional crossing step: s* = (steps + tau)*ds.
     scored_march scores the steps on the frame of the Fields march yields,
     and the event is interpolated and scored there too, in the frame the
-    transfer reads.  A start whose minimum is not above the threshold
-    raises TransferError, no trigger within the step cap StageRunawayError,
-    and a record with a non-finite float (an overflowed energy or penalty)
-    NumericalError.  The start is freed once step 1 is scored if the caller
-    holds no reference to state, as run_stagewise holds none.
+    transfer reads.  A start whose minimum is not above the threshold, no
+    trigger within the step cap and a record with a non-finite float (an
+    overflowed energy or penalty) raise NumericalError.  The start is freed
+    once step 1 is scored if the caller holds no reference to state, as
+    run_stagewise holds none.
     """
     m, t, Z = state.m, state.t, state.Z
     del state
     thr = cfg.threshold
     min_start = Z.min_interior()
     if not min_start > thr:  # also true for a nonpositive or NaN minimum
-        raise TransferError(
+        raise NumericalError(
             f"stage {m} starts at or below the trigger threshold: "
             f"min W = {min_start:.6g} <= k^(-2/3) = {thr:.6g}"
         )
@@ -365,8 +354,7 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
                                     cfg.lam, thr, where)
     del steps  # the march, with its solver and seed ring
     if crossing is None:
-        raise StageRunawayError(f"stage {m}: no trigger within "
-                                f"{cfg.step_cap} steps")
+        raise NumericalError(f"stage {m}: no trigger within {cfg.step_cap} steps")
     prev, nxt, tau = crossing
     dissipation = scored.dissipation_sum + tau * movement_penalty(nxt, prev, cfg.ds)
     s_star = (scored.steps + tau) * cfg.ds

@@ -37,7 +37,7 @@ step ds*R along the first-order residual
     R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2),
 
 until max|R| < ORACLE_TOL.  One rule: the full step must lower J, or the
-call raises OracleStagnation.  The oracle shares no linear algebra with
+call raises NumericalError.  The oracle shares no linear algebra with
 the Picard path.
 """
 
@@ -106,11 +106,7 @@ class StepReport:
 
 class NumericalError(RuntimeError):
     """A run failed numerically (non-convergence, runaway, bad transfer,
-    a stagnated oracle descent)."""
-
-
-class OracleStagnation(NumericalError):
-    """Raised when the descent oracle cannot reach its residual target."""
+    a stagnated oracle descent); the message tells which."""
 
 
 class DirichletSolver:
@@ -386,7 +382,7 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     Armijo share 1e-4 of its first-order decrease, within a few ulps of J
     (near the minimum the decrease falls below float resolution, and the
     descent map still contracts the residual there), or the call raises
-    OracleStagnation.  ds*R is an explicit step of the diffusion, so it
+    NumericalError.  ds*R is an explicit step of the diffusion, so it
     lowers J only for ds below about h^2/8, the reciprocal of the largest
     eigenvalue of -Lap_h; verify's cases run at ds = 1e-3 against
     h^2/8 = 0.036 on their 3x3 interiors.  The descent runs on Z's frame, so
@@ -413,5 +409,5 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
         bar = JY - 1e-4 * step * (h * h * Z.grid.sum(G * G)) + slack * abs(JY)
         Y = Field(Z.grid, Y.values - step * G)
         if not (Y.is_admissible() and (JY := objective(Y)) <= bar):
-            raise OracleStagnation("descent stagnated above the residual target")
-    raise OracleStagnation("descent did not reach the residual target")
+            raise NumericalError("descent stagnated above the residual target")
+    raise NumericalError("descent did not reach the residual target")

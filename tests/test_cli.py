@@ -97,6 +97,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "nope.cfg"), DIRECT_KEYS)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # a BOM is valid UTF-8 and some editors write one; the first key
+        # is read without it
+        cfg = write_cfg(tmp_path / "a.cfg", DIRECT_BASE)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(cfg).read_bytes())
+        assert parse_config(str(bom), DIRECT_KEYS) == parse_config(cfg, DIRECT_KEYS)
+
     def test_line_without_equals(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg", DIRECT_BASE, ["just words"])
         with pytest.raises(ConfigError, match="expected 'key = value'"):
@@ -257,13 +265,17 @@ class TestStagewiseCommand:
         cfg = write_cfg(tmp_path / "s.cfg", bad)
         assert main(["stagewise", "--config", cfg]) == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path, outdir):
-        # source-free stage never triggers; the step cap aborts the run
+    def test_numerical_failure_exit_code(self, tmp_path, outdir, capsys):
+        # source-free stage never triggers; the step cap aborts the run, and
+        # the message is what names the runaway
         runaway = dict(STAGE_BASE)
         runaway["lambda"] = 0.0
         runaway["step_cap"] = 50
         cfg = write_cfg(tmp_path / "s.cfg", runaway)
         assert main(["stagewise", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: stage 0: no trigger within 50 steps\n"
+        )
 
 
 class TestDirectCommand:

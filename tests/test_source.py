@@ -17,9 +17,12 @@ window of the coarse frame values; its Laplace check reads the fine
 Laplacian's window the same way, and march builds its solver on the start's
 grid and does neither.  No package code
 reads a whole interior, so nothing builds a full-grid state.  Only a Field
-takes a minimum, once, when it is built.  Every
-exception class the package defines is ConfigError or NumericalError or
-derives from NumericalError, so each maps to a documented exit code.  No
+takes a minimum, once, when it is built.  The package defines exactly three
+exception classes, ConfigError (exit 2), NumericalError (exit 3) and
+SuiteError, a NumericalError that carries a partial verify report: each is
+ConfigError or NumericalError or derives from NumericalError, so each maps
+to a documented exit code, and each is caught by name somewhere in the
+package, so none is a class that only tests tell apart.  No
 module uses numpy.random: its extensions and the OpenSSL it loads through
 secrets would raise every command's peak memory, and verify draws its
 fixed-seed data from the standard library's random.Random.  No module uses
@@ -204,9 +207,10 @@ def grid_rule_lines(tree):
     return sorted(lines)
 
 
-def unmapped_exceptions(trees):
-    """Exception classes that are neither ConfigError nor NumericalError and
-    do not derive from NumericalError, with where they are defined."""
+def exception_classes(trees):
+    """Exception classes that trees define, as name: (where, ancestors): a
+    class whose bases lead, also through other classes of trees, to a
+    builtin exception."""
     classes = {}
     for module, tree in trees.items():
         for stmt in tree.body:
@@ -223,12 +227,46 @@ def unmapped_exceptions(trees):
         builtin = getattr(builtins, name, None)
         return isinstance(builtin, type) and issubclass(builtin, BaseException)
 
+    lineages = {name: set(ancestors(name)) for name in classes}
+    return {
+        name: (where, lineages[name])
+        for name, (where, _) in classes.items()
+        if any(is_exception(a) for a in lineages[name])
+    }
+
+
+def unmapped_exceptions(trees):
+    """Exception classes that are neither ConfigError nor NumericalError and
+    do not derive from NumericalError, with where they are defined."""
     return {
         name: where
-        for name, (where, _) in classes.items()
-        if any(is_exception(a) for a in ancestors(name))
-        and name not in ("ConfigError", "NumericalError")
-        and "NumericalError" not in set(ancestors(name))
+        for name, (where, lineage) in exception_classes(trees).items()
+        if name not in ("ConfigError", "NumericalError")
+        and "NumericalError" not in lineage
+    }
+
+
+def caught_names(tree):
+    """Names that an except clause of tree names, alone or in a tuple, as a
+    bare name or an attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ExceptHandler) and n.type is not None:
+            types = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            for t in types:
+                if isinstance(t, ast.Name):
+                    yield t.id
+                elif isinstance(t, ast.Attribute):
+                    yield t.attr
+
+
+def uncaught_exceptions(trees):
+    """Exception classes that no except clause of trees names, with where
+    they are defined."""
+    caught = {name for tree in trees.values() for name in caught_names(tree)}
+    return {
+        name: where
+        for name, (where, _) in exception_classes(trees).items()
+        if name not in caught
     }
 
 
@@ -279,6 +317,16 @@ def test_detects_both_faults():
         "class Record: pass\n"
     )
     assert unmapped_exceptions({"m": errors}) == {"Stray": "m:5"}
+    # and must be caught by name, alone or in a tuple, bare or as an
+    # attribute: a NumericalError subclass that nothing names is flagged,
+    # though an except of its base would catch it
+    handlers = ast.parse(
+        "class NumericalError(RuntimeError): pass\n"
+        "class ConfigError(Exception): pass\n"
+        "class Runaway(NumericalError): pass\n"
+        "try:\n    f()\nexcept (ConfigError, m.NumericalError):\n    pass\n"
+    )
+    assert uncaught_exceptions({"m": handlers}) == {"Runaway": "m:3"}
     # a method call reads the attribute; a definition of that name does not,
     # and a call of the builtin of that name is no read of a method
     frames = ast.parse(
@@ -327,6 +375,15 @@ def test_every_exception_maps_to_an_exit_code():
     trees = {path.name: parse(path) for path in MODULES}
     unmapped = unmapped_exceptions(trees)
     assert unmapped == {}, f"exception classes without an exit code: {unmapped}"
+
+
+def test_every_exception_is_caught_by_name():
+    # a class that no package code catches is told apart only by tests;
+    # its message tells the failure apart instead
+    trees = {path.name: parse(path) for path in MODULES}
+    uncaught = uncaught_exceptions(trees)
+    assert uncaught == {}, f"exception classes nothing catches by name: {uncaught}"
+    assert set(exception_classes(trees)) == {"ConfigError", "NumericalError", "SuiteError"}
 
 
 def test_drivers_leave_the_step_sequence_to_the_stepper():
