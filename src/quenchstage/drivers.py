@@ -67,16 +67,17 @@ logger = logging.getLogger(__name__)
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 4.6-5.5 s and
-# 66.9-67.0 MiB peak RSS in a fresh process started in the checkout's root
-# (2-vCPU Intel Xeon, BLAS on 1 thread, 3 runs), 31.7 MiB by tracemalloc.
+# run to 8 stages, whose last stage has N = 1152, takes 3.5-3.7 s and
+# 66.6 MiB peak RSS (ru_maxrss) in a fresh process started in the
+# checkout's root (2-vCPU Intel Xeon, BLAS on 1 thread, 3 runs), 31.8 MiB
+# by tracemalloc.
 # The last stage's steps set the peak, about 12.5 quarters of 576^2: the
 # seed's ring of seven sources, the solver's inverse and gradient-form
 # tables and its half tables (half a quarter), the step start and a Picard
 # sweep's two arrays besides the ring row that holds its source.  The RSS
 # peak follows glibc's allocation order: started from a directory outside
-# the checkout the same run reads 67.6-67.7 MiB, and with
-# MALLOC_MMAP_THRESHOLD_=131072 64.4-64.5 MiB (6.5-6.9 s).
+# the checkout the same run reads 67.3 MiB, and with
+# MALLOC_MMAP_THRESHOLD_=131072 64.1-64.2 MiB (4.3-4.5 s).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
@@ -354,7 +355,10 @@ def run_stage(state: StageState, cfg: StagewiseConfig) -> tuple[StageRecord, Fie
                                     cfg.lam, thr, where)
     del steps  # the march, with its solver and seed ring
     if crossing is None:
-        raise NumericalError(f"stage {m}: no trigger within {cfg.step_cap} steps")
+        raise NumericalError(
+            f"stage {m}: no trigger within {cfg.step_cap} steps: min W = "
+            f"{scored.min_v:.6g} at step {scored.steps} > k^(-2/3) = {thr:.6g}"
+        )
     prev, nxt, tau = crossing
     dissipation = scored.dissipation_sum + tau * movement_penalty(nxt, prev, cfg.ds)
     s_star = (scored.steps + tau) * cfg.ds

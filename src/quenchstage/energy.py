@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grid import Field
 
 
@@ -83,17 +85,27 @@ def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
     that vanishing branch the reciprocal part and the coefficient are 0 by
     convention, so the energy stays finite and lower semicontinuous.  The
     gradient sum and K that Y carries (a Picard step's accepted state) are
-    read as they are; a Field that carries none is summed here.
+    read as they are; a Field that carries none is summed here.  For a stack
+    of states (grid.Field) every part is the (S, 1, 1) array of the states'
+    values, with K = +inf, and so lambda/K = 0, on each vanished state.
     """
     grid = Y.grid
     grad = grid.grad_norm_sq(Y.values) if Y.grad_norm_sq is None else Y.grad_norm_sq
     dirichlet = 0.5 * grid.A * grid.A * grad
+    if Y.values.ndim == 3:
+        # the sums of a vanished state are discarded, so 1/0 may go silent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = np.where(Y.min_interior() <= 0.0, math.inf, _weighted_K(Y))
+        reciprocal = lam / K
+        return EnergyBreakdown(
+            dirichlet, K, reciprocal, dirichlet + reciprocal, lam / (K * K)
+        )
     if Y.min_interior() <= 0.0:
         K = math.inf
     elif Y.K is not None:
         K = Y.K
     else:
-        K = 1.0 + grid.A2h2 * grid.sum(1.0 / Y.values)
+        K = _weighted_K(Y)
     vanished = math.isinf(K)
     reciprocal = 0.0 if vanished else lam / K
     return EnergyBreakdown(
@@ -103,6 +115,11 @@ def discrete_energy(Y: Field, lam: float) -> EnergyBreakdown:
         total=dirichlet + reciprocal,
         coeff=0.0 if vanished else lam / (K * K),
     )
+
+
+def _weighted_K(Y: Field) -> float | np.ndarray:
+    """K = 1 + A^2 h^2 sum 1/Y of the values, the weighted frame sum."""
+    return 1.0 + Y.grid.A2h2 * Y.grid.sum(1.0 / Y.values)
 
 
 def switch_jump(E_prev_end: float, E_next_start_ideal: float) -> tuple[float, float]:

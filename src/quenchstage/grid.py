@@ -36,6 +36,7 @@ polarization at Y +- Phi for every Phi that vanishes on the boundary
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,10 +141,15 @@ class Grid:
         F[1:, 1:] = Y
         return F.take(q, 0).take(q, 1)
 
-    def sum(self, X: np.ndarray) -> float:
+    def sum(self, X: np.ndarray) -> float | np.ndarray:
         """sum_ij w_i w_j X_ij: each interior node counted once, as the two
-        matrix-vector products w @ X @ w, which build no weighted copy of X."""
-        return float(self.w @ X @ self.w)
+        matrix-vector products w @ X @ w, which build no weighted copy of X.
+        For a stack X of shape (S, n, n) it is the (S, 1, 1) array of the
+        states' sums, each by the same two products as one state's: a
+        stacked (S, n) @ w would take another BLAS kernel and round apart."""
+        if X.ndim == 2:
+            return float(self.w @ X @ self.w)
+        return (self.w @ X)[..., None, :] @ self.w[:, None]
 
     def grad_norm_sq(self, Y: np.ndarray) -> float:
         """Discrete gradient norm of the state whose frame values are Y: the
@@ -156,18 +162,22 @@ class Grid:
         and column, and each line's pairs weigh the line's w.  The pair
         (i, i+1) of a line mirrors onto (N-i-1, N-i), for an odd and an even
         N alike (the middle pair of an odd N joins two equal values), so the
-        sum is doubled.
+        sum is doubled.  A stack Y of shape (S, n, n) gives the (S, 1, 1)
+        array of the states' sums.
         """
         c = self._lines
-        F = np.full((len(c), len(c)), self.g)
-        F[1:, 1:] = Y
-        dx = F[1:] - F[:-1]
+        F = np.full((*Y.shape[:-2], len(c), len(c)), self.g)
+        F[..., 1:, 1:] = Y
+        dx = F[..., 1:, :] - F[..., :-1, :]
         dx *= dx
         dx *= c
-        dy = F[:, 1:] - F[:, :-1]
+        dy = F[..., 1:] - F[..., :-1]
         dy *= dy
         dy *= c[:, None]
-        return 2.0 * float(dx.sum() + dy.sum())
+        if Y.ndim == 2:
+            return 2.0 * float(dx.sum() + dy.sum())
+        axes = (-2, -1)
+        return 2.0 * (dx.sum(axes, keepdims=True) + dy.sum(axes, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -181,6 +191,12 @@ class Field:
     The minimum is taken once, when the Field is built, and the values are
     read-only from then on: a write into them raises ValueError.  The array
     is not copied, so a caller that passes its own array has it frozen too.
+
+    values may also be a stack of frame arrays on the grid, of shape
+    (S, n, n), which the minimizing-movement oracle descends at once: its
+    minimum is then the (S, 1, 1) array of the states' minima, it is
+    admissible when every state is, and Grid.sum, Grid.grad_norm_sq,
+    laplacian_5pt and the energy give each state's value along that axis.
 
     grad_norm_sq and K are sums of the values that the code building the
     Field already holds, or None: a Picard step hands its accepted state the
@@ -198,13 +214,17 @@ class Field:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.grid.shape:
+        if arr.shape == self.grid.shape:
+            lowest = float(arr.min())
+        elif arr.ndim == 3 and arr.shape[1:] == self.grid.shape:
+            lowest = arr.min((-2, -1), keepdims=True)
+        else:
             raise ValueError(
                 f"values shape {arr.shape} does not match frame {self.grid.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_min", float(arr.min()))
+        object.__setattr__(self, "_min", lowest)
 
     @property
     def interior(self) -> np.ndarray:
@@ -212,11 +232,23 @@ class Field:
         package code reads it; perfbench sizes a transfer's result by it."""
         return self.grid.expand(self.values, 1, self.grid.N)
 
-    def min_interior(self) -> float:
+    @classmethod
+    def stack(cls, fields: Sequence[Field]) -> Field:
+        """The states of fields, all on one grid, as one Field of shape
+        (S, n, n) in their order; none, or two grids, raise ValueError."""
+        if not fields:
+            raise ValueError("a stack needs at least one state")
+        grid = fields[0].grid
+        if any(Y.grid != grid for Y in fields):
+            raise ValueError("the states of a stack must share one grid")
+        return cls(grid, np.stack([Y.values for Y in fields]))
+
+    def min_interior(self) -> float | np.ndarray:
         return self._min
 
     def is_admissible(self) -> bool:
-        return self._min > 0.0
+        positive = self._min > 0.0
+        return positive if self.values.ndim == 2 else bool(positive.all())
 
 
 def laplacian_5pt(Y: Field) -> np.ndarray:
@@ -224,16 +256,17 @@ def laplacian_5pt(Y: Field) -> np.ndarray:
     returned on its frame.  The frame is bordered by g before it and by its
     mirror line n + 1 after it: node n + 1 is node N - n - 1, frame index
     N - n - 2, or the boundary when N = 2.  These are Grid.expand's nodes
-    0..n+1, filled here by two slices: verify all takes 631 Laplacians, 613
-    at N = 4, where expand's index arrays make each call a third slower."""
-    N, n = Y.grid.N, len(Y.values)
-    F = np.full((n + 2, n + 2), Y.grid.g)
-    F[1:-1, 1:-1] = Y.values
+    0..n+1, filled here by two slices, since expand's index arrays make a
+    call at N = 4 a third slower.  A stack of states gives the stack of
+    their Laplacians."""
+    N, n = Y.grid.N, Y.grid.shape[0]
+    F = np.full((*Y.values.shape[:-2], n + 2, n + 2), Y.grid.g)
+    F[..., 1:-1, 1:-1] = Y.values
     if N > 2:
-        F[-1, 1:-1] = Y.values[N - n - 2]
-        F[1:-1, -1] = Y.values[:, N - n - 2]
+        F[..., -1, 1:-1] = Y.values[..., N - n - 2, :]
+        F[..., 1:-1, -1] = Y.values[..., N - n - 2]
     h2 = Y.grid.h ** 2
     return (
-        F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
-        - 4.0 * F[1:-1, 1:-1]
+        F[..., 2:, 1:-1] + F[..., :-2, 1:-1] + F[..., 1:-1, 2:]
+        + F[..., 1:-1, :-2] - 4.0 * F[..., 1:-1, 1:-1]
     ) / h2

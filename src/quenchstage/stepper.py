@@ -37,8 +37,12 @@ step ds*R along the first-order residual
     R = (Y - Z)/ds - Lap_h Y + lam/(Y^2 K^2),
 
 until max|R| < ORACLE_TOL.  One rule: the full step must lower J, or the
-call raises NumericalError.  The oracle shares no linear algebra with
-the Picard path.
+call raises NumericalError.  The oracle descends all the starts of a call,
+a verify suite's cases, as one stack on their grid: J and R are the
+package's own E, penalty, Laplacian and source, each taken along the
+stack's leading axis, and each start leaves the stack once its residual is
+below the target.  The oracle shares no linear algebra with the Picard
+path.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +228,9 @@ def nonlocal_source(
     and K = 1 + A^2 h^2 sum 1/Yc, the weighted frame sum (each interior node
     counted once), with Yc = max(Y, CLIP).  One division per node: the terms
     R = 1/Yc that K sums give F = (lam/K^2) R^2, in R's array.  Once
-    min Y >= CLIP, Yc is Y and K is discrete_energy's K of Y to the bit."""
+    min Y >= CLIP, Yc is Y and K is discrete_energy's K of Y to the bit.
+    A stack Y of shape (S, n, n) gives the stack of sources and the
+    (S, 1, 1) array of the states' K."""
     R = np.maximum(Y, CLIP)
     np.divide(1.0, R, out=R)
     K = 1.0 + grid.A2h2 * grid.sum(R)
@@ -235,7 +241,8 @@ def nonlocal_source(
 
 def movement_penalty(Y: Field, Z: Field, ds: float) -> float:
     """Minimizing-movement penalty (A^2/2ds)*||Y - Z||^2_{2,h} of two states
-    on one grid, with the weighted frame sum."""
+    on one grid, with the weighted frame sum; of two stacks of states, the
+    (S, 1, 1) array of the penalties of their pairs."""
     A, h = Y.grid.A, Y.grid.h
     diff = Y.values - Z.values
     diff *= diff
@@ -326,15 +333,18 @@ def picard_implicit_step(
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         np.subtract(F_new, F, out=F)
         bound = ds * float(np.abs(F, out=F).max())
-        scale = float(np.abs(Y, out=F).max())
+        stop = STOP_MARGIN * PICARD_TOL * float(np.abs(Y, out=F).max())
         F[...] = F_new
         del F_new
-        if bound < STOP_MARGIN * PICARD_TOL * scale:
+        if bound < stop:
             state = Field(grid, Y, grad_sq, K)
             if state.min_interior() < CLIP:  # K is that of the clipped values
                 state = Field(grid, Y, grad_sq)
             return state, sweeps, F
-    raise NumericalError(f"Picard did not converge within {PICARD_MAX} sweeps")
+    raise NumericalError(
+        f"Picard did not converge within {PICARD_MAX} sweeps: "
+        f"last certified bound {bound:.3e} against the stop {stop:.3e}"
+    )
 
 
 def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
@@ -373,8 +383,9 @@ def euler_lagrange_residual(Y: Field, Z: Field, ds: float, lam: float) -> np.nda
     return (Y.values - Z.values) / ds - laplacian_5pt(Y) + source
 
 
-def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
-    """Minimizing-movement reference step on verification-size grids.
+def mm_oracle_step(starts: Sequence[Field], ds: float, lam: float) -> list[Field]:
+    """Minimizing-movement reference steps on verification-size grids, one
+    from each start Z, returned in the order of the starts.
 
     Gradient descent from Z on J(Y) = E(Y) + (A^2/2ds)*||Y - Z||^2, each
     iteration the full step ds*R, until the first-order residual R is below
@@ -382,32 +393,55 @@ def mm_oracle_step(Z: Field, ds: float, lam: float) -> Field:
     Armijo share 1e-4 of its first-order decrease, within a few ulps of J
     (near the minimum the decrease falls below float resolution, and the
     descent map still contracts the residual there), or the call raises
-    NumericalError.  ds*R is an explicit step of the diffusion, so it
-    lowers J only for ds below about h^2/8, the reciprocal of the largest
-    eigenvalue of -Lap_h; verify's cases run at ds = 1e-3 against
-    h^2/8 = 0.036 on their 3x3 interiors.  The descent runs on Z's frame, so
-    it minimizes J over the states symmetric about both mid-lines; it takes
-    at most 16 frame values, N <= 9.
+    NumericalError naming the start.  ds*R is an explicit step of the
+    diffusion, so it lowers J only for ds below about h^2/8, the reciprocal
+    of the largest eigenvalue of -Lap_h; verify's cases run at ds = 1e-3
+    against h^2/8 = 0.036 on their 3x3 interiors.  The descent runs on the
+    frame, so it minimizes J over the states symmetric about both
+    mid-lines; it takes at most 16 frame values, N <= 9.
+
+    The starts share one grid and descend as one stack (Field.stack): each
+    iteration takes J and R of the starts still above the target at once,
+    and a start that reached it leaves the stack.  Each state's values are
+    computed as its descent alone would compute them, so every minimizer is
+    the one its start alone reaches, to the bit.
     """
-    if Z.values.size > 16:
+    Z = Field.stack(starts)
+    grid = Z.grid
+    if Z.values[0].size > 16:
         raise ValueError("oracle is restricted to grids with <= 16 frame values")
     if not Z.is_admissible():
         raise ValueError("oracle requires a positive previous state")
 
-    h, scale = Z.grid.h, Z.grid.A2h2
+    h, scale = grid.h, grid.A2h2
     step, slack = ds / scale, 8.0 * np.finfo(float).eps
 
-    def objective(Y: Field) -> float:
+    def objective(Y: Field, Z: Field) -> np.ndarray:
         return discrete_energy(Y, lam).total + movement_penalty(Y, Z, ds)
 
-    Y, JY = Z, objective(Z)
+    out = np.empty_like(Z.values)
+    index = np.arange(len(out))  # the start of each state in the stack
+    Y, JY = Z, objective(Z, Z)
     for _ in range(ORACLE_MAX_ITERS):
         R = euler_lagrange_residual(Y, Z, ds, lam)
-        if np.abs(R).max() < ORACLE_TOL:
-            return Y
+        done = np.abs(R).max(axis=(-2, -1)) < ORACLE_TOL
+        out[index[done]] = Y.values[done]
+        if done.all():
+            return [Field(grid, Y) for Y in out]
+        if done.any():
+            keep = ~done
+            index, R, JY = index[keep], R[keep], JY[keep]
+            Y, Z = Field(grid, Y.values[keep]), Field(grid, Z.values[keep])
         G = scale * R  # plain gradient of J
-        bar = JY - 1e-4 * step * (h * h * Z.grid.sum(G * G)) + slack * abs(JY)
-        Y = Field(Z.grid, Y.values - step * G)
-        if not (Y.is_admissible() and (JY := objective(Y)) <= bar):
-            raise NumericalError("descent stagnated above the residual target")
+        bar = JY - 1e-4 * step * (h * h * grid.sum(G * G)) + slack * abs(JY)
+        Y = Field(grid, Y.values - step * G)
+        failed = ~(Y.min_interior() > 0.0)
+        if not failed.any():
+            JY = objective(Y, Z)
+            failed = ~(JY <= bar)
+        if failed.any():
+            first = index[np.flatnonzero(failed)[0]]
+            raise NumericalError(
+                f"descent stagnated above the residual target at start {first}"
+            )
     raise NumericalError("descent did not reach the residual target")

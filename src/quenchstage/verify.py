@@ -7,6 +7,9 @@ stream CPython keeps for a seed across versions; numpy.random would load its
 generators and, through secrets, OpenSSL.  Every state is drawn on the
 quarter frame of its grid.Grid, as every run's is, so the suites step, score
 and transfer through the code the runs take; they check symmetric data only.
+dissipation and oracle draw their cases first and hand them to
+stepper.mm_oracle_step in one call per (ds, lam), which descends them as one
+stack; each minimizer is the one its case reaches alone, to the bit.
 The suites:
 
   green        Green identity of -lap_h and Grid.grad_norm_sq
@@ -193,19 +196,23 @@ def _oracle_case(rng: random.Random) -> tuple[Field, float, float]:
     return _random_field(rng, 4, 0.6), 1e-3, 20.0
 
 
+def _oracle_cases(rng: random.Random, count: int) -> tuple[list[Field], float, float]:
+    """count cases of _oracle_case, drawn in turn: their states and the one
+    (ds, lam) they share, so that the oracle descends them in one call."""
+    cases = [_oracle_case(rng) for _ in range(count)]
+    return [Z for Z, _, _ in cases], cases[0][1], cases[0][2]
+
+
 def suite_dissipation() -> list[CheckResult]:
     rng = random.Random(20260105)
-    worst = -np.inf
-    for _ in range(50):
-        Z, ds, lam = _oracle_case(rng)
-        out = mm_oracle_step(Z, ds, lam)
-        # scored again, not read from the oracle: the check stays independent
-        lhs = discrete_energy(out, lam).total + movement_penalty(out, Z, ds)
-        rhs = discrete_energy(Z, lam).total
-        worst = max(worst, lhs - rhs)
+    starts, ds, lam = _oracle_cases(rng, 50)
+    Z, out = Field.stack(starts), Field.stack(mm_oracle_step(starts, ds, lam))
+    # scored again, not read from the oracle: the check stays independent
+    lhs = discrete_energy(out, lam).total + movement_penalty(out, Z, ds)
+    rhs = discrete_energy(Z, lam).total
     return [
         CheckResult(
-            "mm_dissipation_inequality", worst, 1e-12,
+            "mm_dissipation_inequality", np.max(lhs - rhs), 1e-12,
             "50 random 3x3 cases, max of lhs - rhs",
         )
     ]
@@ -213,13 +220,14 @@ def suite_dissipation() -> list[CheckResult]:
 
 def suite_oracle() -> list[CheckResult]:
     rng = random.Random(20260106)
+    starts, ds, lam = _oracle_cases(rng, 30)
+    # the last 5 cases are source-free
+    oracle = mm_oracle_step(starts[:25], ds, lam) + mm_oracle_step(starts[25:], ds, 0.0)
     gaps = []
-    for case in range(30):
-        Z, ds, lam = _oracle_case(rng)
-        lam = lam if case < 25 else 0.0  # the last 5 cases are source-free
-        picard, _, _ = picard_implicit_step(Z, DirichletSolver(Z.grid, ds), lam)
-        oracle = mm_oracle_step(Z, ds, lam)
-        gaps.append(float(np.max(np.abs(picard.values - oracle.values))))
+    for case, (Z, ref) in enumerate(zip(starts, oracle)):
+        solver = DirichletSolver(Z.grid, ds)
+        picard, _, _ = picard_implicit_step(Z, solver, lam if case < 25 else 0.0)
+        gaps.append(float(np.max(np.abs(picard.values - ref.values))))
     worst_gap, worst_l0 = max(gaps[:25]), max(gaps[25:])
     worst_seed = worst_convex = 0.0
     for _ in range(20):

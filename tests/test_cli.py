@@ -274,7 +274,8 @@ class TestStagewiseCommand:
         cfg = write_cfg(tmp_path / "s.cfg", runaway)
         assert main(["stagewise", "--config", cfg]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: stage 0: no trigger within 50 steps\n"
+            "numerical failure: stage 0: no trigger within 50 steps: "
+            "min W = 1.14288 at step 50 > k^(-2/3) = 0.629961\n"
         )
 
 
@@ -465,7 +466,8 @@ class TestVerifyCommand:
         assert out == ""
         assert err == (
             "numerical failure: verify oracle: "
-            "Picard did not converge within 2 sweeps\n"
+            "Picard did not converge within 2 sweeps: "
+            "last certified bound 2.570e-08 against the stop 1.924e-11\n"
         )
 
     def test_oracle_stagnation_exit_code(self, monkeypatch, capsys):
@@ -485,7 +487,8 @@ class TestVerifyCommand:
         assert main(["verify", "all"]) == 3
         assert capsys.readouterr().err == (
             "numerical failure: verify oracle: "
-            "Picard did not converge within 2 sweeps\n"
+            "Picard did not converge within 2 sweeps: "
+            "last certified bound 2.570e-08 against the stop 1.924e-11\n"
         )
 
     def test_all_reports_the_checks_before_a_numerical_failure(

@@ -265,7 +265,11 @@ class TestRunStage:
         # source-free flow rises toward the boundary value, so the cap fires
         cfg = StagewiseConfig(lam=0.0, step_cap=50)
         state = stage0_state(cfg)
-        with pytest.raises(NumericalError, match="no trigger within 50 steps"):
+        capped = (
+            r"no trigger within 50 steps: min W = 1\.14288 at step 50 "
+            r"> k\^\(-2/3\) = 0\.629961$"
+        )
+        with pytest.raises(NumericalError, match=capped):
             run_stage(state, cfg)
 
     def test_rejects_state_below_threshold(self):
@@ -308,7 +312,10 @@ class TestMarch:
         assert main([command, "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"numerical failure: {where}: Picard did not converge" in err
-        assert "within 1 sweeps" in err
+        assert "within 1 sweeps: last certified bound " in err
+        # one sweep from the extrapolated seed misses the stop by far
+        bound, stop = map(float, err.split("bound ")[1].split(" against the stop "))
+        assert bound > stop > 0.0
         assert list(tmp_path.iterdir()) == []
 
 

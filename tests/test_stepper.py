@@ -23,7 +23,7 @@ from quenchstage.drivers import (
     run_stagewise,
 )
 from quenchstage.energy import discrete_energy
-from quenchstage.grid import Field, Grid
+from quenchstage.grid import Field, Grid, laplacian_5pt
 from quenchstage.prolongation import prolong_stage
 from quenchstage.stepper import (
     BUTTERFLY_MIN_N,
@@ -397,7 +397,7 @@ class TestPicardStep:
         for seed in range(5):
             Z = random_state(seed=20 + seed)
             rep = step(Z, ds, lam)
-            ref = mm_oracle_step(Z, ds, lam)
+            [ref] = mm_oracle_step([Z], ds, lam)
             assert np.max(np.abs(rep.next.values - ref.values)) < 1e-6
 
     def test_nonconvergence_raises(self, monkeypatch):
@@ -873,7 +873,7 @@ class TestDescentOracle:
     def test_source_free_matches_dense_solve(self):
         Z = random_state(seed=14)
         ds, lam = 1e-3, 0.0
-        got = mm_oracle_step(Z, ds, lam)
+        [got] = mm_oracle_step([Z], ds, lam)
         want = dense_be_solve(Z, ds)
         assert np.max(np.abs(interior(got) - want)) < 1e-10
 
@@ -890,7 +890,7 @@ class TestDescentOracle:
                 + (A * A / (2.0 * ds)) * h * h * (y - z) ** 2
             )
 
-        got = mm_oracle_step(Z, ds, lam)
+        [got] = mm_oracle_step([Z], ds, lam)
         ystar = refine_grid_search(J, 1e-6, 3.0)
         # the bracket reaches 1e-10 but argmin localization on the flat
         # quadratic bottoms out near sqrt(eps*J/J''); compare above that floor
@@ -901,9 +901,8 @@ class TestDescentOracle:
     def test_dissipation_inequality(self):
         ds, lam = 1e-3, 20.0
         h2 = Grid(0.6, 4).h ** 2
-        for seed in range(10):
-            Z = random_state(seed=40 + seed)
-            out = mm_oracle_step(Z, ds, lam)
+        starts = [random_state(seed=40 + seed) for seed in range(10)]
+        for Z, out in zip(starts, mm_oracle_step(starts, ds, lam)):
             diff = interior(out) - interior(Z)
             penalty = (0.36 / (2.0 * ds)) * h2 * float(np.sum(diff * diff))
             lhs = discrete_energy(out, lam).total + penalty
@@ -914,34 +913,77 @@ class TestDescentOracle:
         Z = random_state(N=10, seed=15)
         assert Z.values.size == 25
         with pytest.raises(ValueError, match="<= 16 frame values"):
-            mm_oracle_step(Z, 1e-3, 20.0)
+            mm_oracle_step([Z], 1e-3, 20.0)
 
     def test_size_limit_counts_frame_values(self):
         # N = 9 holds 16 values on its quarter (64 interior nodes) and
         # descends; N = 10 holds 25 and is refused
         Z = random_state(N=9, seed=19)
         assert (Z.values.size, (Z.grid.N - 1) ** 2) == (16, 64)
-        out = mm_oracle_step(Z, 1e-3, 20.0)
+        [out] = mm_oracle_step([Z], 1e-3, 20.0)
         R = euler_lagrange_residual(out, Z, 1e-3, 20.0)
         assert np.max(np.abs(R)) < stepper.ORACLE_TOL
         with pytest.raises(ValueError, match="<= 16 frame values"):
-            mm_oracle_step(random_state(N=10, seed=19), 1e-3, 20.0)
+            mm_oracle_step([random_state(N=10, seed=19)], 1e-3, 20.0)
 
     def test_rejects_inadmissible_state(self):
-        Z = single_node_field(-1.0)
-        with pytest.raises(ValueError):
-            mm_oracle_step(Z, 1e-3, 1.0)
+        # one nonpositive start refuses the whole call
+        starts = [single_node_field(1.0), single_node_field(-1.0)]
+        with pytest.raises(ValueError, match="positive previous state"):
+            mm_oracle_step(starts, 1e-3, 1.0)
 
     def test_one_objective_per_iterate(self, monkeypatch):
-        # a converging descent scores each iterate once, Z included: as many
-        # energy evaluations as Euler-Lagrange residuals
+        # a converging descent scores each iterate of the stack once, the
+        # starts included: one energy evaluation and one Euler-Lagrange
+        # residual per stack iteration, for all the starts at once
         calls = count_calls(
             monkeypatch, "discrete_energy", "euler_lagrange_residual"
         )
-        Z = random_state(seed=18)
-        mm_oracle_step(Z, 1e-3, 20.0)
-        assert calls["euler_lagrange_residual"] > 2
-        assert calls["discrete_energy"] == calls["euler_lagrange_residual"]
+        starts = [random_state(seed=18 + k) for k in range(4)]
+        mm_oracle_step(starts, 1e-3, 20.0)
+        stacked = dict(calls)
+        assert stacked["euler_lagrange_residual"] > 2
+        assert stacked["discrete_energy"] == stacked["euler_lagrange_residual"]
+        # the stack iterates as often as its slowest start descends alone
+        alone = []
+        for Z in starts:
+            calls.clear()
+            mm_oracle_step([Z], 1e-3, 20.0)
+            alone.append(calls["euler_lagrange_residual"])
+        assert stacked["euler_lagrange_residual"] == max(alone)
+        assert len(set(alone)) > 1  # the starts leave the stack apart
+
+    @pytest.mark.parametrize("N", [4, 5, 8, 9])
+    def test_stack_equals_stacks_of_one(self, N):
+        # every start's minimizer is the one it reaches alone, to the bit,
+        # also where a stacked w @ X @ w would round apart (n = 4 at N = 8, 9)
+        starts = [random_state(N=N, seed=60 + k) for k in range(12)]
+        got = mm_oracle_step(starts, 1e-3, 20.0)
+        assert [Y.grid for Y in got] == [Z.grid for Z in starts]
+        for Z, Y in zip(starts, got):
+            [alone] = mm_oracle_step([Z], 1e-3, 20.0)
+            assert np.array_equal(Y.values, alone.values)
+
+    def test_rejects_empty_or_mixed_stacks(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            mm_oracle_step([], 1e-3, 20.0)
+        # another N, and another A on a frame of the same shape
+        for other in (random_state(N=5), random_state(A=0.7)):
+            with pytest.raises(ValueError, match="share one grid"):
+                mm_oracle_step([random_state(), other], 1e-3, 20.0)
+
+    def test_stagnating_start_names_its_index(self):
+        # at lam = 0 the constant state g has R = 0 and leaves the stack at
+        # once; the random start's full step at ds = 0.2 raises J, and the
+        # message names its index among the starts, not its stack row
+        grid = Grid(0.6, 4)
+        flat = Field(grid, np.full(grid.shape, grid.g))
+        starts = [flat, flat, random_state(seed=16), flat]
+        with pytest.raises(
+            NumericalError,
+            match="descent stagnated above the residual target at start 2$",
+        ):
+            mm_oracle_step(starts, 0.2, 0.0)
 
     @pytest.mark.parametrize("ds", [0.2, 1.0])
     def test_rejected_full_step_raises(self, monkeypatch, ds):
@@ -951,9 +993,9 @@ class TestDescentOracle:
         Z = random_state(seed=16)
         with pytest.raises(
             NumericalError,
-            match="descent stagnated above the residual target",
+            match="descent stagnated above the residual target at start 0",
         ):
-            mm_oracle_step(Z, ds, 20.0)
+            mm_oracle_step([Z], ds, 20.0)
         assert calls["discrete_energy"] <= 3
 
     def test_iteration_cap_raises(self, monkeypatch):
@@ -963,7 +1005,90 @@ class TestDescentOracle:
             NumericalError,
             match="descent did not reach the residual target",
         ):
-            mm_oracle_step(Z, 1e-3, 20.0)
+            mm_oracle_step([Z], 1e-3, 20.0)
+
+
+class TestStackedHelpers:
+    """Each helper that the oracle takes along a stack's leading axis gives
+    every state's own value, and one state gets a float as before."""
+
+    @staticmethod
+    def stack_of(N, seed, vanished=False):
+        states = [random_state(N=N, seed=seed + k) for k in range(5)]
+        if vanished:  # a zero and a negative value in two of the states
+            for k, value in ((1, 0.0), (3, -0.5)):
+                values = states[k].values.copy()
+                values[0, 0] = value
+                states[k] = Field(states[k].grid, values)
+        return states, Field.stack(states)
+
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_grid_sums(self, N):
+        states, stack = self.stack_of(N, N)
+        grid = stack.grid
+        for reduce in (grid.sum, grid.grad_norm_sq):
+            got = reduce(stack.values)
+            assert got.shape == (len(states), 1, 1)
+            for Y, value in zip(states, got[:, 0, 0]):
+                want = reduce(Y.values)
+                assert type(want) is float and self.close(value, want)
+        # each state's weighted sum takes one state's two products, to the
+        # bit, where a stacked (S, n) @ w would take another BLAS kernel
+        for Y, value in zip(states, grid.sum(stack.values)[:, 0, 0]):
+            assert value == grid.sum(Y.values)
+
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_laplacian_source_and_residual(self, N):
+        states, stack = self.stack_of(N, 10 * N)
+        starts, Z = self.stack_of(N, 10 * N + 7)
+        ds, lam = 1e-3, 20.0
+        lap = laplacian_5pt(stack)
+        F, K = nonlocal_source(stack.values, stack.grid, lam)
+        R = euler_lagrange_residual(stack, Z, ds, lam)
+        assert K.shape == (len(states), 1, 1)
+        for k, (Y, Zk) in enumerate(zip(states, starts)):
+            F_k, K_k = nonlocal_source(Y.values, Y.grid, lam)
+            assert type(K_k) is float and self.close(K[k, 0, 0], K_k)
+            assert np.all(self.close(F[k], F_k))
+            assert np.all(self.close(lap[k], laplacian_5pt(Y)))
+            want = euler_lagrange_residual(Y, Zk, ds, lam)
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(R[k] - want)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("vanished", [False, True])
+    @pytest.mark.parametrize("N", [3, 4, 9])
+    def test_energy_and_penalty(self, N, vanished):
+        states, stack = self.stack_of(N, 100 + N, vanished)
+        starts, Z = self.stack_of(N, 200 + N)
+        ds, lam = 1e-3, 20.0
+        energy = discrete_energy(stack, lam)
+        penalty = movement_penalty(stack, Z, ds)
+        for k, (Y, Zk) in enumerate(zip(states, starts)):
+            want = discrete_energy(Y, lam)
+            for part in ("dirichlet", "K", "reciprocal", "total", "coeff"):
+                value = getattr(want, part)
+                assert type(value) is float
+                got = getattr(energy, part)[k, 0, 0]
+                assert got == value or self.close(got, value)
+            want = movement_penalty(Y, Zk, ds)
+            assert type(want) is float and self.close(penalty[k, 0, 0], want)
+        # the vanishing branch, state by state
+        assert np.isinf(energy.K[:, 0, 0]).tolist() == [False, vanished] * 2 + [False]
+
+    def test_stack_minimum_and_admissibility(self):
+        states, stack = self.stack_of(4, 300, vanished=True)
+        assert stack.min_interior().shape == (5, 1, 1)
+        assert stack.min_interior().ravel().tolist() == [
+            Y.min_interior() for Y in states
+        ]
+        assert not stack.is_admissible()
+        assert Field.stack([states[0], states[2]]).is_admissible()
+        with pytest.raises(ValueError, match="does not match frame"):
+            Field(stack.grid, stack.values[None])
 
 
 class TestStepperConfig:
