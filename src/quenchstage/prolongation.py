@@ -108,8 +108,11 @@ def cell_map(theta, zeta, laplacian: bool = False) -> np.ndarray:
     interpolant at the points (theta, zeta), shape (*points, 12); with
     laplacian=True, to the interpolant's Laplacian there in local units (a
     grid Laplacian is this over h^2).  The transfer and every patch check
-    evaluate the patch through it."""
-    return _monomials(theta, zeta, laplacian) @ REFERENCE_INVERSE
+    evaluate the patch through it.  It is one 2-D ndarray.dot, the product
+    path of the step: a matmul here would page the ufunc's code into every
+    stagewise run besides dot's, about 0.3 MiB of peak RSS."""
+    M = _monomials(theta, zeta, laplacian)
+    return M.reshape(-1, 12).dot(REFERENCE_INVERSE).reshape(M.shape)
 
 
 def _cell_stencils(end: Field, cells: int) -> np.ndarray:

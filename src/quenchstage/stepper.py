@@ -27,7 +27,10 @@ that the step's source replaces.  That row is the step's one source buffer:
 the step works in it and leaves f(Y) there.  The energy E and the
 movement penalty (A^2/2ds)*||next - prev||^2_{2,h} (movement_penalty) are
 evaluated by the code that records them: the drivers' scored loop, the
-oracle's objective and the dissipation check.
+oracle's objective and the dissipation check.  A step's small products
+(the seed's, the plain solve's and Grid.sum's) go through ndarray.dot, not
+the matmul ufunc: the same BLAS kernels and bits at half the dispatch,
+which at a stage's sizes costs more than the flops.
 
 A minimizing-movement oracle doubles the step on verification-size grids
 (<= 16 frame values): it minimizes J(Y) = E(Y) + (A^2/2ds)*||Y - Z||_{2,h}^2
@@ -142,6 +145,12 @@ class DirichletSolver:
     D (X' - X'') in the even ones: half the flops, the other axis on a
     transposed copy.  The solver holds the inverse and gradient-form tables
     (one frame array each) and T, or C and D (a quarter of one each).
+
+    The plain products call ndarray.dot, which reaches the BLAS kernels of
+    np.matmul and gives the same bits at half its dispatch cost, the larger
+    part of a product on a frame of 36^2.  The butterfly's half products
+    write strided rows (a[0::2]), which dot's out= rejects, and keep
+    np.matmul; from BUTTERFLY_MIN_N on a product costs its flops.
     """
 
     def __init__(self, grid: Grid, ds: float):
@@ -198,11 +207,11 @@ class DirichletSolver:
             return rhs, grad_sq
         T = self._T
         TT = T.T
-        work = TT @ rhs
-        X = np.matmul(work, T, out=rhs)
+        work = TT.dot(rhs)
+        X = work.dot(T, out=rhs)
         X *= self._inv
         grad_sq = float(np.vdot(np.multiply(X, X, out=work), self._form))
-        return np.matmul(np.matmul(T, X, out=work), TT, out=rhs), grad_sq
+        return T.dot(X, out=work).dot(TT, out=rhs), grad_sq
 
     def _forward(self, a: np.ndarray, b: np.ndarray) -> None:
         """a = T^T a by the butterfly, with b for the half products."""
@@ -271,7 +280,7 @@ def extrapolated_seed(ring: np.ndarray, count: int) -> np.ndarray:
     rows = min(count, len(ring))
     weights = SEED_ROWS[rows - 1][(count - 1) % len(ring)]
     row = ring[count % len(ring)]
-    np.matmul(weights, ring[:rows].reshape(rows, -1), out=row.reshape(-1))
+    weights.dot(ring[:rows].reshape(rows, -1), out=row.reshape(-1))
     return row
 
 
@@ -332,8 +341,8 @@ def picard_implicit_step(
         F_new, K = nonlocal_source(Y, grid, lam)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         np.subtract(F_new, F, out=F)
-        bound = ds * float(np.abs(F, out=F).max())
-        stop = STOP_MARGIN * PICARD_TOL * float(np.abs(Y, out=F).max())
+        bound = ds * np.maximum.reduce(np.abs(F, out=F), None)
+        stop = STOP_MARGIN * PICARD_TOL * np.maximum.reduce(np.abs(Y, out=F), None)
         F[...] = F_new
         del F_new
         if bound < stop:

@@ -223,18 +223,17 @@ def suite_oracle() -> list[CheckResult]:
     starts, ds, lam = _oracle_cases(rng, 30)
     # the last 5 cases are source-free
     oracle = mm_oracle_step(starts[:25], ds, lam) + mm_oracle_step(starts[25:], ds, 0.0)
+    # every case of the suite is on one grid at one ds: one solver steps them
+    solver = DirichletSolver(starts[0].grid, ds)
     gaps = []
     for case, (Z, ref) in enumerate(zip(starts, oracle)):
-        solver = DirichletSolver(Z.grid, ds)
         picard, _, _ = picard_implicit_step(Z, solver, lam if case < 25 else 0.0)
         gaps.append(float(np.max(np.abs(picard.values - ref.values))))
     worst_gap, worst_l0 = max(gaps[:25]), max(gaps[25:])
     worst_seed = worst_convex = 0.0
-    for _ in range(20):
-        Z, ds, lam = _oracle_case(rng)
+    for Z in _oracle_cases(rng, 20)[0]:
         # uniqueness needs ds <= eta^3/(16 lam), eta the state's minimum
         worst_convex = max(worst_convex, 16.0 * lam * ds / Z.min_interior() ** 3)
-        solver = DirichletSolver(Z.grid, ds)
         from_z, _, _ = picard_implicit_step(Z, solver, lam)
         # the first sweep of the second start reads the source of 1.05*Z
         perturbed, _ = nonlocal_source(1.05 * Z.values, Z.grid, lam)

@@ -28,7 +28,10 @@ secrets would raise every command's peak memory, and verify draws its
 fixed-seed data from the standard library's random.Random.  No module uses
 numpy.linalg either: a LAPACK call pages its code into every command's
 memory, and the one table that needed it, the transfer's 12-point inverse,
-is written out exactly.
+is written out exactly.  A step's small products go through ndarray.dot,
+not the matmul ufunc, whose dispatch costs about twice the BLAS call at a
+step's sizes: the seed's ring product, the plain folded solve, one state's
+Grid.sum and the transfer's cell_map use neither @ nor matmul.
 """
 
 import ast
@@ -189,6 +192,29 @@ def numpy_submodule_lines(tree, submodule):
         if hit:
             lines.append(n.lineno)
     return lines
+
+
+def matmul_lines(node):
+    """Lines of node that use the @ operator or read matmul, as a bare name
+    or an attribute."""
+    return sorted({
+        n.lineno for n in ast.walk(node)
+        if isinstance(getattr(n, "op", None), ast.MatMult)
+        or "matmul" in (getattr(n, "id", None), getattr(n, "attr", None))
+    })
+
+
+def dot_sites(trees):
+    """The code whose products must take ndarray.dot, as name: node:
+    extrapolated_seed, DirichletSolver.solve, cell_map and Grid.sum up to
+    its last statement, the stack branch."""
+    defs = {name: node for tree in trees.values() for name, node in definitions(tree)}
+    return {
+        "extrapolated_seed": defs["extrapolated_seed"],
+        "DirichletSolver.solve": defs["DirichletSolver.solve"],
+        "cell_map": defs["cell_map"],
+        "Grid.sum": ast.Module(body=defs["Grid.sum"].body[:-1], type_ignores=[]),
+    }
 
 
 def grid_rule_lines(tree):
@@ -485,3 +511,39 @@ def test_no_module_uses_numpy_linalg():
         if (lines := numpy_submodule_lines(parse(path), "linalg"))
     }
     assert found == {}, f"numpy.linalg used at {found}"
+
+
+def test_the_step_products_take_ndarray_dot():
+    # At a step's sizes (quarters of at most 36^2 on the reference run) the
+    # matmul ufunc's dispatch costs about twice the BLAS call it wraps;
+    # ndarray.dot reaches the same kernels and gives the same bits.  The
+    # transfer's cell_map takes dot too, so that a run pages in one product
+    # path.  Two places keep matmul: the butterfly's _forward and _back
+    # write strided rows a[0::2], which dot's out= rejects, and are
+    # BLAS-bound from BUTTERFLY_MIN_N on; Grid.sum's stack branch, its last
+    # statement, must take the kernels one state's products take.  Each
+    # site below is in its matmul form and is caught; _forward is no site.
+    products = ast.parse(
+        "class Grid:\n    def sum(self, X):\n"
+        "        if X.ndim == 2:\n            return float(self.w @ X @ self.w)\n"
+        "        return (self.w @ X)[..., None, :] @ self.w[:, None]\n"
+        "def extrapolated_seed(ring, count):\n"
+        "    np.matmul(weights, ring, out=row)\n"
+        "class DirichletSolver:\n    def solve(self, rhs):\n"
+        "        work = TT @ rhs\n        X = np.matmul(work, T, out=rhs)\n"
+        "        work @= T\n        return X.dot(TT, out=rhs)\n"
+        "    def _forward(self, a, b):\n        np.matmul(C, a[0::2], out=b)\n"
+        "def cell_map(t, z):\n    return _monomials(t, z) @ REFERENCE_INVERSE\n"
+    )
+    found = {name: matmul_lines(node) for name, node in dot_sites({"m": products}).items()}
+    assert found == {
+        "extrapolated_seed": [7], "DirichletSolver.solve": [10, 11, 12],
+        "cell_map": [17], "Grid.sum": [4],
+    }
+    trees = {path.name: parse(path) for path in MODULES}
+    found = {
+        name: lines
+        for name, node in dot_sites(trees).items()
+        if (lines := matmul_lines(node))
+    }
+    assert found == {}, f"matmul ufunc where ndarray.dot belongs, at {found}"

@@ -1148,7 +1148,8 @@ class TestWorkingSet:
         # stage 5 of the 6-stage run (N = 288) as test_stage_step_peak takes
         # stage 3: the half tables hold half a quarter less than T, and the
         # butterfly solve works in rhs and one array as the plain one does.
-        # Measured at 12.53 quarters; the plain products there read 13.02.
+        # Measured at 12.52 quarters, with or without a run of the stage
+        # before the trace; the plain products there read 13.02.
         cfg = StagewiseConfig()
         Z = reference_stage_start(5)
         n = Z.grid.shape[0]
@@ -1158,7 +1159,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 12.3 <= peak / (n * n * 8) <= 13.02
+        assert 12.4 <= peak / (n * n * 8) <= 12.7
 
     def test_work_array_changes_no_bit(self):
         # march lends each step a ring row as its source buffer: a step given
