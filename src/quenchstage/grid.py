@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +46,11 @@ import numpy as np
 class Grid:
     """Stage lattice at frozen amplitude A with N intervals per direction.
 
-    The half-width L = 1/(2 A^(3/2)), the mesh width h = 2L/N and the
-    boundary value g = 1/A follow from them, computed once.
+    The half-width L = 1/(2 A^(3/2)), the mesh width h = 2L/N, the
+    boundary value g = 1/A, the weight A2h2 = A^2 h^2 of the reciprocal sum
+    in K, the frame's shape and its line weights w follow from them; the
+    grid computes them all once, when it is built, and compares and hashes
+    by (A, N) alone.
 
     A state on the grid, symmetric about both mid-lines, Y[i] = Y[N-i] in
     each index, is held by its lower-left floor(N/2)^2 quarter, the frame:
@@ -71,7 +73,9 @@ class Grid:
             raise ValueError("grid needs at least 2 intervals per direction")
         # A^(3/2) underflows to 0 (L = 1/0) or overflows, or h^2 overflows
         try:
-            h2 = self.h * self.h
+            L = 1.0 / (2.0 * self.A ** 1.5)
+            h = 2.0 * L / self.N
+            h2 = h * h
         except (OverflowError, ZeroDivisionError):
             h2 = math.inf
         if not 0.0 < h2 < math.inf:
@@ -79,31 +83,6 @@ class Grid:
                 f"amplitude {self.A:g} gives no representable grid: "
                 f"h^2 = (1/(N A^(3/2)))^2 is not a positive finite float"
             )
-
-    @cached_property
-    def L(self) -> float:
-        return 1.0 / (2.0 * self.A ** 1.5)
-
-    @cached_property
-    def h(self) -> float:
-        return 2.0 * self.L / self.N
-
-    @cached_property
-    def g(self) -> float:
-        """The constant Dirichlet boundary value 1/A."""
-        return 1.0 / self.A
-
-    @cached_property
-    def A2h2(self) -> float:
-        """The weight A^2 h^2 of the reciprocal sum in K."""
-        return self.A * self.A * self.h * self.h
-
-    @cached_property
-    def shape(self) -> tuple[int, int]:
-        return (self.N // 2,) * 2
-
-    @cached_property
-    def _lines(self) -> np.ndarray:
         # the weight of each line of the frame extended by the boundary line
         # before it, whose pairs all join g to g; w is the frame's own lines
         n = self.N // 2
@@ -111,11 +90,10 @@ class Grid:
         lines[0] = 1.0
         if 2 * n == self.N:  # the middle line of an even N
             lines[n] = 1.0
-        return lines
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return self._lines[1:]
+        vars(self).update(
+            L=L, h=h, g=1.0 / self.A, A2h2=self.A * self.A * h * h,
+            shape=(n, n), _lines=lines, w=lines[1:],
+        )
 
     def nodes_1d(self) -> np.ndarray:
         """The frame's node coordinates along one axis, -L + h .. -L + nh."""

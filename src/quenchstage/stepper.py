@@ -21,6 +21,10 @@ Values are clipped at CLIP only inside reciprocal evaluations
 principle (Varga 1962) certifies that a further sweep would move Y by less
 than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
 so a stage and the same steps on the physical profile (W = v/A) stop alike.
+The test reads the frame corner Y[0, 0] first and takes max|Y| only when
+the corner's smaller stop is not passed.  Below the butterfly the solve
+reads its input side from a table that carries the middle line's weight,
+so a sweep rescales no right-hand side (DirichletSolver).
 march owns the step sequence of a run: one solver on the start's grid, each
 step seeded by extrapolated_seed (Fischer 1998) in the row of the seed ring
 that the step's source replaces.  That row is the step's one source buffer:
@@ -133,9 +137,11 @@ class DirichletSolver:
     odd mode is the sum over the quarter's rows i = 1..N//2 with weight
     w_i = 2, or 1 on the middle line of an even N: the products run with
     T = S[1..N//2, odd] on the output side and w T on the input side.  The
-    solve halves the middle line of rhs in place and the inverse table
-    carries the factor 4; scaling by a power of two is exact, so this is bit
-    for bit the products with w T.
+    input side reads P, which is T with its middle row halved on an even N
+    and T itself on an odd N, and the inverse table carries the factor 4;
+    scaling by a power of two is exact, so this is bit for bit the products
+    with w T, and no solve rescales its rhs.  The butterfly (an even N
+    always) halves the middle line and row of rhs in place instead.
 
     For N % 4 == 0 the odd modes pair up, T[i, N-j] = (-1)^(i+1) T[i, j].
     From N = BUTTERFLY_MIN_N on, the solver orders its modes 1, 3, ..,
@@ -144,7 +150,8 @@ class DirichletSolver:
     C^T R[0::2] - D^T R[1::2], and T X puts C (X' + X'') in the odd rows and
     D (X' - X'') in the even ones: half the flops, the other axis on a
     transposed copy.  The solver holds the inverse and gradient-form tables
-    (one frame array each) and T, or C and D (a quarter of one each).
+    and T, one frame array each, and P, one more on an even N; or, on the
+    butterfly, C and D, a quarter of one each.
 
     The plain products call ndarray.dot, which reaches the BLAS kernels of
     np.matmul and gives the same bits at half its dispatch cost, the larger
@@ -167,7 +174,10 @@ class DirichletSolver:
         if half:
             self._C, self._D = T[0::2].copy(), T[1::2].copy()
         else:
-            self._T = T
+            self._T = self._P = T
+            if 2 * n == N:  # w = 1 on the middle line of an even N
+                self._P = T.copy()
+                self._P[-1] *= 0.5
         self._half = half
         self.path = "mirror-folded butterfly" if half else "mirror-folded"
         # eigenvalues l_j of the second difference tridiag(-1, 2, -1)
@@ -176,7 +186,6 @@ class DirichletSolver:
         mu = eig / grid.h ** 2
         # the factor 2 of w on each input side, off the middle line
         self._inv = 4.0 / (1.0 / ds + mu[:, None] + mu[None, :])
-        self._halve_middle = 2 * n == N
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """L^-1 rhs for a rhs in the frame, written over rhs, which is
@@ -190,10 +199,9 @@ class DirichletSolver:
         modes being all of it for symmetric data.  The solve allocates one
         more frame array, for its products and X^2.
         """
-        if self._halve_middle:  # w = 1 on the middle line of an even N
-            rhs[-1] *= 0.5
-            rhs[:, -1] *= 0.5
         if self._half:
+            rhs[-1] *= 0.5  # w = 1 on the middle line: the butterfly's N is even
+            rhs[:, -1] *= 0.5
             work = np.empty_like(rhs)
             self._forward(rhs, work)  # rhs = T^T R
             work[...] = rhs.T
@@ -205,13 +213,12 @@ class DirichletSolver:
             rhs[...] = work.T
             self._back(rhs, work)
             return rhs, grad_sq
-        T = self._T
-        TT = T.T
-        work = TT.dot(rhs)
-        X = work.dot(T, out=rhs)
+        T, P = self._T, self._P
+        work = P.T.dot(rhs)
+        X = work.dot(P, out=rhs)
         X *= self._inv
         grad_sq = float(np.vdot(np.multiply(X, X, out=work), self._form))
-        return T.dot(X, out=work).dot(TT, out=rhs), grad_sq
+        return T.dot(X, out=work).dot(T.T, out=rhs), grad_sq
 
     def _forward(self, a: np.ndarray, b: np.ndarray) -> None:
         """a = T^T a by the butterfly, with b for the half products."""
@@ -313,9 +320,15 @@ def picard_implicit_step(
     Since ||L^-1||_inf <= ds, the next sweep would move Y by at most
     ds*max|F_new - F|, whatever F was; the step ends once this certified
     bound is below STOP_MARGIN*PICARD_TOL*max|Y|, so no solve is spent on
-    confirming a move that small.  With lam = 0 the source is exactly 0 and
-    one sweep ends the step (from the default start); PICARD_MAX sweeps
-    without the stop raise NumericalError.
+    confirming a move that small.  The test reads the frame corner first:
+    |Y[0, 0]| <= max|Y|, so a bound below the corner's stop is below max|Y|'s,
+    and only a bound that is not takes the pass over |Y|.  The decision is
+    max|Y|'s in every case (a NaN in Y makes the source, and so the bound,
+    NaN).  On the reference runs the corner, next to the boundary, is the
+    frame's maximum, so a step's last sweep takes no pass over |Y|.  With
+    lam = 0 the source is exactly 0 and one sweep ends the step (from the
+    default start); PICARD_MAX sweeps without the stop raise NumericalError,
+    whose message gives the last bound and max|Y|'s stop.
     """
     grid = solver.grid
     shape = grid.shape
@@ -328,9 +341,10 @@ def picard_implicit_step(
     # Live frame arrays set large-N peak memory.  Besides Z and the source
     # buffer F, a sweep holds two: the state Y (right-hand side, solution and
     # shift by g in one buffer) and, in turn, the solve's product array and
-    # the new source F_new.  The move F_new - F and |Y| go into F, which then
-    # takes a copy of F_new.  march passes a ring row as F, so a step holds
-    # two frame arrays besides Z and the ring.
+    # the new source F_new.  The move F_new - F and, when the stop is not
+    # passed at the frame corner, |Y| go into F, which then takes a copy of
+    # F_new.  march passes a ring row as F, so a step holds two frame arrays
+    # besides Z and the ring.
     F = nonlocal_source(Z.values, grid, lam)[0] if source is None else source
     for sweeps in range(1, PICARD_MAX + 1):
         Y = Z.values - g
@@ -342,7 +356,10 @@ def picard_implicit_step(
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         np.subtract(F_new, F, out=F)
         bound = ds * np.maximum.reduce(np.abs(F, out=F), None)
-        stop = STOP_MARGIN * PICARD_TOL * np.maximum.reduce(np.abs(Y, out=F), None)
+        # |Y[0, 0]| <= max|Y|, so passing at the corner passes at max|Y|
+        stop = STOP_MARGIN * PICARD_TOL * abs(Y[0, 0])
+        if not bound < stop:
+            stop = STOP_MARGIN * PICARD_TOL * np.maximum.reduce(np.abs(Y, out=F), None)
         F[...] = F_new
         del F_new
         if bound < stop:
