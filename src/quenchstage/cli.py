@@ -249,7 +249,9 @@ def _csv(header: str, rows: list[tuple]) -> str:
 
 
 def _stagewise_files(report: RunReport) -> dict[str, str]:
-    """The texts of STAGEWISE_FILES, in that order."""
+    """The texts of STAGEWISE_FILES, in that order.  A record's vars is the
+    field-order dict that dataclasses.asdict builds, without its recursive
+    copy: the records hold floats, ints and the tuple q_values."""
     records = report.records
     stages = _csv(
         "stage_m,a_m,n_m,h_m,a_m2h_m2,scaled_time,min_w_m,"
@@ -269,10 +271,10 @@ def _stagewise_files(report: RunReport) -> dict[str, str]:
     ledger = _json({
         "e0": report.E0,
         "d_star": report.ledger.D_star,
-        "rows": [asdict(r) for r in report.ledger.rows],
-        "stages": [asdict(r) for r in records],
+        "rows": [vars(r) for r in report.ledger.rows],
+        "stages": [vars(r) for r in records],
         "areas": report.areas,
-        "continuation": _lower_keys(asdict(report.continuation)),
+        "continuation": _lower_keys(vars(report.continuation)),
         "manifest": "manifest.json",
     })
     return dict(zip(STAGEWISE_FILES, (stages, feedback, transitions, ledger)))
@@ -333,12 +335,13 @@ def cmd_stagewise(config_path: str) -> int:
 def cmd_direct(config_path: str) -> int:
     values, cfg = _load(config_path, DirectConfig, DIRECT_KEYS)
     outdir = _outdir(DIRECT_FILES, STAGEWISE_FILES)
-    direct = _json(_lower_keys(asdict(run_direct(cfg))))
+    direct = _json(_lower_keys(vars(run_direct(cfg))))
     _emit(outdir, "direct", values, dict(zip(DIRECT_FILES, (direct,))))
     return EXIT_OK
 
 
 def _report(suite: str, passed: bool, checks: list) -> None:
+    # asdict, not vars: CheckResult sets passed, its second field, last
     payload = {
         "suite": suite,
         "passed": passed,

@@ -27,7 +27,8 @@ Field that no Picard step built: a run's start, an event, verify's states
 and the tests', for which it is the reference.  A state that a Picard step
 accepted carries its gradient sum and K instead, taken from the step's last
 solve and source (stepper.picard_implicit_step), so a run sums only starts
-and events.  laplacian_5pt is the five-point stencil on the quarter, and
+and events, and the minimum its last sweep took, so no state of a step is
+reduced twice.  laplacian_5pt is the five-point stencil on the quarter, and
 verify green ties -laplacian_5pt to the form: h^2 (-lap Y, Phi) is its
 polarization at Y +- Phi for every Phi that vanishes on the boundary
 (discrete Green).
@@ -168,9 +169,11 @@ class Field:
     values is the frame array, the quarter of a mirror-symmetric state.
     Admissible states have all interior values positive; this is checked by
     callers that require it (min_interior), never silently enforced here.
-    The minimum is taken once, when the Field is built, and the values are
-    read-only from then on: a write into them raises ValueError.  The array
-    is not copied, so a caller that passes its own array has it frozen too.
+    The minimum is taken once, when the Field is built, unless the code
+    building it hands it over as lowest (a Picard step's accepted state,
+    whose last sweep took it), and the values are read-only from then on: a
+    write into them raises ValueError.  The array is not copied, so a caller
+    that passes its own array has it frozen too.
 
     values may also be a stack of frame arrays on the grid, of shape
     (S, n, n), which the minimizing-movement oracle descends at once: its
@@ -178,33 +181,35 @@ class Field:
     admissible when every state is, and Grid.sum, Grid.grad_norm_sq,
     laplacian_5pt and the energy give each state's value along that axis.
 
-    grad_norm_sq and K are sums of the values that the code building the
-    Field already holds, or None: a Picard step hands its accepted state the
-    gradient sum of its last solve and the K of its last source, and
-    energy.discrete_energy reads them in place of Grid.grad_norm_sq and the
-    reciprocal sum.  Every other state (a run's start, an event, a state
-    verify or a test builds) carries neither, and its sums are taken from its
-    values.
+    grad_norm_sq, K and lowest are reductions of the values that the code
+    building the Field already holds, or None: a Picard step hands its
+    accepted state the gradient sum of its last solve, the K of its last
+    source and the minimum that source was decided on, and
+    energy.discrete_energy reads the sums in place of Grid.grad_norm_sq and
+    the reciprocal sum.  Every other state (a run's start, an event, a state
+    verify or a test builds) carries none, and they are taken from its
+    values: the minimum here, the sums by the energy.
     """
 
     grid: Grid
     values: np.ndarray
     grad_norm_sq: float | None = None
     K: float | None = None
+    lowest: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
         if arr.shape == self.grid.shape:
-            lowest = float(arr.min())
+            if self.lowest is None:
+                object.__setattr__(self, "lowest", float(arr.min()))
         elif arr.ndim == 3 and arr.shape[1:] == self.grid.shape:
-            lowest = arr.min((-2, -1), keepdims=True)
+            object.__setattr__(self, "lowest", arr.min((-2, -1), keepdims=True))
         else:
             raise ValueError(
                 f"values shape {arr.shape} does not match frame {self.grid.shape}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_min", lowest)
 
     @property
     def interior(self) -> np.ndarray:
@@ -224,10 +229,10 @@ class Field:
         return cls(grid, np.stack([Y.values for Y in fields]))
 
     def min_interior(self) -> float | np.ndarray:
-        return self._min
+        return self.lowest
 
     def is_admissible(self) -> bool:
-        positive = self._min > 0.0
+        positive = self.lowest > 0.0
         return positive if self.values.ndim == 2 else bool(positive.all())
 
 

@@ -17,10 +17,13 @@ grid's frame.  With N % 4 == 0 and N >= BUTTERFLY_MIN_N, row i of odd mode
 N - j is (-1)^(i+1) times that of mode j, so each product is two half
 products (a butterfly) and the solver keeps two half tables in place of T.
 Values are clipped at CLIP only inside reciprocal evaluations
-(nonlocal_source).  picard_implicit_step stops once the discrete maximum
-principle (Varga 1962) certifies that a further sweep would move Y by less
-than STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size,
-so a stage and the same steps on the physical profile (W = v/A) stop alike.
+(nonlocal_source).  A sweep takes its state's minimum once: from CLIP up
+the source skips the clip, since max(Y, CLIP) is Y there, and the accepted
+Field carries that minimum, so no step reduces its state twice.
+picard_implicit_step stops once the discrete maximum principle (Varga
+1962) certifies that a further sweep would move Y by less than
+STOP_MARGIN*PICARD_TOL*max|Y|, a test relative to the state's own size, so
+a stage and the same steps on the physical profile (W = v/A) stop alike.
 The test reads the frame corner Y[0, 0] first and takes max|Y| only when
 the corner's smaller stop is not passed.  Below the butterfly the solve
 reads its input side from a table that carries the middle line's weight,
@@ -58,7 +61,7 @@ import itertools
 import logging
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +108,10 @@ ORACLE_MAX_ITERS = 2000  # descent steps before the oracle gives up
 BUTTERFLY_MIN_N = 172
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """One accepted step of march: its start prev and its state next, both
-    Fields on the solver's grid, and its Picard sweep count."""
+    Fields on the solver's grid, and its Picard sweep count.  A tuple, built
+    once per step at less than half a frozen dataclass's cost."""
 
     prev: Field
     next: Field
@@ -238,17 +241,22 @@ class DirichletSolver:
 
 
 def nonlocal_source(
-    Y: np.ndarray, grid: Grid, lam: float
+    Y: np.ndarray, grid: Grid, lam: float, lowest: float = -math.inf
 ) -> tuple[np.ndarray, float]:
     """The source F = lam/(Yc^2 K^2) of the frame values Y, a new frame array,
     and K = 1 + A^2 h^2 sum 1/Yc, the weighted frame sum (each interior node
     counted once), with Yc = max(Y, CLIP).  One division per node: the terms
     R = 1/Yc that K sums give F = (lam/K^2) R^2, in R's array.  Once
     min Y >= CLIP, Yc is Y and K is discrete_energy's K of Y to the bit.
-    A stack Y of shape (S, n, n) gives the stack of sources and the
-    (S, 1, 1) array of the states' K."""
-    R = np.maximum(Y, CLIP)
-    np.divide(1.0, R, out=R)
+    lowest is a lower bound on Y that the caller holds, min Y in a Picard
+    sweep: from CLIP up, R is 1/Y with no clip pass, the same bits.  Below
+    CLIP, NaN or left at -inf, Y is clipped.  A stack Y of shape (S, n, n)
+    gives the stack of sources and the (S, 1, 1) array of the states' K."""
+    if lowest >= CLIP:  # max(Y, CLIP) is Y
+        R = np.divide(1.0, Y)
+    else:
+        R = np.maximum(Y, CLIP)
+        np.divide(1.0, R, out=R)
     K = 1.0 + grid.A2h2 * grid.sum(R)
     R *= R
     R *= lam / (K * K)
@@ -312,11 +320,12 @@ def picard_implicit_step(
     array it allocates for f(Z), is overwritten and returned holding f(Y).
     Returns the accepted state Y, a Field on the solver's grid, its sweep
     count and that buffer.  Y carries the gradient sum of its solve and the
-    K of f(Y), which discrete_energy reads; if a value of Y is below CLIP,
-    that K is of the clipped values, and Y carries none.
+    K of f(Y), which discrete_energy reads, and its minimum; if that is
+    below CLIP (or NaN), K is of the clipped values, and Y carries none.
 
     Each sweep solves L (Y - g) = (Z - g)/ds - F with F = f(Y_prev), or F~
-    on the first, and then evaluates F_new = f(Y), the next sweep's source.
+    on the first, takes min Y once and evaluates F_new = f(Y), the next
+    sweep's source, which that minimum spares the clip pass from CLIP up.
     Since ||L^-1||_inf <= ds, the next sweep would move Y by at most
     ds*max|F_new - F|, whatever F was; the step ends once this certified
     bound is below STOP_MARGIN*PICARD_TOL*max|Y|, so no solve is spent on
@@ -345,14 +354,17 @@ def picard_implicit_step(
     # passed at the frame corner, |Y| go into F, which then takes a copy of
     # F_new.  march passes a ring row as F, so a step holds two frame arrays
     # besides Z and the ring.
-    F = nonlocal_source(Z.values, grid, lam)[0] if source is None else source
+    F = source
+    if F is None:
+        F = nonlocal_source(Z.values, grid, lam, Z.min_interior())[0]
     for sweeps in range(1, PICARD_MAX + 1):
         Y = Z.values - g
         Y /= ds
         Y -= F
         Y, grad_sq = solver.solve(Y)
         Y += g
-        F_new, K = nonlocal_source(Y, grid, lam)
+        lowest = float(np.minimum.reduce(Y, None))
+        F_new, K = nonlocal_source(Y, grid, lam, lowest)
         # the next sweep would move Y by L^-1 (F - F_new), and ||L^-1|| <= ds
         np.subtract(F_new, F, out=F)
         bound = ds * np.maximum.reduce(np.abs(F, out=F), None)
@@ -363,10 +375,9 @@ def picard_implicit_step(
         F[...] = F_new
         del F_new
         if bound < stop:
-            state = Field(grid, Y, grad_sq, K)
-            if state.min_interior() < CLIP:  # K is that of the clipped values
-                state = Field(grid, Y, grad_sq)
-            return state, sweeps, F
+            if not lowest >= CLIP:  # K is that of the clipped values
+                K = None
+            return Field(grid, Y, grad_sq, K, lowest), sweeps, F
     raise NumericalError(
         f"Picard did not converge within {PICARD_MAX} sweeps: "
         f"last certified bound {bound:.3e} against the stop {stop:.3e}"
@@ -389,7 +400,7 @@ def march(Z: Field, ds: float, lam: float, where: str) -> Iterator[StepReport]:
     solver = DirichletSolver(Z.grid, ds)
     logger.info("%s: %s solve", where, solver.path)
     ring = np.empty((SEED_ORDER + 1, *Z.grid.shape))
-    ring[0] = nonlocal_source(Z.values, Z.grid, lam)[0]
+    ring[0] = nonlocal_source(Z.values, Z.grid, lam, Z.min_interior())[0]
     for step in itertools.count(1):
         row = extrapolated_seed(ring, step)
         try:

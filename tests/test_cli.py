@@ -26,7 +26,7 @@ from quenchstage.cli import (
     main,
     parse_config,
 )
-from quenchstage import stepper, verify
+from quenchstage import cli, stepper, verify
 from quenchstage.drivers import DirectConfig, StagewiseConfig
 from quenchstage.stepper import BUTTERFLY_MIN_N, SEED_ORDER
 
@@ -418,6 +418,40 @@ def test_other_commands_data_file_stops_the_run(
         "of another command; its manifest.json would be replaced\n"
     )
     assert {f.name: f.read_bytes() for f in outdir.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, base", [
+    ("stagewise", STAGE_BASE | {"max_stages": 2}), ("direct", DIRECT_BASE),
+])
+def test_run_texts_equal_their_asdict_forms(
+    tmp_path, monkeypatch, command, base
+):
+    # a run record's vars is the field-order dict that dataclasses.asdict
+    # builds, without its recursive copy: every data file of a real run is
+    # the same bytes with asdict in place of vars
+    cfg = write_cfg(tmp_path / "run.cfg", base)
+    texts = []
+    for record_dict in (vars, dataclasses.asdict):
+        monkeypatch.setattr(cli, "vars", record_dict, raising=False)
+        out = tmp_path / record_dict.__name__
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(out))
+        assert main([command, "--config", cfg]) == 0
+        texts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "manifest.json"})
+    files = cli.STAGEWISE_FILES if command == "stagewise" else cli.DIRECT_FILES
+    assert sorted(texts[0]) == sorted(files)
+    assert texts[0] == texts[1]
+
+
+def test_verify_text_keeps_the_asdict_order(capsys):
+    # the checks of a real report are their asdict forms, keys in field
+    # order; vars would put passed, which CheckResult sets last, at the end
+    assert main(["verify", "all"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    want = [dataclasses.asdict(c) for c in verify.run_suite("all")]
+    assert checks == want
+    assert [list(c) for c in checks] == [list(c) for c in want]
+    assert list(vars(verify.CheckResult("edge", 0.0, 1.0)))[-1] == "passed"
 
 
 class TestVerifyCommand:

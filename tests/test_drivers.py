@@ -1,6 +1,5 @@
 """Stagewise and direct reference runs: triggers, transfers, bookkeeping."""
 
-import dataclasses
 import itertools
 import logging
 import time
@@ -549,7 +548,7 @@ class TestRunStagewise:
         def rising(*args, **kwargs):
             calls.append(1)
             eb = discrete_energy(*args, **kwargs)
-            return dataclasses.replace(eb, total=eb.total + len(calls))
+            return eb._replace(total=eb.total + len(calls))
 
         monkeypatch.setattr("quenchstage.drivers.discrete_energy", rising)
         cfg = StagewiseConfig()
@@ -819,14 +818,15 @@ def test_counts_per_run(monkeypatch, run, cfg, evaluations, gradient_sums):
 )
 def test_previous_report_is_freed_before_the_next_step(monkeypatch, run, crossed):
     # the scored loop keeps no report past its body: when march computes step
-    # j + 1, the report of step j, and with it the start of step j, is gone
+    # j + 1, the start of step j, which only the report of step j holds, is
+    # gone, and so is that report (a tuple takes no weak reference, so the
+    # test holds one to the start, the report's prev)
     refs, alive = [], []
     report, picard = stepper.StepReport, stepper.picard_implicit_step
 
-    def recording_report(*args):
-        rep = report(*args)
-        refs.append(weakref.ref(rep))
-        return rep
+    def recording_report(prev, *args):
+        refs.append(weakref.ref(prev))
+        return report(prev, *args)
 
     def stepping(*args):
         alive.append(sum(ref() is not None for ref in refs))

@@ -16,9 +16,11 @@ transfer only, which restricts the fine values and reads its stencils'
 window of the coarse frame values; its Laplace check reads the fine
 Laplacian's window the same way, and march builds its solver on the start's
 grid and does neither.  No package code
-reads a whole interior, so nothing builds a full-grid state.  Only a Field
-takes a minimum, once, when it is built.  The package defines exactly three
-exception classes, ConfigError (exit 2), NumericalError (exit 3) and
+reads a whole interior, so nothing builds a full-grid state.  A minimum,
+whether read as min (ndarray.min, np.min), amin or nanmin or taken as
+np.minimum.reduce, is taken only where a Field is built and in the Picard
+sweep, whose minimum the accepted Field carries.  The package defines
+exactly three exception classes, ConfigError (exit 2), NumericalError (exit 3) and
 SuiteError, a NumericalError that carries a partial verify report: each is
 ConfigError or NumericalError or derives from NumericalError, so each maps
 to a documented exit code, and each is caught by name somewhere in the
@@ -162,6 +164,25 @@ def readers(trees, name):
         for n in ast.walk(stmt)
         if (isinstance(n, ast.Attribute) and n.attr == name)
         or (bare and isinstance(n, ast.Name) and n.id == name)
+    }
+
+
+def minimum_readers(trees):
+    """Top-level statements, as module:name (or module:line), that take a
+    minimum: read min, amin or nanmin as an attribute (ndarray.min, np.min)
+    or a bare name that is no builtin's, or call reduce on minimum
+    (np.minimum.reduce).  The builtin min of a few numbers and the
+    elementwise np.minimum take no minimum of an array."""
+    names = ("min", "amin", "nanmin")
+    found = set().union(*(readers(trees, name) for name in names))
+    return found | {
+        f"{module}:{getattr(stmt, 'name', stmt.lineno)}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Attribute) and n.attr == "reduce"
+        and "minimum" in (getattr(n.value, "attr", None),
+                          getattr(n.value, "id", None))
     }
 
 
@@ -472,12 +493,32 @@ def test_one_frame():
     )
 
 
+def test_detects_every_minimum():
+    # each form of an array's minimum is caught, through any name numpy is
+    # bound to; the builtin min, the elementwise minimum and a maximum are not
+    forms = ast.parse(
+        "import numpy as np\nfrom numpy import minimum\n"
+        "def a(Y):\n    return Y.min()\n"
+        "def b(Y):\n    return np.minimum.reduce(Y, None)\n"
+        "def c(Y):\n    return np.amin(Y)\n"
+        "low = minimum.reduce(x)\n"
+        "def d(Y):\n    return min(Y[0, 0], 1.0)\n"
+        "def e(Y):\n    return np.minimum(Y, 1.0)\n"
+        "def f(Y):\n    return np.maximum.reduce(Y, None)\n"
+    )
+    assert minimum_readers({"m": forms}) == {"m:a", "m:b", "m:c", "m:9"}
+
+
 def test_only_a_field_takes_a_minimum():
-    # each state's minimum is taken once, when its Field is built; the
-    # trigger, the positivity checks and the energy read that one
+    # each state's minimum is taken once: when its Field is built, or, for
+    # a state a Picard step accepts, by the sweep that decides its source
+    # on it and hands it to the Field; the trigger, the positivity checks
+    # and the energy read that one
     trees = {path.name: parse(path) for path in MODULES}
-    found = readers(trees, "min")
-    assert found == {"grid.py:Field"}, f"min read by {found}"
+    found = minimum_readers(trees)
+    assert found == {"grid.py:Field", "stepper.py:picard_implicit_step"}, (
+        f"a minimum taken by {found}"
+    )
 
 
 def test_no_module_uses_numpy_random():

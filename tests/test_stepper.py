@@ -16,9 +16,11 @@ import pytest
 
 from quenchstage import stepper
 from quenchstage.drivers import (
+    DirectConfig,
     StageState,
     StagewiseConfig,
     initial_rescaled_profile,
+    run_direct,
     run_stage,
     run_stagewise,
 )
@@ -725,11 +727,39 @@ class TestCarriedSums:
         for lam in (20.0, 1.5e5):
             Y, _, F = picard_implicit_step(Z, solver, lam)
             assert Y.min_interior() < stepper.CLIP and Y.K is None
-            _, clipped_K = nonlocal_source(Y.values, Y.grid, lam)
+            assert Y.min_interior() == float(Y.values.min())
+            # the step's last source took the clipped path
+            clipped, clipped_K = nonlocal_source(Y.values, Y.grid, lam)
+            assert np.array_equal(F, clipped)
             own = discrete_energy(Field(Y.grid, Y.values), lam)
             assert discrete_energy(Y, lam).K == own.K != clipped_K
             assert Y.grad_norm_sq is not None
         assert Y.min_interior() <= 0.0 and own.K == np.inf
+
+    @pytest.mark.parametrize("run", ["stagewise", "direct"])
+    def test_minimum_is_the_values_minimum(self, monkeypatch, run):
+        # every state the 4-stage or the direct run accepts carries the
+        # minimum its values give, a float, and every sweep decided its
+        # source on the minimum of the state it evaluated
+        states, seen = self.accepted_states(monkeypatch), []
+        source = stepper.nonlocal_source
+
+        def recording(Y, grid, lam, lowest=-np.inf):
+            seen.append((lowest, float(Y.min())))
+            return source(Y, grid, lam, lowest)
+
+        monkeypatch.setattr(stepper, "nonlocal_source", recording)
+        if run == "stagewise":
+            assert len(run_stagewise(StagewiseConfig()).records) == 4
+        else:
+            run_direct(DirectConfig())
+        assert len(states) > 100
+        for Y in states:
+            assert type(Y.min_interior()) is float
+            assert Y.min_interior() == float(Y.values.min())
+        # the march's start and each sweep pass the minimum
+        assert len(seen) > len(states)
+        assert all(lowest == want for lowest, want in seen)
 
     def test_vanishing_branch_ignores_a_carried_K(self):
         Z = random_state(seed=31)
@@ -754,6 +784,48 @@ class TestSourceAndPenalty:
         assert np.array_equal(got, want)
         # no value is below CLIP, so the source's K is the energy's
         assert got_K == K
+
+    @pytest.mark.parametrize("N", range(2, 21))
+    def test_source_without_the_clip_is_the_clipped_source(self, N):
+        # from CLIP up max(Y, CLIP) is Y, so the source that a minimum at or
+        # above CLIP spares the clip pass is the clipped one to the bit; a
+        # node at CLIP itself takes the unclipped path too
+        grid, lam = Grid(0.6, N), 20.0
+        rng = np.random.default_rng(N)
+        for low in (1e-3, stepper.CLIP):
+            Y = rng.uniform(1e-3, 3.0, grid.shape)
+            Y[-1, 0] = low
+            F, K = nonlocal_source(Y, grid, lam)
+            got, got_K = nonlocal_source(Y, grid, lam, float(Y.min()))
+            assert np.array_equal(got, F) and got_K == K
+
+    def test_stack_source_without_the_clip_is_the_clipped_source(self):
+        grid, lam = Grid(0.6, 8), 20.0
+        stack = np.random.default_rng(8).uniform(1e-3, 3.0, (5, *grid.shape))
+        F, K = nonlocal_source(stack, grid, lam)
+        got, got_K = nonlocal_source(stack, grid, lam, float(stack.min()))
+        assert np.array_equal(got, F) and np.array_equal(got_K, K)
+
+    def test_minimum_from_clip_up_skips_the_clip(self):
+        # the caller's minimum decides: told CLIP, the source takes 1/Y of
+        # every node, a value below CLIP included, with no clip pass
+        grid, lam = Grid(1.0, 5), 3.0
+        Y = np.array([[1.0, -2.0], [0.5, 1e-13]])
+        K = 1.0 + grid.A2h2 * grid.sum(1.0 / Y)
+        got, got_K = nonlocal_source(Y, grid, lam, stepper.CLIP)
+        assert np.array_equal(got, (lam / (K * K)) * (1.0 / Y) ** 2)
+        assert got_K == K
+
+    @pytest.mark.parametrize("lowest", [-2.0, 1e-13, float("nan")])
+    def test_minimum_below_clip_or_nan_takes_the_clip(self, lowest):
+        # a minimum below CLIP, or NaN (NaN >= CLIP is false), clips: the
+        # source and K are those of the clipped values, not of 1/Y
+        grid, lam = Grid(1.0, 5), 3.0
+        Y = np.array([[1.0, -2.0], [0.5, 1e-13]])
+        F, K = nonlocal_source(Y, grid, lam)
+        got, got_K = nonlocal_source(Y, grid, lam, lowest)
+        assert np.array_equal(got, F) and got_K == K
+        assert K == reciprocal_K(Field(grid, np.maximum(Y, stepper.CLIP)))
 
     @pytest.mark.parametrize("N", [9, 18, 36])
     def test_weighted_quarter_K_is_the_full_K(self, N):
