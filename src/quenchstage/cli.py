@@ -9,17 +9,19 @@ Three subcommands:
   quenchstage verify <suite>              property suites; JSON report on
       stdout
 
-Configs are flat key = value text files carrying exactly the documented
-keys; an unreadable or non-UTF-8 file, unknown or missing keys, non-finite
-numbers and values the run configs reject (among them an A0 without a
-representable float grid and a grid above MAX_N intervals) are configuration
-errors (exit 2).  Numerical failures, a stage that starts at or below its
-trigger threshold after a transfer among them, exit 3; failed verify suites
-exit 1.  A numerical failure inside `verify all` first prints the report of
-the suites that completed, marked failed.  An unknown suite name is an
-argparse usage error, so main raises SystemExit(2), as for any other bad
-argument.  Any other exception is an internal error: main prints "internal
-error:" and the traceback to stderr and exits 4.
+Configs are flat key = value text files carrying exactly the keys that the
+run configs' fields declare in drivers, each with whether a file may omit it
+and its bounds; STAGEWISE_KEYS, STAGEWISE_OPTIONAL and DIRECT_KEYS are read
+from those declarations.  An unreadable or non-UTF-8 file, unknown or missing
+keys, non-finite numbers and values the run configs reject (among them an A0
+without a representable float grid and a grid above MAX_N intervals) are
+configuration errors (exit 2).  Numerical failures, a stage that starts at or
+below its trigger threshold after a transfer among them, exit 3; failed
+verify suites exit 1.  A numerical failure inside `verify all` first prints
+the report of the suites that completed, marked failed.  An unknown suite
+name is an argparse usage error, so main raises SystemExit(2), as for any
+other bad argument.  Any other exception is an internal error: main prints
+"internal error:" and the traceback to stderr and exits 4.
 
 Both run commands take one path: _load parses the config and builds the run
 config from it, the output directory named by QUENCHSTAGE_OUT (default:
@@ -89,15 +91,17 @@ EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
 
-def _config_keys(config: type) -> dict[str, type]:
-    """Config keys and value types of a run config, in field order: its
-    fields and annotations, each field under its config_key."""
+def _config_keys(config: type, optional: bool = False) -> dict[str, type]:
+    """The config keys of a run config that a file must give, or with
+    optional those it may omit, in field order: each field's declared key
+    and its annotated type."""
     hints = get_type_hints(config)
-    return {config_key(f.name): hints[f.name] for f in fields(config)}
+    return {config_key(f): hints[f.name] for f in fields(config)
+            if f.metadata["optional"] == optional}
 
 
 STAGEWISE_KEYS = _config_keys(StagewiseConfig)
-STAGEWISE_OPTIONAL = {"step_cap": STAGEWISE_KEYS.pop("step_cap")}
+STAGEWISE_OPTIONAL = _config_keys(StagewiseConfig, optional=True)
 DIRECT_KEYS = _config_keys(DirectConfig)
 
 CONVENTIONS = {
@@ -284,10 +288,10 @@ def _load(
     path: str, config: type, required: dict, optional: dict | None = None
 ) -> tuple[dict, object]:
     """The values of a config file and the run config built from them (each
-    key is the field whose config_key it is), with a value the run config
+    key sets the field that declares it), with a value the run config
     rejects reported as a ConfigError."""
     values = parse_config(path, required, optional)
-    field_of = {config_key(f.name): f.name for f in fields(config)}
+    field_of = {config_key(f): f.name for f in fields(config)}
     try:
         return values, config(**{field_of[key]: v for key, v in values.items()})
     except ValueError as exc:

@@ -38,6 +38,14 @@ interior: the transfer reads each event's stencils from its quarter.  Each
 driver builds the march and hands it the last reference to its start, so
 the start is freed once step 1 is scored, and run_stagewise drops each event
 once the next start is built from it.
+
+The two run configs, StagewiseConfig and DirectConfig, declare each field
+once (_declared): its default, its config-file key, whether a config file
+may omit it, and its bounds with their messages.  One validator, _validate,
+enforces the declared rules for both, every float finite among them, and
+cli builds its key tables from the same declarations.  The checks across
+fields (a representable grid, the stage growth against MAX_N, the stage-0
+threshold, T/dt) stay in each config's __post_init__.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import logging
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,72 +74,69 @@ from .stepper import NumericalError, StepReport, march, movement_penalty
 logger = logging.getLogger(__name__)
 
 
-# Largest grid a run may build, in intervals per direction: the reference
-# run to 8 stages, whose last stage has N = 1152, takes 3.5-4.1 s and
-# 67.3 MiB peak RSS (ru_maxrss) in a fresh `quenchstage stagewise` process
-# started in the checkout's root (2-vCPU Intel Xeon, BLAS on 1 thread,
-# 3 runs), 31.7 MiB by tracemalloc.
-# The last stage's steps set the peak, about 12.5 quarters of 576^2: the
-# seed's ring of seven sources, the solver's inverse and gradient-form
-# tables and its half tables (half a quarter), the step start and a Picard
-# sweep's two arrays besides the ring row that holds its source.  The RSS
-# peak follows glibc's allocation order: started from a directory outside
-# the checkout the same run reads 67.3-67.4 MiB, and with
-# MALLOC_MMAP_THRESHOLD_=131072 64.0-64.2 MiB (4.5-4.9 s).
+# Largest grid a run may build, in intervals per direction: the last stage of
+# the reference run to 8 stages.  That stage's steps set the run's peak, about
+# 12.5 quarters of 576^2: the seed's ring of seven sources, the solver's
+# tables, the step start and a Picard sweep's two arrays.
+# README.md (Config format) gives the time and peak RSS measured at this size.
 MAX_N = 1152
 
 # Most steps a run may take: a stage's default step cap and the bound on a
 # direct run's T/dt (10^6 steps at the direct N = 15 take 70 s on 2 vCPUs).
 MAX_STEPS = 1_000_000
 
+# Bounds shared by the run configs' fields, each (low, high, message): a value
+# must lie in [low, high], so a strict bound on a float sits one float inside
+# it.  The message is formatted with the field's config key and the value.
+_NONNEGATIVE = (0.0, math.inf, "{key} must be nonnegative")
+_POSITIVE = (math.ulp(0.0), math.inf, "{key} must be positive")
+_AT_LEAST_2 = (2, math.inf, "{key} must be at least 2")
+_IN_UNIT_INTERVAL = (math.ulp(0.0), math.nextafter(1.0, 0.0),
+                     "{key} must lie in (0, 1)")
 
-def config_key(name: str) -> str:
-    """The config-file key of a run-config field: the `lam` field is spelled
-    `lambda`, every other key is the field's name.  Messages name the key."""
-    return "lambda" if name == "lam" else name
+
+def _declared(default, *bounds, key: str | None = None, optional: bool = False):
+    """A run-config field: its default, its bounds, its config-file key (the
+    field's name unless given) and whether a config file may omit it."""
+    return field(default=default,
+                 metadata={"key": key, "optional": optional, "bounds": bounds})
 
 
-def _reject_nonfinite(cfg: object) -> None:
-    """Reject a run config with a NaN or infinite float field."""
+def config_key(f) -> str:
+    """The config-file key of a run-config field (a dataclasses.Field), which
+    every message about its value names."""
+    return f.metadata["key"] or f.name
+
+
+def _validate(cfg: object) -> None:
+    """Enforce the declared rules of a run config's fields, in field order:
+    a float must be finite, then each bound must hold."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{config_key(f.name)} = {value} is not finite")
+            raise ValueError(f"{config_key(f)} = {value} is not finite")
+        for low, high, message in f.metadata["bounds"]:
+            if not low <= value <= high:
+                raise ValueError(message.format(key=config_key(f), value=value))
 
 
 @dataclass(frozen=True)
 class StagewiseConfig:
-    lam: float = 20.0
-    u0_amplitude: float = 0.4
-    A0: float = 0.6
-    k: int = 2
-    N0: int = 9
-    ds: float = 1e-3
-    max_stages: int = 4
-    step_cap: int = MAX_STEPS
+    lam: float = _declared(20.0, _NONNEGATIVE, key="lambda")
+    u0_amplitude: float = _declared(0.4, _IN_UNIT_INTERVAL)
+    A0: float = _declared(0.6, _POSITIVE)
+    # the threshold k^(-2/3) needs a float k
+    k: int = _declared(2, _AT_LEAST_2, (-math.inf, sys.float_info.max,
+                                        "{key} is larger than the largest float"))
+    N0: int = _declared(9, _AT_LEAST_2)
+    ds: float = _declared(1e-3, _POSITIVE)
+    max_stages: int = _declared(4, (1, math.inf, "{key} must be >= 1"))
+    step_cap: int = _declared(MAX_STEPS, _POSITIVE, (
+        -math.inf, MAX_STEPS, f"{{key}} = {{value}}, above {MAX_STEPS = }"
+    ), optional=True)
 
     def __post_init__(self) -> None:
-        _reject_nonfinite(self)
-        if self.lam < 0.0:
-            raise ValueError(f"{config_key('lam')} must be nonnegative")
-        if not (0.0 < self.u0_amplitude < 1.0):
-            raise ValueError("u0_amplitude must lie in (0, 1)")
-        if not self.A0 > 0.0:
-            raise ValueError("A0 must be positive")
-        if self.N0 < 2:
-            raise ValueError("N0 must be at least 2")
-        if self.ds <= 0.0:
-            raise ValueError("ds must be positive")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if self.k > sys.float_info.max:  # the threshold k^(-2/3) needs a float k
-            raise ValueError("k is larger than the largest float")
-        if self.max_stages < 1:
-            raise ValueError("max_stages must be >= 1")
-        if self.step_cap <= 0:
-            raise ValueError("step_cap must be positive")
-        if self.step_cap > MAX_STEPS:
-            raise ValueError(f"step_cap = {self.step_cap}, above {MAX_STEPS = }")
+        _validate(self)
         # h is the same on every stage, so the stage-0 grid stands for all;
         # with A0 > 0 and N0 >= 2, Grid rejects only an h^2 that is no float
         try:
@@ -167,26 +172,16 @@ class StagewiseConfig:
 
 @dataclass(frozen=True)
 class DirectConfig:
-    lam: float = 15.0
-    N: int = 15
-    dt: float = 5e-4
-    T: float = 0.08
-    u0_amplitude: float = 0.45
+    lam: float = _declared(15.0, _NONNEGATIVE, key="lambda")
+    N: int = _declared(15, _AT_LEAST_2, (
+        -math.inf, MAX_N, f"grid {{key}} = {{value}} is above {MAX_N = }"
+    ))
+    dt: float = _declared(5e-4, _POSITIVE)
+    T: float = _declared(0.08, _NONNEGATIVE)
+    u0_amplitude: float = _declared(0.45, _IN_UNIT_INTERVAL)
 
     def __post_init__(self) -> None:
-        _reject_nonfinite(self)
-        if self.lam < 0.0:
-            raise ValueError(f"{config_key('lam')} must be nonnegative")
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.T < 0.0:
-            raise ValueError("T must be nonnegative")
-        if self.N > MAX_N:
-            raise ValueError(f"grid N = {self.N} is above MAX_N = {MAX_N}")
-        if not (0.0 < self.u0_amplitude < 1.0):
-            raise ValueError("u0_amplitude must lie in (0, 1)")
+        _validate(self)
         steps = self.T / self.dt
         if not math.isfinite(steps):  # round() would raise OverflowError
             raise ValueError(f"T/dt = {steps} is not a finite step count")

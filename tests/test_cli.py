@@ -1,5 +1,6 @@
 """Config parsing, exit codes, file formats, and determinism of the CLI."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -27,7 +28,7 @@ from quenchstage.cli import (
     parse_config,
 )
 from quenchstage import cli, stepper, verify
-from quenchstage.drivers import DirectConfig, StagewiseConfig
+from quenchstage.drivers import DirectConfig, StagewiseConfig, config_key
 from quenchstage.stepper import BUTTERFLY_MIN_N, SEED_ORDER
 
 STAGE_BASE = {
@@ -815,6 +816,85 @@ def test_rejected_value_names_its_key(
     cfg = write_cfg(tmp_path / "c.cfg", dict(base, **{key: value}))
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must ")
+
+
+def declared_bounds():
+    """One case per finite end of a declared bound of the run configs'
+    fields: the config, the field, the bound (the closed range
+    [low, high] and its message) and the value of the field's type just
+    outside that end."""
+    cases = []
+    for config in (StagewiseConfig, DirectConfig):
+        hints = typing.get_type_hints(config)
+        for field in dataclasses.fields(config):
+            whole = hints[field.name] is int
+            for bound in field.metadata["bounds"]:
+                low, high, _ = bound
+                outside = []
+                if math.isfinite(low):
+                    outside.append(("below", math.ceil(low) - 1 if whole
+                                    else math.nextafter(low, -math.inf)))
+                if math.isfinite(high):
+                    outside.append(("above", math.floor(high) + 1 if whole
+                                    else math.nextafter(high, math.inf)))
+                cases.extend(
+                    pytest.param(config, field, bound, value,
+                                 id=f"{config.__name__}-{field.name}-{side}")
+                    for side, value in outside
+                )
+    return cases
+
+
+@pytest.mark.parametrize("config, field, bound, value", declared_bounds())
+def test_each_declared_bound_has_one_message(
+    tmp_path, outdir, capsys, config, field, bound, value
+):
+    # a value just outside one declared bound, every other value the base
+    # config's: the run config raises the bound's message through the API,
+    # and a config file with that value exits 2 with the same message
+    key = config_key(field)
+    base = STAGE_BASE if config is StagewiseConfig else DIRECT_BASE
+    values = dict(base, **{key: value})
+    message = bound[2].format(key=key, value=value)
+    with pytest.raises(ValueError) as api:
+        config(**{f.name: values[config_key(f)]
+                  for f in dataclasses.fields(config) if config_key(f) in values})
+    assert str(api.value) == message
+    command = "stagewise" if config is StagewiseConfig else "direct"
+    cfg = write_cfg(tmp_path / "c.cfg", values)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def benchmark_setup_child():
+    """perfbench's set-up snippet, SETUP_CHILD, read from run.py's source."""
+    tree = ast.parse((PROJECT_ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "SETUP_CHILD" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py assigns no SETUP_CHILD")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stagewise", "--config", "configs/stagewise.cfg"],
+        ["direct", "--config", "configs/direct.cfg"],
+        ["verify", "all"],
+    ],
+    ids=["stagewise", "direct", "verify"],
+)
+def test_benchmark_setup_child_runs(argv):
+    # perfbench's setup_s times this snippet in a fresh interpreter: it
+    # imports the CLI and parses the arguments and the config through
+    # parse_config and the key tables; a set-up that fails voids the run
+    proc = subprocess.run(
+        [sys.executable, "-c", benchmark_setup_child(), str(PACKAGE_ROOT), *argv],
+        cwd=PROJECT_ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("dt, T", [(5e-324, 1.0), (1e-300, 1e10)])

@@ -4,7 +4,9 @@ tests/test_acceptance.py pins stages 0-3 of the reference config.  Here the
 same config runs to 6 stages, and stages 4 and 5 are checked cell by cell
 against the table in perfbench/reference.json, read from that file, so the
 benchmark and the tests share one table.  The steps and Picard sweeps per
-stage are pinned exactly.
+stage are pinned exactly.  The run's ledger.json, direct.json and the
+`verify all` report are compared leaf by leaf with the full-precision
+copies in tests/golden.
 """
 
 import csv
@@ -18,6 +20,7 @@ from quenchstage.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+GOLDEN = ROOT / "tests" / "golden"
 TABLES = ("stages.csv", "feedback.csv", "transitions.csv")
 RTOL = 1e-6
 
@@ -77,3 +80,38 @@ def test_deep_grids_and_steps_per_stage(deep):
     sweeps = [s["picard_sweeps"] for s in ledger["stages"]]
     assert sweeps == [155, 139, 190, 173, 156, 143]
 
+
+def leaves(value, key=()):
+    """The leaves of a parsed JSON document, keyed by their path."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for name, item in items:
+            yield from leaves(item, (*key, name))
+    else:
+        yield key, value
+
+
+@pytest.mark.parametrize("name", ["ledger.json", "direct.json", "verify_all.json"])
+def test_outputs_match_the_golden_files(deep, name, tmp_path, monkeypatch, capsys):
+    # the 6-stage ledger is the deep run's; floats agree to 1e-11 relative,
+    # as across BLAS kernels, and to 1e-15 absolute where they are round-off
+    # by construction (tests/golden/README.md)
+    if name == "ledger.json":
+        got = deep[1]
+    elif name == "direct.json":
+        monkeypatch.setenv("QUENCHSTAGE_OUT", str(tmp_path))
+        assert main(["direct", "--config", str(ROOT / "configs" / "direct.cfg")]) == 0
+        got = json.loads((tmp_path / name).read_text())
+    else:
+        assert main(["verify", "all"]) == 0
+        got = json.loads(capsys.readouterr().out)
+    got = dict(leaves(got))
+    want = dict(leaves(json.loads((GOLDEN / name).read_text())))
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        assert type(g) is type(w), key
+        if isinstance(w, float):
+            assert abs(g - w) <= max(1e-11 * max(abs(g), abs(w)), 1e-15), (key, g, w)
+        else:
+            assert g == w, key
